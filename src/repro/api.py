@@ -63,11 +63,7 @@ from repro.core.scheduling import (
 from repro.corpus.generator import CorpusConfig
 from repro.corpus.querylog import QueryLog, QueryLogConfig
 from repro.corpus.vocabulary import VocabularyConfig
-from repro.engine.execution import (
-    EXECUTION_BACKENDS,
-    ExecutionConfig,
-    resolve_execution,
-)
+from repro.engine.execution import EXECUTION_BACKENDS, ExecutionConfig
 from repro.engine.hedging import (
     DISABLED_POLICY,
     HedgingPolicy,
@@ -255,59 +251,18 @@ class QueryOutcome(Protocol):
 
 
 @dataclass(frozen=True, kw_only=True)
-class EngineConfig:
+class EngineConfig(SearchServiceConfig):
     """Keyword-only configuration of a native :class:`SearchEngine`.
 
-    A thin, stable veneer over the internal service config: the same
-    knobs, but all keyword-only so adding fields never breaks callers.
-
-    ``execution`` selects the fan-out backend
-    (:class:`ExecutionConfig`); the old ``num_threads`` spelling still
-    works but warns and maps onto
-    ``ExecutionConfig(backend="threads", workers=num_threads)``.
+    The public name of the service config: the fields are declared once,
+    on :class:`~repro.engine.service.SearchServiceConfig`, so a new
+    policy is threaded through one class, not two.  ``execution``
+    selects the fan-out backend (:class:`ExecutionConfig`).
     """
 
-    corpus: CorpusConfig = field(default_factory=CorpusConfig)
-    query_log: QueryLogConfig = field(default_factory=QueryLogConfig)
-    num_partitions: int = 1
-    partition_strategy: PartitionStrategy = PartitionStrategy.ROUND_ROBIN
-    algorithm: "str | TraversalStrategy" = "daat"
-    use_global_stats: bool = True
-    num_threads: Optional[int] = None
-    execution: Optional[ExecutionConfig] = None
-    hedging: Optional[HedgingPolicy] = None
-    overload: Optional[OverloadPolicy] = None
-    breakers: Optional[BreakerConfig] = None
-    faults: Optional[FaultPlan] = None
-    tiered: Optional[TieredStorageConfig] = None
-    scheduler: Optional[DeadlineScheduler] = None
-
-    def __post_init__(self) -> None:
-        # Warn at construction time (not first use) and fold the
-        # deprecated spelling away so inner layers never re-warn.
-        resolved = resolve_execution(
-            self.execution, self.num_threads, "EngineConfig"
-        )
-        object.__setattr__(self, "execution", resolved)
-        object.__setattr__(self, "num_threads", None)
-
     def to_service_config(self) -> SearchServiceConfig:
-        """The internal config this maps onto."""
-        return SearchServiceConfig(
-            corpus=self.corpus,
-            query_log=self.query_log,
-            num_partitions=self.num_partitions,
-            partition_strategy=self.partition_strategy,
-            algorithm=self.algorithm,
-            use_global_stats=self.use_global_stats,
-            execution=self.execution,
-            hedging=self.hedging,
-            overload=self.overload,
-            breakers=self.breakers,
-            faults=self.faults,
-            tiered=self.tiered,
-            scheduler=self.scheduler,
-        )
+        """The internal config this maps onto: itself."""
+        return self
 
 
 class SearchEngine:

@@ -18,7 +18,6 @@ tail cuts for a small duplicate-work budget.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional
@@ -45,7 +44,7 @@ class ReplicaSelection(Enum):
     LEAST_OUTSTANDING = "least_outstanding"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class HedgeConfig:
     """Hedged-request policy.
 
@@ -55,45 +54,13 @@ class HedgeConfig:
         Seconds after dispatch before the duplicate is sent.  Production
         systems set this near the per-shard p95 so only ~5% of requests
         hedge.
-
-    The field was renamed from ``delay`` to ``delay_s`` when the
-    :mod:`repro.api` surface standardized on unit-suffixed durations;
-    the old keyword and attribute still work but raise a
-    ``DeprecationWarning``.
     """
 
     delay_s: float
 
-    def __init__(
-        self,
-        delay_s: Optional[float] = None,
-        *,
-        delay: Optional[float] = None,
-    ) -> None:
-        if delay is not None:
-            warnings.warn(
-                "HedgeConfig(delay=...) is deprecated; use delay_s=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if delay_s is not None:
-                raise TypeError("pass either delay_s or delay, not both")
-            delay_s = delay
-        if delay_s is None:
-            raise TypeError("HedgeConfig requires delay_s")
-        if delay_s <= 0:
+    def __post_init__(self) -> None:
+        if self.delay_s <= 0:
             raise ValueError("hedge delay must be positive")
-        object.__setattr__(self, "delay_s", float(delay_s))
-
-    @property
-    def delay(self) -> float:
-        """Deprecated alias of :attr:`delay_s`."""
-        warnings.warn(
-            "HedgeConfig.delay is deprecated; read delay_s instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.delay_s
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ The paper's central finding is that index-serving nodes are
 compute-bound: query throughput scales with intra-node parallelism.
 The native engine therefore offers two interchangeable execution
 backends for its partition fan-out, selected by one declarative
-:class:`ExecutionConfig` instead of scattered ``num_threads`` kwargs:
+:class:`ExecutionConfig`:
 
 - ``"threads"`` — the seed's :class:`~concurrent.futures.ThreadPoolExecutor`
   fan-out.  Faithful to the original measurements, but per-partition
@@ -26,7 +26,6 @@ circuit breakers, and overload control keep their semantics either way.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,37 +97,3 @@ class ExecutionConfig:
     def use_processes(self) -> bool:
         """True when the process backend is selected."""
         return self.backend == "processes"
-
-
-def resolve_execution(
-    execution: Optional[ExecutionConfig],
-    num_threads: Optional[int],
-    owner: str,
-) -> Optional[ExecutionConfig]:
-    """Fold a deprecated ``num_threads`` kwarg into an ExecutionConfig.
-
-    The pre-redesign API spelled worker counts as ad-hoc
-    ``num_threads`` kwargs on :class:`EngineConfig`,
-    :class:`SearchServiceConfig`, and the ISN.  This shim keeps those
-    spellings working — mapped onto
-    ``ExecutionConfig(backend="threads", workers=num_threads)`` with a
-    :class:`DeprecationWarning` — while rejecting ambiguous calls that
-    set both the old and the new knob.
-    """
-    if num_threads is None:
-        return execution
-    if num_threads <= 0:
-        raise ValueError("num_threads must be positive")
-    if execution is not None:
-        raise TypeError(
-            f"{owner}: pass either execution=ExecutionConfig(...) or the "
-            "deprecated num_threads, not both"
-        )
-    warnings.warn(
-        f"{owner}: num_threads is deprecated; use "
-        "execution=ExecutionConfig(backend=\"threads\", "
-        f"workers={num_threads}) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ExecutionConfig(backend="threads", workers=num_threads)

@@ -1,18 +1,30 @@
 """The index serving node (ISN).
 
-The ISN owns a partitioned index and answers queries by fanning out to
-all partitions — in parallel on a thread pool (the benchmark's
-behaviour) or serially (for noise-free service-time characterization) —
-and merging the shard top-k lists.
+The ISN owns a partitioned index and answers a query by fanning it out
+to every partition, gathering the shard top-k lists, and merging them —
+the paper's intra-server partitioning study.  It does so exactly once:
 
-With a :class:`~repro.engine.hedging.HedgingPolicy` attached, the
-fan-out becomes *tail-tolerant*: each shard request carries a deadline
-budget, a straggling shard is hedged (a backup attempt races the
-original, first answer wins, losers are cancelled), failed attempts are
-retried with backoff, and a shard that misses its deadline is dropped
-from the merge — the response then reports ``coverage < 1.0`` so
-callers can plot the quality-vs-tail tradeoff.  Without a policy the
-fan-out is the seed's plain gather, byte-for-byte.
+- **one gather** (:meth:`IndexServingNode._gather`): an event-driven
+  loop over in-flight shard attempts, driven by a
+  :class:`~repro.engine.hedging.HedgingPolicy`.  With a policy the
+  gather is *tail-tolerant*: a straggling shard is hedged (a backup
+  attempt races the original, first answer wins, losers are
+  cancelled), failed attempts are retried with backoff, and a shard
+  that misses its deadline is dropped from the merge, so the response
+  reports ``coverage < 1.0``.  With no resilience feature configured
+  the inert :data:`~repro.engine.hedging.DISABLED_POLICY` drives the
+  same loop: no timer is armed, it waits for the primaries, and a
+  failing shard re-raises to the caller.  "No policy" is the
+  degenerate setting, not a second path.
+- **three backends** (:mod:`repro.engine.backends`): the gather hands
+  ``(shard, query)`` work items to a two-method backend — a thread
+  pool over the node's searchers, a GIL-free process pool, or inline
+  execution returning completed futures.
+- **one pipeline**: :meth:`~IndexServingNode.execute`,
+  :meth:`~IndexServingNode.execute_serial` and
+  :meth:`~IndexServingNode.execute_batch` share parse → cache lookup →
+  gather → merge → cache store and differ only in the backend and in
+  how many queries are in flight.
 
 When constructed with a :class:`~repro.obs.tracing.Tracer`, every query
 emits a span tree (``isn.execute`` → ``parse``/``fanout``/``shard``/
@@ -28,15 +40,23 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    FIRST_EXCEPTION,
+    Future,
+    ThreadPoolExecutor,
+)
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.execution import ExecutionConfig, resolve_execution
+from repro.engine.backends import LocalBackend, ProcessBackend, WorkItem
+from repro.engine.execution import ExecutionConfig
 from repro.engine.hedging import DISABLED_POLICY, HedgingPolicy, ShardLatencyTracker
 from repro.engine.instrumentation import ComponentTimings
+from repro.engine.mp import ProcessShardPool, WorkerCrashError, WorkerOptions
 from repro.index.partitioner import PartitionedIndex
+from repro.index.shared import SharedIndexArena
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Span, Tracer
 from repro.predict.features import extract_features
@@ -75,7 +95,7 @@ class IsnResponse:
     """One query's answer from an ISN.
 
     ``coverage`` is the fraction of shards whose answer made it into
-    the merge: 1.0 on the plain path, possibly lower under a
+    the merge: 1.0 policy-free, possibly lower under a
     :class:`~repro.engine.hedging.HedgingPolicy` with deadlines.
 
     ``cached`` flags responses replayed from the result cache; their
@@ -110,7 +130,7 @@ class IsnResponse:
 
 @dataclass
 class _FanoutOutcome:
-    """What one fan-out produced: answered shards plus hedge accounting.
+    """What the gather produced for one query.
 
     ``answered`` holds ``(shard_index, kind, result, start, end)``
     tuples for shards whose winner made the merge; ``kind`` is the
@@ -122,7 +142,6 @@ class _FanoutOutcome:
     hedges_issued: int = 0
     hedges_won: int = 0
     deadline_misses: int = 0
-    failures: int = 0
     retries: int = 0
     breaker_skips: int = 0
     missed_shards: Tuple[int, ...] = ()
@@ -134,20 +153,33 @@ class _FanoutOutcome:
         return len(self.answered) / self.num_shards
 
 
+@dataclass(frozen=True)
+class _Admitted:
+    """A parsed query on its way into the gather, with its timestamps."""
+
+    text: str
+    query: ParsedQuery
+    total_start: float
+    parse_start: float
+    parse_end: float
+    #: Whether a full-coverage answer is stored in the result cache.
+    cacheable: bool
+
+
 class IndexServingNode:
     """Searches one server's partitioned index with intra-query parallelism.
+
+    One gather over a two-method shard backend serves every entry point
+    (module docstring); the arguments below pick the backend and the
+    policies that gather interprets.
 
     Parameters
     ----------
     partitioned:
         The server's index shards.
-    num_threads:
-        Deprecated spelling of
-        ``execution=ExecutionConfig(backend="threads", workers=...)``;
-        emits a :class:`DeprecationWarning`.
     execution:
         The :class:`~repro.engine.execution.ExecutionConfig` selecting
-        the fan-out backend.  ``"threads"`` (default) fans out on a
+        the shard backend.  ``"threads"`` (default) searches on a
         thread pool sized to the partition count — doubled when a
         hedging policy is attached so backup attempts are not starved
         by the primaries they are meant to overtake.  ``"processes"``
@@ -178,7 +210,7 @@ class IndexServingNode:
         characterization and calibration need raw service times.
     hedging:
         Optional :class:`~repro.engine.hedging.HedgingPolicy`.  None or
-        an inert policy keeps the seed's plain fan-out path.
+        an inert policy leaves the gather policy-free.
     overload:
         Optional :class:`~repro.resilience.admission.OverloadPolicy`.
         When set (and enabled), every :meth:`execute` call passes a
@@ -187,7 +219,7 @@ class IndexServingNode:
         being served.
     breakers:
         Optional :class:`~repro.resilience.breaker.BreakerConfig`.
-        When set, each shard gets a circuit breaker fed by fan-out
+        When set, each shard gets a circuit breaker fed by gather
         failures and deadline misses; an open shard is skipped,
         degrading coverage like a deadline miss.
     faults:
@@ -214,7 +246,7 @@ class IndexServingNode:
     def __init__(
         self,
         partitioned: PartitionedIndex,
-        num_threads: Optional[int] = None,
+        *,
         algorithm: "str | TraversalStrategy" = "daat",
         use_global_stats: bool = True,
         cache: Optional["QueryResultCache"] = None,
@@ -229,9 +261,6 @@ class IndexServingNode:
         tiered: Optional["TieredStorageConfig"] = None,
         scheduler: Optional["DeadlineScheduler"] = None,
     ):
-        execution = resolve_execution(
-            execution, num_threads, "IndexServingNode"
-        )
         self._execution = (
             execution if execution is not None else ExecutionConfig()
         )
@@ -272,27 +301,12 @@ class IndexServingNode:
         ]
         analyzer = partitioned[0].index.analyzer
         self._parser = QueryParser(analyzer)
-        if (
-            self._execution.use_processes
-            or self._execution.workers is None
-        ):
-            # Thread-backend default, and the coordinator pool size on
-            # the process backend (where ``workers`` counts processes):
-            # one thread per partition, doubled under hedging.
-            workers = partitioned.num_partitions
-            if self._hedging is not None and self._hedging.hedges_enabled:
-                workers *= 2
-        else:
-            workers = self._execution.workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="isn-shard"
-        )
+        # Serial execution: the same attempts, run inline, never faulted.
+        self._inline = LocalBackend(self._searchers)
         self._arena = None
         self._process_pool = None
+        workers = self._execution.workers
         if self._execution.use_processes:
-            from repro.engine.mp import ProcessShardPool, WorkerOptions
-            from repro.index.shared import SharedIndexArena
-
             source = (
                 shared_source if shared_source is not None else partitioned
             )
@@ -300,8 +314,8 @@ class IndexServingNode:
             self._process_pool = ProcessShardPool(
                 self._arena.spec,
                 workers=(
-                    self._execution.workers
-                    if self._execution.workers is not None
+                    workers
+                    if workers is not None
                     else partitioned.num_partitions
                 ),
                 options=WorkerOptions(
@@ -313,6 +327,23 @@ class IndexServingNode:
                 metrics=metrics,
                 start_method=self._execution.start_method,
                 probe_interval_s=self._execution.probe_interval_s,
+            )
+            self._backend = ProcessBackend(
+                self._process_pool, self._execution.batch_size, self._faults
+            )
+        else:
+            if workers is None:
+                # One thread per partition, doubled under hedging so a
+                # backup attempt never queues behind the primaries.
+                workers = partitioned.num_partitions
+                if self._hedging is not None and self._hedging.hedges_enabled:
+                    workers *= 2
+            self._backend = LocalBackend(
+                self._searchers,
+                ThreadPoolExecutor(
+                    max_workers=workers, thread_name_prefix="isn-shard"
+                ),
+                self._faults,
             )
         self._closed = False
 
@@ -398,7 +429,7 @@ class IndexServingNode:
 
     @property
     def _resilient_fanout(self) -> bool:
-        """True when the fan-out must run the event-driven gather."""
+        """True when any resilience feature shapes the gather."""
         return (
             self._hedging is not None
             or self._breakers is not None
@@ -465,57 +496,15 @@ class IndexServingNode:
         mode: QueryMode,
         budget_s: Optional[float] = None,
     ) -> IsnResponse:
-        total_start = time.perf_counter()
-
-        parse_start = time.perf_counter()
-        query = self._parser.parse(text, mode=mode, k=k)
-        parse_end = time.perf_counter()
-
-        if self.cache is not None:
-            entry = self.cache.lookup_entry(query)
-            if entry is not None:
-                return self._respond_from_cache(
-                    text, entry, total_start, parse_start, parse_end
-                )
-
-        max_docs = (
-            self._depth_budget(query, total_start, budget_s)
-            if self._scheduler is not None
-            else None
-        )
-
-        fanout_start = time.perf_counter()
-        if self._resilient_fanout:
-            outcome = self._fanout_hedged(query, fanout_start)
-        elif self._process_pool is not None:
-            outcome = self._fanout_processes(query)
-        else:
-            futures = [
-                self._pool.submit(
-                    self._search_shard, searcher, query, max_docs
-                )
-                for searcher in self._searchers
-            ]
-            outcome = _FanoutOutcome(
-                answered=[
-                    (shard, "primary", *future.result())
-                    for shard, future in enumerate(futures)
-                ],
-                num_shards=len(futures),
-            )
-        fanout_end = time.perf_counter()
-
-        response = self._assemble(
-            text, query, outcome,
-            parse_start, parse_end, fanout_start, fanout_end, total_start,
-        )
-        if self.cache is not None and response.coverage >= 1.0:
-            # Partial answers must not poison the cache with degraded
-            # pages — only full-coverage responses are stored.
-            self.cache.store(
-                query, response.hits, matched_volume=response.matched_volume
-            )
-        return response
+        admitted = self._admit(text, k, mode)
+        if isinstance(admitted, IsnResponse):
+            return admitted
+        return self._serve(
+            self._backend,
+            [admitted],
+            resilient=self._resilient_fanout,
+            max_docs=self._depth_budget(admitted, budget_s),
+        )[0]
 
     def execute_serial(
         self,
@@ -528,29 +517,13 @@ class IndexServingNode:
         Serial execution removes thread-pool scheduling noise, which is
         what the service-time characterization and simulator calibration
         need: the sum of shard times *is* the query's CPU demand.  The
-        hedging policy never applies here.
+        same gather runs over the inline backend; the result cache, the
+        admission gate and every resilience policy are bypassed.
         """
         self._ensure_open()
-        total_start = time.perf_counter()
-
-        parse_start = time.perf_counter()
-        query = self._parser.parse(text, mode=mode, k=k)
-        parse_end = time.perf_counter()
-
-        fanout_start = time.perf_counter()
-        outcome = _FanoutOutcome(
-            answered=[
-                (shard, "primary", *self._search_shard(searcher, query))
-                for shard, searcher in enumerate(self._searchers)
-            ],
-            num_shards=len(self._searchers),
-        )
-        fanout_end = time.perf_counter()
-
-        return self._assemble(
-            text, query, outcome,
-            parse_start, parse_end, fanout_start, fanout_end, total_start,
-        )
+        return self._serve(
+            self._inline, [self._admit(text, k, mode, use_cache=False)]
+        )[0]
 
     def execute_batch(
         self,
@@ -560,15 +533,15 @@ class IndexServingNode:
     ) -> List:
         """Answer many queries in one fan-out wave.
 
-        On the process backend, all pending ``(query, partition)`` work
-        items are packed into dispatches of at most
-        ``execution.batch_size`` so the IPC round-trip is amortized
-        over many scoring calls — this is the path that exposes
-        cross-query scaling.  On the thread backend every item is an
-        independent pool task.  Either way each response is identical
-        (ids *and* float scores) to what :meth:`execute` would return
-        for that text, and the result cache is consulted and fed
-        exactly as on the single-query path.
+        Every pending ``(query, partition)`` work item goes to the
+        backend in one submission.  On the process backend that packs
+        them into dispatches of at most ``execution.batch_size`` so the
+        IPC round-trip is amortized over many scoring calls — this is
+        the path that exposes cross-query scaling; on the thread
+        backend every item is an independent pool task.  Either way
+        each response is identical (ids *and* float scores) to what
+        :meth:`execute` would return for that text, and the result
+        cache is consulted and fed exactly as on the single-query path.
 
         Resilience features (hedging, breakers, faults, admission
         control) are per-query machinery, so when any is configured
@@ -578,140 +551,50 @@ class IndexServingNode:
         if self._resilient_fanout or self._gate is not None:
             return [self.execute(text, k=k, mode=mode) for text in texts]
 
-        n = self.num_partitions
-        responses: List = [None] * len(texts)
-        parsed: List[Optional[ParsedQuery]] = [None] * len(texts)
-        windows: List[Tuple[float, float, float]] = []
-        pending: List[int] = []
-        for position, text in enumerate(texts):
-            total_start = time.perf_counter()
-            parse_start = time.perf_counter()
-            query = self._parser.parse(text, mode=mode, k=k)
-            parse_end = time.perf_counter()
-            parsed[position] = query
-            windows.append((total_start, parse_start, parse_end))
-            if self.cache is not None:
-                entry = self.cache.lookup_entry(query)
-                if entry is not None:
-                    responses[position] = self._respond_from_cache(
-                        text, entry, total_start, parse_start, parse_end
-                    )
-                    continue
-            pending.append(position)
-
-        fanout_start = time.perf_counter()
-        answered: Dict[int, List[tuple]] = {
-            position: [] for position in pending
-        }
-        dispatch_order = pending
+        responses: List = [self._admit(text, k, mode) for text in texts]
+        pending = [
+            position
+            for position, admitted in enumerate(responses)
+            if isinstance(admitted, _Admitted)
+        ]
         if self._scheduler is not None and len(pending) > 1:
             # Longest-predicted-first dispatch: the predicted-expensive
             # queries start scoring first, so the batch straggler is a
             # query that started early rather than one that queued
             # behind cheap work (the native mirror of the DES router
             # shielding long queries).  Stable sort keeps determinism.
-            predictions = {
-                position: self._scheduler.predicted_seconds(
-                    extract_features(self.partitioned, parsed[position])
-                )
-                for position in pending
-            }
             if self._metrics is not None:
                 self._metrics.counter("predict.queries").add(len(pending))
-            dispatch_order = sorted(
-                pending, key=lambda position: -predictions[position]
-            )
-        items = [
-            (position, shard)
-            for position in dispatch_order
-            for shard in range(n)
-        ]
-        if self._process_pool is not None:
-            from repro.engine.mp import WorkerCrashError
-
-            batch = self._execution.batch_size
-            dispatches = []
-            for lo in range(0, len(items), batch):
-                chunk = items[lo : lo + batch]
-                dispatches.append(
-                    (
-                        chunk,
-                        self._process_pool.submit_batch(
-                            [
-                                (shard, parsed[position])
-                                for position, shard in chunk
-                            ],
-                            crash_retries=_BATCH_CRASH_RETRIES,
-                        ),
+            pending.sort(
+                key=lambda position: -self._scheduler.predicted_seconds(
+                    extract_features(
+                        self.partitioned, responses[position].query
                     )
                 )
-            for chunk, future in dispatches:
-                try:
-                    replies = future.result()
-                except WorkerCrashError:
-                    # Even the retries died.  Only the queries with an
-                    # item in flight on the dead worker lose that shard
-                    # (their coverage drops below 1.0); every other
-                    # dispatch of this batch proceeds untouched.
-                    continue
-                for (position, _), (shard, result, start, end) in zip(
-                    chunk, replies
-                ):
-                    answered[position].append(
-                        (shard, "primary", result, start, end)
-                    )
-        else:
-            futures = [
-                (
-                    position,
-                    shard,
-                    self._pool.submit(
-                        self._search_shard,
-                        self._searchers[shard],
-                        parsed[position],
-                    ),
-                )
-                for position, shard in items
-            ]
-            for position, shard, future in futures:
-                answered[position].append(
-                    (shard, "primary", *future.result())
-                )
-        fanout_end = time.perf_counter()
-
-        for position in pending:
-            shard_answers = sorted(
-                answered[position], key=lambda item: item[0]
             )
-            outcome = _FanoutOutcome(answered=shard_answers, num_shards=n)
-            total_start, parse_start, parse_end = windows[position]
-            response = self._assemble(
-                texts[position], parsed[position], outcome,
-                parse_start, parse_end, fanout_start, fanout_end,
-                total_start,
+        if pending:
+            # A worker death moves its chunk to a healthy worker instead
+            # of failing the whole batch.
+            served = self._serve(
+                self._backend,
+                [responses[position] for position in pending],
+                crash_retries=_BATCH_CRASH_RETRIES,
             )
-            if self.cache is not None and response.coverage >= 1.0:
-                self.cache.store(
-                    parsed[position],
-                    response.hits,
-                    matched_volume=response.matched_volume,
-                )
-            responses[position] = response
+            for position, response in zip(pending, served):
+                responses[position] = response
         return responses
 
     def close(self) -> None:
         """Shut down executors, worker processes, and shared memory.
 
-        Deterministic teardown: the fan-out thread pool drains, the
-        process pool (if any) joins its workers, and the shared-memory
-        segment is unlinked.  Idempotent; the node rejects queries
-        afterwards.
+        Deterministic teardown: the backend drains (the thread pool
+        joins, or the process pool joins its workers) and the
+        shared-memory segment is unlinked.  Idempotent; the node
+        rejects queries afterwards.
         """
         if not self._closed:
             self._closed = True
-            self._pool.shutdown(wait=True)
-            if self._process_pool is not None:
-                self._process_pool.close()
+            self._backend.close()
             if self._arena is not None:
                 self._arena.close()
 
@@ -725,34 +608,82 @@ class IndexServingNode:
         if self._closed:
             raise RuntimeError("IndexServingNode is closed")
 
-    @staticmethod
-    def _search_shard(
-        searcher: ShardSearcher,
-        query: ParsedQuery,
-        max_docs_scored: Optional[int] = None,
+    # ------------------------------------------------------------------
+    # the shared pipeline: parse -> cache lookup -> gather -> merge ->
+    # cache store
+
+    def _admit(
+        self, text: str, k: int, mode: QueryMode, use_cache: bool = True
     ):
-        """Search one shard; returns (result, start, end) timestamps."""
-        start = time.perf_counter()
-        result = searcher.search(query, max_docs_scored=max_docs_scored)
-        return result, start, time.perf_counter()
+        """Parse ``text``; answer it from the cache or admit it.
+
+        Returns the cached :class:`IsnResponse` on a hit, else the
+        :class:`_Admitted` record :meth:`_serve` takes.
+        """
+        total_start = time.perf_counter()
+        parse_start = time.perf_counter()
+        query = self._parser.parse(text, mode=mode, k=k)
+        parse_end = time.perf_counter()
+        cacheable = use_cache and self.cache is not None
+        admitted = _Admitted(
+            text, query, total_start, parse_start, parse_end, cacheable
+        )
+        if cacheable:
+            entry = self.cache.lookup_entry(query)
+            if entry is not None:
+                return self._respond_from_cache(admitted, entry)
+        return admitted
+
+    def _serve(
+        self,
+        backend,
+        admitted: Sequence[_Admitted],
+        *,
+        resilient: bool = False,
+        max_docs: Optional[int] = None,
+        crash_retries: int = 0,
+    ) -> List[IsnResponse]:
+        """Gather every admitted query's shards on ``backend`` and merge."""
+        items = [
+            (shard, one.query)
+            for one in admitted
+            for shard in range(self.num_partitions)
+        ]
+        fanout_start = time.perf_counter()
+        outcomes = self._gather(
+            backend, items, fanout_start, resilient, max_docs, crash_retries
+        )
+        fanout_end = time.perf_counter()
+        responses = []
+        for one, outcome in zip(admitted, outcomes):
+            response = self._assemble(one, outcome, fanout_start, fanout_end)
+            if one.cacheable and response.coverage >= 1.0:
+                # Partial answers must not poison the cache with degraded
+                # pages — only full-coverage responses are stored.
+                self.cache.store(
+                    one.query,
+                    response.hits,
+                    matched_volume=response.matched_volume,
+                )
+            responses.append(response)
+        return responses
 
     def _depth_budget(
-        self,
-        query: ParsedQuery,
-        total_start: float,
-        budget_s: Optional[float],
+        self, admitted: _Admitted, budget_s: Optional[float]
     ) -> Optional[int]:
         """Featurize at admission; map the deadline to a BMW depth.
 
         Returns the per-shard ``max_docs_scored`` cap, or ``None`` when
-        no cap applies.  Depth capping is a plain-fan-out, thread-
-        backend mechanism: the resilient gather has its own deadline
-        machinery (drop-the-shard, not truncate-the-shard), and the
-        process backend's dispatch protocol carries no per-query depth
-        — those paths still get admission-time prediction metrics and
-        batch ordering, just no truncation.
+        no cap applies.  Depth capping is a policy-free, thread-backend
+        mechanism: under a resilience policy the gather has its own
+        deadline machinery (drop-the-shard, not truncate-the-shard),
+        and the process backend's dispatch protocol carries no
+        per-query depth — those still get admission-time prediction
+        metrics and batch ordering, just no truncation.
         """
-        scheduler = self._scheduler
+        scheduler, query = self._scheduler, admitted.query
+        if scheduler is None:
+            return None
         features = extract_features(self.partitioned, query)
         if self._metrics is not None:
             self._metrics.counter("predict.queries").add()
@@ -767,7 +698,7 @@ class IndexServingNode:
             or self._process_pool is not None
         ):
             return None
-        remaining = deadline - (time.perf_counter() - total_start)
+        remaining = deadline - (time.perf_counter() - admitted.total_start)
         max_docs = scheduler.max_docs_for(
             features,
             remaining,
@@ -778,155 +709,87 @@ class IndexServingNode:
             self._metrics.counter("predict.depth_capped").add()
         return max_docs
 
-    def _search_shard_attempt(
-        self,
-        shard: int,
-        searcher: ShardSearcher,
-        query: ParsedQuery,
-        cancel: threading.Event,
-    ):
-        """One cancellable hedged attempt against one shard.
-
-        With a fault plan attached, injected crashes/errors raise here
-        (flowing through the fan-out's retry machinery) and slowdowns
-        pad the measured service time.
-        """
-        if self._faults is not None:
-            self._faults.before_search(shard)
-        start = time.perf_counter()
-        result = searcher.search(query, cancel=cancel)
-        end = time.perf_counter()
-        if self._faults is not None:
-            self._faults.slowdown_sleep(shard, end - start)
-            end = time.perf_counter()
-        return result, start, end
-
     # ------------------------------------------------------------------
-    # process-backend fan-out
+    # the gather
 
-    def _fanout_processes(self, query: ParsedQuery) -> _FanoutOutcome:
-        """Plain fan-out over the worker-process pool.
+    def _gather(
+        self,
+        backend,
+        items: Sequence[WorkItem],
+        fanout_start: float,
+        resilient: bool,
+        max_docs: Optional[int] = None,
+        crash_retries: int = 0,
+    ) -> List[_FanoutOutcome]:
+        """The node's one fan-out: run ``items`` on ``backend``, gather.
 
-        Shards are dealt round-robin into one batch dispatch per
-        worker, so a single query still spreads across all processes
-        while each worker receives exactly one IPC message.
+        ``items`` is query-major (each query's shards ``0..n-1``), and
+        each item is one *slot* the loop must decide: answered,
+        deadline-missed, failed beyond the retry budget, or fenced off
+        by an open breaker.  Each turn fires the timers that are due
+        (retry backoff, deadline, hedge), waits on the in-flight
+        attempts until the next timer, and books whatever finished.
+        Returns one :class:`_FanoutOutcome` per query.
+
+        ``resilient`` says whether the node's policy, breakers and
+        failure tolerance apply.  When False the inert policy arms no
+        timer and a failed attempt re-raises to the caller — except a
+        worker crash that outlived its ``crash_retries``, which costs a
+        batch's affected queries that shard, not every query its answer.
+        With only breakers or faults configured the inert policy still
+        supplies the bounded retry those features feed on.
         """
         n = self.num_partitions
-        lanes = min(self._process_pool.num_workers, n)
-        futures = [
-            self._process_pool.submit_batch(
-                [(shard, query) for shard in range(lane, n, lanes)]
-            )
-            for lane in range(lanes)
-        ]
-        answered = [
-            (shard, "primary", result, start, end)
-            for future in futures
-            for shard, result, start, end in future.result()
-        ]
-        answered.sort(key=lambda item: item[0])
-        return _FanoutOutcome(answered=answered, num_shards=n)
-
-    def _search_shard_attempt_mp(
-        self, shard: int, query: ParsedQuery, cancel: threading.Event
-    ):
-        """One hedged attempt dispatched to the worker-process pool.
-
-        Runs on a coordinator thread: faults inject parent-side (so
-        chaos plans keep their semantics on either backend), the
-        cancellation token is honoured up to the dispatch (a worker
-        already scoring cannot be interrupted — the gather discards the
-        late answer instead), and a worker crash surfaces as a typed
-        :class:`~repro.engine.mp.WorkerCrashError` that flows through
-        the retry/breaker machinery like any shard failure.
-        """
-        if self._faults is not None:
-            self._faults.before_search(shard)
-        if cancel.is_set():
-            raise SearchCancelled(
-                f"attempt for shard {shard} cancelled before dispatch"
-            )
-        result, start, end = self._process_pool.submit_one(
-            shard, query
-        ).result()
-        if self._faults is not None:
-            self._faults.slowdown_sleep(shard, end - start)
-            end = time.perf_counter()
-        return result, start, end
-
-    # ------------------------------------------------------------------
-    # tail-tolerant fan-out
-
-    def _fanout_hedged(
-        self, query: ParsedQuery, fanout_start: float
-    ) -> _FanoutOutcome:
-        """Event-driven gather with deadlines, hedges, and retries.
-
-        The loop waits on in-flight attempts with a timeout equal to
-        the next timer (hedge fire, deadline, retry backoff), processes
-        whichever happens first, and exits once every shard is decided
-        — answered, deadline-missed, failed beyond the retry budget, or
-        fenced off by an open circuit breaker.
-
-        With only breakers/faults configured (no hedging policy) the
-        inert :data:`~repro.engine.hedging.DISABLED_POLICY` drives the
-        loop: no hedges, no deadlines, but the retry/failure machinery
-        the injectors and breakers need still runs.
-        """
-        policy = self._hedging or DISABLED_POLICY
-        n = len(self._searchers)
+        policy = (self._hedging if resilient else None) or DISABLED_POLICY
+        breakers = self._breakers if resilient else None
         delay = policy.resolve_hedge_delay(self._latency_tracker)
-        deadline = policy.deadline_s
-
+        deadline_at = (
+            None
+            if policy.deadline_s is None
+            else fanout_start + policy.deadline_s
+        )
+        outcomes = [
+            _FanoutOutcome(answered=[], num_shards=n)
+            for _ in range(0, len(items), n)
+        ]
         answered: Dict[int, tuple] = {}
-        missed: List[bool] = [False] * n
-        hedge_counts = [0] * n
-        retry_counts = [0] * n
-        next_hedge_at: List[Optional[float]] = [
-            fanout_start + delay if delay is not None else None
-        ] * n
-        deadline_at: List[Optional[float]] = [
-            fanout_start + deadline if deadline is not None else None
-        ] * n
-        resubmit_at: Dict[int, float] = {}
-        pending: Dict[Future, Tuple[int, str]] = {}
-        cancel_tokens: Dict[Future, threading.Event] = {}
-        shard_futures: Dict[int, List[Future]] = {i: [] for i in range(n)}
-        outcome = _FanoutOutcome(answered=[], num_shards=n)
+        undecided = set(range(len(items)))
+        hedges_left = [policy.max_hedges] * len(items)
+        retries = [0] * len(items)
+        #: Armed timers, by slot; a settled slot has none.
+        hedge_at: Dict[int, float] = (
+            {}
+            if delay is None
+            else dict.fromkeys(undecided, fanout_start + delay)
+        )
+        retry_at: Dict[int, float] = {}
+        #: In-flight attempts: future -> (slot, kind, cancellation token).
+        pending: Dict[Future, Tuple[int, str, threading.Event]] = {}
 
-        def decided(shard: int) -> bool:
-            return shard in answered or missed[shard]
-
-        def submit(shard: int, kind: str) -> None:
+        def submit(slots: List[int], kind: str) -> None:
             token = threading.Event()
-            if self._process_pool is not None:
-                future = self._pool.submit(
-                    self._search_shard_attempt_mp, shard, query, token
-                )
-            else:
-                future = self._pool.submit(
-                    self._search_shard_attempt,
-                    shard,
-                    self._searchers[shard],
-                    query,
-                    token,
-                )
-            pending[future] = (shard, kind)
-            cancel_tokens[future] = token
-            shard_futures[shard].append(future)
+            futures = backend.submit(
+                [items[slot] for slot in slots], token, max_docs, crash_retries
+            )
+            for slot, future in zip(slots, futures):
+                pending[future] = (slot, kind, token)
 
-        def cancel_shard(shard: int, keep: Optional[Future] = None) -> None:
-            for future in shard_futures[shard]:
-                if future is keep:
-                    continue
-                cancel_tokens[future].set()
-                future.cancel()
+        def settle(slot: int, cancel: bool = True) -> None:
+            """Mark ``slot`` decided; cancel what is still in flight for it."""
+            undecided.discard(slot)
+            hedge_at.pop(slot, None)
+            retry_at.pop(slot, None)
+            if cancel:
+                for future, (other, _, token) in pending.items():
+                    if other == slot:
+                        token.set()
+                        future.cancel()
 
-        def breaker_allow(shard: int, now: float) -> bool:
+        def breaker_allow(slot: int, now: float) -> bool:
             """Consult the shard's breaker (counting half-open probes)."""
-            if self._breakers is None:
+            if breakers is None:
                 return True
-            breaker = self._breakers.breaker(shard)
+            breaker = breakers.breaker(items[slot][0])
             half_open = breaker.state(now) is BreakerState.HALF_OPEN
             if not breaker.allow(now):
                 return False
@@ -934,144 +797,133 @@ class IndexServingNode:
                 self._metrics.counter("isn.breaker_probes").add()
             return True
 
-        def breaker_failure(shard: int, now: float) -> None:
-            if self._breakers is not None:
-                self._breakers.breaker(shard).record_failure(now)
+        def breaker_failure(slot: int, now: float) -> None:
+            if breakers is not None:
+                breakers.breaker(items[slot][0]).record_failure(now)
 
-        def breaker_success(shard: int, now: float) -> None:
-            if self._breakers is not None:
-                self._breakers.breaker(shard).record_success(now)
-
-        for shard in range(n):
-            if breaker_allow(shard, fanout_start):
-                submit(shard, "primary")
+        primaries = []
+        for slot in range(len(items)):
+            if breaker_allow(slot, fanout_start):
+                primaries.append(slot)
             else:
                 # Open breaker: skip the shard outright, degrading
                 # coverage exactly like a deadline miss.
-                missed[shard] = True
-                outcome.breaker_skips += 1
+                settle(slot)
+                outcomes[slot // n].breaker_skips += 1
+        # A submission is the backend's unit of packing — and so of
+        # failure: attempts a policy may hedge, retry or fence off one
+        # by one go out one by one; policy-free primaries go together.
+        for group in [[s] for s in primaries] if resilient else [primaries]:
+            if group:
+                submit(group, "primary")
 
-        while not all(decided(shard) for shard in range(n)):
+        while undecided:
             now = time.perf_counter()
-            timers: List[float] = []
-            for shard in range(n):
-                if decided(shard):
-                    continue
-                if shard in resubmit_at:
-                    timers.append(resubmit_at[shard])
-                if (
-                    next_hedge_at[shard] is not None
-                    and hedge_counts[shard] < policy.max_hedges
-                ):
-                    timers.append(next_hedge_at[shard])
-                if deadline_at[shard] is not None:
-                    timers.append(deadline_at[shard])
-            live = [
-                future
-                for future, (shard, _) in pending.items()
-                if not decided(shard)
-            ]
-            timeout = max(0.0, min(timers) - now) if timers else None
-            if live:
-                done, _ = futures_wait(
-                    live, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-            elif timers:
-                time.sleep(timeout)
-                done = set()
-            else:
-                # Defensive: no attempt in flight and no timer left —
-                # give up on whatever is undecided rather than spin.
-                for shard in range(n):
-                    if not decided(shard):
-                        missed[shard] = True
-                        outcome.failures += 1
-                break
-
-            for future in done:
-                shard, kind = pending.pop(future)
-                if decided(shard):
-                    continue  # a loser finishing after the verdict
-                try:
-                    result, start, end = future.result()
-                except SearchCancelled:
-                    continue
-                except Exception:
-                    breaker_failure(shard, time.perf_counter())
-                    if retry_counts[shard] < policy.max_retries:
-                        backoff = policy.retry_delay(retry_counts[shard])
-                        retry_counts[shard] += 1
-                        outcome.retries += 1
-                        resubmit_at[shard] = time.perf_counter() + backoff
-                    else:
-                        missed[shard] = True
-                        outcome.failures += 1
-                        cancel_shard(shard)
-                    continue
-                breaker_success(shard, end)
-                answered[shard] = (shard, kind, result, start, end)
-                self._latency_tracker.observe(end - start)
-                if kind == "hedge":
-                    outcome.hedges_won += 1
-                if policy.cancel_losers:
-                    cancel_shard(shard, keep=future)
-
-            now = time.perf_counter()
-            for shard in range(n):
-                if decided(shard):
-                    continue
-                if shard in resubmit_at and now >= resubmit_at[shard]:
-                    del resubmit_at[shard]
-                    if breaker_allow(shard, now):
-                        submit(shard, "retry")
+            expired = deadline_at is not None and now >= deadline_at
+            for slot in sorted(
+                undecided if expired else retry_at.keys() | hedge_at.keys()
+            ):
+                outcome = outcomes[slot // n]
+                if slot in retry_at and now >= retry_at[slot]:
+                    del retry_at[slot]
+                    if breaker_allow(slot, now):
+                        submit([slot], "retry")
                     else:
                         # The failures that queued this retry tripped
                         # the breaker: give up on the shard instead of
                         # hammering it.
-                        missed[shard] = True
+                        settle(slot)
                         outcome.breaker_skips += 1
-                        cancel_shard(shard)
                         continue
-                if deadline_at[shard] is not None and now >= deadline_at[shard]:
-                    missed[shard] = True
+                if expired:
+                    settle(slot)
                     outcome.deadline_misses += 1
-                    breaker_failure(shard, now)
-                    resubmit_at.pop(shard, None)
-                    cancel_shard(shard)
+                    breaker_failure(slot, now)
                     continue
-                if (
-                    next_hedge_at[shard] is not None
-                    and hedge_counts[shard] < policy.max_hedges
-                    and now >= next_hedge_at[shard]
-                ):
-                    if not breaker_allow(shard, now):
-                        # A tripped breaker retires this shard's hedge
-                        # timer — backup requests against a fenced-off
-                        # shard would only feed the failure count.
-                        next_hedge_at[shard] = None
-                        continue
-                    hedge_counts[shard] += 1
-                    outcome.hedges_issued += 1
-                    submit(shard, "hedge")
-                    next_hedge_at[shard] = (
-                        now + delay
-                        if hedge_counts[shard] < policy.max_hedges
-                        else None
-                    )
+                if slot in hedge_at and now >= hedge_at[slot]:
+                    # A tripped breaker retires this shard's hedge
+                    # timer — backup requests against a fenced-off
+                    # shard would only feed the failure count.
+                    del hedge_at[slot]
+                    if breaker_allow(slot, now):
+                        hedges_left[slot] -= 1
+                        outcome.hedges_issued += 1
+                        submit([slot], "hedge")
+                        if hedges_left[slot] > 0:
+                            hedge_at[slot] = now + delay
+            if not undecided:
+                break  # the timers just decided the last slot
+            timers = [*retry_at.values(), *hedge_at.values()]
+            if deadline_at is not None:
+                timers.append(deadline_at)
+            live = [
+                future
+                for future, (slot, _, _) in pending.items()
+                if slot in undecided
+            ]
+            timeout = max(0.0, min(timers) - now) if timers else None
+            if live:
+                # Policy-free, no two attempts race for a slot: there is
+                # nothing to do until one fails or the last one answers.
+                done, _ = futures_wait(
+                    live,
+                    timeout=timeout,
+                    return_when=(
+                        FIRST_COMPLETED if resilient else FIRST_EXCEPTION
+                    ),
+                )
+            elif timers:
+                time.sleep(timeout)
+                done = ()
+            else:
+                # Defensive: no attempt in flight and no timer left —
+                # give up on whatever is undecided rather than spin.
+                break
+            for future in done:
+                slot, kind, _ = pending.pop(future)
+                if slot not in undecided:
+                    continue  # a loser finishing after the verdict
+                outcome = outcomes[slot // n]
+                try:
+                    result, start, end = future.result()
+                except SearchCancelled:
+                    continue
+                except Exception as exc:
+                    if not resilient and not (
+                        crash_retries and isinstance(exc, WorkerCrashError)
+                    ):
+                        for other in range(len(items)):
+                            settle(other)
+                        raise
+                    breaker_failure(slot, time.perf_counter())
+                    if retries[slot] < policy.max_retries:
+                        backoff = policy.retry_delay(retries[slot])
+                        retries[slot] += 1
+                        outcome.retries += 1
+                        retry_at[slot] = time.perf_counter() + backoff
+                    else:
+                        settle(slot)
+                    continue
+                if breakers is not None:
+                    breakers.breaker(items[slot][0]).record_success(end)
+                settle(slot, cancel=policy.cancel_losers)
+                answered[slot] = (items[slot][0], kind, result, start, end)
+                self._latency_tracker.observe(end - start)
+                if kind == "hedge":
+                    outcome.hedges_won += 1
 
-        outcome.answered = [answered[s] for s in sorted(answered)]
-        outcome.missed_shards = tuple(
-            shard for shard in range(n) if shard not in answered
-        )
-        return outcome
+        for position, outcome in enumerate(outcomes):
+            slots = range(position * n, (position + 1) * n)
+            outcome.answered = [
+                answered[slot] for slot in slots if slot in answered
+            ]
+            outcome.missed_shards = tuple(
+                items[slot][0] for slot in slots if slot not in answered
+            )
+        return outcomes
 
     def _respond_from_cache(
-        self,
-        text: str,
-        entry: "CachedPage",
-        total_start: float,
-        parse_start: float,
-        parse_end: float,
+        self, admitted: _Admitted, entry: "CachedPage"
     ) -> IsnResponse:
         if self._metrics is not None:
             self._metrics.counter("isn.queries").add()
@@ -1079,17 +931,18 @@ class IndexServingNode:
         trace = None
         if self._tracing:
             trace = self._tracer.record_span(
-                "isn.execute", start=total_start, end=total_end,
-                query=text, cached=True,
+                "isn.execute", start=admitted.total_start, end=total_end,
+                query=admitted.text, cached=True,
             )
             self._tracer.record_span(
-                "parse", start=parse_start, end=parse_end, parent=trace
+                "parse", start=admitted.parse_start, end=admitted.parse_end,
+                parent=trace,
             )
             timings = ComponentTimings.from_span(trace)
         else:
             timings = ComponentTimings(
-                parse_seconds=parse_end - parse_start,
-                total_seconds=total_end - total_start,
+                parse_seconds=admitted.parse_end - admitted.parse_start,
+                total_seconds=total_end - admitted.total_start,
             )
         return IsnResponse(
             hits=entry.hits,
@@ -1101,15 +954,13 @@ class IndexServingNode:
 
     def _assemble(
         self,
-        text: str,
-        query: ParsedQuery,
+        admitted: _Admitted,
         outcome: _FanoutOutcome,
-        parse_start: float,
-        parse_end: float,
         fanout_start: float,
         fanout_end: float,
-        total_start: float,
     ) -> IsnResponse:
+        query = admitted.query
+        total_start = admitted.total_start
         merge_start = time.perf_counter()
         hits = merge_shard_results(
             [result.hits for _, _, result, _, _ in outcome.answered],
@@ -1151,14 +1002,13 @@ class IndexServingNode:
         trace = None
         if self._tracing:
             trace = self._record_trace(
-                text, query, outcome,
-                parse_start, parse_end, fanout_start, fanout_end,
-                merge_start, merge_end, total_start, total_end,
+                admitted, outcome, fanout_start, fanout_end,
+                merge_start, merge_end, total_end,
             )
             timings = ComponentTimings.from_span(trace)
         else:
             timings = ComponentTimings(
-                parse_seconds=parse_end - parse_start,
+                parse_seconds=admitted.parse_end - admitted.parse_start,
                 shard_seconds=[
                     end - start for _, _, _, start, end in outcome.answered
                 ],
@@ -1180,21 +1030,18 @@ class IndexServingNode:
 
     def _record_trace(
         self,
-        text: str,
-        query: ParsedQuery,
+        admitted: _Admitted,
         outcome: _FanoutOutcome,
-        parse_start: float,
-        parse_end: float,
         fanout_start: float,
         fanout_end: float,
         merge_start: float,
         merge_end: float,
-        total_start: float,
         total_end: float,
     ) -> Span:
         tracer = self._tracer
+        query = admitted.query
         root_attributes = {
-            "query": text,
+            "query": admitted.text,
             "k": query.k,
             "mode": query.mode.value,
             "num_partitions": self.num_partitions,
@@ -1209,12 +1056,12 @@ class IndexServingNode:
         if self._breakers is not None:
             root_attributes["breaker_skips"] = outcome.breaker_skips
         root = tracer.record_span(
-            "isn.execute", start=total_start, end=total_end,
+            "isn.execute", start=admitted.total_start, end=total_end,
             **root_attributes,
         )
         tracer.record_span(
-            "parse", start=parse_start, end=parse_end, parent=root,
-            num_terms=len(query.terms),
+            "parse", start=admitted.parse_start, end=admitted.parse_end,
+            parent=root, num_terms=len(query.terms),
         )
         fanout = tracer.record_span(
             "fanout", start=fanout_start, end=fanout_end, parent=root

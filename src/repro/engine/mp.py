@@ -18,9 +18,10 @@ Protocol, parent side:
   (top-k score/doc-id arrays plus counter deltas) comes back;
 - a worker that dies mid-dispatch (OOM-kill, segfault, chaos ``kill``)
   fails exactly the shards it was serving with a typed
-  :class:`WorkerCrashError` — which the ISN's resilient fan-out treats
-  like any shard failure: the breaker records it, retries re-dispatch,
-  coverage degrades if the shard stays undecided — and the dispatcher
+  :class:`WorkerCrashError` — which the ISN's gather treats like any
+  shard failure: with a resilience feature configured the breaker
+  records it, retries re-dispatch, and coverage degrades if the shard
+  stays undecided; with none it reaches the caller — and the dispatcher
   **respawns** the worker, so the pool self-heals without restarting
   the service;
 - per-worker observability merges on gather: each reply carries the
@@ -91,9 +92,10 @@ _SHUTDOWN = object()
 class WorkerCrashError(RuntimeError):
     """A pool worker died while serving a dispatch.
 
-    Carries the shard indexes the lost dispatch covered; the resilient
-    fan-out records one failure per affected shard (breaker food), and
-    the plain fan-out propagates the error to the caller.
+    Carries the shard indexes the lost dispatch covered; the gather
+    records one failure per affected shard (breaker food) when a
+    resilience feature is configured, and otherwise propagates the
+    error to the caller.
     """
 
     def __init__(self, message: str, shards: Sequence[int] = ()):
@@ -255,7 +257,6 @@ def _unpack_result(payload: tuple, query: ParsedQuery):
 class _Task:
     items: List[WorkItem]
     future: Future
-    single: bool
     #: Remaining crash re-dispatches: a batch whose worker dies is put
     #: back on the shared queue (a healthy worker picks it up) this
     #: many times before the failure is surfaced.
@@ -372,16 +373,6 @@ class ProcessShardPool:
                 if handle.process.pid is not None
             ]
 
-    def submit_one(self, shard_id: int, query: ParsedQuery) -> Future:
-        """Dispatch one (shard, query) attempt.
-
-        The future resolves to ``(SearchResult, start, end)`` — the
-        same triple a thread-backend attempt returns — or raises the
-        worker-side error (:class:`WorkerCrashError` if the worker
-        died).
-        """
-        return self._enqueue([(shard_id, query)], single=True)
-
     def submit_batch(
         self, items: List[WorkItem], *, crash_retries: int = 0
     ) -> Future:
@@ -397,25 +388,15 @@ class ProcessShardPool:
         """
         if crash_retries < 0:
             raise ValueError("crash_retries must be non-negative")
+        future: Future = Future()
         if not items:
-            future: Future = Future()
             future.set_result([])
             return future
-        return self._enqueue(
-            list(items), single=False, retries=crash_retries
-        )
-
-    def _enqueue(
-        self, items: List[WorkItem], single: bool, retries: int = 0
-    ) -> Future:
         with self._lock:
             if self._closed:
                 raise RuntimeError("ProcessShardPool is closed")
-        future: Future = Future()
         self._tasks.put(
-            _Task(
-                items=items, future=future, single=single, retries=retries
-            )
+            _Task(items=list(items), future=future, retries=crash_retries)
         )
         return future
 
@@ -629,11 +610,7 @@ class ProcessShardPool:
                 return
             result, start, end = _unpack_result(payload, query)
             results.append((shard_id, result, start, end))
-        if task.single:
-            shard_id, result, start, end = results[0]
-            task.future.set_result((result, start, end))
-        else:
-            task.future.set_result(results)
+        task.future.set_result(results)
 
     # ------------------------------------------------------------------
     # shutdown

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.corpus.querylog import QueryLog, QueryLogConfig, QueryLogGenerator
-from repro.engine.execution import ExecutionConfig, resolve_execution
+from repro.engine.execution import ExecutionConfig
 from repro.engine.hedging import HedgingPolicy
 from repro.engine.isn import IndexServingNode, IsnResponse
 from repro.resilience.admission import OverloadPolicy, ShedResponse
@@ -93,9 +93,12 @@ class SearchPage(List[ResultPageEntry]):
         return [entry.hit.doc_id for entry in self]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SearchServiceConfig:
-    """Configuration of a complete search service instance.
+    """Keyword-only configuration of a complete search service instance.
+
+    The one declaration of the native engine's knobs:
+    :class:`repro.api.EngineConfig` is this class under its public name.
 
     ``tiered``, when set, re-homes every shard's postings onto the
     tiered block store after partitioning: block-at-a-time fetches
@@ -111,7 +114,6 @@ class SearchServiceConfig:
     partition_strategy: PartitionStrategy = PartitionStrategy.ROUND_ROBIN
     algorithm: "str | TraversalStrategy" = "daat"
     use_global_stats: bool = True
-    num_threads: Optional[int] = None
     execution: Optional[ExecutionConfig] = None
     hedging: Optional[HedgingPolicy] = None
     overload: Optional[OverloadPolicy] = None
@@ -123,13 +125,6 @@ class SearchServiceConfig:
     def __post_init__(self) -> None:
         if self.num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
-        # Fold the deprecated num_threads spelling into ``execution``
-        # once, here, so downstream layers never re-warn.
-        resolved = resolve_execution(
-            self.execution, self.num_threads, "SearchServiceConfig"
-        )
-        object.__setattr__(self, "execution", resolved)
-        object.__setattr__(self, "num_threads", None)
 
 
 class SearchService:

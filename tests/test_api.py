@@ -161,26 +161,18 @@ class TestClusterModel:
 
 
 class TestHedgeConfigDeprecationShim:
+    """``HedgeConfig`` is a plain dataclass: the ``delay`` shim is gone."""
+
     def test_new_spelling_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             config = HedgeConfig(delay_s=0.01)
         assert config.delay_s == 0.01
 
-    def test_old_keyword_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="delay_s"):
-            config = HedgeConfig(delay=0.02)
-        assert config.delay_s == 0.02
-
-    def test_old_attribute_warns(self):
-        config = HedgeConfig(delay_s=0.03)
-        with pytest.warns(DeprecationWarning, match="delay_s"):
-            assert config.delay == 0.03
-
     def test_both_spellings_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                HedgeConfig(delay_s=0.01, delay=0.02)
+        # The removed ``delay=`` keyword is an ordinary TypeError now.
+        with pytest.raises(TypeError):
+            HedgeConfig(delay_s=0.01, delay=0.02)
 
     def test_missing_delay_rejected(self):
         with pytest.raises(TypeError):
@@ -188,7 +180,7 @@ class TestHedgeConfigDeprecationShim:
 
 
 class TestExecutionConfigApi:
-    """The redesigned execution surface and its num_threads shim."""
+    """The execution surface: one ``ExecutionConfig``, no legacy spelling."""
 
     def test_execution_config_is_exported(self):
         assert "ExecutionConfig" in repro.api.__all__
@@ -206,60 +198,19 @@ class TestExecutionConfigApi:
             )
         assert config.execution.workers == 3
 
-    def test_engine_config_num_threads_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="num_threads"):
-            config = EngineConfig(
-                corpus=TINY_ENGINE.corpus,
-                query_log=TINY_ENGINE.query_log,
-                num_partitions=2,
-                num_threads=3,
-            )
-        assert config.execution == ExecutionConfig(
-            backend="threads", workers=3
-        )
-        # Folded once at the facade: building the service config from
-        # the already-resolved EngineConfig re-warns nowhere.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            service_config = config.to_service_config()
-        assert service_config.execution.workers == 3
-
-    def test_service_config_num_threads_warns_and_maps(self):
+    def test_num_threads_kwarg_is_rejected(self, engine):
+        """The removed spelling is an ordinary TypeError at every layer."""
+        from repro.engine.isn import IndexServingNode
         from repro.engine.service import SearchServiceConfig
 
-        with pytest.warns(DeprecationWarning, match="num_threads"):
-            config = SearchServiceConfig(num_partitions=2, num_threads=4)
-        assert config.execution == ExecutionConfig(
-            backend="threads", workers=4
-        )
-
-    def test_isn_num_threads_warns(self, engine):
-        from repro.engine.isn import IndexServingNode
-
-        partitioned = engine.service.partitioned
-        with pytest.warns(DeprecationWarning, match="num_threads"):
-            node = IndexServingNode(partitioned, num_threads=2)
-        with node:
-            assert node.execution.workers == 2
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            EngineConfig(
-                corpus=TINY_ENGINE.corpus,
-                query_log=TINY_ENGINE.query_log,
-                num_partitions=2,
-                num_threads=3,
-                execution=ExecutionConfig(),
-            )
-
-    def test_nonpositive_num_threads_still_value_error(self):
-        with pytest.raises(ValueError):
-            EngineConfig(
-                corpus=TINY_ENGINE.corpus,
-                query_log=TINY_ENGINE.query_log,
-                num_partitions=2,
-                num_threads=0,
-            )
+        with pytest.raises(TypeError, match="num_threads"):
+            EngineConfig(num_partitions=2, num_threads=3)
+        with pytest.raises(TypeError, match="num_threads"):
+            SearchServiceConfig(num_partitions=2, num_threads=4)
+        with pytest.raises(TypeError, match="num_threads"):
+            IndexServingNode(engine.service.partitioned, num_threads=2)
+        with pytest.raises(TypeError, match="num_threads"):
+            SearchEngine(num_threads=2)
 
     def test_process_backend_engine_round_trip(self):
         config = EngineConfig(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.execution import ExecutionConfig
 from repro.engine.isn import IndexServingNode
 from repro.index.partitioner import partition_index
 from repro.search.executor import Searcher
@@ -81,7 +82,9 @@ class TestIndexServingNode:
 
     def test_invalid_thread_count(self, partitioned):
         with pytest.raises(ValueError):
-            IndexServingNode(partitioned, num_threads=0)
+            IndexServingNode(
+                partitioned, execution=ExecutionConfig(workers=0)
+            )
 
     def test_num_partitions(self, isn):
         assert isn.num_partitions == 4

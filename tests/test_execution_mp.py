@@ -294,8 +294,8 @@ class TestWorkerLifecycle:
                 assert snapshot["live_workers"] == 2
                 assert pids[0] not in pool.worker_pids()
                 # The respawned fleet serves without a burned query.
-                future = pool.submit_one(
-                    0, ParsedQuery(terms=("alpha",), k=3)
+                future = pool.submit_batch(
+                    [(0, ParsedQuery(terms=("alpha",), k=3))]
                 )
                 future.result(timeout=30)
             finally:
@@ -404,14 +404,14 @@ class TestWorkerLifecycle:
             pool = ProcessShardPool(
                 arena.spec, workers=1, options=WorkerOptions()
             )
-            future = pool.submit_one(
-                0, ParsedQuery(terms=("alpha",), k=3)
+            future = pool.submit_batch(
+                [(0, ParsedQuery(terms=("alpha",), k=3))]
             )
             future.result(timeout=30)
             pool.close()
             pool.close()  # idempotent
             with pytest.raises(RuntimeError):
-                pool.submit_one(0, ParsedQuery(terms=("alpha",), k=3))
+                pool.submit_batch([(0, ParsedQuery(terms=("alpha",), k=3))])
 
 
 class TestExecutionConfigValidation:
