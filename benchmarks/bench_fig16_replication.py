@@ -11,7 +11,7 @@ entirely for a few percent of duplicated shard requests — the Dean &
 Barroso "tail at scale" remedy, composed with the paper's partitioning.
 """
 
-from repro.cluster.replication import ReplicatedClusterConfig
+from repro.cluster.fanout import FanoutConfig
 from repro.cluster.server import PartitionModelConfig
 from repro.core.replication import replication_policy_study
 from repro.core.reporting import format_table
@@ -32,9 +32,9 @@ def test_fig16_replication(benchmark, demand_model, cost_model, emit):
         merge_base=cost_model.merge_base,
         merge_per_partition=cost_model.merge_per_partition,
     )
-    base = ReplicatedClusterConfig(
-        num_shards=4,
-        replicas=2,
+    base = FanoutConfig(
+        num_servers=4,
+        replicas_per_shard=2,
         spec=BIG_SERVER,
         partitioning=partitioning,
         hiccups=PAUSES,

@@ -9,14 +9,14 @@ in flight; hedging rescues even those, capping the worst case near
 the hedge deadline plus one service time.
 """
 
-from repro.cluster.replication import (
-    HedgeConfig,
+from repro.cluster.fanout import (
+    FanoutConfig,
     ReplicaSelection,
-    ReplicatedClusterConfig,
-    run_replicated_open_loop,
+    run_fanout_open_loop,
 )
 from repro.cluster.server import PartitionModelConfig
 from repro.core.reporting import format_table
+from repro.engine.hedging import HedgingPolicy
 from repro.servers.catalog import BIG_SERVER
 from repro.sim.outages import OutageSpec
 from repro.workload.arrivals import PoissonArrivals
@@ -46,25 +46,25 @@ def test_fig19_failover(benchmark, demand_model, cost_model, emit):
         (
             "least_outstanding+hedge",
             ReplicaSelection.LEAST_OUTSTANDING,
-            HedgeConfig(delay_s=2.0 * demand_model.mean_demand()),
+            HedgingPolicy(
+                hedge_delay_s=2.0 * demand_model.mean_demand(), max_retries=0
+            ),
         ),
     ]
 
     def run_all():
         results = {}
-        for label, selection, hedge in policies:
-            config = ReplicatedClusterConfig(
-                num_shards=2,
-                replicas=2,
+        for label, selection, hedging in policies:
+            config = FanoutConfig(
+                num_servers=2,
+                replicas_per_shard=2,
                 spec=BIG_SERVER,
                 partitioning=partitioning,
                 selection=selection,
-                hedge=hedge,
+                hedging=hedging,
                 outages=(BROWNOUT,),
             )
-            results[label] = run_replicated_open_loop(
-                config, scenario, seed=0
-            )
+            results[label] = run_fanout_open_loop(config, scenario, seed=0)
         return results
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

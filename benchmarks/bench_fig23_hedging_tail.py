@@ -159,10 +159,10 @@ def _check(rows) -> None:
 def _check_inert_policy_matches_seed_path(num_queries) -> None:
     """An inert policy must reproduce the seed fan-out exactly.
 
-    ``HedgingPolicy()`` enables nothing, so the config's
-    ``tail_tolerant`` flag stays False and the original analytic path
-    runs — same code, same RNG stream names.  The 2% acceptance bound
-    is asserted on top of what is in practice bit-identity.
+    ``HedgingPolicy()`` enables nothing, so the broker runs under the
+    same inert ``DISABLED_POLICY`` as with no policy at all — same
+    loop, same RNG stream names.  The 2% acceptance bound is asserted
+    on top of what is in practice bit-identity.
     """
     plain = ClusterConfig(num_servers=4, spec=BIG_SERVER, num_partitions=4)
     inert = ClusterConfig(

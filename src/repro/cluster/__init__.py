@@ -9,9 +9,9 @@ search.  The model's service demands are calibrated from the native
 Python engine (:mod:`repro.core.calibration`).
 """
 
+from repro.cluster.broker import Broker, FanoutQueryRecord, ReplicaSelection
 from repro.cluster.fanout import (
     FanoutConfig,
-    FanoutQueryRecord,
     FanoutResult,
     run_fanout_open_loop,
 )
@@ -19,13 +19,6 @@ from repro.cluster.hetero import (
     HeterogeneousConfig,
     HeterogeneousResult,
     run_heterogeneous_open_loop,
-)
-from repro.cluster.replication import (
-    HedgeConfig,
-    ReplicaSelection,
-    ReplicatedClusterConfig,
-    ReplicatedResult,
-    run_replicated_open_loop,
 )
 from repro.cluster.results import QueryRecord, SimulationResult
 from repro.cluster.server import PartitionModelConfig, SimulatedServer
@@ -47,11 +40,8 @@ __all__ = [
     "FanoutQueryRecord",
     "FanoutResult",
     "run_fanout_open_loop",
-    "HedgeConfig",
+    "Broker",
     "ReplicaSelection",
-    "ReplicatedClusterConfig",
-    "ReplicatedResult",
-    "run_replicated_open_loop",
     "HeterogeneousConfig",
     "HeterogeneousResult",
     "run_heterogeneous_open_loop",

@@ -8,47 +8,50 @@ completes when the *slowest* ISN responds plus broker merge — the
 "tail at scale" structure where the cluster's latency is an order
 statistic of per-node latencies.
 
-With a :class:`~repro.engine.hedging.HedgingPolicy` (plus optionally
-replicas, hiccups, or scripted outages as straggler sources) the broker
-becomes *tail-tolerant*: shard requests carry deadlines, stragglers are
-hedged to a different replica, and a deadline miss degrades the merge
-to the shards that answered (``coverage`` < 1).  The same policy object
-drives the native :class:`~repro.engine.isn.IndexServingNode`, keeping
-the simulator calibrated against the engine's mitigation behaviour.
-Without any tail feature configured, the simulation takes the original
-analytic path and is bit-identical to the seed.
+The broker itself is :class:`repro.cluster.broker.Broker`, shared with
+the autoscaler; this module is its static driver — a fixed
+``num_servers × replicas_per_shard`` table of servers and an open-loop
+arrival process.  With a :class:`~repro.engine.hedging.HedgingPolicy`
+(plus optionally replicas, hiccups, or scripted outages as straggler
+sources) the broker is *tail-tolerant*: shard requests carry deadlines,
+stragglers are hedged to a different replica, and a deadline miss
+degrades the merge to the shards that answered (``coverage`` < 1).  The
+same policy object drives the native
+:class:`~repro.engine.isn.IndexServingNode`, keeping the simulator
+calibrated against the engine's mitigation behaviour.  Without any tail
+feature the inert policy makes the same loop the plain fan-out.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.results import QueryRecord
+from repro.cluster.broker import Broker, FanoutQueryRecord, ReplicaSelection
 from repro.cluster.server import PartitionModelConfig, SimulatedServer
-from repro.engine.hedging import DISABLED_POLICY, HedgingPolicy, ShardLatencyTracker
+from repro.engine.hedging import HedgingPolicy
 from repro.metrics.summary import LatencySummary, summarize
 from repro.obs.registry import MetricsRegistry
-from repro.resilience.admission import (
-    SHED_CODEL,
-    AdmissionController,
-    OverloadPolicy,
-)
-from repro.resilience.breaker import BreakerBoard, BreakerConfig, BreakerState
+from repro.resilience.admission import OverloadPolicy
+from repro.resilience.breaker import BreakerConfig
 from repro.resilience.faults import FaultPlan
 from repro.servers.spec import ServerSpec
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.hiccups import HiccupConfig, HiccupSchedule
 from repro.sim.network import NetworkModel, NoDelay
 from repro.sim.outages import FixedOutages, OutageSpec
 from repro.sim.random import RandomStreams
 from repro.workload.scenario import WorkloadScenario
 
-#: Bucket edges for the broker's admission-queue-depth histogram.
-QUEUE_DEPTH_BUCKETS = tuple(float(i) for i in range(0, 65, 4))
+__all__ = [
+    "FanoutConfig",
+    "FanoutQueryRecord",
+    "FanoutResult",
+    "ReplicaSelection",
+    "run_fanout_open_loop",
+]
 
 
 @dataclass(frozen=True)
@@ -78,12 +81,15 @@ class FanoutConfig:
     hedging:
         Optional tail-tolerance policy interpreted by the broker
         against simulated time — same object the native ISN consumes.
-        None (or an inert policy) keeps the seed's plain fan-out.
+        None (or an inert policy) is the plain fan-out.
     replicas_per_shard:
         Identical replicas per shard group.  Hedged backups go to a
         *different* replica than the primary (a whole-server pause
         freezes all its cores, so re-asking the same server cannot
-        win); primaries pick the least-loaded replica.
+        win); with a single replica a hedging policy never fires.
+    selection:
+        The broker's routing rule among a shard's replicas; the default
+        picks the least-loaded one (ties to the lowest index).
     hiccups:
         Optional stop-the-world pause process applied independently to
         every replica — the stochastic straggler source.
@@ -115,6 +121,7 @@ class FanoutConfig:
     server_imbalance_concentration: float = 60.0
     hedging: Optional[HedgingPolicy] = None
     replicas_per_shard: int = 1
+    selection: ReplicaSelection = ReplicaSelection.LEAST_OUTSTANDING
     hiccups: Optional[HiccupConfig] = None
     outages: Tuple[OutageSpec, ...] = ()
     overload: Optional[OverloadPolicy] = None
@@ -162,78 +169,6 @@ class FanoutConfig:
                         f"cluster has {self.replicas_per_shard} per shard"
                     )
 
-    @property
-    def resilient(self) -> bool:
-        """True when any overload/breaker/chaos feature is configured."""
-        return (
-            (self.overload is not None and self.overload.enabled)
-            or self.breakers is not None
-            or (self.faults is not None and self.faults.enabled)
-        )
-
-    @property
-    def tail_tolerant(self) -> bool:
-        """True when any tail feature moves us off the seed fast path."""
-        return (
-            (self.hedging is not None and self.hedging.enabled)
-            or self.replicas_per_shard > 1
-            or self.hiccups is not None
-            or bool(self.outages)
-            or self.resilient
-        )
-
-
-@dataclass
-class FanoutQueryRecord:
-    """Timeline of one query through the fan-out cluster.
-
-    ``coverage`` and the hedge counters stay at their defaults on the
-    plain path; the tail-tolerant broker fills them in.
-    """
-
-    query_id: int
-    client_send: float
-    total_demand: float
-    isn_completions: List[float] = field(default_factory=list)
-    client_receive: float = float("nan")
-    coverage: float = 1.0
-    hedges_issued: int = 0
-    hedges_won: int = 0
-    deadline_misses: int = 0
-    breaker_skips: int = 0
-    failures: int = 0
-    shed: bool = False
-    shed_reason: str = ""
-
-    @property
-    def complete(self) -> bool:
-        return not np.isnan(self.client_receive)
-
-    @property
-    def latency(self) -> float:
-        """End-to-end response time."""
-        return self.client_receive - self.client_send
-
-    @property
-    def latency_s(self) -> float:
-        """Alias of :attr:`latency` (common query-outcome accessor)."""
-        return self.latency
-
-    def doc_ids(self) -> List[int]:
-        """Empty — the simulator models time, not result content
-        (protocol accessor shared with the native engine)."""
-        return []
-
-    @property
-    def slowest_isn_completion(self) -> float:
-        """When the straggler ISN finished."""
-        return max(self.isn_completions)
-
-    @property
-    def fanout_skew(self) -> float:
-        """Slowest minus fastest ISN completion."""
-        return max(self.isn_completions) - min(self.isn_completions)
-
 
 @dataclass
 class FanoutResult:
@@ -241,7 +176,7 @@ class FanoutResult:
 
     ``shard_failures`` counts failed shard requests per shard index
     (injected errors, crash rejections, and deadline misses) across the
-    whole run — all zeros on the plain path and on healthy clusters.
+    whole run — all zeros on healthy clusters.
     """
 
     records: List[FanoutQueryRecord]
@@ -329,6 +264,12 @@ class FanoutResult:
         return sum(r.hedges_issued for r in self.records)
 
     @property
+    def hedge_fraction(self) -> float:
+        """Backup requests as a fraction of the primary shard requests."""
+        primaries = self.num_servers * (len(self.records) - self.shed_count)
+        return self.hedges_issued / primaries if primaries else 0.0
+
+    @property
     def hedges_won(self) -> int:
         """Shard answers won by a backup request."""
         return sum(r.hedges_won for r in self.records)
@@ -347,157 +288,6 @@ class FanoutResult:
     def failures(self) -> int:
         """Failed shard attempts (injected errors, crash rejections)."""
         return sum(r.failures for r in self.records)
-
-
-def run_fanout_open_loop(
-    config: FanoutConfig,
-    scenario: WorkloadScenario,
-    seed: int = 0,
-    metrics: Optional[MetricsRegistry] = None,
-) -> FanoutResult:
-    """Simulate the cluster under an open-loop arrival process.
-
-    ``scenario`` demands are *whole-query* demands; each ISN executes
-    ``demand / num_servers`` (its index slice) through its own
-    fork-join partition model.
-
-    With any tail feature configured (hedging policy, replicas,
-    hiccups, outages) the simulation runs the event-driven
-    tail-tolerant broker; otherwise it takes the seed's analytic path,
-    which is bit-identical to pre-tail-tolerance builds.
-    """
-    if config.tail_tolerant:
-        return _run_fanout_tail_tolerant(config, scenario, seed, metrics)
-    streams = RandomStreams(seed)
-    arrival_times, demands = scenario.realize(
-        streams.stream("arrivals"), streams.stream("demands")
-    )
-    network_rng = streams.stream("network")
-
-    sim = Simulator()
-    records: List[FanoutQueryRecord] = []
-    pending: dict = {}
-
-    def make_isn_completion(record: FanoutQueryRecord) -> Callable:
-        def on_complete(server_record: QueryRecord) -> None:
-            arrival = server_record.merge_end + config.network.delay(
-                network_rng
-            )
-            record.isn_completions.append(arrival)
-            pending[record.query_id] -= 1
-            if pending[record.query_id] == 0:
-                merge_done = (
-                    max(record.isn_completions)
-                    + config.broker_merge_per_server * config.num_servers
-                )
-                record.client_receive = merge_done + config.network.delay(
-                    network_rng
-                )
-                records.append(record)
-
-        return on_complete
-
-    servers = []
-    completion_handlers = {}
-    for server_index in range(config.num_servers):
-        servers.append(
-            SimulatedServer(
-                sim,
-                config.spec,
-                config.partitioning,
-                imbalance_rng=streams.stream(f"imbalance-{server_index}"),
-                on_complete=lambda rec: completion_handlers[id(rec)](rec),
-                metrics=metrics,
-            )
-        )
-
-    shard_rng = streams.stream("server-imbalance")
-    for query_id, (send_time, demand) in enumerate(zip(arrival_times, demands)):
-        record = FanoutQueryRecord(
-            query_id=query_id,
-            client_send=float(send_time),
-            total_demand=float(demand),
-        )
-        pending[query_id] = config.num_servers
-        handler = make_isn_completion(record)
-        if config.num_servers == 1:
-            shares = np.ones(1)
-        else:
-            shares = shard_rng.dirichlet(
-                np.full(
-                    config.num_servers, config.server_imbalance_concentration
-                )
-            )
-        for server, share in zip(servers, shares):
-            server_record = QueryRecord(
-                query_id=query_id,
-                client_send=float(send_time),
-                demand=float(demand) * float(share),
-            )
-            completion_handlers[id(server_record)] = handler
-            arrival = float(send_time) + config.network.delay(network_rng)
-            sim.schedule(arrival, server.handle_arrival, server_record)
-
-    sim.run()
-    incomplete = [r for r in pending.values() if r != 0]
-    if incomplete:
-        raise RuntimeError(f"{len(incomplete)} queries never completed")
-    records.sort(key=lambda record: record.client_send)
-    return FanoutResult(
-        records=records, horizon=sim.now, num_servers=config.num_servers
-    )
-
-
-class _ShardState:
-    """Broker-side state of one (query, shard) request."""
-
-    __slots__ = (
-        "answered",
-        "missed",
-        "hedges_issued",
-        "retries",
-        "tried",
-        "answered_replicas",
-        "failed_replicas",
-        "hedge_handle",
-        "deadline_handle",
-    )
-
-    def __init__(self) -> None:
-        self.answered = False
-        self.missed = False
-        self.hedges_issued = 0
-        self.retries = 0
-        self.tried: Set[int] = set()
-        self.answered_replicas: Set[int] = set()
-        self.failed_replicas: Set[int] = set()
-        self.hedge_handle: Optional[EventHandle] = None
-        self.deadline_handle: Optional[EventHandle] = None
-
-    @property
-    def decided(self) -> bool:
-        return self.answered or self.missed
-
-
-class _QueryState:
-    """Broker-side state of one in-flight query."""
-
-    __slots__ = (
-        "record",
-        "dispatch_time",
-        "pending",
-        "done",
-        "shards",
-        "demands",
-    )
-
-    def __init__(self, record: FanoutQueryRecord, num_shards: int) -> None:
-        self.record = record
-        self.dispatch_time = float("nan")
-        self.pending = num_shards
-        self.done = False
-        self.shards = [_ShardState() for _ in range(num_shards)]
-        self.demands: List[float] = [0.0] * num_shards
 
 
 def _replica_stalls(
@@ -532,22 +322,27 @@ def _replica_stalls(
     return None
 
 
-def _run_fanout_tail_tolerant(
+def run_fanout_open_loop(
     config: FanoutConfig,
     scenario: WorkloadScenario,
-    seed: int,
+    seed: int = 0,
     metrics: Optional[MetricsRegistry] = None,
 ) -> FanoutResult:
-    """Event-driven fan-out with deadlines, hedging, and replicas.
+    """Simulate the cluster under an open-loop arrival process.
 
-    The broker dispatches each shard request to the least-loaded
-    replica, schedules cancellable hedge/deadline events against the
-    simulator clock, re-issues stragglers to a *different* replica, and
-    finishes a query when every shard is decided — answered,
-    deadline-missed, failed beyond the retry budget, or fenced off by
-    an open circuit breaker.  Late and loser answers are ignored (the
-    DES cannot retract work already committed to a replica's cores,
-    which mirrors a backend without mid-request cancellation).
+    ``scenario`` demands are *whole-query* demands; each ISN executes
+    its Dirichlet share (``demand / num_servers`` on average — its
+    index slice) through its own fork-join partition model.
+
+    The broker dispatches each shard request to a replica chosen by
+    ``config.selection``, schedules cancellable hedge/deadline events
+    against the simulator clock, re-issues stragglers to a *different*
+    replica, and finishes a query when every shard is decided —
+    answered, deadline-missed, failed beyond the retry budget, or
+    fenced off by an open circuit breaker.  Late and loser answers are
+    ignored (the DES cannot retract work already committed to a
+    replica's cores, which mirrors a backend without mid-request
+    cancellation).
 
     With an overload policy, arrivals pass the broker's admission
     controller first: beyond the concurrency limit they wait in a
@@ -556,42 +351,26 @@ def _run_fanout_tail_tolerant(
     crash rejections, error responses, and demand slowdowns; a breaker
     config fences off replicas that keep failing.
     """
-    policy = (
-        config.hedging
-        if config.hedging is not None and config.hedging.enabled
-        else DISABLED_POLICY
-    )
     streams = RandomStreams(seed)
     arrival_times, demands = scenario.realize(
         streams.stream("arrivals"), streams.stream("demands")
     )
-    network_rng = streams.stream("network")
     sim = Simulator()
-    tracker = ShardLatencyTracker()
-    records: List[FanoutQueryRecord] = []
-    completion_handlers: Dict[int, Callable[[QueryRecord], None]] = {}
-
-    faults = (
-        config.faults
-        if config.faults is not None and config.faults.enabled
-        else None
+    broker = Broker(
+        sim,
+        streams,
+        config.num_servers,
+        merge_per_server=config.broker_merge_per_server,
+        concentration=config.server_imbalance_concentration,
+        network=config.network,
+        hedging=config.hedging,
+        selection=config.selection,
+        overload=config.overload,
+        breakers=config.breakers,
+        faults=config.faults,
+        metrics=metrics,
     )
-    faults_rng = streams.stream("faults") if faults is not None else None
-    breakers = (
-        BreakerBoard(config.breakers) if config.breakers is not None else None
-    )
-    controller = (
-        AdmissionController(config.overload)
-        if config.overload is not None and config.overload.enabled
-        else None
-    )
-    admission_queue: Deque[Tuple[_QueryState, float]] = deque()
-    shard_failures = [0] * config.num_servers
-    probes = [0]  # half-open probe requests (mutable for closures)
-
-    servers: List[List[SimulatedServer]] = []
-    for shard in range(config.num_servers):
-        group = []
+    for shard, group in enumerate(broker.replicas):
         for replica in range(config.replicas_per_shard):
             stream_name = (
                 f"imbalance-{shard}"
@@ -604,337 +383,23 @@ def _run_fanout_tail_tolerant(
                     config.spec,
                     config.partitioning,
                     imbalance_rng=streams.stream(stream_name),
-                    on_complete=lambda rec: completion_handlers.pop(id(rec))(
-                        rec
-                    ),
+                    on_complete=broker.on_server_done,
                     hiccups=_replica_stalls(config, streams, shard, replica),
                     metrics=metrics,
                 )
             )
-        servers.append(group)
-
-    shard_rng = streams.stream("server-imbalance")
-
-    def breaker_allow(shard: int, replica: int) -> bool:
-        """Consult the replica's breaker (counting half-open probes)."""
-        if breakers is None:
-            return True
-        breaker = breakers.breaker((shard, replica))
-        half_open = breaker.state(sim.now) is BreakerState.HALF_OPEN
-        if not breaker.allow(sim.now):
-            return False
-        if half_open:
-            probes[0] += 1
-        return True
-
-    def breaker_failure(shard: int, replica: int) -> None:
-        if breakers is not None:
-            breakers.breaker((shard, replica)).record_failure(sim.now)
-
-    def breaker_success(shard: int, replica: int) -> None:
-        if breakers is not None:
-            breakers.breaker((shard, replica)).record_success(sim.now)
-
-    def dispatch_attempt(
-        state: _QueryState, shard: int, demand: float, kind: str
-    ) -> str:
-        """Send one attempt to an untried, breaker-approved replica.
-
-        Returns ``"sent"`` when an attempt went out (possibly destined
-        to fail by injection), ``"exhausted"`` when every replica has
-        been tried, ``"blocked"`` when breakers fence off all the rest.
-        """
-        shard_state = state.shards[shard]
-        candidates = [
-            replica
-            for replica in range(config.replicas_per_shard)
-            if replica not in shard_state.tried
-        ]
-        if not candidates:
-            if kind != "retry":
-                return "exhausted"
-            # A retry may re-ask a previously tried replica (the native
-            # path re-asks the same shard); hedges never do — a backup
-            # against the same straggler cannot win.
-            candidates = list(range(config.replicas_per_shard))
-        candidates.sort(
-            key=lambda r: (servers[shard][r].outstanding, r)
-        )
-        replica = None
-        for candidate in candidates:
-            if breaker_allow(shard, candidate):
-                replica = candidate
-                break
-        if replica is None:
-            return "blocked"
-        shard_state.tried.add(replica)
-
-        if faults is not None:
-            if faults.crashed(shard, replica, sim.now):
-                # Fail fast: the connection is refused after a round
-                # trip; no work reaches the replica's cores.
-                reject_at = (
-                    sim.now
-                    + config.network.delay(network_rng)
-                    + config.network.delay(network_rng)
-                )
-                sim.schedule(
-                    reject_at, on_attempt_error, state, shard, replica
-                )
-                return "sent"
-            error_rate = faults.error_rate(shard, replica, sim.now)
-            if error_rate > 0.0 and faults_rng.random() < error_rate:
-                error_at = (
-                    sim.now
-                    + config.network.delay(network_rng)
-                    + config.network.delay(network_rng)
-                )
-                sim.schedule(
-                    error_at, on_attempt_error, state, shard, replica
-                )
-                return "sent"
-            demand *= faults.slowdown_factor(shard, replica, sim.now)
-
-        server_record = QueryRecord(
-            query_id=state.record.query_id,
-            client_send=state.record.client_send,
-            demand=demand,
-        )
-
-        def on_server_done(
-            rec: QueryRecord,
-            state=state,
-            shard=shard,
-            replica=replica,
-            kind=kind,
-        ) -> None:
-            arrival = rec.merge_end + config.network.delay(network_rng)
-            sim.schedule(arrival, on_answer, state, shard, replica, kind)
-
-        completion_handlers[id(server_record)] = on_server_done
-        arrival = sim.now + config.network.delay(network_rng)
-        sim.schedule(
-            arrival, servers[shard][replica].handle_arrival, server_record
-        )
-        return "sent"
-
-    def on_answer(
-        state: _QueryState, shard: int, replica: int, kind: str
-    ) -> None:
-        shard_state = state.shards[shard]
-        # Health feedback counts even for losers and late answers —
-        # the replica demonstrably served the request.
-        shard_state.answered_replicas.add(replica)
-        breaker_success(shard, replica)
-        if state.done or shard_state.decided:
-            return  # a loser, or an answer past its deadline
-        shard_state.answered = True
-        if kind == "hedge":
-            state.record.hedges_won += 1
-        tracker.observe(sim.now - state.dispatch_time)
-        if shard_state.hedge_handle is not None:
-            shard_state.hedge_handle.cancel()
-        if shard_state.deadline_handle is not None:
-            shard_state.deadline_handle.cancel()
-        state.record.isn_completions.append(sim.now)
-        state.pending -= 1
-        maybe_finish(state)
-
-    def on_attempt_error(
-        state: _QueryState, shard: int, replica: int
-    ) -> None:
-        """An attempt came back as a failure (injected error/crash)."""
-        shard_state = state.shards[shard]
-        shard_state.failed_replicas.add(replica)
-        breaker_failure(shard, replica)
-        shard_failures[shard] += 1
-        state.record.failures += 1
-        if state.done or shard_state.decided:
-            return
-        if shard_state.retries < policy.max_retries:
-            backoff = policy.retry_delay(shard_state.retries)
-            shard_state.retries += 1
-            sim.schedule_after(backoff, on_retry, state, shard)
-        else:
-            fail_shard(state, shard, breaker_skip=False)
-
-    def on_retry(state: _QueryState, shard: int) -> None:
-        shard_state = state.shards[shard]
-        if state.done or shard_state.decided:
-            return
-        status = dispatch_attempt(
-            state, shard, state.demands[shard], "retry"
-        )
-        if status != "sent":
-            fail_shard(state, shard, breaker_skip=status == "blocked")
-
-    def fail_shard(
-        state: _QueryState, shard: int, breaker_skip: bool
-    ) -> None:
-        """Give up on one shard: degrade coverage like a deadline miss."""
-        shard_state = state.shards[shard]
-        shard_state.missed = True
-        if breaker_skip:
-            state.record.breaker_skips += 1
-        if shard_state.hedge_handle is not None:
-            shard_state.hedge_handle.cancel()
-            shard_state.hedge_handle = None
-        if shard_state.deadline_handle is not None:
-            shard_state.deadline_handle.cancel()
-            shard_state.deadline_handle = None
-        state.pending -= 1
-        maybe_finish(state)
-
-    def on_hedge_timer(
-        state: _QueryState, shard: int, demand: float, delay: float
-    ) -> None:
-        shard_state = state.shards[shard]
-        shard_state.hedge_handle = None
-        if state.done or shard_state.decided:
-            return
-        if shard_state.hedges_issued >= policy.max_hedges:
-            return
-        if dispatch_attempt(state, shard, demand, "hedge") != "sent":
-            return  # every replica already tried or fenced off
-        shard_state.hedges_issued += 1
-        state.record.hedges_issued += 1
-        if shard_state.hedges_issued < policy.max_hedges:
-            shard_state.hedge_handle = sim.schedule_after(
-                delay, on_hedge_timer, state, shard, demand, delay
-            )
-
-    def on_deadline(state: _QueryState, shard: int) -> None:
-        shard_state = state.shards[shard]
-        if state.done or shard_state.decided:
-            return
-        shard_state.missed = True
-        state.record.deadline_misses += 1
-        shard_failures[shard] += 1
-        # The replicas that were asked and neither answered nor already
-        # failed are the ones that let the deadline lapse.
-        for replica in (
-            shard_state.tried
-            - shard_state.answered_replicas
-            - shard_state.failed_replicas
-        ):
-            breaker_failure(shard, replica)
-        if shard_state.hedge_handle is not None:
-            shard_state.hedge_handle.cancel()
-        state.pending -= 1
-        maybe_finish(state)
-
-    def maybe_finish(state: _QueryState) -> None:
-        if state.pending > 0:
-            return
-        state.done = True
-        answered = sum(1 for s in state.shards if s.answered)
-        state.record.coverage = (
-            answered / config.num_servers if config.num_servers else 1.0
-        )
-        merge_done = sim.now + config.broker_merge_per_server * answered
-        state.record.client_receive = merge_done + config.network.delay(
-            network_rng
-        )
-        records.append(state.record)
-        if controller is not None:
-            controller.complete(sim.now, sim.now - state.dispatch_time)
-            drain_queue()
-
-    def shed_query(state: _QueryState, reason: str) -> None:
-        """Refuse a query: typed shed record, no shard work at all."""
-        state.done = True
-        record = state.record
-        record.shed = True
-        record.shed_reason = reason
-        record.coverage = 0.0
-        record.client_receive = sim.now + config.network.delay(network_rng)
-        records.append(record)
-
-    def drain_queue() -> None:
-        while admission_queue and controller.can_admit():
-            state, enqueued_at = admission_queue.popleft()
-            if controller.dequeue(sim.now, enqueued_at):
-                begin_service(state)
-            else:
-                shed_query(state, SHED_CODEL)
-
-    def on_query_arrival(state: _QueryState) -> None:
-        if controller is None:
-            begin_service(state)
-            return
-        if metrics is not None:
-            metrics.histogram(
-                "fanout.admission_queue_depth",
-                bin_edges=QUEUE_DEPTH_BUCKETS,
-            ).observe(float(controller.queue_depth))
-        decision = controller.decide(sim.now)
-        if decision == "admit":
-            controller.admit(sim.now)
-            begin_service(state)
-        elif decision == "queue":
-            controller.enqueue(sim.now)
-            admission_queue.append((state, sim.now))
-        else:
-            controller.shed(sim.now)
-            shed_query(state, decision)
-
-    def begin_service(state: _QueryState) -> None:
-        state.dispatch_time = sim.now
-        if config.num_servers == 1:
-            shares = np.ones(1)
-        else:
-            shares = shard_rng.dirichlet(
-                np.full(
-                    config.num_servers, config.server_imbalance_concentration
-                )
-            )
-        hedge_delay = policy.resolve_hedge_delay(tracker)
-        for shard, share in enumerate(shares):
-            demand = state.record.total_demand * float(share)
-            state.demands[shard] = demand
-            status = dispatch_attempt(state, shard, demand, "primary")
-            if status != "sent":
-                # Every replica fenced off: the shard degrades coverage
-                # exactly like a deadline miss, without waiting for one.
-                fail_shard(state, shard, breaker_skip=status == "blocked")
-                continue
-            shard_state = state.shards[shard]
-            if (
-                hedge_delay is not None
-                and config.replicas_per_shard > 1
-                and policy.max_hedges > 0
-            ):
-                shard_state.hedge_handle = sim.schedule_after(
-                    hedge_delay, on_hedge_timer, state, shard, demand,
-                    hedge_delay,
-                )
-            if policy.deadline_s is not None:
-                shard_state.deadline_handle = sim.schedule_after(
-                    policy.deadline_s, on_deadline, state, shard
-                )
-
-    states: List[_QueryState] = []
     for query_id, (send_time, demand) in enumerate(
-        zip(arrival_times, demands)
+        zip(arrival_times.tolist(), demands.tolist())
     ):
-        record = FanoutQueryRecord(
-            query_id=query_id,
-            client_send=float(send_time),
-            total_demand=float(demand),
-        )
-        state = _QueryState(record, config.num_servers)
-        states.append(state)
-        sim.schedule(float(send_time), on_query_arrival, state)
+        sim.schedule(send_time, broker.on_arrival, query_id, demand)
 
     sim.run()
-    unfinished = [state for state in states if not state.done]
-    if unfinished:
-        raise RuntimeError(f"{len(unfinished)} queries never completed")
+    records = broker.finished_records(len(arrival_times))
     if metrics is not None:
-        served = [r for r in records if not r.shed]
+        served = sum(1 for r in records if not r.shed)
         metrics.counter("fanout.queries").add(len(records))
-        metrics.counter("fanout.served").add(len(served))
-        metrics.counter("fanout.shed").add(len(records) - len(served))
+        metrics.counter("fanout.served").add(served)
+        metrics.counter("fanout.shed").add(len(records) - served)
         metrics.counter("fanout.hedges_issued").add(
             sum(r.hedges_issued for r in records)
         )
@@ -944,20 +409,19 @@ def _run_fanout_tail_tolerant(
         metrics.counter("fanout.deadline_misses").add(
             sum(r.deadline_misses for r in records)
         )
-        if breakers is not None:
+        if broker.breakers is not None:
             metrics.counter("fanout.breaker_skips").add(
                 sum(r.breaker_skips for r in records)
             )
-            metrics.counter("fanout.breaker_probes").add(probes[0])
-            breakers.export_gauges(metrics, "fanout.breaker", sim.now)
-        if faults is not None:
+            metrics.counter("fanout.breaker_probes").add(broker.breaker_probes)
+            broker.breakers.export_gauges(metrics, "fanout.breaker", sim.now)
+        if broker.faults is not None:
             metrics.counter("fanout.failures").add(
                 sum(r.failures for r in records)
             )
-    records.sort(key=lambda record: record.client_send)
     return FanoutResult(
         records=records,
         horizon=sim.now,
         num_servers=config.num_servers,
-        shard_failures=tuple(shard_failures),
+        shard_failures=tuple(broker.shard_failures),
     )

@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
-from repro.cluster.replication import (
-    HedgeConfig,
+from repro.cluster.fanout import (
+    FanoutConfig,
     ReplicaSelection,
-    ReplicatedClusterConfig,
-    run_replicated_open_loop,
+    run_fanout_open_loop,
 )
+from repro.engine.hedging import HedgingPolicy
 from repro.metrics.summary import LatencySummary
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.scenario import WorkloadScenario
@@ -44,7 +44,7 @@ class ReplicationPoint:
 
 
 def replication_policy_study(
-    base_config: ReplicatedClusterConfig,
+    base_config: FanoutConfig,
     demands: ServiceDemandModel,
     rate_qps: float,
     hedge_delays: Sequence[float] = (),
@@ -67,8 +67,8 @@ def replication_policy_study(
 
     points: List[ReplicationPoint] = []
     for selection in ReplicaSelection:
-        config = replace(base_config, selection=selection, hedge=None)
-        result = run_replicated_open_loop(config, scenario, seed=seed)
+        config = replace(base_config, selection=selection, hedging=None)
+        result = run_fanout_open_loop(config, scenario, seed=seed)
         points.append(
             ReplicationPoint(
                 label=selection.value,
@@ -82,9 +82,9 @@ def replication_policy_study(
         config = replace(
             base_config,
             selection=ReplicaSelection.LEAST_OUTSTANDING,
-            hedge=HedgeConfig(delay_s=delay),
+            hedging=HedgingPolicy(hedge_delay_s=delay, max_retries=0),
         )
-        result = run_replicated_open_loop(config, scenario, seed=seed)
+        result = run_fanout_open_loop(config, scenario, seed=seed)
         points.append(
             ReplicationPoint(
                 label=f"hedge@{delay * 1000:.0f}ms",

@@ -296,6 +296,12 @@ class AdmissionController:
         """A query was refused at arrival (capacity/queue_full)."""
         self.shed_count += 1
 
+    def abandon(self, now: float) -> None:
+        """An admitted query left service before any work was done for
+        it (nobody to dispatch it to): the slot frees, and there is no
+        latency for the AIMD gradient to learn from."""
+        self.in_flight -= 1
+
     def complete(self, now: float, latency_s: float) -> None:
         """A served query finished; feeds the AIMD gradient."""
         self.in_flight -= 1

@@ -23,9 +23,13 @@ whose *predicted p99* meets the SLO at that future rate — capacity
 arrives before the traffic does.  :class:`StaticPolicy` pins the count
 (the peak-provisioning baseline the fig. 27 headline compares against).
 
-An optional :class:`~repro.resilience.admission.OverloadPolicy` puts
-the PR 3 admission controller in front of the broker so transients that
-outrun even the model policy degrade by shedding, not by collapse.
+Dispatch, admission and completion belong to the shared
+:class:`~repro.cluster.broker.Broker`; this module owns the rows — it
+rewrites the broker's replica table as rows warm up, retire, crash and
+recover.  An optional :class:`~repro.resilience.admission.
+OverloadPolicy` puts the PR 3 admission controller in front of the
+broker so transients that outrun even the model policy degrade by
+shedding, not by collapse.
 
 Everything observable is emitted through :mod:`repro.obs`:
 ``autoscale.scale_up_events`` / ``autoscale.scale_down_events`` /
@@ -42,25 +46,20 @@ Import it as :mod:`repro.sim.autoscale`, or via :mod:`repro.api`.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Protocol, Tuple
+from typing import List, Optional, Protocol, Tuple
 
 import numpy as np
 
 from repro.capacity.model import CapacityModel
-from repro.cluster.results import QueryRecord
+from repro.cluster.broker import Broker, FanoutQueryRecord
 from repro.cluster.server import PartitionModelConfig, SimulatedServer
 from repro.metrics.summary import LatencySummary, summarize
 from repro.obs.registry import MetricsRegistry
-from repro.resilience.admission import (
-    SHED_CODEL,
-    AdmissionController,
-    OverloadPolicy,
-)
+from repro.resilience.admission import OverloadPolicy
 from repro.servers.spec import ServerSpec
 from repro.sim.engine import Simulator
-from repro.sim.failures import SHED_REPLICA_CRASH, ReplicaFailureModel
+from repro.sim.failures import ReplicaFailureModel
 from repro.sim.random import RandomStreams
 
 
@@ -232,29 +231,6 @@ class AutoscaleConfig:
             raise ValueError("scale_down_stability must be >= 1")
 
 
-@dataclass
-class AutoscaleQueryRecord:
-    """Client-side outcome of one query through the autoscaled broker."""
-
-    query_id: int
-    client_send: float
-    client_receive: float = float("nan")
-    shed_reason: Optional[str] = None
-
-    @property
-    def served(self) -> bool:
-        return self.shed_reason is None
-
-    @property
-    def failed(self) -> bool:
-        """Dispatched but lost to a replica crash (vs. refused entry)."""
-        return self.shed_reason == SHED_REPLICA_CRASH
-
-    @property
-    def latency(self) -> float:
-        return self.client_receive - self.client_send
-
-
 @dataclass(frozen=True)
 class AutoscaleSample:
     """One control-loop tick of the provisioning timeline."""
@@ -271,7 +247,7 @@ class AutoscaleSample:
 class AutoscaleResult:
     """Everything the autoscaled run produced."""
 
-    records: List[AutoscaleQueryRecord]
+    records: List[FanoutQueryRecord]
     timeline: List[AutoscaleSample]
     horizon_s: float
     policy_name: str
@@ -285,7 +261,7 @@ class AutoscaleResult:
     replica_recoveries: int = 0
 
     @property
-    def served_records(self) -> List[AutoscaleQueryRecord]:
+    def served_records(self) -> List[FanoutQueryRecord]:
         return [r for r in self.records if r.served]
 
     @property
@@ -341,7 +317,6 @@ class _Row:
         "retired_at",
         "crashed",
         "generation",
-        "inflight",
     )
 
     def __init__(
@@ -359,10 +334,6 @@ class _Row:
         self.crashed = False
         #: Bumped on every recovery; names the fresh servers' streams.
         self.generation = 0
-        #: In-flight query contexts with a shard on this row.  A dict
-        #: (not a set) so crash-time iteration follows insertion order —
-        #: set order would depend on object ids and break determinism.
-        self.inflight: Dict["_InFlightQuery", None] = {}
 
     def dispatchable(self, now: float) -> bool:
         return (
@@ -370,21 +341,6 @@ class _Row:
             and not self.crashed
             and now >= self.ready_at
         )
-
-    def outstanding(self) -> int:
-        return sum(server.outstanding for server in self.servers)
-
-
-class _InFlightQuery:
-    """Book-keeping for one dispatched query's fan-out, so a replica
-    crash can fail exactly the queries it was serving."""
-
-    __slots__ = ("record", "handler_ids", "rows")
-
-    def __init__(self, record: AutoscaleQueryRecord) -> None:
-        self.record = record
-        self.handler_ids: List[int] = []
-        self.rows: List[_Row] = []
 
 
 def run_autoscaled_cluster(
@@ -414,6 +370,13 @@ def run_autoscaled_cluster(
         raise ValueError("arrival_times and demands must align")
     if arrival_times.size == 0:
         raise ValueError("empty trace")
+    if not (
+        np.isfinite(arrival_times).all() and np.isfinite(demands).all()
+    ):
+        raise ValueError("arrival_times and demands must be finite")
+    if (np.diff(arrival_times) < 0).any():
+        # The control loop counts arrivals with a binary search.
+        raise ValueError("arrival_times must be non-decreasing")
     horizon = (
         float(horizon_s)
         if horizon_s is not None
@@ -423,28 +386,17 @@ def run_autoscaled_cluster(
         raise ValueError("horizon_s must be positive")
 
     streams = RandomStreams(seed)
-    shard_rng = streams.stream("server-imbalance")
     sim = Simulator()
-    records: List[AutoscaleQueryRecord] = []
-    completion_handlers: Dict[int, Callable[[QueryRecord], None]] = {}
-
-    def complete_server_record(rec: QueryRecord) -> None:
-        # Tolerant pop: a crashed replica's in-flight work has its
-        # handlers removed, but the already-scheduled core-bank events
-        # still fire on the abandoned server — those completions are
-        # stale and must be ignored, not KeyError.
-        handler = completion_handlers.pop(id(rec), None)
-        if handler is not None:
-            handler(rec)
-
+    broker = Broker(
+        sim,
+        streams,
+        config.shards,
+        merge_per_server=config.broker_merge_per_server,
+        concentration=config.server_imbalance_concentration,
+        overload=config.overload,
+    )
     rows: List[_Row] = []
     rows_created = 0
-    controller = (
-        AdmissionController(config.overload)
-        if config.overload is not None and config.overload.enabled
-        else None
-    )
-    admission_queue: Deque[Tuple[AutoscaleQueryRecord, float, float]] = deque()
 
     # ``is not None``: an empty MetricsRegistry is falsy (it has __len__).
     counters = {
@@ -480,9 +432,9 @@ def run_autoscaled_cluster(
         if counters[name] is not None:
             counters[name].add(value)
 
-    def bump_failure(name: str) -> None:
+    def bump_failure(name: str, value: float = 1) -> None:
         if failure_counters[name] is not None:
-            failure_counters[name].add(1)
+            failure_counters[name].add(value)
 
     def make_servers(row_id: int, generation: int) -> List[SimulatedServer]:
         # Generation 0 keeps the original stream names so a run without
@@ -496,11 +448,24 @@ def run_autoscaled_cluster(
                 imbalance_rng=streams.stream(
                     f"imbalance-{shard}-{row_id}{suffix}"
                 ),
-                on_complete=complete_server_record,
+                on_complete=broker.on_server_done,
                 metrics=metrics,
             )
             for shard in range(config.shards)
         ]
+
+    def publish_rows() -> None:
+        """Rewrite the broker's replica table: the dispatchable rows,
+        oldest first (least-outstanding ties go to the oldest row)."""
+        live = active_rows(sim.now)
+        for shard, group in enumerate(broker.replicas):
+            group[:] = [row.servers[shard] for row in live]
+
+    def publish_when_ready(row: _Row) -> None:
+        if row.ready_at > sim.now:
+            sim.schedule(row.ready_at, publish_rows)
+        else:
+            publish_rows()
 
     def launch_row(now: float) -> None:
         nonlocal rows_created
@@ -515,6 +480,7 @@ def run_autoscaled_cluster(
         )
         rows.append(row)
         bump("replicas_launched")
+        publish_when_ready(row)
         if config.failures is not None:
             schedule_next_crash(
                 row, config.failures.windows(row_id, now, streams)
@@ -544,25 +510,9 @@ def run_autoscaled_cluster(
         row.crashed = True
         failure_state["crashes"] += 1
         bump_failure("replica_crashes")
+        publish_rows()
         # Fail exactly the queries with a shard in flight on this row.
-        # Their other-shard handlers are removed too: a fork-join query
-        # missing one shard cannot complete.
-        for ctx in list(row.inflight):
-            for handler_id in ctx.handler_ids:
-                completion_handlers.pop(handler_id, None)
-            for other in ctx.rows:
-                other.inflight.pop(ctx, None)
-            ctx.record.shed_reason = SHED_REPLICA_CRASH
-            records.append(ctx.record)
-            bump_failure("queries_failed")
-            if controller is not None:
-                # The slot the lost query held frees now; its occupancy
-                # time, not a NaN latency, feeds the AIMD gradient.
-                controller.complete(
-                    sim.now, sim.now - ctx.record.client_send
-                )
-        if controller is not None:
-            drain_admission_queue()
+        broker.fail_replicas(row.servers)
         sim.schedule_after(repair_s, recover_row, row, windows)
 
     def recover_row(row: _Row, windows) -> None:
@@ -576,108 +526,16 @@ def run_autoscaled_cluster(
         row.ready_at = sim.now + config.warmup_s
         failure_state["recoveries"] += 1
         bump_failure("replica_recoveries")
+        publish_when_ready(row)
         schedule_next_crash(row, windows)
 
     for _ in range(config.initial_replicas):
         launch_row(0.0)
 
-    # ------------------------------------------------------------------
-    # The broker: dispatch, completion, admission.
-
-    def dispatch(record: AutoscaleQueryRecord, demand: float) -> None:
-        now = sim.now
-        candidates = active_rows(now)
-        if not candidates:
-            # Every row is warming or retired — with min_replicas >= 1
-            # this only happens transiently; treat as a capacity shed.
-            record.shed_reason = "no_active_replica"
-            records.append(record)
-            bump("sheds")
-            return
-        if config.shards == 1:
-            shares = np.ones(1)
-        else:
-            shares = shard_rng.dirichlet(
-                np.full(config.shards, config.server_imbalance_concentration)
-            )
-        pending = [config.shards]
-        completions: List[float] = []
-        ctx = (
-            _InFlightQuery(record) if config.failures is not None else None
-        )
-
-        def on_shard_complete(server_record: QueryRecord) -> None:
-            completions.append(server_record.merge_end)
-            pending[0] -= 1
-            if pending[0] == 0:
-                if ctx is not None:
-                    for touched in ctx.rows:
-                        touched.inflight.pop(ctx, None)
-                record.client_receive = (
-                    max(completions)
-                    + config.broker_merge_per_server * config.shards
-                )
-                records.append(record)
-                if controller is not None:
-                    controller.complete(sim.now, record.latency)
-                    drain_admission_queue()
-
-        for shard in range(config.shards):
-            # Least outstanding wins: the JSQ-like routing the pooled
-            # M/G/k approximation in the capacity model assumes.
-            row = min(
-                candidates,
-                key=lambda r: (r.servers[shard].outstanding, r.launched_at),
-            )
-            server_record = QueryRecord(
-                query_id=record.query_id,
-                client_send=record.client_send,
-                demand=float(demand) * float(shares[shard]),
-            )
-            completion_handlers[id(server_record)] = on_shard_complete
-            if ctx is not None:
-                ctx.handler_ids.append(id(server_record))
-                if row not in ctx.rows:
-                    ctx.rows.append(row)
-                row.inflight[ctx] = None
-            row.servers[shard].handle_arrival(server_record)
-
-    def drain_admission_queue() -> None:
-        while admission_queue and controller.can_admit():
-            queued_record, queued_demand, enqueued_at = (
-                admission_queue.popleft()
-            )
-            if controller.dequeue(sim.now, enqueued_at):
-                dispatch(queued_record, queued_demand)
-            else:
-                queued_record.shed_reason = SHED_CODEL
-                records.append(queued_record)
-                bump("sheds")
-
-    def on_arrival(query_id: int, demand: float) -> None:
-        record = AutoscaleQueryRecord(
-            query_id=query_id, client_send=sim.now
-        )
-        if controller is None:
-            dispatch(record, demand)
-            return
-        decision = controller.decide(sim.now)
-        if decision == "admit":
-            controller.admit(sim.now)
-            dispatch(record, demand)
-        elif decision == "queue":
-            controller.enqueue(sim.now)
-            admission_queue.append((record, demand, sim.now))
-        else:
-            controller.shed(sim.now)
-            record.shed_reason = decision
-            records.append(record)
-            bump("sheds")
-
     for query_id, (send_time, demand) in enumerate(
-        zip(arrival_times, demands)
+        zip(arrival_times.tolist(), demands.tolist())
     ):
-        sim.schedule(float(send_time), on_arrival, query_id, float(demand))
+        sim.schedule(send_time, broker.on_arrival, query_id, demand)
 
     # ------------------------------------------------------------------
     # The control loop.
@@ -759,6 +617,7 @@ def run_autoscaled_cluster(
                 for row in to_retire:
                     row.retired_at = now
                     bump("replicas_retired")
+                publish_rows()
                 state["wants_fewer_streak"] = 0
                 state["scale_downs"] += 1
                 bump("scale_down_events")
@@ -796,9 +655,8 @@ def run_autoscaled_cluster(
         )
         for row in rows
     )
-    records.sort(key=lambda record: record.client_send)
-    return AutoscaleResult(
-        records=records,
+    result = AutoscaleResult(
+        records=broker.finished_records(arrival_times.size),
         timeline=timeline,
         horizon_s=horizon,
         policy_name=policy.name,
@@ -808,3 +666,6 @@ def run_autoscaled_cluster(
         replica_crashes=failure_state["crashes"],
         replica_recoveries=failure_state["recoveries"],
     )
+    bump("sheds", result.shed_count - result.failed_count)
+    bump_failure("queries_failed", result.failed_count)
+    return result

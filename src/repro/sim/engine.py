@@ -18,6 +18,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Optional, Tuple
 
+_INF = float("inf")
+
 
 class EventHandle:
     """A scheduled event that can be cancelled before it fires."""
@@ -75,11 +77,14 @@ class Simulator:
         """Schedule ``callback(*args)`` at absolute ``time``.
 
         Returns a handle whose :meth:`EventHandle.cancel` retires the
-        event.  Scheduling into the past is a logic error and raises.
+        event.  Scheduling into the past — or at a NaN or infinite
+        time, which would corrupt the heap order — is a logic error and
+        raises.
         """
-        if time < self.now:
+        if not self.now <= time < _INF:
             raise ValueError(
-                f"cannot schedule at {time}: clock is already at {self.now}"
+                f"cannot schedule at {time}: need a finite time at or "
+                f"after the clock ({self.now})"
             )
         handle = EventHandle()
         heapq.heappush(

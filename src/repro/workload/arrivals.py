@@ -8,6 +8,13 @@ from typing import Protocol
 import numpy as np
 
 
+def _require_rate(rate: float) -> None:
+    """Reject NaN, infinite and non-positive rates (a NaN rate yields
+    NaN arrival times, an infinite one simultaneous arrivals)."""
+    if not 0.0 < rate < float("inf"):
+        raise ValueError(f"rate must be positive and finite, got {rate}")
+
+
 class ArrivalProcess(Protocol):
     """Open-loop arrival process: generates absolute arrival times."""
 
@@ -25,8 +32,7 @@ class PoissonArrivals:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        _require_rate(self.rate)
 
     def arrival_times(
         self, num_queries: int, rng: np.random.Generator
@@ -44,8 +50,7 @@ class DeterministicArrivals:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        _require_rate(self.rate)
 
     def arrival_times(
         self, num_queries: int, rng: np.random.Generator
@@ -71,8 +76,8 @@ class MMPPArrivals:
     mean_burst_dwell: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.base_rate <= 0 or self.burst_rate <= 0:
-            raise ValueError("rates must be positive")
+        _require_rate(self.base_rate)
+        _require_rate(self.burst_rate)
         if self.mean_base_dwell <= 0 or self.mean_burst_dwell <= 0:
             raise ValueError("dwell times must be positive")
 

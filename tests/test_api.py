@@ -22,7 +22,6 @@ from repro.api import (
     SearchPage,
     VocabularyConfig,
 )
-from repro.cluster.replication import HedgeConfig
 
 TINY_ENGINE = EngineConfig(
     corpus=CorpusConfig(
@@ -157,26 +156,6 @@ class TestClusterModel:
         fanout = model.fanout_config
         assert fanout.hedging is policy
         assert fanout.replicas_per_shard == 2
-        assert fanout.tail_tolerant
-
-
-class TestHedgeConfigDeprecationShim:
-    """``HedgeConfig`` is a plain dataclass: the ``delay`` shim is gone."""
-
-    def test_new_spelling_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            config = HedgeConfig(delay_s=0.01)
-        assert config.delay_s == 0.01
-
-    def test_both_spellings_rejected(self):
-        # The removed ``delay=`` keyword is an ordinary TypeError now.
-        with pytest.raises(TypeError):
-            HedgeConfig(delay_s=0.01, delay=0.02)
-
-    def test_missing_delay_rejected(self):
-        with pytest.raises(TypeError):
-            HedgeConfig()
 
 
 class TestExecutionConfigApi:

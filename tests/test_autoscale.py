@@ -318,6 +318,27 @@ class TestRunAutoscaledCluster:
                 config, policy, np.array([]), np.array([])
             )
 
+    def test_unordered_or_non_finite_trace_rejected(self):
+        # The control loop counts arrivals with a binary search over
+        # ``arrival_times``; an unsorted trace used to run regardless.
+        config = make_config()
+        policy = StaticPolicy(replicas=2)
+        good = np.full(3, 0.01)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            run_autoscaled_cluster(
+                config, policy, np.array([3.0, 1.0, 2.0]), good
+            )
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                run_autoscaled_cluster(
+                    config, policy, np.array([1.0, 2.0, bad]), good
+                )
+            with pytest.raises(ValueError, match="finite"):
+                run_autoscaled_cluster(
+                    config, policy, np.array([1.0, 2.0, 3.0]),
+                    np.array([0.01, bad, 0.01]),
+                )
+
     def test_replica_hours_track_spans(self, trace):
         times, demands = trace
         config = make_config()

@@ -102,6 +102,8 @@ class TestRunFanoutOpenLoop:
         with pytest.raises(ValueError):
             FanoutConfig(num_servers=0, spec=BIG_SERVER)
         with pytest.raises(ValueError):
+            FanoutConfig(num_servers=1, spec=BIG_SERVER, replicas_per_shard=0)
+        with pytest.raises(ValueError):
             FanoutConfig(
                 num_servers=1, spec=BIG_SERVER, broker_merge_per_server=-1.0
             )

@@ -1,16 +1,18 @@
-"""Tests for replicated shards, replica selection, and hedging."""
+"""Tests for replicated shards, replica selection, and hedging — the
+routing rule and hedge timer of the one simulated broker, driven
+through :class:`FanoutConfig`."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.replication import (
-    HedgeConfig,
+from repro.cluster.fanout import (
+    FanoutConfig,
     ReplicaSelection,
-    ReplicatedClusterConfig,
-    run_replicated_open_loop,
+    run_fanout_open_loop,
 )
 from repro.cluster.server import PartitionModelConfig
 from repro.core.replication import replication_policy_study
+from repro.engine.hedging import HedgingPolicy
 from repro.servers.catalog import BIG_SERVER
 from repro.sim.hiccups import HiccupConfig
 from repro.workload.arrivals import PoissonArrivals
@@ -34,74 +36,68 @@ def scenario(rate=60.0, num_queries=1_500):
 
 def config(**overrides):
     defaults = dict(
-        num_shards=2,
-        replicas=2,
+        num_servers=2,
+        replicas_per_shard=2,
         spec=BIG_SERVER,
         partitioning=PARTITIONING,
+        selection=ReplicaSelection.RANDOM,
     )
     defaults.update(overrides)
-    return ReplicatedClusterConfig(**defaults)
+    return FanoutConfig(**defaults)
 
 
-class TestReplicatedClusterConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            config(num_shards=0)
-        with pytest.raises(ValueError):
-            config(replicas=0)
-        with pytest.raises(ValueError):
-            config(replicas=1, hedge=HedgeConfig(delay_s=0.01))
-        with pytest.raises(ValueError):
-            HedgeConfig(delay_s=0.0)
-
-    def test_num_servers(self):
-        assert config(num_shards=3, replicas=2).num_servers == 6
+def hedge(delay_s):
+    """Hedge after ``delay_s``; nothing else of the policy is on."""
+    return HedgingPolicy(hedge_delay_s=delay_s, max_retries=0)
 
 
 class TestRunReplicatedOpenLoop:
     def test_all_queries_complete(self):
-        result = run_replicated_open_loop(config(), scenario())
+        result = run_fanout_open_loop(config(), scenario())
         assert len(result) == 1_500
-        assert result.total_hedges == 0
-        assert result.total_shard_requests == 1_500 * 2
+        assert result.hedges_issued == 0
+        # One answer per shard per query, no duplicates.
+        assert sum(len(r.isn_completions) for r in result.records) == 1_500 * 2
+        assert result.mean_coverage() == 1.0
 
     def test_deterministic(self):
-        first = run_replicated_open_loop(config(), scenario(), seed=4)
-        second = run_replicated_open_loop(config(), scenario(), seed=4)
+        first = run_fanout_open_loop(config(), scenario(), seed=4)
+        second = run_fanout_open_loop(config(), scenario(), seed=4)
         assert np.array_equal(first.latencies(), second.latencies())
 
     @pytest.mark.parametrize("selection", list(ReplicaSelection))
     def test_every_selection_policy_runs(self, selection):
-        result = run_replicated_open_loop(
+        result = run_fanout_open_loop(
             config(selection=selection), scenario(num_queries=500)
         )
         assert len(result) == 500
 
     def test_hedging_issues_duplicates(self):
-        hedged = config(hedge=HedgeConfig(delay_s=0.01))
-        result = run_replicated_open_loop(hedged, scenario())
-        assert result.total_hedges > 0
+        hedged = config(hedging=hedge(0.01))
+        result = run_fanout_open_loop(hedged, scenario())
+        assert result.hedges_issued > 0
         assert 0.0 < result.hedge_fraction < 1.0
 
     def test_late_hedge_deadline_rarely_fires(self):
-        early = run_replicated_open_loop(
-            config(hedge=HedgeConfig(delay_s=0.005)), scenario()
+        early = run_fanout_open_loop(
+            config(hedging=hedge(0.005)), scenario()
         )
-        late = run_replicated_open_loop(
-            config(hedge=HedgeConfig(delay_s=0.2)), scenario()
+        late = run_fanout_open_loop(
+            config(hedging=hedge(0.2)), scenario()
         )
-        assert late.total_hedges < early.total_hedges
+        assert late.hedges_issued < early.hedges_issued
 
     def test_replication_spreads_load(self):
         """With 2 replicas, the same offered load sees lower latency
         than with 1 replica (each request has two queues to choose)."""
         # High enough load that queueing dominates on the single-replica
         # cluster (per-server utilization ~80% vs ~40% with 2 replicas).
-        single = run_replicated_open_loop(
-            config(replicas=1), scenario(rate=600.0, num_queries=3_000)
+        single = run_fanout_open_loop(
+            config(replicas_per_shard=1),
+            scenario(rate=600.0, num_queries=3_000),
         )
-        double = run_replicated_open_loop(
-            config(replicas=2, selection=ReplicaSelection.LEAST_OUTSTANDING),
+        double = run_fanout_open_loop(
+            config(selection=ReplicaSelection.LEAST_OUTSTANDING),
             scenario(rate=600.0, num_queries=3_000),
         )
         assert double.summary().p99 < single.summary().p99
@@ -109,18 +105,18 @@ class TestRunReplicatedOpenLoop:
     def test_hedging_cuts_hiccup_tail(self):
         """Per-replica pauses are independent, so a hedge escapes them."""
         pauses = HiccupConfig(mean_interval=0.2, pause_duration=0.04)
-        plain = run_replicated_open_loop(
+        plain = run_fanout_open_loop(
             config(hiccups=pauses), scenario(), seed=1
         )
-        hedged = run_replicated_open_loop(
-            config(hiccups=pauses, hedge=HedgeConfig(delay_s=0.02)),
+        hedged = run_fanout_open_loop(
+            config(hiccups=pauses, hedging=hedge(0.02)),
             scenario(),
             seed=1,
         )
         assert hedged.summary().p99 < 0.8 * plain.summary().p99
 
     def test_warmup_filtering(self):
-        result = run_replicated_open_loop(
+        result = run_fanout_open_loop(
             config(), scenario(num_queries=400)
         )
         assert result.latencies(0.5).size == 200

@@ -56,7 +56,6 @@ class TestTailTolerantBroker:
         config = FanoutConfig(
             num_servers=1, spec=BIG_SERVER, outages=(_outage(0, 1.0),)
         )
-        assert config.tail_tolerant
         result = run_fanout_open_loop(config, _scenario(1))
         # Without a second replica the query waits out the stall.
         assert result.records[0].latency >= 0.25
@@ -161,7 +160,6 @@ class TestTailTolerantBroker:
         inert = FanoutConfig(
             num_servers=2, spec=BIG_SERVER, hedging=HedgingPolicy()
         )
-        assert not inert.tail_tolerant
         base = run_fanout_open_loop(plain, scenario, seed=3)
         shim = run_fanout_open_loop(inert, scenario, seed=3)
         assert np.array_equal(base.latencies(), shim.latencies())

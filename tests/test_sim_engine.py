@@ -46,6 +46,17 @@ class TestSimulator:
         with pytest.raises(ValueError):
             sim.schedule(1.0, lambda: None)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_cannot_schedule_at_non_finite_time(self, time):
+        # ``time < now`` is False for NaN: the event used to be accepted
+        # and then ran *first*, ahead of every finite-time event.
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.schedule(time, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_after(time, lambda: None)
+        assert sim.pending_events == 0
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Simulator().schedule_after(-1.0, lambda: None)

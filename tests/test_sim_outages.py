@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.replication import (
-    HedgeConfig,
+from repro.cluster.fanout import (
+    FanoutConfig,
     ReplicaSelection,
-    ReplicatedClusterConfig,
-    run_replicated_open_loop,
+    run_fanout_open_loop,
 )
 from repro.cluster.server import PartitionModelConfig
+from repro.engine.hedging import HedgingPolicy
 from repro.servers.catalog import BIG_SERVER
 from repro.sim.outages import FixedOutages, OutageSpec
 from repro.workload.arrivals import PoissonArrivals
@@ -88,14 +88,14 @@ class TestOutageFailover:
         merge_base=0.0, merge_per_partition=0.0,
     )
 
-    def _run(self, selection, hedge=None, seed=0):
-        config = ReplicatedClusterConfig(
-            num_shards=1,
-            replicas=2,
+    def _run(self, selection, hedging=None, seed=0):
+        config = FanoutConfig(
+            num_servers=1,
+            replicas_per_shard=2,
             spec=BIG_SERVER,
             partitioning=self.PARTITIONING,
             selection=selection,
-            hedge=hedge,
+            hedging=hedging,
             outages=(
                 OutageSpec(shard=0, replica=0, start=2.0, duration=0.5),
             ),
@@ -105,23 +105,18 @@ class TestOutageFailover:
             demands=self.DEMAND,
             num_queries=3_000,
         )
-        return run_replicated_open_loop(config, scenario, seed=seed)
+        return run_fanout_open_loop(config, scenario, seed=seed)
 
     def test_outage_config_validation(self):
         with pytest.raises(ValueError, match="shard"):
-            ReplicatedClusterConfig(
-                num_shards=1, replicas=2, spec=BIG_SERVER,
+            FanoutConfig(
+                num_servers=1, replicas_per_shard=2, spec=BIG_SERVER,
                 outages=(OutageSpec(5, 0, 0.0, 1.0),),
             )
         with pytest.raises(ValueError, match="replica"):
-            ReplicatedClusterConfig(
-                num_shards=1, replicas=2, spec=BIG_SERVER,
+            FanoutConfig(
+                num_servers=1, replicas_per_shard=2, spec=BIG_SERVER,
                 outages=(OutageSpec(0, 5, 0.0, 1.0),),
-            )
-        with pytest.raises(TypeError):
-            ReplicatedClusterConfig(
-                num_shards=1, replicas=2, spec=BIG_SERVER,
-                outages=("not-a-spec",),
             )
 
     def test_brownout_inflates_max_latency(self):
@@ -140,6 +135,7 @@ class TestOutageFailover:
     def test_hedging_rescues_stuck_requests(self):
         plain = self._run(ReplicaSelection.RANDOM)
         hedged = self._run(
-            ReplicaSelection.RANDOM, hedge=HedgeConfig(delay_s=0.02)
+            ReplicaSelection.RANDOM,
+            hedging=HedgingPolicy(hedge_delay_s=0.02, max_retries=0),
         )
         assert hedged.summary().max < 0.3 * plain.summary().max

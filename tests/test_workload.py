@@ -76,6 +76,30 @@ class TestMMPPArrivals:
             MMPPArrivals(base_rate=1, burst_rate=1, mean_base_dwell=0)
 
 
+class TestRatesMustBeFinite:
+    """A NaN rate used to yield NaN arrival times (an all-NaN summary
+    downstream) and an infinite one simultaneous arrivals."""
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_non_finite_or_non_positive_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="rate"):
+            PoissonArrivals(rate=rate)
+        with pytest.raises(ValueError, match="rate"):
+            DeterministicArrivals(rate=rate)
+        with pytest.raises(ValueError, match="rate"):
+            MMPPArrivals(base_rate=rate, burst_rate=1.0)
+        with pytest.raises(ValueError, match="rate"):
+            MMPPArrivals(base_rate=1.0, burst_rate=rate)
+
+    def test_cluster_model_rejects_nan_rate(self):
+        from repro.api import ClusterModel
+
+        with pytest.raises(ValueError, match="rate"):
+            ClusterModel(num_servers=2).run(
+                rate_qps=float("nan"), num_queries=5
+            )
+
+
 class TestClosedLoopSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
