@@ -19,6 +19,14 @@ postings, so scored-docs grow with the shard count while the merged
 result stays identical (the coverage tax the simulator's
 ``pruning_factor`` calibrates per partition count).
 
+Pruning has to win on the wall clock, not only on the counters, so
+every cell also reports ``ms_per_query``: each query's *floor* over
+``TIMING_PASSES`` serial executions (the minimum is reached as soon as
+one execution falls outside an interference burst — the estimator idea
+of ``benchmarks/perf/estimator.py``), summed and divided by the query
+count.  It is a reported value, not a gate: the exact counters stay the
+gates.
+
 Acceptance contract (mirrors ISSUE criteria):
 
 - every strategy's merged top-k is bit-identical to exhaustive DAAT at
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from repro.api import format_table
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
@@ -65,6 +74,8 @@ STRATEGIES = (
 )
 NUM_QUERIES = 150
 QUICK_QUERIES = 50
+#: Timed serial executions per query; ``ms_per_query`` keeps the minimum.
+TIMING_PASSES = 7
 
 #: Scored-docs floors the sweep must clear (vs exhaustive).
 MIN_PRUNING_SINGLE_PARTITION = 2.0
@@ -108,8 +119,37 @@ def _run_cell(partitioned, texts, strategy, num_queries):
     }
 
 
+def _floor_ms_per_query(partitioned, texts, num_queries):
+    """Mean per-query floor latency (ms) of every cell.
+
+    Pass-major — every pass visits every cell — so the passes of one
+    cell are spread over the whole measurement and a single
+    interference burst cannot slow all of them.
+    """
+    texts = texts[:num_queries]
+    cells = [(c, s) for c in PARTITION_COUNTS for s in STRATEGIES]
+    floors = {cell: [float("inf")] * len(texts) for cell in cells}
+    for _ in range(TIMING_PASSES):
+        for count, strategy in cells:
+            cell_floors = floors[(count, strategy)]
+            with IndexServingNode(
+                partitioned[count], algorithm=strategy
+            ) as isn:
+                for slot, text in enumerate(texts):
+                    start = time.perf_counter()
+                    isn.execute_serial(text)
+                    elapsed = time.perf_counter() - start
+                    if elapsed < cell_floors[slot]:
+                        cell_floors[slot] = elapsed
+    return {
+        cell: 1e3 * sum(cell_floors) / len(texts)
+        for cell, cell_floors in floors.items()
+    }
+
+
 def _sweep(num_queries, instance=None):
     partitioned, texts = instance if instance else _build_instance()
+    ms_per_query = _floor_ms_per_query(partitioned, texts, num_queries)
     rows = []
     for count in PARTITION_COUNTS:
         for strategy in STRATEGIES:
@@ -118,6 +158,7 @@ def _sweep(num_queries, instance=None):
                 {
                     "partitions": count,
                     "strategy": strategy,
+                    "ms_per_query": ms_per_query[(count, strategy)],
                     **cell,
                 }
             )
@@ -138,6 +179,7 @@ def _format(rows, num_queries):
             "reduction_x",
             "pivot_skips",
             "block_skips",
+            "ms_per_query",
         ],
         [
             [
@@ -147,6 +189,7 @@ def _format(rows, num_queries):
                 exhaustive[row["partitions"]] / row["docs_scored"],
                 row["pivot_skips"],
                 row["block_skips"],
+                row["ms_per_query"],
             ]
             for row in rows
         ],

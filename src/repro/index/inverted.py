@@ -40,6 +40,12 @@ class InvertedIndex:
         self.dictionary = dictionary
         self._postings = list(postings)
         self.doc_lengths = np.asarray(doc_lengths, dtype=np.int64)
+        #: Mean analyzed document length (0.0 for an empty index).  The
+        #: index is immutable, so the mean is taken once here: every
+        #: query builds its scorer from it.
+        self.average_doc_length = (
+            float(self.doc_lengths.mean()) if self.doc_lengths.size else 0.0
+        )
         self.analyzer = analyzer
         self.block_size = int(block_size)
         if block_metadata is None:
@@ -68,13 +74,6 @@ class InvertedIndex:
     def total_postings(self) -> int:
         """Total number of postings across all terms."""
         return sum(len(postings) for postings in self._postings)
-
-    @property
-    def average_doc_length(self) -> float:
-        """Mean analyzed document length (0.0 for an empty index)."""
-        if self.doc_lengths.size == 0:
-            return 0.0
-        return float(self.doc_lengths.mean())
 
     def term_info(self, term: str) -> Optional[TermInfo]:
         """Dictionary entry for ``term``, or None if absent."""

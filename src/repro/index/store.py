@@ -731,6 +731,10 @@ class TieredIndex:
         self.dictionary = dictionary
         self._terms = terms
         self.doc_lengths = np.asarray(doc_lengths, dtype=np.int64)
+        # Taken once, as on InvertedIndex: read by every query's scorer.
+        self.average_doc_length = (
+            float(self.doc_lengths.mean()) if self.doc_lengths.size else 0.0
+        )
         self.analyzer = analyzer
         self.block_size = int(block_size)
         self.store = store
@@ -749,12 +753,6 @@ class TieredIndex:
     @property
     def total_postings(self) -> int:
         return sum(info.num_postings for info in self._terms)
-
-    @property
-    def average_doc_length(self) -> float:
-        if self.doc_lengths.size == 0:
-            return 0.0
-        return float(self.doc_lengths.mean())
 
     @property
     def total_block_bytes(self) -> int:

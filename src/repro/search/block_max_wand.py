@@ -9,8 +9,8 @@ the entire list.  BMW instead consults the
 postings block (last doc id, max tf, min doc length):
 
 1. **Shallow pointer movement** — per-cursor block pointers advance
-   over the block summary arrays (one ``searchsorted`` per cursor per
-   pivot) without touching postings.
+   over the block summaries (a ``bisect`` only when the pointer's block
+   ends before the pivot) without touching postings.
 2. **Deep descent only into candidate blocks** — the pivot document is
    scored only when the *sum of local block bounds* can still beat the
    threshold; otherwise the traversal jumps every contributing cursor
@@ -18,7 +18,11 @@ postings block (last doc id, max tf, min doc length):
 3. **Vectorized block scoring** — on first descent into a block the
    whole block's contributions are computed with the scorer's
    ``score_block`` and memoized, so repeated hits in a hot block cost
-   an array lookup.
+   a list index.
+
+The loop itself is :func:`repro.search.wand._traverse` with the block
+stage on; this module adds the block summaries and, for a tiered index,
+the paged cursor.
 
 Pivot selection is identical to :func:`repro.search.wand.score_wand`
 (global bounds, strict ``>`` test — safe because BM25's global bound is
@@ -34,288 +38,112 @@ scoring a subset of the documents plain WAND scores.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from bisect import bisect_left
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.index.blockmax import BlockMetadata
 from repro.index.inverted import InvertedIndex
 from repro.search.query import ParsedQuery, QueryMode
 from repro.search.scoring import BM25Scorer, resolve_idf
 from repro.search.strategy import TraversalStats
-from repro.search.topk import SearchHit, TopKHeap
+from repro.search.topk import SearchHit
+from repro.search.wand import (
+    _block_scores,
+    _Cursor,
+    _ResidentCursor,
+    _traverse,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
 
-class _BlockMaxCursor:
-    """Postings cursor with block metadata and a shallow block pointer.
-
-    Like :class:`repro.search.wand._WandCursor`, exhaustion is explicit:
-    ``current`` raises on an exhausted cursor instead of returning a
-    sentinel doc id.
-    """
-
-    __slots__ = (
-        "doc_ids",
-        "frequencies",
-        "position",
-        "idf",
-        "max_score",
-        "blocks",
-        "block_bounds",
-        "block_index",
-        "_block_scores",
-    )
-
-    def __init__(
-        self,
-        postings,
-        idf: float,
-        max_score: float,
-        blocks: BlockMetadata,
-        block_bounds: np.ndarray,
-    ):
-        self.doc_ids = postings.doc_ids
-        self.frequencies = postings.frequencies
-        self.position = 0
-        self.idf = idf
-        self.max_score = max_score
-        self.blocks = blocks
-        self.block_bounds = block_bounds
-        # Shallow pointer: index of the last block looked up.  Pivot
-        # documents are non-decreasing over a BMW run, so the pointer
-        # only ever moves forward.
-        self.block_index = 0
-        self._block_scores: Dict[int, np.ndarray] = {}
-
-    @property
-    def exhausted(self) -> bool:
-        return self.position >= len(self.doc_ids)
-
-    @property
-    def current(self) -> int:
-        if self.exhausted:
-            raise IndexError("cursor is exhausted; check .exhausted first")
-        return int(self.doc_ids[self.position])
-
-    def seek(self, target: int) -> None:
-        """Advance (deep) to the first posting with doc id >= target."""
-        if self.exhausted:
-            return
-        self.position = int(
-            np.searchsorted(self.doc_ids[self.position :], target)
-            + self.position
-        )
-
-    def shallow_seek(self, target: int) -> Optional[int]:
-        """Advance the block pointer to the block containing ``target``.
-
-        Returns the block index whose last doc id is >= ``target`` —
-        the only block that could hold ``target`` — or ``None`` when
-        every remaining block ends before it.  Touches only the block
-        summary array, never the postings.
-        """
-        last_doc_ids = self.blocks.last_doc_ids
-        block = int(
-            np.searchsorted(last_doc_ids[self.block_index :], target)
-            + self.block_index
-        )
-        self.block_index = block
-        if block >= self.blocks.num_blocks:
-            return None
-        return block
-
-    def score_current(self, scorer, doc_lengths: np.ndarray) -> float:
-        """Score the posting under the cursor, via the block cache.
-
-        The first touch of a block computes the whole block's
-        contributions in one vectorized ``score_block`` call (falling
-        back to the scalar path for scorers without one) and memoizes
-        the array; the result is bit-identical to a scalar
-        ``scorer.score`` call by ``score_block``'s contract.
-        """
-        block_size = self.blocks.block_size
-        block = self.position // block_size
-        cached = self._block_scores.get(block)
-        if cached is None:
-            start = block * block_size
-            end = min(start + block_size, len(self.doc_ids))
-            frequencies = self.frequencies[start:end]
-            lengths = doc_lengths[self.doc_ids[start:end]]
-            score_block = getattr(scorer, "score_block", None)
-            if score_block is not None:
-                cached = score_block(frequencies, lengths, self.idf)
-            else:
-                cached = np.array(
-                    [
-                        scorer.score(int(frequency), int(length), self.idf)
-                        for frequency, length in zip(frequencies, lengths)
-                    ],
-                    dtype=np.float64,
-                )
-            self._block_scores[block] = cached
-        return float(cached[self.position - block * block_size])
-
-
-class _PagedBlockMaxCursor:
+class _PagedCursor(_Cursor):
     """A block-max cursor over tiered (paged) postings.
 
-    Same interface and same traversal arithmetic as
-    :class:`_BlockMaxCursor`, but the postings live behind a
+    Same interface and same traversal arithmetic as the resident
+    cursor, but the postings live behind a
     :class:`~repro.index.store.TieredPostings` view and are paged in
-    block-at-a-time.  The trick that makes paging cheap is **lazy
-    seeking**: ``seek`` only records the target; resolution happens on
-    the next ``current``/``exhausted`` read, *shallowly* when possible.
-    The resident per-block first/last doc ids locate the only block
-    that can hold the target, and when the target lands on or before a
-    block's first posting the current doc id is known from metadata
-    alone — a cursor that is merely being skipped over never fetches.
-    Only a mid-block landing or an actual scoring descent pages the
-    block in, so the traversal fetches exactly the blocks it descends
-    into.
+    block-at-a-time.  The trick that makes paging cheap is **shallow
+    seeking**: the resident per-block first/last doc ids locate the
+    only block that can hold a seek target, and when the target lands
+    on or before a block's first posting the current doc id is known
+    from metadata alone — a cursor that is merely being skipped over
+    never fetches.  Only a mid-block landing or an actual scoring
+    descent pages the block in, so the traversal fetches exactly the
+    blocks it descends into.
 
     Because the resolved (block, offset) sequence — and the per-block
-    score arrays — are identical to the resident cursor's, results stay
+    score lists — are identical to the resident cursor's, results stay
     bit-identical; only the I/O schedule changes.
     """
 
     __slots__ = (
         "tiered",
-        "idf",
-        "max_score",
-        "blocks",
-        "block_bounds",
-        "block_index",
-        "_target",
-        "_block",
-        "_doc_ids",
-        "_frequencies",
-        "_offset",
-        "_resolved",
-        "_block_scores",
+        "first_doc_ids",
+        "block",
+        "doc_ids",
+        "frequencies",
+        "offset",
+        "scores",
     )
 
-    def __init__(
-        self,
-        tiered_postings,
-        idf: float,
-        max_score: float,
-        blocks: BlockMetadata,
-        block_bounds: np.ndarray,
-    ):
+    def __init__(self, tiered_postings, *state):
         self.tiered = tiered_postings
-        self.idf = idf
-        self.max_score = max_score
-        self.blocks = blocks
-        self.block_bounds = block_bounds
-        self.block_index = 0
-        self._target = 0  # pending lazy-seek target (monotone)
-        self._block = 0  # block holding the current posting, once resolved
-        self._doc_ids: Optional[np.ndarray] = None
-        self._frequencies: Optional[np.ndarray] = None
-        self._offset = 0
-        self._resolved = False
-        self._block_scores: Dict[int, np.ndarray] = {}
+        self.first_doc_ids = tiered_postings.info.first_doc_ids
+        super().__init__(self.first_doc_ids.item(0), *state)
+        self.block = 0  # block holding the current posting
+        self.doc_ids: Optional[np.ndarray] = None  # None until paged in
+        self.frequencies: Optional[np.ndarray] = None
+        self.offset = 0
+        self.scores: Optional[List[float]] = None
 
-    def _load(self) -> None:
-        """Page the resolved block in (through the index's block cache)."""
-        if self._doc_ids is None:
-            self._doc_ids, self._frequencies = self.tiered.block(self._block)
+    def _load(self) -> np.ndarray:
+        """Page the current block in (through the index's block cache)."""
+        self.doc_ids, self.frequencies = self.tiered.block(self.block)
+        return self.doc_ids
 
-    def _resolve(self) -> None:
-        """Locate the first posting with doc id >= the pending target."""
-        if self._resolved:
-            return
-        last_doc_ids = self.blocks.last_doc_ids
-        block = int(
-            np.searchsorted(last_doc_ids[self._block :], self._target)
-            + self._block
-        )
-        if block >= self.blocks.num_blocks:
-            self._block = block
-            self._doc_ids = None
-            self._frequencies = None
-            self._resolved = True
-            return
-        if block != self._block:
-            self._block = block
-            self._doc_ids = None
-            self._frequencies = None
-            self._offset = 0
-        first = int(self.tiered.info.first_doc_ids[block])
-        if first >= self._target and self._doc_ids is None:
-            # The target precedes the block: its first posting is the
-            # answer, and the resident metadata already knows its id.
-            self._offset = 0
-        else:
-            # Mid-block landing (or block already resident): binary
-            # search within the decoded block, forward-only.
-            self._load()
-            self._offset = int(
-                np.searchsorted(self._doc_ids[self._offset :], self._target)
-                + self._offset
-            )
-        self._resolved = True
+    def seek(self, target: int) -> Optional[int]:
+        """Advance to the first posting with doc id >= ``target``.
 
-    @property
-    def exhausted(self) -> bool:
-        self._resolve()
-        return self._block >= self.blocks.num_blocks
-
-    @property
-    def current(self) -> int:
-        self._resolve()
-        if self._block >= self.blocks.num_blocks:
-            raise IndexError("cursor is exhausted; check .exhausted first")
-        if self._doc_ids is not None:
-            return int(self._doc_ids[self._offset])
-        return int(self.tiered.info.first_doc_ids[self._block])
-
-    def seek(self, target: int) -> None:
-        """Record a (deep) seek; resolution is deferred until needed."""
-        if target > self._target:
-            self._target = target
-            self._resolved = False
-
-    def shallow_seek(self, target: int) -> Optional[int]:
-        """Advance the block pointer shallowly (metadata only).
-
-        Identical to :meth:`_BlockMaxCursor.shallow_seek` — the summary
-        arrays are resident on a tiered index, so this never fetches.
+        Same contract as the resident cursor's ``seek``; pages a block
+        in only when the target lands strictly inside it.
         """
-        last_doc_ids = self.blocks.last_doc_ids
-        block = int(
-            np.searchsorted(last_doc_ids[self.block_index :], target)
-            + self.block_index
-        )
-        self.block_index = block
-        if block >= self.blocks.num_blocks:
-            return None
-        return block
+        cur = self.cur
+        if cur >= target:
+            return cur
+        block = self.block
+        last_doc_ids = self.last_doc_ids
+        if last_doc_ids[block] < target:
+            block = self.block = bisect_left(last_doc_ids, target, block + 1)
+            if block == len(last_doc_ids):
+                self.cur = None
+                return None
+            self.doc_ids = self.frequencies = self.scores = None
+            self.offset = 0
+        doc_ids = self.doc_ids
+        if doc_ids is None:
+            # The target precedes the block's first posting — whose id
+            # the resident metadata already knows — or lands inside it.
+            cur = self.first_doc_ids.item(block)
+            if cur < target:
+                doc_ids = self._load()
+        if doc_ids is not None:
+            self.offset = int(doc_ids.searchsorted(target))
+            cur = doc_ids.item(self.offset)
+        self.cur = cur
+        self.key = cur * self.stride + self.rank
+        return cur
 
-    def score_current(self, scorer, doc_lengths: np.ndarray) -> float:
+    def score(self, scorer, doc_lengths: np.ndarray) -> float:
         """Score the posting under the cursor (pages its block in)."""
-        self._resolve()
-        self._load()
-        cached = self._block_scores.get(self._block)
-        if cached is None:
-            frequencies = self._frequencies
-            lengths = doc_lengths[self._doc_ids]
-            score_block = getattr(scorer, "score_block", None)
-            if score_block is not None:
-                cached = score_block(frequencies, lengths, self.idf)
-            else:
-                cached = np.array(
-                    [
-                        scorer.score(int(frequency), int(length), self.idf)
-                        for frequency, length in zip(frequencies, lengths)
-                    ],
-                    dtype=np.float64,
-                )
-            self._block_scores[self._block] = cached
-        return float(cached[self._offset])
+        if self.scores is None:
+            doc_ids = self.doc_ids if self.doc_ids is not None else self._load()
+            self.scores = _block_scores(
+                scorer, self.frequencies, doc_lengths[doc_ids], self.idf
+            )
+        return self.scores[self.offset]
 
 
 def score_block_max_wand(
@@ -344,6 +172,8 @@ def score_block_max_wand(
     """
     if query.mode is not QueryMode.OR:
         raise ValueError("score_block_max_wand supports OR queries only")
+    if max_docs_scored is not None and max_docs_scored <= 0:
+        raise ValueError("max_docs_scored must be positive when given")
     if query.is_empty or index.num_documents == 0:
         return []
     if scorer is None:
@@ -356,145 +186,45 @@ def score_block_max_wand(
     # cursor so this traversal fetches only the blocks it descends
     # into.  Resident indexes keep the direct-array cursor.
     paged = hasattr(index, "tiered_postings_for_id")
-    cursors: List[_BlockMaxCursor] = []
-    for term in query.terms:
+    cursors: List[_Cursor] = []
+    stride = len(query.terms)
+    for rank, term in enumerate(query.terms):
         info = index.term_info(term)
         if info is None:
             continue
-        idf = resolve_idf(scorer, term, info.document_frequency)
         blocks = index.block_metadata_for_id(info.term_id)
         if blocks.num_blocks == 0:
             continue
-        bounds = blocks.max_scores(scorer, idf)
+        idf = resolve_idf(scorer, term, info.document_frequency)
+        # Per (query, term), O(blocks): the summaries the shallow
+        # pointer steers by, as Python lists the loop can index cheaply.
+        state = (
+            idf,
+            scorer.max_score(idf),
+            rank,
+            stride,
+            blocks.last_doc_ids.tolist(),
+            blocks.max_scores(scorer, idf).tolist(),
+        )
         if paged:
             cursors.append(
-                _PagedBlockMaxCursor(
-                    index.tiered_postings_for_id(info.term_id),
-                    idf,
-                    scorer.max_score(idf),
-                    blocks,
-                    bounds,
+                _PagedCursor(index.tiered_postings_for_id(info.term_id), *state)
+            )
+        else:
+            cursors.append(
+                _ResidentCursor(
+                    index.postings_for_id(info.term_id), index.block_size, *state
                 )
             )
-            continue
-        postings = index.postings_for_id(info.term_id)
-        if len(postings) == 0:
-            continue
-        cursors.append(
-            _BlockMaxCursor(
-                postings,
-                idf,
-                scorer.max_score(idf),
-                blocks,
-                bounds,
-            )
-        )
     if not cursors:
         return []
-
-    if max_docs_scored is not None and max_docs_scored <= 0:
-        raise ValueError("max_docs_scored must be positive when given")
-
-    heap = TopKHeap(query.k)
-    doc_lengths = index.doc_lengths
-    docs_scored = 0
-    pivot_skips = 0
-    block_skips = 0
-    truncated = False
-
-    while True:
-        live = [cursor for cursor in cursors if not cursor.exhausted]
-        if not live:
-            break
-        live.sort(key=lambda cursor: cursor.current)
-
-        # Stage 1 — WAND pivot on term-global bounds, identical to
-        # plain WAND so both algorithms walk the same pivot sequence
-        # (which is what makes BMW's scored set a subset of WAND's).
-        threshold = heap.threshold()
-        upper_bound = 0.0
-        pivot_index = -1
-        for cursor_index, cursor in enumerate(live):
-            upper_bound += cursor.max_score
-            if upper_bound > threshold:
-                pivot_index = cursor_index
-                break
-        if pivot_index < 0:
-            break  # no document can beat the threshold anymore
-        pivot_doc = live[pivot_index].current
-
-        # Absorb trailing cursors sitting exactly on the pivot: they
-        # contribute to its score, so their blocks belong in the local
-        # bound (and they must move together on a block skip).
-        pivot_end = pivot_index
-        while (
-            pivot_end + 1 < len(live)
-            and live[pivot_end + 1].current == pivot_doc
-        ):
-            pivot_end += 1
-
-        # Stage 2 — shallow refinement: sum the *local* block bounds of
-        # every cursor that could contribute to pivot_doc, tracking the
-        # earliest block boundary for the skip jump.
-        block_upper = 0.0
-        boundary: Optional[int] = None
-        for cursor in live[: pivot_end + 1]:
-            block = cursor.shallow_seek(pivot_doc)
-            if block is None:
-                continue  # cursor's remaining postings all precede pivot
-            block_upper += float(cursor.block_bounds[block])
-            last = int(cursor.blocks.last_doc_ids[block])
-            if boundary is None or last < boundary:
-                boundary = last
-
-        if boundary is not None and block_upper < threshold:
-            # Stage 3a — block skip.  Every document in
-            # [pivot_doc, next_doc) lies inside the blocks just bounded,
-            # so its score is <= block_upper < threshold and the heap
-            # cannot admit it (ties are impossible under a strict
-            # inequality).  Jump all contributing cursors past the
-            # earliest boundary — or to the next cursor's document,
-            # whichever is closer.
-            block_skips += 1
-            next_doc = boundary + 1
-            if pivot_end + 1 < len(live):
-                next_doc = min(next_doc, live[pivot_end + 1].current)
-            for cursor in live[: pivot_end + 1]:
-                cursor.seek(next_doc)
-            continue
-
-        # Stage 3b — deep descent (same as plain WAND, with block-cache
-        # scoring).
-        if live[0].current == pivot_doc:
-            # Summation order among pivot-tied cursors is original term
-            # order (stable sort), matching exhaustive DAAT bit for bit.
-            score = 0.0
-            for cursor in live:
-                if cursor.exhausted or cursor.current != pivot_doc:
-                    break
-                score += cursor.score_current(scorer, doc_lengths)
-            heap.offer(pivot_doc, score)
-            docs_scored += 1
-            for cursor in live:
-                if not cursor.exhausted and cursor.current == pivot_doc:
-                    cursor.seek(pivot_doc + 1)
-            if max_docs_scored is not None and docs_scored >= max_docs_scored:
-                # Deadline budget exhausted: return the best-so-far
-                # heap instead of finishing the traversal.
-                truncated = True
-                break
-        else:
-            pivot_skips += 1
-            for cursor in live[:pivot_index]:
-                cursor.seek(pivot_doc)
-
-    if stats is not None:
-        stats.docs_scored += docs_scored
-        stats.pivot_skips += pivot_skips
-        stats.block_skips += block_skips
-        stats.truncated = stats.truncated or truncated
-    if metrics is not None:
-        metrics.counter("wand.docs_scored").add(docs_scored)
-        metrics.counter("wand.pivot_skips").add(pivot_skips)
-        metrics.counter("wand.block_skips").add(block_skips)
-    return heap.results()
+    return _traverse(
+        cursors,
+        query.k,
+        scorer,
+        index.doc_lengths,
+        block_stage=True,
+        max_docs_scored=max_docs_scored,
+        metrics=metrics,
+        stats=stats,
+    )

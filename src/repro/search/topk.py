@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
 from typing import List
 
 
@@ -41,28 +41,27 @@ class TopKHeap:
     def __len__(self) -> int:
         return len(self._heap)
 
-    @property
-    def is_full(self) -> bool:
-        """True once ``k`` hits are retained."""
-        return len(self._heap) >= self.k
-
     def threshold(self) -> float:
         """Score a new hit must exceed to enter a full heap.
 
         Returns ``-inf`` while the heap is not yet full.
         """
-        if not self.is_full:
-            return float("-inf")
-        return self._heap[0][0]
+        heap = self._heap
+        return heap[0][0] if len(heap) >= self.k else float("-inf")
 
     def offer(self, doc_id: int, score: float) -> bool:
-        """Consider a hit; returns True if it was retained."""
+        """Consider a hit; returns True if it was retained.
+
+        The threshold can only have moved when this returns True, so a
+        pruning loop may keep it in a local between retained offers.
+        """
         entry = (score, -doc_id)
-        if not self.is_full:
-            heapq.heappush(self._heap, entry)
+        heap = self._heap
+        if len(heap) < self.k:
+            heappush(heap, entry)
             return True
-        if entry > self._heap[0]:
-            heapq.heapreplace(self._heap, entry)
+        if entry > heap[0]:
+            heapreplace(heap, entry)
             return True
         return False
 

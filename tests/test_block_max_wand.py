@@ -18,7 +18,7 @@ from repro.index.builder import IndexBuilder
 from repro.search.block_max_wand import score_block_max_wand
 from repro.search.daat import score_daat
 from repro.search.query import ParsedQuery
-from repro.search.scoring import BM25Scorer, global_bm25_scorer
+from repro.search.scoring import BM25Scorer, TfIdfScorer, global_bm25_scorer
 from repro.search.strategy import TraversalStats
 from repro.search.wand import score_wand
 from repro.text.analyzer import Analyzer, AnalyzerConfig
@@ -189,3 +189,82 @@ class TestTraversalEquivalence:
         score_block_max_wand(small_index, query, metrics=registry)
         assert registry.counter("wand.docs_scored").value >= 0
         assert registry.counter("wand.block_skips").value >= 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(documents_strategy, query_strategy, block_size_strategy, k_strategy)
+    def test_bmw_with_scalar_only_scorer_matches_daat(
+        self, texts, terms, block_size, k
+    ):
+        # TfIdfScorer has no score_block: block bounds and the per-block
+        # score memo both take the scalar fallback.
+        index = build_index(texts, block_size=block_size)
+        scorer = TfIdfScorer(num_documents=index.num_documents)
+        assert not hasattr(scorer, "score_block")
+        query = ParsedQuery(terms=tuple(terms), k=k)
+        daat = as_pairs(score_daat(index, query, scorer))
+        assert as_pairs(score_block_max_wand(index, query, scorer)) == daat
+        assert as_pairs(score_wand(index, query, scorer)) == daat
+
+
+class TestMaxDocsScored:
+    """The deadline scheduler's early-termination depth, at the
+    traversal itself (``DeadlineScheduler.max_docs_for`` only computes
+    the number)."""
+
+    TEXTS = [f"alpha {'beta ' * (i % 4)}gamma{i % 3}" for i in range(60)]
+    QUERY = ParsedQuery(terms=("alpha", "beta"), k=5)
+
+    @pytest.mark.parametrize("block_size", [2, 128])
+    @pytest.mark.parametrize("depth", [1, 7, 25])
+    def test_stops_after_exactly_that_many_scored_documents(
+        self, block_size, depth
+    ):
+        index = build_index(self.TEXTS, block_size=block_size)
+        exact_stats = TraversalStats()
+        score_block_max_wand(index, self.QUERY, stats=exact_stats)
+        assert exact_stats.docs_scored > depth
+
+        stats = TraversalStats()
+        hits = score_block_max_wand(
+            index, self.QUERY, stats=stats, max_docs_scored=depth
+        )
+        assert stats.docs_scored == depth
+        assert stats.truncated
+        # Best-so-far heap: the top of the first `depth` scored
+        # documents, each carrying its exact score.
+        assert len(hits) == min(depth, self.QUERY.k)
+        exact = dict(as_pairs(score_daat(index, ParsedQuery(terms=self.QUERY.terms, k=1000))))
+        assert all(exact[doc_id] == score for doc_id, score in as_pairs(hits))
+        assert as_pairs(hits) == sorted(
+            as_pairs(hits), key=lambda pair: (-pair[1], pair[0])
+        )
+
+    def test_none_and_generous_depths_stay_exact(self):
+        index = build_index(self.TEXTS, block_size=2)
+        daat = as_pairs(score_daat(index, self.QUERY))
+        for depth in (None, 10_000):
+            stats = TraversalStats()
+            hits = score_block_max_wand(
+                index, self.QUERY, stats=stats, max_docs_scored=depth
+            )
+            assert as_pairs(hits) == daat
+            assert not stats.truncated
+
+    @pytest.mark.parametrize(
+        "texts, terms",
+        [
+            (["alpha beta"], ()),  # empty query
+            ([], ("alpha",)),  # empty index
+            (["alpha beta"], ("missing", "absent")),  # all out of vocabulary
+        ],
+        ids=["empty-query", "empty-index", "all-oov"],
+    )
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_nonpositive_depth_is_rejected_before_any_early_return(
+        self, texts, terms, depth
+    ):
+        index = build_index(texts)
+        query = ParsedQuery(terms=terms, k=5)
+        assert score_block_max_wand(index, query) == []
+        with pytest.raises(ValueError, match="max_docs_scored"):
+            score_block_max_wand(index, query, max_docs_scored=depth)

@@ -80,3 +80,34 @@ class TestIndexBuilder:
         for postings in small_index.all_postings():
             doc_ids = postings.doc_ids
             assert np.all(np.diff(doc_ids) > 0) or len(doc_ids) <= 1
+
+
+class TestAverageDocLength:
+    """The mean is taken once at construction (every query's scorer
+    reads it) and must be exactly ``float(doc_lengths.mean())``, so
+    scores stay bit-identical to recomputing it per read."""
+
+    def test_resident_tiered_and_attached(self, small_collection):
+        from repro.index.partitioner import partition_index
+        from repro.index.shared import SharedIndexArena, attach_shared_index
+        from repro.index.store import tier_index
+
+        partitioned = partition_index(small_collection, 2)
+        with SharedIndexArena(partitioned) as arena:
+            attached, segment = attach_shared_index(arena.spec)
+            indexes = [shard.index for shard in partitioned]
+            indexes.append(tier_index(indexes[0], cache_budget_bytes=1 << 16))
+            indexes.extend(shard.index for shard in attached)
+            for index in indexes:
+                assert type(index.average_doc_length) is float
+                assert index.average_doc_length == float(
+                    index.doc_lengths.mean()
+                )
+            segment.close()
+
+    def test_empty_index_is_zero(self, plain_builder):
+        from repro.index.store import tier_index
+
+        empty = plain_builder.build(DocumentCollection())
+        assert empty.average_doc_length == 0.0
+        assert tier_index(empty, cache_budget_bytes=0).average_doc_length == 0.0

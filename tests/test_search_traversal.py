@@ -237,43 +237,53 @@ class TestWandFamilyEdgeCases:
 
 
 class TestExhaustedCursor:
-    @staticmethod
-    def _postings():
+    """An exhausted cursor has no doc id: ``cur`` is None, never a
+    sentinel that arithmetic could carry into a seek target or a
+    doc-length lookup."""
+
+    def test_resident_cursor_exhausts_to_none(self):
         import numpy as np
         from types import SimpleNamespace
 
-        return SimpleNamespace(
-            doc_ids=np.array([0], dtype=np.int64),
-            frequencies=np.array([1], dtype=np.int64),
+        from repro.search.wand import _ResidentCursor
+
+        postings = SimpleNamespace(
+            doc_ids=np.array([0, 4], dtype=np.int64),
+            frequencies=np.array([1, 1], dtype=np.int64),
         )
+        cursor = _ResidentCursor(postings, 2, 1.0, 1.0, 0, 1)
+        assert cursor.seek(4) == 4
+        assert cursor.seek(3) == 4  # never moves backwards
+        assert cursor.seek(5) is None
+        assert cursor.cur is None
+        with pytest.raises(TypeError):
+            cursor.seek(6)
+        with pytest.raises(TypeError):
+            cursor.cur + 1
 
-    def test_wand_cursor_current_raises_when_exhausted(self):
-        from repro.search.wand import _WandCursor
+    def test_paged_cursor_exhausts_to_none(self):
+        from repro.index.store import tier_index
+        from repro.search.block_max_wand import _PagedCursor
 
-        cursor = _WandCursor(self._postings(), idf=1.0, max_score=1.0)
-        cursor.position = 1
-        assert cursor.exhausted
-        with pytest.raises(IndexError):
-            cursor.current
-
-    def test_bmw_cursor_current_raises_when_exhausted(self):
-        import numpy as np
-
-        from repro.index.blockmax import BlockMetadata
-        from repro.search.block_max_wand import _BlockMaxCursor
-
-        postings = self._postings()
-        blocks = BlockMetadata.from_postings(
-            postings, np.array([3], dtype=np.int64), block_size=2
+        index = tier_index(
+            build_index(["cat", "dog", "cat dog", "cat"], block_size=2),
+            cache_budget_bytes=1 << 16,
         )
-        cursor = _BlockMaxCursor(
-            postings,
-            idf=1.0,
-            max_score=1.0,
-            blocks=blocks,
-            block_bounds=np.array([1.0]),
+        term_id = index.term_info("cat").term_id
+        blocks = index.block_metadata_for_id(term_id)
+        cursor = _PagedCursor(
+            index.tiered_postings_for_id(term_id),
+            1.0,
+            1.0,
+            0,
+            1,
+            blocks.last_doc_ids.tolist(),
+            [1.0] * blocks.num_blocks,
         )
-        cursor.position = 1
-        assert cursor.exhausted
-        with pytest.raises(IndexError):
-            cursor.current
+        assert cursor.cur == 0
+        assert cursor.seek(3) == 3  # lands on a block start: no fetch
+        assert cursor.seek(4) is None
+        assert cursor.cur is None
+        assert index.store_stats().blocks_fetched == 0
+        with pytest.raises(TypeError):
+            cursor.seek(5)
