@@ -14,8 +14,9 @@ Protocol, parent side:
 - one dispatcher thread per worker pulls tasks from a shared queue
   (natural load balancing), ships a **batch** of work items down the
   worker's pipe in one message — batching amortizes IPC, the paper's
-  per-dispatch cost — and parks in ``recv`` until the compact reply
-  (top-k score/doc-id arrays plus counter deltas) comes back;
+  per-dispatch cost — and waits (:func:`_recv`: a short poll, then a
+  blocking ``recv``) until the compact reply (top-k score/doc-id
+  arrays plus counter deltas) comes back;
 - a worker that dies mid-dispatch (OOM-kill, segfault, chaos ``kill``)
   fails exactly the shards it was serving with a typed
   :class:`WorkerCrashError` — which the ISN's gather treats like any
@@ -86,7 +87,22 @@ _MAX_STARTUP_FAILURES = 3
 #: respawned within one interval even if no dispatch touches it.
 DEFAULT_PROBE_INTERVAL_S = 0.25
 
+#: How long either end of a worker pipe polls for the next message before
+#: it sleeps on it.  A sleeping peer is woken through an idle CPU, which
+#: on a virtual machine costs 50 us to over 1 ms a time, not the same
+#: from one minute to the next — as much as a query's scoring.  A pool
+#: that is kept busy never pays it; an idle one sleeps after this long.
+_POLL_BEFORE_SLEEP_S = 1e-3
+
 _SHUTDOWN = object()
+
+
+def _recv(conn):
+    """``conn.recv()``, polling for ``_POLL_BEFORE_SLEEP_S`` first."""
+    give_up = time.perf_counter() + _POLL_BEFORE_SLEEP_S
+    while not conn.poll() and time.perf_counter() < give_up:
+        pass
+    return conn.recv()
 
 
 class WorkerCrashError(RuntimeError):
@@ -180,7 +196,7 @@ def _worker_main(conn, spec: SharedIndexSpec, options: WorkerOptions) -> None:
     try:
         conn.send(("ready", os.getpid()))
         while True:
-            message = conn.recv()
+            message = _recv(conn)
             if message is None:
                 break
             payloads: List[Tuple[str, Any]] = []
@@ -561,7 +577,7 @@ class ProcessShardPool:
             try:
                 self._ensure_ready(handle)
                 handle.conn.send(task.items)
-                payloads, deltas = handle.conn.recv()
+                payloads, deltas = _recv(handle.conn)
             except (EOFError, OSError) as exc:
                 shards = [shard for shard, _ in task.items]
                 self._crash_task(

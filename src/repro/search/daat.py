@@ -6,55 +6,27 @@ lock-step over doc-id-sorted postings, scoring each candidate document
 completely before moving on.  Service time is proportional to the total
 postings volume traversed, which is the work model the paper's
 characterization (and our simulator calibration) relies on.
+
+A k-way merge of doc-sorted lists is one stable sort, so the lock-step
+runs as array operations: the terms' postings are concatenated in query
+order and stably sorted by doc id, which is exactly the order in which a
+``(doc_id, cursor_index)`` frontier would pop them.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional
+
+import numpy as np
 
 from repro.index.inverted import InvertedIndex
 from repro.search.query import ParsedQuery, QueryMode
-from repro.search.scoring import BM25Scorer, Scorer, resolve_idf
+from repro.search.scoring import BM25Scorer, Scorer, _vector_scores, resolve_idf
 from repro.search.strategy import TraversalStats
-from repro.search.topk import SearchHit, TopKHeap
+from repro.search.topk import SearchHit, select_top_k
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
-
-
-class _Cursor:
-    """A traversal cursor over one term's postings.
-
-    ``scores`` optionally holds the precomputed per-posting score
-    contributions (vectorized once up front when the scorer supports
-    ``score_block``); exhaustive DAAT touches every posting anyway, so
-    the batch computation is never wasted work.
-    """
-
-    __slots__ = ("doc_ids", "frequencies", "position", "idf", "scores")
-
-    def __init__(self, postings, idf: float):
-        self.doc_ids = postings.doc_ids
-        self.frequencies = postings.frequencies
-        self.position = 0
-        self.idf = idf
-        self.scores = None
-
-    @property
-    def exhausted(self) -> bool:
-        return self.position >= len(self.doc_ids)
-
-    @property
-    def current(self) -> int:
-        return int(self.doc_ids[self.position])
-
-    @property
-    def current_frequency(self) -> int:
-        return int(self.frequencies[self.position])
-
-    def advance(self) -> None:
-        self.position += 1
 
 
 def score_daat(
@@ -68,9 +40,9 @@ def score_daat(
 
     Returns the top-k hits (best first).  ``scorer`` defaults to BM25
     with the index's collection statistics.  With ``metrics``, the
-    traversal's postings/candidate/heap-offer totals are added to the
-    registry once after the loop, so the inner loop stays registry-free;
-    ``stats``, when given, receives the per-query scored-document count.
+    traversal's postings/candidate/heap-offer totals — array lengths of
+    the merge — are added to the registry; ``stats``, when given,
+    receives the per-query scored-document count.
     """
     if query.is_empty:
         return []
@@ -80,86 +52,65 @@ def score_daat(
             average_doc_length=index.average_doc_length,
         )
 
-    cursors = _open_cursors(index, query.terms, scorer)
-    if not cursors:
-        return []
-    if query.mode is QueryMode.AND and len(cursors) < len(query.terms):
-        # A conjunctive query with a term absent from the index matches
-        # nothing.
-        return []
-
-    heap = TopKHeap(query.k)
+    # Exhaustive traversal reads every posting, so each term's whole
+    # contribution array is computed in one pass (bit-identical to the
+    # scalar path by score_block's contract).
     doc_lengths = index.doc_lengths
-    required = len(query.terms) if query.mode is QueryMode.AND else 1
-
-    # Exhaustive traversal reads every posting, so when the scorer is
-    # vectorizable the whole contribution array is computed in one numpy
-    # pass per term (bit-identical to the scalar path by score_block's
-    # contract) and the inner loop reduces to an array lookup.
-    score_block = getattr(scorer, "score_block", None)
-    if score_block is not None:
-        for cursor in cursors:
-            cursor.scores = score_block(
-                cursor.frequencies, doc_lengths[cursor.doc_ids], cursor.idf
-            )
-
-    # Min-heap of (current_doc_id, cursor_index) drives the lock-step.
-    frontier = [
-        (cursor.current, cursor_index)
-        for cursor_index, cursor in enumerate(cursors)
-    ]
-    heapq.heapify(frontier)
-    candidates = 0
-    offers = 0
-
-    while frontier:
-        doc_id = frontier[0][0]
-        score = 0.0
-        matched = 0
-        candidates += 1
-        # Pop every cursor positioned on doc_id, score, and re-push.
-        while frontier and frontier[0][0] == doc_id:
-            _, cursor_index = heapq.heappop(frontier)
-            cursor = cursors[cursor_index]
-            if cursor.scores is not None:
-                score += float(cursor.scores[cursor.position])
-            else:
-                score += scorer.score(
-                    cursor.current_frequency,
-                    int(doc_lengths[doc_id]),
-                    cursor.idf,
-                )
-            matched += 1
-            cursor.advance()
-            if not cursor.exhausted:
-                heapq.heappush(frontier, (cursor.current, cursor_index))
-        if matched >= required:
-            heap.offer(doc_id, score)
-            offers += 1
-
-    if stats is not None:
-        stats.docs_scored += candidates
-    if metrics is not None:
-        metrics.counter("daat.postings_traversed").add(
-            sum(cursor.position for cursor in cursors)
-        )
-        metrics.counter("daat.candidates_scored").add(candidates)
-        metrics.counter("daat.heap_offers").add(offers)
-    return heap.results()
-
-
-def _open_cursors(
-    index: InvertedIndex, terms: Sequence[str], scorer: Scorer
-) -> List[_Cursor]:
-    cursors: List[_Cursor] = []
-    for term in terms:
+    id_lists: List[np.ndarray] = []
+    score_lists: List[np.ndarray] = []
+    for term in query.terms:
         info = index.term_info(term)
         if info is None:
             continue
         postings = index.postings_for_id(info.term_id)
         if len(postings) == 0:
             continue
-        cursors.append(
-            _Cursor(postings, resolve_idf(scorer, term, info.document_frequency))
+        doc_ids = postings.doc_ids
+        id_lists.append(doc_ids)
+        score_lists.append(
+            _vector_scores(
+                scorer,
+                postings.frequencies,
+                doc_lengths[doc_ids],
+                resolve_idf(scorer, term, info.document_frequency),
+            )
         )
-    return cursors
+    if not id_lists:
+        return []
+    if query.mode is QueryMode.AND and len(id_lists) < len(query.terms):
+        # A conjunctive query with a term absent from the index matches
+        # nothing.
+        return []
+
+    ids = np.concatenate(id_lists)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    contributions = np.concatenate(score_lists)[order]
+
+    # One segment per candidate document, its postings in term order.
+    is_start = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    matched = np.append(starts[1:], len(ids)) - starts
+
+    # Sum each document's contributions one term at a time from 0.0, as
+    # a scalar loop would: reduceat may add pairwise, which rounds
+    # differently and would break bit-identity with TAAT and the WAND
+    # family.
+    totals = 0.0 + contributions[starts]
+    for position in range(1, int(matched.max())):
+        more = np.flatnonzero(matched > position)
+        totals[more] += contributions[starts[more] + position]
+
+    candidates = ids[starts]
+    if query.mode is QueryMode.AND:
+        required = matched >= len(query.terms)
+        candidates, totals = candidates[required], totals[required]
+
+    if stats is not None:
+        stats.docs_scored += len(starts)
+    if metrics is not None:
+        metrics.counter("daat.postings_traversed").add(len(ids))
+        metrics.counter("daat.candidates_scored").add(len(starts))
+        metrics.counter("daat.heap_offers").add(len(candidates))
+    return select_top_k(candidates, totals, query.k)

@@ -111,8 +111,9 @@ class Searcher:
     index:
         The index to search.
     algorithm:
-        ``"daat"`` (benchmark-faithful, default), ``"taat"`` (vectorized),
-        ``"wand"``, or ``"block_max_wand"`` (early-terminated; OR
+        ``"daat"`` (benchmark-faithful array merge, default), ``"taat"``
+        (dense accumulator, its independent cross-check), ``"wand"``, or
+        ``"block_max_wand"`` (early-terminated; OR
         queries only).  A :class:`~repro.search.strategy.TraversalStrategy`
         (or one of its aliases, e.g. ``"exhaustive"``) is accepted and
         normalized to the algorithm name.

@@ -115,6 +115,32 @@ class BM25Scorer:
         return idf * (self.k1 + 1.0)
 
 
+def _vector_scores(
+    scorer: Scorer,
+    frequencies: np.ndarray,
+    doc_lengths: np.ndarray,
+    idf: float,
+) -> np.ndarray:
+    """Vectorized scoring of one term's postings.
+
+    Scorers exposing ``score_block`` (BM25) get the closed-form numpy
+    path; any other scorer falls back to a per-posting Python loop
+    (still correct, just slower).
+    """
+    score_block = getattr(scorer, "score_block", None)
+    if score_block is not None:
+        return score_block(frequencies, doc_lengths, idf)
+    return np.array(
+        [
+            scorer.score(frequency, length, idf)
+            for frequency, length in zip(
+                frequencies.tolist(), doc_lengths.tolist()
+            )
+        ],
+        dtype=np.float64,
+    )
+
+
 def resolve_idf(scorer: Scorer, term: str, document_frequency: int) -> float:
     """Return the idf weight for ``term``.
 

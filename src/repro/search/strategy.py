@@ -3,9 +3,9 @@
 The engine evaluates ranked disjunctions three ways:
 
 - ``EXHAUSTIVE`` — the benchmark-faithful baseline: every posting of
-  every query term is scored (Lucene's classic DAAT; TAAT is the
-  vectorized equivalent).  Service time is proportional to the matched
-  postings volume — the paper's work model.
+  every query term is scored (Lucene's classic DAAT, run as one array
+  merge; TAAT is the dense-accumulator equivalent).  Service time is
+  affine in the matched postings volume — the paper's work model.
 - ``WAND`` — Broder et al.'s weak-AND: documents whose summed per-term
   score *upper bounds* cannot beat the current top-k threshold are
   skipped without scoring.

@@ -2,9 +2,10 @@
 
 TAAT processes one full posting list at a time, accumulating partial
 scores in a dense per-document array.  It is the classic alternative
-to DAAT; we vectorize the accumulation with numpy, which makes TAAT the
-fastest execution path in this pure-Python engine and a useful
-cross-check of DAAT's results (both must produce identical rankings).
+to DAAT: its memory is proportional to the shard where DAAT's merge is
+proportional to the query's postings, and the two kernels share only
+the scoring and top-k selection, so each is an independent cross-check
+of the other (both must produce identical rankings).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 
 from repro.index.inverted import InvertedIndex
 from repro.search.query import ParsedQuery, QueryMode
-from repro.search.scoring import BM25Scorer, Scorer, resolve_idf
-from repro.search.topk import SearchHit, TopKHeap
+from repro.search.scoring import BM25Scorer, Scorer, _vector_scores, resolve_idf
+from repro.search.topk import SearchHit, select_top_k
 
 
 def score_taat(
@@ -63,31 +64,4 @@ def score_taat(
     else:
         candidates = np.flatnonzero(match_counts > 0)
 
-    heap = TopKHeap(query.k)
-    for doc_id in candidates:
-        heap.offer(int(doc_id), float(scores[doc_id]))
-    return heap.results()
-
-
-def _vector_scores(
-    scorer: Scorer,
-    frequencies: np.ndarray,
-    doc_lengths: np.ndarray,
-    idf: float,
-) -> np.ndarray:
-    """Vectorized scoring of one term's postings.
-
-    Scorers exposing ``score_block`` (BM25) get the closed-form numpy
-    path; any other scorer falls back to a per-posting Python loop
-    (still correct, just slower).
-    """
-    score_block = getattr(scorer, "score_block", None)
-    if score_block is not None:
-        return score_block(frequencies, doc_lengths, idf)
-    return np.array(
-        [
-            scorer.score(int(frequency), int(length), idf)
-            for frequency, length in zip(frequencies, doc_lengths)
-        ],
-        dtype=np.float64,
-    )
+    return select_top_k(candidates, scores[candidates], query.k)

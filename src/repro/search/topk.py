@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from typing import List
 
+import numpy as np
+
 
 @dataclass(frozen=True, order=True)
 class SearchHit:
@@ -72,3 +74,25 @@ class TopKHeap:
             SearchHit(score=score, doc_id=-negated_id)
             for score, negated_id in ordered
         ]
+
+
+def select_top_k(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> List[SearchHit]:
+    """The ``k`` best of parallel ``doc_ids``/``scores`` arrays, best first.
+
+    The array form of offering every pair to a :class:`TopKHeap`: score
+    descending, lower doc id first on equal scores, ties at the k-th
+    score resolved by doc id.  ``doc_ids`` must be distinct.
+    """
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    if len(scores) > k:
+        # Everything at or above the k-th best score survives the cut,
+        # so the doc-id tie-break below sees every tie at the boundary.
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+        keep = scores >= kth
+        doc_ids, scores = doc_ids[keep], scores[keep]
+    order = np.lexsort((doc_ids, -scores))[:k]
+    return [
+        SearchHit(score=score, doc_id=doc_id)
+        for doc_id, score in zip(doc_ids[order].tolist(), scores[order].tolist())
+    ]

@@ -6,6 +6,8 @@ consumers treat these objects as immutable.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,26 @@ def small_query_log(corpus_generator):
         QueryLogConfig(num_unique_queries=100, seed=5),
     )
     return generator.generate()
+
+
+@pytest.fixture(scope="session")
+def timing_isn():
+    """A one-partition ISN over the small corpus grown to 8,000 documents.
+
+    For the tests that compare live service times.  On 300 documents a
+    query matches a few hundred postings (≈ 0.05 µs each) against a fixed
+    ≈ 0.2 ms per query, so the timer decides every comparison; here the
+    median query matches ≈ 3,600 postings and the per-posting term shows.
+    Same vocabulary as the small corpus: ``small_query_log`` applies.
+    """
+    from repro.engine.isn import IndexServingNode
+    from repro.index.partitioner import partition_index
+
+    collection = CorpusGenerator(
+        replace(SMALL_CORPUS_CONFIG, num_documents=8_000)
+    ).generate()
+    with IndexServingNode(partition_index(collection, 1)) as isn:
+        yield isn
 
 
 @pytest.fixture()

@@ -15,11 +15,10 @@ from repro.index.partitioner import partition_index
 
 
 @pytest.fixture(scope="module")
-def characterization(small_collection, small_query_log):
-    with IndexServingNode(partition_index(small_collection, 1)) as isn:
-        yield characterize_service_times(
-            isn, small_query_log, num_queries=150, repeats=2, seed=0
-        )
+def characterization(timing_isn, small_query_log):
+    return characterize_service_times(
+        timing_isn, small_query_log, num_queries=150, repeats=5, seed=0
+    )
 
 
 class TestCharacterizeServiceTimes:
@@ -86,10 +85,14 @@ class TestIndexScaling:
                 mean_length=50,
                 seed=17,
             )
-            for size in (100, 400)
+            # 25x apart: the extra postings must rise above the fixed
+            # per-query cost, which 100 vs 400 documents no longer do.
+            for size in (200, 5_000)
         ]
-        rows = index_scaling_study(configs, queries_per_size=40, seed=0)
-        assert [row.num_documents for row in rows] == [100, 400]
+        rows = index_scaling_study(
+            configs, queries_per_size=40, repeats=3, seed=0
+        )
+        assert [row.num_documents for row in rows] == [200, 5_000]
         assert (
             rows[1].index_stats.total_postings
             > rows[0].index_stats.total_postings

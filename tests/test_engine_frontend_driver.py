@@ -126,11 +126,11 @@ class TestReplaySerial:
         with pytest.raises(ValueError):
             replay_serial(single_isn, list(small_query_log)[:1], repeats=0)
 
-    def test_service_time_scales_with_volume(self, single_isn, small_query_log):
+    def test_service_time_scales_with_volume(self, timing_isn, small_query_log):
         """Queries touching more postings must, on aggregate, take longer
         — the correlation the simulator calibration relies on."""
         measurements = replay_serial(
-            single_isn, list(small_query_log)[:60], repeats=3, warmup=3
+            timing_isn, list(small_query_log)[:60], repeats=5, warmup=3
         )
         volumes = np.array([m.matched_volume for m in measurements])
         times = np.array([m.service_seconds for m in measurements])

@@ -22,8 +22,10 @@ The GIL-escape contract has three parts, each tested here:
   shared segment.
 """
 
+import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -31,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.documents import Document, DocumentCollection
+from repro.engine import mp
 from repro.engine.execution import ExecutionConfig
 from repro.engine.isn import IndexServingNode
 from repro.engine.mp import ProcessShardPool, WorkerCrashError, WorkerOptions
@@ -412,6 +415,30 @@ class TestWorkerLifecycle:
             pool.close()  # idempotent
             with pytest.raises(RuntimeError):
                 pool.submit_batch([(0, ParsedQuery(terms=("alpha",), k=3))])
+
+
+class TestPollBeforeSleep:
+    """``mp._recv`` is ``recv`` with a bounded poll in front of it."""
+
+    def test_a_waiting_message_a_late_one_and_a_closed_peer(self):
+        near, far = multiprocessing.Pipe(duplex=True)
+        far.send("waiting")
+        assert mp._recv(near) == "waiting"
+        # A message that arrives after the poll gave up is still
+        # received: the call falls back to a blocking ``recv``.
+        late = threading.Timer(
+            5 * mp._POLL_BEFORE_SLEEP_S, far.send, args=("late",)
+        )
+        late.start()
+        start = time.perf_counter()
+        assert mp._recv(near) == "late"
+        assert time.perf_counter() - start >= mp._POLL_BEFORE_SLEEP_S
+        late.join()
+        # A dead peer reads as end-of-file, as it does for ``recv``:
+        # the dispatcher's crash handling depends on it.
+        far.close()
+        with pytest.raises(EOFError):
+            mp._recv(near)
 
 
 class TestExecutionConfigValidation:
