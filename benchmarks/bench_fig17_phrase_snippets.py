@@ -15,6 +15,7 @@ import numpy as np
 from repro.core.reporting import format_table
 from repro.engine.snippets import SnippetGenerator
 from repro.search.daat import score_daat
+from repro.search.intersection import intersect_gallop, intersect_merge
 from repro.search.phrase import score_phrase
 from repro.search.query import ParsedQuery, QueryMode
 
@@ -106,3 +107,17 @@ def test_fig17_phrase_snippets(
     assert phrase_hits_total > 0
     assert means["and"] < means["or"]
     assert means["phrase"] > means["and"]
+
+
+def test_fig17_skewed_intersection():
+    """Galloping dominates the linear merge on 1:1000-skewed lists."""
+    rng = np.random.default_rng(4)
+    small = np.sort(rng.choice(2_000_000, 200, replace=False))
+    large = np.sort(rng.choice(2_000_000, 200_000, replace=False))
+    seconds = {}
+    for function in (intersect_merge, intersect_gallop):
+        start = time.perf_counter()
+        result = function(small, large)
+        seconds[function] = time.perf_counter() - start
+        assert np.array_equal(result, np.intersect1d(small, large))
+    assert seconds[intersect_gallop] < seconds[intersect_merge]

@@ -1,9 +1,9 @@
 """F19 (extension) — Replica brownout: failover behaviour under load.
 
-Scripts a 500 ms brownout of one replica mid-run and measures how the
-broker's policies contain the damage.  Shape: with random selection,
-requests keep landing on the stalled replica and wait out the
-brownout (seconds-scale worst case); least-outstanding selection
+Scripts a brownout of one replica — a twentieth of the run, a quarter
+of the way in — and measures how the broker's policies contain the
+damage.  Shape: with random selection, requests keep landing on the
+stalled replica and wait out the brownout; least-outstanding selection
 steers new traffic away, shrinking the damage to the requests already
 in flight; hedging rescues even those, capping the worst case near
 the hedge deadline plus one service time.
@@ -22,7 +22,12 @@ from repro.sim.outages import OutageSpec
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.scenario import WorkloadScenario
 
-BROWNOUT = OutageSpec(shard=0, replica=0, start=3.0, duration=0.5)
+NUM_QUERIES = 8_000
+#: The brownout as fractions of the run's length, ``NUM_QUERIES / rate``:
+#: the calibrated rate sets how many seconds a run lasts, and a window
+#: in absolute seconds can fall past its end.
+BROWNOUT_START = 0.25
+BROWNOUT_LENGTH = 0.05
 
 
 def test_fig19_failover(benchmark, demand_model, cost_model, emit):
@@ -38,7 +43,14 @@ def test_fig19_failover(benchmark, demand_model, cost_model, emit):
     scenario = WorkloadScenario(
         arrivals=PoissonArrivals(rate),
         demands=demand_model,
-        num_queries=8_000,
+        num_queries=NUM_QUERIES,
+    )
+    horizon = NUM_QUERIES / rate
+    brownout = OutageSpec(
+        shard=0,
+        replica=0,
+        start=BROWNOUT_START * horizon,
+        duration=BROWNOUT_LENGTH * horizon,
     )
     policies = [
         ("random", ReplicaSelection.RANDOM, None),
@@ -62,7 +74,7 @@ def test_fig19_failover(benchmark, demand_model, cost_model, emit):
                 partitioning=partitioning,
                 selection=selection,
                 hedging=hedging,
-                outages=(BROWNOUT,),
+                outages=(brownout,),
             )
             results[label] = run_fanout_open_loop(config, scenario, seed=0)
         return results
@@ -84,8 +96,8 @@ def test_fig19_failover(benchmark, demand_model, cost_model, emit):
                 for label, result in results.items()
             ],
             title=(
-                f"F19: 500 ms brownout of one replica at {rate:.0f} qps "
-                "(2 shards x 2 replicas)"
+                f"F19: {brownout.duration * 1000:.0f} ms brownout of one "
+                f"replica at {rate:.0f} qps (2 shards x 2 replicas)"
             ),
         ),
     )
@@ -94,10 +106,10 @@ def test_fig19_failover(benchmark, demand_model, cost_model, emit):
     jsq_max = results["least_outstanding"].summary().max
     hedged_max = results["least_outstanding+hedge"].summary().max
     # The brownout is visible under naive selection...
-    assert random_max > 0.2
+    assert random_max > 0.4 * brownout.duration
     # ...and hedging caps the worst case far below the brownout length.
     assert hedged_max < 0.25 * random_max
-    assert hedged_max < 0.1
+    assert hedged_max < 0.2 * brownout.duration
     # Selection alone already improves the tail.
     assert (
         results["least_outstanding"].summary().p999

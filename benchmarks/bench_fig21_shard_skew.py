@@ -8,25 +8,30 @@ climbs back toward the unpartitioned level — an uneven partitioning is
 hardly a partitioning at all.
 """
 
+from dataclasses import replace
+
 from repro.core.partitioning import imbalance_sensitivity, run_partitioning_sweep
 from repro.core.reporting import format_series
 from repro.servers.catalog import BIG_SERVER
 
 # From near-even (1e6) down to heavily skewed (2).
 CONCENTRATIONS = [1e6, 60.0, 10.0, 4.0, 2.0]
+NUM_PARTITIONS = 8
 
 
 def test_fig21_shard_skew(benchmark, demand_model, cost_model, emit):
-    capacity_qps = BIG_SERVER.compute_capacity / cost_model.total_work(
-        demand_model.mean_demand()
-    )
+    # Capacity at the swept partition count: the per-partition overhead
+    # makes a query's total work at P=8 a multiple of its P=1 work.
+    capacity_qps = BIG_SERVER.compute_capacity / replace(
+        cost_model, num_partitions=NUM_PARTITIONS
+    ).total_work(demand_model.mean_demand())
     rate = 0.35 * capacity_qps
 
     points = benchmark.pedantic(
         imbalance_sensitivity,
         args=(BIG_SERVER, demand_model, CONCENTRATIONS, rate),
         kwargs={
-            "num_partitions": 8,
+            "num_partitions": NUM_PARTITIONS,
             "cost_model": cost_model,
             "num_queries": 8_000,
             "seed": 0,

@@ -20,14 +20,9 @@ Acceptance contract (mirrors ISSUE criteria):
 - an *inert* policy (``HedgingPolicy()``) routes through the seed's
   analytic fan-out path and reproduces its latencies within 2%
   (bit-identical, in fact — same code path, same RNG streams).
-
-Run standalone (CI smoke): ``python benchmarks/bench_fig23_hedging_tail.py --quick``
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
 
 import numpy as np
 
@@ -139,7 +134,7 @@ def _format(rows, num_queries):
 
 
 def _check(rows) -> None:
-    """The acceptance assertions, shared by pytest and --quick modes."""
+    """The acceptance assertions, at full and ``--quick`` size alike."""
     baseline = next(
         r for r in rows if r["hedge_ms"] is None and r["deadline_ms"] is None
     )
@@ -186,34 +181,14 @@ def _check_inert_policy_matches_seed_path(num_queries) -> None:
     )
 
 
-def test_fig23_hedging_tail(benchmark, emit):
+def test_fig23_hedging_tail(benchmark, emit, quick):
+    num_queries = QUICK_QUERIES if quick else NUM_QUERIES
     rows = benchmark.pedantic(
-        lambda: _sweep(NUM_QUERIES), rounds=1, iterations=1
+        lambda: _sweep(num_queries), rounds=1, iterations=1
     )
-    emit("fig23_hedging_tail", _format(rows, NUM_QUERIES))
+    emit("fig23_hedging_tail", _format(rows, num_queries))
     _check(rows)
 
 
 def test_fig23_inert_policy_matches_seed_path():
     _check_inert_policy_matches_seed_path(QUICK_QUERIES)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help=f"CI smoke mode: {QUICK_QUERIES} queries instead of {NUM_QUERIES}",
-    )
-    args = parser.parse_args(argv)
-    num_queries = QUICK_QUERIES if args.quick else NUM_QUERIES
-    rows = _sweep(num_queries)
-    print(_format(rows, num_queries))
-    _check(rows)
-    _check_inert_policy_matches_seed_path(num_queries)
-    print("fig23 acceptance checks passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -25,15 +25,9 @@ Acceptance contract (mirrors ISSUE criteria):
 - protected goodput at 3x capacity ≥ unprotected goodput at 3x;
 - the sweep is deterministic: re-running a cell with the same seed
   reproduces identical latencies, coverage, and shed counts.
-
-Run standalone (CI smoke):
-``python benchmarks/bench_fig24_overload_degradation.py --quick``
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
 
 import numpy as np
 
@@ -183,7 +177,7 @@ def _format(rows, num_queries):
     )
 
 
-def _structured_data(rows, num_queries):
+def _bench_data(rows, num_queries):
     protected = {r["load_x"]: r for r in rows if r["protected"]}
     unprotected = {r["load_x"]: r for r in rows if not r["protected"]}
     top = max(LOAD_FRACTIONS)
@@ -204,7 +198,7 @@ def _structured_data(rows, num_queries):
 
 
 def _check(rows) -> None:
-    """The acceptance assertions, shared by pytest and --quick modes."""
+    """The acceptance assertions, at full and ``--quick`` size alike."""
     protected = {r["load_x"]: r for r in rows if r["protected"]}
     unprotected = {r["load_x"]: r for r in rows if not r["protected"]}
     baseline = protected[min(LOAD_FRACTIONS)]
@@ -244,42 +238,18 @@ def _check_deterministic(num_queries) -> None:
     ]
 
 
-def test_fig24_overload_degradation(benchmark, emit):
+def test_fig24_overload_degradation(benchmark, emit, quick):
+    num_queries = QUICK_QUERIES if quick else NUM_QUERIES
     rows = benchmark.pedantic(
-        lambda: _sweep(NUM_QUERIES), rounds=1, iterations=1
+        lambda: _sweep(num_queries), rounds=1, iterations=1
     )
     emit(
         "fig24_overload_degradation",
-        _format(rows, NUM_QUERIES),
-        data=_structured_data(rows, NUM_QUERIES),
+        _format(rows, num_queries),
+        data=_bench_data(rows, num_queries),
     )
     _check(rows)
 
 
 def test_fig24_deterministic():
     _check_deterministic(QUICK_QUERIES)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help=f"CI smoke mode: {QUICK_QUERIES} queries instead of {NUM_QUERIES}",
-    )
-    args = parser.parse_args(argv)
-    num_queries = QUICK_QUERIES if args.quick else NUM_QUERIES
-    rows = _sweep(num_queries)
-    print(_format(rows, num_queries))
-    _check(rows)
-    _check_deterministic(num_queries)
-
-    from _structured import write_bench_json
-
-    write_bench_json("fig24", _structured_data(rows, num_queries))
-    print("fig24 acceptance checks passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

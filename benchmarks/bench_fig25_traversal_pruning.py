@@ -37,15 +37,10 @@ Acceptance contract (mirrors ISSUE criteria):
 - BMW never scores more documents than WAND and records block skips;
 - the sweep is deterministic: re-running a cell reproduces identical
   counters and hits.
-
-Run standalone (CI smoke):
-``python benchmarks/bench_fig25_traversal_pruning.py --quick``
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
 
 from repro.api import format_table
@@ -202,7 +197,7 @@ def _format(rows, num_queries):
 
 
 def _check(rows) -> None:
-    """The acceptance assertions, shared by pytest and --quick modes."""
+    """The acceptance assertions, at full and ``--quick`` size alike."""
     by_cell = {(row["partitions"], row["strategy"]): row for row in rows}
     for count in PARTITION_COUNTS:
         exhaustive = by_cell[(count, TraversalStrategy.EXHAUSTIVE)]
@@ -250,37 +245,16 @@ def _check_deterministic(instance, num_queries) -> None:
     )
 
 
-def test_fig25_traversal_pruning(benchmark, emit):
+def test_fig25_traversal_pruning(benchmark, emit, quick):
+    num_queries = QUICK_QUERIES if quick else NUM_QUERIES
     instance = _build_instance()
     rows = benchmark.pedantic(
-        lambda: _sweep(NUM_QUERIES, instance), rounds=1, iterations=1
+        lambda: _sweep(num_queries, instance), rounds=1, iterations=1
     )
-    emit("fig25_traversal_pruning", _format(rows, NUM_QUERIES))
+    emit("fig25_traversal_pruning", _format(rows, num_queries))
     _check(rows)
 
 
 def test_fig25_deterministic():
     instance = _build_instance()
     _check_deterministic(instance, QUICK_QUERIES)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help=f"CI smoke mode: {QUICK_QUERIES} queries instead of {NUM_QUERIES}",
-    )
-    args = parser.parse_args(argv)
-    num_queries = QUICK_QUERIES if args.quick else NUM_QUERIES
-    instance = _build_instance()
-    rows = _sweep(num_queries, instance)
-    print(_format(rows, num_queries))
-    _check(rows)
-    _check_deterministic(instance, num_queries)
-    print("fig25 acceptance checks passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

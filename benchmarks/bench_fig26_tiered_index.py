@@ -34,15 +34,10 @@ Acceptance contract (mirrors ISSUE criteria):
   on the second, warm pass);
 - the sweep is deterministic: rebuilding a cell reproduces identical
   hits and fetch counters.
-
-Run standalone (CI smoke):
-``python benchmarks/bench_fig26_tiered_index.py --quick``
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
 
 import numpy as np
@@ -234,7 +229,7 @@ def _format(rows, num_queries):
 
 
 def _check(rows) -> None:
-    """The acceptance assertions, shared by pytest and --quick modes."""
+    """The acceptance assertions, at full and ``--quick`` size alike."""
     by_label = {row["label"]: row for row in rows}
     resident = by_label["resident"]
     for label, row in by_label.items():
@@ -289,9 +284,9 @@ def _check_deterministic(instance, texts) -> None:
     )
 
 
-def test_fig26_tiered_index(benchmark, emit):
+def test_fig26_tiered_index(benchmark, emit, quick):
     instance = _build_instance()
-    texts = instance[1][:NUM_QUERIES]
+    texts = instance[1][: QUICK_QUERIES if quick else NUM_QUERIES]
     rows = benchmark.pedantic(
         lambda: _sweep(texts, instance), rounds=1, iterations=1
     )
@@ -302,26 +297,3 @@ def test_fig26_tiered_index(benchmark, emit):
 def test_fig26_deterministic():
     instance = _build_instance()
     _check_deterministic(instance, instance[1][:QUICK_QUERIES])
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help=f"CI smoke mode: {QUICK_QUERIES} queries instead of {NUM_QUERIES}",
-    )
-    args = parser.parse_args(argv)
-    num_queries = QUICK_QUERIES if args.quick else NUM_QUERIES
-    instance = _build_instance()
-    texts = instance[1][:num_queries]
-    rows = _sweep(texts, instance)
-    print(_format(rows, num_queries))
-    _check(rows)
-    _check_deterministic(instance, texts)
-    print("fig26 acceptance checks passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

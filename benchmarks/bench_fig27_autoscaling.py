@@ -25,21 +25,16 @@ Acceptance contract (mirrors ISSUE criteria):
 - the whole study is deterministic under a fixed seed.
 
 The 25%-tolerance validation against the *native* engine (measured
-M/G/1 p99 via :class:`~repro.engine.driver.OpenLoopDriver`) runs in
-pytest mode only — it executes real queries and needs the benchmark
-instance; the standalone path stays DES-only so the CI smoke is fast
-and exactly reproducible.
-
-Run standalone (CI smoke):
-``python benchmarks/bench_fig27_autoscaling.py --quick``
+M/G/1 p99 via :class:`~repro.engine.driver.OpenLoopDriver`) is its own
+test: it executes real queries on the benchmark instance, at one size,
+and is skipped under ``--quick`` so the CI smoke stays DES-only and
+exactly reproducible.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-
 import numpy as np
+import pytest
 
 from repro.api import (
     CapacityModel,
@@ -296,7 +291,7 @@ def _format_policies(static_n, rows, params):
     )
 
 
-def _structured_data(static_n, rows, validation, params):
+def _bench_data(static_n, rows, validation, params):
     by_policy = {row["policy"]: row for row in rows}
     model_row = by_policy["model"]
     return {
@@ -314,7 +309,7 @@ def _structured_data(static_n, rows, validation, params):
 
 
 def _check(static_n, rows, validation) -> None:
-    """The acceptance assertions, shared by pytest and --quick modes."""
+    """The acceptance assertions, at full and ``--quick`` size alike."""
     worst = max(abs(p["rel_error"]) for p in validation)
     assert worst <= DES_TOLERANCE, (
         f"capacity model must track the DES p99 within "
@@ -346,10 +341,12 @@ def _check_deterministic(params) -> None:
     assert first == second, "autoscaling study must be deterministic"
 
 
-def test_fig27_autoscaling(benchmark, emit):
+def test_fig27_autoscaling(benchmark, emit, quick):
+    params = QUICK if quick else FULL
+
     def _study():
-        validation = _validate_vs_des(num_queries=25_000)
-        static_n, rows = _run_policies(FULL)
+        validation = _validate_vs_des(num_queries=6_000 if quick else 25_000)
+        static_n, rows = _run_policies(params)
         return static_n, rows, validation
 
     static_n, rows, validation = benchmark.pedantic(
@@ -359,8 +356,8 @@ def test_fig27_autoscaling(benchmark, emit):
         "fig27_autoscaling",
         _format_validation(validation)
         + "\n\n"
-        + _format_policies(static_n, rows, FULL),
-        data=_structured_data(static_n, rows, validation, FULL),
+        + _format_policies(static_n, rows, params),
+        data=_bench_data(static_n, rows, validation, params),
     )
     _check(static_n, rows, validation)
 
@@ -369,7 +366,7 @@ def test_fig27_deterministic():
     _check_deterministic(QUICK)
 
 
-def test_fig27_native_validation(service):
+def test_fig27_native_validation(service, quick):
     """Model p99 within 25% of the native-path M/G/1 p99.
 
     One median-of-3 native measurement pass yields the service-time
@@ -383,6 +380,8 @@ def test_fig27_native_validation(service):
     box-speed drift *between* passes — which on a shared single-core
     runner routinely exceeds the modelling error being gated.
     """
+    if quick:
+        pytest.skip("live native measurement; the smoke is DES-only")
     from repro.capacity import CapacityModel, ServiceTimeProfile
     from repro.cluster.server import PartitionModelConfig
     from repro.engine.driver import replay_serial
@@ -442,34 +441,3 @@ def test_fig27_native_validation(service):
         f"capacity model must track measured native p99 within "
         f"{NATIVE_TOLERANCE:.0%} below the knee; errors {errors}"
     )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: compressed trace and smaller DES sweeps",
-    )
-    args = parser.parse_args(argv)
-    params = QUICK if args.quick else FULL
-    validation = _validate_vs_des(
-        num_queries=6_000 if args.quick else 25_000
-    )
-    print(_format_validation(validation))
-    static_n, rows = _run_policies(params)
-    print(_format_policies(static_n, rows, params))
-    _check(static_n, rows, validation)
-    _check_deterministic(QUICK)
-
-    from _structured import write_bench_json
-
-    write_bench_json(
-        "fig27", _structured_data(static_n, rows, validation, params)
-    )
-    print("fig27 acceptance checks passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

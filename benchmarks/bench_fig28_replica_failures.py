@@ -27,15 +27,9 @@ Acceptance contract (mirrors ISSUE criteria):
 - with failures off, the naive sizing meets the SLO (the violation is
   caused by failures, not by under-provisioning for load);
 - the whole study is deterministic under a fixed seed.
-
-Run standalone (CI smoke):
-``python benchmarks/bench_fig28_replica_failures.py --quick``
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
 
 import numpy as np
 
@@ -211,7 +205,7 @@ def _format_rows(naive_n, planned_n, rows, params):
     )
 
 
-def _structured_data(naive_n, planned_n, rows, expected, params):
+def _bench_data(naive_n, planned_n, rows, expected, params):
     return {
         "figure": "fig28",
         "slo_ms": SLO_S * 1000,
@@ -229,7 +223,7 @@ def _structured_data(naive_n, planned_n, rows, expected, params):
 
 
 def _check(naive_n, planned_n, rows) -> None:
-    """The acceptance assertions, shared by pytest and --quick modes."""
+    """The acceptance assertions, at full and ``--quick`` size alike."""
     assert planned_n > naive_n, (
         f"availability-aware planning must add spares: "
         f"{planned_n} vs naive {naive_n}"
@@ -260,49 +254,18 @@ def _check_deterministic(params) -> None:
     assert first == second, "replica-failure study must be deterministic"
 
 
-def test_fig28_replica_failures(benchmark, emit):
+def test_fig28_replica_failures(benchmark, emit, quick):
+    params = QUICK if quick else FULL
     naive_n, planned_n, rows, expected = benchmark.pedantic(
-        lambda: _run_sizings(FULL), rounds=1, iterations=1
+        lambda: _run_sizings(params), rounds=1, iterations=1
     )
     emit(
         "fig28_replica_failures",
-        _format_rows(naive_n, planned_n, rows, FULL),
-        data=_structured_data(naive_n, planned_n, rows, expected, FULL),
+        _format_rows(naive_n, planned_n, rows, params),
+        data=_bench_data(naive_n, planned_n, rows, expected, params),
     )
     _check(naive_n, planned_n, rows)
 
 
 def test_fig28_deterministic():
     _check_deterministic(QUICK)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: compressed horizon",
-    )
-    args = parser.parse_args(argv)
-    params = QUICK if args.quick else FULL
-    naive_n, planned_n, rows, expected = _run_sizings(params)
-    print(_format_rows(naive_n, planned_n, rows, params))
-    print(
-        f"expected attainment: naive {expected['naive']:.4f}, "
-        f"n_plus_k {expected['n_plus_k']:.4f}"
-    )
-    _check(naive_n, planned_n, rows)
-    _check_deterministic(QUICK)
-
-    from _structured import write_bench_json
-
-    write_bench_json(
-        "fig28",
-        _structured_data(naive_n, planned_n, rows, expected, params),
-    )
-    print("fig28 acceptance checks passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -26,15 +26,10 @@ returns bit-identical hits to ``scheduler=None``, the depth-capped
 BMW path actually truncates (``predict.depth_capped`` > 0) while
 still filling the page, and the whole study is deterministic under a
 fixed seed.
-
-Run standalone (CI smoke):
-``python benchmarks/bench_fig29_prediction_scheduling.py --quick``
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -80,36 +75,6 @@ QUICK = dict(
     partitions=(1, 2, 4, 8),
     identity_queries=15,
 )
-
-
-# ----------------------------------------------------------------------
-# Standalone-mode service construction (pytest mode uses the session
-# fixtures from conftest.py instead).
-
-
-def _build_service():
-    from conftest import BENCH_CORPUS, BENCH_QUERY_LOG
-    from repro.engine.service import SearchService, SearchServiceConfig
-
-    return SearchService(
-        SearchServiceConfig(corpus=BENCH_CORPUS, query_log=BENCH_QUERY_LOG)
-    )
-
-
-def _derived_models(service):
-    from repro.core.calibration import (
-        calibrate_isn,
-        cost_model_from_calibration,
-        demand_model_from_calibration,
-    )
-
-    calibration = calibrate_isn(
-        service.isn, service.query_log, num_queries=150, repeats=3, seed=0
-    )
-    demand = demand_model_from_calibration(
-        calibration, service.partitioned[0].index, service.query_log
-    )
-    return demand, cost_model_from_calibration(calibration)
 
 
 # ----------------------------------------------------------------------
@@ -446,7 +411,7 @@ def _format_study(study) -> str:
 
 
 def _check(study) -> None:
-    """The acceptance assertions, shared by pytest and --quick modes."""
+    """The acceptance assertions, at full and ``--quick`` size alike."""
     predictor = study["predictor"]
     assert predictor["holdout_mape"] <= MAPE_GATE, (
         f"holdout MAPE {predictor['holdout_mape']:.1%} exceeds the "
@@ -499,9 +464,12 @@ def _check_deterministic(demand_model, cost_model, predictor, params) -> None:
     assert first == second, "crossover study must be deterministic"
 
 
-def test_fig29_prediction_scheduling(benchmark, service, demand_model, cost_model, emit):
+def test_fig29_prediction_scheduling(
+    benchmark, service, demand_model, cost_model, emit, quick
+):
+    params = QUICK if quick else FULL
     study = benchmark.pedantic(
-        lambda: _run_study(service, demand_model, cost_model, FULL),
+        lambda: _run_study(service, demand_model, cost_model, params),
         rounds=1,
         iterations=1,
     )
@@ -520,43 +488,3 @@ def test_fig29_deterministic(service, demand_model, cost_model):
     _check_deterministic(
         demand_model, cost_model, calibration.predictor, QUICK
     )
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: smaller calibration and simulations",
-    )
-    args = parser.parse_args(argv)
-    params = QUICK if args.quick else FULL
-    service = _build_service()
-    try:
-        demand_model, cost_model = _derived_models(service)
-        study = _run_study(service, demand_model, cost_model, params)
-        print(_format_study(study))
-        _check(study)
-        calibration = calibrate_predictor(
-            service.isn,
-            service.query_log,
-            num_queries=QUICK["calibration_queries"],
-            repeats=1,
-            seed=0,
-        )
-        _check_deterministic(
-            demand_model, cost_model, calibration.predictor, QUICK
-        )
-    finally:
-        service.close()
-
-    from _structured import write_bench_json
-
-    write_bench_json("fig29", study)
-    print("fig29 acceptance checks passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-    sys.exit(main())

@@ -13,11 +13,20 @@ backend, the configuration whose intra-node scaling the DES parity test
 (``tests/test_fanout_hedging.py``) checks on multi-core runners.
 """
 
+import os
+import time
+
+import numpy as np
+import pytest
+
 from repro.core.capacity import capacity_vs_partitions
 from repro.core.reporting import format_series
+from repro.engine.execution import ExecutionConfig
+from repro.engine.isn import IndexServingNode
 from repro.servers.catalog import BIG_SERVER
 
 PARTITIONS = [1, 2, 4, 8, 16]
+SEED = 0
 
 
 def test_fig5_partitioning_throughput(
@@ -36,7 +45,7 @@ def test_fig5_partitioning_throughput(
             "tolerance_qps": 0.02
             * BIG_SERVER.compute_capacity
             / demand_model.mean_demand(),
-            "seed": 0,
+            "seed": SEED,
         },
         rounds=1,
         iterations=1,
@@ -59,6 +68,7 @@ def test_fig5_partitioning_throughput(
             "figure": "fig5",
             "backend": bench_backend,
             "qos_ms": qos * 1000,
+            "seed": SEED,
             "points": [
                 {
                     "partitions": p.num_partitions,
@@ -78,3 +88,43 @@ def test_fig5_partitioning_throughput(
     for point in points:
         if point.max_qps > 0:
             assert point.p99_at_max <= qos
+
+
+def test_fig5_process_backend_scaling(service):
+    """The process backend must actually escape the GIL.
+
+    Batched execution over the reference instance is bit-identical
+    (doc ids *and* float scores) between the thread backend and the
+    process backend at every worker count, and on a machine with the
+    cores to show it 4 workers deliver at least 2x the 1-worker
+    throughput.
+    """
+    rng = np.random.default_rng(3)
+    texts = [q.text for q in service.query_log.sample_stream(50, rng)]
+
+    def run(execution):
+        with IndexServingNode(
+            service.partitioned, execution=execution
+        ) as node:
+            node.execute_batch(texts[:8])  # warm pools/workers
+            start = time.perf_counter()
+            responses = node.execute_batch(texts)
+            elapsed = time.perf_counter() - start
+        pairs = [
+            [(hit.doc_id, hit.score) for hit in response.hits]
+            for response in responses
+        ]
+        return len(texts) / elapsed, pairs
+
+    _, expected = run(ExecutionConfig(backend="threads"))
+    throughput = {}
+    for workers in (1, 4):
+        throughput[workers], pairs = run(
+            ExecutionConfig(backend="processes", workers=workers)
+        )
+        assert pairs == expected, f"workers={workers} diverged"
+
+    cores = len(os.sched_getaffinity(0))
+    if cores < 4:
+        pytest.skip(f"scaling gate needs 4 cores, have {cores}")
+    assert throughput[4] >= 2.0 * throughput[1], throughput

@@ -89,6 +89,15 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Max throughput" in output
 
+    def test_capacity_plan(self, capsys):
+        assert (
+            main(FAST + ["capacity", "--target-qps", "120", "--slo-ms", "250"])
+            == 0
+        )
+        output = capsys.readouterr().out
+        assert "Capacity plan: 120 qps" in output
+        assert "replica(s) per shard" in output
+
     def test_cache(self, capsys):
         assert main(FAST + ["cache"]) == 0
         output = capsys.readouterr().out
@@ -133,6 +142,35 @@ class TestCommands:
         with open(metrics, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert any(row["metric"] == "isn.queries" for row in rows)
+
+    def test_trace_hedged(self, capsys):
+        assert (
+            main(
+                FAST
+                + [
+                    "trace", "--partitions", "2",
+                    "--hedge-delay-ms", "5",
+                    "--deadline-ms", "200",
+                ]
+            )
+            == 0
+        )
+        output = capsys.readouterr().out
+        assert "hedges issued" in output
+        assert "attempt=primary" in output
+        assert "isn.deadline_misses" in output
+
+    def test_trace_tiered(self, capsys):
+        assert (
+            main(
+                FAST
+                + ["trace", "--partitions", "2", "--tiered-cache-kib", "16"]
+            )
+            == 0
+        )
+        output = capsys.readouterr().out
+        assert "blocks_fetched=" in output
+        assert "store.bytes_read" in output
 
     def test_trace_explicit_query(self, capsys):
         assert main(FAST + ["trace", "benchmark search", "--k", "3"]) == 0
@@ -214,3 +252,10 @@ class TestCommands:
         )
         assert "written to" in capsys.readouterr().out
         assert path.read_text().startswith("# Web search benchmark")
+
+    def test_predict(self, capsys):
+        assert main(FAST + ["predict", "--queries", "60"]) == 0
+        output = capsys.readouterr().out
+        assert "Service-time predictor calibration" in output
+        assert "holdout MAPE (%)" in output
+        assert "Routing demo" in output
