@@ -60,7 +60,7 @@ def main() -> None:
         texts = [
             op.payload for op in workload.population(engine, workloads.FULL)
         ]
-        index = engine.service.partitioned.shards[0].index
+        index = engine.partitioned.shards[0].index
         algorithm = workload.engine["algorithm"]
         searcher = Searcher(index=index, algorithm=algorithm)
         floors = item_floors(

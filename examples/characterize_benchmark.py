@@ -21,7 +21,7 @@ from repro.core.reporting import format_table
 
 
 def main() -> None:
-    service = SearchService.build(
+    service = SearchService(
         corpus=CorpusConfig(
             num_documents=3_000,
             vocabulary=VocabularyConfig(size=15_000),

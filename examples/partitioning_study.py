@@ -30,7 +30,7 @@ PARTITIONS = [1, 2, 4, 8, 16]
 
 def main() -> None:
     print("Building the native benchmark and calibrating ...")
-    service = SearchService.build(
+    service = SearchService(
         corpus=CorpusConfig(
             num_documents=3_000,
             vocabulary=VocabularyConfig(size=15_000),

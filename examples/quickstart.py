@@ -32,11 +32,10 @@ def main() -> None:
         )
     )
     with engine:
-        service = engine.service
         print(
-            f"Indexed {len(service.collection)} documents into "
+            f"Indexed {len(engine.collection)} documents into "
             f"{engine.num_partitions} partitions "
-            f"({service.partitioned[0].index.num_terms} terms in shard 0)\n"
+            f"({engine.partitioned[0].index.num_terms} terms in shard 0)\n"
         )
         for query in list(engine.query_log)[:5]:
             response = engine.search(query.text, k=3)

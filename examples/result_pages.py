@@ -15,7 +15,7 @@ from repro.engine.isn import IndexServingNode
 
 
 def main() -> None:
-    service = SearchService.build(
+    service = SearchService(
         corpus=CorpusConfig(
             num_documents=1_200,
             vocabulary=VocabularyConfig(size=6_000),

@@ -4,7 +4,9 @@ Everything a user script needs lives here, under three entry points:
 
 - :class:`SearchEngine` — the *native* benchmark: a real Python search
   stack (synthetic corpus, partitioned index, thread-pool fan-out)
-  measured on the wall clock;
+  measured on the wall clock — the public name of
+  :class:`~repro.engine.service.SearchService`, so ``engine.isn``,
+  ``engine.partitioned`` and ``engine.collection`` are its internals;
 - :class:`ClusterModel` — the *simulated* benchmark: the same fork-join
   architecture in a discrete-event simulator, for sweeps the native
   engine is too slow or too noisy for;
@@ -250,104 +252,10 @@ class QueryOutcome(Protocol):
         ...
 
 
-@dataclass(frozen=True, kw_only=True)
-class EngineConfig(SearchServiceConfig):
-    """Keyword-only configuration of a native :class:`SearchEngine`.
-
-    The public name of the service config: the fields are declared once,
-    on :class:`~repro.engine.service.SearchServiceConfig`, so a new
-    policy is threaded through one class, not two.  ``execution``
-    selects the fan-out backend (:class:`ExecutionConfig`).
-    """
-
-    def to_service_config(self) -> SearchServiceConfig:
-        """The internal config this maps onto: itself."""
-        return self
-
-
-class SearchEngine:
-    """The native benchmark behind one object.
-
-    Builds the synthetic corpus, partitions and indexes it, and serves
-    queries through the ISN's parallel (optionally tail-tolerant)
-    fan-out.  Construct from an :class:`EngineConfig` or from keyword
-    overrides directly::
-
-        engine = SearchEngine(num_partitions=4)
-        outcome = engine.search("web search ranking")
-        outcome.latency_s, outcome.coverage, outcome.doc_ids()
-    """
-
-    def __init__(
-        self,
-        config: Optional[EngineConfig] = None,
-        *,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        **overrides,
-    ):
-        if config is None:
-            config = EngineConfig(**overrides)
-        elif overrides:
-            raise TypeError(
-                "pass either a config object or keyword overrides, not both"
-            )
-        self.config = config
-        self._service = SearchService(
-            config.to_service_config(), tracer=tracer, metrics=metrics
-        )
-
-    @property
-    def service(self) -> SearchService:
-        """The underlying service (escape hatch to the internals)."""
-        return self._service
-
-    @property
-    def query_log(self) -> QueryLog:
-        """The generated query log (Zipfian popularity, web length mix)."""
-        return self._service.query_log
-
-    @property
-    def num_partitions(self) -> int:
-        """Intra-server partitions of the served index."""
-        return self._service.partitioned.num_partitions
-
-    def search(self, text: str, k: int = 10) -> IsnResponse:
-        """Answer a query through the parallel fan-out path."""
-        return self._service.search(text, k=k)
-
-    def search_batch(self, texts: List[str], k: int = 10) -> List[IsnResponse]:
-        """Answer many queries in one fan-out wave.
-
-        Identical results to per-query :meth:`search`; on the process
-        execution backend work items are batched per dispatch, which is
-        where cross-query throughput scaling comes from.
-        """
-        return self._service.search_batch(texts, k=k)
-
-    def search_page(self, text: str, k: int = 10) -> SearchPage:
-        """Answer a query and render the full result page."""
-        return self._service.search_page(text, k=k)
-
-    def document(self, doc_id: int):
-        """Fetch the document behind a result's global doc id."""
-        return self._service.document(doc_id)
-
-    def health(self) -> dict:
-        """Liveness snapshot: backend, worker-pool probe state (process
-        backend; ``health.*`` metrics mirror it), breaker states."""
-        return self._service.health()
-
-    def close(self) -> None:
-        """Deterministically release executors, worker processes, and
-        shared-memory segments (idempotent; context manager does this)."""
-        self._service.close()
-
-    def __enter__(self) -> "SearchEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+#: The native benchmark's public names: ``SearchEngine(num_partitions=4)``
+#: and ``SearchEngine(EngineConfig(num_partitions=4))`` build the same thing.
+SearchEngine = SearchService
+EngineConfig = SearchServiceConfig
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -431,12 +339,8 @@ class ClusterModel:
                 "pass either a config object or keyword overrides, not both"
             )
         self.config = config
-        self._fanout = config.to_fanout_config()
-
-    @property
-    def fanout_config(self) -> FanoutConfig:
-        """The internal config (escape hatch to the internals)."""
-        return self._fanout
+        #: The internal config this model runs.
+        self.fanout_config = config.to_fanout_config()
 
     def run(
         self,
@@ -461,9 +365,7 @@ class ClusterModel:
             demands=demand if demand is not None else DEFAULT_DEMAND,
             num_queries=num_queries,
         )
-        return run_fanout_open_loop(
-            self._fanout, scenario, seed=seed, metrics=metrics
-        )
+        return self.run_scenario(scenario, seed=seed, metrics=metrics)
 
     def run_scenario(
         self,
@@ -473,5 +375,5 @@ class ClusterModel:
     ) -> FanoutResult:
         """Simulate a fully specified workload scenario."""
         return run_fanout_open_loop(
-            self._fanout, scenario, seed=seed, metrics=metrics
+            self.fanout_config, scenario, seed=seed, metrics=metrics
         )

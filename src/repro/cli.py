@@ -109,13 +109,12 @@ def _build_engine(
 
 def _calibrated_models(args: argparse.Namespace):
     with _build_engine(args) as engine:
-        service = engine.service
         calibration = calibrate_isn(
-            service.isn, service.query_log, num_queries=80, repeats=2,
+            engine.isn, engine.query_log, num_queries=80, repeats=2,
             seed=args.seed,
         )
         demand = demand_model_from_calibration(
-            calibration, service.partitioned[0].index, service.query_log
+            calibration, engine.partitioned[0].index, engine.query_log
         )
     return demand, cost_model_from_calibration(calibration)
 
@@ -123,7 +122,7 @@ def _calibrated_models(args: argparse.Namespace):
 def cmd_quickstart(args: argparse.Namespace) -> int:
     with _build_engine(args, num_partitions=4) as engine:
         print(
-            f"indexed {len(engine.service.collection)} documents "
+            f"indexed {len(engine.collection)} documents "
             f"into 4 partitions"
         )
         for query in list(engine.query_log)[: args.queries]:
@@ -138,7 +137,7 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
 def cmd_characterize(args: argparse.Namespace) -> int:
     with _build_engine(args) as engine:
         result = characterize_service_times(
-            engine.service.isn, engine.query_log, num_queries=args.queries,
+            engine.isn, engine.query_log, num_queries=args.queries,
             seed=args.seed,
         )
     summary = result.summary.scaled(1000.0)
@@ -341,8 +340,11 @@ def cmd_profile_log(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.metrics.export import export_registry_csv
-    from repro.obs.export import export_trace_jsonl, format_span_tree
+    from repro.obs.export import (
+        export_registry_csv,
+        export_trace_jsonl,
+        format_span_tree,
+    )
     from repro.obs.registry import MetricsRegistry
     from repro.obs.tracing import Tracer
 
@@ -521,7 +523,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     with _build_engine(args) as engine:
         report = characterization_report(
-            engine.service,
+            engine,
             ReportOptions(num_queries=args.queries, seed=args.seed),
             path=args.output,
         )
@@ -536,10 +538,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     from repro.api import DeadlineScheduler, calibrate_predictor, extract_features
 
     with _build_engine(args) as engine:
-        service = engine.service
         calibration = calibrate_predictor(
-            service.isn,
-            service.query_log,
+            engine.isn,
+            engine.query_log,
             num_queries=args.queries,
             repeats=2,
             seed=args.seed,
@@ -572,7 +573,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         rows = []
         for query in list(engine.query_log)[: args.demo_queries]:
             features = extract_features(
-                service.partitioned, service.isn.parser.parse(query.text)
+                engine.partitioned, engine.isn.parser.parse(query.text)
             )
             rows.append(
                 [

@@ -46,6 +46,7 @@ from repro.engine.hedging import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.admission import (
+    QUEUE_DEPTH_BUCKETS,
     SHED_CODEL,
     AdmissionController,
     OverloadPolicy,
@@ -56,9 +57,6 @@ from repro.sim.engine import EventHandle, Simulator
 from repro.sim.failures import SHED_REPLICA_CRASH
 from repro.sim.network import NetworkModel, NoDelay
 from repro.sim.random import RandomStreams
-
-#: Bucket edges for the broker's admission-queue-depth histogram.
-QUEUE_DEPTH_BUCKETS = tuple(float(i) for i in range(0, 65, 4))
 
 #: ``shed_reason`` of a query that found some shard without a single
 #: dispatchable replica (every row warming, retired or crashed).

@@ -191,14 +191,17 @@ class FanoutResult:
     def __len__(self) -> int:
         return len(self.records)
 
+    def _selected(self, warmup_fraction: float) -> List[FanoutQueryRecord]:
+        if not 0.0 <= warmup_fraction < 1.0:
+            raise ValueError("warmup_fraction must be in [0, 1)")
+        skip = int(len(self.records) * warmup_fraction)
+        return self.records[skip:]
+
     def served_records(
         self, warmup_fraction: float = 0.0
     ) -> List[FanoutQueryRecord]:
         """Post-warm-up records that received a real answer."""
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-        skip = int(len(self.records) * warmup_fraction)
-        return [r for r in self.records[skip:] if not r.shed]
+        return [r for r in self._selected(warmup_fraction) if not r.shed]
 
     def latencies(self, warmup_fraction: float = 0.0) -> np.ndarray:
         """Served-query response times (shed refusals excluded)."""
@@ -234,10 +237,7 @@ class FanoutResult:
         query 0 — goodput is the rate of *answer mass* delivered, the
         metric overload protection is supposed to preserve.
         """
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-        skip = int(len(self.records) * warmup_fraction)
-        selected = self.records[skip:]
+        selected = self._selected(warmup_fraction)
         if not selected:
             raise ValueError("no records after warm-up filtering")
         total_coverage = float(sum(r.coverage for r in selected))
@@ -250,10 +250,7 @@ class FanoutResult:
 
     def mean_coverage(self, warmup_fraction: float = 0.0) -> float:
         """Mean fraction of shards merged per query."""
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-        skip = int(len(self.records) * warmup_fraction)
-        selected = self.records[skip:]
+        selected = self._selected(warmup_fraction)
         if not selected:
             raise ValueError("no records after warm-up filtering")
         return float(np.mean([r.coverage for r in selected]))

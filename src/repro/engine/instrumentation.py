@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.tracing import Span
+from typing import List, Optional
 
 
 class Timer:
@@ -67,36 +64,3 @@ class ComponentTimings:
         if len(self.shard_seconds) < 2:
             return 0.0
         return max(self.shard_seconds) - min(self.shard_seconds)
-
-    @classmethod
-    def from_span(cls, root: "Span") -> "ComponentTimings":
-        """Derive the breakdown from an ``isn.execute`` span tree.
-
-        The ISN records spans with the exact timestamps its direct
-        measurements use, so the values produced here equal the legacy
-        directly-constructed timings bit-for-bit.  Component spans the
-        tree lacks (e.g. no ``fanout`` on a cache hit) contribute 0.0.
-        """
-        parse_seconds = 0.0
-        fanout_seconds = 0.0
-        merge_seconds = 0.0
-        shard_seconds: List[float] = []
-        for child in root.children:
-            if child.name == "parse":
-                parse_seconds = child.duration
-            elif child.name == "fanout":
-                fanout_seconds = child.duration
-                shard_seconds = [
-                    grandchild.duration
-                    for grandchild in child.children
-                    if grandchild.name == "shard"
-                ]
-            elif child.name == "merge":
-                merge_seconds = child.duration
-        return cls(
-            parse_seconds=parse_seconds,
-            shard_seconds=shard_seconds,
-            fanout_seconds=fanout_seconds,
-            merge_seconds=merge_seconds,
-            total_seconds=root.duration,
-        )

@@ -28,9 +28,9 @@ the paper's intra-server partitioning study.  It does so exactly once:
 
 When constructed with a :class:`~repro.obs.tracing.Tracer`, every query
 emits a span tree (``isn.execute`` → ``parse``/``fanout``/``shard``/
-``merge``) whose timestamps are the same measurements the response's
-:class:`ComponentTimings` is built from — with tracing enabled the
-timings *are* derived from the spans, so the two views cannot drift.
+``merge``) recorded from the same ``perf_counter`` samples the
+response's :class:`ComponentTimings` is built from, so the two views
+cannot drift.
 A :class:`~repro.obs.registry.MetricsRegistry` adds per-run counters
 (queries served, postings traversed, hedges issued/won, deadline
 misses).
@@ -58,9 +58,14 @@ from repro.engine.mp import ProcessShardPool, WorkerCrashError, WorkerOptions
 from repro.index.partitioner import PartitionedIndex
 from repro.index.shared import SharedIndexArena
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import NULL_TRACER, Span, Tracer
 from repro.predict.features import extract_features
-from repro.resilience.admission import BlockingAdmissionGate, OverloadPolicy, ShedResponse
+from repro.resilience.admission import (
+    QUEUE_DEPTH_BUCKETS,
+    BlockingAdmissionGate,
+    OverloadPolicy,
+    ShedResponse,
+)
 from repro.resilience.breaker import BreakerBoard, BreakerConfig, BreakerState
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.search.executor import (
@@ -85,9 +90,6 @@ COVERAGE_BUCKETS = tuple(i / 20.0 for i in range(21))
 #: Crash re-dispatches per batch-execution chunk: a worker death moves
 #: the chunk to a healthy worker instead of failing the whole batch.
 _BATCH_CRASH_RETRIES = 2
-
-#: Bucket edges for the admission-queue-depth histogram (queries waiting).
-QUEUE_DEPTH_BUCKETS = tuple(float(i) for i in range(0, 65, 4))
 
 
 @dataclass(frozen=True)
@@ -241,6 +243,12 @@ class IndexServingNode:
         per-query ``max_docs_scored`` depth derived from the remaining
         deadline budget.  ``None`` — the default — keeps the seed's
         serving path bit for bit.
+
+    What these resolved to is readable afterwards: ``execution``,
+    ``num_partitions``, ``parser`` and ``scheduler`` always; ``hedging``,
+    ``admission_gate``, ``breaker_board``, ``fault_injector`` and
+    ``process_pool`` are ``None`` when unconfigured, inert, or (the
+    pool) on the thread backend.
     """
 
     def __init__(
@@ -261,30 +269,37 @@ class IndexServingNode:
         tiered: Optional["TieredStorageConfig"] = None,
         scheduler: Optional["DeadlineScheduler"] = None,
     ):
-        self._execution = (
+        self.execution = (
             execution if execution is not None else ExecutionConfig()
         )
         self.partitioned = partitioned
+        self.num_partitions = partitioned.num_partitions
         self.cache = cache
-        self._tracer = tracer
+        self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics
-        self._hedging = (
+        self.hedging = (
             hedging if hedging is not None and hedging.enabled else None
         )
-        self._gate = (
+        self.admission_gate = (
             BlockingAdmissionGate(overload)
             if overload is not None and overload.enabled
             else None
         )
-        self._breakers = (
+        self.breaker_board = (
             BreakerBoard(breakers) if breakers is not None else None
         )
-        self._faults = (
+        self.fault_injector = (
             FaultInjector(faults)
             if faults is not None and faults.enabled
             else None
         )
-        self._scheduler = scheduler
+        #: True when any resilience feature shapes the gather.
+        self._resilient_fanout = (
+            self.hedging is not None
+            or self.breaker_board is not None
+            or self.fault_injector is not None
+        )
+        self.scheduler = scheduler
         self._algorithm_name = _normalize_algorithm(algorithm)
         self._latency_tracker = ShardLatencyTracker()
         scorer_factory = (
@@ -300,18 +315,18 @@ class IndexServingNode:
             for shard in partitioned
         ]
         analyzer = partitioned[0].index.analyzer
-        self._parser = QueryParser(analyzer)
+        self.parser = QueryParser(analyzer)
         # Serial execution: the same attempts, run inline, never faulted.
         self._inline = LocalBackend(self._searchers)
         self._arena = None
-        self._process_pool = None
-        workers = self._execution.workers
-        if self._execution.use_processes:
+        self.process_pool = None
+        workers = self.execution.workers
+        if self.execution.use_processes:
             source = (
                 shared_source if shared_source is not None else partitioned
             )
             self._arena = SharedIndexArena(source)
-            self._process_pool = ProcessShardPool(
+            self.process_pool = ProcessShardPool(
                 self._arena.spec,
                 workers=(
                     workers
@@ -325,72 +340,29 @@ class IndexServingNode:
                     collect_metrics=metrics is not None,
                 ),
                 metrics=metrics,
-                start_method=self._execution.start_method,
-                probe_interval_s=self._execution.probe_interval_s,
+                start_method=self.execution.start_method,
+                probe_interval_s=self.execution.probe_interval_s,
             )
             self._backend = ProcessBackend(
-                self._process_pool, self._execution.batch_size, self._faults
+                self.process_pool,
+                self.execution.batch_size,
+                self.fault_injector,
             )
         else:
             if workers is None:
                 # One thread per partition, doubled under hedging so a
                 # backup attempt never queues behind the primaries.
                 workers = partitioned.num_partitions
-                if self._hedging is not None and self._hedging.hedges_enabled:
+                if self.hedging is not None and self.hedging.hedges_enabled:
                     workers *= 2
             self._backend = LocalBackend(
                 self._searchers,
                 ThreadPoolExecutor(
                     max_workers=workers, thread_name_prefix="isn-shard"
                 ),
-                self._faults,
+                self.fault_injector,
             )
         self._closed = False
-
-    @property
-    def num_partitions(self) -> int:
-        """Partition count of the served index."""
-        return self.partitioned.num_partitions
-
-    @property
-    def execution(self) -> ExecutionConfig:
-        """The active execution-backend configuration."""
-        return self._execution
-
-    @property
-    def process_pool(self):
-        """The GIL-free worker pool (None on the thread backend)."""
-        return self._process_pool
-
-    @property
-    def hedging(self) -> Optional[HedgingPolicy]:
-        """The active tail-tolerance policy (None when inert)."""
-        return self._hedging
-
-    @property
-    def scheduler(self) -> Optional["DeadlineScheduler"]:
-        """The active deadline scheduler (None when unconfigured)."""
-        return self._scheduler
-
-    @property
-    def parser(self) -> QueryParser:
-        """The node's query parser (the shards' analyzer)."""
-        return self._parser
-
-    @property
-    def admission_gate(self) -> Optional[BlockingAdmissionGate]:
-        """The active admission gate (None when no overload policy)."""
-        return self._gate
-
-    @property
-    def breaker_board(self) -> Optional[BreakerBoard]:
-        """The per-shard circuit breakers (None when unconfigured)."""
-        return self._breakers
-
-    @property
-    def fault_injector(self) -> Optional[FaultInjector]:
-        """The active chaos injector (None when no fault plan)."""
-        return self._faults
 
     def health(self) -> Dict:
         """Liveness view of the node (JSON-friendly).
@@ -403,38 +375,25 @@ class IndexServingNode:
         SearchService.health>` and the ``repro health`` CLI read.
         """
         snapshot: Dict = {
-            "backend": self._execution.backend,
+            "backend": self.execution.backend,
             "partitions": self.num_partitions,
             "closed": self._closed,
             "healthy": not self._closed,
         }
-        if self._process_pool is not None:
-            pool = self._process_pool.health_snapshot()
+        if self.process_pool is not None:
+            pool = self.process_pool.health_snapshot()
             snapshot["pool"] = pool
             snapshot["healthy"] = (
                 snapshot["healthy"]
                 and pool["live_workers"] == len(pool["workers"])
             )
-        if self._breakers is not None:
+        if self.breaker_board is not None:
             now = time.perf_counter()
             snapshot["breakers"] = {
-                str(shard): self._breakers.breaker(shard).state(now).name
+                str(shard): self.breaker_board.breaker(shard).state(now).name
                 for shard in range(self.num_partitions)
             }
         return snapshot
-
-    @property
-    def _tracing(self) -> bool:
-        return self._tracer is not None and self._tracer.enabled
-
-    @property
-    def _resilient_fanout(self) -> bool:
-        """True when any resilience feature shapes the gather."""
-        return (
-            self._hedging is not None
-            or self._breakers is not None
-            or self._faults is not None
-        )
 
     def execute(
         self,
@@ -455,22 +414,32 @@ class IndexServingNode:
         one client deadline.  Ignored without a scheduler.
         """
         self._ensure_open()
-        if self._gate is None:
-            return self._execute_admitted(text, k, mode, budget_s)
-        arrival = time.perf_counter()
-        if self._metrics is not None:
-            self._metrics.histogram(
-                "isn.admission_queue_depth", bin_edges=QUEUE_DEPTH_BUCKETS
-            ).observe(float(self._gate.controller.queue_depth))
-        reason = self._gate.acquire()
-        if reason is not None:
-            return self._shed(text, reason, arrival)
-        start = time.perf_counter()
+        gate = self.admission_gate
+        if gate is not None:
+            arrival = time.perf_counter()
+            if self._metrics is not None:
+                self._metrics.histogram(
+                    "isn.admission_queue_depth", bin_edges=QUEUE_DEPTH_BUCKETS
+                ).observe(float(gate.controller.queue_depth))
+            reason = gate.acquire()
+            if reason is not None:
+                return self._shed(text, reason, arrival)
+            start = time.perf_counter()
         try:
-            response = self._execute_admitted(text, k, mode, budget_s)
+            admitted = self._admit(text, k, mode)
+            if isinstance(admitted, IsnResponse):
+                response = admitted  # answered from the cache
+            else:
+                response = self._serve(
+                    self._backend,
+                    [admitted],
+                    resilient=self._resilient_fanout,
+                    max_docs=self._depth_budget(admitted, budget_s),
+                )[0]
         finally:
-            self._gate.release(time.perf_counter() - start)
-        if self._metrics is not None:
+            if gate is not None:
+                gate.release(time.perf_counter() - start)
+        if gate is not None and self._metrics is not None:
             self._metrics.counter("isn.served").add()
         return response
 
@@ -480,7 +449,7 @@ class IndexServingNode:
         if self._metrics is not None:
             self._metrics.counter("isn.shed").add()
             self._metrics.counter(f"isn.shed.{reason}").add()
-        if self._tracing:
+        if self._tracer.enabled:
             self._tracer.record_span(
                 "isn.execute", start=arrival, end=now,
                 query=text, shed=True, shed_reason=reason,
@@ -488,23 +457,6 @@ class IndexServingNode:
         return ShedResponse(
             reason=reason, latency_s=now - arrival, query=text
         )
-
-    def _execute_admitted(
-        self,
-        text: str,
-        k: int,
-        mode: QueryMode,
-        budget_s: Optional[float] = None,
-    ) -> IsnResponse:
-        admitted = self._admit(text, k, mode)
-        if isinstance(admitted, IsnResponse):
-            return admitted
-        return self._serve(
-            self._backend,
-            [admitted],
-            resilient=self._resilient_fanout,
-            max_docs=self._depth_budget(admitted, budget_s),
-        )[0]
 
     def execute_serial(
         self,
@@ -548,7 +500,7 @@ class IndexServingNode:
         this method degrades to sequential :meth:`execute` calls.
         """
         self._ensure_open()
-        if self._resilient_fanout or self._gate is not None:
+        if self._resilient_fanout or self.admission_gate is not None:
             return [self.execute(text, k=k, mode=mode) for text in texts]
 
         responses: List = [self._admit(text, k, mode) for text in texts]
@@ -557,7 +509,7 @@ class IndexServingNode:
             for position, admitted in enumerate(responses)
             if isinstance(admitted, _Admitted)
         ]
-        if self._scheduler is not None and len(pending) > 1:
+        if self.scheduler is not None and len(pending) > 1:
             # Longest-predicted-first dispatch: the predicted-expensive
             # queries start scoring first, so the batch straggler is a
             # query that started early rather than one that queued
@@ -566,7 +518,7 @@ class IndexServingNode:
             if self._metrics is not None:
                 self._metrics.counter("predict.queries").add(len(pending))
             pending.sort(
-                key=lambda position: -self._scheduler.predicted_seconds(
+                key=lambda position: -self.scheduler.predicted_seconds(
                     extract_features(
                         self.partitioned, responses[position].query
                     )
@@ -622,7 +574,7 @@ class IndexServingNode:
         """
         total_start = time.perf_counter()
         parse_start = time.perf_counter()
-        query = self._parser.parse(text, mode=mode, k=k)
+        query = self.parser.parse(text, mode=mode, k=k)
         parse_end = time.perf_counter()
         cacheable = use_cache and self.cache is not None
         admitted = _Admitted(
@@ -681,7 +633,7 @@ class IndexServingNode:
         per-query depth — those still get admission-time prediction
         metrics and batch ordering, just no truncation.
         """
-        scheduler, query = self._scheduler, admitted.query
+        scheduler, query = self.scheduler, admitted.query
         if scheduler is None:
             return None
         features = extract_features(self.partitioned, query)
@@ -695,7 +647,7 @@ class IndexServingNode:
             or not scheduler.depth_from_budget
             or self._algorithm_name != "block_max_wand"
             or self._resilient_fanout
-            or self._process_pool is not None
+            or self.process_pool is not None
         ):
             return None
         remaining = deadline - (time.perf_counter() - admitted.total_start)
@@ -740,8 +692,8 @@ class IndexServingNode:
         supplies the bounded retry those features feed on.
         """
         n = self.num_partitions
-        policy = (self._hedging if resilient else None) or DISABLED_POLICY
-        breakers = self._breakers if resilient else None
+        policy = (self.hedging if resilient else None) or DISABLED_POLICY
+        breakers = self.breaker_board if resilient else None
         delay = policy.resolve_hedge_delay(self._latency_tracker)
         deadline_at = (
             None
@@ -929,7 +881,7 @@ class IndexServingNode:
             self._metrics.counter("isn.queries").add()
         total_end = time.perf_counter()
         trace = None
-        if self._tracing:
+        if self._tracer.enabled:
             trace = self._tracer.record_span(
                 "isn.execute", start=admitted.total_start, end=total_end,
                 query=admitted.text, cached=True,
@@ -938,15 +890,12 @@ class IndexServingNode:
                 "parse", start=admitted.parse_start, end=admitted.parse_end,
                 parent=trace,
             )
-            timings = ComponentTimings.from_span(trace)
-        else:
-            timings = ComponentTimings(
-                parse_seconds=admitted.parse_end - admitted.parse_start,
-                total_seconds=total_end - admitted.total_start,
-            )
         return IsnResponse(
             hits=entry.hits,
-            timings=timings,
+            timings=ComponentTimings(
+                parse_seconds=admitted.parse_end - admitted.parse_start,
+                total_seconds=total_end - admitted.total_start,
+            ),
             matched_volume=entry.matched_volume,
             cached=True,
             trace=trace,
@@ -991,23 +940,23 @@ class IndexServingNode:
                 self._metrics.histogram(
                     "isn.coverage", bin_edges=COVERAGE_BUCKETS
                 ).observe(outcome.coverage)
-            if self._breakers is not None:
+            if self.breaker_board is not None:
                 self._metrics.counter("isn.breaker_skips").add(
                     outcome.breaker_skips
                 )
-                self._breakers.export_gauges(
+                self.breaker_board.export_gauges(
                     self._metrics, "isn.breaker", time.perf_counter()
                 )
 
         trace = None
-        if self._tracing:
+        if self._tracer.enabled:
             trace = self._record_trace(
                 admitted, outcome, fanout_start, fanout_end,
                 merge_start, merge_end, total_end,
             )
-            timings = ComponentTimings.from_span(trace)
-        else:
-            timings = ComponentTimings(
+        return IsnResponse(
+            hits=tuple(hits),
+            timings=ComponentTimings(
                 parse_seconds=admitted.parse_end - admitted.parse_start,
                 shard_seconds=[
                     end - start for _, _, _, start, end in outcome.answered
@@ -1015,10 +964,7 @@ class IndexServingNode:
                 fanout_seconds=fanout_end - fanout_start,
                 merge_seconds=merge_end - merge_start,
                 total_seconds=total_end - total_start,
-            )
-        return IsnResponse(
-            hits=tuple(hits),
-            timings=timings,
+            ),
             matched_volume=matched_volume,
             coverage=outcome.coverage,
             hedges_issued=outcome.hedges_issued,
@@ -1053,7 +999,7 @@ class IndexServingNode:
                 hedges_won=outcome.hedges_won,
                 deadline_misses=outcome.deadline_misses,
             )
-        if self._breakers is not None:
+        if self.breaker_board is not None:
             root_attributes["breaker_skips"] = outcome.breaker_skips
         root = tracer.record_span(
             "isn.execute", start=admitted.total_start, end=total_end,
@@ -1072,14 +1018,11 @@ class IndexServingNode:
                 "postings_scanned": result.matched_volume,
                 "num_hits": len(result.hits),
             }
-            if result.docs_scored is not None:
-                attributes["docs_scored"] = result.docs_scored
-            if result.blocks_skipped is not None:
-                attributes["blocks_skipped"] = result.blocks_skipped
-            if result.blocks_fetched is not None:
-                attributes["blocks_fetched"] = result.blocks_fetched
-            if result.bytes_read is not None:
-                attributes["bytes_read"] = result.bytes_read
+            for name in (
+                "docs_scored", "blocks_skipped", "blocks_fetched", "bytes_read"
+            ):
+                if getattr(result, name) is not None:
+                    attributes[name] = getattr(result, name)
             if self._resilient_fanout:
                 attributes["attempt"] = kind
                 attributes["hedged"] = kind == "hedge"

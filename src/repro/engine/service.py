@@ -1,8 +1,10 @@
-"""High-level facade: build a complete runnable search service.
+"""The native engine's one facade: a complete runnable search service.
 
 ``SearchService`` assembles the whole benchmark — synthetic corpus,
 partitioned index, index serving node, and query log — from one config.
-It is the entry point the examples and most benchmarks use.
+``repro.api.SearchEngine`` is this class under its public name, and a
+query goes from it straight to the node: ``search`` is
+``self.isn.execute``.
 """
 
 from __future__ import annotations
@@ -97,8 +99,9 @@ class SearchPage(List[ResultPageEntry]):
 class SearchServiceConfig:
     """Keyword-only configuration of a complete search service instance.
 
-    The one declaration of the native engine's knobs:
-    :class:`repro.api.EngineConfig` is this class under its public name.
+    The one declaration of the native engine's knobs
+    (:class:`repro.api.EngineConfig` is this class).  ``execution``
+    selects the fan-out backend (:class:`ExecutionConfig`).
 
     ``tiered``, when set, re-homes every shard's postings onto the
     tiered block store after partitioning: block-at-a-time fetches
@@ -130,6 +133,15 @@ class SearchServiceConfig:
 class SearchService:
     """A fully assembled, queryable web-search benchmark instance.
 
+    Builds the synthetic corpus, partitions and indexes it, and serves
+    queries through the ISN's parallel (optionally tail-tolerant)
+    fan-out.  Construct from a :class:`SearchServiceConfig` or from
+    keyword overrides of the default one::
+
+        engine = SearchService(num_partitions=4)
+        outcome = engine.search("web search ranking")
+        outcome.latency_s, outcome.coverage, outcome.doc_ids()
+
     ``tracer``/``metrics`` are forwarded to the index serving node so
     the whole serving path shares one trace collector and one counter
     registry; both default to off/absent.
@@ -137,12 +149,21 @@ class SearchService:
 
     def __init__(
         self,
-        config: SearchServiceConfig,
+        config: Optional[SearchServiceConfig] = None,
+        *,
         analyzer: Optional[Analyzer] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
+        **overrides,
     ):
+        if config is None:
+            config = SearchServiceConfig(**overrides)
+        elif overrides:
+            raise TypeError(
+                "pass either a config object or keyword overrides, not both"
+            )
         self.config = config
+        self.num_partitions = config.num_partitions
         self.analyzer = analyzer or default_analyzer()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
@@ -183,14 +204,6 @@ class SearchService:
         ).generate()
         self._positional: Optional[PositionalIndex] = None
         self._snippets = SnippetGenerator(self.analyzer)
-
-    @classmethod
-    def build(cls, **overrides) -> "SearchService":
-        """Build a service from keyword overrides of the default config.
-
-        ``SearchService.build(num_partitions=4)`` is the quickstart path.
-        """
-        return cls(SearchServiceConfig(**overrides))
 
     def search(
         self,

@@ -7,7 +7,7 @@ log-binned histograms/CDFs (:mod:`histogram`), and the summary record
 used across studies and benchmarks (:mod:`summary`).
 """
 
-from repro.metrics.export import (
+from repro.obs.export import (
     export_measurements_csv,
     export_registry_csv,
     export_simulation_csv,

@@ -1,19 +1,29 @@
-"""Trace exporters: JSON-lines files and a terminal span-tree renderer.
+"""Exporters: traces to JSON-lines / a terminal tree, records to CSV.
 
 One trace (a root span and its descendants) flattens to one JSON object
 per span, depth-first pre-order, with a fixed field set
 (:data:`TRACE_SCHEMA_FIELDS`).  Native-engine and simulator traces use
 the same schema — only the clock domain of ``start``/``end`` differs —
 so downstream analysis reads either interchangeably.
+
+Simulation runs, native replay measurements and registry snapshots are
+the raw data behind every figure; the CSV exporters let external
+tooling (spreadsheets, pandas, R) re-analyze a run without re-running.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Union
 
 from repro.obs.tracing import Span
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.results import SimulationResult
+    from repro.engine.driver import QueryMeasurement
+    from repro.obs.registry import MetricsRegistry
 
 PathLike = Union[str, Path]
 
@@ -23,6 +33,9 @@ __all__ = [
     "trace_to_dicts",
     "export_trace_jsonl",
     "format_span_tree",
+    "export_simulation_csv",
+    "export_measurements_csv",
+    "export_registry_csv",
 ]
 
 #: Every exported span object carries exactly these keys, in this order.
@@ -115,3 +128,79 @@ def _format_into(
             is_root=False,
             unit_scale=unit_scale,
         )
+
+
+MEASUREMENT_COLUMNS = (
+    "query_id",
+    "text",
+    "num_raw_terms",
+    "service_seconds",
+    "matched_volume",
+    "num_hits",
+)
+
+REGISTRY_COLUMNS = ("metric", "type", "field", "value")
+
+
+def export_simulation_csv(result: "SimulationResult", path: PathLike) -> int:
+    """Write one row per simulated query; returns rows written."""
+    # Imported here: cluster builds on metrics, which re-exports this.
+    from repro.cluster.results import BREAKDOWN_COMPONENTS
+
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(
+            ("query_id", "client_send", "demand", "latency")
+            + BREAKDOWN_COMPONENTS
+        )
+        for record in result.records:
+            writer.writerow(
+                [
+                    record.query_id,
+                    f"{record.client_send:.9f}",
+                    f"{record.demand:.9f}",
+                    f"{record.latency:.9f}",
+                ]
+                + [
+                    f"{getattr(record, component):.9f}"
+                    for component in BREAKDOWN_COMPONENTS
+                ]
+            )
+    return len(result.records)
+
+
+def export_registry_csv(registry: "MetricsRegistry", path: PathLike) -> int:
+    """Write a metrics-registry snapshot as CSV; returns rows written.
+
+    Counters and gauges emit one ``value`` row; histograms emit
+    ``count``, ``sum``, and cumulative ``le_<edge>`` bucket rows (see
+    :meth:`repro.obs.registry.MetricsRegistry.as_rows`).
+    """
+    rows = registry.as_rows()
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(REGISTRY_COLUMNS)
+        for metric, kind, field, value in rows:
+            writer.writerow([metric, kind, field, value])
+    return len(rows)
+
+
+def export_measurements_csv(
+    measurements: Sequence["QueryMeasurement"], path: PathLike
+) -> int:
+    """Write one row per native replay measurement; returns rows written."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(MEASUREMENT_COLUMNS)
+        for measurement in measurements:
+            writer.writerow(
+                [
+                    measurement.query_id,
+                    measurement.text,
+                    measurement.num_raw_terms,
+                    f"{measurement.service_seconds:.9f}",
+                    measurement.matched_volume,
+                    measurement.num_hits,
+                ]
+            )
+    return len(measurements)

@@ -2,7 +2,7 @@
 
 Components on the serving path register named metrics once and update
 them per event; a run-level snapshot aggregates everything for export
-(see :func:`repro.metrics.export.export_registry_csv`).  Metric names
+(see :func:`repro.obs.export.export_registry_csv`).  Metric names
 are dotted paths (``cache.hits``, ``daat.postings_traversed``) so the
 snapshot reads as a namespace.
 

@@ -48,6 +48,7 @@ __all__ = [
     "SHED_CAPACITY",
     "SHED_QUEUE_FULL",
     "SHED_CODEL",
+    "QUEUE_DEPTH_BUCKETS",
 ]
 
 #: Shed reasons, shared by both interpreters.
@@ -199,6 +200,11 @@ class OverloadPolicy:
     def enabled(self) -> bool:
         """True when any admission mechanism is active."""
         return self.max_concurrency is not None or self.aimd is not None
+
+
+#: Bucket edges for the admission-queue-depth histograms (queries
+#: waiting), shared by the native gate and the simulated broker.
+QUEUE_DEPTH_BUCKETS = tuple(float(i) for i in range(0, 65, 4))
 
 
 class AdmissionController:

@@ -6,6 +6,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.index.inverted import InvertedIndex
 from repro.index.partitioner import IndexShard
 from repro.obs.registry import MetricsRegistry
@@ -59,8 +61,8 @@ class SearchResult:
     Attributes
     ----------
     hits:
-        Ranked hits, best first.  When produced by a
-        :class:`ShardSearcher`, doc ids are collection-global.
+        Ranked hits, best first.  A searcher that was given a shard's
+        ``global_doc_ids`` reports collection-global doc ids.
     query:
         The parsed query that was evaluated.
     matched_volume:
@@ -124,12 +126,17 @@ class Searcher:
         Optional registry for per-query counters (queries evaluated,
         postings scanned, traversal heap operations).  None — the
         default — keeps the hot path counter-free.
+    global_doc_ids:
+        A shard's local→global id map (``global_doc_ids[local_id]``).
+        When given, hits carry collection-global doc ids so the merger
+        can combine shards directly; None reports the index's own ids.
     """
 
     index: InvertedIndex
     algorithm: Union[str, TraversalStrategy] = "daat"
     scorer_factory: Optional[Callable[[InvertedIndex], Scorer]] = None
     metrics: Optional[MetricsRegistry] = None
+    global_doc_ids: Optional[np.ndarray] = None
     _parser: QueryParser = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -217,6 +224,12 @@ class Searcher:
         if self.metrics is not None:
             self.metrics.counter("search.queries").add()
             self.metrics.counter("search.postings_scanned").add(matched_volume)
+        if self.global_doc_ids is not None:
+            to_global = self.global_doc_ids
+            hits = [
+                SearchHit(score=hit.score, doc_id=int(to_global[hit.doc_id]))
+                for hit in hits
+            ]
         return SearchResult(
             hits=tuple(hits),
             query=query,
@@ -237,61 +250,23 @@ class Searcher:
         )
 
 
-@dataclass
-class ShardSearcher:
+class ShardSearcher(Searcher):
     """Evaluates queries against one intra-server partition.
 
-    Results are translated to collection-global doc ids so the merger
-    can combine shards directly.
+    A :class:`Searcher` over the shard's index that was handed the
+    shard's ``global_doc_ids``, so hits carry collection-global doc ids
+    and the merger can combine shards directly.
     """
 
-    shard: IndexShard
-    algorithm: Union[str, TraversalStrategy] = "daat"
-    scorer_factory: Optional[Callable[[InvertedIndex], Scorer]] = None
-    metrics: Optional[MetricsRegistry] = None
-    _searcher: Searcher = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._searcher = Searcher(
-            index=self.shard.index,
-            algorithm=self.algorithm,
-            scorer_factory=self.scorer_factory,
-            metrics=self.metrics,
-        )
-
-    def search(
+    def __init__(
         self,
-        query: Union[str, ParsedQuery],
-        mode: QueryMode = QueryMode.OR,
-        k: int = DEFAULT_TOP_K,
-        cancel: Optional[threading.Event] = None,
-        max_docs_scored: Optional[int] = None,
-    ) -> SearchResult:
-        """Search the shard; hits carry global doc ids.
-
-        ``cancel`` is forwarded to the underlying searcher; a set token
-        raises :class:`SearchCancelled` before the traversal begins.
-        ``max_docs_scored`` is forwarded as the per-shard early-
-        termination depth (Block-Max WAND only).
-        """
-        local = self._searcher.search(
-            query,
-            mode=mode,
-            k=k,
-            cancel=cancel,
-            max_docs_scored=max_docs_scored,
+        shard: IndexShard,
+        algorithm: Union[str, TraversalStrategy] = "daat",
+        scorer_factory: Optional[Callable[[InvertedIndex], Scorer]] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ):
+        super().__init__(
+            shard.index, algorithm, scorer_factory, metrics,
+            shard.global_doc_ids,
         )
-        global_hits = tuple(
-            SearchHit(score=hit.score, doc_id=self.shard.to_global(hit.doc_id))
-            for hit in local.hits
-        )
-        return SearchResult(
-            hits=global_hits,
-            query=local.query,
-            matched_volume=local.matched_volume,
-            docs_scored=local.docs_scored,
-            blocks_skipped=local.blocks_skipped,
-            blocks_fetched=local.blocks_fetched,
-            bytes_read=local.bytes_read,
-            truncated=local.truncated,
-        )
+        self.shard = shard

@@ -12,6 +12,7 @@ it finish once pauses are excluded?*
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -49,37 +50,25 @@ class HiccupConfig:
             raise ValueError("duration_sigma must be non-negative")
 
 
-class HiccupSchedule:
-    """A lazily-extended, deterministic sequence of pause intervals.
+class PauseSchedule:
+    """Sorted, non-overlapping stall intervals and the walk that skips them.
 
-    Pauses never overlap: the next pause's gap is drawn from the end of
-    the previous one.
+    The one answer to *when does work finish once pauses are excluded?*
+    — shared by the stochastic :class:`HiccupSchedule` and the scripted
+    :class:`~repro.sim.outages.FixedOutages`, which differ only in
+    where the intervals come from (:meth:`_extend_past`).
     """
 
-    def __init__(self, config: HiccupConfig, rng: np.random.Generator):
-        self.config = config
-        self._rng = rng
+    def __init__(self) -> None:
         self._starts: List[float] = []
         self._ends: List[float] = []
-        self._frontier = 0.0
 
     def _extend_past(self, time: float) -> None:
-        while self._frontier <= time:
-            gap = float(self._rng.exponential(self.config.mean_interval))
-            start = self._frontier + gap
-            duration = self.config.pause_duration
-            if self.config.duration_sigma > 0:
-                duration = float(
-                    duration
-                    * np.exp(
-                        self.config.duration_sigma
-                        * self._rng.standard_normal()
-                        - self.config.duration_sigma**2 / 2.0
-                    )
-                )
-            self._starts.append(start)
-            self._ends.append(start + duration)
-            self._frontier = start + duration
+        """Make every interval starting at or before ``time`` known.
+
+        A no-op for a fixed set of intervals; a lazily-generated
+        schedule draws more here.
+        """
 
     def pauses_up_to(self, time: float) -> List[Tuple[float, float]]:
         """All pause intervals starting at or before ``time``."""
@@ -102,7 +91,7 @@ class HiccupSchedule:
             raise ValueError("busy_seconds must be non-negative")
         self._extend_past(start)
         # Find the first pause that could affect us.
-        index = int(np.searchsorted(self._ends, start, side="right"))
+        index = bisect_right(self._ends, start)
         clock = start
         if index < len(self._starts) and self._starts[index] <= clock:
             clock = self._ends[index]  # started mid-pause: resume after
@@ -121,3 +110,35 @@ class HiccupSchedule:
                 clock += remaining
                 remaining = 0.0
         return actual_start, clock
+
+
+class HiccupSchedule(PauseSchedule):
+    """A lazily-extended, deterministic sequence of pause intervals.
+
+    Pauses never overlap: the next pause's gap is drawn from the end of
+    the previous one.
+    """
+
+    def __init__(self, config: HiccupConfig, rng: np.random.Generator):
+        super().__init__()
+        self.config = config
+        self._rng = rng
+        self._frontier = 0.0
+
+    def _extend_past(self, time: float) -> None:
+        while self._frontier <= time:
+            gap = float(self._rng.exponential(self.config.mean_interval))
+            start = self._frontier + gap
+            duration = self.config.pause_duration
+            if self.config.duration_sigma > 0:
+                duration = float(
+                    duration
+                    * np.exp(
+                        self.config.duration_sigma
+                        * self._rng.standard_normal()
+                        - self.config.duration_sigma**2 / 2.0
+                    )
+                )
+            self._starts.append(start)
+            self._ends.append(start + duration)
+            self._frontier = start + duration

@@ -3,9 +3,10 @@
 Where :mod:`repro.sim.hiccups` models a stochastic pause *process*,
 ``FixedOutages`` models deterministic, scripted stall windows — "this
 replica freezes from t=2.0s for 500 ms" — the standard failure-
-injection shape for studying failover behaviour.  It implements the
-same ``execute`` interface the core bank consumes, so any server can
-be given scripted brownouts.
+injection shape for studying failover behaviour.  It is the same
+:class:`~repro.sim.hiccups.PauseSchedule` the core bank consumes, with
+the intervals given up front, so any server can be given scripted
+brownouts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
+from repro.sim.hiccups import PauseSchedule
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class OutageSpec:
             raise ValueError("duration must be positive")
 
 
-class FixedOutages:
+class FixedOutages(PauseSchedule):
     """A fixed set of stall intervals with hiccup-compatible semantics.
 
     Overlapping or adjacent intervals are merged at construction.
@@ -63,41 +64,6 @@ class FixedOutages:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], end))
             else:
                 merged.append((start, end))
-        self._starts = np.array([start for start, _ in merged])
-        self._ends = np.array([end for _, end in merged])
-
-    def pauses_up_to(self, time: float) -> List[Tuple[float, float]]:
-        """All stall intervals starting at or before ``time``."""
-        return [
-            (float(start), float(end))
-            for start, end in zip(self._starts, self._ends)
-            if start <= time
-        ]
-
-    def execute(self, start: float, busy_seconds: float) -> Tuple[float, float]:
-        """Run ``busy_seconds`` of work from ``start``, skipping stalls.
-
-        Same contract as :meth:`repro.sim.hiccups.HiccupSchedule.execute`.
-        """
-        if busy_seconds < 0:
-            raise ValueError("busy_seconds must be non-negative")
-        index = int(np.searchsorted(self._ends, start, side="right"))
-        clock = start
-        if index < self._starts.size and self._starts[index] <= clock:
-            clock = float(self._ends[index])
-            index += 1
-        actual_start = clock
-        remaining = busy_seconds
-        while remaining > 0:
-            if (
-                index < self._starts.size
-                and self._starts[index] < clock + remaining
-            ):
-                executed = float(self._starts[index]) - clock
-                remaining -= executed
-                clock = float(self._ends[index])
-                index += 1
-            else:
-                clock += remaining
-                remaining = 0.0
-        return actual_start, clock
+        super().__init__()
+        self._starts = [start for start, _ in merged]
+        self._ends = [end for _, end in merged]

@@ -112,7 +112,7 @@ class TestSearchEngine:
             hedging=HedgingPolicy(hedge_delay_s=0.05),
         )
         with SearchEngine(config) as engine:
-            assert engine.service.isn.hedging is not None
+            assert engine.isn.hedging is not None
             response = engine.search(engine.query_log[0].text)
             assert response.coverage == 1.0
 
@@ -187,7 +187,7 @@ class TestExecutionConfigApi:
         with pytest.raises(TypeError, match="num_threads"):
             SearchServiceConfig(num_partitions=2, num_threads=4)
         with pytest.raises(TypeError, match="num_threads"):
-            IndexServingNode(engine.service.partitioned, num_threads=2)
+            IndexServingNode(engine.partitioned, num_threads=2)
         with pytest.raises(TypeError, match="num_threads"):
             SearchEngine(num_threads=2)
 

@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.engine.instrumentation import ComponentTimings, Timer
-from repro.obs.tracing import Tracer
 
 
 class TestTimer:
@@ -76,64 +75,3 @@ class TestComponentTimings:
     def test_single_shard_no_skew(self):
         """Regression: one shard has no straggler, so skew is 0.0."""
         assert ComponentTimings(shard_seconds=[0.3]).skew_seconds == 0.0
-
-
-def record_isn_tree(tracer, *, shards=(), parse=None, fanout=None, merge=None):
-    root = tracer.record_span("isn.execute", start=0.0, end=10.0, parent=None)
-    if parse is not None:
-        tracer.record_span("parse", start=parse[0], end=parse[1], parent=root)
-    if fanout is not None:
-        fanout_span = tracer.record_span(
-            "fanout", start=fanout[0], end=fanout[1], parent=root
-        )
-        for start, end in shards:
-            tracer.record_span(
-                "shard", start=start, end=end, parent=fanout_span
-            )
-    if merge is not None:
-        tracer.record_span("merge", start=merge[0], end=merge[1], parent=root)
-    return root
-
-
-class TestFromSpan:
-    def test_full_tree(self):
-        root = record_isn_tree(
-            Tracer(),
-            parse=(0.0, 1.0),
-            fanout=(1.0, 8.0),
-            shards=[(1.0, 4.0), (1.5, 7.5)],
-            merge=(8.0, 9.5),
-        )
-        timings = ComponentTimings.from_span(root)
-        assert timings == ComponentTimings(
-            parse_seconds=1.0,
-            shard_seconds=[3.0, 6.0],
-            fanout_seconds=7.0,
-            merge_seconds=1.5,
-            total_seconds=10.0,
-        )
-        assert timings.skew_seconds == pytest.approx(3.0)
-
-    def test_missing_components_default_to_zero(self):
-        """A cache-hit trace has only parse under the root."""
-        root = record_isn_tree(Tracer(), parse=(0.0, 1.0))
-        timings = ComponentTimings.from_span(root)
-        assert timings.parse_seconds == 1.0
-        assert timings.shard_seconds == []
-        assert timings.fanout_seconds == 0.0
-        assert timings.merge_seconds == 0.0
-        assert timings.total_seconds == 10.0
-
-    def test_bare_root(self):
-        root = Tracer().record_span("isn.execute", 0.0, 2.5, parent=None)
-        assert ComponentTimings.from_span(root) == ComponentTimings(
-            total_seconds=2.5
-        )
-
-    def test_foreign_children_ignored(self):
-        tracer = Tracer()
-        root = record_isn_tree(tracer, parse=(0.0, 1.0))
-        tracer.record_span("snippets", start=1.0, end=2.0, parent=root)
-        timings = ComponentTimings.from_span(root)
-        assert timings.parse_seconds == 1.0
-        assert timings.shard_seconds == []

@@ -65,7 +65,7 @@ class TestSearchService:
         assert checked > 0
 
     def test_build_shortcut(self):
-        with SearchService.build(
+        with SearchService(
             corpus=TINY_CORPUS, query_log=TINY_LOG, num_partitions=2
         ) as instance:
             assert instance.partitioned.num_partitions == 2

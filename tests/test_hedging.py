@@ -280,23 +280,47 @@ class TestNativeHedging:
     def test_cache_not_poisoned_by_partial_results(
         self, partitioned, small_query_log
     ):
+        """A ``coverage < 1.0`` answer is not stored.
+
+        The outcome follows from the script, not the clock: shard 0 is
+        held on an event released only once the query has been
+        answered, so it outlasts the deadline by construction, and the
+        deadline leaves the healthy shard hundreds of times a query's
+        cost (~1 ms on this corpus) to answer on a loaded host.
+        """
         from repro.cache.querycache import QueryResultCache
 
         cache = QueryResultCache(capacity=8)
         with IndexServingNode(
             partitioned,
-            hedging=HedgingPolicy(deadline_s=0.03, max_hedges=0),
+            hedging=HedgingPolicy(deadline_s=0.5, max_hedges=0),
             cache=cache,
         ) as node:
-            scripted = ScriptedSearcher(node._searchers[0])
-            node._searchers[0] = scripted
+            healthy = node._searchers[0]
+            answered = threading.Event()
+
+            class HeldSearcher:
+                def search(self, query, cancel=None):
+                    answered.wait(timeout=30.0)
+                    return healthy.search(query, cancel=cancel)
+
+            node._searchers[0] = HeldSearcher()
             text = small_query_log[0].text
-            scripted.begin_query(slow={0, 1})
-            partial = node.execute(text)
-            assert partial.coverage == 0.5
+            try:
+                partial = node.execute(text)
+            finally:
+                answered.set()
+            assert partial.coverage < 1.0
+            assert partial.deadline_misses >= 1
+            assert len(cache) == 0
             # The degraded page was not cached: the next execution runs
-            # the full fan-out and answers with full coverage.
-            scripted.begin_query()
+            # the full fan-out, answers with full coverage, and *that*
+            # page is what the cache serves from then on.
+            node._searchers[0] = healthy
             full = node.execute(text)
             assert full.coverage == 1.0
+            assert not full.cached
             assert len(full.doc_ids()) >= len(partial.doc_ids())
+            replay = node.execute(text)
+            assert replay.cached
+            assert replay.hits == full.hits

@@ -15,7 +15,7 @@ from repro.corpus.io import (
 from repro.engine.driver import QueryMeasurement
 from repro.index.builder import IndexBuilder
 from repro.index.serialization import serialize_index
-from repro.metrics.export import export_measurements_csv, export_simulation_csv
+from repro.obs.export import export_measurements_csv, export_simulation_csv
 
 
 class TestCollectionIO:
@@ -110,12 +110,20 @@ class TestQueryLogIO:
 
 
 class TestCsvExport:
-    def test_breakdown_columns_in_sync(self):
-        """The literal column list must mirror the cluster package's."""
-        from repro.cluster.results import BREAKDOWN_COMPONENTS
-        from repro.metrics.export import _BREAKDOWN_COMPONENTS
+    def test_simulation_header_is_the_breakdown_components(self, tmp_path):
+        """The CSV's component columns are the cluster package's tuple."""
+        from repro.cluster.results import BREAKDOWN_COMPONENTS, SimulationResult
 
-        assert _BREAKDOWN_COMPONENTS == BREAKDOWN_COMPONENTS
+        path = tmp_path / "empty.csv"
+        empty = SimulationResult(
+            records=[], horizon=1.0, core_busy_time=0.0, num_cores=1
+        )
+        assert export_simulation_csv(empty, path) == 0
+        with open(path) as handle:
+            header = next(csv.reader(handle))
+        assert tuple(header) == (
+            "query_id", "client_send", "demand", "latency"
+        ) + BREAKDOWN_COMPONENTS
 
     def test_simulation_export(self, tmp_path):
         from repro.cluster.simulation import ClusterConfig, run_open_loop

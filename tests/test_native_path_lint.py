@@ -1,0 +1,128 @@
+"""Repo lint: one way into the native engine.
+
+A policy-free query once crossed three facades that added nothing
+(``api.SearchEngine`` → ``SearchService`` → ``IndexServingNode.execute``
+→ ``_execute_admitted`` → ``_serve``), two searchers per shard
+(``ShardSearcher`` re-wrapping what the ``Searcher`` it owned had just
+built) and two derivations of the same five timings from the same
+timestamps.  Each collapsed onto the layer that does the work, and this
+test pins the greppable part of that so the layers do not grow back:
+the public names are *names*, not wrappers; the deleted spellings stay
+deleted; a shard has one searcher; a response's timings and its span
+tree are one measurement.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import repro.api
+from repro.engine.instrumentation import ComponentTimings
+from repro.engine.isn import IndexServingNode
+from repro.engine.service import SearchService, SearchServiceConfig
+from repro.index.partitioner import partition_index
+from repro.obs.tracing import Tracer
+from repro.search.executor import Searcher, ShardSearcher
+
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
+
+#: Spellings of the deleted pass-through layers.
+DELETED = re.compile(
+    r"from_span|to_service_config|SearchService\.build|_execute_admitted"
+)
+
+
+def test_public_names_are_the_service_itself():
+    assert repro.api.SearchEngine is SearchService
+    assert repro.api.EngineConfig is SearchServiceConfig
+
+
+def test_api_module_defines_no_engine_wrapper():
+    tree = ast.parse((SRC_ROOT / "repro" / "api.py").read_text())
+    defined = {
+        node.name for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+    assert defined == {"QueryOutcome", "ClusterConfig", "ClusterModel"}
+
+
+def _deleted_spellings(root: Path = SRC_ROOT):
+    return [
+        f"{path.relative_to(root.parent).as_posix()}:{number}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if DELETED.search(line)
+    ]
+
+
+def test_deleted_layers_stay_deleted():
+    found = _deleted_spellings()
+    assert not found, (
+        "a pass-through layer on the native path is back — call the "
+        "layer that does the work instead:\n" + "\n".join(found)
+    )
+
+
+def test_lint_catches_a_planted_spelling(tmp_path):
+    """Self-test: the scan does flag what it is meant to forbid."""
+    planted = tmp_path / "src" / "repro"
+    planted.mkdir(parents=True)
+    (planted / "glue.py").write_text(
+        "timings = ComponentTimings.from_span(trace)\n"
+    )
+    assert _deleted_spellings(tmp_path / "src") == [
+        "src/repro/glue.py:1: timings = ComponentTimings.from_span(trace)"
+    ]
+
+
+def test_a_shard_has_one_searcher(small_collection):
+    shard = partition_index(small_collection, 2)[1]
+    searcher = ShardSearcher(shard)
+    assert not any(
+        isinstance(value, Searcher) for value in vars(searcher).values()
+    )
+    assert searcher.global_doc_ids is shard.global_doc_ids
+
+
+class TestOneTimingDerivation:
+    """What the deleted ``from_span`` tests checked, on the live path."""
+
+    def _execute(self, small_collection, small_query_log, tracer):
+        partitioned = partition_index(small_collection, 3)
+        text = next(iter(small_query_log)).text
+        with IndexServingNode(partitioned, tracer=tracer) as node:
+            return node.execute(text)
+
+    def test_traced_timings_equal_span_durations(
+        self, small_collection, small_query_log
+    ):
+        response = self._execute(small_collection, small_query_log, Tracer())
+        root, timings = response.trace, response.timings
+        fanout = root.find("fanout")
+        assert timings.parse_seconds == root.find("parse").duration
+        assert timings.shard_seconds == [
+            span.duration for span in fanout.children
+        ]
+        assert len(timings.shard_seconds) == 3
+        assert timings.fanout_seconds == fanout.duration
+        assert timings.merge_seconds == root.find("merge").duration
+        assert timings.total_seconds == root.duration
+
+    def test_untraced_execute_fills_the_same_fields(
+        self, small_collection, small_query_log
+    ):
+        response = self._execute(small_collection, small_query_log, None)
+        timings = response.timings
+        assert response.trace is None
+        assert isinstance(timings, ComponentTimings)
+        assert len(timings.shard_seconds) == 3
+        assert min(timings.shard_seconds) > 0.0
+        assert timings.parse_seconds > 0.0
+        assert timings.merge_seconds > 0.0
+        assert timings.fanout_seconds >= timings.slowest_shard_seconds
+        assert timings.total_seconds >= (
+            timings.parse_seconds
+            + timings.fanout_seconds
+            + timings.merge_seconds
+        )

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.metrics.export import REGISTRY_COLUMNS, export_registry_csv
+from repro.obs.export import REGISTRY_COLUMNS, export_registry_csv
 from repro.metrics.histogram import Histogram
 from repro.obs.registry import (
     Counter,

@@ -59,7 +59,7 @@ class TestPublicApi:
             VocabularyConfig,
         )
 
-        service = SearchService.build(
+        service = SearchService(
             corpus=CorpusConfig(
                 num_documents=100,
                 vocabulary=VocabularyConfig(size=800),
