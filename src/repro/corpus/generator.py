@@ -156,19 +156,27 @@ class CorpusGenerator:
         topic_picks = rng.integers(0, len(topic_ranks), size=length)
         ranks = np.where(from_topic, topic_ranks[topic_picks], background)
 
+        # One scalar draw at a time, in this order: the text is pinned by
+        # the generator's stream, so the draws cannot be batched.
+        random = rng.random
+        integers = rng.integers
+        vocabulary_words = self.vocabulary.words
+        stopword_fraction = config.stopword_fraction
+        num_stopwords = len(_STOPWORD_LIST)
         words: List[str] = []
+        append = words.append
         sentence_length = 0
-        for rank in ranks:
+        for rank in ranks.tolist():
             # Interleave stopwords into the raw text.
-            if rng.random() < config.stopword_fraction:
-                words.append(_STOPWORD_LIST[int(rng.integers(len(_STOPWORD_LIST)))])
+            if random() < stopword_fraction:
+                append(_STOPWORD_LIST[integers(num_stopwords)])
                 sentence_length += 1
-            word = self.vocabulary.word(int(rank))
+            word = vocabulary_words[rank]
             if sentence_length == 0:
                 word = word.capitalize()
-            words.append(word)
             sentence_length += 1
-            if sentence_length >= 12 and rng.random() < 0.3:
-                words[-1] = words[-1] + "."
+            if sentence_length >= 12 and random() < 0.3:
+                word += "."
                 sentence_length = 0
+            append(word)
         return " ".join(words)

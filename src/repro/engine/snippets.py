@@ -15,7 +15,6 @@ from typing import List, Sequence, Tuple
 
 from repro.corpus.documents import Document
 from repro.text.analyzer import Analyzer
-from repro.text.tokenizer import Tokenizer
 
 
 @dataclass(frozen=True)
@@ -44,9 +43,6 @@ class SnippetGenerator:
             raise ValueError("window_tokens must be positive")
         self.analyzer = analyzer
         self.window_tokens = window_tokens
-        self._tokenizer = Tokenizer(
-            max_token_length=analyzer.config.max_token_length
-        )
 
     def snippet(
         self, document: Document, query_terms: Sequence[str]
@@ -57,11 +53,14 @@ class SnippetGenerator:
         from a :class:`~repro.search.query.ParsedQuery`).  Documents
         with no match return the document's opening window, unhighlighted.
         """
-        raw_tokens = self._tokenizer.tokenize(document.text)
+        raw_tokens = self.analyzer.tokenize(document.text)
         if not raw_tokens:
             return Snippet(text="", window_start=0, matched_terms=0)
         terms = set(query_terms)
-        normalized = [self._normalize(token) for token in raw_tokens]
+        # One normalize per distinct raw token of this document.
+        normalize = self.analyzer.normalize
+        memo = {token: normalize(token) for token in set(raw_tokens)}
+        normalized = [memo[token] for token in raw_tokens]
         matches = [token in terms for token in normalized]
 
         window = min(self.window_tokens, len(raw_tokens))
@@ -85,10 +84,6 @@ class SnippetGenerator:
             window_start=start,
             matched_terms=matched,
         )
-
-    def _normalize(self, token: str) -> str:
-        analyzed = self.analyzer.analyze(token)
-        return analyzed[0] if analyzed else ""
 
     def _best_window(
         self,

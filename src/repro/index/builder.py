@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -11,20 +11,66 @@ from repro.corpus.documents import DocumentCollection
 from repro.index.blockmax import DEFAULT_BLOCK_SIZE, BlockMetadata
 from repro.index.dictionary import TermDictionary
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import PostingsList
+from repro.index.postings import PostingsList, check_postings
 from repro.index.stats import IndexStatistics, compute_statistics
 from repro.text.analyzer import Analyzer, default_analyzer
+
+
+class TokenMemo(dict):
+    """Raw token -> term number for one build, -1 for a dropped token.
+
+    ``Analyzer.normalize`` runs once per *distinct* raw token; terms are
+    numbered in first-seen order in :attr:`terms`.  A builder makes one
+    per ``build`` and drops it: nothing is remembered across builds.
+    """
+
+    def __init__(self, analyzer: Analyzer):
+        super().__init__()
+        self.analyzer = analyzer
+        self.terms: Dict[str, int] = {}
+
+    def __missing__(self, token: str) -> int:
+        term = self.analyzer.normalize(token)
+        number = self.terms.setdefault(term, len(self.terms)) if term else -1
+        self[token] = number
+        return number
+
+    def term_numbers(self, text: str) -> List[int]:
+        """Term numbers of the surviving tokens of ``text``, in order."""
+        numbers = map(self.__getitem__, self.analyzer.tokenize(text))
+        return [number for number in numbers if number >= 0]
+
+
+def _postings_from_keys(
+    keys: np.ndarray, num_docs: int, num_terms: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut sorted ``term_id * num_docs + doc_id`` keys into postings.
+
+    A run of equal keys is one posting, its length the term frequency.
+    Returns all lists' doc ids and frequencies back to back in term
+    order and the ``num_terms + 1`` offsets between the lists, checked
+    against the :class:`PostingsList` invariants.
+    """
+    is_start = np.ones(keys.size, dtype=bool)
+    is_start[1:] = keys[1:] != keys[:-1]
+    run_starts = np.flatnonzero(is_start)
+    frequencies = np.diff(run_starts, append=keys.size)
+    term_ids, doc_ids = np.divmod(keys[run_starts], num_docs)
+    offsets = np.searchsorted(term_ids, np.arange(num_terms + 1))
+    check_postings(doc_ids, frequencies, offsets)
+    return doc_ids, frequencies, offsets
 
 
 class IndexBuilder:
     """Builds an :class:`InvertedIndex` from a document collection.
 
     The builder runs every document through the analyzer chain, then
-    assembles per-term postings.  Terms are assigned ids in first-seen
-    order (deterministic for a given collection + analyzer).  Alongside
-    each postings list it precomputes the per-block metadata (block
-    last doc id, max term frequency, min document length) the block-max
-    traversal prunes with; ``block_size`` controls the granularity.
+    assembles per-term postings.  Terms are assigned ids in sorted term
+    order (also the order of the serialized format).  Alongside each
+    postings list it precomputes the per-block metadata (block last doc
+    id, max term frequency, min document length) the block-max traversal
+    prunes with; ``block_size`` controls the granularity.  The three
+    passes are described in ``docs/architecture.md`` § Index build.
     """
 
     def __init__(
@@ -39,34 +85,70 @@ class IndexBuilder:
 
     def build(self, collection: DocumentCollection) -> InvertedIndex:
         """Analyze and index every document in ``collection``."""
-        # term -> list of (doc_id, frequency); doc ids arrive in order
-        # because the collection enforces dense ascending ids.
-        accumulator: Dict[str, List[Tuple[int, int]]] = {}
-        doc_lengths = np.zeros(len(collection), dtype=np.int64)
+        num_docs = len(collection)
 
+        # Pass 1: every surviving occurrence as a term number, documents
+        # back to back (the collection enforces dense ascending ids).
+        memo = TokenMemo(self.analyzer)
+        occurrences = array("i")
+        doc_lengths = np.zeros(num_docs, dtype=np.int64)
         for document in collection:
-            terms = self.analyzer.analyze(document.text)
-            doc_lengths[document.doc_id] = len(terms)
-            for term, frequency in sorted(Counter(terms).items()):
-                accumulator.setdefault(term, []).append(
-                    (document.doc_id, frequency)
-                )
+            numbers = memo.term_numbers(document.text)
+            doc_lengths[document.doc_id] = len(numbers)
+            occurrences.extend(numbers)
+        terms = sorted(memo.terms)
+        term_ids = np.empty(len(terms), dtype=np.int64)
+        term_ids[[memo.terms[term] for term in terms]] = np.arange(len(terms))
 
+        # Pass 2: one sort brings each term's documents together in
+        # doc-id order; equal keys are repeats within one document.
+        keys = term_ids[np.frombuffer(occurrences, dtype=np.intc)]
+        keys *= num_docs
+        keys += np.repeat(np.arange(num_docs), doc_lengths)
+        keys.sort()
+        doc_ids, frequencies, offsets = _postings_from_keys(
+            keys, num_docs, len(terms)
+        )
+        del keys  # the largest transient, before the views are cut
+
+        # Pass 3: a block ends where the next one starts, in its own list
+        # or the next, so one reduceat over all block starts covers every
+        # block of every list.
+        block_size = self.block_size
+        blocks_per_term = -(-np.diff(offsets) // block_size)
+        block_offsets = np.concatenate(([0], np.cumsum(blocks_per_term)))
+        block_starts = np.repeat(
+            offsets[:-1] - block_offsets[:-1] * block_size, blocks_per_term
+        ) + np.arange(block_offsets[-1]) * block_size
+        last_doc_ids = doc_ids[np.append(block_starts, doc_ids.size)[1:] - 1]
+        max_frequencies = np.maximum.reduceat(frequencies, block_starts)
+        min_doc_lengths = np.minimum.reduceat(doc_lengths[doc_ids], block_starts)
+
+        # Every list and its metadata are views of the shared arrays.
+        bounds = zip(
+            terms,
+            np.add.reduceat(frequencies, offsets[:-1]).tolist(),
+            offsets.tolist(),
+            offsets[1:].tolist(),
+            block_offsets.tolist(),
+            block_offsets[1:].tolist(),
+        )
         dictionary = TermDictionary()
         postings: List[PostingsList] = []
         block_metadata: List[BlockMetadata] = []
-        for term in sorted(accumulator):
-            pairs = accumulator[term]
-            postings_list = PostingsList.from_pairs(pairs)
-            dictionary.add(
-                term,
-                document_frequency=postings_list.document_frequency(),
-                collection_frequency=postings_list.collection_frequency(),
+        for term, collection_frequency, start, end, first, last in bounds:
+            dictionary.add(term, end - start, collection_frequency)
+            postings.append(
+                PostingsList.from_trusted_arrays(
+                    doc_ids[start:end], frequencies[start:end]
+                )
             )
-            postings.append(postings_list)
             block_metadata.append(
-                BlockMetadata.from_postings(
-                    postings_list, doc_lengths, self.block_size
+                BlockMetadata(
+                    block_size,
+                    last_doc_ids[first:last],
+                    max_frequencies[first:last],
+                    min_doc_lengths[first:last],
                 )
             )
 
@@ -76,7 +158,7 @@ class IndexBuilder:
             doc_lengths=doc_lengths,
             analyzer=self.analyzer,
             block_metadata=block_metadata,
-            block_size=self.block_size,
+            block_size=block_size,
         )
 
     def build_with_stats(

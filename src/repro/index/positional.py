@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.corpus.documents import DocumentCollection
-from repro.index.dictionary import TermDictionary
+from repro.index.builder import IndexBuilder, TokenMemo
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingsList
 from repro.text.analyzer import Analyzer, default_analyzer
@@ -88,9 +88,10 @@ class PositionalIndex:
 class PositionalIndexBuilder:
     """Builds a :class:`PositionalIndex` from a document collection.
 
-    One analysis pass produces both the frequency postings and the
-    position lists, guaranteeing they agree (a property the test suite
-    checks via :meth:`PositionalPostings.to_postings`).
+    The frequency index is :class:`IndexBuilder`'s; the position lists
+    come from a second pass through the same analyzer, so the two must
+    agree (a property the test suite checks via
+    :meth:`PositionalPostings.to_postings`).
     """
 
     def __init__(self, analyzer: Optional[Analyzer] = None):
@@ -98,39 +99,21 @@ class PositionalIndexBuilder:
 
     def build(self, collection: DocumentCollection) -> PositionalIndex:
         """Analyze and index every document with positions."""
-        term_positions: Dict[str, Dict[int, List[int]]] = defaultdict(dict)
-        doc_lengths = np.zeros(len(collection), dtype=np.int64)
-
+        # term number -> doc id (ascending, as visited) -> positions
+        memo = TokenMemo(self.analyzer)
+        term_positions: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
         for document in collection:
-            terms = self.analyzer.analyze(document.text)
-            doc_lengths[document.doc_id] = len(terms)
-            for position, term in enumerate(terms):
-                term_positions[term].setdefault(document.doc_id, []).append(
+            numbers = memo.term_numbers(document.text)
+            for position, number in enumerate(numbers):
+                term_positions[number].setdefault(document.doc_id, []).append(
                     position
                 )
-
-        dictionary = TermDictionary()
-        postings: List[PostingsList] = []
-        positions: Dict[str, PositionalPostings] = {}
-        for term in sorted(term_positions):
-            per_doc = term_positions[term]
-            doc_ids = sorted(per_doc)
-            positional = PositionalPostings(
-                doc_ids, [np.array(per_doc[doc_id]) for doc_id in doc_ids]
+        positions = {
+            term: PositionalPostings(
+                list(term_positions[number]),
+                [np.array(found) for found in term_positions[number].values()],
             )
-            positions[term] = positional
-            postings_list = positional.to_postings()
-            dictionary.add(
-                term,
-                document_frequency=postings_list.document_frequency(),
-                collection_frequency=postings_list.collection_frequency(),
-            )
-            postings.append(postings_list)
-
-        index = InvertedIndex(
-            dictionary=dictionary,
-            postings=postings,
-            doc_lengths=doc_lengths,
-            analyzer=self.analyzer,
-        )
+            for term, number in memo.terms.items()
+        }
+        index = IndexBuilder(self.analyzer).build(collection)
         return PositionalIndex(index=index, _positions=positions)

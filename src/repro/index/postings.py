@@ -7,6 +7,32 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 
+def check_postings(
+    doc_ids: np.ndarray, frequencies: np.ndarray, offsets: np.ndarray
+) -> None:
+    """Raise ``ValueError`` unless every list is a valid postings list.
+
+    List ``i`` is ``doc_ids[offsets[i]:offsets[i + 1]]`` with its parallel
+    ``frequencies``: one pass checks one list (the constructor) or all
+    lists of an index laid out back to back (the builder).
+    """
+    if doc_ids.shape != frequencies.shape:
+        raise ValueError(
+            f"doc_ids and frequencies must have equal length, got "
+            f"{doc_ids.shape} vs {frequencies.shape}"
+        )
+    if doc_ids.ndim != 1:
+        raise ValueError("postings arrays must be one-dimensional")
+    increasing = doc_ids[1:] > doc_ids[:-1]
+    increasing[offsets[1:-1] - 1] = True  # a new list may start lower
+    if not increasing.all():
+        raise ValueError("doc_ids must be strictly increasing")
+    if doc_ids.size and doc_ids.min() < 0:
+        raise ValueError("doc_ids must be non-negative")
+    if np.any(frequencies <= 0):
+        raise ValueError("term frequencies must be positive")
+
+
 class PostingsList:
     """The postings of a single term, sorted by ascending doc id.
 
@@ -25,19 +51,7 @@ class PostingsList:
     ):
         doc_array = np.asarray(doc_ids, dtype=np.int64)
         freq_array = np.asarray(frequencies, dtype=np.int64)
-        if doc_array.shape != freq_array.shape:
-            raise ValueError(
-                f"doc_ids and frequencies must have equal length, got "
-                f"{doc_array.shape} vs {freq_array.shape}"
-            )
-        if doc_array.ndim != 1:
-            raise ValueError("postings arrays must be one-dimensional")
-        if doc_array.size > 1 and not np.all(np.diff(doc_array) > 0):
-            raise ValueError("doc_ids must be strictly increasing")
-        if doc_array.size and doc_array[0] < 0:
-            raise ValueError("doc_ids must be non-negative")
-        if np.any(freq_array <= 0):
-            raise ValueError("term frequencies must be positive")
+        check_postings(doc_array, freq_array, np.array([0, doc_array.size]))
         self._doc_ids = doc_array
         self._frequencies = freq_array
 
@@ -64,14 +78,6 @@ class PostingsList:
         self._doc_ids = doc_ids
         self._frequencies = frequencies
         return self
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[Tuple[int, int]]) -> "PostingsList":
-        """Build from ``(doc_id, frequency)`` pairs (must be sorted)."""
-        if not pairs:
-            return cls.empty()
-        doc_ids, frequencies = zip(*pairs)
-        return cls(list(doc_ids), list(frequencies))
 
     def __len__(self) -> int:
         return int(self._doc_ids.size)

@@ -53,21 +53,40 @@ class Analyzer:
 
     config: AnalyzerConfig = field(default_factory=AnalyzerConfig)
 
-    def analyze(self, text: str) -> List[str]:
-        """Return the sequence of index terms for ``text``."""
+    def __post_init__(self) -> None:
+        # Built once, not per call (not fields: equality is the config's).
         tokenizer = Tokenizer(max_token_length=self.config.max_token_length)
         stemmer = SuffixStemmer() if self.config.stem else None
-        terms: List[str] = []
-        for token in tokenizer.iter_tokens(text):
-            if self.config.lowercase:
-                token = token.lower()
-            if self.config.remove_stopwords and token in self.config.stopwords:
-                continue
-            if stemmer is not None:
-                token = stemmer.stem(token)
-            if token:
-                terms.append(token)
-        return terms
+        object.__setattr__(self, "_tokenizer", tokenizer)
+        object.__setattr__(self, "_stemmer", stemmer)
+
+    def tokenize(self, text: str) -> List[str]:
+        """The raw tokens of ``text`` that :meth:`normalize` is mapped over."""
+        return self._tokenizer.tokenize(text)
+
+    def normalize(self, token: str) -> str:
+        """Return the index term of one raw ``token``, "" if it is dropped.
+
+        *The* definition of the chain: a token is dropped when over-long,
+        a stopword (after lowercasing) or stemmed to nothing.  The result
+        depends on the token alone, so callers may remember it.
+        """
+        config = self.config
+        if len(token) > config.max_token_length:
+            return ""
+        if config.lowercase:
+            token = token.lower()
+        if config.remove_stopwords and token in config.stopwords:
+            return ""
+        if self._stemmer is not None:
+            token = self._stemmer.stem(token)
+        return token
+
+    def analyze(self, text: str) -> List[str]:
+        """Return the sequence of index terms for ``text``."""
+        return [
+            term for term in map(self.normalize, self.tokenize(text)) if term
+        ]
 
 
 def default_analyzer(config: Optional[AnalyzerConfig] = None) -> Analyzer:

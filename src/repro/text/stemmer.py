@@ -38,6 +38,8 @@ _SUFFIX_RULES = (
     ("s", ""),
 )
 
+_SUFFIXES = tuple(suffix for suffix, _ in _SUFFIX_RULES)
+
 #: Words shorter than this are never stemmed (they are likely already roots).
 MIN_STEM_LENGTH = 3
 
@@ -60,7 +62,7 @@ class SuffixStemmer:
 
     def stem(self, token: str) -> str:
         """Return the stem of ``token`` (assumed lowercased)."""
-        if len(token) <= self.min_stem_length:
+        if len(token) <= self.min_stem_length or not token.endswith(_SUFFIXES):
             return token
         for suffix, replacement in _SUFFIX_RULES:
             if not token.endswith(suffix):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 _TOKEN_PATTERN = re.compile(r"[0-9A-Za-z]+")
 
@@ -39,14 +39,11 @@ class Tokenizer:
 
     def tokenize(self, text: str) -> List[str]:
         """Return the list of tokens in ``text``, in order of appearance."""
-        return list(self.iter_tokens(text))
-
-    def iter_tokens(self, text: str) -> Iterator[str]:
-        """Yield tokens lazily; useful for very large documents."""
-        for match in _TOKEN_PATTERN.finditer(text):
-            token = match.group(0)
-            if len(token) <= self.max_token_length:
-                yield token
+        tokens = _TOKEN_PATTERN.findall(text)
+        limit = self.max_token_length
+        if tokens and max(map(len, tokens)) > limit:
+            tokens = [token for token in tokens if len(token) <= limit]
+        return tokens
 
 
 def tokenize(text: str) -> List[str]:

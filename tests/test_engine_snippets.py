@@ -105,3 +105,60 @@ class TestSnippetGenerator:
             )
             assert snippet.matched_terms >= 1
             assert "**" in snippet.text
+
+
+class _OldSpelling:
+    """An analyzer whose ``normalize`` is the snippet generator's old
+    per-token spelling: the whole chain re-run on one token's text."""
+
+    def __init__(self, analyzer):
+        self.analyzer = analyzer
+        self.tokenize = analyzer.tokenize
+
+    def normalize(self, token):
+        from tests.test_index_build_golden import oracle_analyze
+
+        analyzed = oracle_analyze(self.analyzer, token)
+        return analyzed[0] if analyzed else ""
+
+
+class TestNormalizeMemo:
+    @pytest.mark.parametrize(
+        "analyzer",
+        [
+            default_analyzer(),
+            PLAIN,
+            Analyzer(AnalyzerConfig(lowercase=False, max_token_length=6)),
+        ],
+        ids=["default", "plain", "keep_case_short_tokens"],
+    )
+    def test_snippets_equal_the_old_spelling(
+        self, analyzer, small_collection, small_query_log
+    ):
+        new = SnippetGenerator(analyzer, window_tokens=12)
+        old = SnippetGenerator(_OldSpelling(analyzer), window_tokens=12)
+        queries = [
+            analyzer.analyze(query.text) for query in small_query_log.queries[:5]
+        ]
+        highlighted = 0
+        for document in small_collection.documents[:20]:
+            own_terms = analyzer.analyze(document.title)
+            for terms in queries + [own_terms]:
+                snippet = new.snippet(document, terms)
+                assert snippet == old.snippet(document, terms)
+                highlighted += "**" in snippet.text
+        assert highlighted >= 20
+
+    def test_one_normalize_per_distinct_token(self):
+        calls = []
+
+        class Counting(_OldSpelling):
+            def normalize(self, token):
+                calls.append(token)
+                return super().normalize(token)
+
+        generator = SnippetGenerator(Counting(PLAIN), window_tokens=4)
+        generator.snippet(doc("aa bb aa aa cc bb aa"), ["aa"])
+        assert sorted(calls) == ["aa", "bb", "cc"]
+        generator.snippet(doc("aa"), ["aa"])
+        assert len(calls) == 4  # nothing is remembered across calls

@@ -14,6 +14,7 @@ from repro.index.compression import (
     encode_varint_stream,
 )
 from repro.index.postings import PostingsList
+from tests.test_index_postings import from_pairs
 
 
 class TestVarint:
@@ -60,17 +61,17 @@ class TestPostingsCodec:
         assert consumed == len(encoded)
 
     def test_simple_roundtrip(self):
-        postings = PostingsList.from_pairs([(0, 1), (1, 2), (100, 3)])
+        postings = from_pairs([(0, 1), (1, 2), (100, 3)])
         decoded, consumed = decode_postings(encode_postings(postings))
         assert decoded == postings
 
     def test_dense_ids_compress_well(self):
         # Consecutive ids have gap 0 after biasing: 2 bytes per posting.
-        postings = PostingsList.from_pairs([(i, 1) for i in range(1000)])
+        postings = from_pairs([(i, 1) for i in range(1000)])
         assert compressed_size(postings) <= 2 * 1000 + 3
 
     def test_decode_reports_consumed_bytes(self):
-        postings = PostingsList.from_pairs([(3, 1), (9, 2)])
+        postings = from_pairs([(3, 1), (9, 2)])
         encoded = encode_postings(postings) + b"extra"
         decoded, consumed = decode_postings(encoded)
         assert decoded == postings
@@ -87,7 +88,7 @@ class TestPostingsCodec:
         ).map(sorted)
     )
     def test_roundtrip_property(self, pairs):
-        postings = PostingsList.from_pairs(pairs)
+        postings = from_pairs(pairs)
         decoded, consumed = decode_postings(encode_postings(postings))
         assert decoded == postings
         assert consumed == len(encode_postings(postings))

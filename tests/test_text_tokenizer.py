@@ -36,10 +36,22 @@ class TestTokenizer:
         with pytest.raises(ValueError):
             Tokenizer(max_token_length=0)
 
-    def test_iter_tokens_matches_tokenize(self):
-        tokenizer = Tokenizer()
-        text = "The quick, brown fox! Jumps over 2 lazy dogs."
-        assert list(tokenizer.iter_tokens(text)) == tokenizer.tokenize(text)
+    def test_tokenize_matches_a_match_by_match_scan(self):
+        """The over-long filter only runs when a token needs it."""
+        import re
+
+        for text in (
+            "The quick, brown fox! Jumps over 2 lazy dogs.",
+            "tiny enormously big words interleaved",
+            "",
+        ):
+            for limit in (3, 5, 255):
+                scanned = [
+                    match.group(0)
+                    for match in re.finditer(r"[0-9A-Za-z]+", text)
+                    if len(match.group(0)) <= limit
+                ]
+                assert Tokenizer(limit).tokenize(text) == scanned
 
     @given(st.text(max_size=200))
     def test_tokens_are_always_alphanumeric(self, text):
