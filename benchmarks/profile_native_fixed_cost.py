@@ -1,0 +1,131 @@
+"""Where the fixed cost of a policy-free native query goes.
+
+Two tables over the perf benchmark's reference corpus, built layer by
+layer as ``benchmarks/perf/layers.py`` builds it (thread backend, no
+policy, the first 30 queries of the reference replay stream, every
+number the mean over those queries of the per-query floor):
+
+1. ``IndexServingNode.execute`` against ``execute_serial`` for
+   {daat, block_max_wand} x 1/2/4 partitions at 3,000 and 16,000
+   documents.  ``execute_serial`` runs the shard attempts in order on
+   the caller's thread; ``execute`` ran them on a thread pool up to the
+   parent of the commit that added this script and runs them on the
+   caller's thread since, so at the parent the two columns are "pooled"
+   and "caller's thread" and afterwards they are the same path.
+2. the per-frame budget of one ``execute`` on the 1-partition DAAT
+   node: ``execute`` minus ``Searcher.search``, split into ``_admit``,
+   ``_gather`` (less the shard attempts inside it), ``_assemble`` and
+   what is left to ``execute``/``_serve`` themselves.
+
+``benchmarks/results/profile_native_fixed_cost.txt`` holds the output of
+
+    PYTHONPATH=src python benchmarks/profile_native_fixed_cost.py
+
+at the parent and at the commit that added it.  Floors, not averages:
+read them for where the microseconds are, and ``benchmarks/perf/run.py``
+for the measurement of record.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "perf"))
+
+import workloads  # noqa: E402  (benchmarks/perf/workloads.py)
+from layers import Rig, item_floors  # noqa: E402  (benchmarks/perf/layers.py)
+
+SIZES = (3_000, 16_000)
+ALGORITHMS = ("daat", "block_max_wand")
+PARTITIONS = (1, 2, 4)
+FLOOR_ROUNDS = 15
+FRAMES = ("_admit", "_gather", "_assemble")
+
+
+def mean_us(floors) -> float:
+    return 1e6 * sum(floors) / len(floors)
+
+
+def fanout_table(rig: Rig) -> None:
+    print(f"{rig.scale.docs} documents: execute / execute_serial, us per query")
+    for algorithm in ALGORITHMS:
+        for partitions in PARTITIONS:
+            node = rig.isn(partitions, algorithm)
+            execute, serial = (
+                mean_us(item_floors(
+                    lambda text: run(text, k=10), rig.probe_texts, FLOOR_ROUNDS
+                ))
+                for run in (node.execute, node.execute_serial)
+            )
+            print(
+                f"  {algorithm:<15} P={partitions}  "
+                f"{execute:9.0f} {serial:9.0f}   x{execute / serial:.2f}"
+            )
+
+
+def frame_budget(rig: Rig) -> None:
+    """Floors of each frame of ``execute`` on the 1-partition DAAT node.
+
+    The three frames are wrapped with a stopwatch for the length of the
+    probe and every figure comes from the same executions; the two
+    ``perf_counter`` reads per frame are inside ``execute + _serve``.
+    """
+    node = rig.isn(1, "daat")
+    texts = rig.probe_texts
+    elapsed = {}
+
+    def timed(name):
+        inner = getattr(node, name)
+
+        def frame(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                elapsed[name] = time.perf_counter() - start
+
+        return frame
+
+    for name in FRAMES:
+        setattr(node, name, timed(name))
+    rows = ("execute", "search", *FRAMES, "rest")
+    floors = {row: [float("inf")] * len(texts) for row in rows}
+    for _ in range(FLOOR_ROUNDS):
+        for position, text in enumerate(texts):
+            start = time.perf_counter()
+            response = node.execute(text, k=10)
+            total = time.perf_counter() - start
+            search = sum(response.timings.shard_seconds)
+            samples = dict(elapsed, execute=total, search=search)
+            samples["rest"] = total - sum(elapsed.values())
+            samples["_gather"] -= search
+            for row, sample in samples.items():
+                floors[row][position] = min(floors[row][position], sample)
+    for name in FRAMES:
+        delattr(node, name)
+
+    total, search = mean_us(floors["execute"]), mean_us(floors["search"])
+    print("per-frame budget, 3,000 documents, daat, P=1, us per query")
+    print(f"  execute                    {total:7.1f}")
+    print(f"  Searcher.search            {search:7.1f}")
+    print(f"  execute - Searcher.search  {total - search:7.1f}")
+    for name in FRAMES:
+        print(f"    {name:<25}{mean_us(floors[name]):7.1f}")
+    print(f"    {'execute + _serve':<25}{mean_us(floors['rest']):7.1f}")
+
+
+def main() -> None:
+    for docs in SIZES:
+        rig = Rig(workloads.Scale(str(docs), docs=docs, sim_queries=0))
+        try:
+            fanout_table(rig)
+            if docs == SIZES[0]:
+                frame_budget(rig)
+        finally:
+            rig.close()
+
+
+if __name__ == "__main__":
+    main()

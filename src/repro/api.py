@@ -3,7 +3,7 @@
 Everything a user script needs lives here, under three entry points:
 
 - :class:`SearchEngine` — the *native* benchmark: a real Python search
-  stack (synthetic corpus, partitioned index, thread-pool fan-out)
+  stack (synthetic corpus, partitioned index, partition fan-out)
   measured on the wall clock — the public name of
   :class:`~repro.engine.service.SearchService`, so ``engine.isn``,
   ``engine.partitioned`` and ``engine.collection`` are its internals;

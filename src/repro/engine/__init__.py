@@ -2,7 +2,7 @@
 
 This package wires the real Python search stack into the benchmark's
 architecture: an **index serving node** (ISN) that fans a query out to
-its intra-server partitions on a thread pool and merges the shard
+its intra-server partitions and merges the shard
 results, a **frontend** that broadcasts to ISNs, and a **client driver**
 with the benchmark's replay semantics.  Native-mode wall-clock
 measurements ground the characterization figures and calibrate the

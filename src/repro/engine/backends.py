@@ -8,15 +8,16 @@ A backend is two methods:
     Start one attempt per work item and return one future per item,
     each resolving to ``(SearchResult, start, end)`` or raising the
     attempt's error.  One call is one unit of cancellation (``cancel``
-    is its token) and of packing (whatever a backend batches, it
-    batches within a call), so a caller that needs attempts to be
-    cancelled or to fail independently submits them separately.
+    is its token, None when nothing will ever cancel it) and of packing
+    (whatever a backend batches, it batches within a call), so a caller
+    that needs attempts to be cancelled or to fail independently submits
+    them separately.
 ``close()``
     Release the execution resources.
 
-:class:`LocalBackend` searches the node's own searchers — on a thread
-pool (the benchmark's parallel fan-out) or, without an executor, inline
-as completed futures (serial characterization).
+:class:`LocalBackend` searches the node's own searchers — inline, as
+completed futures on the caller's thread, or on a thread pool when a
+hedging policy needs attempts to overlap.
 :class:`ProcessBackend` scores GIL-free on a
 :class:`~repro.engine.mp.ProcessShardPool`, one IPC message per worker
 lane.  Both apply a :class:`~repro.resilience.faults.FaultInjector`
@@ -67,7 +68,7 @@ class LocalBackend:
     def submit(
         self,
         items: Sequence[WorkItem],
-        cancel: threading.Event,
+        cancel: Optional[threading.Event],
         max_docs_scored: Optional[int] = None,
         crash_retries: int = 0,
     ) -> List[Future]:
@@ -132,7 +133,7 @@ class ProcessBackend:
     def submit(
         self,
         items: Sequence[WorkItem],
-        cancel: threading.Event,
+        cancel: Optional[threading.Event],
         max_docs_scored: Optional[int] = None,
         crash_retries: int = 0,
     ) -> List[Future]:

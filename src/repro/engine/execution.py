@@ -6,10 +6,10 @@ The native engine therefore offers two interchangeable execution
 backends for its partition fan-out, selected by one declarative
 :class:`ExecutionConfig`:
 
-- ``"threads"`` — the seed's :class:`~concurrent.futures.ThreadPoolExecutor`
-  fan-out.  Faithful to the original measurements, but per-partition
-  scoring serializes on the GIL, so wall-clock scaling with workers is
-  limited to the numpy-released sections of the kernel.
+- ``"threads"`` — the node's own searchers, one shard after another on
+  the caller's thread.  Per-partition scoring serializes on the GIL, so
+  a pooled fan-out only adds hand-offs (it measured slower at every
+  partition count); a pool is started only for a hedging policy.
 - ``"processes"`` — a pool of worker processes attached *read-only* to
   the index's hot state (postings arrays, block-max metadata, document
   lengths) exported once into :mod:`multiprocessing.shared_memory`.
@@ -47,13 +47,13 @@ class ExecutionConfig:
     Attributes
     ----------
     backend:
-        ``"threads"`` (default; the seed's thread-pool fan-out) or
+        ``"threads"`` (default; in-process, on the caller's thread) or
         ``"processes"`` (GIL-free worker pool over a shared-memory
         index).
     workers:
-        Worker count.  ``None`` keeps the backend's default: the
-        partition count, doubled under a hedging policy on the thread
-        backend so backups are not starved by the primaries they race.
+        Worker count; ``None`` means one per partition.  On the thread
+        backend it sizes the pool a hedging policy uses (by default
+        doubled when backups can be issued) and nothing else.
     batch_size:
         Maximum ``(query, partition)`` work items per process-pool
         dispatch in batch execution (ignored by the thread backend,

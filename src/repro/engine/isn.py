@@ -17,9 +17,9 @@ the paper's intra-server partitioning study.  It does so exactly once:
   failing shard re-raises to the caller.  "No policy" is the
   degenerate setting, not a second path.
 - **three backends** (:mod:`repro.engine.backends`): the gather hands
-  ``(shard, query)`` work items to a two-method backend — a thread
-  pool over the node's searchers, a GIL-free process pool, or inline
-  execution returning completed futures.
+  ``(shard, query)`` work items to a two-method backend — inline on the
+  caller's thread as completed futures, a thread pool when a hedging
+  policy needs attempts to overlap, or a GIL-free process pool.
 - **one pipeline**: :meth:`~IndexServingNode.execute`,
   :meth:`~IndexServingNode.execute_serial` and
   :meth:`~IndexServingNode.execute_batch` share parse → cache lookup →
@@ -155,14 +155,14 @@ class _FanoutOutcome:
         return len(self.answered) / self.num_shards
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Admitted:
     """A parsed query on its way into the gather, with its timestamps."""
 
     text: str
     query: ParsedQuery
+    #: Where the query, and with it the parse, starts.
     total_start: float
-    parse_start: float
     parse_end: float
     #: Whether a full-coverage answer is stored in the result cache.
     cacheable: bool
@@ -181,10 +181,10 @@ class IndexServingNode:
         The server's index shards.
     execution:
         The :class:`~repro.engine.execution.ExecutionConfig` selecting
-        the shard backend.  ``"threads"`` (default) searches on a
-        thread pool sized to the partition count — doubled when a
-        hedging policy is attached so backup attempts are not starved
-        by the primaries they are meant to overtake.  ``"processes"``
+        the shard backend.  ``"threads"`` (default) searches the shards
+        in order on the caller's thread; a hedging policy alone adds a
+        thread pool, one thread per partition and twice that when it
+        can issue backups, so none queues behind a primary.  ``"processes"``
         exports the index hot state once into shared memory and scores
         on a GIL-free :class:`~repro.engine.mp.ProcessShardPool`;
         results stay bit-identical to the thread backend.
@@ -320,7 +320,7 @@ class IndexServingNode:
         self._inline = LocalBackend(self._searchers)
         self._arena = None
         self.process_pool = None
-        workers = self.execution.workers
+        workers = self.execution.workers or partitioned.num_partitions
         if self.execution.use_processes:
             source = (
                 shared_source if shared_source is not None else partitioned
@@ -328,11 +328,7 @@ class IndexServingNode:
             self._arena = SharedIndexArena(source)
             self.process_pool = ProcessShardPool(
                 self._arena.spec,
-                workers=(
-                    workers
-                    if workers is not None
-                    else partitioned.num_partitions
-                ),
+                workers=workers,
                 options=WorkerOptions(
                     algorithm=algorithm,
                     use_global_stats=use_global_stats,
@@ -349,18 +345,22 @@ class IndexServingNode:
                 self.fault_injector,
             )
         else:
-            if workers is None:
-                # One thread per partition, doubled under hedging so a
-                # backup attempt never queues behind the primaries.
-                workers = partitioned.num_partitions
-                if self.hedging is not None and self.hedging.hedges_enabled:
-                    workers *= 2
-            self._backend = LocalBackend(
-                self._searchers,
-                ThreadPoolExecutor(
+            # Attempts run on the caller's thread: pooled threads convoy
+            # on the GIL and lose at every partition count.  Only hedge
+            # and deadline timers need the caller free (class docstring).
+            executor = None
+            if self.hedging is not None:
+                if self.execution.workers is None and (
+                    self.hedging.hedges_enabled
+                ):
+                    workers *= 2  # no backup queues behind the primaries
+                executor = ThreadPoolExecutor(
                     max_workers=workers, thread_name_prefix="isn-shard"
-                ),
-                self.fault_injector,
+                )
+            self._backend = (
+                LocalBackend(self._searchers, executor, self.fault_injector)
+                if executor is not None or self.fault_injector is not None
+                else self._inline
             )
         self._closed = False
 
@@ -402,7 +402,7 @@ class IndexServingNode:
         mode: QueryMode = QueryMode.OR,
         budget_s: Optional[float] = None,
     ):
-        """Answer ``text`` with parallel partition fan-out.
+        """Answer ``text`` from every partition through the one gather.
 
         Returns an :class:`IsnResponse` — or, when an overload policy
         is attached and refuses the query, a
@@ -466,11 +466,11 @@ class IndexServingNode:
     ) -> IsnResponse:
         """Answer ``text`` searching partitions one after another.
 
-        Serial execution removes thread-pool scheduling noise, which is
-        what the service-time characterization and simulator calibration
-        need: the sum of shard times *is* the query's CPU demand.  The
-        same gather runs over the inline backend; the result cache, the
-        admission gate and every resilience policy are bypassed.
+        Serial execution has no scheduling noise, which is what the
+        service-time characterization and simulator calibration need:
+        the sum of shard times *is* the query's CPU demand.  The gather
+        runs over the inline backend (:meth:`execute`'s own, policy-free
+        on threads); cache, admission gate and policies are bypassed.
         """
         self._ensure_open()
         return self._serve(
@@ -490,7 +490,7 @@ class IndexServingNode:
         them into dispatches of at most ``execution.batch_size`` so the
         IPC round-trip is amortized over many scoring calls — this is
         the path that exposes cross-query scaling; on the thread
-        backend every item is an independent pool task.  Either way
+        backend the items run in order on the caller's thread.  Either way
         each response is identical (ids *and* float scores) to what
         :meth:`execute` would return for that text, and the result
         cache is consulted and fed exactly as on the single-query path.
@@ -525,8 +525,6 @@ class IndexServingNode:
                 )
             )
         if pending:
-            # A worker death moves its chunk to a healthy worker instead
-            # of failing the whole batch.
             served = self._serve(
                 self._backend,
                 [responses[position] for position in pending],
@@ -539,8 +537,8 @@ class IndexServingNode:
     def close(self) -> None:
         """Shut down executors, worker processes, and shared memory.
 
-        Deterministic teardown: the backend drains (the thread pool
-        joins, or the process pool joins its workers) and the
+        Deterministic teardown: the backend drains (a hedging thread
+        pool joins, the process pool joins its workers) and the
         shared-memory segment is unlinked.  Idempotent; the node
         rejects queries afterwards.
         """
@@ -573,13 +571,10 @@ class IndexServingNode:
         :class:`_Admitted` record :meth:`_serve` takes.
         """
         total_start = time.perf_counter()
-        parse_start = time.perf_counter()
         query = self.parser.parse(text, mode=mode, k=k)
         parse_end = time.perf_counter()
         cacheable = use_cache and self.cache is not None
-        admitted = _Admitted(
-            text, query, total_start, parse_start, parse_end, cacheable
-        )
+        admitted = _Admitted(text, query, total_start, parse_end, cacheable)
         if cacheable:
             entry = self.cache.lookup_entry(query)
             if entry is not None:
@@ -679,9 +674,9 @@ class IndexServingNode:
         each item is one *slot* the loop must decide: answered,
         deadline-missed, failed beyond the retry budget, or fenced off
         by an open breaker.  Each turn fires the timers that are due
-        (retry backoff, deadline, hedge), waits on the in-flight
-        attempts until the next timer, and books whatever finished.
-        Returns one :class:`_FanoutOutcome` per query.
+        (retry backoff, deadline, hedge) and books the attempts that
+        have finished, waiting on those in flight until the next timer
+        only when none has.  Returns one :class:`_FanoutOutcome` per query.
 
         ``resilient`` says whether the node's policy, breakers and
         failure tolerance apply.  When False the inert policy arms no
@@ -715,18 +710,19 @@ class IndexServingNode:
             else dict.fromkeys(undecided, fanout_start + delay)
         )
         retry_at: Dict[int, float] = {}
-        #: In-flight attempts: future -> (slot, kind, cancellation token).
-        pending: Dict[Future, Tuple[int, str, threading.Event]] = {}
+        #: In-flight attempts: future -> (slot, kind, cancellation token);
+        #: policy-free none outlives its slot's verdict, so none has a token.
+        pending: Dict[Future, tuple] = {}
 
         def submit(slots: List[int], kind: str) -> None:
-            token = threading.Event()
+            token = threading.Event() if resilient else None
             futures = backend.submit(
                 [items[slot] for slot in slots], token, max_docs, crash_retries
             )
             for slot, future in zip(slots, futures):
                 pending[future] = (slot, kind, token)
 
-        def settle(slot: int, cancel: bool = True) -> None:
+        def settle(slot: int, cancel: bool = resilient) -> None:
             """Mark ``slot`` decided; cancel what is still in flight for it."""
             undecided.discard(slot)
             hedge_at.pop(slot, None)
@@ -805,32 +801,32 @@ class IndexServingNode:
                             hedge_at[slot] = now + delay
             if not undecided:
                 break  # the timers just decided the last slot
-            timers = [*retry_at.values(), *hedge_at.values()]
-            if deadline_at is not None:
-                timers.append(deadline_at)
-            live = [
-                future
-                for future, (slot, _, _) in pending.items()
-                if slot in undecided
-            ]
-            timeout = max(0.0, min(timers) - now) if timers else None
-            if live:
-                # Policy-free, no two attempts race for a slot: there is
-                # nothing to do until one fails or the last one answers.
-                done, _ = futures_wait(
-                    live,
-                    timeout=timeout,
-                    return_when=(
-                        FIRST_COMPLETED if resilient else FIRST_EXCEPTION
-                    ),
-                )
-            elif timers:
-                time.sleep(timeout)
-                done = ()
-            else:
-                # Defensive: no attempt in flight and no timer left —
-                # give up on whatever is undecided rather than spin.
-                break
+            # Book what has already finished before considering a wait:
+            # over completed futures (attempts run on the caller's
+            # thread) the gather builds no waiter and takes no lock.
+            done = [future for future in pending if future.done()]
+            if not done:
+                timers = [*retry_at.values(), *hedge_at.values()]
+                if deadline_at is not None:
+                    timers.append(deadline_at)
+                timeout = max(0.0, min(timers) - now) if timers else None
+                if pending:
+                    # Policy-free, no two attempts race for a slot: wait
+                    # for the first failure or the last answer.  (A late
+                    # loser wakes a hedged wait once; it is dropped below.)
+                    done, _ = futures_wait(
+                        pending,
+                        timeout=timeout,
+                        return_when=(
+                            FIRST_COMPLETED if resilient else FIRST_EXCEPTION
+                        ),
+                    )
+                elif timers:
+                    time.sleep(timeout)
+                else:
+                    # Defensive: no attempt in flight and no timer left
+                    # — give up on whatever is undecided, do not spin.
+                    break
             for future in done:
                 slot, kind, _ = pending.pop(future)
                 if slot not in undecided:
@@ -844,8 +840,6 @@ class IndexServingNode:
                     if not resilient and not (
                         crash_retries and isinstance(exc, WorkerCrashError)
                     ):
-                        for other in range(len(items)):
-                            settle(other)
                         raise
                     breaker_failure(slot, time.perf_counter())
                     if retries[slot] < policy.max_retries:
@@ -858,7 +852,7 @@ class IndexServingNode:
                     continue
                 if breakers is not None:
                     breakers.breaker(items[slot][0]).record_success(end)
-                settle(slot, cancel=policy.cancel_losers)
+                settle(slot, cancel=resilient and policy.cancel_losers)
                 answered[slot] = (items[slot][0], kind, result, start, end)
                 self._latency_tracker.observe(end - start)
                 if kind == "hedge":
@@ -887,13 +881,13 @@ class IndexServingNode:
                 query=admitted.text, cached=True,
             )
             self._tracer.record_span(
-                "parse", start=admitted.parse_start, end=admitted.parse_end,
+                "parse", start=admitted.total_start, end=admitted.parse_end,
                 parent=trace,
             )
         return IsnResponse(
             hits=entry.hits,
             timings=ComponentTimings(
-                parse_seconds=admitted.parse_end - admitted.parse_start,
+                parse_seconds=admitted.parse_end - admitted.total_start,
                 total_seconds=total_end - admitted.total_start,
             ),
             matched_volume=entry.matched_volume,
@@ -915,7 +909,6 @@ class IndexServingNode:
             [result.hits for _, _, result, _, _ in outcome.answered],
             k=query.k,
         )
-        merge_end = time.perf_counter()
         total_end = time.perf_counter()
 
         matched_volume = sum(
@@ -952,17 +945,17 @@ class IndexServingNode:
         if self._tracer.enabled:
             trace = self._record_trace(
                 admitted, outcome, fanout_start, fanout_end,
-                merge_start, merge_end, total_end,
+                merge_start, total_end,
             )
         return IsnResponse(
             hits=tuple(hits),
             timings=ComponentTimings(
-                parse_seconds=admitted.parse_end - admitted.parse_start,
+                parse_seconds=admitted.parse_end - admitted.total_start,
                 shard_seconds=[
                     end - start for _, _, _, start, end in outcome.answered
                 ],
                 fanout_seconds=fanout_end - fanout_start,
-                merge_seconds=merge_end - merge_start,
+                merge_seconds=total_end - merge_start,
                 total_seconds=total_end - total_start,
             ),
             matched_volume=matched_volume,
@@ -981,7 +974,6 @@ class IndexServingNode:
         fanout_start: float,
         fanout_end: float,
         merge_start: float,
-        merge_end: float,
         total_end: float,
     ) -> Span:
         tracer = self._tracer
@@ -1006,7 +998,7 @@ class IndexServingNode:
             **root_attributes,
         )
         tracer.record_span(
-            "parse", start=admitted.parse_start, end=admitted.parse_end,
+            "parse", start=admitted.total_start, end=admitted.parse_end,
             parent=root, num_terms=len(query.terms),
         )
         fanout = tracer.record_span(
@@ -1035,7 +1027,7 @@ class IndexServingNode:
                 shard=shard_index, deadline_missed=True,
             )
         tracer.record_span(
-            "merge", start=merge_start, end=merge_end, parent=root,
+            "merge", start=merge_start, end=total_end, parent=root,
             num_shards=len(outcome.answered),
         )
         return root

@@ -211,7 +211,7 @@ class SearchService:
         k: int = DEFAULT_TOP_K,
         mode: QueryMode = QueryMode.OR,
     ) -> IsnResponse:
-        """Answer a query with the benchmark's parallel fan-out path.
+        """Answer a query with the benchmark's partition fan-out path.
 
         With an :class:`~repro.resilience.admission.OverloadPolicy`
         configured, a refused query returns a
@@ -310,7 +310,7 @@ class SearchService:
     def close(self) -> None:
         """Deterministically release the ISN's execution resources.
 
-        Shuts down the fan-out thread pool, joins worker processes, and
+        Shuts down a hedging thread pool, joins worker processes, and
         unlinks the shared-memory index segment (process backend).
         Using the service as a context manager is equivalent.
         """

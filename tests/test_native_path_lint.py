@@ -126,3 +126,58 @@ class TestOneTimingDerivation:
             + timings.fanout_seconds
             + timings.merge_seconds
         )
+
+
+class TestPoolOnlyUnderHedging:
+    """The thread pool is hedging's: one construction site, guarded by
+    the hedging check, and the merge no longer goes through a heap."""
+
+    ISN = SRC_ROOT / "repro" / "engine" / "isn.py"
+    #: ``isn.py`` at the commit that moved policy-free queries onto the
+    #: caller's thread; ROADMAP item 2(iv) wants it smaller, not larger.
+    ISN_LINES = 1041
+
+    def _pool_sites(self, source: str):
+        """(line, guarding ``if`` tests) of each ThreadPoolExecutor(...)."""
+        sites = []
+
+        def visit(node, guards):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "ThreadPoolExecutor"
+            ):
+                sites.append((node.lineno, guards))
+            for name, value in ast.iter_fields(node):
+                children = value if isinstance(value, list) else [value]
+                inner = guards
+                if isinstance(node, ast.If) and name == "body":
+                    inner = guards + [ast.unparse(node.test)]
+                for child in children:
+                    if isinstance(child, ast.AST):
+                        visit(child, inner)
+
+        visit(ast.parse(source), [])
+        return sites
+
+    def test_one_pool_site_guarded_by_the_hedging_check(self):
+        sites = self._pool_sites(self.ISN.read_text())
+        assert len(sites) == 1, sites
+        _, guards = sites[0]
+        assert "self.hedging is not None" in guards, guards
+
+    def test_lint_sees_an_unguarded_pool(self):
+        """Self-test: a pool built outside the check is reported as such."""
+        planted = (
+            "if self.hedging is not None:\n"
+            "    pass\n"
+            "else:\n"
+            "    pool = ThreadPoolExecutor(max_workers=2)\n"
+        )
+        assert self._pool_sites(planted) == [(4, [])]
+
+    def test_merger_does_not_import_the_heap(self):
+        merger = SRC_ROOT / "repro" / "search" / "merger.py"
+        assert "TopKHeap" not in merger.read_text()
+
+    def test_isn_module_does_not_grow(self):
+        lines = len(self.ISN.read_text().splitlines())
+        assert lines <= self.ISN_LINES, lines
