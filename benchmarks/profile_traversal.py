@@ -6,8 +6,9 @@ queries and calls ``Searcher.search(text, k=10)`` on the shard's index
 directly — parse, gather and merge are inside the noise on these
 workloads, so this *is* the service time.  Prints the per-query floor
 without the profiler, then the profiled call count per unit of work (a
-posting for the exhaustive merge, a loop turn for the pivot kernel) and
-the top 20 functions by own time.
+posting for the exhaustive merge, a candidate document — scored or
+dropped by its block bound — for resident Block-Max WAND) and the top
+20 functions by own time.
 
 ``benchmarks/results/profile_daat_traversal.txt`` and
 ``profile_bmw_traversal.txt`` hold the output of
@@ -42,10 +43,7 @@ FLOOR_PASSES = 7
 #: workload -> (unit of work, the traversal counters that add up to it).
 WORK = {
     "daat_1p": ("posting", ("daat.postings_traversed",)),
-    "bmw_1p": (
-        "loop turn",
-        ("wand.docs_scored", "wand.pivot_skips", "wand.block_skips"),
-    ),
+    "bmw_1p": ("candidate", ("wand.docs_scored", "wand.block_skips")),
 }
 
 

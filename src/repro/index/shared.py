@@ -374,7 +374,10 @@ def attach_shared_index(
     shm_path = os.path.join("/dev/shm", spec.shm_name.lstrip("/"))
     if os.path.exists(shm_path):
         mapped = np.memmap(shm_path, dtype=np.int64, mode="r")
-        words: np.ndarray = mapped
+        # Plain (read-only) ndarray views: slices of an ``np.memmap``
+        # stay memmaps, and every numpy op on one runs the subclass's
+        # Python ``__array_finalize__``.  The handle keeps the map alive.
+        words = mapped.view(np.ndarray)
         handle = AttachedSegment(mapped, mapped._mmap.close)
     else:  # pragma: no cover - non-Linux fallback
         shm = shared_memory.SharedMemory(name=spec.shm_name)

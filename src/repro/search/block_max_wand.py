@@ -1,39 +1,51 @@
 """Block-Max WAND early-terminated disjunctive evaluation.
 
-Block-Max WAND (Ding & Suel, SIGIR 2011) refines WAND's pruning with
-*per-block* score upper bounds.  Plain WAND compares the heap threshold
-against term-global bounds, which are hopelessly loose for common
-terms: one high-tf posting anywhere in a list inflates the bound for
-the entire list.  BMW instead consults the
+Block-Max WAND (Ding & Suel, SIGIR 2011) prunes with *per-block* score
+upper bounds.  Term-global bounds are hopelessly loose for common
+terms — one high-tf posting anywhere in a list inflates the bound for
+the entire list — so BMW consults the
 :class:`~repro.index.blockmax.BlockMetadata` the index keeps per
-postings block (last doc id, max tf, min doc length):
+postings block (last doc id, max tf, min doc length) instead.  It runs
+two ways, with the same answer:
 
-1. **Shallow pointer movement** — per-cursor block pointers advance
-   over the block summaries (a ``bisect`` only when the pointer's block
-   ends before the pivot) without touching postings.
-2. **Deep descent only into candidate blocks** — the pivot document is
-   scored only when the *sum of local block bounds* can still beat the
-   threshold; otherwise the traversal jumps every contributing cursor
-   past the earliest block boundary in one skip.
-3. **Vectorized block scoring** — on first descent into a block the
-   whole block's contributions are computed with the scorer's
-   ``score_block`` and memoized, so repeated hits in a hot block cost
-   a list index.
+**Resident index: a candidate generator in front of DAAT's merge.**
+Every postings list is in memory, so the per-block bounds of all query
+terms are computed at once and decide, as arrays, which documents are
+worth scoring (a block-max variant of Turtle & Flood's MaxScore and its
+essential lists):
 
-The loop itself is :func:`repro.search.wand._traverse` with the block
-stage on; this module adds the block summaries and, for a tiered index,
-the paged cursor.
+1. *Threshold θ* — the k-th largest single-term contribution,
+   maximised over the terms.  Contributions are ≥ 0 (BM25, TF-IDF), so
+   at least k documents score ≥ θ and a document below θ cannot enter
+   the top-k.  With any negative contribution θ is −∞ and nothing is
+   pruned.
+2. *Essential split* — the terms sorted by their largest block bound
+   M_t; the largest low-M set whose bounds, summed in query-term order,
+   stay strictly below θ is non-essential: a document found only there
+   cannot reach θ.  The candidates are the documents of the essential
+   lists.
+3. *Block-bound filter* — each candidate's bound is the sum, in term
+   order, of every term's bound for the one block that could hold it;
+   a candidate whose bound is below θ is dropped (ties descend).
+4. *Scoring* — every posting of every term whose document survived
+   goes through :func:`repro.search.daat._merge_postings` and
+   :func:`~repro.search.topk.select_top_k`, the kernel exhaustive DAAT
+   uses.
 
-Pivot selection is identical to :func:`repro.search.wand.score_wand`
-(global bounds, strict ``>`` test — safe because BM25's global bound is
-a strict supremum for ``k1 > 0``).  Block bounds, by contrast, are
-*achievable*: ``score(max_tf, min_doc_length)`` is attained whenever
-one posting realizes both extremes, and the top-k heap admits
-threshold-tied documents with smaller doc ids.  The block-skip test is
-therefore strict the other way: skip only when ``block_upper <
-threshold``, descend on ties.  Under these rules BMW returns the same
-top-k — ids *and* bit-identical scores — as exhaustive DAAT, while
-scoring a subset of the documents plain WAND scores.
+Float rounding is monotone, so a bound summed in term order is at
+least the document's float score summed in the same order; and the
+merge sums each document in term order, so scores are DAAT's bit for
+bit.  ``docs_scored`` counts the survivors, ``block_skips`` the
+candidates the block bounds dropped; there are no pivots.
+
+**Tiered index: the pivot kernel.**  Postings are paged in
+block-at-a-time, and the point is to fetch only the blocks the
+traversal descends into, so tiered BMW runs
+:func:`repro.search.wand._traverse` with the block stage on over
+:class:`_PagedCursor`s: shallow pointer movement over the resident
+block summaries, deep descent (and a fetch) only where the summed local
+block bounds can still reach the heap threshold — skip when
+``block_upper < threshold``, descend on ties.
 """
 
 from __future__ import annotations
@@ -44,26 +56,24 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from repro.index.inverted import InvertedIndex
+from repro.search.daat import _merge_postings
 from repro.search.query import ParsedQuery, QueryMode
-from repro.search.scoring import BM25Scorer, resolve_idf
+from repro.search.scoring import BM25Scorer, _vector_scores, resolve_idf
 from repro.search.strategy import TraversalStats
-from repro.search.topk import SearchHit
-from repro.search.wand import (
-    _block_scores,
-    _Cursor,
-    _ResidentCursor,
-    _traverse,
-)
+from repro.search.topk import SearchHit, select_top_k
+from repro.search.wand import _block_scores, _Cursor, _traverse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
+
+#: The bound a term gives a document past its last block.
+_NO_BLOCK = np.zeros(1)
 
 
 class _PagedCursor(_Cursor):
     """A block-max cursor over tiered (paged) postings.
 
-    Same interface and same traversal arithmetic as the resident
-    cursor, but the postings live behind a
+    The postings live behind a
     :class:`~repro.index.store.TieredPostings` view and are paged in
     block-at-a-time.  The trick that makes paging cheap is **shallow
     seeking**: the resident per-block first/last doc ids locate the
@@ -74,9 +84,9 @@ class _PagedCursor(_Cursor):
     descent pages the block in, so the traversal fetches exactly the
     blocks it descends into.
 
-    Because the resolved (block, offset) sequence — and the per-block
-    score lists — are identical to the resident cursor's, results stay
-    bit-identical; only the I/O schedule changes.
+    Per-block score lists come from the same ``score_block`` call a
+    resident scan makes, so scores are bit-identical; only the I/O
+    schedule is the cursor's own.
     """
 
     __slots__ = (
@@ -107,8 +117,8 @@ class _PagedCursor(_Cursor):
     def seek(self, target: int) -> Optional[int]:
         """Advance to the first posting with doc id >= ``target``.
 
-        Same contract as the resident cursor's ``seek``; pages a block
-        in only when the target lands strictly inside it.
+        Returns the new ``cur`` (``None`` when the list is exhausted);
+        pages a block in only when the target lands strictly inside it.
         """
         cur = self.cur
         if cur >= target:
@@ -146,6 +156,121 @@ class _PagedCursor(_Cursor):
         return self.scores[self.offset]
 
 
+def _score_resident(
+    index: InvertedIndex,
+    query: ParsedQuery,
+    scorer,
+    max_docs_scored: Optional[int],
+    metrics: Optional["MetricsRegistry"],
+    stats: Optional[TraversalStats],
+) -> List[SearchHit]:
+    """Block-max candidate generation + DAAT's merge (module docstring)."""
+    k = query.k
+    doc_lengths = index.doc_lengths
+    id_lists: List[np.ndarray] = []
+    score_lists: List[np.ndarray] = []
+    block_ends: List[np.ndarray] = []
+    block_bounds: List[np.ndarray] = []
+    maxima: List[float] = []
+    negative = False
+    for term in query.terms:
+        info = index.term_info(term)
+        if info is None:
+            continue
+        postings = index.postings_for_id(info.term_id)
+        if len(postings) == 0:
+            continue
+        idf = resolve_idf(scorer, term, info.document_frequency)
+        doc_ids = postings.doc_ids
+        scores = _vector_scores(
+            scorer, postings.frequencies, doc_lengths[doc_ids], idf
+        )
+        negative = negative or scores.min() < 0.0
+        blocks = index.block_metadata_for_id(info.term_id)
+        bounds = blocks.max_scores(scorer, idf)
+        id_lists.append(doc_ids)
+        score_lists.append(scores)
+        block_ends.append(blocks.last_doc_ids)
+        block_bounds.append(bounds)
+        maxima.append(float(bounds.max()))
+    if not id_lists:
+        return []
+
+    # θ: the k-th largest contribution of the best term.  A term's k-th
+    # contribution is at most its M_t, so once M_t <= θ (taking terms
+    # by M_t, highest first) no further partition can raise θ.
+    threshold = -np.inf
+    terms = range(len(id_lists))
+    by_bound = sorted(terms, key=maxima.__getitem__)
+    if not negative:
+        for term in reversed(by_bound):
+            if maxima[term] <= threshold:
+                break
+            size = len(score_lists[term])
+            if size >= k:
+                kth = np.partition(score_lists[term], size - k)[size - k]
+                threshold = max(threshold, kth)
+
+    # Essential split: grow the non-essential set from the lowest M_t
+    # while its bounds, summed in query-term order, stay below θ.
+    essential = set(terms)
+    for term in by_bound:
+        rest = essential - {term}
+        if not sum(maxima[t] for t in terms if t not in rest) < threshold:
+            break
+        essential = rest
+
+    # The candidates: the union of the essential lists, from one sort.
+    if len(essential) == 1:
+        candidates = id_lists[min(essential)]
+    else:
+        candidates = np.sort(
+            np.concatenate([id_lists[term] for term in sorted(essential)])
+        )
+        distinct = np.ones(len(candidates), dtype=bool)
+        np.not_equal(candidates[1:], candidates[:-1], out=distinct[1:])
+        candidates = candidates[distinct]
+
+    # Block-bound filter: each term's bound for the block that could
+    # hold the candidate, summed in term order; a candidate past a
+    # list's last block gets 0.0 from that term.
+    survivors = candidates
+    if threshold > -np.inf:
+        upper = 0.0
+        for term in terms:
+            upper = upper + np.concatenate((block_bounds[term], _NO_BLOCK))[
+                block_ends[term].searchsorted(candidates)
+            ]
+        survivors = candidates[upper >= threshold]
+    block_skips = len(candidates) - len(survivors)
+    truncated = max_docs_scored is not None and len(survivors) > max_docs_scored
+    if truncated:
+        # Deadline budget: score the first survivors in doc-id order.
+        survivors = survivors[:max_docs_scored]
+
+    # Every posting of a surviving document, term by term, into the merge.
+    surviving = np.zeros(index.num_documents, dtype=bool)
+    surviving[survivors] = True
+    hit_ids: List[np.ndarray] = []
+    hit_scores: List[np.ndarray] = []
+    for doc_ids, scores in zip(id_lists, score_lists):
+        kept = surviving[doc_ids]
+        hit_ids.append(doc_ids[kept])
+        hit_scores.append(scores[kept])
+    documents, totals, _ = _merge_postings(hit_ids, hit_scores)
+
+    docs_scored = len(survivors)
+    if stats is not None:
+        stats.docs_scored += docs_scored
+        stats.block_skips += block_skips
+        stats.truncated = stats.truncated or truncated
+    if metrics is not None:
+        metrics.counter("wand.docs_scored").add(docs_scored)
+        metrics.counter("wand.pivot_skips").add(0)
+        metrics.counter("wand.block_skips").add(block_skips)
+    return select_top_k(documents, totals, k)
+
+
 def score_block_max_wand(
     index: InvertedIndex,
     query: ParsedQuery,
@@ -164,11 +289,12 @@ def score_block_max_wand(
     the same per-query numbers.
 
     ``max_docs_scored`` is the deadline scheduler's early-termination
-    depth: the traversal stops once that many documents have been
-    fully scored and returns the best-so-far heap (an *approximate*
-    top-k).  ``None`` — the default — keeps the exact traversal, bit
-    identical to exhaustive DAAT.  A truncated run sets
-    ``stats.truncated``.
+    depth: the traversal scores at most that many documents — on a
+    resident index the first survivors of the block-bound filter in
+    doc-id order, on a tiered one the first the pivot loop reaches —
+    and returns the best of them (an *approximate* top-k).  ``None`` —
+    the default — keeps the exact traversal, bit identical to
+    exhaustive DAAT.  A truncated run sets ``stats.truncated``.
     """
     if query.mode is not QueryMode.OR:
         raise ValueError("score_block_max_wand supports OR queries only")
@@ -181,11 +307,13 @@ def score_block_max_wand(
             num_documents=index.num_documents,
             average_doc_length=index.average_doc_length,
         )
+    if not hasattr(index, "tiered_postings_for_id"):
+        return _score_resident(
+            index, query, scorer, max_docs_scored, metrics, stats
+        )
 
-    # A tiered index pages postings block-at-a-time: use the paged
-    # cursor so this traversal fetches only the blocks it descends
-    # into.  Resident indexes keep the direct-array cursor.
-    paged = hasattr(index, "tiered_postings_for_id")
+    # A tiered index pages postings block-at-a-time: the pivot kernel
+    # over paged cursors fetches only the blocks it descends into.
     cursors: List[_Cursor] = []
     stride = len(query.terms)
     for rank, term in enumerate(query.terms):
@@ -198,24 +326,17 @@ def score_block_max_wand(
         idf = resolve_idf(scorer, term, info.document_frequency)
         # Per (query, term), O(blocks): the summaries the shallow
         # pointer steers by, as Python lists the loop can index cheaply.
-        state = (
-            idf,
-            scorer.max_score(idf),
-            rank,
-            stride,
-            blocks.last_doc_ids.tolist(),
-            blocks.max_scores(scorer, idf).tolist(),
+        cursors.append(
+            _PagedCursor(
+                index.tiered_postings_for_id(info.term_id),
+                idf,
+                scorer.max_score(idf),
+                rank,
+                stride,
+                blocks.last_doc_ids.tolist(),
+                blocks.max_scores(scorer, idf).tolist(),
+            )
         )
-        if paged:
-            cursors.append(
-                _PagedCursor(index.tiered_postings_for_id(info.term_id), *state)
-            )
-        else:
-            cursors.append(
-                _ResidentCursor(
-                    index.postings_for_id(info.term_id), index.block_size, *state
-                )
-            )
     if not cursors:
         return []
     return _traverse(

@@ -15,7 +15,7 @@ order and stably sorted by doc id, which is exactly the order in which a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,40 @@ from repro.search.topk import SearchHit, select_top_k
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
+
+
+def _merge_postings(
+    id_lists: List[np.ndarray], score_lists: List[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The array merge: every document's score from its terms' postings.
+
+    ``id_lists``/``score_lists`` hold one doc-sorted list per query term,
+    in query-term order.  Returns the distinct doc ids (ascending), each
+    one's summed contribution, and how many lists matched it.  This is
+    the one scoring kernel: exhaustive DAAT feeds it every posting,
+    resident Block-Max WAND only the postings of the documents its
+    block bounds let through.
+    """
+    ids = np.concatenate(id_lists)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    contributions = np.concatenate(score_lists)[order]
+
+    # One segment per candidate document, its postings in term order.
+    is_start = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    matched = np.append(starts[1:], len(ids)) - starts
+
+    # Sum each document's contributions one term at a time from 0.0, as
+    # a scalar loop would: reduceat may add pairwise, which rounds
+    # differently and would break bit-identity with TAAT and the WAND
+    # family.
+    totals = 0.0 + contributions[starts]
+    for position in range(1, int(matched.max())):
+        more = np.flatnonzero(matched > position)
+        totals[more] += contributions[starts[more] + position]
+    return ids[starts], totals, matched
 
 
 def score_daat(
@@ -82,35 +116,18 @@ def score_daat(
         # nothing.
         return []
 
-    ids = np.concatenate(id_lists)
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    contributions = np.concatenate(score_lists)[order]
-
-    # One segment per candidate document, its postings in term order.
-    is_start = np.ones(len(ids), dtype=bool)
-    np.not_equal(ids[1:], ids[:-1], out=is_start[1:])
-    starts = np.flatnonzero(is_start)
-    matched = np.append(starts[1:], len(ids)) - starts
-
-    # Sum each document's contributions one term at a time from 0.0, as
-    # a scalar loop would: reduceat may add pairwise, which rounds
-    # differently and would break bit-identity with TAAT and the WAND
-    # family.
-    totals = 0.0 + contributions[starts]
-    for position in range(1, int(matched.max())):
-        more = np.flatnonzero(matched > position)
-        totals[more] += contributions[starts[more] + position]
-
-    candidates = ids[starts]
+    candidates, totals, matched = _merge_postings(id_lists, score_lists)
+    scored = len(candidates)
     if query.mode is QueryMode.AND:
         required = matched >= len(query.terms)
         candidates, totals = candidates[required], totals[required]
 
     if stats is not None:
-        stats.docs_scored += len(starts)
+        stats.docs_scored += scored
     if metrics is not None:
-        metrics.counter("daat.postings_traversed").add(len(ids))
-        metrics.counter("daat.candidates_scored").add(len(starts))
+        metrics.counter("daat.postings_traversed").add(
+            sum(len(doc_ids) for doc_ids in id_lists)
+        )
+        metrics.counter("daat.candidates_scored").add(scored)
         metrics.counter("daat.heap_offers").add(len(candidates))
     return select_top_k(candidates, totals, query.k)

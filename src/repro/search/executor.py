@@ -72,8 +72,8 @@ class SearchResult:
         Documents fully scored by the traversal, or None when the
         algorithm does not report it (taat).
     blocks_skipped:
-        Block-level skips taken by block-max traversal; None for
-        algorithms without block metadata.
+        What block-max bounds pruned (``TraversalStats.block_skips``);
+        None for algorithms without block metadata.
     blocks_fetched / bytes_read:
         Postings blocks paged in from the block store while evaluating
         this query, and their encoded bytes; None on a fully-resident
@@ -174,7 +174,7 @@ class Searcher:
 
         ``max_docs_scored`` is the deadline scheduler's early-
         termination depth — honoured by ``block_max_wand`` (which
-        returns the best-so-far heap once the budget is spent) and
+        scores at most that many documents and returns the best) and
         ignored by the exhaustive/WAND traversals, whose work is not
         budgetable without changing their result contract.
         """

@@ -12,12 +12,15 @@ reproduction:
    vs. dynamically-pruned evaluation under partitioning.
 
 The pivot loop lives here once (:func:`_traverse`) and serves plain
-WAND, resident Block-Max WAND and tiered Block-Max WAND
-(:mod:`repro.search.block_max_wand` turns the block stage on and, on a
-tiered index, supplies the paged cursor).  It is written for the
-interpreter: everything the loop reads per turn is a plain ``int`` /
-``float`` slot or a Python list built once per (query, term); numpy is
-touched only inside ``seek`` and on first descent into a block.
+WAND and tiered Block-Max WAND (:mod:`repro.search.block_max_wand`
+turns the block stage on and supplies the paged cursor).  Resident
+Block-Max WAND does not turn it: it chooses its documents with array
+block bounds and scores them with exhaustive DAAT's merge, which
+leaves plain WAND's pivot sequence as the independent oracle for the
+whole pruning family.  The loop is written for the interpreter:
+everything it reads per turn is a plain ``int`` / ``float`` slot or a
+Python list built once per (query, term); numpy is touched only inside
+``seek`` and on first descent into a block.
 """
 
 from __future__ import annotations

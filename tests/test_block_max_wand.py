@@ -7,6 +7,8 @@ scores) on every corpus.  These tests assert that over randomized
 corpora, block sizes, and k, including global-statistics scoring.
 """
 
+import cProfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from repro.corpus.documents import Document, DocumentCollection
 from repro.index.blockmax import DEFAULT_BLOCK_SIZE, BlockMetadata
 from repro.index.builder import IndexBuilder
+from repro.index.store import tier_index
 from repro.search.block_max_wand import score_block_max_wand
 from repro.search.daat import score_daat
 from repro.search.query import ParsedQuery
@@ -156,7 +159,13 @@ class TestTraversalEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(documents_strategy, query_strategy, block_size_strategy)
     def test_bmw_never_scores_more_than_wand(self, texts, terms, block_size):
-        index = build_index(texts, block_size=block_size)
+        # "Fewer than WAND" is a property of the dynamic-threshold pivot
+        # kernel, which Block-Max WAND runs on a tiered index; resident
+        # BMW's static threshold is checked against exhaustive DAAT in
+        # TestResidentGeneratorOracle instead.
+        index = tier_index(
+            build_index(texts, block_size=block_size), cache_budget_bytes=1 << 16
+        )
         query = ParsedQuery(terms=tuple(terms), k=3)
         wand_stats = TraversalStats()
         bmw_stats = TraversalStats()
@@ -204,6 +213,201 @@ class TestTraversalEquivalence:
         daat = as_pairs(score_daat(index, query, scorer))
         assert as_pairs(score_block_max_wand(index, query, scorer)) == daat
         assert as_pairs(score_wand(index, query, scorer)) == daat
+
+
+#: Queries may repeat a term and name terms no document has.
+oracle_query_strategy = st.lists(
+    st.sampled_from(["alpha", "beta", "gamma", "delta", "absent", "missing"]),
+    min_size=1,
+    max_size=5,
+)
+#: Random corpora, and a few documents copied many times: exact score
+#: ties everywhere, the k-th place included.
+oracle_documents_strategy = st.one_of(
+    documents_strategy,
+    st.tuples(
+        st.lists(
+            st.lists(words, min_size=1, max_size=4).map(" ".join),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(min_value=1, max_value=30),
+    ).map(lambda pair: pair[0] * pair[1]),
+)
+SCORERS = ("bm25", "global", "tfidf", "negative")
+
+
+def make_scorer(name, index):
+    """The scorers resident BMW must agree with DAAT under."""
+    if name == "tfidf":
+        return TfIdfScorer(num_documents=index.num_documents)
+    terms = list(index.dictionary.terms())
+    if name == "global":
+        return global_bm25_scorer(
+            num_documents=index.num_documents * 3,
+            average_doc_length=index.average_doc_length,
+            term_document_frequencies={
+                term: min(index.num_documents * 2, 1 + 2 * i)
+                for i, term in enumerate(terms)
+            },
+        )
+    scorer = BM25Scorer(
+        num_documents=index.num_documents,
+        average_doc_length=index.average_doc_length,
+    )
+    if name == "negative":
+        # Negative contributions void the threshold and the block
+        # bounds: the generator must fall back to scoring every match.
+        return BM25Scorer(
+            num_documents=index.num_documents,
+            average_doc_length=index.average_doc_length,
+            term_idf={
+                term: (-1.0 if i % 2 else 1.0) * scorer.idf(i + 1)
+                for i, term in enumerate(terms)
+            },
+        )
+    return scorer
+
+
+class TestResidentGeneratorOracle:
+    """Resident Block-Max WAND against exhaustive DAAT, query by query.
+
+    On a resident index BMW is a candidate generator in front of DAAT's
+    own merge, so it must return ``score_daat``'s hits exactly — ids and
+    float64 scores compared with ``==`` — and can only ever score a
+    subset of DAAT's candidates.
+    """
+
+    @staticmethod
+    def check(index, query, scorer):
+        daat_stats, bmw_stats = TraversalStats(), TraversalStats()
+        daat = score_daat(index, query, scorer, stats=daat_stats)
+        bmw = score_block_max_wand(index, query, scorer, stats=bmw_stats)
+        assert as_pairs(bmw) == as_pairs(daat), query
+        for hit in bmw:
+            assert type(hit.doc_id) is int and type(hit.score) is float
+        # Every candidate is either scored or dropped by its block
+        # bound, and the candidates are a subset of DAAT's.
+        assert bmw_stats.docs_scored <= daat_stats.docs_scored
+        assert (
+            bmw_stats.docs_scored + bmw_stats.block_skips
+            <= daat_stats.docs_scored
+        )
+        assert bmw_stats.pivot_skips == 0
+        assert not bmw_stats.truncated
+        return bmw_stats, daat_stats
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        oracle_documents_strategy,
+        oracle_query_strategy,
+        st.sampled_from([2, 4, 128]),
+        st.sampled_from([1, 2, 3, 5, 10, 1000]),
+        st.sampled_from(SCORERS),
+    )
+    def test_equals_daat(self, texts, terms, block_size, k, scorer):
+        index = build_index(texts, block_size=block_size)
+        query = ParsedQuery(terms=tuple(terms), k=k)
+        self.check(index, query, make_scorer(scorer, index))
+
+    TIES = [
+        "bird",
+        "cat dog",
+        "cat dog",
+        "cat cat dog fish fish",
+        "cat dog",
+        "dog cat",
+        "cat",
+        "cat dog",
+        "fish",
+    ]
+
+    @pytest.mark.parametrize("block_size", [2, 4, 128])
+    @pytest.mark.parametrize("scorer", ["bm25", "tfidf"])
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_ties_at_the_kth_score(self, k, scorer, block_size):
+        index = build_index(self.TIES, block_size=block_size)
+        query = ParsedQuery(terms=("cat", "dog", "fish"), k=k)
+        self.check(index, query, make_scorer(scorer, index))
+
+    @pytest.mark.parametrize(
+        "terms",
+        [("alpha",), ("absent", "missing"), ("alpha", "absent", "alpha")],
+        ids=["single-term", "all-oov", "repeated-with-oov"],
+    )
+    @pytest.mark.parametrize("k", [1, 3, 1000])
+    def test_query_shapes(self, terms, k):
+        texts = [f"alpha {'beta ' * (i % 4)}gamma{i % 3}" for i in range(40)]
+        index = build_index(texts, block_size=4)
+        query = ParsedQuery(terms=terms, k=k)
+        bmw_stats, daat_stats = self.check(
+            index, query, make_scorer("bm25", index)
+        )
+        if k == 1000:  # k beyond the matches: nothing can be pruned
+            assert bmw_stats.docs_scored == daat_stats.docs_scored
+
+    def test_bmw_never_scores_more_than_exhaustive(self, small_index):
+        by_length = sorted(
+            small_index.dictionary.terms(),
+            key=lambda term: (-small_index.document_frequency(term), term),
+        )
+        scorer = make_scorer("bm25", small_index)
+        pruned = 0
+        for size in range(1, 7):
+            for terms in (by_length[:size], by_length[20 * size : 21 * size]):
+                query = ParsedQuery(terms=tuple(terms), k=10)
+                bmw_stats, daat_stats = self.check(small_index, query, scorer)
+                pruned += daat_stats.docs_scored - bmw_stats.docs_scored
+        assert pruned > 0
+
+
+def _profiled_calls(traverse, index, query) -> int:
+    profile = cProfile.Profile()
+    profile.enable()
+    traverse(index, query)
+    profile.disable()
+    return sum(entry.callcount for entry in profile.getstats())
+
+
+class TestCallCountIsPerTerm:
+    """A resident BMW query costs O(terms) interpreted calls, not O(postings).
+
+    cProfile counts Python-level and builtin calls exactly, so the same
+    query over the same document pattern at 1,000 and at 8,000
+    documents must make the same number of calls: everything per
+    posting, per block and per candidate runs inside numpy.  The pivot
+    kernel (plain WAND) is asserted to grow, so the guard cannot rot
+    into one nothing trips.
+    """
+
+    QUERY = ParsedQuery(terms=("alpha", "beta", "gamma", "absent"), k=10)
+
+    @staticmethod
+    def corpus(num_documents):
+        return build_index(
+            [
+                f"alpha {'beta ' * (i % 3)}{'gamma ' * (i % 5 == 0)}"
+                f"{'filler ' * (i % 7)}"
+                for i in range(num_documents)
+            ]
+        )
+
+    @pytest.fixture(scope="class")
+    def indexes(self):
+        return self.corpus(1_000), self.corpus(8_000)
+
+    def test_resident_bmw_calls_do_not_grow_with_postings(self, indexes):
+        small, large = (
+            _profiled_calls(score_block_max_wand, index, self.QUERY)
+            for index in indexes
+        )
+        assert small == large
+
+    def test_the_pivot_kernel_would_trip_it(self, indexes):
+        small, large = (
+            _profiled_calls(score_wand, index, self.QUERY) for index in indexes
+        )
+        assert large > small
 
 
 class TestMaxDocsScored:

@@ -28,6 +28,7 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,6 +122,33 @@ class TestSharedIndexAttach:
                 nonempty.doc_ids[0] = 99
             # Views, not copies: no postings array owns its memory.
             assert not nonempty.doc_ids.flags.owndata
+            segment.close()
+
+    def test_attached_arrays_are_plain_read_only_ndarrays(
+        self, small_collection
+    ):
+        # A memmap subclass would run Python __array_finalize__ on every
+        # numpy op over a postings or block view.
+        partitioned = partition_index(small_collection, 2)
+        with SharedIndexArena(partitioned) as arena:
+            attached, segment = attach_shared_index(arena.spec)
+            arrays = []
+            for shard in attached:
+                index = shard.index
+                arrays += [index.doc_lengths, shard.global_doc_ids]
+                for term_id, postings in enumerate(index.all_postings()):
+                    blocks = index.block_metadata_for_id(term_id)
+                    arrays += [
+                        postings.doc_ids,
+                        postings.frequencies,
+                        blocks.last_doc_ids,
+                        blocks.max_frequencies,
+                        blocks.min_doc_lengths,
+                    ]
+            assert arrays
+            for array in arrays:
+                assert type(array) is np.ndarray
+                assert not array.flags.writeable
             segment.close()
 
     def test_arena_close_unlinks_segment(self, small_collection):

@@ -181,3 +181,78 @@ class TestPoolOnlyUnderHedging:
     def test_isn_module_does_not_grow(self):
         lines = len(self.ISN.read_text().splitlines())
         assert lines <= self.ISN_LINES, lines
+
+
+def _function_calls(tree: ast.AST):
+    """``{function name: names it calls}`` for every def in ``tree``."""
+    calls = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            calls[node.name] = {
+                getattr(call.func, "id", getattr(call.func, "attr", None))
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+            }
+    return calls
+
+
+def _merge_sites(root: Path):
+    """``(module, function)`` of each stable argsort — the merge's sort."""
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "attr", None) == "argsort"
+                    and any(
+                        keyword.arg == "kind"
+                        and getattr(keyword.value, "value", None) == "stable"
+                        for keyword in call.keywords
+                    )
+                ):
+                    sites.append((path.stem, node.name))
+    return sites
+
+
+class TestOneScoringKernel:
+    """One array merge, two candidate generators.
+
+    Exhaustive DAAT feeds the merge every posting; resident Block-Max
+    WAND feeds it the postings of the documents its block bounds let
+    through.  The merge (concatenate → stable argsort → term-order
+    segment sums) is written once, and both callers use that one.
+    """
+
+    SEARCH = SRC_ROOT / "repro" / "search"
+
+    def test_the_merge_is_defined_once(self):
+        assert _merge_sites(self.SEARCH) == [("daat", "_merge_postings")]
+
+    def test_daat_and_resident_bmw_call_it(self):
+        daat = _function_calls(ast.parse((self.SEARCH / "daat.py").read_text()))
+        bmw = _function_calls(
+            ast.parse((self.SEARCH / "block_max_wand.py").read_text())
+        )
+        assert "_merge_postings" in daat["score_daat"]
+        assert "_merge_postings" in bmw["_score_resident"]
+        assert "_score_resident" in bmw["score_block_max_wand"]
+
+    def test_lint_sees_a_second_merge(self, tmp_path):
+        """Self-test: a copied merge elsewhere is reported."""
+        (tmp_path / "daat.py").write_text(
+            "def _merge_postings(ids):\n"
+            "    return ids.argsort(kind='stable')\n"
+        )
+        (tmp_path / "block_max_wand.py").write_text(
+            "import numpy as np\n"
+            "def _score_resident(ids):\n"
+            "    return np.argsort(ids, kind='stable')\n"
+        )
+        assert _merge_sites(tmp_path) == [
+            ("block_max_wand", "_score_resident"),
+            ("daat", "_merge_postings"),
+        ]

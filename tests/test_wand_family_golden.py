@@ -17,6 +17,15 @@ byte for byte.  Hits and counters are pinned together on purpose: a
 mis-seek can change the hits under identical counters.  A pin that
 moves is a behaviour change: either explain it and re-capture, or fix
 the regression.
+
+One re-capture so far, deliberate and for resident Block-Max WAND
+only: it became a block-max candidate generator in front of DAAT's
+merge (a static threshold instead of the heap's moving one, no
+pivots; ``block_skips`` counts dropped candidates, not jumped blocks).
+Its exact cases kept hits ``0fffca1996ddaaa5``; its depth-capped cases
+score the first survivors in doc-id order, so their approximate hits
+moved with the counters.  Every WAND pin and every tiered pin — hits,
+counters, blocks fetched, bytes read — stayed byte-identical.
 """
 
 import cProfile
@@ -154,19 +163,19 @@ GOLDEN = {
     ("wand", 128, "tiered", None):
         ("0fffca1996ddaaa5", "2ce1475dd4cea380", 4461, 895, 0, 0, 145, 20029),
     ("bmw", 4, "resident", None):
-        ("0fffca1996ddaaa5", "68b152d404d99d45", 2981, 582, 723, 0, 0, 0),
+        ("0fffca1996ddaaa5", "29e30d6779c7310d", 3570, 0, 536, 0, 0, 0),
     ("bmw", 4, "tiered", None):
         ("0fffca1996ddaaa5", "08d569e36335572a", 2981, 582, 723, 0, 1827, 22895),
     ("bmw", 128, "resident", None):
-        ("0fffca1996ddaaa5", "aa1dcdaf30fed2ea", 4409, 877, 39, 0, 0, 0),
+        ("0fffca1996ddaaa5", "3d0abb78ebb55d26", 4106, 0, 0, 0, 0, 0),
     ("bmw", 128, "tiered", None):
         ("0fffca1996ddaaa5", "268578d6a9ce76b8", 4409, 877, 39, 0, 144, 20000),
     ("bmw", 4, "resident", 1):
-        ("5ec3ae7f473201b0", "1566472c2876b0bd", 39, 0, 0, 39, 0, 0),
+        ("be90fbf64d45c38f", "2ca79798252ade78", 39, 0, 536, 39, 0, 0),
     ("bmw", 4, "resident", 10):
-        ("389b83a3a09dfc74", "a2ed1fe50f9ef6c1", 365, 0, 0, 35, 0, 0),
+        ("701135ffabb0520b", "b5b7501d9b610162", 365, 0, 536, 34, 0, 0),
     ("bmw", 4, "resident", 50):
-        ("a22b021780d3e9df", "86844291ff8c6525", 1508, 187, 139, 23, 0, 0),
+        ("6379cafc06376d15", "ce61de20476c7c68", 1417, 0, 536, 17, 0, 0),
     ("bmw", 4, "tiered", 1):
         ("5ec3ae7f473201b0", "48b49c0b999fcb35", 39, 0, 0, 39, 49, 581),
     ("bmw", 4, "tiered", 10):
@@ -174,11 +183,11 @@ GOLDEN = {
     ("bmw", 4, "tiered", 50):
         ("a22b021780d3e9df", "2b7e0c10403b884a", 1508, 187, 139, 23, 689, 8355),
     ("bmw", 128, "resident", 1):
-        ("5ec3ae7f473201b0", "1566472c2876b0bd", 39, 0, 0, 39, 0, 0),
+        ("1e45f2889234327a", "1566472c2876b0bd", 39, 0, 0, 39, 0, 0),
     ("bmw", 128, "resident", 10):
-        ("389b83a3a09dfc74", "a2ed1fe50f9ef6c1", 365, 0, 0, 35, 0, 0),
+        ("cf3b2d9dc6a7ce7c", "acbb9770368b48fc", 365, 0, 0, 34, 0, 0),
     ("bmw", 128, "resident", 50):
-        ("6fe4a8ad69dca042", "2feae134b88c1eb8", 1566, 173, 4, 24, 0, 0),
+        ("8c0a9d45a2fff3d7", "6db1fe62d891a93e", 1435, 0, 0, 17, 0, 0),
     ("bmw", 128, "tiered", 1):
         ("5ec3ae7f473201b0", "5e5a2f6bb927760e", 39, 0, 0, 39, 49, 8317),
     ("bmw", 128, "tiered", 10):
@@ -229,9 +238,12 @@ class TestInterpretiveOverhead:
     document, pivot skip or block skip).  The loops this kernel
     replaced read 62 (WAND) and 78 (Block-Max WAND) on this corpus — a
     property per cursor read, a Python-level ``np.searchsorted``
-    wrapper per seek; the kernel reads 7.2 and 7.3.  The ceiling sits
+    wrapper per seek; the kernel reads 7.2 for WAND.  The ceiling sits
     below what either of those habits alone would cost, which the last
-    two tests demonstrate by putting each back.
+    two tests demonstrate by putting each back.  Resident Block-Max
+    WAND no longer turns the loop (it reads 2.0: its calls are per
+    query term, which ``test_block_max_wand.TestCallCountIsPerTerm``
+    pins exactly).
     """
 
     CEILING = 10.0
