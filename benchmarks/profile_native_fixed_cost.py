@@ -1,9 +1,9 @@
 """Where the fixed cost of a policy-free native query goes.
 
-Two tables over the perf benchmark's reference corpus, built layer by
-layer as ``benchmarks/perf/layers.py`` builds it (thread backend, no
-policy, the first 30 queries of the reference replay stream, every
-number the mean over those queries of the per-query floor):
+Four tables over the perf benchmark's reference corpus, built layer by
+layer as ``benchmarks/perf/layers.py`` builds it (no policy, the first
+30 queries of the reference replay stream, every number the mean over
+those queries of the per-query floor):
 
 1. ``IndexServingNode.execute`` against ``execute_serial`` for
    {daat, block_max_wand} x 1/2/4 partitions at 3,000 and 16,000
@@ -16,6 +16,13 @@ number the mean over those queries of the per-query floor):
    node: ``execute`` minus ``Searcher.search``, split into ``_admit``,
    ``_gather`` (less the shard attempts inside it), ``_assemble`` and
    what is left to ``execute``/``_serve`` themselves.
+3. the process backend: DAAT ``execute`` on ``backend="processes"``
+   for P = 1/2/4 partitions and W = 1 and P - 1 workers, beside the
+   serial thread path at the same P, at 3,000 and 16,000 documents.
+4. the crossover: processes at P = 2 (one worker) against threads at
+   P = 1 over a ladder of corpus sizes, and the size at which the
+   process node starts to win — where intra-server partitioning begins
+   to pay on this host.
 
 ``benchmarks/results/profile_native_fixed_cost.txt`` holds the output of
 
@@ -36,10 +43,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "perf"))
 
 import workloads  # noqa: E402  (benchmarks/perf/workloads.py)
 from layers import Rig, item_floors  # noqa: E402  (benchmarks/perf/layers.py)
+from repro.engine.execution import ExecutionConfig  # noqa: E402
+from repro.engine.isn import IndexServingNode  # noqa: E402
 
 SIZES = (3_000, 16_000)
 ALGORITHMS = ("daat", "block_max_wand")
 PARTITIONS = (1, 2, 4)
+CROSSOVER_SIZES = (3_000, 8_000, 16_000, 24_000, 32_000)
 FLOOR_ROUNDS = 15
 FRAMES = ("_admit", "_gather", "_assemble")
 
@@ -48,15 +58,31 @@ def mean_us(floors) -> float:
     return 1e6 * sum(floors) / len(floors)
 
 
+def execute_us(rig: Rig, run) -> float:
+    """Mean over the probe queries of ``run(text)``'s per-query floor."""
+    return mean_us(item_floors(
+        lambda text: run(text, k=10), rig.probe_texts, FLOOR_ROUNDS
+    ))
+
+
+def process_us(rig: Rig, partitions: int, workers: int) -> float:
+    """``execute_us`` of a DAAT node on ``workers`` worker processes."""
+    with IndexServingNode(
+        rig.partitioned(partitions),
+        algorithm="daat",
+        execution=ExecutionConfig(backend="processes", workers=workers),
+    ) as node:
+        node.execute_batch(rig.probe_texts)  # attach and warm the workers
+        return execute_us(rig, node.execute)
+
+
 def fanout_table(rig: Rig) -> None:
     print(f"{rig.scale.docs} documents: execute / execute_serial, us per query")
     for algorithm in ALGORITHMS:
         for partitions in PARTITIONS:
             node = rig.isn(partitions, algorithm)
             execute, serial = (
-                mean_us(item_floors(
-                    lambda text: run(text, k=10), rig.probe_texts, FLOOR_ROUNDS
-                ))
+                execute_us(rig, run)
                 for run in (node.execute, node.execute_serial)
             )
             print(
@@ -116,15 +142,63 @@ def frame_budget(rig: Rig) -> None:
     print(f"    {'execute + _serve':<25}{mean_us(floors['rest']):7.1f}")
 
 
+def process_table(rig: Rig) -> None:
+    print(
+        f"{rig.scale.docs} documents: daat, execute on processes / "
+        "serial threads, us per query"
+    )
+    for partitions in PARTITIONS:
+        serial = execute_us(rig, rig.isn(partitions, "daat").execute_serial)
+        for workers in sorted({1, max(1, partitions - 1)}):
+            floor = process_us(rig, partitions, workers)
+            print(
+                f"  P={partitions} W={workers}  "
+                f"{floor:9.0f} {serial:9.0f}   x{floor / serial:.2f}"
+            )
+
+
+def crossover_table(rows) -> None:
+    """Where processes at P = 2 (W = 1) start to beat threads at P = 1.
+
+    ``rows`` holds ``(docs, processes_us, threads_us)``; the crossover
+    is interpolated linearly in the ratio between the two ladder sizes
+    that bracket 1.0.
+    """
+    print("processes P=2 W=1 / threads P=1, daat, us per query")
+    for docs, processes, threads in rows:
+        print(
+            f"  {docs:6d} documents  "
+            f"{processes:9.0f} {threads:9.0f}   x{processes / threads:.2f}"
+        )
+    ratios = [(docs, processes / threads) for docs, processes, threads in rows]
+    for (low, above), (high, below) in zip(ratios, ratios[1:]):
+        if above >= 1.0 > below:
+            docs = low + (high - low) * (above - 1.0) / (above - below)
+            print(f"  processes at P=2 win from ~{docs:,.0f} documents")
+            return
+    if ratios[0][1] < 1.0:
+        print(f"  processes at P=2 win already at {ratios[0][0]:,} documents")
+    else:
+        print(f"  threads at P=1 still win at {ratios[-1][0]:,} documents")
+
+
 def main() -> None:
-    for docs in SIZES:
+    crossover = []
+    for docs in sorted(set(SIZES) | set(CROSSOVER_SIZES)):
         rig = Rig(workloads.Scale(str(docs), docs=docs, sim_queries=0))
         try:
-            fanout_table(rig)
-            if docs == SIZES[0]:
-                frame_budget(rig)
+            if docs in SIZES:
+                fanout_table(rig)
+                if docs == SIZES[0]:
+                    frame_budget(rig)
+                process_table(rig)
+            crossover.append((
+                docs, process_us(rig, 2, 1),
+                execute_us(rig, rig.isn(1, "daat").execute),
+            ))
         finally:
             rig.close()
+    crossover_table(crossover)
 
 
 if __name__ == "__main__":

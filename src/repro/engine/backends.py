@@ -18,32 +18,41 @@ A backend is two methods:
 :class:`LocalBackend` searches the node's own searchers — inline, as
 completed futures on the caller's thread, or on a thread pool when a
 hedging policy needs attempts to overlap.
-:class:`ProcessBackend` scores GIL-free on a
-:class:`~repro.engine.mp.ProcessShardPool`, one IPC message per worker
-lane.  Both apply a :class:`~repro.resilience.faults.FaultInjector`
-parent-side, so a fault plan means the same thing on either.
+:class:`ProcessBackend` scores one lane on the caller's thread too and
+the others GIL-free on :class:`~repro.engine.mp.ProcessShardPool`
+workers, one IPC message per worker lane.  Both apply a
+:class:`~repro.resilience.faults.FaultInjector` parent-side, so a fault
+plan means the same thing on either.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from concurrent.futures import Executor, Future
-from functools import partial
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.engine.mp import ProcessShardPool, WorkItem
 from repro.resilience.faults import FaultInjector, InjectedFault
 
 
+def _done(result=None, error: Optional[Exception] = None) -> Future:
+    """A finished future holding ``result``, or raising ``error``."""
+    future: Future = Future()
+    if error is None:
+        future.set_result(result)
+    else:
+        future.set_exception(error)
+    return future
+
+
 def _run_inline(function, *args) -> Future:
     """Call ``function`` now; hand back its outcome as a done future."""
-    future: Future = Future()
     try:
-        future.set_result(function(*args))
+        return _done(function(*args))
     except Exception as exc:
-        future.set_exception(exc)
-    return future
+        return _done(error=exc)
 
 
 class LocalBackend:
@@ -99,36 +108,43 @@ class LocalBackend:
         )
         start = time.perf_counter()
         result = self._searchers[shard].search(query, cancel=cancel, **depth)
-        end = time.perf_counter()
-        if self._faults is not None:
-            self._faults.slowdown_sleep(shard, end - start)
-            end = time.perf_counter()
-        return result, start, end
+        return result, start, self._padded(shard, start, time.perf_counter())
+
+    def _padded(self, shard, start, end) -> float:
+        """``end``, moved out by the slowdown injected into ``shard``."""
+        if self._faults is None:
+            return end
+        self._faults.slowdown_sleep(shard, end - start)
+        return time.perf_counter()
 
 
-class ProcessBackend:
-    """Attempts on a :class:`~repro.engine.mp.ProcessShardPool`.
+class ProcessBackend(LocalBackend):
+    """Attempts on the caller's thread and a process pool's workers.
 
-    One ``submit`` call is dealt into contiguous chunks, one IPC message
-    each: enough chunks that every worker gets one, none larger than
-    ``batch_size`` items — a query's shards spread across the workers,
-    a batch amortizes the round-trip over ``batch_size`` scoring calls.
-    The dispatch protocol carries neither a cancellation token nor a
-    depth cap: a worker already scoring cannot be interrupted (the
-    gather discards its late answer).  ``crash_retries`` re-dispatches a
-    chunk whose worker died that many times before the typed
-    :class:`~repro.engine.mp.WorkerCrashError` reaches its futures.
+    One ``submit`` call is dealt into contiguous chunks, one lane per
+    worker plus one for the caller, none larger than ``batch_size``
+    items.  The calling thread sends a chunk to each worker it can check
+    out, scores the first chunk on the node's own searchers, receives
+    the replies, and gives leftover chunks to whichever side frees
+    first; a chunk no worker is idle for, it scores itself.  A single
+    item — the resilient gather's unit — goes to a worker; under a
+    hedging policy each is dispatched from its own pool thread.  A
+    worker cannot be cancelled or depth-capped (the gather discards a
+    late answer), and a chunk whose worker died is re-sent
+    ``crash_retries`` times before its items fail.
     """
 
     def __init__(
         self,
+        searchers: list,
         pool: ProcessShardPool,
         batch_size: int,
+        executor: Optional[Executor] = None,
         faults: Optional[FaultInjector] = None,
     ):
+        super().__init__(searchers, executor, faults)
         self._pool = pool
         self._batch_size = batch_size
-        self._faults = faults
 
     def submit(
         self,
@@ -137,46 +153,83 @@ class ProcessBackend:
         max_docs_scored: Optional[int] = None,
         crash_retries: int = 0,
     ) -> List[Future]:
-        futures: List[Future] = [Future() for _ in items]
-        for future in futures:
-            # Dispatch is immediate, so an attempt is never cancellable.
-            future.set_running_or_notify_cancel()
-        try:
-            if self._faults is not None:
-                for shard, _ in items:
-                    self._faults.before_search(shard)
-        except InjectedFault as exc:
-            for future in futures:  # a submission fails as one
-                future.set_exception(exc)
-            return futures
-        lanes = min(self._pool.num_workers, len(items))
-        size = min(self._batch_size, -(-len(items) // lanes))
-        for lo in range(0, len(items), size):
-            self._pool.submit_batch(
-                items[lo : lo + size], crash_retries=crash_retries
-            ).add_done_callback(
-                partial(self._deliver, futures[lo : lo + size])
-            )
-        return futures
+        args = (cancel, max_docs_scored, crash_retries)
+        if self._executor is None:
+            return self._dispatch(items, *args)
+        return [
+            self._executor.submit(self._dispatch_one, item, *args)
+            for item in items
+        ]
 
     def close(self) -> None:
+        super().close()
         self._pool.close()
 
-    def _deliver(self, futures: List[Future], batch: Future) -> None:
-        """Scatter one chunk's reply (or its error) onto the item futures.
+    def _dispatch_one(self, item: WorkItem, *args):
+        return self._dispatch([item], *args)[0].result()
 
-        Runs on the chunk's dispatcher thread, so an injected slowdown
-        holds that worker lane for the padded time, as a slow shard
-        would.
-        """
-        try:
-            replies = batch.result()
-        except Exception as exc:
-            for future in futures:
-                future.set_exception(exc)
-            return
-        for future, (shard, result, start, end) in zip(futures, replies):
-            if self._faults is not None:
-                self._faults.slowdown_sleep(shard, end - start)
-                end = time.perf_counter()
-            future.set_result((result, start, end))
+    def _dispatch(
+        self, items, cancel, max_docs_scored, crash_retries
+    ) -> List[Future]:
+        """Run ``items`` to completion; returns their done futures."""
+        futures: List[Future] = [None] * len(items)  # type: ignore
+        lanes = min(len(items), self._pool.num_workers + 1)
+        size = min(self._batch_size, -(-len(items) // lanes))
+        chunks = deque(range(0, len(items), size))
+        own = chunks.popleft() if len(chunks) > 1 else None
+        flights: Dict = {}  # flight -> its chunk's first item
+
+        def score(lo: int) -> None:
+            for position in range(lo, min(lo + size, len(items))):
+                futures[position] = _run_inline(
+                    self._attempt, *items[position], cancel, max_docs_scored
+                )
+                # A worker whose reply is in gets the next chunk now,
+                # not when this one is done.
+                if chunks:
+                    for flight in [f for f in flights if self._pool.ready(f)]:
+                        book(flight)
+
+        def deal(slot: int) -> None:
+            """Send the worker in ``slot`` the next chunk, or check it in."""
+            while chunks:
+                lo = chunks.popleft()
+                chunk = items[lo : lo + size]
+                try:
+                    if self._faults is not None:
+                        for shard, _ in chunk:
+                            self._faults.before_search(shard)
+                except InjectedFault as exc:  # a chunk fails as one
+                    futures[lo : lo + size] = [_done(error=exc) for _ in chunk]
+                    continue
+                flights[self._pool.send(slot, chunk, crash_retries)] = lo
+                return
+            self._pool.checkin(slot)
+
+        def book(flight) -> None:
+            lo = flights.pop(flight)
+            try:
+                replies = self._pool.receive(flight)
+            except Exception as exc:
+                futures[lo : lo + size] = [
+                    _done(error=exc) for _ in flight.items
+                ]
+            else:
+                for position, (shard, result, start, end) in enumerate(
+                    replies, start=lo
+                ):
+                    # Padded before the worker is checked back in: a
+                    # slowdown holds that lane, as a slow shard would.
+                    end = self._padded(shard, start, end)
+                    futures[position] = _done((result, start, end))
+            deal(flight.slot)
+
+        while chunks and (slot := self._pool.checkout()) is not None:
+            deal(slot)
+        if own is not None:
+            score(own)
+        while chunks:  # the caller is free: it takes the next chunk
+            score(chunks.popleft())
+        while flights:
+            book(next(iter(flights)))
+        return futures

@@ -10,14 +10,15 @@ backends for its partition fan-out, selected by one declarative
   the caller's thread.  Per-partition scoring serializes on the GIL, so
   a pooled fan-out only adds hand-offs (it measured slower at every
   partition count); a pool is started only for a hedging policy.
-- ``"processes"`` — a pool of worker processes attached *read-only* to
-  the index's hot state (postings arrays, block-max metadata, document
-  lengths) exported once into :mod:`multiprocessing.shared_memory`.
-  Scoring runs GIL-free; dispatches carry batches of
-  ``(query, partition)`` work items to amortize IPC, and results come
-  back as compact top-k arrays.  Results are bit-identical — doc ids
-  *and* float scores — to the thread backend under every traversal
-  strategy.
+- ``"processes"`` — the caller's thread plus a pool of worker processes
+  attached *read-only* to the index's hot state (postings arrays,
+  block-max metadata, document lengths) exported once into
+  :mod:`multiprocessing.shared_memory`.  The caller is lane 0: it sends
+  batches of ``(query, partition)`` work items down the worker pipes,
+  scores its own lane, then receives the compact top-k replies, so a
+  query at P partitions keeps ``min(P - 1, W)`` workers busy.  Results
+  are bit-identical — doc ids *and* float scores — to the thread backend
+  under every traversal strategy.
 
 Both backends are interpreted by the same
 :class:`~repro.engine.isn.IndexServingNode`; hedging, deadlines,
@@ -48,12 +49,12 @@ class ExecutionConfig:
     ----------
     backend:
         ``"threads"`` (default; in-process, on the caller's thread) or
-        ``"processes"`` (GIL-free worker pool over a shared-memory
-        index).
+        ``"processes"`` (the caller's thread plus a GIL-free worker pool
+        over a shared-memory index).
     workers:
-        Worker count; ``None`` means one per partition.  On the thread
-        backend it sizes the pool a hedging policy uses (by default
-        doubled when backups can be issued) and nothing else.
+        Worker count; ``None`` means one per partition.  It also sizes
+        the thread pool a hedging policy uses (by default doubled when
+        backups can be issued).
     batch_size:
         Maximum ``(query, partition)`` work items per process-pool
         dispatch in batch execution (ignored by the thread backend,

@@ -19,7 +19,8 @@ the paper's intra-server partitioning study.  It does so exactly once:
 - **three backends** (:mod:`repro.engine.backends`): the gather hands
   ``(shard, query)`` work items to a two-method backend — inline on the
   caller's thread as completed futures, a thread pool when a hedging
-  policy needs attempts to overlap, or a GIL-free process pool.
+  policy needs attempts to overlap, or the caller's thread plus a
+  GIL-free process pool.
 - **one pipeline**: :meth:`~IndexServingNode.execute`,
   :meth:`~IndexServingNode.execute_serial` and
   :meth:`~IndexServingNode.execute_batch` share parse → cache lookup →
@@ -182,12 +183,12 @@ class IndexServingNode:
     execution:
         The :class:`~repro.engine.execution.ExecutionConfig` selecting
         the shard backend.  ``"threads"`` (default) searches the shards
-        in order on the caller's thread; a hedging policy alone adds a
-        thread pool, one thread per partition and twice that when it
-        can issue backups, so none queues behind a primary.  ``"processes"``
-        exports the index hot state once into shared memory and scores
-        on a GIL-free :class:`~repro.engine.mp.ProcessShardPool`;
-        results stay bit-identical to the thread backend.
+        in order on the caller's thread; ``"processes"`` exports the
+        index hot state once into shared memory, and the caller scores
+        one lane and a GIL-free :class:`~repro.engine.mp.ProcessShardPool`
+        the others, bit-identically.  On either, a hedging policy alone
+        adds a thread pool for the attempts, one thread per partition
+        and twice that when it can issue backups.
     shared_source:
         Resident index to export for process workers when
         ``partitioned`` itself is not exportable (tiered shards page
@@ -339,24 +340,22 @@ class IndexServingNode:
                 start_method=self.execution.start_method,
                 probe_interval_s=self.execution.probe_interval_s,
             )
+        # Attempts run on the caller's thread (and its process workers):
+        # pooled threads convoy on the GIL and lose at every partition
+        # count.  Only hedge and deadline timers need the caller free.
+        executor = None
+        if self.hedging is not None:
+            if self.execution.workers is None and self.hedging.hedges_enabled:
+                workers *= 2  # no backup queues behind the primaries
+            executor = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="isn-shard"
+            )
+        if self.process_pool is not None:
             self._backend = ProcessBackend(
-                self.process_pool,
-                self.execution.batch_size,
-                self.fault_injector,
+                self._searchers, self.process_pool,
+                self.execution.batch_size, executor, self.fault_injector,
             )
         else:
-            # Attempts run on the caller's thread: pooled threads convoy
-            # on the GIL and lose at every partition count.  Only hedge
-            # and deadline timers need the caller free (class docstring).
-            executor = None
-            if self.hedging is not None:
-                if self.execution.workers is None and (
-                    self.hedging.hedges_enabled
-                ):
-                    workers *= 2  # no backup queues behind the primaries
-                executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="isn-shard"
-                )
             self._backend = (
                 LocalBackend(self._searchers, executor, self.fault_injector)
                 if executor is not None or self.fault_injector is not None

@@ -9,22 +9,23 @@ attach **read-only** to the index exported by
 thread backend runs (:class:`~repro.search.executor.ShardSearcher`),
 so top-k ids and float scores are bit-for-bit equal.
 
-Protocol, parent side:
+Protocol, parent side — no dispatcher thread: the thread with the work
+drives the pipes itself.
 
-- one dispatcher thread per worker pulls tasks from a shared queue
-  (natural load balancing), ships a **batch** of work items down the
-  worker's pipe in one message — batching amortizes IPC, the paper's
-  per-dispatch cost — and waits (:func:`_recv`: a short poll, then a
-  blocking ``recv``) until the compact reply (top-k score/doc-id
-  arrays plus counter deltas) comes back;
+- it checks an idle worker out, ships a **batch** of work items down
+  its pipe in one message — batching amortizes IPC, the paper's
+  per-dispatch cost — and, once it has scored a lane of its own (the
+  caller is lane 0, so a query at P partitions keeps ``min(P - 1, W)``
+  workers busy), receives the compact reply (top-k score/doc-id arrays
+  plus counter deltas; :func:`_recv`: a short poll, then ``recv``);
 - a worker that dies mid-dispatch (OOM-kill, segfault, chaos ``kill``)
-  fails exactly the shards it was serving with a typed
+  is **respawned** and the batch re-sent while its crash retries last;
+  then exactly the shards it carried fail with a typed
   :class:`WorkerCrashError` — which the ISN's gather treats like any
   shard failure: with a resilience feature configured the breaker
   records it, retries re-dispatch, and coverage degrades if the shard
-  stays undecided; with none it reaches the caller — and the dispatcher
-  **respawns** the worker, so the pool self-heals without restarting
-  the service;
+  stays undecided; with none it reaches the caller — so the pool
+  self-heals without restarting the service;
 - per-worker observability merges on gather: each reply carries the
   worker's counter increments since its previous reply, and the parent
   folds them into its own
@@ -44,11 +45,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -71,12 +71,18 @@ __all__ = [
 #: One dispatchable unit: (shard index, parsed query).
 WorkItem = Tuple[int, ParsedQuery]
 
+#: The ``SearchResult`` counters a reply carries, in this order.
+_COUNTERS = (
+    "matched_volume", "docs_scored", "blocks_skipped", "blocks_fetched",
+    "bytes_read",
+)
+
 #: How long ``close()`` waits for a worker to exit politely before
 #: terminating it.
 _SHUTDOWN_GRACE_S = 2.0
 
-#: How long a draining ``close()`` waits for dispatchers to finish the
-#: queued work before falling back to the hard path.
+#: How long a draining ``close()`` waits for checked-out workers to come
+#: back before falling back to the hard path.
 _DRAIN_GRACE_S = 30.0
 
 #: Consecutive startup failures after which the pool stops respawning a
@@ -93,8 +99,6 @@ DEFAULT_PROBE_INTERVAL_S = 0.25
 #: from one minute to the next — as much as a query's scoring.  A pool
 #: that is kept busy never pays it; an idle one sleeps after this long.
 _POLL_BEFORE_SLEEP_S = 1e-3
-
-_SHUTDOWN = object()
 
 
 def _recv(conn):
@@ -207,29 +211,15 @@ def _worker_main(conn, spec: SharedIndexSpec, options: WorkerOptions) -> None:
                     end = time.perf_counter()
                 except Exception as exc:  # typed errors cross the pipe
                     payloads.append(("err", _picklable(exc)))
-                else:
-                    payloads.append(
-                        (
-                            "ok",
-                            (
-                                np.asarray(
-                                    [hit.score for hit in result.hits],
-                                    dtype=np.float64,
-                                ),
-                                np.asarray(
-                                    [hit.doc_id for hit in result.hits],
-                                    dtype=np.int64,
-                                ),
-                                result.matched_volume,
-                                result.docs_scored,
-                                result.blocks_skipped,
-                                result.blocks_fetched,
-                                result.bytes_read,
-                                start,
-                                end,
-                            ),
-                        )
-                    )
+                    continue
+                hits = result.hits
+                payloads.append(("ok", (
+                    np.asarray([hit.score for hit in hits], dtype=np.float64),
+                    np.asarray([hit.doc_id for hit in hits], dtype=np.int64),
+                    tuple(getattr(result, name) for name in _COUNTERS),
+                    start,
+                    end,
+                )))
             conn.send((payloads, _counter_deltas(registry, last_counters)))
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # parent went away; exit quietly
@@ -242,44 +232,15 @@ def _worker_main(conn, spec: SharedIndexSpec, options: WorkerOptions) -> None:
 
 def _unpack_result(payload: tuple, query: ParsedQuery):
     """Rebuild a (SearchResult, start, end) triple from compact arrays."""
-    (
-        scores,
-        doc_ids,
-        matched_volume,
-        docs_scored,
-        blocks_skipped,
-        blocks_fetched,
-        bytes_read,
-        start,
-        end,
-    ) = payload
+    scores, doc_ids, counters, start, end = payload
     hits = tuple(
-        SearchHit(score=float(score), doc_id=int(doc_id))
-        for score, doc_id in zip(scores, doc_ids)
+        SearchHit(score=score, doc_id=doc_id)
+        for score, doc_id in zip(scores.tolist(), doc_ids.tolist())
     )
     result = SearchResult(
-        hits=hits,
-        query=query,
-        matched_volume=matched_volume,
-        docs_scored=docs_scored,
-        blocks_skipped=blocks_skipped,
-        blocks_fetched=blocks_fetched,
-        bytes_read=bytes_read,
+        hits=hits, query=query, **dict(zip(_COUNTERS, counters))
     )
     return result, start, end
-
-
-@dataclass
-class _Task:
-    items: List[WorkItem]
-    future: Future
-    #: Remaining crash re-dispatches: a batch whose worker dies is put
-    #: back on the shared queue (a healthy worker picks it up) this
-    #: many times before the failure is surfaced.
-    retries: int = 0
-    #: Whether ``set_running_or_notify_cancel`` already ran — a retried
-    #: task's future is already RUNNING and must not be re-armed.
-    started: bool = False
 
 
 @dataclass
@@ -288,6 +249,17 @@ class _WorkerHandle:
     conn: object
     ready: bool = False
     startup_failures: int = 0
+
+
+@dataclass(eq=False)
+class _Flight:
+    """One batch sent to a checked-out worker, awaiting its reply."""
+
+    slot: int
+    items: List[WorkItem]
+    retries: int  #: crash re-sends left
+    handle: Optional[_WorkerHandle] = None
+    error: Optional[BaseException] = None  #: why the last send failed
 
 
 class ProcessShardPool:
@@ -339,34 +311,23 @@ class ProcessShardPool:
                 else "spawn"
             )
         self._ctx = multiprocessing.get_context(start_method)
-        self._tasks: "queue.SimpleQueue[object]" = queue.SimpleQueue()
         self._lock = threading.Lock()
+        #: Notified whenever a worker is checked back in.
+        self._checked_in = threading.Condition(self._lock)
+        self._idle = list(range(workers))
         self._closed = False
         self._probe_interval_s = (
             probe_interval_s if probe_interval_s else None
         )
-        self._health_stats = {
-            "probes": 0,
-            "deaths_detected": 0,
-            "respawns": 0,
-        }
+        self._health_stats = dict.fromkeys(
+            ("probes", "deaths_detected", "respawns"), 0
+        )
         self._health_stop = threading.Event()
         # Start every process before blocking on any handshake so the
         # (possibly slow, under spawn) attaches overlap.
         self._workers: List[_WorkerHandle] = [
             self._spawn(slot) for slot in range(workers)
         ]
-        self._dispatchers = [
-            threading.Thread(
-                target=self._dispatch_loop,
-                args=(slot,),
-                name=f"isn-mp-dispatch-{slot}",
-                daemon=True,
-            )
-            for slot in range(workers)
-        ]
-        for thread in self._dispatchers:
-            thread.start()
         self._health_thread: Optional[threading.Thread] = None
         if self._probe_interval_s is not None:
             self._health_thread = threading.Thread(
@@ -392,28 +353,22 @@ class ProcessShardPool:
     def submit_batch(
         self, items: List[WorkItem], *, crash_retries: int = 0
     ) -> Future:
-        """Dispatch a batch of work items in one IPC round-trip.
+        """Run a batch of work items through one worker, one round trip.
 
-        The future resolves to a list of
-        ``(shard_id, SearchResult, start, end)`` tuples in item order.
-        ``crash_retries`` re-dispatches the whole batch to a healthy
-        worker that many times should the serving worker die mid-batch
-        (the work is an idempotent read); only after the budget is
-        exhausted does the future fail with
-        :class:`WorkerCrashError` naming exactly this batch's shards.
+        Waits for an idle worker, sends, receives, and returns a done
+        future holding what :meth:`receive` returned (or raised).
         """
         if crash_retries < 0:
             raise ValueError("crash_retries must be non-negative")
         future: Future = Future()
-        if not items:
-            future.set_result([])
-            return future
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("ProcessShardPool is closed")
-        self._tasks.put(
-            _Task(items=list(items), future=future, retries=crash_retries)
-        )
+        slot = self.checkout(wait=True)
+        try:
+            flight = self.send(slot, items, crash_retries)
+            future.set_result(self.receive(flight))
+        except Exception as exc:
+            future.set_exception(exc)
+        finally:
+            self.checkin(slot)
         return future
 
     # ------------------------------------------------------------------
@@ -431,22 +386,10 @@ class ProcessShardPool:
         child_conn.close()
         return _WorkerHandle(process=process, conn=parent_conn)
 
-    def _ensure_ready(self, handle: _WorkerHandle) -> None:
-        """Block until the worker finished attaching (first use only)."""
-        if handle.ready:
-            return
-        message = handle.conn.recv()
-        if not (isinstance(message, tuple) and message[0] == "ready"):
-            raise WorkerCrashError(
-                f"worker sent unexpected handshake {message!r}"
-            )
-        handle.ready = True
-        handle.startup_failures = 0
-
     def _respawn(self, slot: int, failed_handle: _WorkerHandle) -> None:
         """Replace a dead worker (the self-healing half of the pool).
 
-        Idempotent per handle: the dispatcher (on a mid-dispatch EOF)
+        Idempotent per handle: a dispatch (on a mid-dispatch EOF)
         and the health monitor (on a failed liveness probe) may both
         notice the same death; whichever serializes second sees the
         replacement already installed and backs off.
@@ -547,126 +490,127 @@ class ProcessShardPool:
     # ------------------------------------------------------------------
     # dispatch
 
-    def _dispatch_loop(self, slot: int) -> None:
-        while True:
-            task = self._tasks.get()
-            if task is _SHUTDOWN:
-                return
-            assert isinstance(task, _Task)
-            if not task.started:
-                if not task.future.set_running_or_notify_cancel():
-                    continue
-                task.started = True
-            with self._lock:
-                handle = self._workers[slot]
-            if handle.ready and not handle.process.is_alive():
-                # Cheap pre-dispatch liveness check: respawn instead of
-                # burning this task discovering an already-dead worker.
-                self._respawn(slot, handle)
-                with self._lock:
-                    handle = self._workers[slot]
-            if handle.startup_failures >= _MAX_STARTUP_FAILURES:
-                task.future.set_exception(
-                    WorkerCrashError(
-                        f"worker slot {slot} failed to start "
-                        f"{handle.startup_failures} times; giving up",
-                        shards=[shard for shard, _ in task.items],
-                    )
-                )
-                continue
-            try:
-                self._ensure_ready(handle)
-                handle.conn.send(task.items)
-                payloads, deltas = _recv(handle.conn)
-            except (EOFError, OSError) as exc:
-                shards = [shard for shard, _ in task.items]
-                self._crash_task(
-                    task,
-                    WorkerCrashError(
-                        f"worker serving shards {shards} died: {exc!r}",
-                        shards=shards,
-                    ),
-                )
-                self._respawn(slot, handle)
-                continue
-            except WorkerCrashError as exc:
-                self._crash_task(task, exc)
-                self._respawn(slot, handle)
-                continue
-            if deltas and self._metrics is not None:
-                self._metrics.merge_counter_deltas(deltas)
-            self._finish(task, payloads)
+    def checkout(self, wait: bool = False) -> Optional[int]:
+        """Reserve an idle worker's slot for one dispatch.
 
-    def _crash_task(self, task: _Task, error: WorkerCrashError) -> None:
-        """Fail or re-dispatch a task whose serving worker died.
-
-        A task with retry budget goes back on the shared queue, where
-        any dispatcher — typically one with a healthy worker, or this
-        slot once its replacement is up — picks it up; the items are
-        idempotent reads, so a re-dispatch cannot double-count results.
-        Only when the budget is spent (or the pool is closing) is the
-        failure surfaced, attributed to exactly this dispatch's shards.
+        Returns None when every worker is checked out, unless ``wait``,
+        which blocks until one is checked back in.
         """
-        if task.retries > 0:
-            with self._lock:
-                closing = self._closed
-            if not closing:
-                task.retries -= 1
-                self._tasks.put(task)
-                return
-        task.future.set_exception(error)
+        with self._lock:
+            if wait:
+                self._checked_in.wait_for(lambda: self._idle or self._closed)
+            if self._closed:
+                raise RuntimeError("ProcessShardPool is closed")
+            return self._idle.pop() if self._idle else None
 
-    def _finish(self, task: _Task, payloads: List[Tuple[str, Any]]) -> None:
+    def checkin(self, slot: int) -> None:
+        """Return a slot :meth:`checkout` reserved."""
+        with self._lock:
+            self._idle.append(slot)
+            self._checked_in.notify_all()
+
+    def send(
+        self, slot: int, items: Sequence[WorkItem], crash_retries: int = 0
+    ) -> _Flight:
+        """Ship ``items`` to the checked-out worker in one message (a
+        dead worker does not raise here: :meth:`receive` reports it)."""
+        flight = _Flight(slot, list(items), crash_retries)
+        self._post(flight)
+        return flight
+
+    def _post(self, flight: _Flight) -> None:
+        with self._lock:
+            handle = self._workers[flight.slot]
+        if handle.ready and not handle.process.is_alive():
+            # Cheap pre-dispatch liveness check: respawn instead of
+            # burning this batch discovering an already-dead worker.
+            self._respawn(flight.slot, handle)
+            with self._lock:
+                handle = self._workers[flight.slot]
+        flight.handle, flight.error = handle, None
+        if handle.startup_failures >= _MAX_STARTUP_FAILURES:
+            return  # receive() gives up on it
+        try:
+            if not handle.ready:  # first use: wait until it has attached
+                message = handle.conn.recv()
+                if not (isinstance(message, tuple) and message[0] == "ready"):
+                    raise WorkerCrashError(
+                        f"worker sent unexpected handshake {message!r}"
+                    )
+                handle.ready, handle.startup_failures = True, 0
+            handle.conn.send(flight.items)
+        except (EOFError, OSError, WorkerCrashError) as exc:
+            flight.error = exc
+
+    def ready(self, flight: _Flight) -> bool:
+        """Whether :meth:`receive` can return without waiting on a worker."""
+        try:
+            return flight.error is not None or flight.handle.conn.poll()
+        except OSError:  # the health monitor closed the pipe
+            return True
+
+    def receive(self, flight: _Flight) -> List[tuple]:
+        """``(shard_id, SearchResult, start, end)`` per item of ``flight``.
+
+        A worker that died is respawned and the batch (an idempotent
+        read) re-sent while the flight's crash retries last; then
+        :class:`WorkerCrashError` names exactly this batch's shards.  An
+        error an item raised in the worker is re-raised here.
+        """
+        shards = [shard for shard, _ in flight.items]
+        while True:
+            handle = flight.handle
+            if handle.startup_failures >= _MAX_STARTUP_FAILURES:
+                raise WorkerCrashError(
+                    f"worker slot {flight.slot} failed to start "
+                    f"{handle.startup_failures} times; giving up",
+                    shards=shards,
+                )
+            if flight.error is None:
+                try:
+                    payloads, deltas = _recv(handle.conn)
+                    break
+                except (EOFError, OSError) as exc:
+                    flight.error = exc
+            self._respawn(flight.slot, handle)
+            if flight.retries <= 0 or self._closed:
+                raise WorkerCrashError(
+                    f"worker serving shards {shards} died: {flight.error!r}",
+                    shards=shards,
+                )
+            flight.retries -= 1
+            self._post(flight)
+        if deltas and self._metrics is not None:
+            self._metrics.merge_counter_deltas(deltas)
         results = []
         for (shard_id, query), (status, payload) in zip(
-            task.items, payloads
+            flight.items, payloads
         ):
             if status == "err":
-                task.future.set_exception(payload)
-                return
-            result, start, end = _unpack_result(payload, query)
-            results.append((shard_id, result, start, end))
-        task.future.set_result(results)
+                raise payload
+            results.append((shard_id, *_unpack_result(payload, query)))
+        return results
 
     # ------------------------------------------------------------------
     # shutdown
 
     def close(self, drain: bool = True) -> None:
-        """Stop dispatchers, shut workers down, release pipes (idempotent).
+        """Shut workers down and release pipes (idempotent).
 
-        With ``drain=True`` (the default) the pool finishes everything
-        already queued before shutting down: the shutdown sentinels
-        queue *behind* the pending tasks, so every accepted future
-        resolves — a graceful drain, bounded by a generous grace.  With
-        ``drain=False`` queued-but-undispatched tasks fail fast with a
-        typed :class:`WorkerCrashError` instead of being served.
+        No worker can be checked out once this starts; it first waits
+        for the checked-out ones to come back, up to a generous grace
+        with ``drain`` (the default) and a short one without.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        self._health_stop.set()
-        if not drain:
-            while True:
-                try:
-                    task = self._tasks.get_nowait()
-                except queue.Empty:
-                    break
-                if not isinstance(task, _Task):
-                    continue
-                if task.started or task.future.set_running_or_notify_cancel():
-                    task.future.set_exception(
-                        WorkerCrashError(
-                            "ProcessShardPool closed before dispatch",
-                            shards=[shard for shard, _ in task.items],
-                        )
-                    )
-        for _ in self._dispatchers:
-            self._tasks.put(_SHUTDOWN)
-        for thread in self._dispatchers:
-            thread.join(
-                timeout=_DRAIN_GRACE_S if drain else _SHUTDOWN_GRACE_S
+            self._checked_in.notify_all()
+            self._checked_in.wait_for(
+                lambda: len(self._idle) == len(self._workers),
+                timeout=_DRAIN_GRACE_S if drain else _SHUTDOWN_GRACE_S,
             )
+        self._health_stop.set()
         if self._health_thread is not None:
             self._health_thread.join(timeout=_SHUTDOWN_GRACE_S)
         for handle in self._workers:

@@ -256,15 +256,24 @@ class TestScalingParityWithDes:
     more cores drains a saturating workload at higher goodput — but the
     thread-backend native engine could not confirm it on the wall clock
     (per-partition scoring serializes on the GIL).  The process backend
-    is the fix: this test asserts the DES prediction's *direction*
-    (more workers → more throughput, 1 → 2) and, when the machine has
-    two cores, that the native engine scales the same way — with
-    bit-identical results at either worker count.
+    is the fix.  Its caller scores one lane and each worker another, so
+    one worker already makes two lanes: this test asserts the DES
+    prediction's *direction* (more cores → more throughput, 1 → 2) and,
+    when the machine has two cores, that the native engine scales the
+    same way from the thread backend's one lane to a one-worker process
+    node's two — with bit-identical results on threads and at one and
+    two workers.
     """
 
-    WORKERS = (1, 2)
+    #: Native configuration: (execution, the DES core count it stands
+    #: for — one per lane; two workers only join the bit-identity check).
+    NODES = {
+        "threads": (None, 1),
+        "1 worker": (ExecutionConfig(backend="processes", workers=1), 2),
+        "2 workers": (ExecutionConfig(backend="processes", workers=2), None),
+    }
     #: Enough documents that scoring, not the IPC round trip, is what a
-    #: second worker halves (the 300-document corpus reads 0.9-1.4x).
+    #: second lane halves (the 300-document corpus reads 0.9-1.4x).
     DOCUMENTS = 4_000
     ROUNDS = 5
 
@@ -284,7 +293,7 @@ class TestScalingParityWithDes:
         return run_fanout_open_loop(config, scenario).goodput_qps()
 
     def test_native_scaling_direction_matches_des(self, small_query_log):
-        des = {w: self._des_goodput(w) for w in self.WORKERS}
+        des = {cores: self._des_goodput(cores) for cores in (1, 2)}
         assert des[1] < des[2], des
 
         collection = CorpusGenerator(
@@ -293,42 +302,43 @@ class TestScalingParityWithDes:
         partitioned = partition_index(collection, 4)
         texts = [q.text for q in list(small_query_log)[:40]]
         nodes = {
-            workers: IndexServingNode(
-                partitioned,
-                execution=ExecutionConfig(
-                    backend="processes", workers=workers
-                ),
-            )
-            for workers in self.WORKERS
+            name: IndexServingNode(partitioned, execution=execution)
+            for name, (execution, _) in self.NODES.items()
         }
-        floors = {workers: math.inf for workers in self.WORKERS}
+        floors = {name: math.inf for name in self.NODES}
         results = {}
         try:
             for node in nodes.values():
                 node.execute_batch(texts[:8])  # warm the workers
             # Floors over interleaved rounds: a slow phase of the host
-            # hits both worker counts, and the minimum escapes it.
+            # hits every configuration, and the minimum escapes it.
             for _ in range(self.ROUNDS):
-                for workers, node in nodes.items():
+                for name, node in nodes.items():
                     start = time.perf_counter()
                     responses = node.execute_batch(texts)
-                    floors[workers] = min(
-                        floors[workers], time.perf_counter() - start
+                    floors[name] = min(
+                        floors[name], time.perf_counter() - start
                     )
-                    results[workers] = [
+                    results[name] = [
                         [(hit.doc_id, hit.score) for hit in response.hits]
                         for response in responses
                     ]
         finally:
             for node in nodes.values():
                 node.close()
-        # Bit-identity across worker counts holds on any machine.
-        assert results[2] == results[1]
+        # Bit-identity across backends and worker counts holds on any
+        # machine.
+        expected = results["threads"]
+        assert all(result == expected for result in results.values())
 
         cores = len(os.sched_getaffinity(0))
-        if cores < max(self.WORKERS):
+        if cores < 2:
             pytest.skip(
-                f"native scaling direction needs {max(self.WORKERS)} "
-                f"cores, have {cores}"
+                f"native scaling direction needs 2 cores, have {cores}"
             )
-        assert floors[2] < floors[1], floors
+        by_cores = {
+            des_cores: floors[name]
+            for name, (_, des_cores) in self.NODES.items()
+            if des_cores is not None
+        }
+        assert by_cores[2] < by_cores[1], floors

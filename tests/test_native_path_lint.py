@@ -256,3 +256,71 @@ class TestOneScoringKernel:
             ("block_max_wand", "_score_resident"),
             ("daat", "_merge_postings"),
         ]
+
+
+def _thread_sites(sources):
+    """``(module, target)`` of each ``Thread(...)`` construction."""
+    sites = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and "Thread" in (
+                getattr(node.func, "attr", None),
+                getattr(node.func, "id", None),
+            ):
+                targets = [
+                    ast.unparse(keyword.value)
+                    for keyword in node.keywords
+                    if keyword.arg == "target"
+                ]
+                sites.append((module, *targets))
+    return sites
+
+
+def _imported_modules(source: str):
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    return modules
+
+
+class TestNoDispatcherThreads:
+    """The process backend's caller drives the worker pipes itself.
+
+    A query once travelled caller → per-worker dispatcher thread (fed
+    from a shared queue) → pipe → worker and back.  The dispatcher
+    threads and their queue are gone; the only thread the process
+    backend starts is the pool's health monitor.
+    """
+
+    ENGINE = SRC_ROOT / "repro" / "engine"
+
+    def _sources(self):
+        return {
+            module: (self.ENGINE / f"{module}.py").read_text()
+            for module in ("mp", "backends")
+        }
+
+    def test_the_health_monitor_is_the_only_thread(self):
+        assert _thread_sites(self._sources()) == [
+            ("mp", "self._health_loop")
+        ]
+
+    def test_mp_does_not_import_queue(self):
+        assert "queue" not in _imported_modules(self._sources()["mp"])
+
+    def test_lint_sees_a_dispatcher_thread(self):
+        """Self-test: a relay thread and its queue are reported."""
+        planted = (
+            "import queue\n"
+            "import threading\n"
+            "threading.Thread(target=self._dispatch_loop, daemon=True)\n"
+            "Thread(target=self._health_loop)\n"
+        )
+        assert _thread_sites({"mp": planted}) == [
+            ("mp", "self._dispatch_loop"),
+            ("mp", "self._health_loop"),
+        ]
+        assert "queue" in _imported_modules(planted)
