@@ -95,9 +95,11 @@ def pytest_collection_modifyitems(items):
     for item in items:
         reason = OUT_OF_REGIME.get(item.name)
         if reason is not None:
+            # Only a failed gate is expected: a crash still fails.
             item.add_marker(
                 pytest.mark.xfail(
                     reason=f"gate set on the scalar-loop calibration: {reason}",
+                    raises=AssertionError,
                     strict=False,
                 )
             )

@@ -1,4 +1,5 @@
-"""The harness's own contract: ``emit`` writes on pass, and only then.
+"""The harness's own contract: ``emit`` writes on pass, and only then;
+an ``OUT_OF_REGIME`` bench is expected to fail its gate, not to crash.
 
 Runs a dummy bench in a child pytest with this directory's
 ``conftest.py`` loaded as a plugin and ``bench_root`` overridden to a
@@ -33,6 +34,17 @@ def test_fig902_fails(emit):
     assert False, "gate"
 '''
 
+#: Named after two ``OUT_OF_REGIME`` entries: a failed assert is the
+#: expected failure, any other exception is a bug in the bench.
+OUT_OF_REGIME_BENCH = '''
+def test_fig22_mixed_fleet():
+    assert False, "gate"
+
+
+def test_fig4_partitioning_tail():
+    raise TypeError("crash")
+'''
+
 TRACKED = {
     "BENCH_fig901.json": '{"old": true}\n',
     "BENCH_fig902.json": '{"old": true}\n',
@@ -41,12 +53,9 @@ TRACKED = {
 }
 
 
-def _run_dummy(root, *options):
-    (root / "test_dummy_bench.py").write_text(DUMMY_BENCH)
-    (root / "benchmarks" / "results").mkdir(parents=True)
-    for name, content in TRACKED.items():
-        (root / name).write_text(content)
-    done = subprocess.run(
+def _pytest(root, source, *options):
+    (root / "test_dummy_bench.py").write_text(source)
+    return subprocess.run(
         [
             sys.executable, "-m", "pytest", "test_dummy_bench.py",
             "-p", "conftest", "-p", "no:cacheprovider", "-q", "-s", *options,
@@ -59,6 +68,13 @@ def _run_dummy(root, *options):
         capture_output=True,
         text=True,
     )
+
+
+def _run_dummy(root, *options):
+    (root / "benchmarks" / "results").mkdir(parents=True)
+    for name, content in TRACKED.items():
+        (root / name).write_text(content)
+    done = _pytest(root, DUMMY_BENCH, *options)
     assert "1 passed" in done.stdout and "1 failed" in done.stdout, (
         done.stdout + done.stderr
     )
@@ -85,3 +101,15 @@ def test_full_run_writes_the_passing_bench_only(tmp_path):
 
 def test_quick_run_writes_nothing(tmp_path):
     assert _run_dummy(tmp_path, "--quick") == TRACKED
+
+
+def test_out_of_regime_xfails_a_failed_gate_but_not_a_crash(tmp_path):
+    done = _pytest(tmp_path, OUT_OF_REGIME_BENCH, "-rfx")
+    summary = done.stdout + done.stderr
+    assert "1 failed" in done.stdout and "1 xfailed" in done.stdout, summary
+    assert "FAILED test_dummy_bench.py::test_fig4_partitioning_tail" in (
+        done.stdout
+    ), summary
+    assert "XFAIL test_dummy_bench.py::test_fig22_mixed_fleet" in (
+        done.stdout
+    ), summary

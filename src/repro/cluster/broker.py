@@ -12,8 +12,10 @@ Every simulated query, whichever driver plays it, takes one path::
 - **replica choice** — :attr:`Broker.replicas` is a *mutable* table, one
   list of servers per shard, in launch order; the drivers own its
   contents (the static fan-out fills it once, the autoscaler rewrites
-  it as rows warm up, retire, crash and recover) and the broker's one
-  pluggable rule, a :class:`ReplicaSelection`, picks from it;
+  it as rows warm up, retire, crash and recover, the mixed fleet lists
+  its big servers before its little ones) and the broker's one
+  pluggable rule, a :class:`ReplicaSelection` or a callable
+  ``rule(record, shard, candidates)``, picks from it;
 - **attempt** — fault-plan crashes/errors/slowdowns and circuit
   breakers apply per ``(shard, replica)``;
 - **gather** — answers, errors with bounded retry, hedge timers and
@@ -34,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -220,6 +222,8 @@ class _Attempt:
 
 
 _outstanding = attrgetter("outstanding")
+#: The servers a routing rule chooses among.
+_Candidates = List[SimulatedServer]
 
 
 class Broker:
@@ -228,7 +232,10 @@ class Broker:
     The driver builds the servers with ``on_complete=broker.
     on_server_done``, places them in :attr:`replicas`, and schedules
     :meth:`on_arrival` once per query; :meth:`finished_records` returns
-    one record per arrival after ``sim.run()``.
+    one record per arrival after ``sim.run()``.  ``selection`` is a
+    :class:`ReplicaSelection` or a callable ``rule(record, shard,
+    candidates)`` returning one of ``candidates``; it sees the query's
+    record and is not consulted when only one candidate remains.
     """
 
     def __init__(
@@ -241,7 +248,9 @@ class Broker:
         concentration: float,
         network: Optional[NetworkModel] = None,
         hedging: Optional[HedgingPolicy] = None,
-        selection: ReplicaSelection = ReplicaSelection.LEAST_OUTSTANDING,
+        selection: ReplicaSelection | Callable[..., SimulatedServer] = (
+            ReplicaSelection.LEAST_OUTSTANDING
+        ),
         overload: Optional[OverloadPolicy] = None,
         breakers: Optional[BreakerConfig] = None,
         faults: Optional[FaultPlan] = None,
@@ -297,7 +306,9 @@ class Broker:
         )
         self._metrics = metrics
         self._cursor = [0] * num_shards
-        if selection is ReplicaSelection.LEAST_OUTSTANDING:
+        if callable(selection):
+            self._rule = selection
+        elif selection is ReplicaSelection.LEAST_OUTSTANDING:
             self._rule = self._least_outstanding
         elif selection is ReplicaSelection.ROUND_ROBIN:
             self._rule = self._round_robin
@@ -419,7 +430,7 @@ class Broker:
             candidates = group
         if not candidates:
             return "exhausted"
-        server = self._choose(shard.index, candidates)
+        server = self._choose(query.record, shard.index, candidates)
         if server is None:
             return "blocked"
         tried.append(server)
@@ -456,20 +467,20 @@ class Broker:
     # Replica choice.
 
     def _choose(
-        self, shard: int, candidates: List[SimulatedServer]
+        self, record: FanoutQueryRecord, shard: int, candidates: _Candidates
     ) -> Optional[SimulatedServer]:
         """The routing rule's pick among ``candidates`` (None when
         breakers refuse every one of them)."""
         if self.breakers is None:
             if len(candidates) == 1:
                 return candidates[0]
-            return self._rule(shard, candidates)
+            return self._rule(record, shard, candidates)
         remaining = list(candidates)
         while remaining:
             server = (
                 remaining[0]
                 if len(remaining) == 1
-                else self._rule(shard, remaining)
+                else self._rule(record, shard, remaining)
             )
             if self._breaker_allows(shard, server):
                 return server
@@ -477,14 +488,14 @@ class Broker:
         return None
 
     def _least_outstanding(
-        self, shard: int, candidates: List[SimulatedServer]
+        self, record: FanoutQueryRecord, shard: int, candidates: _Candidates
     ) -> SimulatedServer:
         # ``min`` keeps the first of equals, and the table is in launch
         # order: ties go to the lowest index / the oldest row.
         return min(candidates, key=_outstanding)
 
     def _round_robin(
-        self, shard: int, candidates: List[SimulatedServer]
+        self, record: FanoutQueryRecord, shard: int, candidates: _Candidates
     ) -> SimulatedServer:
         group = self.replicas[shard]
         while True:
@@ -494,7 +505,7 @@ class Broker:
                 return server
 
     def _random(
-        self, shard: int, candidates: List[SimulatedServer]
+        self, record: FanoutQueryRecord, shard: int, candidates: _Candidates
     ) -> SimulatedServer:
         return candidates[int(self._selection_rng.integers(len(candidates)))]
 

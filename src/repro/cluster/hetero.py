@@ -3,34 +3,37 @@
 The paper asks whether low-power servers can serve web search; the
 natural follow-on is whether a *mixed* fleet can — little servers
 soaking up the cheap queries (most of them, under Zipf) while a few
-big servers absorb the expensive tail.  This module simulates one
-shard served by ``num_big`` big and ``num_little`` little replicas,
-with a router that either ignores query cost (random spray), routes
-by a demand threshold (cheap → little, expensive → big; the "oracle"
-router, since real engines estimate cost well from term statistics),
-or — with a :class:`~repro.predict.scheduler.DeadlineScheduler` —
-routes on *predicted* cost perturbed by the predictor's measured error
-model, the realistic middle ground between spray and oracle.
+big servers absorb the expensive tail.  This module is a driver of the
+one :class:`~repro.cluster.broker.Broker`: a single shard whose replica
+row is ``num_big`` big servers followed by ``num_little`` little ones,
+with no network, no broker merge and no serving policies.  The router
+is the broker's routing rule, a callable that sees each query's record:
+it either ignores query cost (random spray), routes by a demand
+threshold (cheap → little, expensive → big; the "oracle" router, since
+real engines estimate cost well from term statistics), or — with a
+:class:`~repro.predict.scheduler.DeadlineScheduler` — routes on
+*predicted* cost perturbed by the predictor's measured error model,
+the realistic middle ground between spray and oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.cluster.results import QueryRecord
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.predict.scheduler import DeadlineScheduler
+from repro.cluster.broker import Broker
+from repro.cluster.fanout import FanoutResult
 from repro.cluster.server import PartitionModelConfig, SimulatedServer
-from repro.metrics.summary import LatencySummary, summarize
 from repro.servers.power import PowerModel
 from repro.servers.spec import ServerSpec
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.workload.scenario import WorkloadScenario
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.predict.scheduler import DeadlineScheduler
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,9 @@ class HeterogeneousConfig:
             raise ValueError("server counts must be non-negative")
         if self.num_big + self.num_little == 0:
             raise ValueError("fleet needs at least one server")
-        if self.demand_threshold is not None and self.demand_threshold < 0:
-            raise ValueError("demand_threshold must be non-negative")
+        # ``not >= 0``, not ``< 0``: a NaN would route every query little.
+        if not (self.demand_threshold is None or self.demand_threshold >= 0):
+            raise ValueError("demand_threshold must be a non-negative number")
         if self.scheduler is not None:
             if self.demand_threshold is not None:
                 raise ValueError(
@@ -98,28 +102,14 @@ class HeterogeneousConfig:
                 )
 
 
-@dataclass
-class HeterogeneousResult:
+@dataclass(kw_only=True)
+class HeterogeneousResult(FanoutResult):
     """Latency and power outcome of one mixed-fleet run."""
 
-    records: List[QueryRecord]
-    horizon: float
     per_server_utilization: List[float]
     per_server_power_watts: List[float]
     routed_to_big: int
     routed_to_little: int
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def latencies(self, warmup_fraction: float = 0.0) -> np.ndarray:
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-        skip = int(len(self.records) * warmup_fraction)
-        return np.array([r.latency for r in self.records[skip:]])
-
-    def summary(self, warmup_fraction: float = 0.0) -> LatencySummary:
-        return summarize(self.latencies(warmup_fraction))
 
     @property
     def total_power_watts(self) -> float:
@@ -141,153 +131,143 @@ def run_heterogeneous_open_loop(
 ) -> HeterogeneousResult:
     """Simulate the mixed fleet under open-loop arrivals.
 
-    Within the chosen group the router picks the server whose cores
-    free up earliest (an idealized join-the-shortest-queue).  With a
-    ``config.scheduler``, routing instead uses *predicted* demands —
-    true demand times the predictor's log-normal residual error, drawn
-    from a dedicated ``"prediction"`` stream so a scheduler-less run
-    consumes exactly the seed's random numbers.
+    The router is the broker's routing rule.  Its candidates are always
+    the whole fleet, big servers first: one shard, no hedges, no
+    retries.  Within the chosen group the threshold routers pick the
+    server whose cores free up earliest (an idealized
+    join-the-shortest-queue).  With a ``config.scheduler``, routing
+    instead uses *predicted* demands — true demand times the
+    predictor's log-normal residual error, drawn from a dedicated
+    ``"prediction"`` stream so a scheduler-less run consumes exactly
+    the seed's random numbers.
     """
     streams = RandomStreams(seed)
     arrival_times, demands = scenario.realize(
         streams.stream("arrivals"), streams.stream("demands")
     )
     scheduler = config.scheduler
-    predicted_demands = demands
     if scheduler is not None:
         sigma = scheduler.predictor.residual_log_sigma
         noise = np.exp(
             sigma * streams.stream("prediction").standard_normal(len(demands))
         )
         predicted_demands = demands * noise
-
+    partitioning = config.partitioning
     sim = Simulator()
-    records: List[QueryRecord] = []
-
-    def complete(record: QueryRecord) -> None:
-        record.client_receive = record.merge_end
-        records.append(record)
+    routed = {"big": 0, "little": 0}
 
     def make_group(spec: ServerSpec, count: int, name: str):
+        # Counted by the group that served the query: the broker does
+        # not consult the rule when the fleet is one server.
+        def done(attempt) -> None:
+            routed[name] += 1
+            broker.on_server_done(attempt)
+
         return [
             SimulatedServer(
                 sim,
                 spec,
-                config.partitioning,
+                partitioning,
                 imbalance_rng=streams.stream(f"imbalance-{name}-{i}"),
-                on_complete=complete,
+                on_complete=done,
             )
             for i in range(count)
         ]
 
     big_group = make_group(config.big_spec, config.num_big, "big")
     little_group = make_group(config.little_spec, config.num_little, "little")
-    all_servers = big_group + little_group
     spray_rng = streams.stream("routing")
-    routed = {"big": 0, "little": 0}
 
-    def estimated_finish(server: SimulatedServer, predicted: float) -> float:
-        """Seconds until ``server`` would finish the predicted work.
+    def unloaded_service(spec: ServerSpec, predicted: float) -> float:
+        """Seconds ``spec`` needs for the predicted work: the total work
+        spread over the cores a fork-join query can occupy."""
+        parallelism = min(spec.num_cores, partitioning.num_partitions)
+        return partitioning.total_work(predicted) / (
+            spec.core_speed * parallelism
+        )
 
-        Queue backlog (time until a core frees up) plus the predicted
-        total work spread over the cores a fork-join query can actually
-        occupy, scaled by the spec's ``core_speed``.
-        """
-        parallelism = min(
-            server.spec.num_cores, config.partitioning.num_partitions
-        )
-        backlog = max(server.cores.next_free_time() - sim.now, 0.0)
-        service = config.partitioning.total_work(predicted) / (
-            server.spec.core_speed * parallelism
-        )
-        return backlog + service
-
-    def peak_joules_per_work(server: SimulatedServer) -> float:
-        """Peak joules per reference-core-second — lower is cheaper."""
-        return server.spec.peak_power_watts / server.spec.compute_capacity
-
-    def route_predicted(record: QueryRecord) -> SimulatedServer:
-        predicted = float(predicted_demands[record.query_id])
-        if scheduler.deadline_s is not None:
-            # Deadline mode: cheapest (joules/work) server predicted to
-            # make the deadline; when none can, damage control — the
-            # fastest predicted finish.  Ties break on the estimate,
-            # then on fleet order (big first) for determinism.
-            estimates = [
-                (estimated_finish(server, predicted), position, server)
-                for position, server in enumerate(all_servers)
-            ]
-            eligible = [
-                entry for entry in estimates if entry[0] <= scheduler.deadline_s
-            ]
-            if eligible:
-                _, _, server = min(
-                    eligible,
-                    key=lambda entry: (
-                        peak_joules_per_work(entry[2]),
-                        entry[0],
-                        entry[1],
-                    ),
-                )
-            else:
-                _, _, server = min(estimates)
-            return server
-        # Threshold-only mode: the noisy mirror of the oracle router —
-        # a query whose *predicted* unloaded service time on a little
-        # server exceeds the threshold goes to the big group.
-        little_spec = (
-            config.little_spec if little_group else config.big_spec
-        )
-        little_parallelism = min(
-            little_spec.num_cores, config.partitioning.num_partitions
-        )
-        predicted_little_s = config.partitioning.total_work(predicted) / (
-            little_spec.core_speed * little_parallelism
-        )
-        use_big = predicted_little_s > scheduler.long_query_threshold_s
+    def shortest_queue(use_big: bool) -> SimulatedServer:
         group = big_group if use_big else little_group
         if not group:
             group = little_group if use_big else big_group
-        return min(group, key=lambda s: s.cores.next_free_time())
+        return min(group, key=lambda server: server.cores.next_free_time())
 
-    def route(record: QueryRecord) -> None:
-        if scheduler is not None:
-            server = route_predicted(record)
-            routed["big" if server in big_group else "little"] += 1
-        elif config.demand_threshold is None:
-            server = all_servers[spray_rng.integers(len(all_servers))]
-            routed["big" if server in big_group else "little"] += 1
-        else:
-            use_big = record.demand > config.demand_threshold
-            group = big_group if use_big else little_group
-            if not group:
-                group = little_group if use_big else big_group
-            server = min(group, key=lambda s: s.cores.next_free_time())
-            routed["big" if group is big_group else "little"] += 1
-        server.handle_arrival(record)
+    def spray(record, shard, candidates):
+        return candidates[spray_rng.integers(len(candidates))]
 
-    for query_id, (send_time, demand) in enumerate(zip(arrival_times, demands)):
-        record = QueryRecord(
-            query_id=query_id,
-            client_send=float(send_time),
-            demand=float(demand),
+    def oracle(record, shard, candidates):
+        return shortest_queue(record.total_demand > config.demand_threshold)
+
+    def deadline(record, shard, candidates):
+        # The cheapest (peak joules per reference-core second) server
+        # predicted to finish by the deadline; when none can, damage
+        # control — the fastest predicted finish.  Ties break on the
+        # estimate, then on fleet order (big first).
+        predicted = float(predicted_demands[record.query_id])
+        estimates = [
+            (
+                max(server.cores.next_free_time() - sim.now, 0.0)
+                + unloaded_service(server.spec, predicted),
+                position,
+                server,
+            )
+            for position, server in enumerate(candidates)
+        ]
+        eligible = [e for e in estimates if e[0] <= scheduler.deadline_s]
+        if not eligible:
+            return min(estimates)[2]
+        return min(
+            eligible,
+            key=lambda e: (
+                e[2].spec.peak_power_watts / e[2].spec.compute_capacity,
+                e[0],
+                e[1],
+            ),
+        )[2]
+
+    def long_query(record, shard, candidates):
+        # The noisy mirror of the oracle: a query whose *predicted*
+        # unloaded service time on a little server exceeds the
+        # threshold goes to the big group.
+        spec = config.little_spec if little_group else config.big_spec
+        predicted = float(predicted_demands[record.query_id])
+        return shortest_queue(
+            unloaded_service(spec, predicted)
+            > scheduler.long_query_threshold_s
         )
-        sim.schedule(float(send_time), route, record)
+
+    if scheduler is None:
+        rule = spray if config.demand_threshold is None else oracle
+    else:
+        rule = long_query if scheduler.deadline_s is None else deadline
+    broker = Broker(
+        sim,
+        streams,
+        1,
+        merge_per_server=0.0,
+        concentration=1.0,
+        selection=rule,
+    )
+    servers = broker.replicas[0] = big_group + little_group
+    for query_id, (send_time, demand) in enumerate(
+        zip(arrival_times.tolist(), demands.tolist())
+    ):
+        sim.schedule(send_time, broker.on_arrival, query_id, demand)
 
     sim.run()
-    records.sort(key=lambda record: record.client_send)
-
-    utilizations = []
-    powers = []
-    for server in all_servers:
-        utilization = min(1.0, server.cores.utilization(max(sim.now, 1e-12)))
-        utilizations.append(utilization)
-        powers.append(PowerModel(server.spec).power_at(utilization))
+    utilizations = [
+        min(1.0, server.cores.utilization(max(sim.now, 1e-12)))
+        for server in servers
+    ]
     return HeterogeneousResult(
-        records=records,
+        records=broker.finished_records(len(arrival_times)),
         horizon=sim.now,
+        num_servers=1,
         per_server_utilization=utilizations,
-        per_server_power_watts=powers,
+        per_server_power_watts=[
+            PowerModel(server.spec).power_at(utilization)
+            for server, utilization in zip(servers, utilizations)
+        ],
         routed_to_big=routed["big"],
         routed_to_little=routed["little"],
     )

@@ -55,6 +55,11 @@ class TestHeterogeneousConfig:
         with pytest.raises(ValueError):
             mixed_config(threshold=-1.0)
 
+    def test_nan_threshold_rejected(self):
+        # NaN passes a ``< 0`` check and then routes every query little.
+        with pytest.raises(ValueError, match="demand_threshold"):
+            mixed_config(threshold=float("nan"))
+
 
 class TestRunHeterogeneous:
     def test_all_queries_complete(self):
@@ -76,7 +81,9 @@ class TestRunHeterogeneous:
             mixed_config(threshold=threshold), scenario()
         )
         big_demands = [
-            r.demand for r in result.records if r.demand > threshold
+            r.total_demand
+            for r in result.records
+            if r.total_demand > threshold
         ]
         assert result.routed_to_big == len(big_demands)
 

@@ -9,11 +9,12 @@ broker is made of each appear in one place under ``src/repro/``.
 
 A new serving scenario is a routing rule, a driver that edits the
 broker's replica table, or a policy field — not another loop that
-admits, splits and gathers on its own.  ``cluster/simulation.py`` (one
-server, no broker; the independent reference of
-``test_single_server_matches_single_node_sim``) and ``cluster/hetero.py``
-(a single-shard router with no fan-out) talk to servers directly and
-are listed as such.
+admits, splits and gathers on its own.  The mixed big/little fleet
+(``cluster/hetero.py``) is such a driver: its routers are callable
+routing rules.  Only ``cluster/simulation.py`` (one server, no broker;
+the independent reference of
+``test_single_server_matches_single_node_sim``) talks to servers
+directly, and is listed as such.
 """
 
 from __future__ import annotations
@@ -30,11 +31,7 @@ RULES = {
         "resilience/admission.py",
     },
     r"""["']server-imbalance["']""": {"cluster/broker.py"},
-    r"\.handle_arrival\b": {
-        "cluster/broker.py",
-        "cluster/simulation.py",
-        "cluster/hetero.py",
-    },
+    r"\.handle_arrival\b": {"cluster/broker.py", "cluster/simulation.py"},
     r"\bcluster\.replication\b|\bcluster\s+import\s+replication\b": set(),
 }
 
@@ -79,6 +76,11 @@ def test_lint_actually_detects(tmp_path):
         "sim.schedule(t, server.handle_arrival, record)\n"
         "# AdmissionController( in a comment is fine\n"
     )
+    (tmp_path / "cluster" / "hetero.py").write_text(
+        "server.handle_arrival(record)\n"
+    )
     violations = _violations(tmp_path)
-    assert [v.split(":")[1] for v in violations] == ["1", "2", "3", "4"]
-    assert all("fifth.py" in v for v in violations)
+    assert [v.split(":")[0] for v in violations] == (
+        ["src/repro/cluster/fifth.py"] * 4 + ["src/repro/cluster/hetero.py"]
+    )
+    assert [v.split(":")[1] for v in violations] == ["1", "2", "3", "4", "1"]
