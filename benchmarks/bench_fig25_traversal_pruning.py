@@ -24,8 +24,11 @@ every cell also reports ``ms_per_query``: each query's *floor* over
 ``TIMING_PASSES`` serial executions (the minimum is reached as soon as
 one execution falls outside an interference burst — the estimator idea
 of ``benchmarks/perf/estimator.py``), summed and divided by the query
-count.  It is a reported value, not a gate: the exact counters stay the
-gates.
+count.  Every pass starts a new node, so Block-Max WAND's searchers
+start each pass with no term-impact records: a query reads memoised
+records only for the terms an earlier query of the log named, in every
+pass alike.  It is a reported value, not a gate: the exact counters
+stay the gates.
 
 Acceptance contract (mirrors ISSUE criteria):
 

@@ -42,7 +42,7 @@ class InvertedIndex:
         self.doc_lengths = np.asarray(doc_lengths, dtype=np.int64)
         #: Mean analyzed document length (0.0 for an empty index).  The
         #: index is immutable, so the mean is taken once here: every
-        #: query builds its scorer from it.
+        #: searcher builds its scorer from it.
         self.average_doc_length = (
             float(self.doc_lengths.mean()) if self.doc_lengths.size else 0.0
         )

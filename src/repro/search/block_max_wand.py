@@ -10,9 +10,18 @@ two ways, with the same answer:
 
 **Resident index: a candidate generator in front of DAAT's merge.**
 Every postings list is in memory, so the per-block bounds of all query
-terms are computed at once and decide, as arrays, which documents are
+terms are at hand at once and decide, as arrays, which documents are
 worth scoring (a block-max variant of Turtle & Flood's MaxScore and its
-essential lists):
+essential lists).  For a fixed scorer, nothing a term brings to this
+depends on the query — its contributions, block bounds, M_t, and its
+k-th largest contribution for a given ``k`` — so :func:`_term_impacts`
+builds them into one record and a
+:class:`~repro.search.executor.Searcher` keeps every record it built:
+a term's first query pays what every query once paid, later ones read
+arrays, so what it saves depends on how often the traffic repeats a
+term.  Only terms the index holds are kept, one record each, at most
+8 B per posting plus 8 B per block.  :func:`score_block_max_wand`
+keeps nothing: each call builds its terms' records afresh.
 
 1. *Threshold θ* — the k-th largest single-term contribution,
    maximised over the terms.  Contributions are ≥ 0 (BM25, TF-IDF), so
@@ -51,7 +60,7 @@ block bounds can still reach the heap threshold — skip when
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -156,6 +165,73 @@ class _PagedCursor(_Cursor):
         return self.scores[self.offset]
 
 
+class _TermImpacts:
+    """One term's share of resident Block-Max WAND under one scorer.
+
+    Nothing here depends on the query: the postings' doc ids (a view),
+    every posting's contribution, the block ends and bounds (0.0
+    appended: a document past the last block gets nothing from the
+    term), M_t, and the θ seeds, memoised per ``k`` as queries ask for
+    them.  A concurrent fill of a seed is benign — every thread derives
+    the same value from immutable arrays.
+    """
+
+    __slots__ = (
+        "doc_ids",
+        "scores",
+        "nonnegative",
+        "block_ends",
+        "bounds",
+        "maximum",
+        "_seeds",
+    )
+
+    def __init__(self, doc_ids, scores, block_ends, bounds):
+        self.doc_ids = doc_ids
+        self.scores = scores
+        self.nonnegative = not scores.min() < 0.0
+        self.block_ends = block_ends
+        self.bounds = np.concatenate((bounds, _NO_BLOCK))
+        self.maximum = float(bounds.max())
+        self._seeds: Dict[int, float] = {}
+
+    def seed(self, k: int) -> float:
+        """The k-th largest contribution; −∞ when the list is shorter."""
+        seed = self._seeds.get(k)
+        if seed is None:
+            size = len(self.scores)
+            seed = (
+                np.partition(self.scores, size - k)[size - k]
+                if size >= k
+                else -np.inf
+            )
+            self._seeds[k] = seed
+        return seed
+
+
+def _term_impacts(
+    index: InvertedIndex, scorer, term: str
+) -> Optional[_TermImpacts]:
+    """Build ``term``'s record; None when the index has no posting of it."""
+    info = index.term_info(term)
+    if info is None:
+        return None
+    postings = index.postings_for_id(info.term_id)
+    if len(postings) == 0:
+        return None
+    idf = resolve_idf(scorer, term, info.document_frequency)
+    doc_ids = postings.doc_ids
+    blocks = index.block_metadata_for_id(info.term_id)
+    return _TermImpacts(
+        doc_ids,
+        _vector_scores(
+            scorer, postings.frequencies, index.doc_lengths[doc_ids], idf
+        ),
+        blocks.last_doc_ids,
+        blocks.max_scores(scorer, idf),
+    )
+
+
 def _score_resident(
     index: InvertedIndex,
     query: ParsedQuery,
@@ -163,53 +239,38 @@ def _score_resident(
     max_docs_scored: Optional[int],
     metrics: Optional["MetricsRegistry"],
     stats: Optional[TraversalStats],
+    impacts: Optional[Dict[str, _TermImpacts]],
 ) -> List[SearchHit]:
-    """Block-max candidate generation + DAAT's merge (module docstring)."""
-    k = query.k
-    doc_lengths = index.doc_lengths
-    id_lists: List[np.ndarray] = []
-    score_lists: List[np.ndarray] = []
-    block_ends: List[np.ndarray] = []
-    block_bounds: List[np.ndarray] = []
-    maxima: List[float] = []
-    negative = False
+    """Block-max candidate generation + DAAT's merge (module docstring).
+
+    ``impacts`` keeps the records of terms found in ``index`` under
+    ``scorer`` across calls; None builds this query's records afresh.
+    """
+    memo = {} if impacts is None else impacts
+    records: List[_TermImpacts] = []
     for term in query.terms:
-        info = index.term_info(term)
-        if info is None:
-            continue
-        postings = index.postings_for_id(info.term_id)
-        if len(postings) == 0:
-            continue
-        idf = resolve_idf(scorer, term, info.document_frequency)
-        doc_ids = postings.doc_ids
-        scores = _vector_scores(
-            scorer, postings.frequencies, doc_lengths[doc_ids], idf
-        )
-        negative = negative or scores.min() < 0.0
-        blocks = index.block_metadata_for_id(info.term_id)
-        bounds = blocks.max_scores(scorer, idf)
-        id_lists.append(doc_ids)
-        score_lists.append(scores)
-        block_ends.append(blocks.last_doc_ids)
-        block_bounds.append(bounds)
-        maxima.append(float(bounds.max()))
-    if not id_lists:
+        record = memo.get(term)
+        if record is None:
+            record = _term_impacts(index, scorer, term)
+            if record is None:
+                continue
+            memo[term] = record
+        records.append(record)
+    if not records:
         return []
 
     # θ: the k-th largest contribution of the best term.  A term's k-th
     # contribution is at most its M_t, so once M_t <= θ (taking terms
     # by M_t, highest first) no further partition can raise θ.
     threshold = -np.inf
-    terms = range(len(id_lists))
+    terms = range(len(records))
+    maxima = [record.maximum for record in records]
     by_bound = sorted(terms, key=maxima.__getitem__)
-    if not negative:
+    if all(record.nonnegative for record in records):
         for term in reversed(by_bound):
             if maxima[term] <= threshold:
                 break
-            size = len(score_lists[term])
-            if size >= k:
-                kth = np.partition(score_lists[term], size - k)[size - k]
-                threshold = max(threshold, kth)
+            threshold = max(threshold, records[term].seed(query.k))
 
     # Essential split: grow the non-essential set from the lowest M_t
     # while its bounds, summed in query-term order, stay below θ.
@@ -222,24 +283,25 @@ def _score_resident(
 
     # The candidates: the union of the essential lists, from one sort.
     if len(essential) == 1:
-        candidates = id_lists[min(essential)]
+        candidates = records[min(essential)].doc_ids
     else:
         candidates = np.sort(
-            np.concatenate([id_lists[term] for term in sorted(essential)])
+            np.concatenate(
+                [records[term].doc_ids for term in sorted(essential)]
+            )
         )
         distinct = np.ones(len(candidates), dtype=bool)
         np.not_equal(candidates[1:], candidates[:-1], out=distinct[1:])
         candidates = candidates[distinct]
 
     # Block-bound filter: each term's bound for the block that could
-    # hold the candidate, summed in term order; a candidate past a
-    # list's last block gets 0.0 from that term.
+    # hold the candidate, summed in term order.
     survivors = candidates
     if threshold > -np.inf:
         upper = 0.0
-        for term in terms:
-            upper = upper + np.concatenate((block_bounds[term], _NO_BLOCK))[
-                block_ends[term].searchsorted(candidates)
+        for record in records:
+            upper = upper + record.bounds[
+                record.block_ends.searchsorted(candidates)
             ]
         survivors = candidates[upper >= threshold]
     block_skips = len(candidates) - len(survivors)
@@ -253,10 +315,10 @@ def _score_resident(
     surviving[survivors] = True
     hit_ids: List[np.ndarray] = []
     hit_scores: List[np.ndarray] = []
-    for doc_ids, scores in zip(id_lists, score_lists):
-        kept = surviving[doc_ids]
-        hit_ids.append(doc_ids[kept])
-        hit_scores.append(scores[kept])
+    for record in records:
+        kept = surviving[record.doc_ids]
+        hit_ids.append(record.doc_ids[kept])
+        hit_scores.append(record.scores[kept])
     documents, totals, _ = _merge_postings(hit_ids, hit_scores)
 
     docs_scored = len(survivors)
@@ -268,7 +330,7 @@ def _score_resident(
         metrics.counter("wand.docs_scored").add(docs_scored)
         metrics.counter("wand.pivot_skips").add(0)
         metrics.counter("wand.block_skips").add(block_skips)
-    return select_top_k(documents, totals, k)
+    return select_top_k(documents, totals, query.k)
 
 
 def score_block_max_wand(
@@ -295,6 +357,29 @@ def score_block_max_wand(
     and returns the best of them (an *approximate* top-k).  ``None`` —
     the default — keeps the exact traversal, bit identical to
     exhaustive DAAT.  A truncated run sets ``stats.truncated``.
+    Every call builds its terms' records afresh.
+    """
+    return _score_block_max_wand(
+        index, query, scorer, metrics, stats, max_docs_scored, None
+    )
+
+
+def _score_block_max_wand(
+    index: InvertedIndex,
+    query: ParsedQuery,
+    scorer: Optional[BM25Scorer],
+    metrics: Optional["MetricsRegistry"],
+    stats: Optional[TraversalStats],
+    max_docs_scored: Optional[int],
+    impacts: Optional[Dict[str, _TermImpacts]],
+) -> List[SearchHit]:
+    """:func:`score_block_max_wand` reading and filling ``impacts``.
+
+    ``impacts`` belongs to one (``index``, ``scorer``) pair — a
+    :class:`~repro.search.executor.Searcher` passes its own dict, built
+    beside its one scorer — and a resident evaluation keeps there the
+    record of each query term the index holds.  A tiered evaluation
+    never touches it.
     """
     if query.mode is not QueryMode.OR:
         raise ValueError("score_block_max_wand supports OR queries only")
@@ -309,7 +394,7 @@ def score_block_max_wand(
         )
     if not hasattr(index, "tiered_postings_for_id"):
         return _score_resident(
-            index, query, scorer, max_docs_scored, metrics, stats
+            index, query, scorer, max_docs_scored, metrics, stats, impacts
         )
 
     # A tiered index pages postings block-at-a-time: the pivot kernel

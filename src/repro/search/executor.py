@@ -4,14 +4,22 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.index.inverted import InvertedIndex
 from repro.index.partitioner import IndexShard
 from repro.obs.registry import MetricsRegistry
-from repro.search.block_max_wand import score_block_max_wand
+from repro.search.block_max_wand import _score_block_max_wand
 from repro.search.daat import score_daat
 from repro.search.query import DEFAULT_TOP_K, ParsedQuery, QueryMode, QueryParser
 from repro.search.scoring import BM25Scorer, Scorer
@@ -19,6 +27,9 @@ from repro.search.strategy import TraversalStats, TraversalStrategy
 from repro.search.taat import score_taat
 from repro.search.topk import SearchHit
 from repro.search.wand import score_wand
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.index.store import CacheSnapshot
 
 #: Supported traversal algorithms.
 ALGORITHMS = ("daat", "taat", "wand", "block_max_wand")
@@ -120,8 +131,10 @@ class Searcher:
         (or one of its aliases, e.g. ``"exhaustive"``) is accepted and
         normalized to the algorithm name.
     scorer_factory:
-        Builds the scorer from the index; defaults to BM25 with the
-        index's collection statistics.
+        Builds the scorer from the index, once, when the searcher is
+        constructed (scorers are frozen value objects, so every query
+        shares it); defaults to BM25 with the index's collection
+        statistics.
     metrics:
         Optional registry for per-query counters (queries evaluated,
         postings scanned, traversal heap operations).  None — the
@@ -139,6 +152,11 @@ class Searcher:
     metrics: Optional[MetricsRegistry] = None
     global_doc_ids: Optional[np.ndarray] = None
     _parser: QueryParser = field(init=False, repr=False)
+    _scorer: Scorer = field(init=False, repr=False)
+    _store_stats: Optional[Callable[[], CacheSnapshot]] = field(
+        init=False, repr=False
+    )
+    _impacts: Dict[str, object] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.algorithm = _normalize_algorithm(self.algorithm)
@@ -147,6 +165,17 @@ class Searcher:
                 f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
             )
         self._parser = QueryParser(analyzer=self.index.analyzer)
+        if self.scorer_factory is not None:
+            self._scorer = self.scorer_factory(self.index)
+        else:
+            self._scorer = BM25Scorer(
+                num_documents=self.index.num_documents,
+                average_doc_length=self.index.average_doc_length,
+            )
+        self._store_stats = getattr(self.index, "store_stats", None)
+        # Block-Max WAND's per-term records under ``_scorer`` (resident
+        # index only): one per index term a query has asked for.
+        self._impacts = {}
 
     def parse(
         self,
@@ -184,9 +213,9 @@ class Searcher:
             )
         if isinstance(query, str):
             query = self.parse(query, mode=mode, k=k)
-        scorer = self._make_scorer()
+        scorer = self._scorer
         stats = TraversalStats()
-        store_stats = getattr(self.index, "store_stats", None)
+        store_stats = self._store_stats
         store_before = store_stats() if store_stats is not None else None
         if self.algorithm == "taat":
             hits = score_taat(self.index, query, scorer)
@@ -199,13 +228,14 @@ class Searcher:
             docs_scored = stats.docs_scored
             blocks_skipped = None
         elif self.algorithm == "block_max_wand":
-            hits = score_block_max_wand(
+            hits = _score_block_max_wand(
                 self.index,
                 query,
                 scorer,
-                metrics=self.metrics,
-                stats=stats,
-                max_docs_scored=max_docs_scored,
+                self.metrics,
+                stats,
+                max_docs_scored,
+                self._impacts,
             )
             docs_scored = stats.docs_scored
             blocks_skipped = stats.block_skips
@@ -241,14 +271,6 @@ class Searcher:
             blocks_fetched=blocks_fetched,
             bytes_read=bytes_read,
             truncated=stats.truncated,
-        )
-
-    def _make_scorer(self) -> Scorer:
-        if self.scorer_factory is not None:
-            return self.scorer_factory(self.index)
-        return BM25Scorer(
-            num_documents=self.index.num_documents,
-            average_doc_length=self.index.average_doc_length,
         )
 
 

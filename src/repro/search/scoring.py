@@ -3,8 +3,9 @@
 The benchmark ranks with Lucene's similarity; we provide Okapi BM25
 (Lucene's successor default and the standard in the literature) plus a
 classic TF-IDF for comparison.  Scorers are stateless value objects
-parameterized by collection statistics, so one scorer instance is built
-per (index, query) evaluation.
+parameterized by collection statistics, so a
+:class:`~repro.search.executor.Searcher` builds one scorer for its index
+when it is constructed and every query it evaluates shares it.
 """
 
 from __future__ import annotations

@@ -239,7 +239,8 @@ class TestOneScoringKernel:
         )
         assert "_merge_postings" in daat["score_daat"]
         assert "_merge_postings" in bmw["_score_resident"]
-        assert "_score_resident" in bmw["score_block_max_wand"]
+        assert "_score_resident" in bmw["_score_block_max_wand"]
+        assert "_score_block_max_wand" in bmw["score_block_max_wand"]
 
     def test_lint_sees_a_second_merge(self, tmp_path):
         """Self-test: a copied merge elsewhere is reported."""
@@ -324,3 +325,64 @@ class TestNoDispatcherThreads:
             ("mp", "self._health_loop"),
         ]
         assert "queue" in _imported_modules(planted)
+
+
+def _scorer_builds_in_search(source: str):
+    """What ``search`` calls that would build a scorer per query."""
+    calls = _function_calls(ast.parse(source))["search"]
+    return calls & {"_make_scorer", "scorer_factory"}
+
+
+def _term_array_callers(source: str):
+    """``{builder: functions calling it}`` for a term's score arrays."""
+    calls = _function_calls(ast.parse(source))
+    return {
+        builder: {name for name, called in calls.items() if builder in called}
+        for builder in ("_vector_scores", "max_scores")
+    }
+
+
+class TestNothingPerTermIsRebuiltPerQuery:
+    """What depends only on (searcher, term) stays off the query path.
+
+    A ``Searcher`` builds its scorer once, when it is constructed, and
+    resident Block-Max WAND reads each term's contributions and block
+    bounds from the record ``_term_impacts`` builds and the searcher
+    keeps.  Tiered Block-Max WAND still derives its paged cursors'
+    bounds per query (``_score_block_max_wand``'s tiered branch).
+    """
+
+    SEARCH = SRC_ROOT / "repro" / "search"
+
+    def test_search_builds_no_scorer(self):
+        source = (self.SEARCH / "executor.py").read_text()
+        assert _scorer_builds_in_search(source) == set()
+
+    def test_term_arrays_come_from_the_record_builder(self):
+        source = (self.SEARCH / "block_max_wand.py").read_text()
+        assert _term_array_callers(source) == {
+            "_vector_scores": {"_term_impacts"},
+            "max_scores": {"_term_impacts", "_score_block_max_wand"},
+        }
+        assert "_term_impacts" in _function_calls(ast.parse(source))[
+            "_score_resident"
+        ]
+
+    def test_lint_sees_per_query_rebuilds(self):
+        """Self-test: a scorer per search and bounds per query are reported."""
+        executor = (
+            "class Searcher:\n"
+            "    def search(self, query):\n"
+            "        scorer = self.scorer_factory(self.index)\n"
+        )
+        assert _scorer_builds_in_search(executor) == {"scorer_factory"}
+        bmw = (
+            "def _term_impacts(index, scorer, term):\n"
+            "    return _vector_scores(scorer, tf, lengths, idf)\n"
+            "def _score_resident(index, query, scorer):\n"
+            "    return blocks.max_scores(scorer, idf)\n"
+        )
+        assert _term_array_callers(bmw) == {
+            "_vector_scores": {"_term_impacts"},
+            "max_scores": {"_score_resident"},
+        }
