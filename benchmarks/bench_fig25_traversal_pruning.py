@@ -8,9 +8,10 @@ strategy × partition count over the disjunctive Zipf workload:
 
 - **exhaustive** — the paper's setting; scores the full candidate union.
 - **wand** — pivot-based skipping on global per-term score bounds.
-- **block-max-wand** — WAND plus per-block score bounds (block size 64
-  here): shallow pointer movement over block metadata, deep descent
-  only into blocks whose local bound can beat the heap threshold.
+- **block-max-wand** — per-block score bounds (block size 64 here)
+  choose, as arrays, which documents DAAT's merge scores: a threshold
+  from the best term's k-th contribution, a MaxScore essential split,
+  and a per-document block-bound filter.
 
 Pruning is an optimization, not an approximation: every strategy must
 return bit-identical top-k results (ids AND scores).  Partitioning

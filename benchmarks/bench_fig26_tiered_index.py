@@ -197,7 +197,9 @@ def _format(rows, num_queries):
             "cell",
             "p50_ms",
             "p99_ms",
+            "cold_blocks",
             "cold_bytes_read",
+            "warm_blocks",
             "warm_bytes_read",
             "read_frac_warm",
             "adm_rejects",
@@ -207,7 +209,9 @@ def _format(rows, num_queries):
                 row["label"],
                 round(row["p50_ms"], 3),
                 round(row["p99_ms"], 3),
+                row["cold_blocks_fetched"],
                 row["cold_bytes_read"],
+                row["warm_blocks_fetched"],
                 row["warm_bytes_read"],
                 (
                     round(row["warm_bytes_read"] / total, 4)

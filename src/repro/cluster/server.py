@@ -161,7 +161,7 @@ class PartitionModelConfig:
         overheads and the merge are posting-volume independent and are
         not scaled).  With a tiered :attr:`storage` model, block-fetch
         latency is added on the *pruned* demand — a traversal that
-        descends into fewer blocks also fetches fewer.
+        scores fewer blocks also fetches fewer.
         """
         scoring = (
             demand * self.pruning_factor if self.traversal.prunes else demand

@@ -22,11 +22,11 @@ Layers, bottom up:
 - :class:`TieredIndex` — duck-types
   :class:`~repro.index.inverted.InvertedIndex`: the dictionary, the
   document-length table, and the per-block metadata stay resident (they
-  are the "shallow" data Block-Max WAND steers with), while postings
+  are what Block-Max WAND's bounds are computed from), while postings
   blocks are fetched on demand.  Exhaustive/WAND traversal materializes
   a term's blocks through the cache; Block-Max WAND pages in **only the
-  blocks it descends into** (see
-  :mod:`repro.search.block_max_wand`'s paged cursor).
+  blocks its bounds cannot rule out** (see
+  :mod:`repro.search.block_max_wand`'s paged records).
 
 Paging is an engineering change, never a ranking change: the property
 suite asserts tiered search is bit-identical — doc ids *and* float
@@ -638,7 +638,7 @@ def decode_postings_block(
 class _TermBlocks:
     """Resident metadata of one term's paged postings.
 
-    Everything Block-Max WAND consults *shallowly* lives here: skip
+    Everything Block-Max WAND reads without paging lives here: skip
     pointers (first/last doc id per block), score-bound ingredients,
     and the byte length of each block (for budget math).
     """
@@ -704,8 +704,8 @@ class TieredIndex:
     dictionary, document lengths, analyzer, and per-block metadata are
     resident; :meth:`postings_for_id` pages a term's blocks in through
     the :class:`BlockCache` and concatenates them.  Block-Max WAND
-    recognizes :meth:`tiered_postings_for_id` and pages **only** the
-    blocks it descends into.
+    recognizes :meth:`tiered_postings_for_id` and pages in **only** the
+    blocks its bounds cannot rule out.
 
     Build one with :func:`tier_index` (from a resident index) or
     :func:`open_tiered_index` (from a segment file).

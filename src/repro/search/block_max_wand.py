@@ -5,62 +5,67 @@ upper bounds.  Term-global bounds are hopelessly loose for common
 terms — one high-tf posting anywhere in a list inflates the bound for
 the entire list — so BMW consults the
 :class:`~repro.index.blockmax.BlockMetadata` the index keeps per
-postings block (last doc id, max tf, min doc length) instead.  It runs
-two ways, with the same answer:
+postings block (last doc id, max tf, min doc length) instead.
 
-**Resident index: a candidate generator in front of DAAT's merge.**
-Every postings list is in memory, so the per-block bounds of all query
-terms are at hand at once and decide, as arrays, which documents are
-worth scoring (a block-max variant of Turtle & Flood's MaxScore and its
-essential lists).  For a fixed scorer, nothing a term brings to this
-depends on the query — its contributions, block bounds, M_t, and its
-k-th largest contribution for a given ``k`` — so :func:`_term_impacts`
-builds them into one record and a
-:class:`~repro.search.executor.Searcher` keeps every record it built:
-a term's first query pays what every query once paid, later ones read
-arrays, so what it saves depends on how often the traffic repeats a
-term.  Only terms the index holds are kept, one record each, at most
-8 B per posting plus 8 B per block.  :func:`score_block_max_wand`
-keeps nothing: each call builds its terms' records afresh.
+It is a *candidate generator* in front of DAAT's merge: the block
+bounds of all query terms are at hand at once (they are resident on
+every index) and decide, as arrays, which documents are worth scoring
+— a block-max variant of Turtle & Flood's MaxScore and its essential
+lists.  One function, :func:`_generate`, runs it on a resident and on a
+tiered index alike; the two differ only in the record a term brings:
+
+- **Resident** (:func:`_term_impacts`): every posting's contribution is
+  at hand.  For a fixed scorer nothing in the record depends on the
+  query — contributions, block bounds, M_t, and the k-th largest
+  contribution for a given ``k`` — so a
+  :class:`~repro.search.executor.Searcher` keeps every record it built:
+  a term's first query pays what every query once paid, later ones
+  read arrays, so what it saves depends on how often the traffic
+  repeats a term.  Only terms the index holds are kept, one record
+  each, at most 8 B per posting plus 8 B per block.
+  :func:`score_block_max_wand` keeps nothing: each call builds its
+  terms' records afresh.
+- **Tiered** (:func:`_paged_impacts`): postings are paged in block by
+  block through the index's block cache, so the record holds only the
+  resident block summaries, and each step below pages in just the
+  blocks it needs — the query's bounds decide what is read.  A block
+  is fetched at most once per query, and nothing is kept across
+  queries.
 
 1. *Threshold θ* — the k-th largest single-term contribution,
    maximised over the terms.  Contributions are ≥ 0 (BM25, TF-IDF), so
    at least k documents score ≥ θ and a document below θ cannot enter
    the top-k.  With any negative contribution θ is −∞ and nothing is
-   pruned.
+   pruned.  A tiered term pages its blocks in highest bound first and
+   stops once no unread block could change its k-th contribution, so
+   θ is the resident θ and a tiered query scores the same documents.
 2. *Essential split* — the terms sorted by their largest block bound
    M_t; the largest low-M set whose bounds, summed in query-term order,
    stay strictly below θ is non-essential: a document found only there
    cannot reach θ.  The candidates are the documents of the essential
-   lists.
+   lists.  A tiered term pages in only those of its blocks whose own
+   bound, plus every other term's largest bound over the block's
+   doc-id range, can reach θ; the documents of the others would all
+   fail step 3.
 3. *Block-bound filter* — each candidate's bound is the sum, in term
    order, of every term's bound for the one block that could hold it;
    a candidate whose bound is below θ is dropped (ties descend).
 4. *Scoring* — every posting of every term whose document survived
    goes through :func:`repro.search.daat._merge_postings` and
    :func:`~repro.search.topk.select_top_k`, the kernel exhaustive DAAT
-   uses.
+   uses.  A tiered term pages in the blocks that can hold a survivor
+   (its resident first doc ids rule out the rest).
 
 Float rounding is monotone, so a bound summed in term order is at
 least the document's float score summed in the same order; and the
 merge sums each document in term order, so scores are DAAT's bit for
 bit.  ``docs_scored`` counts the survivors, ``block_skips`` the
 candidates the block bounds dropped; there are no pivots.
-
-**Tiered index: the pivot kernel.**  Postings are paged in
-block-at-a-time, and the point is to fetch only the blocks the
-traversal descends into, so tiered BMW runs
-:func:`repro.search.wand._traverse` with the block stage on over
-:class:`_PagedCursor`s: shallow pointer movement over the resident
-block summaries, deep descent (and a fetch) only where the summed local
-block bounds can still reach the heap threshold — skip when
-``block_upper < threshold``, descend on ties.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -70,7 +75,6 @@ from repro.search.query import ParsedQuery, QueryMode
 from repro.search.scoring import BM25Scorer, _vector_scores, resolve_idf
 from repro.search.strategy import TraversalStats
 from repro.search.topk import SearchHit, select_top_k
-from repro.search.wand import _block_scores, _Cursor, _traverse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
@@ -78,91 +82,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: The bound a term gives a document past its last block.
 _NO_BLOCK = np.zeros(1)
 
-
-class _PagedCursor(_Cursor):
-    """A block-max cursor over tiered (paged) postings.
-
-    The postings live behind a
-    :class:`~repro.index.store.TieredPostings` view and are paged in
-    block-at-a-time.  The trick that makes paging cheap is **shallow
-    seeking**: the resident per-block first/last doc ids locate the
-    only block that can hold a seek target, and when the target lands
-    on or before a block's first posting the current doc id is known
-    from metadata alone — a cursor that is merely being skipped over
-    never fetches.  Only a mid-block landing or an actual scoring
-    descent pages the block in, so the traversal fetches exactly the
-    blocks it descends into.
-
-    Per-block score lists come from the same ``score_block`` call a
-    resident scan makes, so scores are bit-identical; only the I/O
-    schedule is the cursor's own.
-    """
-
-    __slots__ = (
-        "tiered",
-        "first_doc_ids",
-        "block",
-        "doc_ids",
-        "frequencies",
-        "offset",
-        "scores",
-    )
-
-    def __init__(self, tiered_postings, *state):
-        self.tiered = tiered_postings
-        self.first_doc_ids = tiered_postings.info.first_doc_ids
-        super().__init__(self.first_doc_ids.item(0), *state)
-        self.block = 0  # block holding the current posting
-        self.doc_ids: Optional[np.ndarray] = None  # None until paged in
-        self.frequencies: Optional[np.ndarray] = None
-        self.offset = 0
-        self.scores: Optional[List[float]] = None
-
-    def _load(self) -> np.ndarray:
-        """Page the current block in (through the index's block cache)."""
-        self.doc_ids, self.frequencies = self.tiered.block(self.block)
-        return self.doc_ids
-
-    def seek(self, target: int) -> Optional[int]:
-        """Advance to the first posting with doc id >= ``target``.
-
-        Returns the new ``cur`` (``None`` when the list is exhausted);
-        pages a block in only when the target lands strictly inside it.
-        """
-        cur = self.cur
-        if cur >= target:
-            return cur
-        block = self.block
-        last_doc_ids = self.last_doc_ids
-        if last_doc_ids[block] < target:
-            block = self.block = bisect_left(last_doc_ids, target, block + 1)
-            if block == len(last_doc_ids):
-                self.cur = None
-                return None
-            self.doc_ids = self.frequencies = self.scores = None
-            self.offset = 0
-        doc_ids = self.doc_ids
-        if doc_ids is None:
-            # The target precedes the block's first posting — whose id
-            # the resident metadata already knows — or lands inside it.
-            cur = self.first_doc_ids.item(block)
-            if cur < target:
-                doc_ids = self._load()
-        if doc_ids is not None:
-            self.offset = int(doc_ids.searchsorted(target))
-            cur = doc_ids.item(self.offset)
-        self.cur = cur
-        self.key = cur * self.stride + self.rank
-        return cur
-
-    def score(self, scorer, doc_lengths: np.ndarray) -> float:
-        """Score the posting under the cursor (pages its block in)."""
-        if self.scores is None:
-            doc_ids = self.doc_ids if self.doc_ids is not None else self._load()
-            self.scores = _block_scores(
-                scorer, self.frequencies, doc_lengths[doc_ids], self.idf
-            )
-        return self.scores[self.offset]
+#: What a tiered term holds for a query that needs none of its blocks.
+_NO_POSTINGS = (np.empty(0, dtype=np.int64), np.empty(0))
 
 
 class _TermImpacts:
@@ -208,11 +129,146 @@ class _TermImpacts:
             self._seeds[k] = seed
         return seed
 
+    def essential(self, records, threshold: float) -> np.ndarray:
+        """The term's candidates when it is essential: every document."""
+        return self.doc_ids
+
+    def cover(self, survivors: np.ndarray) -> None:
+        """Every posting is at hand already."""
+
+
+class _PagedImpacts:
+    """One term's share of tiered Block-Max WAND, for one query.
+
+    Holds the resident block summaries — first and last doc ids, bounds
+    (0.0 appended, as on :class:`_TermImpacts`) and M_t — and pages
+    postings in through the index's block cache as the generator asks
+    for them, each block at most once.  ``doc_ids``/``scores`` are the
+    postings of the blocks :meth:`cover` paged in for the survivors.
+    """
+
+    __slots__ = (
+        "postings",
+        "first_doc_ids",
+        "block_ends",
+        "bounds",
+        "maximum",
+        "nonnegative",
+        "scorer",
+        "idf",
+        "doc_lengths",
+        "doc_ids",
+        "scores",
+        "_blocks",
+    )
+
+    def __init__(self, postings, block_ends, bounds, scorer, idf, doc_lengths):
+        self.postings = postings
+        self.first_doc_ids = postings.info.first_doc_ids
+        self.block_ends = block_ends
+        self.bounds = np.concatenate((bounds, _NO_BLOCK))
+        self.maximum = float(bounds.max())
+        # The smallest contribution a monotone scorer can give: tf 1 in
+        # the longest document.
+        self.nonnegative = (
+            not scorer.score(1, int(doc_lengths.max()), idf) < 0.0
+        )
+        self.scorer = scorer
+        self.idf = idf
+        self.doc_lengths = doc_lengths
+        self._blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def _read(self, blocks) -> Tuple[np.ndarray, np.ndarray]:
+        """Doc ids and contributions of ``blocks`` (ascending), paged in."""
+        parts = []
+        for block in blocks:
+            part = self._blocks.get(block)
+            if part is None:
+                doc_ids, frequencies = self.postings.block(block)
+                part = self._blocks[block] = (
+                    doc_ids,
+                    _vector_scores(
+                        self.scorer,
+                        frequencies,
+                        self.doc_lengths[doc_ids],
+                        self.idf,
+                    ),
+                )
+            parts.append(part)
+        if not parts:
+            return _NO_POSTINGS
+        if len(parts) == 1:
+            return parts[0]
+        return (
+            np.concatenate([doc_ids for doc_ids, _ in parts]),
+            np.concatenate([scores for _, scores in parts]),
+        )
+
+    def seed(self, k: int) -> float:
+        """The k-th largest contribution; −∞ when the list is shorter.
+
+        Pages blocks in highest bound first and stops once the next
+        block's bound is at most the k-th largest contribution read so
+        far: no unread posting can change it then, so the seed is the
+        one the resident record computes from every posting.
+        """
+        if len(self.postings) < k:
+            return -np.inf
+        bounds = self.bounds[:-1].tolist()
+        order = sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True)
+        top = np.empty(0)  # the k largest contributions read so far
+        for read, block in enumerate(order, 1):
+            top = np.concatenate((top, self._read((block,))[1]))
+            if len(top) < k:
+                continue
+            top = np.partition(top, len(top) - k)[len(top) - k :]
+            if read == len(order) or bounds[order[read]] <= top[0]:
+                return top[0]
+
+    def essential(self, records, threshold: float) -> np.ndarray:
+        """Doc ids of the blocks whose documents could reach θ.
+
+        A block's bound is its own plus, for every other term in query
+        order, that term's largest bound over the blocks a document in
+        the block's doc-id range could fall in — at least every such
+        document's bound in step 3, so no block left out holds a
+        survivor.
+        """
+        blocks = np.arange(len(self.block_ends))
+        if threshold > -np.inf:
+            upper = 0.0
+            for record in records:
+                if record is self:
+                    upper = upper + self.bounds[:-1]
+                    continue
+                low = record.block_ends.searchsorted(self.first_doc_ids)
+                high = record.block_ends.searchsorted(self.block_ends)
+                edges = np.empty(2 * len(blocks), dtype=np.int64)
+                edges[0::2] = low
+                edges[1::2] = high + 1
+                # One more 0.0 so ``high + 1`` past the sentinel is a
+                # valid reduceat edge.
+                padded = np.concatenate((record.bounds, _NO_BLOCK))
+                upper = upper + np.maximum.reduceat(padded, edges)[0::2]
+            blocks = blocks[upper >= threshold]
+        return self._read(blocks.tolist())[0]
+
+    def cover(self, survivors: np.ndarray) -> None:
+        """Page in every block that can hold a survivor."""
+        blocks = self.block_ends.searchsorted(survivors)
+        inside = blocks < len(self.block_ends)
+        blocks = blocks[inside]
+        held = survivors[inside] >= self.first_doc_ids[blocks]
+        self.doc_ids, self.scores = self._read(np.unique(blocks[held]).tolist())
+
+
+_Record = Union[_TermImpacts, _PagedImpacts]
+
 
 def _term_impacts(
     index: InvertedIndex, scorer, term: str
 ) -> Optional[_TermImpacts]:
-    """Build ``term``'s record; None when the index has no posting of it."""
+    """Build ``term``'s resident record; None when the index has no posting of it."""
     info = index.term_info(term)
     if info is None:
         return None
@@ -232,7 +288,26 @@ def _term_impacts(
     )
 
 
-def _score_resident(
+def _paged_impacts(index, scorer, term: str) -> Optional[_PagedImpacts]:
+    """Build ``term``'s tiered record (reads no block); None when absent."""
+    info = index.term_info(term)
+    if info is None:
+        return None
+    blocks = index.block_metadata_for_id(info.term_id)
+    if blocks.num_blocks == 0:
+        return None
+    idf = resolve_idf(scorer, term, info.document_frequency)
+    return _PagedImpacts(
+        index.tiered_postings_for_id(info.term_id),
+        blocks.last_doc_ids,
+        blocks.max_scores(scorer, idf),
+        scorer,
+        idf,
+        index.doc_lengths,
+    )
+
+
+def _generate(
     index: InvertedIndex,
     query: ParsedQuery,
     scorer,
@@ -243,15 +318,20 @@ def _score_resident(
 ) -> List[SearchHit]:
     """Block-max candidate generation + DAAT's merge (module docstring).
 
-    ``impacts`` keeps the records of terms found in ``index`` under
-    ``scorer`` across calls; None builds this query's records afresh.
+    On a resident index ``impacts`` keeps the records of terms found in
+    ``index`` under ``scorer`` across calls; None builds this query's
+    records afresh.  A tiered index builds its records per query and
+    never touches ``impacts``.
     """
-    memo = {} if impacts is None else impacts
-    records: List[_TermImpacts] = []
+    if hasattr(index, "tiered_postings_for_id"):
+        build, memo = _paged_impacts, {}
+    else:
+        build, memo = _term_impacts, {} if impacts is None else impacts
+    records: List[_Record] = []
     for term in query.terms:
         record = memo.get(term)
         if record is None:
-            record = _term_impacts(index, scorer, term)
+            record = build(index, scorer, term)
             if record is None:
                 continue
             memo[term] = record
@@ -282,14 +362,14 @@ def _score_resident(
         essential = rest
 
     # The candidates: the union of the essential lists, from one sort.
-    if len(essential) == 1:
-        candidates = records[min(essential)].doc_ids
+    lists = [
+        records[term].essential(records, threshold)
+        for term in sorted(essential)
+    ]
+    if len(lists) == 1:
+        candidates = lists[0]
     else:
-        candidates = np.sort(
-            np.concatenate(
-                [records[term].doc_ids for term in sorted(essential)]
-            )
-        )
+        candidates = np.sort(np.concatenate(lists))
         distinct = np.ones(len(candidates), dtype=bool)
         np.not_equal(candidates[1:], candidates[:-1], out=distinct[1:])
         candidates = candidates[distinct]
@@ -316,6 +396,7 @@ def _score_resident(
     hit_ids: List[np.ndarray] = []
     hit_scores: List[np.ndarray] = []
     for record in records:
+        record.cover(survivors)
         kept = surviving[record.doc_ids]
         hit_ids.append(record.doc_ids[kept])
         hit_scores.append(record.scores[kept])
@@ -351,13 +432,12 @@ def score_block_max_wand(
     the same per-query numbers.
 
     ``max_docs_scored`` is the deadline scheduler's early-termination
-    depth: the traversal scores at most that many documents — on a
-    resident index the first survivors of the block-bound filter in
-    doc-id order, on a tiered one the first the pivot loop reaches —
-    and returns the best of them (an *approximate* top-k).  ``None`` —
-    the default — keeps the exact traversal, bit identical to
-    exhaustive DAAT.  A truncated run sets ``stats.truncated``.
-    Every call builds its terms' records afresh.
+    depth: the generator scores at most that many documents — the
+    first survivors of the block-bound filter in doc-id order — and
+    returns the best of them (an *approximate* top-k).  ``None`` — the
+    default — keeps the exact evaluation, bit identical to exhaustive
+    DAAT.  A truncated run sets ``stats.truncated``.  Every call builds
+    its terms' records afresh.
     """
     return _score_block_max_wand(
         index, query, scorer, metrics, stats, max_docs_scored, None
@@ -392,45 +472,6 @@ def _score_block_max_wand(
             num_documents=index.num_documents,
             average_doc_length=index.average_doc_length,
         )
-    if not hasattr(index, "tiered_postings_for_id"):
-        return _score_resident(
-            index, query, scorer, max_docs_scored, metrics, stats, impacts
-        )
-
-    # A tiered index pages postings block-at-a-time: the pivot kernel
-    # over paged cursors fetches only the blocks it descends into.
-    cursors: List[_Cursor] = []
-    stride = len(query.terms)
-    for rank, term in enumerate(query.terms):
-        info = index.term_info(term)
-        if info is None:
-            continue
-        blocks = index.block_metadata_for_id(info.term_id)
-        if blocks.num_blocks == 0:
-            continue
-        idf = resolve_idf(scorer, term, info.document_frequency)
-        # Per (query, term), O(blocks): the summaries the shallow
-        # pointer steers by, as Python lists the loop can index cheaply.
-        cursors.append(
-            _PagedCursor(
-                index.tiered_postings_for_id(info.term_id),
-                idf,
-                scorer.max_score(idf),
-                rank,
-                stride,
-                blocks.last_doc_ids.tolist(),
-                blocks.max_scores(scorer, idf).tolist(),
-            )
-        )
-    if not cursors:
-        return []
-    return _traverse(
-        cursors,
-        query.k,
-        scorer,
-        index.doc_lengths,
-        block_stage=True,
-        max_docs_scored=max_docs_scored,
-        metrics=metrics,
-        stats=stats,
+    return _generate(
+        index, query, scorer, max_docs_scored, metrics, stats, impacts
     )

@@ -10,12 +10,11 @@ The engine evaluates ranked disjunctions three ways:
   score *upper bounds* cannot beat the current top-k threshold are
   skipped without scoring.
 - ``BLOCK_MAX_WAND`` — Ding & Suel's refinement: postings are grouped
-  into fixed-size blocks carrying local maxima.  On a resident index
-  the block bounds of all query terms choose, as arrays, which
-  documents exhaustive DAAT's merge scores; on a tiered index the
-  pivot loop moves a *shallow* pointer over block metadata and
-  descends into (and fetches) a block only when its much tighter local
-  upper bound can still reach the threshold.
+  into fixed-size blocks carrying local maxima, and the block bounds
+  of all query terms choose, as arrays, which documents exhaustive
+  DAAT's merge scores.  On a tiered index they also choose which
+  blocks are fetched: only those that can hold a document reaching the
+  threshold.
 
 All three return bit-identical top-k results; they differ only in how
 many documents they score, which is exactly the pruning-vs-work
@@ -80,8 +79,8 @@ class TraversalStats:
     ``docs_scored`` counts documents whose full score was computed;
     ``pivot_skips`` counts WAND pivot advances that skipped candidates
     without scoring; ``block_skips`` counts what block-max bounds pruned
-    (BMW only): candidate documents dropped on a resident index, block
-    jumps of the pivot loop on a tiered one.
+    (BMW only): candidate documents dropped (on a tiered index, only
+    those in blocks that were read).
     """
 
     docs_scored: int = 0

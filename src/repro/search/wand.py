@@ -11,21 +11,18 @@ reproduction:
 2. the substrate for the "future work" ablation comparing exhaustive
    vs. dynamically-pruned evaluation under partitioning.
 
-The pivot loop lives here once (:func:`_traverse`) and serves plain
-WAND and tiered Block-Max WAND (:mod:`repro.search.block_max_wand`
-turns the block stage on and supplies the paged cursor).  Resident
-Block-Max WAND does not turn it: it chooses its documents with array
-block bounds and scores them with exhaustive DAAT's merge, which
-leaves plain WAND's pivot sequence as the independent oracle for the
-whole pruning family.  The loop is written for the interpreter:
-everything it reads per turn is a plain ``int`` / ``float`` slot or a
-Python list built once per (query, term); numpy is touched only inside
-``seek`` and on first descent into a block.
+The pivot loop serves plain WAND only.  Block-Max WAND
+(:mod:`repro.search.block_max_wand`) chooses its documents with array
+block bounds and scores them with exhaustive DAAT's merge, on a
+resident and a tiered index alike, which leaves WAND's pivot sequence
+as the independent oracle for the whole pruning family.  The loop is
+written for the interpreter: everything it reads per turn is a plain
+``int`` / ``float`` slot; numpy is touched only inside ``seek`` and on
+first descent into a block.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from operator import attrgetter
 from typing import TYPE_CHECKING, List, Optional
 
@@ -33,7 +30,7 @@ import numpy as np
 
 from repro.index.inverted import InvertedIndex
 from repro.search.query import ParsedQuery, QueryMode
-from repro.search.scoring import BM25Scorer, resolve_idf
+from repro.search.scoring import BM25Scorer, _vector_scores, resolve_idf
 from repro.search.strategy import TraversalStats
 from repro.search.topk import SearchHit, TopKHeap
 
@@ -41,24 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
 
 
-def _block_scores(scorer, frequencies, lengths, idf: float) -> List[float]:
-    """Contributions of one block of postings, as Python floats.
-
-    One vectorized ``score_block`` call (a scalar loop for scorers
-    without one); bit-identical to per-posting ``scorer.score`` calls
-    by ``score_block``'s contract.
-    """
-    score_block = getattr(scorer, "score_block", None)
-    if score_block is not None:
-        return score_block(frequencies, lengths, idf).tolist()
-    return [
-        scorer.score(frequency, length, idf)
-        for frequency, length in zip(frequencies.tolist(), lengths.tolist())
-    ]
-
-
 class _Cursor:
-    """What the pivot kernel reads of a postings cursor.
+    """A postings cursor, as the pivot kernel reads it.
 
     ``cur`` is the doc id under the cursor as a plain ``int``, written
     only by ``seek``; ``key`` orders cursors by ``(cur, rank)`` in one
@@ -68,16 +49,6 @@ class _Cursor:
     kernel drops it from its live list the moment ``seek`` returns
     ``None``, and arithmetic on ``None`` raises instead of leaking
     into a seek target or a ``doc_lengths`` lookup.
-
-    The optional block summaries (Python lists, one entry per block,
-    built per query) drive Block-Max WAND's shallow pointer:
-    ``block_index`` is the last block looked up, ``block_end`` its last
-    doc id (``None`` once every block ends before the pivot) and
-    ``block_bound`` its score bound.  Pivots never decrease, so the
-    pointer only moves forward.
-
-    Subclasses supply ``seek(target) -> cur`` and
-    ``score(scorer, doc_lengths) -> float``.
     """
 
     __slots__ = (
@@ -87,58 +58,6 @@ class _Cursor:
         "stride",
         "idf",
         "max_score",
-        "last_doc_ids",
-        "bounds",
-        "block_index",
-        "block_end",
-        "block_bound",
-    )
-
-    def __init__(
-        self,
-        cur: int,
-        idf: float,
-        max_score: float,
-        rank: int,
-        stride: int,
-        last_doc_ids: Optional[List[int]] = None,
-        bounds: Optional[List[float]] = None,
-    ):
-        self.cur = cur
-        self.key = cur * stride + rank
-        self.rank = rank
-        self.stride = stride
-        self.idf = idf
-        self.max_score = max_score
-        self.last_doc_ids = last_doc_ids
-        self.bounds = bounds
-        self.block_index = 0
-        if last_doc_ids is not None:
-            self.block_end = last_doc_ids[0]
-            self.block_bound = bounds[0]
-
-    def shallow_seek(self, target: int) -> Optional[int]:
-        """Move the block pointer to the only block that can hold ``target``.
-
-        Returns that block's last doc id, or ``None`` when every
-        remaining block ends before ``target``.  Touches only the
-        per-query summary lists, never the postings.
-        """
-        last_doc_ids = self.last_doc_ids
-        block = bisect_left(last_doc_ids, target, self.block_index)
-        self.block_index = block
-        if block == len(last_doc_ids):
-            self.block_end = None
-            return None
-        self.block_bound = self.bounds[block]
-        self.block_end = last_doc_ids[block]
-        return self.block_end
-
-
-class _ResidentCursor(_Cursor):
-    """Cursor over a fully resident postings list."""
-
-    __slots__ = (
         "doc_ids",
         "frequencies",
         "size",
@@ -149,9 +68,22 @@ class _ResidentCursor(_Cursor):
         "scores_end",
     )
 
-    def __init__(self, postings, block_size: int, *state):
-        super().__init__(postings.doc_ids.item(0), *state)
+    def __init__(
+        self,
+        postings,
+        block_size: int,
+        idf: float,
+        max_score: float,
+        rank: int,
+        stride: int,
+    ):
         self.doc_ids = postings.doc_ids
+        self.cur = self.doc_ids.item(0)
+        self.key = self.cur * stride + rank
+        self.rank = rank
+        self.stride = stride
+        self.idf = idf
+        self.max_score = max_score
         self.frequencies = postings.frequencies
         self.size = len(self.doc_ids)
         self.position = 0
@@ -199,140 +131,15 @@ class _ResidentCursor(_Cursor):
         if position >= self.scores_end:
             start = position - position % self.block_size
             end = min(start + self.block_size, self.size)
-            self.scores = _block_scores(
+            self.scores = _vector_scores(
                 scorer,
                 self.frequencies[start:end],
                 doc_lengths[self.doc_ids[start:end]],
                 self.idf,
-            )
+            ).tolist()
             self.scores_start = start
             self.scores_end = end
         return self.scores[position - self.scores_start]
-
-
-def _traverse(
-    live: List[_Cursor],
-    k: int,
-    scorer,
-    doc_lengths: np.ndarray,
-    block_stage: bool,
-    max_docs_scored: Optional[int] = None,
-    metrics: Optional["MetricsRegistry"] = None,
-    stats: Optional[TraversalStats] = None,
-) -> List[SearchHit]:
-    """The WAND-family pivot loop over the query's open cursors.
-
-    Every turn: sort the live cursors, pivot on term-global bounds,
-    optionally refine with block bounds (``block_stage``), then either
-    score the pivot document or skip towards it.  ``live`` is consumed:
-    cursors leave it as they are exhausted.  ``max_docs_scored`` stops
-    the loop after that many scored documents (``None``: exact).
-    """
-    heap = TopKHeap(k)
-    offer = heap.offer
-    threshold = heap.threshold()
-    by_key = attrgetter("key")
-    count = len(live)  # kept in step with ``live``: no len() per turn
-    docs_scored = pivot_skips = block_skips = 0
-    truncated = False
-
-    while count:
-        live.sort(key=by_key)
-
-        # Stage 1 — the pivot: the first cursor at which the running
-        # sum of upper bounds exceeds the heap threshold.  The strict
-        # test is safe because BM25's max_score is a strict supremum
-        # (k1 > 0): a document whose bound merely ties the threshold
-        # cannot actually reach it.
-        upper_bound = 0.0
-        for pivot_index, cursor in enumerate(live):
-            upper_bound += cursor.max_score
-            if upper_bound > threshold:
-                break
-        else:
-            break  # no document can beat the threshold anymore
-        pivot_doc = cursor.cur
-
-        # Absorb trailing cursors sitting exactly on the pivot: they
-        # contribute to its score, so their blocks belong in the local
-        # bound (and they must move together on a block skip).
-        pivot_end = pivot_index + 1
-        while pivot_end < count and live[pivot_end].cur == pivot_doc:
-            pivot_end += 1
-        movers = live[:pivot_end]
-
-        # Stage 2 (Block-Max WAND) — shallow refinement: sum the
-        # *local* block bounds of every cursor that could contribute to
-        # pivot_doc, tracking the earliest block boundary.  The pivot
-        # cursor sits on pivot_doc, so at least its block is bounded.
-        target = None
-        if block_stage:
-            block_upper = 0.0
-            boundary = None
-            for cursor in movers:
-                end = cursor.block_end
-                if end is not None and end < pivot_doc:
-                    end = cursor.shallow_seek(pivot_doc)
-                if end is None:
-                    continue  # cursor's remaining postings all precede pivot
-                block_upper += cursor.block_bound
-                if boundary is None or end < boundary:
-                    boundary = end
-            if block_upper < threshold:
-                # Block skip.  Every document in [pivot_doc, target)
-                # lies inside the blocks just bounded, so its score is
-                # <= block_upper < threshold and the heap cannot admit
-                # it (ties are impossible under a strict inequality).
-                # Jump all contributing cursors past the earliest
-                # boundary — or to the next cursor's document,
-                # whichever is closer.
-                block_skips += 1
-                target = boundary + 1
-                if pivot_end < count and live[pivot_end].cur < target:
-                    target = live[pivot_end].cur
-
-        if target is None:
-            if live[0].cur == pivot_doc:
-                # Every cursor up to pivot_end sits on pivot_doc: score
-                # it, summing in sorted order — original term order
-                # among the tied cursors, so float rounding matches
-                # exhaustive DAAT bit for bit.
-                score = 0.0
-                for cursor in movers:
-                    score += cursor.score(scorer, doc_lengths)
-                docs_scored += 1
-                # A score below the threshold cannot enter the heap (a
-                # tie can: the lower doc id wins), and the threshold
-                # only moves when the heap retains the offer.
-                if score >= threshold and offer(pivot_doc, score):
-                    threshold = heap.threshold()
-                if docs_scored == max_docs_scored:
-                    # Deadline budget spent: return the best-so-far heap.
-                    truncated = True
-                    break
-                target = pivot_doc + 1
-            else:
-                # Skip the leading cursors straight to the pivot document.
-                pivot_skips += 1
-                movers = live[:pivot_index]
-                target = pivot_doc
-
-        for cursor in movers:
-            if cursor.seek(target) is None:
-                live.remove(cursor)
-                count -= 1
-
-    if stats is not None:
-        stats.docs_scored += docs_scored
-        stats.pivot_skips += pivot_skips
-        stats.block_skips += block_skips
-        stats.truncated = stats.truncated or truncated
-    if metrics is not None:
-        metrics.counter("wand.docs_scored").add(docs_scored)
-        metrics.counter("wand.pivot_skips").add(pivot_skips)
-        if block_stage:
-            metrics.counter("wand.block_skips").add(block_skips)
-    return heap.results()
 
 
 def score_wand(
@@ -360,7 +167,7 @@ def score_wand(
             average_doc_length=index.average_doc_length,
         )
 
-    cursors: List[_Cursor] = []
+    live: List[_Cursor] = []
     stride = len(query.terms)
     for rank, term in enumerate(query.terms):
         info = index.term_info(term)
@@ -370,8 +177,8 @@ def score_wand(
         if len(postings) == 0:
             continue
         idf = resolve_idf(scorer, term, info.document_frequency)
-        cursors.append(
-            _ResidentCursor(
+        live.append(
+            _Cursor(
                 postings,
                 index.block_size,
                 idf,
@@ -380,14 +187,69 @@ def score_wand(
                 stride,
             )
         )
-    if not cursors:
-        return []
-    return _traverse(
-        cursors,
-        query.k,
-        scorer,
-        index.doc_lengths,
-        block_stage=False,
-        metrics=metrics,
-        stats=stats,
-    )
+
+    # The pivot loop.  Every turn: sort the live cursors, pivot on the
+    # term-global bounds, then either score the pivot document or skip
+    # towards it.  Cursors leave ``live`` as they are exhausted.
+    doc_lengths = index.doc_lengths
+    heap = TopKHeap(query.k)
+    offer = heap.offer
+    threshold = heap.threshold()
+    by_key = attrgetter("key")
+    count = len(live)  # kept in step with ``live``: no len() per turn
+    docs_scored = pivot_skips = 0
+
+    while count:
+        live.sort(key=by_key)
+
+        # The pivot: the first cursor at which the running sum of upper
+        # bounds exceeds the heap threshold.  The strict test is safe
+        # because BM25's max_score is a strict supremum (k1 > 0): a
+        # document whose bound merely ties the threshold cannot
+        # actually reach it.
+        upper_bound = 0.0
+        for pivot_index, cursor in enumerate(live):
+            upper_bound += cursor.max_score
+            if upper_bound > threshold:
+                break
+        else:
+            break  # no document can beat the threshold anymore
+        pivot_doc = cursor.cur
+
+        if live[0].cur == pivot_doc:
+            # Every cursor up to the pivot sits on pivot_doc, and so
+            # may trailing ones: score it, summing in sorted order —
+            # original term order among the tied cursors, so float
+            # rounding matches exhaustive DAAT bit for bit.
+            pivot_end = pivot_index + 1
+            while pivot_end < count and live[pivot_end].cur == pivot_doc:
+                pivot_end += 1
+            movers = live[:pivot_end]
+            score = 0.0
+            for cursor in movers:
+                score += cursor.score(scorer, doc_lengths)
+            docs_scored += 1
+            # A score below the threshold cannot enter the heap (a tie
+            # can: the lower doc id wins), and the threshold only moves
+            # when the heap retains the offer.
+            if score >= threshold and offer(pivot_doc, score):
+                threshold = heap.threshold()
+            target = pivot_doc + 1
+        else:
+            # Skip the leading cursors straight to the pivot document.
+            pivot_skips += 1
+            movers = live[:pivot_index]
+            target = pivot_doc
+
+        for cursor in movers:
+            if cursor.seek(target) is None:
+                live.remove(cursor)
+                count -= 1
+
+    if stats is not None:
+        stats.docs_scored += docs_scored
+        stats.pivot_skips += pivot_skips
+    if metrics is not None:
+        metrics.counter("wand.docs_scored").add(docs_scored)
+        metrics.counter("wand.pivot_skips").add(pivot_skips)
+    return heap.results()

@@ -20,7 +20,7 @@ from repro.index.builder import IndexBuilder
 from repro.index.store import tier_index
 from repro.search.block_max_wand import score_block_max_wand
 from repro.search.daat import score_daat
-from repro.search.query import ParsedQuery
+from repro.search.query import ParsedQuery, QueryParser
 from repro.search.scoring import BM25Scorer, TfIdfScorer, global_bm25_scorer
 from repro.search.strategy import TraversalStats
 from repro.search.wand import score_wand
@@ -155,23 +155,6 @@ class TestTraversalEquivalence:
         daat = score_daat(index, query, scorer)
         bmw = score_block_max_wand(index, query, scorer)
         assert as_pairs(bmw) == as_pairs(daat)
-
-    @settings(max_examples=25, deadline=None)
-    @given(documents_strategy, query_strategy, block_size_strategy)
-    def test_bmw_never_scores_more_than_wand(self, texts, terms, block_size):
-        # "Fewer than WAND" is a property of the dynamic-threshold pivot
-        # kernel, which Block-Max WAND runs on a tiered index; resident
-        # BMW's static threshold is checked against exhaustive DAAT in
-        # TestResidentGeneratorOracle instead.
-        index = tier_index(
-            build_index(texts, block_size=block_size), cache_budget_bytes=1 << 16
-        )
-        query = ParsedQuery(terms=tuple(terms), k=3)
-        wand_stats = TraversalStats()
-        bmw_stats = TraversalStats()
-        score_wand(index, query, stats=wand_stats)
-        score_block_max_wand(index, query, stats=bmw_stats)
-        assert bmw_stats.docs_scored <= wand_stats.docs_scored
 
     def test_bmw_skips_blocks_on_skewed_corpus(self):
         # Zipf-ish skew: a handful of short high-tf documents up front
@@ -359,6 +342,64 @@ class TestResidentGeneratorOracle:
                 bmw_stats, daat_stats = self.check(small_index, query, scorer)
                 pruned += daat_stats.docs_scored - bmw_stats.docs_scored
         assert pruned > 0
+
+
+class TestTieredGeneratorOracle:
+    """Tiered Block-Max WAND against resident Block-Max WAND.
+
+    Tiering changes what is read, not what is scored: a paged record
+    seeds θ from its highest-bound blocks until no unread block could
+    change it — the resident θ exactly — so hits, ``docs_scored`` and
+    truncation equal the resident run's, depth-capped runs included.
+    Only ``block_skips`` may be smaller (candidates in blocks that are
+    never read are not counted), and a zero-budget cache (every touch a
+    store read) shows each block is requested at most once per query.
+    """
+
+    @staticmethod
+    def check(resident, query, scorer=None, depth=None):
+        tiered = tier_index(resident, cache_budget_bytes=0)
+        fetch = tiered.cache.get
+        keys = []
+        tiered.cache.get = lambda key: keys.append(key) or fetch(key)
+        resident_stats, tiered_stats = TraversalStats(), TraversalStats()
+        expected = score_block_max_wand(
+            resident, query, scorer, stats=resident_stats, max_docs_scored=depth
+        )
+        observed = score_block_max_wand(
+            tiered, query, scorer, stats=tiered_stats, max_docs_scored=depth
+        )
+        assert as_pairs(observed) == as_pairs(expected), query
+        assert tiered_stats.docs_scored == resident_stats.docs_scored, query
+        assert tiered_stats.truncated == resident_stats.truncated
+        assert tiered_stats.block_skips <= resident_stats.block_skips
+        assert len(keys) == len(set(keys))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        documents_strategy,
+        query_strategy,
+        block_size_strategy,
+        k_strategy,
+        st.sampled_from([None, 1, 3]),
+        st.sampled_from(SCORERS),
+    )
+    def test_tiered_bmw_answers_what_resident_bmw_answers(
+        self, texts, terms, block_size, k, depth, scorer
+    ):
+        resident = build_index(texts, block_size=block_size)
+        query = ParsedQuery(terms=tuple(terms), k=k)
+        self.check(resident, query, make_scorer(scorer, resident), depth)
+
+    @pytest.mark.parametrize("block_size", [4, 128])
+    @pytest.mark.parametrize("depth", [None, 12])
+    def test_reference_log(
+        self, small_collection, small_query_log, block_size, depth
+    ):
+        resident = IndexBuilder(block_size=block_size).build(small_collection)
+        parser = QueryParser(analyzer=resident.analyzer)
+        for logged in small_query_log:
+            self.check(resident, parser.parse(logged.text, k=10), depth=depth)
 
 
 def _profiled_calls(traverse, index, query) -> int:

@@ -221,10 +221,11 @@ def _merge_sites(root: Path):
 class TestOneScoringKernel:
     """One array merge, two candidate generators.
 
-    Exhaustive DAAT feeds the merge every posting; resident Block-Max
-    WAND feeds it the postings of the documents its block bounds let
-    through.  The merge (concatenate → stable argsort → term-order
-    segment sums) is written once, and both callers use that one.
+    Exhaustive DAAT feeds the merge every posting; Block-Max WAND, on a
+    resident and a tiered index alike, feeds it the postings of the
+    documents its block bounds let through.  The merge (concatenate →
+    stable argsort → term-order segment sums) is written once, and both
+    callers use that one.
     """
 
     SEARCH = SRC_ROOT / "repro" / "search"
@@ -238,8 +239,8 @@ class TestOneScoringKernel:
             ast.parse((self.SEARCH / "block_max_wand.py").read_text())
         )
         assert "_merge_postings" in daat["score_daat"]
-        assert "_merge_postings" in bmw["_score_resident"]
-        assert "_score_resident" in bmw["_score_block_max_wand"]
+        assert "_merge_postings" in bmw["_generate"]
+        assert "_generate" in bmw["_score_block_max_wand"]
         assert "_score_block_max_wand" in bmw["score_block_max_wand"]
 
     def test_lint_sees_a_second_merge(self, tmp_path):
@@ -250,11 +251,11 @@ class TestOneScoringKernel:
         )
         (tmp_path / "block_max_wand.py").write_text(
             "import numpy as np\n"
-            "def _score_resident(ids):\n"
+            "def _generate(ids):\n"
             "    return np.argsort(ids, kind='stable')\n"
         )
         assert _merge_sites(tmp_path) == [
-            ("block_max_wand", "_score_resident"),
+            ("block_max_wand", "_generate"),
             ("daat", "_merge_postings"),
         ]
 
@@ -348,8 +349,9 @@ class TestNothingPerTermIsRebuiltPerQuery:
     A ``Searcher`` builds its scorer once, when it is constructed, and
     resident Block-Max WAND reads each term's contributions and block
     bounds from the record ``_term_impacts`` builds and the searcher
-    keeps.  Tiered Block-Max WAND still derives its paged cursors'
-    bounds per query (``_score_block_max_wand``'s tiered branch).
+    keeps.  Tiered Block-Max WAND derives its bounds per query in
+    ``_paged_impacts`` and scores a block as ``_PagedImpacts._read``
+    pages it in.
     """
 
     SEARCH = SRC_ROOT / "repro" / "search"
@@ -361,12 +363,12 @@ class TestNothingPerTermIsRebuiltPerQuery:
     def test_term_arrays_come_from_the_record_builder(self):
         source = (self.SEARCH / "block_max_wand.py").read_text()
         assert _term_array_callers(source) == {
-            "_vector_scores": {"_term_impacts"},
-            "max_scores": {"_term_impacts", "_score_block_max_wand"},
+            "_vector_scores": {"_term_impacts", "_read"},
+            "max_scores": {"_term_impacts", "_paged_impacts"},
         }
-        assert "_term_impacts" in _function_calls(ast.parse(source))[
-            "_score_resident"
-        ]
+        assert {"_term_impacts", "_paged_impacts"} <= _names_read(
+            source, "_generate"
+        )
 
     def test_lint_sees_per_query_rebuilds(self):
         """Self-test: a scorer per search and bounds per query are reported."""
@@ -379,10 +381,115 @@ class TestNothingPerTermIsRebuiltPerQuery:
         bmw = (
             "def _term_impacts(index, scorer, term):\n"
             "    return _vector_scores(scorer, tf, lengths, idf)\n"
-            "def _score_resident(index, query, scorer):\n"
+            "def _generate(index, query, scorer):\n"
             "    return blocks.max_scores(scorer, idf)\n"
         )
         assert _term_array_callers(bmw) == {
             "_vector_scores": {"_term_impacts"},
-            "max_scores": {"_score_resident"},
+            "max_scores": {"_generate"},
         }
+
+
+def _names_read(source: str, function: str):
+    """Every plain name ``function`` in ``source`` reads."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return {
+                name.id for name in ast.walk(node) if isinstance(name, ast.Name)
+            }
+    return set()
+
+
+def _pivot_kernel_users(sources):
+    """``{module: names it imports from repro.search.wand}`` and the
+    cursor classes ``wand`` defines."""
+    imports = {}
+    cursors = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        imports[module] = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "repro.search.wand"
+            for alias in node.names
+        }
+        if module == "wand":
+            cursors = [
+                node.name
+                for node in tree.body
+                if isinstance(node, ast.ClassDef) and "Cursor" in node.name
+            ]
+    return imports, cursors
+
+
+def _residency_branches(source: str):
+    """Functions that ask whether an index is tiered."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", None) == "hasattr"
+        and any(
+            getattr(argument, "value", None) == "tiered_postings_for_id"
+            for argument in call.args
+        )
+    ]
+
+
+class TestOneBlockMaxWand:
+    """Block-Max WAND is one candidate generator on either residency.
+
+    A tiered index once ran Block-Max WAND through the pivot kernel over
+    a paged cursor, a second algorithm with its own pruning and I/O
+    schedule.  Now ``_generate`` serves both residencies — only the
+    per-term record differs — and the pivot kernel in ``wand.py``
+    serves plain WAND alone, with one cursor class: no other search
+    module imports anything from ``wand`` but ``score_wand``.
+    """
+
+    SEARCH = SRC_ROOT / "repro" / "search"
+
+    def _sources(self):
+        return {
+            path.stem: path.read_text()
+            for path in sorted(self.SEARCH.glob("*.py"))
+        }
+
+    def test_nothing_but_wand_runs_the_pivot_kernel(self):
+        imports, cursors = _pivot_kernel_users(self._sources())
+        users = {module: names for module, names in imports.items() if names}
+        assert users == {"__init__": {"score_wand"}, "executor": {"score_wand"}}
+        assert cursors == ["_Cursor"]
+
+    def test_one_residency_branch(self):
+        source = (self.SEARCH / "block_max_wand.py").read_text()
+        assert _residency_branches(source) == ["_generate"]
+
+    def test_lint_sees_a_second_traversal(self):
+        """Self-test: a paged cursor on the pivot kernel is reported."""
+        planted = {
+            "wand": (
+                "class _Cursor:\n    pass\n"
+                "class _PagedCursor(_Cursor):\n    pass\n"
+            ),
+            "block_max_wand": (
+                "from repro.search.wand import _Cursor, _traverse\n"
+            ),
+        }
+        imports, cursors = _pivot_kernel_users(planted)
+        assert imports["block_max_wand"] == {"_Cursor", "_traverse"}
+        assert cursors == ["_Cursor", "_PagedCursor"]
+        forked = (
+            "def _generate(index):\n"
+            "    return hasattr(index, 'tiered_postings_for_id')\n"
+            "def _score_block_max_wand(index):\n"
+            "    if hasattr(index, 'tiered_postings_for_id'):\n"
+            "        return _traverse(index)\n"
+        )
+        assert _residency_branches(forked) == [
+            "_generate",
+            "_score_block_max_wand",
+        ]

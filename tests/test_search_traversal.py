@@ -245,13 +245,13 @@ class TestExhaustedCursor:
         import numpy as np
         from types import SimpleNamespace
 
-        from repro.search.wand import _ResidentCursor
+        from repro.search.wand import _Cursor
 
         postings = SimpleNamespace(
             doc_ids=np.array([0, 4], dtype=np.int64),
             frequencies=np.array([1, 1], dtype=np.int64),
         )
-        cursor = _ResidentCursor(postings, 2, 1.0, 1.0, 0, 1)
+        cursor = _Cursor(postings, 2, 1.0, 1.0, 0, 1)
         assert cursor.seek(4) == 4
         assert cursor.seek(3) == 4  # never moves backwards
         assert cursor.seek(5) is None
@@ -260,30 +260,3 @@ class TestExhaustedCursor:
             cursor.seek(6)
         with pytest.raises(TypeError):
             cursor.cur + 1
-
-    def test_paged_cursor_exhausts_to_none(self):
-        from repro.index.store import tier_index
-        from repro.search.block_max_wand import _PagedCursor
-
-        index = tier_index(
-            build_index(["cat", "dog", "cat dog", "cat"], block_size=2),
-            cache_budget_bytes=1 << 16,
-        )
-        term_id = index.term_info("cat").term_id
-        blocks = index.block_metadata_for_id(term_id)
-        cursor = _PagedCursor(
-            index.tiered_postings_for_id(term_id),
-            1.0,
-            1.0,
-            0,
-            1,
-            blocks.last_doc_ids.tolist(),
-            [1.0] * blocks.num_blocks,
-        )
-        assert cursor.cur == 0
-        assert cursor.seek(3) == 3  # lands on a block start: no fetch
-        assert cursor.seek(4) is None
-        assert cursor.cur is None
-        assert index.store_stats().blocks_fetched == 0
-        with pytest.raises(TypeError):
-            cursor.seek(5)

@@ -18,14 +18,22 @@ mis-seek can change the hits under identical counters.  A pin that
 moves is a behaviour change: either explain it and re-capture, or fix
 the regression.
 
-One re-capture so far, deliberate and for resident Block-Max WAND
-only: it became a block-max candidate generator in front of DAAT's
-merge (a static threshold instead of the heap's moving one, no
-pivots; ``block_skips`` counts dropped candidates, not jumped blocks).
-Its exact cases kept hits ``0fffca1996ddaaa5``; its depth-capped cases
+Two re-captures so far, both deliberate.  First, resident Block-Max
+WAND became a block-max candidate generator in front of DAAT's merge
+(a static threshold instead of the heap's moving one, no pivots;
+``block_skips`` counts dropped candidates, not jumped blocks).  Its
+exact cases kept hits ``0fffca1996ddaaa5``; its depth-capped cases
 score the first survivors in doc-id order, so their approximate hits
-moved with the counters.  Every WAND pin and every tiered pin — hits,
-counters, blocks fetched, bytes read — stayed byte-identical.
+moved with the counters.  Second, tiered Block-Max WAND moved onto the
+same generator and the paged pivot cursor was deleted: every tiered
+BMW case now answers what the resident case at its block size answers
+— hits, ``docs_scored`` and truncation alike — and only
+``block_skips`` (the candidates of blocks it never reads are not
+counted) and the paging differ.  Blocks fetched moved from 1,827 to
+1,876 (block size 4) and 144 to 145 (block size 128) on the exact
+cases; a depth cap now also reads the blocks the exact threshold's
+seeds need (49 → 966 and 49 → 114 at depth 1).  Every WAND pin stayed
+byte-identical through both.
 """
 
 import cProfile
@@ -165,11 +173,11 @@ GOLDEN = {
     ("bmw", 4, "resident", None):
         ("0fffca1996ddaaa5", "29e30d6779c7310d", 3570, 0, 536, 0, 0, 0),
     ("bmw", 4, "tiered", None):
-        ("0fffca1996ddaaa5", "08d569e36335572a", 2981, 582, 723, 0, 1827, 22895),
+        ("0fffca1996ddaaa5", "da331db613fd05f8", 3570, 0, 5, 0, 1876, 23564),
     ("bmw", 128, "resident", None):
         ("0fffca1996ddaaa5", "3d0abb78ebb55d26", 4106, 0, 0, 0, 0, 0),
     ("bmw", 128, "tiered", None):
-        ("0fffca1996ddaaa5", "268578d6a9ce76b8", 4409, 877, 39, 0, 144, 20000),
+        ("0fffca1996ddaaa5", "e2fc6e3c02bfe160", 4106, 0, 0, 0, 145, 20029),
     ("bmw", 4, "resident", 1):
         ("be90fbf64d45c38f", "2ca79798252ade78", 39, 0, 536, 39, 0, 0),
     ("bmw", 4, "resident", 10):
@@ -177,11 +185,11 @@ GOLDEN = {
     ("bmw", 4, "resident", 50):
         ("6379cafc06376d15", "ce61de20476c7c68", 1417, 0, 536, 17, 0, 0),
     ("bmw", 4, "tiered", 1):
-        ("5ec3ae7f473201b0", "48b49c0b999fcb35", 39, 0, 0, 39, 49, 581),
+        ("be90fbf64d45c38f", "dab6752229b038df", 39, 0, 5, 39, 966, 12042),
     ("bmw", 4, "tiered", 10):
-        ("389b83a3a09dfc74", "f57ac8712f44092f", 365, 0, 0, 35, 144, 1725),
+        ("701135ffabb0520b", "ebe8ec09fc86828e", 365, 0, 5, 34, 1052, 13082),
     ("bmw", 4, "tiered", 50):
-        ("a22b021780d3e9df", "2b7e0c10403b884a", 1508, 187, 139, 23, 689, 8355),
+        ("6379cafc06376d15", "96a22d0397ff835d", 1417, 0, 5, 17, 1355, 16863),
     ("bmw", 128, "resident", 1):
         ("1e45f2889234327a", "1566472c2876b0bd", 39, 0, 0, 39, 0, 0),
     ("bmw", 128, "resident", 10):
@@ -189,11 +197,11 @@ GOLDEN = {
     ("bmw", 128, "resident", 50):
         ("8c0a9d45a2fff3d7", "6db1fe62d891a93e", 1435, 0, 0, 17, 0, 0),
     ("bmw", 128, "tiered", 1):
-        ("5ec3ae7f473201b0", "5e5a2f6bb927760e", 39, 0, 0, 39, 49, 8317),
+        ("1e45f2889234327a", "08bfc25125f322ff", 39, 0, 0, 39, 114, 13521),
     ("bmw", 128, "tiered", 10):
-        ("389b83a3a09dfc74", "84f8b1d84b070168", 365, 0, 0, 35, 77, 10293),
+        ("cf3b2d9dc6a7ce7c", "38e4e047522c2793", 365, 0, 0, 34, 116, 14042),
     ("bmw", 128, "tiered", 50):
-        ("6fe4a8ad69dca042", "f9338f8a8bed6c88", 1566, 173, 4, 24, 95, 10918),
+        ("8c0a9d45a2fff3d7", "d0b73c37d8ed1cc2", 1435, 0, 0, 17, 128, 16588),
 }
 # fmt: on
 
@@ -240,8 +248,8 @@ class TestInterpretiveOverhead:
     property per cursor read, a Python-level ``np.searchsorted``
     wrapper per seek; the kernel reads 7.2 for WAND.  The ceiling sits
     below what either of those habits alone would cost, which the last
-    two tests demonstrate by putting each back.  Resident Block-Max
-    WAND no longer turns the loop (it reads 2.0: its calls are per
+    two tests demonstrate by putting each back.  Block-Max WAND no
+    longer turns the loop (resident, it reads 2.0: its calls are per
     query term, which ``test_block_max_wand.TestCallCountIsPerTerm``
     pins exactly).
     """
@@ -259,7 +267,7 @@ class TestInterpretiveOverhead:
     def test_a_property_per_read_would_trip_it(self, workload, monkeypatch):
         slot = wand_module._Cursor.cur
 
-        class PropertyCursor(wand_module._ResidentCursor):
+        class PropertyCursor(wand_module._Cursor):
             __slots__ = ()
 
             @property
@@ -270,13 +278,13 @@ class TestInterpretiveOverhead:
             def cur(self, value):
                 slot.__set__(self, value)
 
-        monkeypatch.setattr(wand_module, "_ResidentCursor", PropertyCursor)
+        monkeypatch.setattr(wand_module, "_Cursor", PropertyCursor)
         assert calls_per_turn(score_wand, *workload) > self.CEILING
 
     def test_a_searchsorted_wrapper_per_seek_would_trip_it(
         self, workload, monkeypatch
     ):
-        class WrapperCursor(wand_module._ResidentCursor):
+        class WrapperCursor(wand_module._Cursor):
             __slots__ = ()
 
             def seek(self, target):
@@ -291,7 +299,7 @@ class TestInterpretiveOverhead:
                     self.key = self.cur * self.stride + self.rank
                 return self.cur
 
-        monkeypatch.setattr(wand_module, "_ResidentCursor", WrapperCursor)
+        monkeypatch.setattr(wand_module, "_Cursor", WrapperCursor)
         index, queries = workload
         assert run_case(index, queries, score_wand) == GOLDEN[
             ("wand", 128, "resident", None)
