@@ -8,7 +8,8 @@ Every simulated query, whichever driver plays it, takes one path::
 - **admission** — an optional :class:`AdmissionController` in front of a
   FIFO queue; a refused query ends in a typed shed record;
 - **shard split** — the query's demand is divided over the shards by a
-  Dirichlet draw from the ``"server-imbalance"`` stream;
+  Dirichlet draw from the ``"server-imbalance"`` stream (drawn ahead in
+  blocks: the split is its only reader);
 - **replica choice** — :attr:`Broker.replicas` is a *mutable* table, one
   list of servers per shard, in launch order; the drivers own its
   contents (the static fan-out fills it once, the autoscaler rewrites
@@ -40,7 +41,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.server import SimulatedServer
+from repro.cluster.server import SimulatedServer, _ShareStream
 from repro.engine.hedging import (
     DISABLED_POLICY,
     HedgingPolicy,
@@ -285,8 +286,9 @@ class Broker:
         #: a set: crash handling must iterate deterministically).
         self._in_flight: Dict[_Query, None] = {}
         self._merge_per_server = merge_per_server
-        self._alpha = np.full(num_shards, concentration)
-        self._shard_rng = streams.stream("server-imbalance")
+        self._shard_shares = _ShareStream(
+            streams.stream("server-imbalance"), num_shards, concentration
+        )
         self._delay = (network if network is not None else NoDelay()).delay
         self._network_rng = (
             streams.stream("network") if network is not None else None
@@ -379,11 +381,7 @@ class Broker:
         self._in_flight[query] = None
         num_shards = len(replicas)
         query.pending = num_shards
-        shares = (
-            self._shard_rng.dirichlet(self._alpha).tolist()
-            if num_shards > 1
-            else (1.0,)
-        )
+        shares = self._shard_shares.next()
         total = query.record.total_demand
         policy = self.policy
         hedge_delay = policy.resolve_hedge_delay(self._tracker)

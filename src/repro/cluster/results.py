@@ -10,7 +10,7 @@ import numpy as np
 from repro.metrics.summary import LatencySummary, summarize
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryRecord:
     """Timeline of one query through the simulated server.
 

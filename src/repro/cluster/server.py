@@ -19,7 +19,7 @@ single-query latency by increasing ``P``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +32,40 @@ from repro.sim.resources import CoreBank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
+
+#: Dirichlet rows one numpy call draws from a share stream.
+_SHARE_BLOCK = 64
+
+
+class _ShareStream:
+    """Dirichlet splits of a unit of work into ``parts`` shares.
+
+    The sole reader of ``rng``: it draws ``_SHARE_BLOCK`` rows per numpy
+    call and hands them out one at a time.  A block equals, bit for bit,
+    as many one-row draws, so drawing ahead moves no simulated number
+    while nothing else reads ``rng``.  One part is the whole and draws
+    nothing.
+    """
+
+    __slots__ = ("_share_rng", "_alpha", "_rows")
+
+    def __init__(
+        self, rng: np.random.Generator, parts: int, concentration: float
+    ):
+        self._share_rng = rng
+        self._alpha = np.full(parts, concentration) if parts > 1 else None
+        #: The rest of the current block, last row first.
+        self._rows: List[List[float]] = []
+
+    def next(self) -> Sequence[float]:
+        """The next split: ``parts`` shares summing to one."""
+        if self._alpha is None:
+            return (1.0,)
+        rows = self._rows
+        if not rows:
+            block = self._share_rng.dirichlet(self._alpha, _SHARE_BLOCK)
+            rows.extend(reversed(block.tolist()))
+        return rows.pop()
 
 
 @dataclass(frozen=True)
@@ -198,7 +232,12 @@ class SimulatedServer:
         self.cores = CoreBank(
             spec.num_cores, speed=spec.core_speed, hiccups=hiccups
         )
-        self._imbalance_rng = imbalance_rng
+        self._shares = _ShareStream(
+            imbalance_rng,
+            partitioning.num_partitions,
+            partitioning.imbalance_concentration,
+        )
+        self._merge_demand = partitioning.merge_demand()
         self._on_complete = on_complete
         self._metrics = metrics
         #: Queries accepted but not yet completed — the load signal a
@@ -211,7 +250,7 @@ class SimulatedServer:
         self.outstanding += 1
         record.server_arrival = now
         config = self.partitioning
-        shares = self._work_shares(config.num_partitions)
+        shares = self._shares.next()
 
         demand = config.effective_demand(record.demand)
         if self._metrics is not None and config.traversal.prunes:
@@ -233,36 +272,31 @@ class SimulatedServer:
                 config.storage.fetch_seconds(scoring)
             )
 
-        first_start = float("inf")
-        earliest_end = float("inf")
+        submit = self.cores.submit
+        overhead = config.partition_overhead
+        first_start = earliest_end = float("inf")
         last_end = 0.0
         for share in shares:
-            task_demand = demand * share + config.partition_overhead
-            start, end = self.cores.submit(now, task_demand)
-            first_start = min(first_start, start)
-            earliest_end = min(earliest_end, end)
-            last_end = max(last_end, end)
+            start, end = submit(now, demand * share + overhead)
+            if start < first_start:
+                first_start = start
+            if end < earliest_end:
+                earliest_end = end
+            if end > last_end:
+                last_end = end
 
         record.first_task_start = first_start
         record.earliest_task_end = earliest_end
         record.last_task_end = last_end
-        if config.merge_demand() > 0:
+        if self._merge_demand > 0:
             self.sim.schedule(last_end, self._start_merge, record)
         else:
             # A zero-cost merge completes inline with the last task; it
             # must not re-queue behind other queries' tasks for a core.
             self.sim.schedule(last_end, self._complete_without_merge, record)
 
-    def _work_shares(self, num_partitions: int) -> np.ndarray:
-        if num_partitions == 1:
-            return np.ones(1)
-        concentration = self.partitioning.imbalance_concentration
-        return self._imbalance_rng.dirichlet(
-            np.full(num_partitions, concentration)
-        )
-
     def _start_merge(self, record: QueryRecord) -> None:
-        start, end = self.cores.submit(self.sim.now, self.partitioning.merge_demand())
+        start, end = self.cores.submit(self.sim.now, self._merge_demand)
         record.merge_start = start
         self.sim.schedule(end, self._finish_merge, record)
 

@@ -89,17 +89,16 @@ def summarize(
             return EMPTY_SUMMARY
         raise ValueError("cannot summarize zero samples")
     data = np.sort(data)
-
-    def pct(quantile: float) -> float:
-        return float(np.percentile(data, quantile, method="lower"))
-
+    p50, p90, p95, p99, p999 = np.percentile(
+        data, [50, 90, 95, 99, 99.9], method="lower"
+    ).tolist()
     return LatencySummary(
         count=int(data.size),
         mean=float(data.mean()),
-        p50=pct(50),
-        p90=pct(90),
-        p95=pct(95),
-        p99=pct(99),
-        p999=pct(99.9),
+        p50=p50,
+        p90=p90,
+        p95=p95,
+        p99=p99,
+        p999=p999,
         max=float(data[-1]),
     )

@@ -108,15 +108,18 @@ class Simulator:
         left queued and the clock advances to exactly ``until``.
         Cancelled events are discarded without advancing the clock.
         """
-        while self._heap:
-            time, _, handle, callback, args = self._heap[0]
-            if handle.cancelled:
-                heapq.heappop(self._heap)
+        heap = self._heap
+        pop = heapq.heappop
+        limit = _INF if until is None else until
+        while heap:
+            item = pop(heap)
+            time, _, handle, callback, args = item
+            if handle._cancelled:
                 continue
-            if until is not None and time > until:
-                self.now = until
-                return
-            heapq.heappop(self._heap)
+            if time > limit:
+                # Its own sequence number puts it back exactly in place.
+                heapq.heappush(heap, item)
+                break
             self.now = time
             self._events_processed += 1
             callback(*args)

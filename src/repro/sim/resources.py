@@ -70,14 +70,14 @@ class CoreBank:
                 f"{now} after {self._last_submission}"
             )
         self._last_submission = now
-        earliest_free = heapq.heappop(self._free_at)
-        start = max(now, earliest_free)
+        earliest_free = self._free_at[0]
+        start = earliest_free if earliest_free > now else now
         duration = demand / self.speed
         if self.hiccups is not None:
             start, end = self.hiccups.execute(start, duration)
         else:
             end = start + duration
-        heapq.heappush(self._free_at, end)
+        heapq.heapreplace(self._free_at, end)
         self._busy_time += duration
         return start, end
 

@@ -148,8 +148,9 @@ class TestSimulatedServerPartitioned:
         sim = Simulator()
         server = make_server(sim, [], partitions=PartitionModelConfig(
             num_partitions=8))
-        shares = server._work_shares(8)
-        assert shares.sum() == pytest.approx(1.0)
+        shares = server._shares.next()
+        assert len(shares) == 8
+        assert sum(shares) == pytest.approx(1.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,19 @@ class TestSummarize:
             <= summary.max
         )
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 10, 99, 100, 1000, 1001])
+    def test_percentiles_equal_one_call_per_quantile(self, size):
+        data = np.random.default_rng(size).lognormal(size=size)
+        s = summarize(data)
+        ordered = np.sort(data)
+        expected = [
+            float(np.percentile(ordered, q, method="lower"))
+            for q in (50, 90, 95, 99, 99.9)
+        ]
+        got = [s.p50, s.p90, s.p95, s.p99, s.p999]
+        assert [type(value) for value in got] == [float] * 5
+        assert got == expected
+
     def test_tail_ratio(self):
         summary = summarize([1.0] * 90 + [100.0] * 10)
         assert summary.tail_ratio > 1.0

@@ -73,11 +73,93 @@ class TestSimulator:
         sim.run()
         assert fired == [1, 10]
 
+    def test_run_until_keeps_tie_order_of_deferred_events(self):
+        sim = Simulator()
+        fired = []
+        for label in "abc":
+            sim.schedule(10.0, fired.append, label)
+        sim.run(until=5.0)
+        sim.run(until=7.0)
+        assert fired == []
+        sim.run()
+        assert fired == ["a", "b", "c"]
+
     def test_run_until_beyond_last_event_advances_clock(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run(until=100.0)
         assert sim.now == 100.0
+
+    @pytest.mark.parametrize(
+        "drive",
+        [
+            lambda sim: sim.run(),
+            lambda sim: sim.run(until=10.0),
+            lambda sim: [None for _ in iter(sim.step, False)],
+        ],
+        ids=["run", "run_until", "step"],
+    )
+    def test_cancelled_event_neither_runs_nor_counts(self, drive):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "kept")
+        handle = sim.schedule(2.0, fired.append, "cancelled")
+        sim.schedule(3.0, fired.append, "last")
+        handle.cancel()
+        assert handle.cancelled
+        drive(sim)
+        assert fired == ["kept", "last"]
+        assert sim.events_processed == 2
+        assert sim.pending_events == 0
+
+    def test_cancelled_head_does_not_advance_clock_past_until(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None).cancel()
+        sim.schedule(8.0, lambda: None)
+        sim.run(until=5.0)
+        assert sim.now == 5.0
+        assert sim.events_processed == 0
+        assert sim.pending_events == 1
+
+    def test_cancel_from_a_callback(self):
+        sim = Simulator()
+        fired = []
+        later = sim.schedule(2.0, fired.append, "later")
+        sim.schedule(1.0, later.cancel)
+        sim.run()
+        assert fired == []
+        assert sim.events_processed == 1
+
+    def test_cancel_after_firing_is_a_no_op(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.0, fired.append, "once")
+        sim.run()
+        handle.cancel()
+        handle.cancel()
+        sim.run()
+        assert fired == ["once"]
+        assert sim.events_processed == 1
+
+    @pytest.mark.parametrize("until", [None, 10.0])
+    def test_events_processed_exact_when_a_callback_raises(self, until):
+        sim = Simulator()
+        fired = []
+
+        def boom():
+            raise RuntimeError("callback failed")
+
+        sim.schedule(1.0, fired.append, 1)
+        sim.schedule(2.0, boom)
+        sim.schedule(3.0, fired.append, 3)
+        with pytest.raises(RuntimeError):
+            sim.run(until=until)
+        assert sim.events_processed == 2
+        assert sim.now == 2.0
+        assert sim.pending_events == 1
+        sim.run(until=until)
+        assert fired == [1, 3]
+        assert sim.events_processed == 3
 
     def test_step(self):
         sim = Simulator()
