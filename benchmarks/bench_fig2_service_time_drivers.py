@@ -21,7 +21,7 @@ def test_fig2_service_time_drivers(benchmark, service, emit):
     characterization = benchmark.pedantic(
         characterize_service_times,
         args=(service.isn, service.query_log),
-        kwargs={"num_queries": 400, "repeats": 1, "seed": 1},
+        kwargs={"num_queries": 400, "repeats": 3, "seed": 1},
         rounds=1,
         iterations=1,
     )

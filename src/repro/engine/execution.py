@@ -2,14 +2,15 @@
 
 The paper's central finding is that index-serving nodes are
 compute-bound: query throughput scales with intra-node parallelism.
-The native engine therefore offers two interchangeable execution
-backends for its partition fan-out, selected by one declarative
-:class:`ExecutionConfig`:
+The native engine's partition fan-out runs on one shard backend
+(:class:`~repro.engine.backends.ShardBackend`), and one declarative
+:class:`ExecutionConfig` says whether that backend gets a worker pool:
 
-- ``"threads"`` — the node's own searchers, one shard after another on
-  the caller's thread.  Per-partition scoring serializes on the GIL, so
-  a pooled fan-out only adds hand-offs (it measured slower at every
-  partition count); a pool is started only for a hedging policy.
+- ``"threads"`` — no pool: the node's own searchers, one shard after
+  another on the caller's thread.  Per-partition scoring serializes on
+  the GIL, so a pooled fan-out only adds hand-offs (it measured slower
+  at every partition count); a thread pool is started only for a
+  hedging policy.
 - ``"processes"`` — the caller's thread plus a pool of worker processes
   attached *read-only* to the index's hot state (postings arrays,
   block-max metadata, document lengths) exported once into
@@ -17,12 +18,12 @@ backends for its partition fan-out, selected by one declarative
   batches of ``(query, partition)`` work items down the worker pipes,
   scores its own lane, then receives the compact top-k replies, so a
   query at P partitions keeps ``min(P - 1, W)`` workers busy.  Results
-  are bit-identical — doc ids *and* float scores — to the thread backend
-  under every traversal strategy.
+  are bit-identical — doc ids *and* float scores, and a depth-capped
+  traversal's truncation too — to ``"threads"`` under every traversal
+  strategy.
 
-Both backends are interpreted by the same
-:class:`~repro.engine.isn.IndexServingNode`; hedging, deadlines,
-circuit breakers, and overload control keep their semantics either way.
+Hedging, deadlines, circuit breakers, and overload control keep their
+semantics either way.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ class ExecutionConfig:
     Attributes
     ----------
     backend:
-        ``"threads"`` (default; in-process, on the caller's thread) or
-        ``"processes"`` (the caller's thread plus a GIL-free worker pool
-        over a shared-memory index).
+        ``"threads"`` (default; no worker pool, the caller's thread
+        scores every shard) or ``"processes"`` (the caller's thread
+        plus a GIL-free worker pool over a shared-memory index).
     workers:
         Worker count; ``None`` means one per partition.  It also sizes
         the thread pool a hedging policy uses (by default doubled when
@@ -93,8 +94,3 @@ class ExecutionConfig:
             )
         if self.probe_interval_s is not None and self.probe_interval_s < 0:
             raise ValueError("probe_interval_s must be non-negative")
-
-    @property
-    def use_processes(self) -> bool:
-        """True when the process backend is selected."""
-        return self.backend == "processes"

@@ -16,11 +16,11 @@ the paper's intra-server partitioning study.  It does so exactly once:
   same loop: no timer is armed, it waits for the primaries, and a
   failing shard re-raises to the caller.  "No policy" is the
   degenerate setting, not a second path.
-- **three backends** (:mod:`repro.engine.backends`): the gather hands
-  ``(shard, query)`` work items to a two-method backend — inline on the
-  caller's thread as completed futures, a thread pool when a hedging
-  policy needs attempts to overlap, or the caller's thread plus a
-  GIL-free process pool.
+- **one backend** (:mod:`repro.engine.backends`): the gather hands
+  ``(shard, query)`` work items to a two-method backend that scores on
+  the caller's thread whatever a GIL-free process pool, when the node
+  has one, does not take; a hedging policy adds a thread pool so that
+  attempts overlap.
 - **one pipeline**: :meth:`~IndexServingNode.execute`,
   :meth:`~IndexServingNode.execute_serial` and
   :meth:`~IndexServingNode.execute_batch` share parse → cache lookup →
@@ -51,7 +51,7 @@ from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.backends import LocalBackend, ProcessBackend, WorkItem
+from repro.engine.backends import ShardBackend, WorkItem
 from repro.engine.execution import ExecutionConfig
 from repro.engine.hedging import DISABLED_POLICY, HedgingPolicy, ShardLatencyTracker
 from repro.engine.instrumentation import ComponentTimings
@@ -181,14 +181,15 @@ class IndexServingNode:
     partitioned:
         The server's index shards.
     execution:
-        The :class:`~repro.engine.execution.ExecutionConfig` selecting
-        the shard backend.  ``"threads"`` (default) searches the shards
-        in order on the caller's thread; ``"processes"`` exports the
-        index hot state once into shared memory, and the caller scores
-        one lane and a GIL-free :class:`~repro.engine.mp.ProcessShardPool`
-        the others, bit-identically.  On either, a hedging policy alone
-        adds a thread pool for the attempts, one thread per partition
-        and twice that when it can issue backups.
+        The :class:`~repro.engine.execution.ExecutionConfig` saying
+        whether the shard backend gets a worker pool.  ``"threads"``
+        (default) has none: the caller's thread searches the shards in
+        order.  ``"processes"`` exports the index hot state once into
+        shared memory, and the caller scores one lane and a GIL-free
+        :class:`~repro.engine.mp.ProcessShardPool` the others,
+        bit-identically.  On either, a hedging policy alone adds a
+        thread pool for the attempts, one thread per partition and
+        twice that when it can issue backups.
     shared_source:
         Resident index to export for process workers when
         ``partitioned`` itself is not exportable (tiered shards page
@@ -242,8 +243,8 @@ class IndexServingNode:
         :meth:`execute_batch` dispatches longest-predicted-first, and
         with ``depth_from_budget`` a Block-Max WAND traversal gets a
         per-query ``max_docs_scored`` depth derived from the remaining
-        deadline budget.  ``None`` — the default — keeps the seed's
-        serving path bit for bit.
+        deadline budget, on either backend.  ``None`` — the default —
+        keeps the seed's serving path bit for bit.
 
     What these resolved to is readable afterwards: ``execution``,
     ``num_partitions``, ``parser`` and ``scheduler`` always; ``hedging``,
@@ -317,12 +318,13 @@ class IndexServingNode:
         ]
         analyzer = partitioned[0].index.analyzer
         self.parser = QueryParser(analyzer)
-        # Serial execution: the same attempts, run inline, never faulted.
-        self._inline = LocalBackend(self._searchers)
+        # Serial execution: the same attempts, all on the caller's
+        # thread, never faulted.
+        self._serial = ShardBackend(self._searchers)
         self._arena = None
         self.process_pool = None
         workers = self.execution.workers or partitioned.num_partitions
-        if self.execution.use_processes:
+        if self.execution.backend == "processes":
             source = (
                 shared_source if shared_source is not None else partitioned
             )
@@ -350,17 +352,10 @@ class IndexServingNode:
             executor = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="isn-shard"
             )
-        if self.process_pool is not None:
-            self._backend = ProcessBackend(
-                self._searchers, self.process_pool,
-                self.execution.batch_size, executor, self.fault_injector,
-            )
-        else:
-            self._backend = (
-                LocalBackend(self._searchers, executor, self.fault_injector)
-                if executor is not None or self.fault_injector is not None
-                else self._inline
-            )
+        self._backend = ShardBackend(
+            self._searchers, self.process_pool, self.execution.batch_size,
+            executor, self.fault_injector,
+        )
         self._closed = False
 
     def health(self) -> Dict:
@@ -468,12 +463,13 @@ class IndexServingNode:
         Serial execution has no scheduling noise, which is what the
         service-time characterization and simulator calibration need:
         the sum of shard times *is* the query's CPU demand.  The gather
-        runs over the inline backend (:meth:`execute`'s own, policy-free
-        on threads); cache, admission gate and policies are bypassed.
+        runs on a backend with no worker pool, hedging pool or faults,
+        so every shard is scored on the caller's thread; cache,
+        admission gate and policies are bypassed.
         """
         self._ensure_open()
         return self._serve(
-            self._inline, [self._admit(text, k, mode, use_cache=False)]
+            self._serial, [self._admit(text, k, mode, use_cache=False)]
         )[0]
 
     def execute_batch(
@@ -620,12 +616,11 @@ class IndexServingNode:
         """Featurize at admission; map the deadline to a BMW depth.
 
         Returns the per-shard ``max_docs_scored`` cap, or ``None`` when
-        no cap applies.  Depth capping is a policy-free, thread-backend
-        mechanism: under a resilience policy the gather has its own
-        deadline machinery (drop-the-shard, not truncate-the-shard),
-        and the process backend's dispatch protocol carries no
-        per-query depth — those still get admission-time prediction
-        metrics and batch ordering, just no truncation.
+        no cap applies.  Depth capping is policy-free: under a
+        resilience policy the gather has its own deadline machinery
+        (drop-the-shard, not truncate-the-shard), so it still gets
+        admission-time prediction metrics, just no truncation.  The cap
+        reaches process workers as it reaches the caller's searchers.
         """
         scheduler, query = self.scheduler, admitted.query
         if scheduler is None:
@@ -641,7 +636,6 @@ class IndexServingNode:
             or not scheduler.depth_from_budget
             or self._algorithm_name != "block_max_wand"
             or self._resilient_fanout
-            or self.process_pool is not None
         ):
             return None
         remaining = deadline - (time.perf_counter() - admitted.total_start)

@@ -71,10 +71,10 @@ __all__ = [
 #: One dispatchable unit: (shard index, parsed query).
 WorkItem = Tuple[int, ParsedQuery]
 
-#: The ``SearchResult`` counters a reply carries, in this order.
+#: The ``SearchResult`` fields a reply carries besides the hits, in order.
 _COUNTERS = (
     "matched_volume", "docs_scored", "blocks_skipped", "blocks_fetched",
-    "bytes_read",
+    "bytes_read", "truncated",
 )
 
 #: How long ``close()`` waits for a worker to exit politely before
@@ -170,7 +170,9 @@ def _picklable(exc: BaseException) -> BaseException:
 def _worker_main(conn, spec: SharedIndexSpec, options: WorkerOptions) -> None:
     """Worker loop: attach once, then score batches until shutdown.
 
-    The reply for a batch is a list of per-item payloads — ``("ok",
+    A batch is ``(work items, max_docs_scored)``: the depth cap, when
+    not None, bounds every item's traversal as it does on the caller's
+    thread.  The reply is a list of per-item payloads — ``("ok",
     compact-arrays)`` or ``("err", exception)`` — plus the counter
     deltas accumulated while serving it.
     """
@@ -203,11 +205,14 @@ def _worker_main(conn, spec: SharedIndexSpec, options: WorkerOptions) -> None:
             message = _recv(conn)
             if message is None:
                 break
+            items, max_docs_scored = message
             payloads: List[Tuple[str, Any]] = []
-            for shard_id, query in message:
+            for shard_id, query in items:
                 try:
                     start = time.perf_counter()
-                    result = searchers[shard_id].search(query)
+                    result = searchers[shard_id].search(
+                        query, max_docs_scored=max_docs_scored
+                    )
                     end = time.perf_counter()
                 except Exception as exc:  # typed errors cross the pipe
                     payloads.append(("err", _picklable(exc)))
@@ -258,6 +263,7 @@ class _Flight:
     slot: int
     items: List[WorkItem]
     retries: int  #: crash re-sends left
+    max_docs_scored: Optional[int] = None  #: the batch's depth cap
     handle: Optional[_WorkerHandle] = None
     error: Optional[BaseException] = None  #: why the last send failed
 
@@ -510,11 +516,16 @@ class ProcessShardPool:
             self._checked_in.notify_all()
 
     def send(
-        self, slot: int, items: Sequence[WorkItem], crash_retries: int = 0
+        self,
+        slot: int,
+        items: Sequence[WorkItem],
+        crash_retries: int = 0,
+        max_docs_scored: Optional[int] = None,
     ) -> _Flight:
         """Ship ``items`` to the checked-out worker in one message (a
-        dead worker does not raise here: :meth:`receive` reports it)."""
-        flight = _Flight(slot, list(items), crash_retries)
+        dead worker does not raise here: :meth:`receive` reports it),
+        each to be scored at most ``max_docs_scored`` documents deep."""
+        flight = _Flight(slot, list(items), crash_retries, max_docs_scored)
         self._post(flight)
         return flight
 
@@ -538,7 +549,7 @@ class ProcessShardPool:
                         f"worker sent unexpected handshake {message!r}"
                     )
                 handle.ready, handle.startup_failures = True, 0
-            handle.conn.send(flight.items)
+            handle.conn.send((flight.items, flight.max_docs_scored))
         except (EOFError, OSError, WorkerCrashError) as exc:
             flight.error = exc
 

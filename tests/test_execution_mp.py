@@ -485,5 +485,4 @@ class TestExecutionConfigValidation:
     def test_defaults_are_the_thread_backend(self):
         config = ExecutionConfig()
         assert config.backend == "threads"
-        assert not config.use_processes
         assert config.workers is None

@@ -67,7 +67,7 @@ def test_policy_free_attempts_run_on_the_calling_thread(
     before = pool_threads()
     partitioned = partition_index(small_collection, num_partitions)
     with IndexServingNode(partitioned) as node:
-        assert node._backend is node._inline
+        assert node._backend._pool is node._backend._executor is None
         calls = recorded(node)
         singles = [node.execute(text) for text in texts]
         batch = node.execute_batch(texts)

@@ -28,9 +28,10 @@ from repro.search.executor import Searcher, ShardSearcher
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 
-#: Spellings of the deleted pass-through layers.
+#: Spellings of the deleted pass-through layers and backend choices.
 DELETED = re.compile(
     r"from_span|to_service_config|SearchService\.build|_execute_admitted"
+    r"|LocalBackend|ProcessBackend|use_processes"
 )
 
 
@@ -133,9 +134,9 @@ class TestPoolOnlyUnderHedging:
     the hedging check, and the merge no longer goes through a heap."""
 
     ISN = SRC_ROOT / "repro" / "engine" / "isn.py"
-    #: ``isn.py`` at the commit that moved policy-free queries onto the
-    #: caller's thread; ROADMAP item 2(iv) wants it smaller, not larger.
-    ISN_LINES = 1041
+    #: ``isn.py`` at the commit that merged the shard backends into
+    #: one class; ROADMAP wants it smaller, not larger.
+    ISN_LINES = 1026
 
     def _pool_sites(self, source: str):
         """(line, guarding ``if`` tests) of each ThreadPoolExecutor(...)."""
@@ -286,6 +287,40 @@ def _imported_modules(source: str):
         elif isinstance(node, ast.ImportFrom):
             modules.add(node.module)
     return modules
+
+
+def _submit_classes(source: str):
+    """Names of the classes in ``source`` that define ``submit``."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "submit"
+            for item in node.body
+        )
+    ]
+
+
+class TestOneShardBackend:
+    """One backend class serves every configuration: the thread backend
+    is the process backend with no worker pool."""
+
+    def test_one_class_defines_submit(self):
+        backends = SRC_ROOT / "repro" / "engine" / "backends.py"
+        assert _submit_classes(backends.read_text()) == ["ShardBackend"]
+
+    def test_lint_sees_a_second_backend(self):
+        """Self-test: a subclass that re-dispatches is reported."""
+        planted = (
+            "class ShardBackend:\n"
+            "    def submit(self, items, cancel):\n"
+            "        return []\n"
+            "class InlineBackend(ShardBackend):\n"
+            "    def submit(self, items, cancel):\n"
+            "        return []\n"
+        )
+        assert _submit_classes(planted) == ["ShardBackend", "InlineBackend"]
 
 
 class TestNoDispatcherThreads:

@@ -26,6 +26,9 @@ from repro.engine.hedging import HedgingPolicy
 from repro.engine.isn import IndexServingNode
 from repro.engine.mp import WorkerCrashError
 from repro.index.partitioner import partition_index
+from repro.obs.registry import MetricsRegistry
+from repro.predict.predictor import ServiceTimePredictor
+from repro.predict.scheduler import DeadlineScheduler
 from repro.resilience.faults import FaultPlan, ShardSlowdown
 from repro.search.executor import ALGORITHMS
 from tests.test_isn_gather import hit_pairs
@@ -89,6 +92,105 @@ class TestLaneBitIdentity:
                         assert answers(singles) == expected, where
                     batched = node.execute_batch(texts, k=K)
                     assert answers(batched) == expected, where
+
+
+    @pytest.mark.parametrize("algorithm", ["daat", "block_max_wand"])
+    def test_spawned_workers_answer_like_threads(
+        self, partitioned, texts, algorithm
+    ):
+        """Spawned workers attach the arena through the pickled spec —
+        the only attach on platforms without ``fork``."""
+        shards = partitioned(2)
+        with IndexServingNode(shards, algorithm=algorithm) as threads:
+            expected = answers(
+                [threads.execute(text, k=K) for text in texts]
+            )
+        spawn = ExecutionConfig(
+            backend="processes", workers=1, start_method="spawn"
+        )
+        with IndexServingNode(
+            shards, algorithm=algorithm, execution=spawn
+        ) as node:
+            singles = [node.execute(text, k=K) for text in texts]
+            batched = node.execute_batch(texts, k=K)
+        assert answers(singles) == expected
+        assert answers(batched) == expected
+
+
+#: Prices a posting at one second: any budget buys almost nothing, so
+#: every query is cut to the ``min_depth_fraction`` floor.
+STARVED = ServiceTimePredictor(
+    base_seconds=0.0,
+    per_term_seconds=0.0,
+    per_posting_seconds=1.0,
+    residual_log_sigma=0.0,
+)
+
+
+def capped_answers(node, texts):
+    """Per query: hit pairs and each shard's (docs_scored, truncated),
+    read from the gather's outcomes."""
+    outcomes = []
+    gather = node._gather
+
+    def spy(*args, **kwargs):
+        gathered = gather(*args, **kwargs)
+        outcomes.extend(gathered)
+        return gathered
+
+    node._gather = spy
+    answered = []
+    for text in texts:
+        hits = hit_pairs(node.execute(text, k=3))
+        shards = sorted(
+            (shard, result.docs_scored, result.truncated)
+            for shard, _, result, _, _ in outcomes[-1].answered
+        )
+        answered.append((hits, shards))
+    return answered
+
+
+class TestDepthCapsOnWorkers:
+    """A deadline scheduler's depth cap means the same on workers as on
+    the caller's thread: same hits, same depth, same truncation flag."""
+
+    def _node(self, shards, execution=None):
+        metrics = MetricsRegistry()
+        node = IndexServingNode(
+            shards,
+            algorithm="block_max_wand",
+            scheduler=DeadlineScheduler(
+                predictor=STARVED,
+                deadline_s=1e-3,
+                depth_from_budget=True,
+                min_depth_fraction=0.01,
+            ),
+            metrics=metrics,
+            execution=execution,
+        )
+        return node, metrics
+
+    @pytest.mark.parametrize("num_partitions", [2, 3])
+    def test_capped_bmw_answers_alike_on_either_backend(
+        self, partitioned, texts, num_partitions
+    ):
+        shards = partitioned(num_partitions)
+        node, metrics = self._node(shards)
+        with node:
+            expected = capped_answers(node, texts)
+        capped = metrics.snapshot()["predict.depth_capped"]["value"]
+        assert capped == len(texts)
+        assert any(
+            truncated
+            for _, shard_answers in expected
+            for _, _, truncated in shard_answers
+        )
+        for workers in (1, 2):
+            node, metrics = self._node(shards, processes(workers))
+            with node:
+                assert capped_answers(node, texts) == expected, workers
+            snapshot = metrics.snapshot()
+            assert snapshot["predict.depth_capped"]["value"] == capped
 
 
 class SpySearcher:
