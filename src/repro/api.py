@@ -49,6 +49,7 @@ from repro.capacity import (
     plan_provisioning,
     static_replica_hours,
 )
+from repro.cluster.broker import BROKER_MERGE_PER_SERVER
 from repro.cluster.fanout import (
     FanoutConfig,
     FanoutQueryRecord,
@@ -273,7 +274,7 @@ class ClusterConfig:
     num_partitions: int = 1
     partitioning: Optional[PartitionModelConfig] = None
     network: NetworkModel = field(default_factory=NoDelay)
-    broker_merge_per_server: float = 2e-5
+    broker_merge_per_server: float = BROKER_MERGE_PER_SERVER
     hedging: Optional[HedgingPolicy] = None
     replicas_per_shard: int = 1
     hiccups: Optional[HiccupConfig] = None

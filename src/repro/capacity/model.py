@@ -53,6 +53,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.analysis.queueing import erlang_c
+from repro.cluster.broker import (
+    BROKER_MERGE_PER_SERVER,
+    SERVER_IMBALANCE_CONCENTRATION,
+)
 from repro.cluster.server import PartitionModelConfig
 from repro.servers.spec import ServerSpec
 from repro.workload.servicetime import ServiceDemandModel
@@ -210,11 +214,11 @@ class CapacityModel:
     broker_merge_per_server:
         Broker merge cost per responding shard (seconds), added as a
         deterministic shift to every cluster quantile.
-    imbalance_concentration:
-        Dirichlet concentration of the cross-shard work split (mirrors
-        ``FanoutConfig.server_imbalance_concentration``); per-shard
-        demand samples are drawn as ``demand × share`` rather than
-        ``demand / shards`` so shard-level variance survives.
+
+    Per-shard demand samples are drawn as ``demand × share``, with the
+    shares a Dirichlet draw of the simulated broker's own
+    :data:`~repro.cluster.broker.SERVER_IMBALANCE_CONCENTRATION`, rather
+    than ``demand / shards``, so shard-level variance survives.
     """
 
     profile: ServiceTimeProfile
@@ -222,14 +226,11 @@ class CapacityModel:
     partitioning: PartitionModelConfig = field(
         default_factory=PartitionModelConfig
     )
-    broker_merge_per_server: float = 2e-5
-    imbalance_concentration: float = 60.0
+    broker_merge_per_server: float = BROKER_MERGE_PER_SERVER
 
     def __post_init__(self) -> None:
         if self.broker_merge_per_server < 0:
             raise ValueError("broker_merge_per_server must be non-negative")
-        if self.imbalance_concentration <= 0:
-            raise ValueError("imbalance_concentration must be positive")
 
     # ------------------------------------------------------------------
     # Per-shard work and unloaded service time.
@@ -251,7 +252,7 @@ class CapacityModel:
             return demands[:, np.newaxis]
         rng = np.random.default_rng(_PROFILE_SEED + shards)
         shares = rng.dirichlet(
-            np.full(shards, self.imbalance_concentration),
+            np.full(shards, SERVER_IMBALANCE_CONCENTRATION),
             size=demands.size,
         )
         return demands[:, np.newaxis] * shares

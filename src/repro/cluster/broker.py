@@ -65,6 +65,18 @@ from repro.sim.random import RandomStreams
 #: dispatchable replica (every row warming, retired or crashed).
 SHED_NO_ACTIVE_REPLICA = "no_active_replica"
 
+#: Dirichlet concentration of each query's work split across servers.
+#: Document sharding never splits a query's postings volume perfectly
+#: evenly, and this per-(query, server) jitter is what the broker's
+#: wait-for-the-slowest amplifies at scale.  The simulated clusters and
+#: the analytic :class:`~repro.capacity.model.CapacityModel` all read
+#: this one value, so the model and the simulator it is checked against
+#: cannot diverge.
+SERVER_IMBALANCE_CONCENTRATION = 60.0
+
+#: Default broker-side merge cost per responding server, in seconds.
+BROKER_MERGE_PER_SERVER = 2e-5
+
 
 class ReplicaSelection(Enum):
     """The broker's routing rule: which replica a shard request goes to."""

@@ -29,7 +29,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.broker import Broker, FanoutQueryRecord, ReplicaSelection
+from repro.cluster.broker import (
+    BROKER_MERGE_PER_SERVER,
+    SERVER_IMBALANCE_CONCENTRATION,
+    Broker,
+    FanoutQueryRecord,
+    ReplicaSelection,
+)
 from repro.cluster.server import PartitionModelConfig, SimulatedServer
 from repro.engine.hedging import HedgingPolicy
 from repro.metrics.summary import LatencySummary, summarize
@@ -58,6 +64,10 @@ __all__ = [
 class FanoutConfig:
     """A homogeneous cluster of ISNs behind one broker.
 
+    Each query's work splits across servers by a Dirichlet draw of
+    concentration
+    :data:`~repro.cluster.broker.SERVER_IMBALANCE_CONCENTRATION`.
+
     Attributes
     ----------
     num_servers:
@@ -73,11 +83,6 @@ class FanoutConfig:
         back); the broker hop is where fan-out skew accumulates.
     broker_merge_per_server:
         Broker-side merge cost per responding ISN, in seconds.
-    server_imbalance_concentration:
-        Dirichlet concentration of each query's work split across
-        servers — document sharding never splits a query's postings
-        volume perfectly evenly, and this per-(query, server) jitter is
-        what the broker's wait-for-the-slowest amplifies at scale.
     hedging:
         Optional tail-tolerance policy interpreted by the broker
         against simulated time — same object the native ISN consumes.
@@ -117,8 +122,7 @@ class FanoutConfig:
         default_factory=PartitionModelConfig
     )
     network: NetworkModel = field(default_factory=NoDelay)
-    broker_merge_per_server: float = 2e-5
-    server_imbalance_concentration: float = 60.0
+    broker_merge_per_server: float = BROKER_MERGE_PER_SERVER
     hedging: Optional[HedgingPolicy] = None
     replicas_per_shard: int = 1
     selection: ReplicaSelection = ReplicaSelection.LEAST_OUTSTANDING
@@ -133,8 +137,6 @@ class FanoutConfig:
             raise ValueError("num_servers must be positive")
         if self.broker_merge_per_server < 0:
             raise ValueError("broker_merge_per_server must be non-negative")
-        if self.server_imbalance_concentration <= 0:
-            raise ValueError("server_imbalance_concentration must be positive")
         if self.replicas_per_shard <= 0:
             raise ValueError("replicas_per_shard must be positive")
         for outage in self.outages:
@@ -358,7 +360,7 @@ def run_fanout_open_loop(
         streams,
         config.num_servers,
         merge_per_server=config.broker_merge_per_server,
-        concentration=config.server_imbalance_concentration,
+        concentration=SERVER_IMBALANCE_CONCENTRATION,
         network=config.network,
         hedging=config.hedging,
         selection=config.selection,

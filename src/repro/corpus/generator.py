@@ -26,6 +26,9 @@ from repro.text.stopwords import DEFAULT_STOPWORDS
 
 _STOPWORD_LIST = sorted(DEFAULT_STOPWORDS)
 
+#: Number of content terms in a page title.
+TITLE_TERMS = 4
+
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -50,8 +53,6 @@ class CorpusConfig:
     stopword_fraction:
         Fraction of emitted raw tokens that are stopwords (removed again
         by the analyzer, but they exercise the pipeline).
-    title_terms:
-        Number of content terms in the title.
     topic_drift:
         Crawl-order vocabulary locality: with drift > 0, document
         ``i``'s content ranks (topics and background alike) are shifted
@@ -70,7 +71,6 @@ class CorpusConfig:
     topic_terms: int = 8
     topic_fraction: float = 0.35
     stopword_fraction: float = 0.25
-    title_terms: int = 4
     topic_drift: float = 0.0
     seed: int = 42
 
@@ -83,8 +83,6 @@ class CorpusConfig:
             raise ValueError("topic_fraction must be in [0, 1]")
         if not 0.0 <= self.stopword_fraction < 1.0:
             raise ValueError("stopword_fraction must be in [0, 1)")
-        if self.title_terms <= 0:
-            raise ValueError("title_terms must be positive")
         if self.topic_drift < 0:
             raise ValueError("topic_drift must be non-negative")
 
@@ -131,7 +129,7 @@ class CorpusGenerator:
         return collection
 
     def _make_title(self, rng: np.random.Generator, topic_ranks: np.ndarray) -> str:
-        count = min(self.config.title_terms, len(topic_ranks))
+        count = min(TITLE_TERMS, len(topic_ranks))
         picks = rng.choice(topic_ranks, size=count, replace=False)
         words = [self.vocabulary.word(int(rank)).capitalize() for rank in picks]
         return " ".join(words)

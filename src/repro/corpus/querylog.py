@@ -35,6 +35,11 @@ DEFAULT_TERM_COUNT_MIX: Tuple[Tuple[int, float], ...] = (
     (6, 0.02),
 )
 
+#: Zipf exponent used for drawing query terms from the vocabulary.
+#: Slightly below the document exponent: users query mid-frequency
+#: terms a bit more than raw corpus frequency predicts.
+TERM_EXPONENT = 0.9
+
 
 @dataclass(frozen=True)
 class Query:
@@ -68,10 +73,6 @@ class QueryLogConfig:
     popularity_exponent:
         Zipf exponent of query popularity (traffic share of each unique
         query).  Web logs measure ≈ 0.85.
-    term_exponent:
-        Zipf exponent used for drawing query terms from the vocabulary.
-        Slightly below the document exponent: users query mid-frequency
-        terms a bit more than raw corpus frequency predicts.
     term_count_mix:
         ``(term_count, probability)`` pairs; probabilities must sum to 1.
     seed:
@@ -80,7 +81,6 @@ class QueryLogConfig:
 
     num_unique_queries: int = 2_000
     popularity_exponent: float = 0.85
-    term_exponent: float = 0.9
     term_count_mix: Tuple[Tuple[int, float], ...] = DEFAULT_TERM_COUNT_MIX
     seed: int = 1234
 
@@ -150,7 +150,7 @@ class QueryLogGenerator:
         config = self.config
         rng = np.random.default_rng(config.seed)
         term_sampler = ZipfSampler(
-            len(self.vocabulary), config.term_exponent, rng
+            len(self.vocabulary), TERM_EXPONENT, rng
         )
         counts, probabilities = _split_mix(config.term_count_mix)
 

@@ -119,11 +119,11 @@ class HedgingPolicy:
         ``retry_backoff_s * retry_backoff_multiplier**n``.
     retry_backoff_multiplier:
         Exponential backoff growth factor.
-    cancel_losers:
-        Cancel outstanding sibling attempts the moment a winner
-        answers (cancel-on-first-winner).  Attempts that already
-        started may only be able to abandon work at their next
-        cancellation point; queued attempts are retired outright.
+
+    Outstanding sibling attempts are always cancelled the moment a
+    winner answers (cancel-on-first-winner).  Attempts that already
+    started may only be able to abandon work at their next cancellation
+    point; queued attempts are retired outright.
     """
 
     hedge_delay_s: Optional[float] = None
@@ -134,7 +134,6 @@ class HedgingPolicy:
     max_retries: int = 1
     retry_backoff_s: float = 0.001
     retry_backoff_multiplier: float = 2.0
-    cancel_losers: bool = True
 
     def __post_init__(self) -> None:
         if self.hedge_delay_s is not None and self.hedge_delay_s <= 0:

@@ -715,12 +715,12 @@ class IndexServingNode:
             for slot, future in zip(slots, futures):
                 pending[future] = (slot, kind, token)
 
-        def settle(slot: int, cancel: bool = resilient) -> None:
+        def settle(slot: int) -> None:
             """Mark ``slot`` decided; cancel what is still in flight for it."""
             undecided.discard(slot)
             hedge_at.pop(slot, None)
             retry_at.pop(slot, None)
-            if cancel:
+            if resilient:
                 for future, (other, _, token) in pending.items():
                     if other == slot:
                         token.set()
@@ -845,7 +845,7 @@ class IndexServingNode:
                     continue
                 if breakers is not None:
                     breakers.breaker(items[slot][0]).record_success(end)
-                settle(slot, cancel=resilient and policy.cancel_losers)
+                settle(slot)
                 answered[slot] = (items[slot][0], kind, result, start, end)
                 self._latency_tracker.observe(end - start)
                 if kind == "hedge":

@@ -22,11 +22,7 @@ from repro.resilience.admission import OverloadPolicy, ShedResponse
 from repro.resilience.breaker import BreakerConfig
 from repro.resilience.faults import FaultPlan
 from repro.engine.snippets import Snippet, SnippetGenerator
-from repro.index.partitioner import (
-    PartitionedIndex,
-    PartitionStrategy,
-    partition_index,
-)
+from repro.index.partitioner import PartitionedIndex, partition_index
 from repro.index.positional import PositionalIndex, PositionalIndexBuilder
 from repro.index.store import TieredStorageConfig, tier_partitioned_index
 from repro.obs.registry import MetricsRegistry
@@ -114,7 +110,6 @@ class SearchServiceConfig:
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     query_log: QueryLogConfig = field(default_factory=QueryLogConfig)
     num_partitions: int = 1
-    partition_strategy: PartitionStrategy = PartitionStrategy.ROUND_ROBIN
     algorithm: "str | TraversalStrategy" = "daat"
     use_global_stats: bool = True
     execution: Optional[ExecutionConfig] = None
@@ -171,10 +166,7 @@ class SearchService:
         generator = CorpusGenerator(config.corpus)
         self.collection = generator.generate()
         self.partitioned: PartitionedIndex = partition_index(
-            self.collection,
-            config.num_partitions,
-            analyzer=self.analyzer,
-            strategy=config.partition_strategy,
+            self.collection, config.num_partitions, analyzer=self.analyzer
         )
         # Process workers cannot attach tiered shards (they page blocks
         # on demand), so the resident pre-tiering index is kept as the

@@ -247,8 +247,6 @@ class SlowStore(BlockStore):
         The store actually holding the bytes.
     latency_s:
         Fixed per-fetch latency (first-byte latency of a remote GET).
-    per_byte_latency_s:
-        Additional latency per payload byte (bandwidth term).
     timeout_rate:
         Probability that a fetch times out instead of returning —
         raised as :class:`StoreTimeoutError`.  Draws come from a
@@ -262,17 +260,15 @@ class SlowStore(BlockStore):
         self,
         inner: BlockStore,
         latency_s: float = 0.0,
-        per_byte_latency_s: float = 0.0,
         timeout_rate: float = 0.0,
         seed: int = 0,
     ):
-        if latency_s < 0 or per_byte_latency_s < 0:
-            raise ValueError("latencies must be non-negative")
+        if latency_s < 0:
+            raise ValueError("latency_s must be non-negative")
         if not 0.0 <= timeout_rate <= 1.0:
             raise ValueError(f"timeout_rate must be in [0, 1], got {timeout_rate}")
         self.inner = inner
         self.latency_s = latency_s
-        self.per_byte_latency_s = per_byte_latency_s
         self.timeout_rate = timeout_rate
         self._rng = np.random.default_rng(seed)
         self._rng_lock = threading.Lock()
@@ -287,9 +283,8 @@ class SlowStore(BlockStore):
         if self._times_out():
             raise StoreTimeoutError(f"fetch of block {key} timed out")
         payload = self.inner.read(key)
-        delay = self.latency_s + self.per_byte_latency_s * len(payload)
-        if delay > 0.0:
-            time.sleep(delay)
+        if self.latency_s > 0.0:
+            time.sleep(self.latency_s)
         return payload
 
     def close(self) -> None:
@@ -1166,8 +1161,8 @@ class TieredStorageConfig:
         equal slice.  0 disables caching (every block access fetches).
     admission:
         Enable TinyLFU admission control (off = plain byte-budget LRU).
-    fetch_latency_s / per_byte_latency_s:
-        When either is positive, each shard's store is wrapped in a
+    fetch_latency_s:
+        When positive, each shard's store is wrapped in a
         :class:`SlowStore` modeling object-store fetch latency.
     timeout_rate / seed:
         Seedable fetch-timeout injection (chaos testing of the paging
@@ -1177,26 +1172,21 @@ class TieredStorageConfig:
     cache_budget_bytes: int = 4 << 20
     admission: bool = True
     fetch_latency_s: float = 0.0
-    per_byte_latency_s: float = 0.0
     timeout_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.cache_budget_bytes < 0:
             raise ValueError("cache_budget_bytes must be >= 0")
-        if self.fetch_latency_s < 0 or self.per_byte_latency_s < 0:
-            raise ValueError("latencies must be non-negative")
+        if self.fetch_latency_s < 0:
+            raise ValueError("fetch_latency_s must be non-negative")
         if not 0.0 <= self.timeout_rate <= 1.0:
             raise ValueError("timeout_rate must be in [0, 1]")
 
     @property
     def needs_slow_store(self) -> bool:
         """True when latency or fault modeling is requested."""
-        return (
-            self.fetch_latency_s > 0.0
-            or self.per_byte_latency_s > 0.0
-            or self.timeout_rate > 0.0
-        )
+        return self.fetch_latency_s > 0.0 or self.timeout_rate > 0.0
 
     def store_wrapper(
         self, seed_offset: int = 0
@@ -1211,7 +1201,6 @@ class TieredStorageConfig:
         return lambda store: SlowStore(
             store,
             latency_s=self.fetch_latency_s,
-            per_byte_latency_s=self.per_byte_latency_s,
             timeout_rate=self.timeout_rate,
             seed=self.seed + seed_offset,
         )

@@ -42,6 +42,10 @@ from repro.workload.servicetime import ServiceDemandModel
 
 __all__ = ["DeadlineScheduler", "DeadlineCappedDemand"]
 
+#: Fraction of a deadline budget available for scoring work; the rest
+#: is slack for queueing, merge, and prediction error.
+BUDGET_HEADROOM = 0.8
+
 
 @dataclass(frozen=True, kw_only=True)
 class DeadlineScheduler:
@@ -60,13 +64,6 @@ class DeadlineScheduler:
         Predicted service time above which a query is "long".  Used
         for metrics/routing when no deadline is set (threshold-style
         big/little routing, the noisy version of the fig22 oracle).
-    route_quantile:
-        Which quantile of the predictor's error model routing
-        decisions use; 0.5 is the point prediction, higher values are
-        more conservative (long queries classified long more often).
-    budget_headroom:
-        Fraction of the deadline budget available for scoring work —
-        the rest is slack for queueing, merge, and prediction error.
     min_depth_fraction:
         Early termination never truncates a query below this fraction
         of its work: a floor on result quality.
@@ -79,8 +76,6 @@ class DeadlineScheduler:
     predictor: ServiceTimePredictor
     deadline_s: Optional[float] = None
     long_query_threshold_s: Optional[float] = None
-    route_quantile: float = 0.5
-    budget_headroom: float = 0.8
     min_depth_fraction: float = 0.1
     depth_from_budget: bool = False
 
@@ -92,10 +87,6 @@ class DeadlineScheduler:
             and self.long_query_threshold_s <= 0
         ):
             raise ValueError("long_query_threshold_s must be positive")
-        if not 0.0 < self.route_quantile < 1.0:
-            raise ValueError("route_quantile must be in (0, 1)")
-        if not 0.0 < self.budget_headroom <= 1.0:
-            raise ValueError("budget_headroom must be in (0, 1]")
         if not 0.0 < self.min_depth_fraction <= 1.0:
             raise ValueError("min_depth_fraction must be in (0, 1]")
         if self.depth_from_budget and self.deadline_s is None:
@@ -110,10 +101,8 @@ class DeadlineScheduler:
         )
 
     def predicted_seconds(self, features: QueryFeatures) -> float:
-        """The routing-flavoured prediction (at ``route_quantile``)."""
-        if self.route_quantile == 0.5:
-            return self.predictor.predict(features)
-        return self.predictor.predict_quantile(features, self.route_quantile)
+        """The point prediction routing and ordering decisions use."""
+        return self.predictor.predict(features)
 
     def is_long(self, features: QueryFeatures) -> bool:
         """Classify a query as long at admission.
@@ -126,7 +115,7 @@ class DeadlineScheduler:
         if self.long_query_threshold_s is not None:
             return predicted > self.long_query_threshold_s
         if self.deadline_s is not None:
-            return predicted > self.deadline_s * self.budget_headroom
+            return predicted > self.deadline_s * BUDGET_HEADROOM
         return False
 
     def max_docs_for(
@@ -158,7 +147,7 @@ class DeadlineScheduler:
         if per_posting <= 0:
             return None
         scoring_budget = (
-            max(remaining_s, 0.0) * self.budget_headroom
+            max(remaining_s, 0.0) * BUDGET_HEADROOM
             - self.predictor.base_seconds
             - self.predictor.per_term_seconds * features.term_count
         )
@@ -193,7 +182,7 @@ class DeadlineScheduler:
         if core_speed <= 0 or parallelism <= 0:
             raise ValueError("core_speed and parallelism must be positive")
         affordable = (
-            self.deadline_s * self.budget_headroom * core_speed * parallelism
+            self.deadline_s * BUDGET_HEADROOM * core_speed * parallelism
         )
         if predicted <= affordable:
             return demand
@@ -238,7 +227,7 @@ class DeadlineCappedDemand:
         scheduler = self.scheduler
         affordable = (
             scheduler.deadline_s
-            * scheduler.budget_headroom
+            * BUDGET_HEADROOM
             * self.core_speed
             * self.parallelism
         )

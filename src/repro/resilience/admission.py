@@ -17,7 +17,7 @@ Three shedding policies, combinable through one declarative
   dropped at dequeue until the wait falls back under the target;
 - **AIMD adaptive limit** — the concurrency limit itself adapts: each
   completion compares observed latency against an EWMA baseline;
-  latencies beyond ``latency_factor`` × baseline multiplicatively
+  latencies beyond ``AIMD_LATENCY_FACTOR`` (2) × baseline multiplicatively
   decrease the limit, healthy ones additively increase it (one unit per
   ``limit`` completions) — the gradient limiter converges to the
   concurrency the backend can actually sustain.
@@ -55,6 +55,17 @@ __all__ = [
 SHED_CAPACITY = "capacity"  # concurrency full and no queue configured
 SHED_QUEUE_FULL = "queue_full"  # admission queue at its bound
 SHED_CODEL = "codel"  # dropped at dequeue by target-delay control
+
+#: AIMD gradient constants: additive growth per completion, scaled by
+#: the current limit (``limit += AIMD_INCREASE / limit``, roughly one
+#: unit per ``limit`` healthy completions); the multiplicative cut on a
+#: breach; the breach threshold as a multiple of the EWMA baseline; and
+#: the baseline smoothing factor (only healthy samples update it, so a
+#: congested period cannot drag the baseline up after itself).
+AIMD_INCREASE = 1.0
+AIMD_DECREASE_FACTOR = 0.7
+AIMD_LATENCY_FACTOR = 2.0
+AIMD_EWMA_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -98,17 +109,6 @@ class AimdConfig:
         Concurrency limit before any feedback arrives.
     min_limit / max_limit:
         Clamp for the adapted limit.
-    increase:
-        Additive growth credited per completion, scaled by the current
-        limit (``limit += increase / limit``) — i.e. roughly one unit
-        of limit per ``limit`` healthy completions.
-    decrease_factor:
-        Multiplicative cut applied when latency breaches the threshold.
-    latency_factor:
-        Overload threshold as a multiple of the EWMA latency baseline.
-    ewma_alpha:
-        Baseline smoothing factor (only healthy samples update it, so
-        a congested period cannot drag the baseline up after itself).
     cooldown_s:
         Minimum time between two multiplicative decreases — one queue's
         worth of slow completions must count as one congestion event.
@@ -120,10 +120,6 @@ class AimdConfig:
     initial_limit: float = 32.0
     min_limit: float = 1.0
     max_limit: float = 1024.0
-    increase: float = 1.0
-    decrease_factor: float = 0.7
-    latency_factor: float = 2.0
-    ewma_alpha: float = 0.05
     cooldown_s: float = 0.05
     baseline_latency_s: Optional[float] = None
 
@@ -134,14 +130,6 @@ class AimdConfig:
             raise ValueError("max_limit must be >= min_limit")
         if not self.min_limit <= self.initial_limit <= self.max_limit:
             raise ValueError("initial_limit must lie in [min, max]")
-        if self.increase <= 0:
-            raise ValueError("increase must be positive")
-        if not 0.0 < self.decrease_factor < 1.0:
-            raise ValueError("decrease_factor must be in (0, 1)")
-        if self.latency_factor <= 1.0:
-            raise ValueError("latency_factor must be > 1")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         if self.cooldown_s < 0:
             raise ValueError("cooldown_s must be non-negative")
         if self.baseline_latency_s is not None and self.baseline_latency_s <= 0:
@@ -318,16 +306,16 @@ class AdmissionController:
         if self._ewma is None:
             self._ewma = float(latency_s)
             return
-        if latency_s > aimd.latency_factor * self._ewma:
+        if latency_s > AIMD_LATENCY_FACTOR * self._ewma:
             if now - self._last_decrease >= aimd.cooldown_s:
                 self._limit = max(
-                    aimd.min_limit, self._limit * aimd.decrease_factor
+                    aimd.min_limit, self._limit * AIMD_DECREASE_FACTOR
                 )
                 self._last_decrease = now
         else:
-            self._ewma += aimd.ewma_alpha * (float(latency_s) - self._ewma)
+            self._ewma += AIMD_EWMA_ALPHA * (float(latency_s) - self._ewma)
             self._limit = min(
-                aimd.max_limit, self._limit + aimd.increase / max(1.0, self._limit)
+                aimd.max_limit, self._limit + AIMD_INCREASE / max(1.0, self._limit)
             )
 
 

@@ -52,7 +52,12 @@ from typing import List, Optional, Protocol, Tuple
 import numpy as np
 
 from repro.capacity.model import CapacityModel
-from repro.cluster.broker import Broker, FanoutQueryRecord
+from repro.cluster.broker import (
+    BROKER_MERGE_PER_SERVER,
+    SERVER_IMBALANCE_CONCENTRATION,
+    Broker,
+    FanoutQueryRecord,
+)
 from repro.cluster.server import PartitionModelConfig, SimulatedServer
 from repro.metrics.summary import LatencySummary, summarize
 from repro.obs.registry import MetricsRegistry
@@ -200,8 +205,7 @@ class AutoscaleConfig:
     scale_down_cooldown_s: float = 300.0
     #: Consecutive intervals the policy must ask for fewer rows.
     scale_down_stability: int = 3
-    broker_merge_per_server: float = 2e-5
-    server_imbalance_concentration: float = 60.0
+    broker_merge_per_server: float = BROKER_MERGE_PER_SERVER
     #: Optional PR 3 admission control in front of the broker.
     overload: Optional[OverloadPolicy] = None
     #: Optional replica crash/recovery process (:mod:`repro.sim.failures`).
@@ -281,7 +285,9 @@ class AutoscaleResult:
         )
 
     def summary(self) -> LatencySummary:
-        return summarize(self.latencies())
+        """Latency order statistics over served queries; the NaN
+        :data:`~repro.metrics.summary.EMPTY_SUMMARY` when none was."""
+        return summarize(self.latencies(), empty="nan")
 
     def slo_attainment(self, slo_s: float) -> float:
         """Fraction of *offered* queries answered within ``slo_s``.
@@ -392,7 +398,7 @@ def run_autoscaled_cluster(
         streams,
         config.shards,
         merge_per_server=config.broker_merge_per_server,
-        concentration=config.server_imbalance_concentration,
+        concentration=SERVER_IMBALANCE_CONCENTRATION,
         overload=config.overload,
     )
     rows: List[_Row] = []

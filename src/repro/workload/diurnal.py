@@ -93,12 +93,10 @@ class DiurnalArrivals:
 
     The deterministic rate envelope is::
 
-        rate(t) = base + (peak - base) * ((1 + cos(2pi (t - t_peak)/T)) / 2)^s
+        rate(t) = base + (peak - base) * (1 + cos(2pi (t - t_peak)/T)) / 2
 
     — a raised cosine between ``base_qps`` (trough) and ``peak_qps``
-    (peak at ``peak_time_s``), sharpened by the exponent ``sharpness``
-    (1 is a plain sinusoid; larger values narrow the peak, the shape of
-    real evening-peak traffic).  Each :class:`FlashCrowd` multiplies
+    (peak at ``peak_time_s``).  Each :class:`FlashCrowd` multiplies
     the envelope during its window.
 
     With ``burst_multiplier > 1`` the thinned process is additionally
@@ -118,7 +116,6 @@ class DiurnalArrivals:
     peak_qps: float
     period_s: float = 86_400.0
     peak_time_s: float = 54_000.0  # 15:00 on a midnight-anchored day
-    sharpness: float = 1.0
     flash_crowds: Tuple[FlashCrowd, ...] = ()
     burst_multiplier: float = 1.0
     mean_burst_dwell_s: float = 2.0
@@ -131,8 +128,6 @@ class DiurnalArrivals:
             raise ValueError("peak_qps must be >= base_qps")
         if self.period_s <= 0:
             raise ValueError("period_s must be positive")
-        if self.sharpness <= 0:
-            raise ValueError("sharpness must be positive")
         if self.burst_multiplier < 1.0:
             raise ValueError("burst_multiplier must be >= 1")
         if self.mean_burst_dwell_s <= 0 or self.mean_base_dwell_s <= 0:
@@ -149,7 +144,7 @@ class DiurnalArrivals:
         """
         t = np.asarray(t, dtype=np.float64)
         phase = 2.0 * math.pi * (t - self.peak_time_s) / self.period_s
-        shape = ((1.0 + np.cos(phase)) / 2.0) ** self.sharpness
+        shape = (1.0 + np.cos(phase)) / 2.0
         rate = self.base_qps + (self.peak_qps - self.base_qps) * shape
         for crowd in self.flash_crowds:
             rate = rate * crowd.multiplier_at(t)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.capacity.model import CapacityModel, ServiceTimeProfile
+from repro.metrics.summary import EMPTY_SUMMARY
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.admission import OverloadPolicy
 from repro.servers.spec import ServerSpec
@@ -306,6 +307,20 @@ class TestRunAutoscaledCluster:
             metrics.snapshot()["autoscale.sheds"]["value"]
             == again.shed_count
         )
+
+    def test_summary_of_unserved_run_is_nan(self):
+        """A run that served nothing summarizes like a fully shed
+        fan-out run (NaN gap), not with an error."""
+        result = AutoscaleResult(
+            records=[],
+            timeline=[],
+            horizon_s=1.0,
+            policy_name="static",
+            row_spans=(),
+            scale_up_events=0,
+            scale_down_events=0,
+        )
+        assert result.summary() is EMPTY_SUMMARY
 
     def test_input_validation(self, trace):
         times, demands = trace

@@ -23,7 +23,11 @@ from repro.index.partitioner import partition_index
 from repro.predict.calibrate import calibrate_predictor
 from repro.predict.features import QueryFeatures, extract_features
 from repro.predict.predictor import ServiceTimePredictor
-from repro.predict.scheduler import DeadlineCappedDemand, DeadlineScheduler
+from repro.predict.scheduler import (
+    BUDGET_HEADROOM,
+    DeadlineCappedDemand,
+    DeadlineScheduler,
+)
 from repro.servers.catalog import BIG_SERVER, SMALL_SERVER
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.scenario import WorkloadScenario
@@ -212,9 +216,7 @@ class TestDeadlineScheduler:
             predictor=PREDICTOR, deadline_s=0.05, min_depth_fraction=1e-6
         )
         capped = greedy.capped_demand(1.0, predicted=10.0, core_speed=1.0)
-        assert capped == pytest.approx(
-            greedy.deadline_s * greedy.budget_headroom
-        )
+        assert capped == pytest.approx(greedy.deadline_s * BUDGET_HEADROOM)
 
     def test_capped_demand_model_tracks_served_fraction(self):
         base = LognormalDemand(mu=-4.6, sigma=0.8)

@@ -93,10 +93,6 @@ class TestOverloadPolicy:
         [
             {"min_limit": 0.5},
             {"max_limit": 2.0, "initial_limit": 4.0},
-            {"increase": 0.0},
-            {"decrease_factor": 1.0},
-            {"latency_factor": 1.0},
-            {"ewma_alpha": 0.0},
             {"cooldown_s": -1.0},
             {"baseline_latency_s": 0.0},
         ],
