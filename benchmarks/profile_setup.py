@@ -11,8 +11,11 @@ phase and the top 20 functions by own time.
     PYTHONPATH=src python benchmarks/profile_setup.py
 
 at the commit before the array index build and at the commit that added
-it.  cProfile charges every Python-level call and no native work, so
-read it for *where the calls are*, and ``run.py`` for time.
+it, and before and after the block-drawn corpus with the index built
+from the generator's token ids.  cProfile charges every Python-level
+call and no native work, so read it for *where the calls are*, and
+``run.py`` for time.  A phase whose function the checkout does not
+have is left out, so one script profiles both sides of that change.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ import workloads  # noqa: E402  (benchmarks/perf/workloads.py)
 PHASES = {
     "vocabulary": ("vocabulary.py", "_generate_words"),
     "corpus generation": ("generator.py", "generate"),
+    "  of which body draws": ("generator.py", "body"),
+    "  (before: _make_body)": ("generator.py", "_make_body"),
     "index build": ("builder.py", "build"),
+    "  of which pass 1": ("builder.py", "term_occurrences"),
     "  of which analysis": ("analyzer.py", "normalize"),
-    "  (parent: analyze)": ("analyzer.py", "analyze"),
 }
 UNPROFILED_RUNS = 3
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,41 @@ class Document:
         return f"{self.title}\n{self.body}"
 
 
+@dataclass(frozen=True, eq=False)
+class TokenIds:
+    """Every document's raw tokens as ids into one token table.
+
+    ``ids[offsets[d]:offsets[d + 1]]`` are document ``d``'s raw tokens
+    (the alphanumeric runs of its text, title then body, in order), each
+    an index into ``table``; a token the analyzer's length limit drops
+    may be among them, since ``normalize`` drops it again.  The index
+    builder analyzes each table entry once instead of every token.
+    ``ids`` has the smallest unsigned dtype that holds an index into the
+    table.
+    """
+
+    table: Sequence[str]
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def num_documents(self) -> int:
+        """Number of documents covered."""
+        return len(self.offsets) - 1
+
+    def take(self, doc_ids: Sequence[int]) -> "TokenIds":
+        """The token ids of ``doc_ids``, renumbered ``0..len-1``."""
+        doc_ids = np.asarray(doc_ids, dtype=np.int64)
+        if np.array_equal(doc_ids, np.arange(self.num_documents)):
+            return self  # one partition: nothing to copy
+        starts = self.offsets[doc_ids]
+        ends = self.offsets[doc_ids + 1]
+        offsets = np.concatenate(([0], np.cumsum(ends - starts)))
+        pieces = map(self.ids.__getitem__, map(slice, starts, ends))
+        ids = np.concatenate([self.ids[:0], *pieces])
+        return TokenIds(self.table, ids, offsets)
+
+
 @dataclass
 class DocumentCollection:
     """An ordered collection of documents with dense ids.
@@ -40,10 +77,13 @@ class DocumentCollection:
     The index builder consumes a collection; the partitioner splits one
     into shards.  Ids must be dense ``0..len-1`` in order, which
     :meth:`add` enforces — dense ids are what lets postings use array
-    offsets instead of hash lookups.
+    offsets instead of hash lookups.  ``tokens``, when set, holds the
+    raw tokens of exactly these documents' text as ids (the corpus
+    generator hands them over); :meth:`add` drops them.
     """
 
     documents: List[Document] = field(default_factory=list)
+    tokens: Optional[TokenIds] = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -63,6 +103,7 @@ class DocumentCollection:
                 f"got {document.doc_id}"
             )
         self.documents.append(document)
+        self.tokens = None
 
     def get(self, doc_id: int) -> Optional[Document]:
         """Return the document with ``doc_id`` or None if out of range."""

@@ -18,6 +18,11 @@ from repro.corpus.zipf import ZipfSampler, zipf_weights
 
 _CONSONANTS = "bcdfghjklmnpqrstvwz"
 _VOWELS = "aeiou"
+_CONSONANT_BYTES = np.frombuffer(_CONSONANTS.encode(), dtype=np.uint8)
+_VOWEL_BYTES = np.frombuffer(_VOWELS.encode(), dtype=np.uint8)
+_MAX_LENGTH = 12
+#: The alphabet size of each character position: consonant, vowel, ...
+_ALPHABET_SIZES = np.resize([len(_CONSONANTS), len(_VOWELS)], _MAX_LENGTH)
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,12 @@ def _generate_words(count: int, seed: int) -> List[str]:
 
     Words alternate consonant/vowel starting from a consonant; length
     grows slowly with rank so frequent words are short (as in natural
-    language) and all words are unique.
+    language) and all words are unique.  Attempt ``r`` draws one
+    character index per position, ``integers(19)`` or ``integers(5)``,
+    and is kept unless it repeats an earlier word or a stopword.  The
+    draws of a block of attempts are one ``integers`` call (the same
+    values the per-character calls would give), so only a block that
+    runs short costs a second call.
     """
     from repro.text.stopwords import DEFAULT_STOPWORDS
 
@@ -95,22 +105,53 @@ def _generate_words(count: int, seed: int) -> List[str]:
     # survive the analyzer's stopword filter.
     seen = set(DEFAULT_STOPWORDS)
     rank = 0
+    block = count + count // 8 + 64
     while len(words) < count:
-        # Frequent words are shorter: length 3..10 growing with log(rank).
-        length = 3 + int(np.log1p(rank) / np.log(4))
-        length = min(length, 12)
-        word = _make_word(rng, length)
-        rank += 1
-        if word in seen:
-            continue
-        seen.add(word)
-        words.append(word)
+        for word in _make_words(rng, rank, rank + block):
+            if word not in seen:
+                seen.add(word)
+                words.append(word)
+        rank += block
+        block = 2 * (count - len(words)) + 64
+    return words[:count]
+
+
+def _word_length(rank: int) -> int:
+    """Frequent words are shorter: length 3..12 growing with log(rank)."""
+    return min(3 + int(np.log1p(rank) / np.log(4)), _MAX_LENGTH)
+
+
+def _first_ranks() -> List[int]:
+    """``[first rank of length 3, of length 4, ..., of length 12]``."""
+    firsts = [0]
+    for length in range(4, _MAX_LENGTH + 1):
+        rank = 4 ** (length - 3) - 1  # where log1p(rank) / log(4) turns
+        while rank > 0 and _word_length(rank - 1) >= length:
+            rank -= 1
+        while _word_length(rank) < length:
+            rank += 1
+        firsts.append(rank)
+    return firsts
+
+
+def _make_words(rng: np.random.Generator, start: int, stop: int) -> List[str]:
+    """Attempts ``start..stop-1``, their characters drawn in one call."""
+    firsts = _first_ranks() + [stop]
+    runs = []  # (length, number of attempts), in rank order
+    for length, first, end in zip(range(3, _MAX_LENGTH + 1), firsts, firsts[1:]):
+        count = min(stop, end) - max(start, first)
+        if count > 0:
+            runs.append((length, count))
+    highs = np.concatenate(
+        [np.tile(_ALPHABET_SIZES[:length], count) for length, count in runs]
+    )
+    draws = rng.integers(0, highs)
+    words: List[str] = []
+    for length, count in runs:
+        picks = draws[: length * count].reshape(count, length)
+        draws = draws[length * count :]
+        chars = np.empty((count, length), dtype=np.uint8)
+        chars[:, 0::2] = _CONSONANT_BYTES[picks[:, 0::2]]
+        chars[:, 1::2] = _VOWEL_BYTES[picks[:, 1::2]]
+        words.extend(chars.view(f"S{length}").ravel().astype(f"U{length}").tolist())
     return words
-
-
-def _make_word(rng: np.random.Generator, length: int) -> str:
-    chars = []
-    for position in range(length):
-        alphabet = _CONSONANTS if position % 2 == 0 else _VOWELS
-        chars.append(alphabet[int(rng.integers(len(alphabet)))])
-    return "".join(chars)

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.corpus.documents import DocumentCollection
+from repro.corpus.documents import DocumentCollection, TokenIds
 from repro.index.blockmax import DEFAULT_BLOCK_SIZE, BlockMetadata
 from repro.index.dictionary import TermDictionary
 from repro.index.inverted import InvertedIndex
@@ -16,29 +16,79 @@ from repro.index.stats import IndexStatistics, compute_statistics
 from repro.text.analyzer import Analyzer, default_analyzer
 
 
-class TokenMemo(dict):
-    """Raw token -> term number for one build, -1 for a dropped token.
-
-    ``Analyzer.normalize`` runs once per *distinct* raw token; terms are
-    numbered in first-seen order in :attr:`terms`.  A builder makes one
-    per ``build`` and drops it: nothing is remembered across builds.
-    """
-
-    def __init__(self, analyzer: Analyzer):
-        super().__init__()
-        self.analyzer = analyzer
-        self.terms: Dict[str, int] = {}
+class _Numbering(dict):
+    """Token -> id, ids handed out in first-seen order."""
 
     def __missing__(self, token: str) -> int:
-        term = self.analyzer.normalize(token)
-        number = self.terms.setdefault(term, len(self.terms)) if term else -1
-        self[token] = number
+        number = self[token] = len(self)
         return number
 
-    def term_numbers(self, text: str) -> List[int]:
-        """Term numbers of the surviving tokens of ``text``, in order."""
-        numbers = map(self.__getitem__, self.analyzer.tokenize(text))
-        return [number for number in numbers if number >= 0]
+
+def token_ids(collection: DocumentCollection, analyzer: Analyzer) -> TokenIds:
+    """The raw tokens of every document in ``collection``, as ids.
+
+    A generated collection carries them (``collection.tokens``); any
+    other collection (loaded from disk, built by hand) is tokenized here
+    into the same form, its table the distinct tokens in first-seen
+    order.
+    """
+    tokens = collection.tokens
+    if tokens is not None:
+        if tokens.num_documents != len(collection):
+            raise ValueError(
+                f"token ids cover {tokens.num_documents} documents, "
+                f"the collection holds {len(collection)}"
+            )
+        return tokens
+    numbering = _Numbering()
+    ids = array("q")
+    offsets = [0]
+    for document in collection:
+        ids.extend(map(numbering.__getitem__, analyzer.tokenize(document.text)))
+        offsets.append(len(ids))
+    dtype = np.min_scalar_type(max(len(numbering) - 1, 0))
+    return TokenIds(
+        list(numbering),
+        np.frombuffer(ids, np.int64).astype(dtype),
+        np.array(offsets, dtype=np.int64),
+    )
+
+
+def term_occurrences(
+    collection: DocumentCollection, analyzer: Analyzer
+) -> Tuple[Dict[str, int], np.ndarray, np.ndarray]:
+    """Every surviving token of ``collection`` as a term number.
+
+    ``Analyzer.normalize`` runs once per table entry that occurs, terms
+    numbered in first-seen order; each document's ids are then gathered
+    through the mapped table.  Returns the ``term -> number`` map, the
+    term numbers of all surviving occurrences (documents back to back,
+    each in text order) and the number of them per document.
+    """
+    tokens = token_ids(collection, analyzer)
+    table, ids = tokens.table, tokens.ids
+    # Fancy indexing with the compact ids, not bincount: bincount would
+    # cast them to a temporary 8 bytes per token.
+    occurs = np.zeros(len(table), dtype=bool)
+    occurs[ids] = True
+    terms: Dict[str, int] = {}
+    numbers = np.full(len(table), -1, dtype=np.intc)
+    for token in np.flatnonzero(occurs).tolist():
+        term = analyzer.normalize(table[token])
+        if term:
+            numbers[token] = terms.setdefault(term, len(terms))
+    # One gather per document: a gather over the whole collection would
+    # leave MB-sized transients behind it in the heap, which the index
+    # arrays allocated next cannot reuse (peak RSS, not time).
+    occurrences = array("i")
+    bounds = tokens.offsets.tolist()
+    doc_lengths = np.zeros(len(bounds) - 1, dtype=np.int64)
+    for doc_id, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        found = numbers[ids[start:end]]
+        found = found[found >= 0]
+        doc_lengths[doc_id] = len(found)
+        occurrences.frombytes(found.tobytes())
+    return terms, np.frombuffer(occurrences, dtype=np.intc), doc_lengths
 
 
 def _postings_from_keys(
@@ -89,20 +139,16 @@ class IndexBuilder:
 
         # Pass 1: every surviving occurrence as a term number, documents
         # back to back (the collection enforces dense ascending ids).
-        memo = TokenMemo(self.analyzer)
-        occurrences = array("i")
-        doc_lengths = np.zeros(num_docs, dtype=np.int64)
-        for document in collection:
-            numbers = memo.term_numbers(document.text)
-            doc_lengths[document.doc_id] = len(numbers)
-            occurrences.extend(numbers)
-        terms = sorted(memo.terms)
+        numbering, occurrences, doc_lengths = term_occurrences(
+            collection, self.analyzer
+        )
+        terms = sorted(numbering)
         term_ids = np.empty(len(terms), dtype=np.int64)
-        term_ids[[memo.terms[term] for term in terms]] = np.arange(len(terms))
+        term_ids[[numbering[term] for term in terms]] = np.arange(len(terms))
 
         # Pass 2: one sort brings each term's documents together in
         # doc-id order; equal keys are repeats within one document.
-        keys = term_ids[np.frombuffer(occurrences, dtype=np.intc)]
+        keys = term_ids[occurrences]
         keys *= num_docs
         keys += np.repeat(np.arange(num_docs), doc_lengths)
         keys.sort()

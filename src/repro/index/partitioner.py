@@ -133,23 +133,27 @@ def partition_collection(
     """Split ``collection`` into per-shard collections with local ids.
 
     The returned collections renumber documents densely from 0; use
-    :func:`partition_index` to also retain the global id mapping.
+    :func:`partition_index` to also retain the global id mapping.  A
+    collection's token ids are split with it.
     """
     assignments = assign_documents(len(collection), num_partitions, strategy)
+    tokens = collection.tokens
     shards: List[DocumentCollection] = []
     for shard_doc_ids in assignments:
-        shard = DocumentCollection()
-        for local_id, global_id in enumerate(shard_doc_ids):
-            original = collection[global_id]
-            shard.add(
-                Document(
-                    doc_id=local_id,
-                    url=original.url,
-                    title=original.title,
-                    body=original.body,
-                )
+        documents = [
+            Document(
+                doc_id=local_id,
+                url=original.url,
+                title=original.title,
+                body=original.body,
             )
-        shards.append(shard)
+            for local_id, original in enumerate(collection.slice(shard_doc_ids))
+        ]
+        shards.append(
+            DocumentCollection(
+                documents, None if tokens is None else tokens.take(shard_doc_ids)
+            )
+        )
     return shards
 
 

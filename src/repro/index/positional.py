@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.corpus.documents import DocumentCollection
-from repro.index.builder import IndexBuilder, TokenMemo
+from repro.index.builder import IndexBuilder, term_occurrences
 from repro.index.inverted import InvertedIndex
 from repro.index.postings import PostingsList
 from repro.text.analyzer import Analyzer, default_analyzer
@@ -100,20 +100,19 @@ class PositionalIndexBuilder:
     def build(self, collection: DocumentCollection) -> PositionalIndex:
         """Analyze and index every document with positions."""
         # term number -> doc id (ascending, as visited) -> positions
-        memo = TokenMemo(self.analyzer)
+        terms, numbers, doc_lengths = term_occurrences(collection, self.analyzer)
         term_positions: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
-        for document in collection:
-            numbers = memo.term_numbers(document.text)
-            for position, number in enumerate(numbers):
-                term_positions[number].setdefault(document.doc_id, []).append(
-                    position
-                )
+        ends = np.cumsum(doc_lengths).tolist()
+        numbers = numbers.tolist()
+        for doc_id, (start, end) in enumerate(zip([0] + ends, ends)):
+            for position, number in enumerate(numbers[start:end]):
+                term_positions[number].setdefault(doc_id, []).append(position)
         positions = {
             term: PositionalPostings(
                 list(term_positions[number]),
                 [np.array(found) for found in term_positions[number].values()],
             )
-            for term, number in memo.terms.items()
+            for term, number in terms.items()
         }
         index = IndexBuilder(self.analyzer).build(collection)
         return PositionalIndex(index=index, _positions=positions)

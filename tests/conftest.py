@@ -60,8 +60,10 @@ def timing_isn():
     ≈ 0.2 ms per query, so the timer decides every comparison; here the
     median query matches ≈ 3,600 postings and the per-posting term shows.
     Same vocabulary as the small corpus: ``small_query_log`` applies.
-    Costs ≈ 1.4 s to set up (1.1 s generating the text, 0.3 s indexing
-    it; 3.8 s before the index build became one array pass).
+    Costs ≈ 1.1 s to set up (1.0 s generating the text, 0.1 s indexing
+    it from the generator's token ids; 2.0 s when the text was drawn one
+    word at a time and re-tokenized, 3.8 s before the index build became
+    one array pass).
     """
     from repro.engine.isn import IndexServingNode
     from repro.index.partitioner import partition_index

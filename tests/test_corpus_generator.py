@@ -86,6 +86,32 @@ class TestCorpusGenerator:
         with pytest.raises(ValueError):
             CorpusConfig(stopword_fraction=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("topic_terms", 0, "topic_terms must be at least 1"),
+            ("topic_terms", -1, "topic_terms must be at least 1"),
+            ("length_sigma", -0.1, "length_sigma must be non-negative"),
+        ],
+    )
+    def test_rejected_at_construction(self, field, value, message):
+        """Caught by the config, not mid-generation by numpy (``high <=
+        0`` in ``integers``, a negative count in ``sample_many``, a
+        negative scale in ``lognormal``)."""
+        with pytest.raises(ValueError, match=message):
+            CorpusConfig(**{field: value})
+
+    def test_edge_values_generate(self):
+        config = CorpusConfig(
+            num_documents=4,
+            vocabulary=VocabularyConfig(size=50),
+            topic_terms=1,
+            length_sigma=0.0,
+        )
+        collection = CorpusGenerator(config).generate()
+        assert len(collection) == 4
+        assert all(len(doc.title.split()) == 1 for doc in collection)
+
     def test_topic_terms_repeat_within_document(self):
         # With a high topic fraction, some term must appear many times.
         config = CorpusConfig(
