@@ -1,9 +1,9 @@
 """Where the fixed cost of a policy-free native query goes.
 
-Four tables over the perf benchmark's reference corpus, built layer by
-layer as ``benchmarks/perf/layers.py`` builds it (no policy, the first
-30 queries of the reference replay stream, every number the mean over
-those queries of the per-query floor):
+Five tables over the perf benchmark's reference corpus, built layer by
+layer as ``benchmarks/perf/layers.py`` builds it (no policy; tables 1-4
+use the first 30 queries of the reference replay stream, every number
+the mean over those queries of the per-query floor):
 
 1. ``IndexServingNode.execute`` against ``execute_serial`` for
    {daat, block_max_wand} x 1/2/4 partitions at 3,000 and 16,000
@@ -23,14 +23,21 @@ those queries of the per-query floor):
    P = 1 over a ladder of corpus sizes, and the size at which the
    process node starts to win — where intra-server partitioning begins
    to pay on this host.
+5. the fit: for the distinct queries of the ``daat_1p`` population (the
+   first 400 queries of the reference replay stream), the per-query
+   floor of ``IndexServingNode.execute`` (= ``SearchEngine.search``) on
+   a 1-partition DAAT node, fitted by least squares as intercept +
+   per-term cost x terms + per-posting cost x matched postings, at
+   3,000, 6,000 and 16,000 documents.  The fixed share is the part of
+   the floors' sum that the postings term does not explain.
 
 ``benchmarks/results/profile_native_fixed_cost.txt`` holds the output of
 
     PYTHONPATH=src python benchmarks/profile_native_fixed_cost.py
 
-at the parent and at the commit that added it.  Floors, not averages:
-read them for where the microseconds are, and ``benchmarks/perf/run.py``
-for the measurement of record.
+at a commit and at its parent (the file's header names both).  Floors,
+not averages: read them for where the microseconds are, and
+``benchmarks/perf/run.py`` for the measurement of record.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ from __future__ import annotations
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "perf"))
 
@@ -47,6 +56,8 @@ from repro.engine.execution import ExecutionConfig  # noqa: E402
 from repro.engine.isn import IndexServingNode  # noqa: E402
 
 SIZES = (3_000, 16_000)
+FIT_SIZES = (3_000, 6_000, 16_000)
+FIT_ROUNDS = 10
 ALGORITHMS = ("daat", "block_max_wand")
 PARTITIONS = (1, 2, 4)
 CROSSOVER_SIZES = (3_000, 8_000, 16_000, 24_000, 32_000)
@@ -74,6 +85,34 @@ def process_us(rig: Rig, partitions: int, workers: int) -> float:
     ) as node:
         node.execute_batch(rig.probe_texts)  # attach and warm the workers
         return execute_us(rig, node.execute)
+
+
+def fit_row(rig: Rig) -> str:
+    """Least squares of per-query floors on terms and matched postings."""
+    node = rig.isn(1, "daat")
+    stream = rig.query_log.sample_stream(
+        workloads.WORKLOADS["daat_1p"].num_ops,
+        np.random.default_rng(workloads.POPULATION_SEED),
+    )
+    texts = list(dict.fromkeys(query.text for query in stream))
+    floors = np.array(item_floors(
+        lambda text: node.execute(text, k=10), texts, FIT_ROUNDS
+    ))
+    terms = np.array([len(node.parser.parse(text).terms) for text in texts])
+    postings = np.array([node.execute(text).matched_volume for text in texts])
+    design = np.column_stack([np.ones(len(texts)), terms, postings])
+    (intercept, per_term, per_posting), *_ = np.linalg.lstsq(
+        design, floors, rcond=None
+    )
+    residuals = floors - design @ (intercept, per_term, per_posting)
+    r2 = 1.0 - residuals.var() / floors.var()
+    fixed = 1.0 - per_posting * postings.sum() / floors.sum()
+    return (
+        f"  {rig.scale.docs:6d} documents  {len(texts)} queries  "
+        f"{1e6 * intercept:6.1f} us + {1e6 * per_term:5.1f} us/term + "
+        f"{1e9 * per_posting:5.1f} ns/posting  "
+        f"mean {1e6 * floors.mean():6.1f} us  fixed {fixed:5.1%}  R2 {r2:.2f}"
+    )
 
 
 def fanout_table(rig: Rig) -> None:
@@ -183,10 +222,14 @@ def crossover_table(rows) -> None:
 
 
 def main() -> None:
-    crossover = []
-    for docs in sorted(set(SIZES) | set(CROSSOVER_SIZES)):
+    crossover, fit = [], []
+    for docs in sorted(set(SIZES) | set(CROSSOVER_SIZES) | set(FIT_SIZES)):
         rig = Rig(workloads.Scale(str(docs), docs=docs, sim_queries=0))
         try:
+            if docs in FIT_SIZES:
+                fit.append(fit_row(rig))
+            if docs not in CROSSOVER_SIZES:
+                continue
             if docs in SIZES:
                 fanout_table(rig)
                 if docs == SIZES[0]:
@@ -199,6 +242,11 @@ def main() -> None:
         finally:
             rig.close()
     crossover_table(crossover)
+    print(
+        "fit of execute floors, daat, P=1: intercept + per term + per "
+        "posting, fixed share"
+    )
+    print("\n".join(fit))
 
 
 if __name__ == "__main__":

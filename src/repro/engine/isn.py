@@ -41,12 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    FIRST_EXCEPTION,
-    Future,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -303,7 +298,9 @@ class IndexServingNode:
         )
         self.scheduler = scheduler
         self._algorithm_name = _normalize_algorithm(algorithm)
-        self._latency_tracker = ShardLatencyTracker()
+        #: Shard latencies, kept only for a policy that hedges at a quantile.
+        quantile = self.hedging is not None and self.hedging.hedge_quantile
+        self._latency_tracker = ShardLatencyTracker() if quantile else None
         scorer_factory = (
             global_scorer_factory(partitioned) if use_global_stats else None
         )
@@ -682,7 +679,8 @@ class IndexServingNode:
         n = self.num_partitions
         policy = (self.hedging if resilient else None) or DISABLED_POLICY
         breakers = self.breaker_board if resilient else None
-        delay = policy.resolve_hedge_delay(self._latency_tracker)
+        tracker = self._latency_tracker
+        delay = policy.resolve_hedge_delay(tracker)
         deadline_at = (
             None
             if policy.deadline_s is None
@@ -804,15 +802,9 @@ class IndexServingNode:
                     timers.append(deadline_at)
                 timeout = max(0.0, min(timers) - now) if timers else None
                 if pending:
-                    # Policy-free, no two attempts race for a slot: wait
-                    # for the first failure or the last answer.  (A late
-                    # loser wakes a hedged wait once; it is dropped below.)
+                    # A late loser wakes the wait once; it is dropped below.
                     done, _ = futures_wait(
-                        pending,
-                        timeout=timeout,
-                        return_when=(
-                            FIRST_COMPLETED if resilient else FIRST_EXCEPTION
-                        ),
+                        pending, timeout=timeout, return_when=FIRST_COMPLETED
                     )
                 elif timers:
                     time.sleep(timeout)
@@ -847,7 +839,8 @@ class IndexServingNode:
                     breakers.breaker(items[slot][0]).record_success(end)
                 settle(slot)
                 answered[slot] = (items[slot][0], kind, result, start, end)
-                self._latency_tracker.observe(end - start)
+                if tracker is not None:
+                    tracker.observe(end - start)
                 if kind == "hedge":
                     outcome.hedges_won += 1
 

@@ -89,16 +89,17 @@ _NO_POSTINGS = (np.empty(0, dtype=np.int64), np.empty(0))
 class _TermImpacts:
     """One term's share of resident Block-Max WAND under one scorer.
 
-    Nothing here depends on the query: the postings' doc ids (a view),
-    every posting's contribution, the block ends and bounds (0.0
-    appended: a document past the last block gets nothing from the
-    term), M_t, and the θ seeds, memoised per ``k`` as queries ask for
-    them.  A concurrent fill of a seed is benign — every thread derives
-    the same value from immutable arrays.
+    Nothing here depends on the query: the postings' doc ids (a view)
+    and their number, every posting's contribution, the block ends and
+    bounds (0.0 appended: a document past the last block gets nothing
+    from the term), M_t, and the θ seeds, memoised per ``k`` as queries
+    ask for them.  A concurrent fill of a seed is benign — every thread
+    derives the same value from immutable arrays.
     """
 
     __slots__ = (
         "doc_ids",
+        "volume",
         "scores",
         "nonnegative",
         "block_ends",
@@ -109,6 +110,7 @@ class _TermImpacts:
 
     def __init__(self, doc_ids, scores, block_ends, bounds):
         self.doc_ids = doc_ids
+        self.volume = len(doc_ids)
         self.scores = scores
         self.nonnegative = not scores.min() < 0.0
         self.block_ends = block_ends
@@ -141,14 +143,16 @@ class _PagedImpacts:
     """One term's share of tiered Block-Max WAND, for one query.
 
     Holds the resident block summaries — first and last doc ids, bounds
-    (0.0 appended, as on :class:`_TermImpacts`) and M_t — and pages
-    postings in through the index's block cache as the generator asks
-    for them, each block at most once.  ``doc_ids``/``scores`` are the
-    postings of the blocks :meth:`cover` paged in for the survivors.
+    (0.0 appended, as on :class:`_TermImpacts`), M_t and the number of
+    postings — and pages postings in through the index's block cache as
+    the generator asks for them, each block at most once.
+    ``doc_ids``/``scores`` are the postings of the blocks :meth:`cover`
+    paged in for the survivors.
     """
 
     __slots__ = (
         "postings",
+        "volume",
         "first_doc_ids",
         "block_ends",
         "bounds",
@@ -164,6 +168,7 @@ class _PagedImpacts:
 
     def __init__(self, postings, block_ends, bounds, scorer, idf, doc_lengths):
         self.postings = postings
+        self.volume = len(postings)
         self.first_doc_ids = postings.info.first_doc_ids
         self.block_ends = block_ends
         self.bounds = np.concatenate((bounds, _NO_BLOCK))
@@ -315,13 +320,14 @@ def _generate(
     metrics: Optional["MetricsRegistry"],
     stats: Optional[TraversalStats],
     impacts: Optional[Dict[str, _TermImpacts]],
+    global_doc_ids: Optional[np.ndarray] = None,
 ) -> List[SearchHit]:
     """Block-max candidate generation + DAAT's merge (module docstring).
 
     On a resident index ``impacts`` keeps the records of terms found in
     ``index`` under ``scorer`` across calls; None builds this query's
     records afresh.  A tiered index builds its records per query and
-    never touches ``impacts``.
+    never touches ``impacts``.  ``global_doc_ids`` maps the hits' ids.
     """
     if hasattr(index, "tiered_postings_for_id"):
         build, memo = _paged_impacts, {}
@@ -336,6 +342,8 @@ def _generate(
                 continue
             memo[term] = record
         records.append(record)
+    if stats is not None:
+        stats.matched_volume += sum(record.volume for record in records)
     if not records:
         return []
 
@@ -390,17 +398,16 @@ def _generate(
         # Deadline budget: score the first survivors in doc-id order.
         survivors = survivors[:max_docs_scored]
 
-    # Every posting of a surviving document, term by term, into the merge.
+    # Every posting of a surviving document, in term order, into the merge.
     surviving = np.zeros(index.num_documents, dtype=bool)
     surviving[survivors] = True
-    hit_ids: List[np.ndarray] = []
-    hit_scores: List[np.ndarray] = []
     for record in records:
         record.cover(survivors)
-        kept = surviving[record.doc_ids]
-        hit_ids.append(record.doc_ids[kept])
-        hit_scores.append(record.scores[kept])
-    documents, totals, _ = _merge_postings(hit_ids, hit_scores)
+    ids = np.concatenate([record.doc_ids for record in records])
+    kept = surviving[ids]
+    documents, totals, _ = _merge_postings(
+        ids[kept], np.concatenate([record.scores for record in records])[kept]
+    )
 
     docs_scored = len(survivors)
     if stats is not None:
@@ -411,7 +418,7 @@ def _generate(
         metrics.counter("wand.docs_scored").add(docs_scored)
         metrics.counter("wand.pivot_skips").add(0)
         metrics.counter("wand.block_skips").add(block_skips)
-    return select_top_k(documents, totals, query.k)
+    return select_top_k(documents, totals, query.k, global_doc_ids)
 
 
 def score_block_max_wand(
@@ -452,6 +459,7 @@ def _score_block_max_wand(
     stats: Optional[TraversalStats],
     max_docs_scored: Optional[int],
     impacts: Optional[Dict[str, _TermImpacts]],
+    global_doc_ids: Optional[np.ndarray] = None,
 ) -> List[SearchHit]:
     """:func:`score_block_max_wand` reading and filling ``impacts``.
 
@@ -459,7 +467,8 @@ def _score_block_max_wand(
     :class:`~repro.search.executor.Searcher` passes its own dict, built
     beside its one scorer — and a resident evaluation keeps there the
     record of each query term the index holds.  A tiered evaluation
-    never touches it.
+    never touches it.  ``global_doc_ids`` is a shard's local→global id
+    map for the hits.
     """
     if query.mode is not QueryMode.OR:
         raise ValueError("score_block_max_wand supports OR queries only")
@@ -473,5 +482,6 @@ def _score_block_max_wand(
             average_doc_length=index.average_doc_length,
         )
     return _generate(
-        index, query, scorer, max_docs_scored, metrics, stats, impacts
+        index, query, scorer, max_docs_scored, metrics, stats, impacts,
+        global_doc_ids,
     )

@@ -9,8 +9,8 @@ characterization (and our simulator calibration) relies on.
 
 A k-way merge of doc-sorted lists is one stable sort, so the lock-step
 runs as array operations: the terms' postings are concatenated in query
-order and stably sorted by doc id, which is exactly the order in which a
-``(doc_id, cursor_index)`` frontier would pop them.
+order, scored in one pass, and stably sorted by doc id, which is exactly
+the order in which a ``(doc_id, cursor_index)`` frontier would pop them.
 """
 
 from __future__ import annotations
@@ -30,21 +30,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _merge_postings(
-    id_lists: List[np.ndarray], score_lists: List[np.ndarray]
+    ids: np.ndarray, contributions: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The array merge: every document's score from its terms' postings.
 
-    ``id_lists``/``score_lists`` hold one doc-sorted list per query term,
-    in query-term order.  Returns the distinct doc ids (ascending), each
-    one's summed contribution, and how many lists matched it.  This is
-    the one scoring kernel: exhaustive DAAT feeds it every posting,
-    resident Block-Max WAND only the postings of the documents its
-    block bounds let through.
+    ``ids``/``contributions`` are the query terms' doc-sorted postings
+    and their contributions, concatenated in query-term order.  Returns
+    the distinct doc ids (ascending), each one's summed contribution,
+    and how many of the terms matched it.  This is the one scoring kernel:
+    exhaustive DAAT feeds it every posting, resident Block-Max WAND only
+    the postings of the documents its block bounds let through.
     """
-    ids = np.concatenate(id_lists)
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
-    contributions = np.concatenate(score_lists)[order]
 
     # One segment per candidate document, its postings in term order.
     is_start = np.ones(len(ids), dtype=bool)
@@ -52,14 +50,12 @@ def _merge_postings(
     starts = np.flatnonzero(is_start)
     matched = np.append(starts[1:], len(ids)) - starts
 
-    # Sum each document's contributions one term at a time from 0.0, as
-    # a scalar loop would: reduceat may add pairwise, which rounds
-    # differently and would break bit-identity with TAAT and the WAND
-    # family.
-    totals = 0.0 + contributions[starts]
-    for position in range(1, int(matched.max())):
-        more = np.flatnonzero(matched > position)
-        totals[more] += contributions[starts[more] + position]
+    # bincount adds each weight into its segment's 0.0 in array order,
+    # so every document is summed one term at a time, as a scalar loop
+    # would: reduceat may add pairwise, which rounds differently and
+    # would break bit-identity with TAAT and the WAND family.
+    segment = np.arange(len(starts)).repeat(matched)
+    totals = np.bincount(segment, weights=contributions[order])
     return ids[starts], totals, matched
 
 
@@ -69,6 +65,8 @@ def score_daat(
     scorer: Scorer | None = None,
     metrics: Optional["MetricsRegistry"] = None,
     stats: Optional[TraversalStats] = None,
+    normalizer: Optional[np.ndarray] = None,
+    global_doc_ids: Optional[np.ndarray] = None,
 ) -> List[SearchHit]:
     """Evaluate ``query`` over ``index`` document-at-a-time.
 
@@ -76,7 +74,11 @@ def score_daat(
     with the index's collection statistics.  With ``metrics``, the
     traversal's postings/candidate/heap-offer totals — array lengths of
     the merge — are added to the registry; ``stats``, when given,
-    receives the per-query scored-document count.
+    receives the per-query matched volume and scored-document count.
+    ``normalizer`` is the scorer's length normaliser of every document
+    of ``index`` (a :class:`~repro.search.executor.Searcher` computes
+    it once), and ``global_doc_ids`` a shard's local→global id map for
+    the hits.
     """
     if query.is_empty:
         return []
@@ -86,37 +88,46 @@ def score_daat(
             average_doc_length=index.average_doc_length,
         )
 
-    # Exhaustive traversal reads every posting, so each term's whole
-    # contribution array is computed in one pass (bit-identical to the
-    # scalar path by score_block's contract).
-    doc_lengths = index.doc_lengths
-    id_lists: List[np.ndarray] = []
-    score_lists: List[np.ndarray] = []
+    # Each term is looked up once; the lookups give the matched volume.
+    found = []
+    idfs: List[float] = []
+    volume = 0
     for term in query.terms:
         info = index.term_info(term)
         if info is None:
             continue
+        volume += info.document_frequency
         postings = index.postings_for_id(info.term_id)
         if len(postings) == 0:
             continue
-        doc_ids = postings.doc_ids
-        id_lists.append(doc_ids)
-        score_lists.append(
-            _vector_scores(
-                scorer,
-                postings.frequencies,
-                doc_lengths[doc_ids],
-                resolve_idf(scorer, term, info.document_frequency),
-            )
-        )
-    if not id_lists:
+        found.append(postings)
+        idfs.append(resolve_idf(scorer, term, info.document_frequency))
+    if stats is not None:
+        stats.matched_volume += volume
+    if not found:
         return []
-    if query.mode is QueryMode.AND and len(id_lists) < len(query.terms):
+    if query.mode is QueryMode.AND and len(found) < len(query.terms):
         # A conjunctive query with a term absent from the index matches
         # nothing.
         return []
 
-    candidates, totals, matched = _merge_postings(id_lists, score_lists)
+    # Exhaustive traversal reads every posting, so all of them are
+    # scored in one pass, each term's idf repeated over its postings:
+    # every element sees the float64 operations of the scalar path, in
+    # the same order (score_block's contract).
+    ids = np.concatenate([postings.doc_ids for postings in found])
+    frequencies = np.concatenate([postings.frequencies for postings in found])
+    idf = np.array(idfs).repeat([len(postings) for postings in found])
+    if normalizer is None:
+        contributions = _vector_scores(
+            scorer, frequencies, index.doc_lengths[ids], idf
+        )
+    else:
+        contributions = scorer.score_normalized(
+            frequencies, normalizer[ids], idf
+        )
+
+    candidates, totals, matched = _merge_postings(ids, contributions)
     scored = len(candidates)
     if query.mode is QueryMode.AND:
         required = matched >= len(query.terms)
@@ -125,9 +136,7 @@ def score_daat(
     if stats is not None:
         stats.docs_scored += scored
     if metrics is not None:
-        metrics.counter("daat.postings_traversed").add(
-            sum(len(doc_ids) for doc_ids in id_lists)
-        )
+        metrics.counter("daat.postings_traversed").add(len(ids))
         metrics.counter("daat.candidates_scored").add(scored)
         metrics.counter("daat.heap_offers").add(len(candidates))
-    return select_top_k(candidates, totals, query.k)
+    return select_top_k(candidates, totals, query.k, global_doc_ids)

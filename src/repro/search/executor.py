@@ -78,7 +78,8 @@ class SearchResult:
         The parsed query that was evaluated.
     matched_volume:
         Total postings volume of the query's terms in this index —
-        the per-query work proxy used for characterization/calibration.
+        the per-query work proxy used for characterization/calibration;
+        the traversal sums it from its own term lookups.
     docs_scored:
         Documents fully scored by the traversal, or None when the
         algorithm does not report it (taat).
@@ -134,7 +135,9 @@ class Searcher:
         Builds the scorer from the index, once, when the searcher is
         constructed (scorers are frozen value objects, so every query
         shares it); defaults to BM25 with the index's collection
-        statistics.
+        statistics.  For DAAT, the scorer's length normaliser of every
+        document (BM25's; other scorers have none) is computed with it,
+        once.
     metrics:
         Optional registry for per-query counters (queries evaluated,
         postings scanned, traversal heap operations).  None — the
@@ -153,6 +156,7 @@ class Searcher:
     global_doc_ids: Optional[np.ndarray] = None
     _parser: QueryParser = field(init=False, repr=False)
     _scorer: Scorer = field(init=False, repr=False)
+    _normalizer: Optional[np.ndarray] = field(init=False, repr=False)
     _store_stats: Optional[Callable[[], CacheSnapshot]] = field(
         init=False, repr=False
     )
@@ -172,6 +176,14 @@ class Searcher:
                 num_documents=self.index.num_documents,
                 average_doc_length=self.index.average_doc_length,
             )
+        # DAAT's per-document length normaliser (BM25's; None for other
+        # scorers and algorithms, which never read it).
+        normalizer = getattr(self._scorer, "length_normalizer", None)
+        self._normalizer = (
+            normalizer(self.index.doc_lengths)
+            if normalizer is not None and self.algorithm == "daat"
+            else None
+        )
         self._store_stats = getattr(self.index, "store_stats", None)
         # Block-Max WAND's per-term records under ``_scorer`` (resident
         # index only): one per index term a query has asked for.
@@ -214,16 +226,17 @@ class Searcher:
         if isinstance(query, str):
             query = self.parse(query, mode=mode, k=k)
         scorer = self._scorer
+        to_global = self.global_doc_ids
         stats = TraversalStats()
         store_stats = self._store_stats
         store_before = store_stats() if store_stats is not None else None
         if self.algorithm == "taat":
-            hits = score_taat(self.index, query, scorer)
+            hits = score_taat(self.index, query, scorer, stats, to_global)
             docs_scored: Optional[int] = None
             blocks_skipped: Optional[int] = None
         elif self.algorithm == "wand":
             hits = score_wand(
-                self.index, query, scorer, metrics=self.metrics, stats=stats
+                self.index, query, scorer, self.metrics, stats, to_global
             )
             docs_scored = stats.docs_scored
             blocks_skipped = None
@@ -236,16 +249,18 @@ class Searcher:
                 stats,
                 max_docs_scored,
                 self._impacts,
+                to_global,
             )
             docs_scored = stats.docs_scored
             blocks_skipped = stats.block_skips
         else:
             hits = score_daat(
-                self.index, query, scorer, metrics=self.metrics, stats=stats
+                self.index, query, scorer, self.metrics, stats,
+                self._normalizer, to_global,
             )
             docs_scored = stats.docs_scored
             blocks_skipped = None
-        matched_volume = self.index.matched_postings_volume(list(query.terms))
+        matched_volume = stats.matched_volume
         blocks_fetched: Optional[int] = None
         bytes_read: Optional[int] = None
         if store_before is not None:
@@ -255,13 +270,6 @@ class Searcher:
         if self.metrics is not None:
             self.metrics.counter("search.queries").add()
             self.metrics.counter("search.postings_scanned").add(matched_volume)
-        if self.global_doc_ids is not None:
-            # The traversal built these hits for this call and nothing
-            # else holds them yet, so their ids are rewritten in place
-            # rather than every hit constructed a second time.
-            to_global = self.global_doc_ids
-            for hit in hits:
-                object.__setattr__(hit, "doc_id", int(to_global[hit.doc_id]))
         return SearchResult(
             hits=tuple(hits),
             query=query,

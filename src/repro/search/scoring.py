@@ -87,7 +87,7 @@ class BM25Scorer:
         self,
         frequencies: np.ndarray,
         doc_lengths: np.ndarray,
-        idf: float,
+        idf: float | np.ndarray,
     ) -> np.ndarray:
         """Vectorized :meth:`score` over a block of postings.
 
@@ -96,13 +96,33 @@ class BM25Scorer:
         is bit-for-bit equal to per-posting :meth:`score` calls — the
         property the block-max traversal's "bit-identical to exhaustive
         DAAT" contract rests on.  ``frequencies`` must be positive
-        (postings lists never store zero counts).
+        (postings lists never store zero counts).  ``idf`` is one weight
+        or one per posting.
+        """
+        return self.score_normalized(
+            frequencies, self.length_normalizer(doc_lengths), idf
+        )
+
+    def length_normalizer(self, doc_lengths: np.ndarray) -> np.ndarray:
+        """``k1 · (1 − b + b · len / avgdl)`` per document length.
+
+        The only part of :meth:`score` that depends on the document
+        alone, so a searcher computes it once for every document of
+        its index and gathers it per posting.
         """
         average = self.average_doc_length if self.average_doc_length > 0 else 1.0
-        frequencies = frequencies.astype(np.float64)
-        normalizer = self.k1 * (
+        return self.k1 * (
             1.0 - self.b + self.b * doc_lengths.astype(np.float64) / average
         )
+
+    def score_normalized(
+        self,
+        frequencies: np.ndarray,
+        normalizer: np.ndarray,
+        idf: float | np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`score_block` from each posting's :meth:`length_normalizer`."""
+        frequencies = frequencies.astype(np.float64)
         return idf * frequencies * (self.k1 + 1.0) / (frequencies + normalizer)
 
     def max_score(self, idf: float) -> float:
@@ -120,9 +140,10 @@ def _vector_scores(
     scorer: Scorer,
     frequencies: np.ndarray,
     doc_lengths: np.ndarray,
-    idf: float,
+    idf: float | np.ndarray,
 ) -> np.ndarray:
-    """Vectorized scoring of one term's postings.
+    """Vectorized scoring of postings: one term's, or several terms'
+    concatenated with one ``idf`` per posting.
 
     Scorers exposing ``score_block`` (BM25) get the closed-form numpy
     path; any other scorer falls back to a per-posting Python loop
@@ -133,9 +154,11 @@ def _vector_scores(
         return score_block(frequencies, doc_lengths, idf)
     return np.array(
         [
-            scorer.score(frequency, length, idf)
-            for frequency, length in zip(
-                frequencies.tolist(), doc_lengths.tolist()
+            scorer.score(frequency, length, weight)
+            for frequency, length, weight in zip(
+                frequencies.tolist(),
+                doc_lengths.tolist(),
+                np.broadcast_to(idf, frequencies.shape).tolist(),
             )
         ],
         dtype=np.float64,

@@ -76,6 +76,8 @@ class TraversalStrategy(Enum):
 class TraversalStats:
     """Per-query traversal accounting filled in by the scoring loops.
 
+    ``matched_volume`` is the postings volume of the query's terms in
+    the index, summed from the traversal's own term lookups;
     ``docs_scored`` counts documents whose full score was computed;
     ``pivot_skips`` counts WAND pivot advances that skipped candidates
     without scoring; ``block_skips`` counts what block-max bounds pruned
@@ -83,6 +85,7 @@ class TraversalStats:
     those in blocks that were read).
     """
 
+    matched_volume: int = 0
     docs_scored: int = 0
     pivot_skips: int = 0
     block_skips: int = 0

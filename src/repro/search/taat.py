@@ -10,13 +10,14 @@ of the other (both must produce identical rankings).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from repro.index.inverted import InvertedIndex
 from repro.search.query import ParsedQuery, QueryMode
 from repro.search.scoring import BM25Scorer, Scorer, _vector_scores, resolve_idf
+from repro.search.strategy import TraversalStats
 from repro.search.topk import SearchHit, select_top_k
 
 
@@ -24,8 +25,14 @@ def score_taat(
     index: InvertedIndex,
     query: ParsedQuery,
     scorer: Scorer | None = None,
+    stats: Optional[TraversalStats] = None,
+    global_doc_ids: Optional[np.ndarray] = None,
 ) -> List[SearchHit]:
-    """Evaluate ``query`` term-at-a-time; returns top-k hits, best first."""
+    """Evaluate ``query`` term-at-a-time; returns top-k hits, best first.
+
+    ``stats``, when given, receives the matched volume;
+    ``global_doc_ids`` is a shard's local→global id map for the hits.
+    """
     if query.is_empty or index.num_documents == 0:
         return []
     if scorer is None:
@@ -38,11 +45,13 @@ def score_taat(
     match_counts = np.zeros(index.num_documents, dtype=np.int32)
     doc_lengths = index.doc_lengths
     terms_found = 0
+    volume = 0
 
     for term in query.terms:
         info = index.term_info(term)
         if info is None:
             continue
+        volume += info.document_frequency
         postings = index.postings_for_id(info.term_id)
         if len(postings) == 0:
             continue
@@ -55,6 +64,8 @@ def score_taat(
         scores[doc_ids] += contributions
         match_counts[doc_ids] += 1
 
+    if stats is not None:
+        stats.matched_volume += volume
     if terms_found == 0:
         return []
     if query.mode is QueryMode.AND:
@@ -64,4 +75,6 @@ def score_taat(
     else:
         candidates = np.flatnonzero(match_counts > 0)
 
-    return select_top_k(candidates, scores[candidates], query.k)
+    return select_top_k(
+        candidates, scores[candidates], query.k, global_doc_ids
+    )

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappush, heapreplace
-from typing import List
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 
-@dataclass(frozen=True, order=True)
-class SearchHit:
-    """One ranked result: a document id and its relevance score.
+class SearchHit(NamedTuple):
+    """One ranked result: its relevance score and a document id.
 
-    Ordering is by ``(score, -doc_id)`` — ties in score rank the lower
-    doc id first, matching the benchmark's stable tie-breaking.
+    A plain tuple, so building one costs no ``__init__`` and hits
+    compare, hash and pickle as ``(score, doc_id)``.  Ranking order is
+    :meth:`sort_key`: score descending, ties toward the lower doc id,
+    matching the benchmark's stable tie-breaking.
     """
 
     score: float
@@ -67,21 +67,36 @@ class TopKHeap:
             return True
         return False
 
-    def results(self) -> List[SearchHit]:
-        """Return retained hits, best first (score desc, doc id asc)."""
+    def results(
+        self, global_doc_ids: Optional[np.ndarray] = None
+    ) -> List[SearchHit]:
+        """Return retained hits, best first (score desc, doc id asc).
+
+        With ``global_doc_ids`` (a shard's ascending local→global map)
+        the hits carry global ids.
+        """
         ordered = sorted(self._heap, reverse=True)
+        if global_doc_ids is None:
+            return [SearchHit(score, -negated) for score, negated in ordered]
         return [
-            SearchHit(score=score, doc_id=-negated_id)
-            for score, negated_id in ordered
+            SearchHit(score, int(global_doc_ids[-negated]))
+            for score, negated in ordered
         ]
 
 
-def select_top_k(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> List[SearchHit]:
+def select_top_k(
+    doc_ids: np.ndarray,
+    scores: np.ndarray,
+    k: int,
+    global_doc_ids: Optional[np.ndarray] = None,
+) -> List[SearchHit]:
     """The ``k`` best of parallel ``doc_ids``/``scores`` arrays, best first.
 
     The array form of offering every pair to a :class:`TopKHeap`: score
     descending, lower doc id first on equal scores, ties at the k-th
-    score resolved by doc id.  ``doc_ids`` must be distinct.
+    score resolved by doc id.  ``doc_ids`` must be distinct.  With
+    ``global_doc_ids`` (a shard's ascending local→global map) the hits
+    carry global ids, mapped before they are built.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -92,7 +107,7 @@ def select_top_k(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> List[Search
         keep = scores >= kth
         doc_ids, scores = doc_ids[keep], scores[keep]
     order = np.lexsort((doc_ids, -scores))[:k]
-    return [
-        SearchHit(score=score, doc_id=doc_id)
-        for doc_id, score in zip(doc_ids[order].tolist(), scores[order].tolist())
-    ]
+    doc_ids = doc_ids[order]
+    if global_doc_ids is not None:
+        doc_ids = global_doc_ids[doc_ids]
+    return list(map(SearchHit, scores[order].tolist(), doc_ids.tolist()))

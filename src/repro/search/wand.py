@@ -148,6 +148,7 @@ def score_wand(
     scorer: Optional[BM25Scorer] = None,
     metrics: Optional["MetricsRegistry"] = None,
     stats: Optional[TraversalStats] = None,
+    global_doc_ids: Optional[np.ndarray] = None,
 ) -> List[SearchHit]:
     """Evaluate a disjunctive query with WAND pruning.
 
@@ -155,7 +156,8 @@ def score_wand(
     algorithm; conjunctive queries already skip aggressively).  With
     ``metrics``, the number of fully-scored documents and of pivot
     skips are added to the registry once per call; ``stats``, when
-    given, receives the same per-query numbers.
+    given, receives the same per-query numbers and the matched volume.
+    ``global_doc_ids`` is a shard's local→global id map for the hits.
     """
     if query.mode is not QueryMode.OR:
         raise ValueError("score_wand supports OR queries only")
@@ -169,10 +171,12 @@ def score_wand(
 
     live: List[_Cursor] = []
     stride = len(query.terms)
+    volume = 0
     for rank, term in enumerate(query.terms):
         info = index.term_info(term)
         if info is None:
             continue
+        volume += info.document_frequency
         postings = index.postings_for_id(info.term_id)
         if len(postings) == 0:
             continue
@@ -247,9 +251,10 @@ def score_wand(
                 count -= 1
 
     if stats is not None:
+        stats.matched_volume += volume
         stats.docs_scored += docs_scored
         stats.pivot_skips += pivot_skips
     if metrics is not None:
         metrics.counter("wand.docs_scored").add(docs_scored)
         metrics.counter("wand.pivot_skips").add(pivot_skips)
-    return heap.results()
+    return heap.results(global_doc_ids)

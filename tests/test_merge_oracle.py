@@ -1,4 +1,5 @@
-"""The shard merge against the heap it replaced, and what it relies on.
+"""The shard merge against the heap it replaced, what it relies on, and
+the postings merge against a scalar reference.
 
 ``merge_shard_results`` used to re-offer every shard hit to a
 :class:`TopKHeap` and rebuild the survivors; it is now a k-way merge of
@@ -7,15 +8,20 @@ function if every shard list arrives best first, so the first half pins
 that contract for all four traversals — local ids, global ids under
 every partition strategy, a depth-truncated Block-Max WAND — and the
 second half holds the merge to the old loop, written out below as the
-oracle, hit for hit.
+oracle, hit for hit.  The last part holds DAAT's and Block-Max WAND's
+one scoring kernel, ``_merge_postings``, to a scalar loop that sums each
+document's postings from 0.0 in term order, bit for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.corpus.documents import Document, DocumentCollection
 from repro.index.builder import IndexBuilder
 from repro.index.partitioner import PartitionStrategy, partition_index
+from repro.search.daat import _merge_postings
 from repro.search.executor import ALGORITHMS, Searcher, ShardSearcher
 from repro.search.global_stats import global_scorer_factory
 from repro.search.merger import merge_shard_results
@@ -177,18 +183,112 @@ class TestMergeEqualsTheHeap:
 
 
 def test_a_search_builds_each_hit_once(small_collection, texts, monkeypatch):
-    """The local→global remap rewrites the traversal's hits in place."""
+    """Shard-local ids are mapped before the hits are built: one hit
+    per result, constructed once.  A hit is a tuple, so it is counted
+    where a tuple is built, in ``__new__``."""
     built = []
-    init = SearchHit.__init__
+    new = SearchHit.__new__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+    def counting_new(cls, *args, **kwargs):
+        hit = new(cls, *args, **kwargs)
+        built.append(hit)
+        return hit
 
     shard = partition_index(small_collection, 2)[1]
     searcher = ShardSearcher(shard)
-    monkeypatch.setattr(SearchHit, "__init__", counting_init)
+    monkeypatch.setattr(SearchHit, "__new__", counting_new)
     result = searcher.search(texts[0], k=10)
     assert result.hits and len(built) == len(result.hits)
     assert all(a is b for a, b in zip(built, result.hits))
     assert set(result.doc_ids()) <= set(shard.global_doc_ids.tolist())
+
+
+def scalar_merge(lists):
+    """Every document's contributions summed one term at a time.
+
+    ``lists`` holds one ``(doc_ids, contributions)`` pair per term, in
+    query-term order.  Returns the distinct doc ids ascending, their
+    sums from 0.0 in term order, and how many terms matched each.
+    """
+    totals, matched = {}, {}
+    for doc_ids, contributions in lists:
+        pairs = zip(doc_ids.tolist(), contributions.tolist())
+        for doc_id, contribution in pairs:
+            totals[doc_id] = totals.get(doc_id, 0.0) + contribution
+            matched[doc_id] = matched.get(doc_id, 0) + 1
+    documents = sorted(totals)
+    return (
+        np.array(documents, dtype=np.int64),
+        np.array([totals[doc] for doc in documents], dtype=np.float64),
+        np.array([matched[doc] for doc in documents], dtype=np.int64),
+    )
+
+
+#: Sums of these round differently in different orders ((0.1 + 0.2) +
+#: 0.3 != (0.3 + 0.2) + 0.1; 1e16 absorbs a 1.0), so the order of the
+#: additions shows in the bits.
+contribution = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 3.0, 1e16, -1e16, 0.0, -0.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    st.floats(-1e-12, 1e-12, allow_nan=False, allow_infinity=False),
+)
+
+#: Three terms on one document whose term-order sum no other order gives.
+ORDER_SENSITIVE = [
+    (np.array([3]), np.array([0.1])),
+    (np.array([3]), np.array([0.2])),
+    (np.array([3]), np.array([0.3])),
+]
+
+
+@st.composite
+def term_lists(draw):
+    """1-6 doc-sorted postings lists, with shared or disjoint doc ids."""
+    count = draw(st.integers(1, 6))
+    disjoint = draw(st.booleans())
+    # A small universe makes the lists share most of their documents.
+    universe = draw(st.integers(1, 30))
+    lists = []
+    for term in range(count):
+        doc_ids = sorted(
+            draw(st.sets(st.integers(0, universe - 1), max_size=25))
+        )
+        if disjoint:
+            # A range of its own per term: no document is shared.
+            doc_ids = [term * universe + doc_id for doc_id in doc_ids]
+        scores = [draw(contribution) for _ in doc_ids]
+        lists.append((np.array(doc_ids, dtype=np.int64), np.array(scores)))
+    return lists
+
+
+def merged(lists):
+    return _merge_postings(
+        np.concatenate([doc_ids for doc_ids, _ in lists]),
+        np.concatenate([scores for _, scores in lists]),
+    )
+
+
+class TestPostingsMergeOracle:
+    """``_merge_postings`` is the scalar per-document loop, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(term_lists())
+    @example(ORDER_SENSITIVE)
+    def test_equals_the_scalar_loop(self, lists):
+        documents, totals, matched = merged(lists)
+        want_documents, want_totals, want_matched = scalar_merge(lists)
+        assert documents.tobytes() == want_documents.tobytes()
+        assert totals.tobytes() == want_totals.tobytes()
+        assert matched.tobytes() == want_matched.tobytes()
+        # AND mode keeps the documents every term matched.
+        required = matched >= len(lists)
+        everywhere = set(documents.tolist())
+        for doc_ids, _ in lists:
+            everywhere &= set(doc_ids.tolist())
+        assert set(documents[required].tolist()) == everywhere
+
+    def test_order_of_the_terms_shows_in_the_bits(self):
+        """Self-test: the data tells a term-order sum from the reverse."""
+        _, totals, _ = merged(ORDER_SENSITIVE)
+        assert totals.tolist() == [(0.1 + 0.2) + 0.3]
+        assert (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3

@@ -136,7 +136,7 @@ class TestPoolOnlyUnderHedging:
     ISN = SRC_ROOT / "repro" / "engine" / "isn.py"
     #: ``isn.py`` at the commit that merged the shard backends into
     #: one class; ROADMAP wants it smaller, not larger.
-    ISN_LINES = 1026
+    ISN_LINES = 1019
 
     def _pool_sites(self, source: str):
         """(line, guarding ``if`` tests) of each ThreadPoolExecutor(...)."""
@@ -423,6 +423,32 @@ class TestNothingPerTermIsRebuiltPerQuery:
             "_vector_scores": {"_term_impacts"},
             "max_scores": {"_generate"},
         }
+
+
+class TestTermsLookedUpOnce:
+    """A query's terms are looked up once, by the traversal.
+
+    ``SearchResult.matched_volume`` is summed by each traversal from
+    the term lookups it makes to find the postings; ``Searcher.search``
+    once recounted it with ``matched_postings_volume``, a second
+    dictionary pass over the same terms for every query.
+    """
+
+    def test_search_does_not_recount_the_volume(self):
+        source = (SRC_ROOT / "repro" / "search" / "executor.py").read_text()
+        calls = _function_calls(ast.parse(source))["search"]
+        assert "matched_postings_volume" not in calls
+
+    def test_lint_sees_a_recount(self):
+        """Self-test: a second lookup pass in ``search`` is reported."""
+        planted = (
+            "class Searcher:\n"
+            "    def search(self, query):\n"
+            "        terms = list(query.terms)\n"
+            "        return self.index.matched_postings_volume(terms)\n"
+        )
+        calls = _function_calls(ast.parse(planted))["search"]
+        assert "matched_postings_volume" in calls
 
 
 def _names_read(source: str, function: str):

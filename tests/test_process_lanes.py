@@ -205,6 +205,22 @@ class SpySearcher:
         return self._inner.search(query, **kwargs)
 
 
+def attach_workers(pool, query):
+    """Complete every worker's start-up handshake, one search each.
+
+    A worker's first dispatch waits for the worker to attach (tens of
+    milliseconds on an idle host, past 100 ms on a loaded one).  A test
+    that times a window from its first query attaches the workers
+    first, or start-up, not the code under test, decides what lands in
+    the window.
+    """
+    slots = [pool.checkout() for _ in range(pool.num_workers)]
+    flights = [pool.send(slot, [(0, query)]) for slot in slots]
+    for slot, flight in zip(slots, flights):
+        pool.receive(flight)
+        pool.checkin(slot)
+
+
 def count_sends(pool):
     """Wrap ``pool.send``; returns the list each call appends its thread to."""
     sends = []
@@ -356,6 +372,11 @@ class TestHedgingOnProcesses:
         with IndexServingNode(
             shards, execution=processes(2), hedging=policy, faults=plan
         ) as node:
+            # Both workers attach before the window opens: a worker
+            # starting inside it lets the slowed primary finish after
+            # the window (no miss) or holds the unslowed shard past the
+            # deadline (two misses).
+            attach_workers(node.process_pool, node.parser.parse(text, k=K))
             sends = count_sends(node.process_pool)
             spies = [SpySearcher(searcher) for searcher in node._searchers]
             node._searchers[:] = spies
