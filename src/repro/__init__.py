@@ -3,7 +3,7 @@ search benchmark" (Hadjilambrou, Kleanthous, Sazeides; ISPASS 2015).
 
 The library builds, from scratch, the full system the paper studies —
 a web-search benchmark (synthetic crawl corpus, inverted index, BM25
-query execution, partitioned index serving node, Faban-style driver) —
+query execution, partitioned index serving node, client drivers) —
 plus a calibrated discrete-event simulator used for the paper's load,
 partitioning, and low-power server studies.
 

@@ -43,10 +43,8 @@ from typing import List, Optional, Protocol, Tuple, runtime_checkable
 from repro.capacity import (
     CapacityModel,
     CapacityPrediction,
-    ProvisioningPlan,
     ServiceTimeProfile,
     peak_replicas,
-    plan_provisioning,
     static_replica_hours,
 )
 from repro.cluster.broker import BROKER_MERGE_PER_SERVER
@@ -191,9 +189,7 @@ __all__ = [
     "CapacityModel",
     "CapacityPrediction",
     "ServiceTimeProfile",
-    "ProvisioningPlan",
     "peak_replicas",
-    "plan_provisioning",
     "static_replica_hours",
     "DiurnalArrivals",
     "FlashCrowd",

@@ -26,9 +26,7 @@ from repro.capacity.model import (
     ServiceTimeProfile,
 )
 from repro.capacity.plan import (
-    ProvisioningPlan,
     peak_replicas,
-    plan_provisioning,
     static_replica_hours,
 )
 
@@ -36,8 +34,6 @@ __all__ = [
     "CapacityModel",
     "CapacityPrediction",
     "ServiceTimeProfile",
-    "ProvisioningPlan",
     "peak_replicas",
-    "plan_provisioning",
     "static_replica_hours",
 ]

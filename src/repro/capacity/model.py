@@ -116,42 +116,6 @@ class ServiceTimeProfile:
         """Profile from measured native service times (speed-1.0 core)."""
         return cls(samples=np.asarray(service_seconds, dtype=np.float64))
 
-    @classmethod
-    def from_predictor(
-        cls,
-        predictor,
-        features: Sequence,
-        num_samples: int = DEFAULT_PROFILE_SAMPLES,
-        seed: int = _PROFILE_SEED,
-    ) -> "ServiceTimeProfile":
-        """Profile from a calibrated service-time predictor.
-
-        Closes the prediction → planning loop: instead of replaying a
-        large query sample natively, resample ``features`` (any
-        admission-time :class:`~repro.predict.features.QueryFeatures`
-        sample, e.g. a calibration holdout) and multiply each point
-        prediction by a draw from the predictor's log-normal residual
-        error model.  The error term matters — without it the profile's
-        tail (and thus every p99 this model predicts) would be
-        optimistic by exactly the predictor's unexplained variance.
-
-        ``predictor`` is duck-typed: anything with ``predict(features)``
-        and ``residual_log_sigma`` works.
-        """
-        if not features:
-            raise ValueError("from_predictor needs at least one feature row")
-        if num_samples < 2:
-            raise ValueError("num_samples must be at least 2")
-        predictions = np.asarray(
-            [predictor.predict(row) for row in features], dtype=np.float64
-        )
-        rng = np.random.default_rng(seed)
-        choices = rng.integers(predictions.size, size=num_samples)
-        noise = np.exp(
-            predictor.residual_log_sigma * rng.standard_normal(num_samples)
-        )
-        return cls(samples=predictions[choices] * noise)
-
     @property
     def mean(self) -> float:
         return float(self.samples.mean())

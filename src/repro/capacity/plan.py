@@ -1,26 +1,14 @@
-"""Provisioning plans: static peak sizing vs model-driven schedules.
+"""Static peak provisioning, the baseline an autoscaler is judged against.
 
-The baseline every autoscaler is judged against is *static peak
-provisioning*: size the cluster for the worst minute of the day and pay
-for it around the clock.  :func:`peak_replicas` computes that size from
-a :class:`~repro.capacity.model.CapacityModel` and a rate envelope;
-:func:`plan_provisioning` computes the model-driven alternative — an
-interval-by-interval replica schedule sized against the envelope — and
-the :class:`ProvisioningPlan` it returns reports the replica-hours each
-approach spends, the quantity the fig. 27 headline compares.
-
-These plans are *offline* (they size against the deterministic
-envelope, with a safety margin for the stochastic excursion around it);
-the *online* control loop that reacts to observed traffic lives in
-:mod:`repro.sim.autoscale`.
+Size the cluster for the worst minute of the day and pay for it around
+the clock: :func:`peak_replicas` computes that size from a
+:class:`~repro.capacity.model.CapacityModel` and a rate envelope, and
+:func:`static_replica_hours` what it spends, the quantity the fig. 27
+headline compares.  The *online* control loop that reacts to observed
+traffic lives in :mod:`repro.sim.autoscale`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import List, Tuple
-
-import numpy as np
 
 from repro.capacity.model import CapacityModel
 from repro.workload.diurnal import DiurnalArrivals
@@ -56,98 +44,3 @@ def static_replica_hours(replicas: int, horizon_s: float) -> float:
     if horizon_s <= 0:
         raise ValueError("horizon_s must be positive")
     return replicas * horizon_s / 3600.0
-
-
-@dataclass(frozen=True)
-class ProvisioningPlan:
-    """A model-driven replica schedule over a planning horizon.
-
-    ``boundaries_s[i]`` is when ``replicas[i]`` takes effect; the last
-    segment runs to ``horizon_s``.  ``static_replicas`` is the peak
-    sizing the plan is judged against.
-    """
-
-    boundaries_s: Tuple[float, ...]
-    replicas: Tuple[int, ...]
-    horizon_s: float
-    static_replicas: int
-
-    def __post_init__(self) -> None:
-        if len(self.boundaries_s) != len(self.replicas) or not self.replicas:
-            raise ValueError("boundaries and replicas must align, non-empty")
-
-    def replicas_at(self, t: float) -> int:
-        """Planned replica count at time ``t``."""
-        idx = int(np.searchsorted(self.boundaries_s, t, side="right")) - 1
-        return self.replicas[max(idx, 0)]
-
-    def replica_hours(self) -> float:
-        """Replica-hours the schedule spends over the horizon."""
-        edges = list(self.boundaries_s) + [self.horizon_s]
-        total = 0.0
-        for i, count in enumerate(self.replicas):
-            total += count * max(0.0, edges[i + 1] - edges[i])
-        return total / 3600.0
-
-    def static_hours(self) -> float:
-        return static_replica_hours(self.static_replicas, self.horizon_s)
-
-    def savings_fraction(self) -> float:
-        """Fraction of static peak replica-hours the plan avoids."""
-        static = self.static_hours()
-        return 1.0 - self.replica_hours() / static
-
-
-def plan_provisioning(
-    model: CapacityModel,
-    arrivals: DiurnalArrivals,
-    p99_slo_s: float,
-    shards: int = 1,
-    horizon_s: float | None = None,
-    interval_s: float = 900.0,
-    headroom: float = 1.1,
-    max_replicas: int = 256,
-) -> ProvisioningPlan:
-    """Size each ``interval_s`` slice against the envelope's local peak.
-
-    Each interval is provisioned for the *maximum* envelope rate inside
-    it (times ``headroom``), so the plan never knowingly under-sizes a
-    slice; flash crowds shorter than the interval still raise that
-    interval's sizing because the maximum sees them.
-    """
-    if interval_s <= 0:
-        raise ValueError("interval_s must be positive")
-    if headroom < 1.0:
-        raise ValueError("headroom must be >= 1")
-    horizon = float(horizon_s) if horizon_s is not None else arrivals.period_s
-    static = peak_replicas(
-        model,
-        arrivals,
-        p99_slo_s,
-        shards=shards,
-        horizon_s=horizon,
-        headroom=headroom,
-        max_replicas=max_replicas,
-    )
-    boundaries: List[float] = []
-    counts: List[int] = []
-    start = 0.0
-    while start < horizon:
-        end = min(start + interval_s, horizon)
-        grid = np.linspace(start, end, num=32)
-        local_peak = float(arrivals.envelope_qps(grid).max()) * headroom
-        count = model.replicas_for_slo(
-            local_peak, p99_slo_s, shards=shards, max_replicas=max_replicas
-        )
-        if counts and counts[-1] == count:
-            pass  # extend the previous segment
-        else:
-            boundaries.append(start)
-            counts.append(count)
-        start = end
-    return ProvisioningPlan(
-        boundaries_s=tuple(boundaries),
-        replicas=tuple(counts),
-        horizon_s=horizon,
-        static_replicas=static,
-    )

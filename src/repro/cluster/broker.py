@@ -145,11 +145,6 @@ class FanoutQueryRecord:
         return []
 
     @property
-    def slowest_isn_completion(self) -> float:
-        """When the straggler ISN finished."""
-        return max(self.isn_completions)
-
-    @property
     def fanout_skew(self) -> float:
         """Slowest minus fastest ISN completion."""
         return max(self.isn_completions) - min(self.isn_completions)

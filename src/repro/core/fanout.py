@@ -39,11 +39,6 @@ class FanoutPoint:
     mean_fanout_skew: float
 
     @property
-    def tail_ratio(self) -> float:
-        """p99 / p50 at this cluster size."""
-        return self.summary.tail_ratio
-
-    @property
     def skew_fraction(self) -> float:
         """Mean fan-out skew as a fraction of mean latency."""
         if self.summary.mean == 0:

@@ -32,11 +32,6 @@ class PartitioningPoint:
     utilization: float
     achieved_qps: float
 
-    @property
-    def tail_ratio(self) -> float:
-        """p99 / p50 at this partition count."""
-        return self.summary.tail_ratio
-
 
 @dataclass(frozen=True)
 class ImbalancePoint:

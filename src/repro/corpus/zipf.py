@@ -41,7 +41,6 @@ class ZipfSampler:
 
     def __init__(self, size: int, exponent: float, rng: np.random.Generator):
         self._size = size
-        self._exponent = exponent
         self._rng = rng
         self._cdf = np.cumsum(zipf_weights(size, exponent))
         # Guard against floating-point drift: the last entry must be
@@ -52,11 +51,6 @@ class ZipfSampler:
     def size(self) -> int:
         """Number of ranks in the distribution."""
         return self._size
-
-    @property
-    def exponent(self) -> float:
-        """The Zipf exponent ``s``."""
-        return self._exponent
 
     def sample(self) -> int:
         """Draw a single 0-based rank."""

@@ -11,8 +11,6 @@ discrete-event simulator's service-demand model.
 
 from repro.engine.execution import EXECUTION_BACKENDS, ExecutionConfig
 from repro.engine.driver import (
-    ClosedLoopDriver,
-    ClosedLoopResult,
     QueryMeasurement,
     replay_serial,
 )
@@ -42,8 +40,6 @@ __all__ = [
     "DISABLED_POLICY",
     "Frontend",
     "FrontendResponse",
-    "ClosedLoopDriver",
-    "ClosedLoopResult",
     "QueryMeasurement",
     "replay_serial",
     "ComponentTimings",

@@ -1,17 +1,13 @@
 """Client drivers for the native engine.
 
-Two measurement modes, matching how the paper's numbers were gathered:
+Two measurement modes:
 
 - :func:`replay_serial` — replay a query stream one query at a time on
   a serial ISN pass.  No queueing, no thread contention: the measured
   time *is* the query's service demand, which is what characterization
-  (service-time distributions) and simulator calibration need.
-- :class:`ClosedLoopDriver` — a Faban-style client population on real
-  threads with exponential think times, measuring end-to-end response
-  times under self-limited concurrency.  (CPython's GIL serializes the
-  compute, so absolute throughput is interpreter-bound; trends across
-  client counts remain meaningful and the discrete-event simulator is
-  the primary tool for load studies.)
+  (service-time distributions) and simulator calibration need.  Load
+  studies (the closed-loop Faban-style client population among them)
+  run on the discrete-event simulator this calibrates.
 - :class:`OpenLoopDriver` — Poisson arrivals against a single FCFS
   worker: the measured native M/G/1 the capacity model's latency-vs-
   load predictions are validated against.
@@ -19,16 +15,14 @@ Two measurement modes, matching how the paper's numbers were gathered:
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.corpus.querylog import Query, QueryLog
 from repro.engine.isn import IndexServingNode
-from repro.workload.arrivals import ClosedLoopSpec
 
 
 @dataclass(frozen=True)
@@ -89,40 +83,6 @@ def replay_serial(
             )
         )
     return measurements
-
-
-@dataclass
-class ClosedLoopResult:
-    """Outcome of one closed-loop native run.
-
-    ``latencies`` holds *served* response times only; ``shed_count``
-    tallies queries the admission layer refused (they completed fast,
-    but with no answer, and must not pollute the latency distribution).
-    """
-
-    latencies: np.ndarray
-    wall_seconds: float
-    shed_count: int = 0
-
-    @property
-    def served_count(self) -> int:
-        """Queries that received a real answer."""
-        return len(self.latencies)
-
-    @property
-    def throughput_qps(self) -> float:
-        """Served queries per wall-clock second."""
-        if self.wall_seconds <= 0:
-            return float("inf")
-        return len(self.latencies) / self.wall_seconds
-
-    @property
-    def shed_fraction(self) -> float:
-        """Fraction of issued queries the admission layer refused."""
-        total = self.served_count + self.shed_count
-        if total == 0:
-            return 0.0
-        return self.shed_count / total
 
 
 @dataclass
@@ -253,78 +213,4 @@ class OpenLoopDriver:
             service_seconds=service,
             offered_qps=rate_qps,
             mode="realtime",
-        )
-
-
-class ClosedLoopDriver:
-    """Faban-style threaded client population against a native ISN."""
-
-    def __init__(
-        self,
-        isn: IndexServingNode,
-        query_log: QueryLog,
-        spec: ClosedLoopSpec,
-        k: int = 10,
-        seed: int = 0,
-    ):
-        self.isn = isn
-        self.query_log = query_log
-        self.spec = spec
-        self.k = k
-        self.seed = seed
-
-    def run(self, num_queries: int) -> ClosedLoopResult:
-        """Run until ``num_queries`` total queries have completed."""
-        if num_queries <= 0:
-            raise ValueError("num_queries must be positive")
-        lock = threading.Lock()
-        latencies: List[float] = []
-        shed_count = 0
-        remaining = num_queries
-        # Pre-sample each client's private query stream and think times
-        # so client threads never contend on a shared RNG.
-        per_client = -(-num_queries // self.spec.num_clients)  # ceil
-        client_plans = []
-        for client_id in range(self.spec.num_clients):
-            rng = np.random.default_rng(self.seed + client_id)
-            queries = self.query_log.sample_stream(per_client, rng)
-            thinks = (
-                rng.exponential(self.spec.mean_think_time, size=per_client)
-                if self.spec.mean_think_time > 0
-                else np.zeros(per_client)
-            )
-            client_plans.append((queries, thinks))
-
-        def client_body(plan) -> None:
-            nonlocal remaining, shed_count
-            queries, thinks = plan
-            for query, think in zip(queries, thinks):
-                with lock:
-                    if remaining <= 0:
-                        return
-                    remaining -= 1
-                time.sleep(float(think))
-                start = time.perf_counter()
-                response = self.isn.execute(query.text, k=self.k)
-                elapsed = time.perf_counter() - start
-                with lock:
-                    if getattr(response, "shed", False):
-                        shed_count += 1
-                    else:
-                        latencies.append(elapsed)
-
-        wall_start = time.perf_counter()
-        threads = [
-            threading.Thread(target=client_body, args=(plan,), daemon=True)
-            for plan in client_plans
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall_seconds = time.perf_counter() - wall_start
-        return ClosedLoopResult(
-            latencies=np.asarray(latencies, dtype=np.float64),
-            wall_seconds=wall_seconds,
-            shed_count=shed_count,
         )

@@ -12,6 +12,10 @@ scoring posting lists.  This package provides the full index stack:
   the mechanism the paper's central study sweeps;
 - :mod:`repro.index.stats` — index statistics for the characterization;
 - :mod:`repro.index.serialization` — binary save/load.
+
+:mod:`repro.index.segments` is imported from the submodule only: it
+pulls in :mod:`repro.search`, whose traversal modules read block
+metadata from this package, so importing it here closes a cycle.
 """
 
 from repro.index.builder import IndexBuilder
@@ -60,8 +64,6 @@ __all__ = [
     "partition_index",
     "IndexStatistics",
     "compute_statistics",
-    "MergePolicy",
-    "SegmentedIndex",
     "encode_postings",
     "decode_postings",
     "encode_varint_stream",
@@ -71,17 +73,3 @@ __all__ = [
     "save_positional_index",
     "load_positional_index",
 ]
-
-
-def __getattr__(name):
-    # Lazy re-export: segments pulls in the query-execution stack
-    # (repro.search), and importing it eagerly here closes an import
-    # cycle whenever repro.search is entered before repro.index (the
-    # search package's traversal modules read block metadata from this
-    # package).  PEP 562 keeps ``from repro.index import SegmentedIndex``
-    # working without the eager edge.
-    if name in ("MergePolicy", "SegmentedIndex"):
-        from repro.index import segments
-
-        return getattr(segments, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

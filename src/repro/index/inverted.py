@@ -120,10 +120,6 @@ class InvertedIndex:
         info = self.dictionary.lookup(term)
         return info.document_frequency if info else 0
 
-    def doc_length(self, doc_id: int) -> int:
-        """Analyzed length of document ``doc_id``."""
-        return int(self.doc_lengths[doc_id])
-
     def matched_postings_volume(self, terms: List[str]) -> int:
         """Total postings touched when evaluating ``terms``.
 

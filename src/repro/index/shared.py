@@ -121,10 +121,6 @@ class SharedIndexSpec:
     shards: Tuple[SharedShardSpec, ...]
 
     @property
-    def num_partitions(self) -> int:
-        return len(self.shards)
-
-    @property
     def nbytes(self) -> int:
         """Size of the shared segment in bytes."""
         return self.total_words * 8

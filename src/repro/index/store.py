@@ -191,11 +191,6 @@ class InMemoryBlockStore(BlockStore):
     def __len__(self) -> int:
         return len(self._blocks)
 
-    @property
-    def total_bytes(self) -> int:
-        """Sum of all block payload sizes."""
-        return sum(len(payload) for payload in self._blocks.values())
-
     def read(self, key: BlockKey) -> bytes:
         payload = self._blocks.get(key)
         if payload is None:
@@ -673,10 +668,6 @@ class TieredPostings:
     def __len__(self) -> int:
         return self.info.num_postings
 
-    @property
-    def num_blocks(self) -> int:
-        return self.info.num_blocks
-
     def block(self, block: int) -> Tuple[np.ndarray, np.ndarray]:
         """Decoded arrays of one block (paged in on first touch)."""
         return self._fetch(block)
@@ -763,20 +754,11 @@ class TieredIndex:
         info = self.dictionary.lookup(term)
         return info.document_frequency if info else 0
 
-    def doc_length(self, doc_id: int) -> int:
-        return int(self.doc_lengths[doc_id])
-
     def matched_postings_volume(self, terms: List[str]) -> int:
         return sum(self.document_frequency(term) for term in terms)
 
     def block_metadata_for_id(self, term_id: int) -> BlockMetadata:
         return self._terms[term_id].metadata
-
-    def block_metadata_for(self, term: str) -> Optional[BlockMetadata]:
-        info = self.dictionary.lookup(term)
-        if info is None:
-            return None
-        return self.block_metadata_for_id(info.term_id)
 
     # -- paged postings access ------------------------------------------
 

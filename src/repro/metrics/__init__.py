@@ -7,11 +7,7 @@ log-binned histograms/CDFs (:mod:`histogram`), and the summary record
 used across studies and benchmarks (:mod:`summary`).
 """
 
-from repro.obs.export import (
-    export_measurements_csv,
-    export_registry_csv,
-    export_simulation_csv,
-)
+from repro.obs.export import export_registry_csv
 from repro.metrics.histogram import Histogram, cdf_points
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.summary import LatencySummary, summarize
@@ -24,7 +20,5 @@ __all__ = [
     "LatencySummary",
     "summarize",
     "ThroughputTracker",
-    "export_simulation_csv",
-    "export_measurements_csv",
     "export_registry_csv",
 ]

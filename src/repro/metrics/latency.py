@@ -40,11 +40,6 @@ class LatencyRecorder:
         self._samples.extend(other._samples)
         self._sorted_cache = None
 
-    @property
-    def samples(self) -> np.ndarray:
-        """All samples, in recording order."""
-        return np.asarray(self._samples, dtype=np.float64)
-
     def _sorted(self) -> np.ndarray:
         if self._sorted_cache is None:
             self._sorted_cache = np.sort(

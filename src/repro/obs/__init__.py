@@ -13,8 +13,8 @@ be measurable end to end.  This package provides the three pieces:
   (query cache hit/miss/eviction, postings traversed, heap operations).
 - :mod:`export` — the one export module: per-query trace trees to
   JSON-lines and a text renderer for the ``repro trace`` CLI command,
-  plus the CSV writers for simulation records, native measurements and
-  registry snapshots (re-exported by :mod:`repro.metrics`).
+  plus the CSV writer for registry snapshots (re-exported by
+  :mod:`repro.metrics`).
 
 Both the native engine and the discrete-event simulator emit the same
 span schema, so one set of analysis tooling reads either.

@@ -6,9 +6,8 @@ per span, depth-first pre-order, with a fixed field set
 the same schema — only the clock domain of ``start``/``end`` differs —
 so downstream analysis reads either interchangeably.
 
-Simulation runs, native replay measurements and registry snapshots are
-the raw data behind every figure; the CSV exporters let external
-tooling (spreadsheets, pandas, R) re-analyze a run without re-running.
+A metrics-registry snapshot exports to CSV, so external tooling
+(spreadsheets, pandas, R) can re-analyze a run without re-running.
 """
 
 from __future__ import annotations
@@ -16,13 +15,11 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Union
 
 from repro.obs.tracing import Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.results import SimulationResult
-    from repro.engine.driver import QueryMeasurement
     from repro.obs.registry import MetricsRegistry
 
 PathLike = Union[str, Path]
@@ -33,8 +30,6 @@ __all__ = [
     "trace_to_dicts",
     "export_trace_jsonl",
     "format_span_tree",
-    "export_simulation_csv",
-    "export_measurements_csv",
     "export_registry_csv",
 ]
 
@@ -130,43 +125,7 @@ def _format_into(
         )
 
 
-MEASUREMENT_COLUMNS = (
-    "query_id",
-    "text",
-    "num_raw_terms",
-    "service_seconds",
-    "matched_volume",
-    "num_hits",
-)
-
 REGISTRY_COLUMNS = ("metric", "type", "field", "value")
-
-
-def export_simulation_csv(result: "SimulationResult", path: PathLike) -> int:
-    """Write one row per simulated query; returns rows written."""
-    # Imported here: cluster builds on metrics, which re-exports this.
-    from repro.cluster.results import BREAKDOWN_COMPONENTS
-
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ("query_id", "client_send", "demand", "latency")
-            + BREAKDOWN_COMPONENTS
-        )
-        for record in result.records:
-            writer.writerow(
-                [
-                    record.query_id,
-                    f"{record.client_send:.9f}",
-                    f"{record.demand:.9f}",
-                    f"{record.latency:.9f}",
-                ]
-                + [
-                    f"{getattr(record, component):.9f}"
-                    for component in BREAKDOWN_COMPONENTS
-                ]
-            )
-    return len(result.records)
 
 
 def export_registry_csv(registry: "MetricsRegistry", path: PathLike) -> int:
@@ -183,24 +142,3 @@ def export_registry_csv(registry: "MetricsRegistry", path: PathLike) -> int:
         for metric, kind, field, value in rows:
             writer.writerow([metric, kind, field, value])
     return len(rows)
-
-
-def export_measurements_csv(
-    measurements: Sequence["QueryMeasurement"], path: PathLike
-) -> int:
-    """Write one row per native replay measurement; returns rows written."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(MEASUREMENT_COLUMNS)
-        for measurement in measurements:
-            writer.writerow(
-                [
-                    measurement.query_id,
-                    measurement.text,
-                    measurement.num_raw_terms,
-                    f"{measurement.service_seconds:.9f}",
-                    measurement.matched_volume,
-                    measurement.num_hits,
-                ]
-            )
-    return len(measurements)

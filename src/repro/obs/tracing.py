@@ -245,15 +245,8 @@ class Tracer:
 
     @property
     def traces(self) -> List[Span]:
-        """Completed root spans, oldest first (shared list — copy on drain)."""
+        """Completed root spans, oldest first (the shared list, not a copy)."""
         return self._traces
-
-    def drain(self) -> List[Span]:
-        """Return all collected traces and clear the buffer."""
-        with self._lock:
-            drained = list(self._traces)
-            self._traces.clear()
-        return drained
 
 
 #: A permanently-disabled tracer for components whose caller passed none.

@@ -24,59 +24,7 @@ into a serving-path feature, following the Hurry-up direction
 
 ``scheduler=None`` everywhere keeps the seed's behaviour bit for bit.
 
-Submodules are imported lazily so low-level layers (the ISN, the DES
-broker) can import individual submodules without triggering package
-initialization cycles.
+The package re-exports nothing: low-level layers (the ISN, the DES
+broker) import the submodule they need without triggering package
+initialization cycles, and :mod:`repro.api` re-exports the public names.
 """
-
-from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
-__all__ = [
-    "QueryFeatures",
-    "extract_features",
-    "ServiceTimePredictor",
-    "DeadlineScheduler",
-    "DeadlineCappedDemand",
-    "PredictorCalibration",
-    "calibrate_predictor",
-]
-
-_LAZY = {
-    "QueryFeatures": "repro.predict.features",
-    "extract_features": "repro.predict.features",
-    "ServiceTimePredictor": "repro.predict.predictor",
-    "DeadlineScheduler": "repro.predict.scheduler",
-    "DeadlineCappedDemand": "repro.predict.scheduler",
-    "PredictorCalibration": "repro.predict.calibrate",
-    "calibrate_predictor": "repro.predict.calibrate",
-}
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.predict.calibrate import (  # noqa: F401
-        PredictorCalibration,
-        calibrate_predictor,
-    )
-    from repro.predict.features import (  # noqa: F401
-        QueryFeatures,
-        extract_features,
-    )
-    from repro.predict.predictor import ServiceTimePredictor  # noqa: F401
-    from repro.predict.scheduler import (  # noqa: F401
-        DeadlineCappedDemand,
-        DeadlineScheduler,
-    )
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -72,38 +72,4 @@ __all__ = [
     "ErrorBurst",
     "FaultInjector",
     "InjectedFault",
-    "ExplorationReport",
-    "ScheduleResult",
-    "enumerate_fault_plans",
-    "explore",
-    "explore_native",
-    "explore_des",
 ]
-
-#: Explorer names resolved lazily (PEP 562) so ``python -m
-#: repro.resilience.explore`` does not import the module twice through
-#: the package (runpy's double-import warning).  ``explore`` itself
-#: resolves to the submodule; call ``explore.explore(...)`` or use the
-#: per-backend entry points re-exported here.
-_EXPLORE_EXPORTS = frozenset(
-    {
-        "ExplorationReport",
-        "ScheduleResult",
-        "enumerate_fault_plans",
-        "explore_native",
-        "explore_des",
-    }
-)
-
-
-def __getattr__(name):
-    if name == "explore" or name in _EXPLORE_EXPORTS:
-        import importlib
-
-        module = importlib.import_module("repro.resilience.explore")
-        if name == "explore":
-            return module
-        return getattr(module, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

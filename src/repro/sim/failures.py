@@ -110,10 +110,6 @@ class MttfMttrFailures:
         if self.min_repair_s < 0:
             raise ValueError("min_repair_s must be non-negative")
 
-    @property
-    def availability(self) -> float:
-        return steady_state_availability(self.mttf_s, self.mttr_s)
-
     def windows(
         self,
         row_id: int,

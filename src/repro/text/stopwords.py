@@ -20,8 +20,3 @@ DEFAULT_STOPWORDS: FrozenSet[str] = frozenset(
         "these", "they", "this", "to", "was", "will", "with",
     }
 )
-
-
-def is_stopword(token: str, stopwords: FrozenSet[str] = DEFAULT_STOPWORDS) -> bool:
-    """Return True if ``token`` (already lowercased) is a stopword."""
-    return token in stopwords

@@ -6,10 +6,8 @@ import pytest
 from repro.capacity import (
     CapacityModel,
     CapacityPrediction,
-    ProvisioningPlan,
     ServiceTimeProfile,
     peak_replicas,
-    plan_provisioning,
     static_replica_hours,
 )
 from repro.cluster.server import PartitionModelConfig
@@ -274,20 +272,6 @@ class TestProvisioningPlan:
         static_n = peak_replicas(model, day, 0.3, horizon_s=3_600.0)
         peak = day.peak_envelope_qps(3_600.0)
         assert model.predict(1.1 * peak, replicas=static_n).p99_s <= 0.3
-
-    def test_plan_saves_replica_hours(self, model, day):
-        static_n = peak_replicas(model, day, 0.3, horizon_s=3_600.0)
-        plan = plan_provisioning(
-            model, day, 0.3, horizon_s=3_600.0, interval_s=450.0
-        )
-        assert isinstance(plan, ProvisioningPlan)
-        assert plan.static_replicas == static_n
-        assert plan.replica_hours() < plan.static_hours()
-        assert 0.0 < plan.savings_fraction() < 1.0
-        # The planned fleet at the peak matches static sizing...
-        assert plan.replicas_at(1_800.0) == static_n
-        # ...and the trough needs fewer.
-        assert plan.replicas_at(0.0) < static_n
 
     def test_static_replica_hours(self):
         assert static_replica_hours(4, 1_800.0) == pytest.approx(2.0)

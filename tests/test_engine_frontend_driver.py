@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.corpus.documents import Document, DocumentCollection
-from repro.engine.driver import ClosedLoopDriver, replay_serial
+from repro.engine.driver import OpenLoopDriver, replay_serial
 from repro.engine.frontend import Frontend
 from repro.engine.isn import IndexServingNode
 from repro.index.partitioner import partition_index
 from repro.search.executor import Searcher
-from repro.workload.arrivals import ClosedLoopSpec
 
 
 @pytest.fixture(scope="module")
@@ -139,21 +138,27 @@ class TestReplaySerial:
         assert big > small
 
 
-class TestClosedLoopDriver:
-    def test_runs_and_measures(self, single_isn, small_query_log):
-        driver = ClosedLoopDriver(
-            single_isn,
-            small_query_log,
-            ClosedLoopSpec(num_clients=3, mean_think_time=0.0),
+class TestOpenLoopDriver:
+    def test_replay_waits_are_the_lindley_recursion(
+        self, single_isn, small_query_log
+    ):
+        """FCFS M/G/1 over the measured services: each query waits for
+        the previous one's wait plus service, less the gap between
+        their Poisson arrivals."""
+        seed, rate_qps, n = 7, 5_000.0, 40
+        result = OpenLoopDriver(single_isn, small_query_log, seed=seed).run(
+            rate_qps, n, mode="replay"
         )
-        result = driver.run(num_queries=30)
-        assert len(result.latencies) == 30
-        assert np.all(result.latencies > 0)
-        assert result.throughput_qps > 0
-
-    def test_invalid_budget(self, single_isn, small_query_log):
-        driver = ClosedLoopDriver(
-            single_isn, small_query_log, ClosedLoopSpec(num_clients=1)
-        )
-        with pytest.raises(ValueError):
-            driver.run(num_queries=0)
+        rng = np.random.default_rng(seed)
+        small_query_log.sample_stream(n, rng)
+        gaps = rng.exponential(1.0 / rate_qps, n)
+        service = result.service_seconds
+        waits = [0.0]
+        for i in range(1, n):
+            waits.append(max(0.0, waits[-1] + service[i - 1] - gaps[i]))
+        assert result.mode == "replay"
+        assert result.offered_qps == rate_qps
+        assert service.shape == (n,) and np.all(service > 0)
+        assert result.waits == pytest.approx(waits, rel=1e-9, abs=1e-12)
+        assert np.array_equal(result.latencies, result.waits + service)
+        assert np.any(result.waits > 0)

@@ -1,6 +1,5 @@
-"""Tests for corpus/query-log persistence and CSV export."""
+"""Tests for corpus/query-log persistence."""
 
-import csv
 import json
 
 import numpy as np
@@ -12,10 +11,8 @@ from repro.corpus.io import (
     save_collection,
     save_query_log,
 )
-from repro.engine.driver import QueryMeasurement
 from repro.index.builder import IndexBuilder
 from repro.index.serialization import serialize_index
-from repro.obs.export import export_measurements_csv, export_simulation_csv
 
 
 class TestCollectionIO:
@@ -107,70 +104,3 @@ class TestQueryLogIO:
         )
         with pytest.raises(ValueError, match="promises 2"):
             load_query_log(path)
-
-
-class TestCsvExport:
-    def test_simulation_header_is_the_breakdown_components(self, tmp_path):
-        """The CSV's component columns are the cluster package's tuple."""
-        from repro.cluster.results import BREAKDOWN_COMPONENTS, SimulationResult
-
-        path = tmp_path / "empty.csv"
-        empty = SimulationResult(
-            records=[], horizon=1.0, core_busy_time=0.0, num_cores=1
-        )
-        assert export_simulation_csv(empty, path) == 0
-        with open(path) as handle:
-            header = next(csv.reader(handle))
-        assert tuple(header) == (
-            "query_id", "client_send", "demand", "latency"
-        ) + BREAKDOWN_COMPONENTS
-
-    def test_simulation_export(self, tmp_path):
-        from repro.cluster.simulation import ClusterConfig, run_open_loop
-        from repro.servers.catalog import BIG_SERVER
-        from repro.workload.arrivals import PoissonArrivals
-        from repro.workload.scenario import WorkloadScenario
-        from repro.workload.servicetime import LognormalDemand
-
-        result = run_open_loop(
-            ClusterConfig(spec=BIG_SERVER),
-            WorkloadScenario(
-                arrivals=PoissonArrivals(50.0),
-                demands=LognormalDemand(-4.0, 0.5),
-                num_queries=100,
-            ),
-        )
-        path = tmp_path / "sim.csv"
-        assert export_simulation_csv(result, path) == 100
-        with open(path) as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 100
-        # Re-derivable invariant: components sum to the latency.
-        for row in rows[:20]:
-            components = sum(
-                float(row[c])
-                for c in (
-                    "queue_wait", "parallel_service", "straggler_skew",
-                    "merge_wait", "merge_service", "network_time",
-                )
-            )
-            assert components == pytest.approx(float(row["latency"]), abs=1e-6)
-
-    def test_measurements_export(self, tmp_path):
-        measurements = [
-            QueryMeasurement(
-                query_id=i,
-                text=f"query {i}",
-                num_raw_terms=2,
-                service_seconds=0.001 * (i + 1),
-                matched_volume=10 * i,
-                num_hits=min(10, i),
-            )
-            for i in range(5)
-        ]
-        path = tmp_path / "measurements.csv"
-        assert export_measurements_csv(measurements, path) == 5
-        with open(path) as handle:
-            rows = list(csv.DictReader(handle))
-        assert rows[0]["text"] == "query 0"
-        assert float(rows[4]["service_seconds"]) == pytest.approx(0.005)

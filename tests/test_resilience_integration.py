@@ -25,11 +25,9 @@ from repro.api import (
 from repro.corpus.generator import CorpusConfig
 from repro.corpus.querylog import QueryLogConfig
 from repro.corpus.vocabulary import VocabularyConfig
-from repro.engine.driver import ClosedLoopDriver
 from repro.engine.service import SearchService, SearchServiceConfig
 from repro.resilience.admission import SHED_CAPACITY
 from repro.resilience.breaker import BreakerState
-from repro.workload.arrivals import ClosedLoopSpec
 
 TINY_CORPUS = CorpusConfig(
     num_documents=120,
@@ -96,20 +94,6 @@ class TestNativeChaos:
             served = service.search(service.query_log[0].text)
             assert getattr(served, "shed", False) is False
             assert served.coverage == 1.0
-
-    def test_closed_loop_driver_accounts_shed_and_served(self):
-        with _tiny_service(
-            overload=OverloadPolicy(max_concurrency=1)
-        ) as service:
-            driver = ClosedLoopDriver(
-                service.isn,
-                service.query_log,
-                ClosedLoopSpec(num_clients=4, mean_think_time=0.0),
-            )
-            result = driver.run(num_queries=24)
-        assert result.served_count + result.shed_count == 24
-        assert 0.0 <= result.shed_fraction <= 1.0
-        assert result.served_count > 0
 
     def test_noop_breakers_do_not_change_results(self):
         with _tiny_service() as plain, _tiny_service(
