@@ -37,8 +37,8 @@ __all__ = ["ExecutionConfig", "EXECUTION_BACKENDS"]
 EXECUTION_BACKENDS = ("threads", "processes")
 
 #: Default number of (query, partition) work items per process-pool
-#: dispatch in batch execution; large enough that pickling/IPC is a
-#: small fraction of scoring time, small enough to load-balance.
+#: dispatch in batch execution; large enough that a pipe round trip is
+#: a small fraction of scoring time, small enough to load-balance.
 DEFAULT_BATCH_SIZE = 32
 
 

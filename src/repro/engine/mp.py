@@ -12,12 +12,14 @@ so top-k ids and float scores are bit-for-bit equal.
 Protocol, parent side — no dispatcher thread: the thread with the work
 drives the pipes itself.
 
-- it checks an idle worker out, ships a **batch** of work items down
-  its pipe in one message — batching amortizes IPC, the paper's
-  per-dispatch cost — and, once it has scored a lane of its own (the
-  caller is lane 0, so a query at P partitions keeps ``min(P - 1, W)``
-  workers busy), receives the compact reply (top-k score/doc-id lists
-  plus counter deltas; :func:`_recv`: a short poll, then ``recv``);
+- it checks an idle worker out, sends a **batch** of work items down
+  its pipe as one binary frame — batching amortizes the round trip, the
+  paper's per-dispatch cost — and, once it has scored a lane of its own
+  (the caller is lane 0, so a query at P partitions keeps
+  ``min(P - 1, W)`` workers busy), reads the reply frame: packed
+  counters and top-k scores/doc ids per item (:class:`_Pipe`: a short
+  poll on one poller, then a blocking read).  Only an item's exception
+  and the counter deltas are pickled;
 - a worker that dies mid-dispatch (OOM-kill, segfault, chaos ``kill``)
   is **respawned** and the batch re-sent while its crash retries last;
   then exactly the shards it carried fail with a typed
@@ -42,20 +44,24 @@ caches cannot span processes; budgets apply per worker).
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import multiprocessing
-import os
 import pickle
+import select
+import struct
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.index.shared import SharedIndexSpec, attach_shared_index
 from repro.obs.registry import MetricsRegistry
 from repro.search.executor import SearchResult, ShardSearcher
 from repro.search.global_stats import global_scorer_factory
-from repro.search.query import ParsedQuery
+from repro.search.query import ParsedQuery, QueryMode
 from repro.search.strategy import TraversalStrategy
 from repro.search.topk import SearchHit
 
@@ -69,11 +75,23 @@ __all__ = [
 #: One dispatchable unit: (shard index, parsed query).
 WorkItem = Tuple[int, ParsedQuery]
 
-#: The ``SearchResult`` fields a reply carries besides the hits, in order.
-_COUNTERS = (
-    "matched_volume", "docs_scored", "blocks_skipped", "blocks_fetched",
-    "bytes_read", "truncated",
-)
+#: Frame layouts.  A request: the depth cap (-1: none), the query and
+#: item counts; per distinct query its k, mode code (its index in
+#: ``_MODES``), term count, the terms' byte lengths, then the terms; per
+#: item its shard id and query number.  A reply: the size of the pickled
+#: counter deltas, then them; per item a status, then the hit count,
+#: the six ``SearchResult`` counters (-1: None), start, end, the scores
+#: and the doc ids — or the pickled exception's size and it.
+_REQUEST, _QUERY = struct.Struct("<qII"), struct.Struct("<IBI")
+_SIZE, _STATUS = struct.Struct("<I"), struct.Struct("<BI")
+_OK, _ERROR = 0, 1
+_MODES = tuple(QueryMode)
+#: Compiled layouts of the variable-length parts, by format.
+_layout = functools.lru_cache(maxsize=1024)(struct.Struct)
+
+#: Bytes a pipe end allocates for the frames it reads; a longer frame
+#: arrives through ``BufferTooShort`` instead.
+_FRAME_BYTES = 1 << 16
 
 #: How long ``close()`` waits for a worker to exit politely before
 #: terminating it.
@@ -99,12 +117,126 @@ DEFAULT_PROBE_INTERVAL_S = 0.25
 _POLL_BEFORE_SLEEP_S = 1e-3
 
 
-def _recv(conn):
-    """``conn.recv()``, polling for ``_POLL_BEFORE_SLEEP_S`` first."""
-    give_up = time.perf_counter() + _POLL_BEFORE_SLEEP_S
-    while not conn.poll() and time.perf_counter() < give_up:
-        pass
-    return conn.recv()
+class _Pipe:
+    """One end of a worker pipe, read frame by frame through one poller
+    (``Connection.poll`` builds a selector per call) into one buffer."""
+
+    def __init__(self, conn):
+        self.conn, self._poller = conn, select.poll()
+        self._poller.register(conn, select.POLLIN)
+        self._buffer = bytearray(_FRAME_BYTES)
+
+    def ready(self) -> bool:
+        """Whether :meth:`read` returns or raises without waiting."""
+        return self.conn.closed or bool(self._poller.poll(0))
+
+    def read(self):
+        """The next frame, polled for up to ``_POLL_BEFORE_SLEEP_S`` (each
+        poll releases the GIL) before a blocking read; a dead peer raises
+        ``EOFError``, a closed end ``OSError``."""
+        give_up = time.perf_counter() + _POLL_BEFORE_SLEEP_S
+        while not self._poller.poll(0) and time.perf_counter() < give_up:
+            pass
+        try:
+            size = self.conn.recv_bytes_into(self._buffer)
+        except multiprocessing.BufferTooShort as exc:
+            return exc.args[0]
+        return memoryview(self._buffer)[:size]
+
+    def close(self) -> None:
+        """Close this end, unregistered first: the poller must never poll
+        a descriptor number that a new pipe may have reused."""
+        with contextlib.suppress(KeyError, OSError):  # already closed
+            self._poller.unregister(self.conn)
+        self.conn.close()
+
+
+def _encode_request(
+    items: Sequence[WorkItem], max_docs_scored: Optional[int]
+) -> bytes:
+    # The gather lays a batch out query by query, one item per shard:
+    # a run of items that share a query sends it once.
+    queries: List[ParsedQuery] = []
+    refs: List[int] = []
+    for shard_id, query in items:
+        if not queries or query is not queries[-1]:
+            queries.append(query)
+        refs += (shard_id, len(queries) - 1)
+    depth = -1 if max_docs_scored is None else max_docs_scored
+    parts = [_REQUEST.pack(depth, len(queries), len(items))]
+    for query in queries:
+        terms = [term.encode() for term in query.terms]
+        parts.append(_layout(f"<IBI{len(terms)}I").pack(
+            query.k, _MODES.index(query.mode), len(terms), *map(len, terms)
+        ))
+        parts += terms
+    parts.append(_layout(f"<{len(refs)}I").pack(*refs))
+    return b"".join(parts)
+
+
+def _decode_request(frame) -> Tuple[List[WorkItem], Optional[int]]:
+    depth, count, items = _REQUEST.unpack_from(frame)
+    offset, queries = _REQUEST.size, []
+    for _ in range(count):
+        layout = _layout(f"<IBI{_QUERY.unpack_from(frame, offset)[2]}I")
+        k, mode, _, *lengths = layout.unpack_from(frame, offset)
+        offset += layout.size
+        terms = []
+        for length in lengths:
+            terms.append(str(frame[offset : offset + length], "utf-8"))
+            offset += length
+        queries.append(ParsedQuery(tuple(terms), _MODES[mode], k))
+    refs = _layout(f"<{2 * items}I").unpack_from(frame, offset)
+    pairs = zip(refs[::2], refs[1::2])
+    return (
+        [(shard_id, queries[number]) for shard_id, number in pairs],
+        None if depth < 0 else depth,
+    )
+
+
+def _encode_result(result: SearchResult, start: float, end: float) -> bytes:
+    hits = result.hits
+    return _layout(f"<BI6q2d{len(hits)}d{len(hits)}q").pack(
+        _OK, len(hits), result.matched_volume,
+        *[-1 if value is None else value for value in (
+            result.docs_scored, result.blocks_skipped,
+            result.blocks_fetched, result.bytes_read,
+        )],
+        result.truncated, start, end,
+        *[hit[0] for hit in hits], *[hit[1] for hit in hits],
+    )
+
+
+def _decode_reply(
+    frame, items: Sequence[WorkItem], metrics: Optional[MetricsRegistry]
+) -> List[tuple]:
+    """``(shard_id, SearchResult, start, end)`` per item, once the
+    frame's counter deltas are merged; an item's error is raised."""
+    (size,) = _SIZE.unpack_from(frame)
+    offset = _SIZE.size + size
+    if size and metrics is not None:
+        metrics.merge_counter_deltas(pickle.loads(frame[_SIZE.size : offset]))
+    results = []
+    for shard_id, query in items:
+        status, count = _STATUS.unpack_from(frame, offset)
+        offset += _STATUS.size
+        if status == _ERROR:
+            raise pickle.loads(frame[offset : offset + count])
+        layout = _layout(f"<6q2d{count}d{count}q")
+        values = layout.unpack_from(frame, offset)
+        offset += layout.size
+        # ``tuple.__new__`` builds each hit without the Python frame a
+        # ``SearchHit(score, doc_id)`` call costs: half the time.
+        hits = tuple(map(
+            tuple.__new__, repeat(SearchHit, count),
+            zip(values[8 : 8 + count], values[8 + count :]),
+        ))
+        counters = [None if value < 0 else value for value in values[1:5]]
+        result = SearchResult(
+            hits, query, values[0], *counters, bool(values[5])
+        )
+        results.append((shard_id, result, values[6], values[7]))
+    return results
 
 
 class WorkerCrashError(RuntimeError):
@@ -166,13 +298,14 @@ def _picklable(exc: BaseException) -> BaseException:
 
 
 def _worker_main(conn, spec: SharedIndexSpec, options: WorkerOptions) -> None:
-    """Worker loop: attach once, then score batches until shutdown.
+    """Worker loop: attach once, say so in an empty frame, then score
+    batches until shutdown.
 
-    A batch is ``(work items, max_docs_scored)``: the depth cap, when
-    not None, bounds every item's traversal as it does on the caller's
-    thread.  The reply is a list of per-item payloads — ``("ok",
-    compact-lists)`` or ``("err", exception)`` — plus the counter
-    deltas accumulated while serving it.
+    A request frame carries work items and a depth cap that, when not
+    None, bounds every item's traversal as it does on the caller's
+    thread; an empty frame asks the worker to exit.  The reply frame
+    carries the counter deltas accumulated while serving the batch, then
+    per item its result or its (pickled) exception.
     """
     registry = MetricsRegistry() if options.collect_metrics else None
     partitioned, segment = attach_shared_index(spec)
@@ -197,14 +330,12 @@ def _worker_main(conn, spec: SharedIndexSpec, options: WorkerOptions) -> None:
         for shard in partitioned
     ]
     last_counters: Dict[str, int] = {}
+    pipe = _Pipe(conn)
     try:
-        conn.send(("ready", os.getpid()))
-        while True:
-            message = _recv(conn)
-            if message is None:
-                break
-            items, max_docs_scored = message
-            payloads: List[Tuple[str, Any]] = []
+        conn.send_bytes(b"")  # attached: the start-up handshake
+        while frame := pipe.read():
+            items, max_docs_scored = _decode_request(frame)
+            parts = []
             for shard_id, query in items:
                 try:
                     start = time.perf_counter()
@@ -213,42 +344,26 @@ def _worker_main(conn, spec: SharedIndexSpec, options: WorkerOptions) -> None:
                     )
                     end = time.perf_counter()
                 except Exception as exc:  # typed errors cross the pipe
-                    payloads.append(("err", _picklable(exc)))
+                    error = pickle.dumps(_picklable(exc))
+                    parts += (_STATUS.pack(_ERROR, len(error)), error)
                     continue
-                # Two flat lists pickle and unpickle in a fraction of
-                # the time two small arrays or the hit tuples take.
-                hits = result.hits
-                payloads.append(("ok", (
-                    [hit.score for hit in hits],
-                    [hit.doc_id for hit in hits],
-                    tuple(getattr(result, name) for name in _COUNTERS),
-                    start,
-                    end,
-                )))
-            conn.send((payloads, _counter_deltas(registry, last_counters)))
+                parts.append(_encode_result(result, start, end))
+            deltas = _counter_deltas(registry, last_counters)
+            blob = pickle.dumps(deltas) if deltas else b""
+            conn.send_bytes(b"".join((_SIZE.pack(len(blob)), blob, *parts)))
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # parent went away; exit quietly
     finally:
         try:
-            conn.close()
+            pipe.close()
         finally:
             segment.close()
-
-
-def _unpack_result(payload: tuple, query: ParsedQuery):
-    """Rebuild a (SearchResult, start, end) triple from compact lists."""
-    scores, doc_ids, counters, start, end = payload
-    hits = tuple(map(SearchHit, scores, doc_ids))
-    result = SearchResult(
-        hits=hits, query=query, **dict(zip(_COUNTERS, counters))
-    )
-    return result, start, end
 
 
 @dataclass
 class _WorkerHandle:
     process: multiprocessing.process.BaseProcess
-    conn: object
+    pipe: _Pipe
     ready: bool = False
     startup_failures: int = 0
 
@@ -260,7 +375,7 @@ class _Flight:
     slot: int
     items: List[WorkItem]
     retries: int  #: crash re-sends left
-    max_docs_scored: Optional[int] = None  #: the batch's depth cap
+    frame: bytes  #: the request, re-sent as is after a crash
     handle: Optional[_WorkerHandle] = None
     error: Optional[BaseException] = None  #: why the last send failed
 
@@ -387,7 +502,7 @@ class ProcessShardPool:
         )
         process.start()
         child_conn.close()
-        return _WorkerHandle(process=process, conn=parent_conn)
+        return _WorkerHandle(process=process, pipe=_Pipe(parent_conn))
 
     def _respawn(self, slot: int, failed_handle: _WorkerHandle) -> None:
         """Replace a dead worker (the self-healing half of the pool).
@@ -400,10 +515,7 @@ class ProcessShardPool:
         with self._lock:
             if self._closed or self._workers[slot] is not failed_handle:
                 return
-        try:
-            failed_handle.conn.close()
-        except OSError:
-            pass
+        failed_handle.pipe.close()
         if failed_handle.process.is_alive():
             failed_handle.process.terminate()
         failed_handle.process.join(timeout=_SHUTDOWN_GRACE_S)
@@ -519,10 +631,13 @@ class ProcessShardPool:
         crash_retries: int = 0,
         max_docs_scored: Optional[int] = None,
     ) -> _Flight:
-        """Ship ``items`` to the checked-out worker in one message (a
+        """Ship ``items`` to the checked-out worker in one frame (a
         dead worker does not raise here: :meth:`receive` reports it),
         each to be scored at most ``max_docs_scored`` documents deep."""
-        flight = _Flight(slot, list(items), crash_retries, max_docs_scored)
+        flight = _Flight(
+            slot, list(items), crash_retries,
+            _encode_request(items, max_docs_scored),
+        )
         self._post(flight)
         return flight
 
@@ -540,22 +655,15 @@ class ProcessShardPool:
             return  # receive() gives up on it
         try:
             if not handle.ready:  # first use: wait until it has attached
-                message = handle.conn.recv()
-                if not (isinstance(message, tuple) and message[0] == "ready"):
-                    raise WorkerCrashError(
-                        f"worker sent unexpected handshake {message!r}"
-                    )
+                handle.pipe.read()
                 handle.ready, handle.startup_failures = True, 0
-            handle.conn.send((flight.items, flight.max_docs_scored))
-        except (EOFError, OSError, WorkerCrashError) as exc:
+            handle.pipe.conn.send_bytes(flight.frame)
+        except (EOFError, OSError) as exc:
             flight.error = exc
 
     def ready(self, flight: _Flight) -> bool:
         """Whether :meth:`receive` can return without waiting on a worker."""
-        try:
-            return flight.error is not None or flight.handle.conn.poll()
-        except OSError:  # the health monitor closed the pipe
-            return True
+        return flight.error is not None or flight.handle.pipe.ready()
 
     def receive(self, flight: _Flight) -> List[tuple]:
         """``(shard_id, SearchResult, start, end)`` per item of ``flight``.
@@ -576,7 +684,7 @@ class ProcessShardPool:
                 )
             if flight.error is None:
                 try:
-                    payloads, deltas = _recv(handle.conn)
+                    frame = handle.pipe.read()
                     break
                 except (EOFError, OSError) as exc:
                     flight.error = exc
@@ -588,16 +696,7 @@ class ProcessShardPool:
                 )
             flight.retries -= 1
             self._post(flight)
-        if deltas and self._metrics is not None:
-            self._metrics.merge_counter_deltas(deltas)
-        results = []
-        for (shard_id, query), (status, payload) in zip(
-            flight.items, payloads
-        ):
-            if status == "err":
-                raise payload
-            results.append((shard_id, *_unpack_result(payload, query)))
-        return results
+        return _decode_reply(frame, flight.items, self._metrics)
 
     # ------------------------------------------------------------------
     # shutdown
@@ -622,18 +721,13 @@ class ProcessShardPool:
         if self._health_thread is not None:
             self._health_thread.join(timeout=_SHUTDOWN_GRACE_S)
         for handle in self._workers:
-            try:
-                handle.conn.send(None)
-            except (OSError, BrokenPipeError, ValueError):
-                pass
+            with contextlib.suppress(OSError, ValueError):
+                handle.pipe.conn.send_bytes(b"")  # asks it to exit
             handle.process.join(timeout=_SHUTDOWN_GRACE_S)
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=_SHUTDOWN_GRACE_S)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
+            handle.pipe.close()
 
     def __enter__(self) -> "ProcessShardPool":
         return self

@@ -1,8 +1,7 @@
-"""Latency, throughput, and distribution metrics.
+"""Latency and distribution metrics.
 
-Everything the paper reports is a statistic over per-query latencies or
-completion timestamps; this package provides exact percentile
-computation (:mod:`latency`), windowed throughput (:mod:`throughput`),
+Everything the paper reports is a statistic over per-query latencies;
+this package provides exact percentile computation (:mod:`latency`),
 log-binned histograms/CDFs (:mod:`histogram`), and the summary record
 used across studies and benchmarks (:mod:`summary`).
 """
@@ -11,7 +10,6 @@ from repro.obs.export import export_registry_csv
 from repro.metrics.histogram import Histogram, cdf_points
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.summary import LatencySummary, summarize
-from repro.metrics.throughput import ThroughputTracker
 
 __all__ = [
     "Histogram",
@@ -19,6 +17,5 @@ __all__ = [
     "LatencyRecorder",
     "LatencySummary",
     "summarize",
-    "ThroughputTracker",
     "export_registry_csv",
 ]

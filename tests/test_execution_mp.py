@@ -44,7 +44,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import BreakerConfig
 from repro.search.executor import ALGORITHMS, ShardSearcher
 from repro.search.global_stats import global_scorer_factory
-from repro.search.query import ParsedQuery
+from repro.search.query import ParsedQuery, QueryMode
 from repro.text.analyzer import Analyzer, AnalyzerConfig
 
 PLAIN = Analyzer(AnalyzerConfig(remove_stopwords=False, stem=False))
@@ -446,27 +446,179 @@ class TestWorkerLifecycle:
 
 
 class TestPollBeforeSleep:
-    """``mp._recv`` is ``recv`` with a bounded poll in front of it."""
+    """``mp._Pipe.read`` is a blocking read with a bounded poll in front
+    of it, on one poller made with the pipe end."""
 
     def test_a_waiting_message_a_late_one_and_a_closed_peer(self):
         near, far = multiprocessing.Pipe(duplex=True)
-        far.send("waiting")
-        assert mp._recv(near) == "waiting"
+        pipe = mp._Pipe(near)
+        far.send_bytes(b"waiting")
+        assert bytes(pipe.read()) == b"waiting"
         # A message that arrives after the poll gave up is still
-        # received: the call falls back to a blocking ``recv``.
+        # received: the call falls back to a blocking read.
         late = threading.Timer(
-            5 * mp._POLL_BEFORE_SLEEP_S, far.send, args=("late",)
+            5 * mp._POLL_BEFORE_SLEEP_S, far.send_bytes, args=(b"late",)
         )
         late.start()
         start = time.perf_counter()
-        assert mp._recv(near) == "late"
+        assert bytes(pipe.read()) == b"late"
         assert time.perf_counter() - start >= mp._POLL_BEFORE_SLEEP_S
         late.join()
         # A dead peer reads as end-of-file, as it does for ``recv``:
         # the dispatcher's crash handling depends on it.
         far.close()
         with pytest.raises(EOFError):
-            mp._recv(near)
+            pipe.read()
+        pipe.close()
+
+    def test_a_flight_on_a_respawned_handle_is_ready(self, small_collection):
+        """``_respawn`` closes the flight's pipe end and a replacement
+        pipe may reuse its descriptor number; the flight must read as
+        ready (its receive fails, typed, instead of waiting on the new
+        worker) without polling that number."""
+        partitioned = partition_index(small_collection, 1)
+        with SharedIndexArena(partitioned) as arena:
+            pool = ProcessShardPool(
+                arena.spec, workers=1, options=WorkerOptions(),
+                probe_interval_s=None,
+            )
+            slot = pool.checkout()
+            try:
+                flight = pool.send(
+                    slot, [(0, ParsedQuery(terms=("alpha",), k=3))]
+                )
+                pool._respawn(slot, flight.handle)
+                assert flight.handle is not pool._workers[slot]
+                assert pool.ready(flight)
+                with pytest.raises(WorkerCrashError):
+                    pool.receive(flight)
+                pool.checkin(slot)
+                # The replacement serves.
+                pool.submit_batch(
+                    [(0, ParsedQuery(terms=("alpha",), k=3))]
+                ).result(timeout=30)
+            finally:
+                pool.close()
+
+
+class TestWireFormat:
+    """A worker's reply frame decodes to exactly the ``SearchResult``
+    the caller's own thread computes: every field, every None.  (Counter
+    deltas in the frame: ``test_worker_counters_merge_into_parent_registry``.)
+    """
+
+    @staticmethod
+    def _round_trip(partitioned, items, *, algorithm="daat", tiered=None,
+                    max_docs_scored=None):
+        """(worker replies, the caller-thread results) for ``items``."""
+        options = WorkerOptions(algorithm=algorithm, tiered=tiered)
+        with SharedIndexArena(partitioned) as arena:
+            pool = ProcessShardPool(
+                arena.spec, workers=1, options=options, probe_interval_s=None
+            )
+            slot = pool.checkout(wait=True)
+            try:
+                replies = pool.receive(pool.send(
+                    slot, items, max_docs_scored=max_docs_scored
+                ))
+            finally:
+                pool.checkin(slot)
+                pool.close()
+        if tiered is not None:
+            from repro.index.store import tier_partitioned_index
+
+            partitioned = tier_partitioned_index(partitioned, tiered)
+        factory = global_scorer_factory(partitioned)
+        searchers = [
+            ShardSearcher(shard, algorithm=algorithm, scorer_factory=factory)
+            for shard in partitioned
+        ]
+        expected = [
+            searchers[shard].search(query, max_docs_scored=max_docs_scored)
+            for shard, query in items
+        ]
+        return replies, expected
+
+    @pytest.mark.parametrize("tiered", [False, True])
+    @pytest.mark.parametrize("algorithm", ["daat", "taat", "block_max_wand"])
+    def test_every_field_survives(self, small_collection, algorithm, tiered):
+        from repro.index.store import TieredStorageConfig
+
+        partitioned = partition_index(small_collection, 2)
+        common = ("celo", "gapom", "hiqab")
+        queries = [
+            ParsedQuery(common, k=10),
+            ParsedQuery(common, k=1_000),  # fewer hits than k
+            ParsedQuery(("größe", "celo", "naïve"), k=5),  # non-ASCII
+            ParsedQuery(("größe",), k=5),  # no hits
+            ParsedQuery((), k=5),  # analysis removed every term
+        ]
+        if algorithm != "block_max_wand":  # it supports OR only
+            queries.append(ParsedQuery(("celo", "taf"), QueryMode.AND, k=7))
+        # Query by query, as the gather deals them, plus a query that
+        # comes back after others.
+        items = [(shard, query) for query in queries for shard in (0, 1)]
+        items.append(items[0])
+        seen = []
+        for depth in (None, 5):
+            replies, expected = self._round_trip(
+                partitioned, items, algorithm=algorithm,
+                tiered=(
+                    TieredStorageConfig(cache_budget_bytes=0)
+                    if tiered else None
+                ),
+                max_docs_scored=depth,
+            )
+            assert len(replies) == len(items)
+            for (shard, query), reply, want in zip(items, replies, expected):
+                got_shard, result, start, end = reply
+                assert got_shard == shard
+                assert result == want
+                assert result.query is query
+                assert hit_pairs(result.hits) == hit_pairs(want.hits)
+                assert start <= end
+                seen.append(result)
+        # The batch exercised what it claims to.
+        assert any(not result.hits for result in seen)
+        assert any(0 < len(result.hits) < result.query.k for result in seen)
+        assert any(result.docs_scored is None for result in seen) == (
+            algorithm == "taat"
+        )
+        assert any(result.blocks_fetched is None for result in seen) != tiered
+        assert any(result.truncated for result in seen) == (
+            algorithm == "block_max_wand"
+        )
+
+    def test_a_reply_longer_than_the_read_buffer(self, small_collection):
+        partitioned = partition_index(small_collection, 1)
+        query = ParsedQuery(("taf", "gat", "vib"), k=1_000)
+        items = [(0, query)] * 64
+        replies, expected = self._round_trip(partitioned, items)
+        hits = sum(len(result.hits) for _, result, _, _ in replies)
+        assert 16 * hits > mp._FRAME_BYTES  # read via BufferTooShort
+        assert [result for _, result, _, _ in replies] == expected
+
+    def test_an_item_error_is_raised_typed_and_the_pipe_stays_in_step(
+        self, small_collection
+    ):
+        partitioned = partition_index(small_collection, 1)
+        with SharedIndexArena(partitioned) as arena:
+            pool = ProcessShardPool(
+                arena.spec, workers=1,
+                options=WorkerOptions(algorithm="wand"),
+                probe_interval_s=None,
+            )
+            try:
+                ok = ParsedQuery(("celo",), k=3)
+                mixed = [(0, ok), (0, ParsedQuery(("celo",), QueryMode.AND))]
+                with pytest.raises(ValueError, match="OR queries only"):
+                    pool.submit_batch(mixed).result(timeout=30)
+                [(_, result, _, _)] = pool.submit_batch(
+                    [(0, ok)]
+                ).result(timeout=30)
+                assert len(result.hits) == 3
+            finally:
+                pool.close()
 
 
 class TestExecutionConfigValidation:

@@ -1,11 +1,10 @@
-"""Unit tests for latency summaries, throughput, and histograms."""
+"""Unit tests for latency summaries and histograms."""
 
 import numpy as np
 import pytest
 
 from repro.metrics.histogram import Histogram, cdf_points
 from repro.metrics.summary import summarize
-from repro.metrics.throughput import ThroughputTracker
 
 
 class TestSummarize:
@@ -59,37 +58,6 @@ class TestSummarize:
         assert set(data) == {
             "count", "mean", "p50", "p90", "p95", "p99", "p999", "max",
         }
-
-
-class TestThroughputTracker:
-    def test_overall_qps(self):
-        tracker = ThroughputTracker()
-        tracker.record_many([0.0, 1.0, 2.0, 3.0, 4.0])
-        assert tracker.overall_qps() == pytest.approx(1.0)
-
-    def test_needs_two_completions(self):
-        tracker = ThroughputTracker()
-        tracker.record(1.0)
-        with pytest.raises(ValueError):
-            tracker.overall_qps()
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ThroughputTracker().record(-1.0)
-
-    def test_windowed_qps(self):
-        tracker = ThroughputTracker()
-        tracker.record_many([0.1, 0.2, 0.3, 1.5])
-        windows = tracker.windowed_qps(1.0)
-        assert windows[0] == pytest.approx(3.0)
-        assert windows[1] == pytest.approx(1.0)
-
-    def test_windowed_empty(self):
-        assert ThroughputTracker().windowed_qps(1.0).size == 0
-
-    def test_windowed_invalid(self):
-        with pytest.raises(ValueError):
-            ThroughputTracker().windowed_qps(0)
 
 
 class TestHistogram:

@@ -554,3 +554,105 @@ class TestOneBlockMaxWand:
             "_generate",
             "_score_block_max_wand",
         ]
+
+
+#: Where a worker round trip starts and ends in ``engine/mp.py``.
+WIRE_ROOTS = ("send", "_post", "receive", "_worker_main")
+
+
+def _wire_functions(tree: ast.AST):
+    """``(name, def)`` for every function the wire roots reach by name,
+    transitively.  ``_picklable`` is not entered: it pickles an
+    exception only to test that it survives."""
+    defs: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            defs.setdefault(node.name, []).append(node)
+    reached, todo = set(), list(WIRE_ROOTS)
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs or name == "_picklable":
+            continue
+        reached.add(name)
+        for call in ast.walk(ast.Module(body=defs[name], type_ignores=[])):
+            if isinstance(call, ast.Call):
+                func = call.func
+                todo.append(getattr(func, "attr", getattr(func, "id", "")))
+    return [(name, node) for name in sorted(reached) for node in defs[name]]
+
+
+def _wire_violations(source: str):
+    """Calls on the wire path that pickle something other than an
+    exception or the counter deltas, or that send or receive a pickled
+    message."""
+    found = []
+    for name, function in _wire_functions(ast.parse(source)):
+        parents = {
+            child: node
+            for node in ast.walk(function)
+            for child in ast.iter_child_nodes(node)
+        }
+        for call in ast.walk(function):
+            if not (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+            ):
+                continue
+            owner, method = call.func.value, call.func.attr
+            if isinstance(owner, ast.Name) and owner.id == "pickle":
+                if method == "dumps":
+                    arg = call.args[0]
+                    ok = getattr(arg, "id", None) == "deltas" or (
+                        isinstance(arg, ast.Call)
+                        and getattr(arg.func, "id", None) == "_picklable"
+                    )
+                else:  # loads: raised, or merged as counter deltas
+                    parent = parents.get(call)
+                    ok = isinstance(parent, ast.Raise) or (
+                        isinstance(parent, ast.Call)
+                        and getattr(parent.func, "attr", None)
+                        == "merge_counter_deltas"
+                    )
+            elif method in ("send", "recv"):
+                ok = False  # ``Connection`` pickles what these carry
+            else:
+                continue
+            if not ok:
+                found.append(f"{name}: {ast.unparse(call)}")
+    return found
+
+
+class TestNoPickledPayloads:
+    """A worker round trip is two binary frames.
+
+    Queries and top-k replies once crossed the pipe as pickles (a frozen
+    dataclass with an enum field one way, a tuple of lists back).  Now
+    only the rare paths pickle: an item's exception and the counter
+    deltas.  This pins that, so pickled payloads do not creep back onto
+    the request or reply path.
+    """
+
+    SOURCE = (SRC_ROOT / "repro" / "engine" / "mp.py").read_text()
+
+    def test_the_wire_path_pickles_only_errors_and_deltas(self):
+        reached = {name for name, _ in _wire_functions(ast.parse(self.SOURCE))}
+        assert set(WIRE_ROOTS) <= reached
+        assert _wire_violations(self.SOURCE) == []
+
+    def test_lint_sees_pickled_payloads(self):
+        """Self-test: the old pickled protocol is reported."""
+        planted = (
+            "def _post(flight, handle):\n"
+            "    handle.conn.send((flight.items, flight.depth))\n"
+            "def receive(handle):\n"
+            "    return pickle.loads(handle.pipe.read())\n"
+            "def _worker_main(conn):\n"
+            "    conn.send_bytes(pickle.dumps(payloads))\n"
+            "    raise pickle.loads(conn.recv())\n"
+        )
+        assert _wire_violations(planted) == [
+            "_post: handle.conn.send((flight.items, flight.depth))",
+            "_worker_main: pickle.dumps(payloads)",
+            "_worker_main: conn.recv()",
+            "receive: pickle.loads(handle.pipe.read())",
+        ]
