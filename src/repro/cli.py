@@ -608,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="execution backend for the native engine's partition "
              "fan-out: 'threads' (default) or 'processes' (GIL-free "
-             "worker pool over a shared-memory index; bit-identical "
+             "worker pool over a mapped index image; bit-identical "
              "results)",
     )
     parser.add_argument(

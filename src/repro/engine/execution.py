@@ -13,8 +13,8 @@ The native engine's partition fan-out runs on one shard backend
   hedging policy.
 - ``"processes"`` — the caller's thread plus a pool of worker processes
   attached *read-only* to the index's hot state (postings arrays,
-  block-max metadata, document lengths) exported once into
-  :mod:`multiprocessing.shared_memory`.  The caller is lane 0: it sends
+  block-max metadata, document lengths) written once to one image
+  file that every worker maps.  The caller is lane 0: it sends
   batches of ``(query, partition)`` work items down the worker pipes,
   scores its own lane, then receives the compact top-k replies, so a
   query at P partitions keeps ``min(P - 1, W)`` workers busy.  Results
@@ -51,7 +51,7 @@ class ExecutionConfig:
     backend:
         ``"threads"`` (default; no worker pool, the caller's thread
         scores every shard) or ``"processes"`` (the caller's thread
-        plus a GIL-free worker pool over a shared-memory index).
+        plus a GIL-free worker pool over a mapped index image).
     workers:
         Worker count; ``None`` means one per partition.  It also sizes
         the thread pool a hedging policy uses (by default doubled when

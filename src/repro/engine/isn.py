@@ -179,8 +179,8 @@ class IndexServingNode:
         The :class:`~repro.engine.execution.ExecutionConfig` saying
         whether the shard backend gets a worker pool.  ``"threads"``
         (default) has none: the caller's thread searches the shards in
-        order.  ``"processes"`` exports the index hot state once into
-        shared memory, and the caller scores one lane and a GIL-free
+        order.  ``"processes"`` writes the index hot state once to an
+        image file, and the caller scores one lane and a GIL-free
         :class:`~repro.engine.mp.ProcessShardPool` the others,
         bit-identically.  On either, a hedging policy alone adds a
         thread pool for the attempts, one thread per partition and
@@ -527,12 +527,12 @@ class IndexServingNode:
         return responses
 
     def close(self) -> None:
-        """Shut down executors, worker processes, and shared memory.
+        """Shut down executors, worker processes, and the index image.
 
         Deterministic teardown: the backend drains (a hedging thread
-        pool joins, the process pool joins its workers) and the
-        shared-memory segment is unlinked.  Idempotent; the node
-        rejects queries afterwards.
+        pool joins, the process pool joins its workers) and the index
+        image file is unlinked.  Idempotent; the node rejects queries
+        afterwards.
         """
         if not self._closed:
             self._closed = True

@@ -3,7 +3,7 @@
 The thread backend's per-partition scoring serializes on the GIL, so
 the native engine only showed real intra-node scaling in the DES.  This
 module escapes that: a :class:`ProcessShardPool` of worker processes
-attach **read-only** to the index exported by
+map **read-only** the index image written by
 :class:`~repro.index.shared.SharedIndexArena` and score
 ``(query, partition)`` work items with the *identical* kernel the
 thread backend runs (:class:`~repro.search.executor.ShardSearcher`),
@@ -308,7 +308,7 @@ def _worker_main(conn, spec: SharedIndexSpec, options: WorkerOptions) -> None:
     per item its result or its (pickled) exception.
     """
     registry = MetricsRegistry() if options.collect_metrics else None
-    partitioned, segment = attach_shared_index(spec)
+    partitioned = attach_shared_index(spec)
     if options.tiered is not None:
         from repro.index.store import tier_partitioned_index
 
@@ -354,10 +354,7 @@ def _worker_main(conn, spec: SharedIndexSpec, options: WorkerOptions) -> None:
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # parent went away; exit quietly
     finally:
-        try:
-            pipe.close()
-        finally:
-            segment.close()
+        pipe.close()
 
 
 @dataclass

@@ -170,7 +170,7 @@ class SearchService:
         )
         # Process workers cannot attach tiered shards (they page blocks
         # on demand), so the resident pre-tiering index is kept as the
-        # shared-memory export source; workers re-tier it locally.
+        # index image's source; workers re-tier it locally.
         resident = self.partitioned
         if config.tiered is not None:
             self.partitioned = tier_partitioned_index(
@@ -303,7 +303,7 @@ class SearchService:
         """Deterministically release the ISN's execution resources.
 
         Shuts down a hedging thread pool, joins worker processes, and
-        unlinks the shared-memory index segment (process backend).
+        unlinks the index image file (process backend).
         Using the service as a context manager is equivalent.
         """
         self.isn.close()

@@ -67,10 +67,10 @@ class PostingsList:
         """Wrap pre-validated int64 arrays without copying or checking.
 
         The zero-copy attach path (worker processes mapping postings
-        out of :mod:`multiprocessing.shared_memory`) re-creates views
-        over arrays the builder already validated; re-running the
-        strictly-increasing scan there would touch every page of every
-        postings list at startup.  Callers guarantee the constructor's
+        out of the index image file) re-creates views over arrays the
+        builder already validated; re-running the strictly-increasing
+        scan there would touch every page of every postings list at
+        startup.  Callers guarantee the constructor's
         invariants: parallel 1-D int64 arrays, strictly increasing
         non-negative doc ids, positive frequencies.
         """

@@ -1,4 +1,4 @@
-"""Zero-copy shared-memory export of a partitioned index.
+"""Zero-copy export of a partitioned index as one mapped image file.
 
 The process execution backend (:mod:`repro.engine.mp`) needs every
 worker to see the index's hot state — postings arrays, block-max
@@ -6,19 +6,20 @@ metadata, document lengths, global-id maps — without each process
 paying a private copy of it.  This module provides that as a two-sided
 contract:
 
-- :class:`SharedIndexArena` (parent side) flattens a resident
-  :class:`~repro.index.partitioner.PartitionedIndex` into **one**
-  :class:`multiprocessing.shared_memory.SharedMemory` segment holding a
-  single int64 word array (every hot array in the index is int64), and
-  describes the layout with a picklable :class:`SharedIndexSpec` of
-  ``(offset, length)`` slices.
-- :func:`attach_shared_index` (worker side) maps the segment and
-  rebuilds a structurally identical ``PartitionedIndex`` whose numpy
-  arrays are **read-only views** into the shared buffer — no postings
+- :class:`SharedIndexArena` (parent side) writes a resident
+  :class:`~repro.index.partitioner.PartitionedIndex` to **one** image
+  file holding a single int64 word array (every hot array in the index
+  is int64), and describes the layout with a picklable
+  :class:`SharedIndexSpec` of ``(offset, length)`` slices.  The file
+  lives in ``/dev/shm`` when that directory exists (so its pages are
+  memory, not disk) and in :func:`tempfile.gettempdir` otherwise.
+- :func:`attach_shared_index` (worker side) maps the image read-only
+  and rebuilds a structurally identical ``PartitionedIndex`` whose
+  numpy arrays are **read-only views** into the mapping — no postings
   byte is copied, so worker resident-set cost is the dictionary strings
   plus page tables.
 
-Only array payloads live in shared memory.  The term dictionary (term
+Only array payloads live in the image.  The term dictionary (term
 strings plus per-term statistics) and the analyzer travel inside the
 spec by pickle: they are small next to postings, and term df is
 recovered for free from the postings offset table.
@@ -27,7 +28,7 @@ The attached index is *bit-identical* input to the scoring kernel:
 views alias the exact arrays the parent would traverse, so BM25 floats
 come out equal to the thread backend's, not just close.
 
-Segment word layout (all int64, per shard, shards concatenated)::
+Image word layout (all int64, per shard, shards concatenated)::
 
     postings_offsets   num_terms + 1   prefix sums into doc_ids/frequencies
     doc_ids            total_postings
@@ -43,11 +44,12 @@ Segment word layout (all int64, per shard, shards concatenated)::
 
 from __future__ import annotations
 
+import contextlib
 import os
+import tempfile
 import weakref
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Callable, List, Optional, Tuple
+from typing import BinaryIO, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,7 +65,6 @@ from repro.index.postings import PostingsList
 from repro.text.analyzer import Analyzer
 
 __all__ = [
-    "AttachedSegment",
     "SharedIndexArena",
     "SharedIndexSpec",
     "SharedShardSpec",
@@ -73,7 +74,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _Slice:
-    """One array's placement in the shared word buffer."""
+    """One array's placement in the image's word array."""
 
     offset: int
     length: int
@@ -84,7 +85,7 @@ class _Slice:
 
 @dataclass(frozen=True)
 class SharedShardSpec:
-    """Layout of one shard inside the shared segment.
+    """Layout of one shard inside the image.
 
     ``terms`` is the shard's dictionary in dense term-id order; per-term
     document frequency is implied by the postings offset table, so only
@@ -108,13 +109,13 @@ class SharedShardSpec:
 
 @dataclass(frozen=True)
 class SharedIndexSpec:
-    """Everything a worker needs to attach: segment name + layout.
+    """Everything a worker needs to attach: image path + layout.
 
     Picklable by construction — it crosses the process boundary once,
     in the worker pool's initializer.
     """
 
-    shm_name: str
+    path: str
     total_words: int
     analyzer: Analyzer
     strategy: PartitionStrategy
@@ -122,21 +123,26 @@ class SharedIndexSpec:
 
     @property
     def nbytes(self) -> int:
-        """Size of the shared segment in bytes."""
+        """Size of the image in bytes."""
         return self.total_words * 8
 
 
-class _LayoutWriter:
-    """Accumulates arrays into one flat int64 buffer, recording slices."""
+def _image_dir() -> str:
+    """Where images are written: memory-backed when the host has it."""
+    return "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()
 
-    def __init__(self) -> None:
-        self.chunks: List[np.ndarray] = []
+
+class _LayoutWriter:
+    """Writes arrays one after another to an open file, recording slices."""
+
+    def __init__(self, file: BinaryIO) -> None:
+        self.file = file
         self.cursor = 0
 
     def append(self, array: np.ndarray) -> _Slice:
         array = np.ascontiguousarray(array, dtype=np.int64)
         placed = _Slice(offset=self.cursor, length=int(array.size))
-        self.chunks.append(array)
+        self.file.write(array)
         self.cursor += int(array.size)
         return placed
 
@@ -146,8 +152,8 @@ def _export_shard(shard: IndexShard, writer: _LayoutWriter) -> SharedShardSpec:
     if not isinstance(index, InvertedIndex):
         raise TypeError(
             f"shard {shard.shard_id} holds a {type(index).__name__}; only "
-            "resident InvertedIndex shards can be exported to shared "
-            "memory (tiered indexes are re-tiered inside each worker)"
+            "resident InvertedIndex shards can be exported to an index "
+            "image (tiered indexes are re-tiered inside each worker)"
         )
     num_terms = index.num_terms
     postings = index.all_postings()
@@ -211,57 +217,49 @@ def _export_shard(shard: IndexShard, writer: _LayoutWriter) -> SharedShardSpec:
     )
 
 
-def _release_segment(shm: shared_memory.SharedMemory) -> None:
-    shm.close()
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # already unlinked (e.g. by a prior close)
-        pass
+def _remove(path: str) -> None:
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
 
 
 class SharedIndexArena:
-    """Owns the shared segment a partitioned index was exported into.
+    """Owns the image file a partitioned index was exported into.
 
-    Construction copies every hot array exactly once into shared
-    memory; :attr:`spec` is the picklable attach descriptor for worker
-    processes.  :meth:`close` unlinks the segment; a
-    :mod:`weakref` finalizer guarantees the segment does not outlive
-    the arena even if ``close`` is never called (leaked POSIX shm
-    segments survive process exit, unlike leaked thread pools).
+    Construction writes every hot array exactly once to a fresh file
+    (the parent never maps it); :attr:`spec` is the picklable attach
+    descriptor for worker processes.  :meth:`close` unlinks the file; a
+    :mod:`weakref` finalizer guarantees the file does not outlive the
+    arena even if ``close`` is never called (a leaked file in
+    ``/dev/shm`` holds its memory until reboot, unlike a leaked thread
+    pool).  Workers that still map it keep their pages until they exit.
     """
 
     def __init__(self, partitioned: PartitionedIndex):
-        writer = _LayoutWriter()
-        shard_specs = tuple(
-            _export_shard(shard, writer) for shard in partitioned
-        )
-        total_words = writer.cursor
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=max(8, total_words * 8)
-        )
-        words = np.frombuffer(self._shm.buf, dtype=np.int64)
-        cursor = 0
-        for chunk in writer.chunks:
-            words[cursor : cursor + chunk.size] = chunk
-            cursor += chunk.size
-        del words  # release the buffer view before any later close()
+        fd, path = tempfile.mkstemp(prefix="repro-", dir=_image_dir())
+        try:
+            with open(fd, "wb") as file:
+                writer = _LayoutWriter(file)
+                shard_specs = tuple(
+                    _export_shard(shard, writer) for shard in partitioned
+                )
+        except BaseException:
+            _remove(path)
+            raise
         self.spec = SharedIndexSpec(
-            shm_name=self._shm.name,
-            total_words=total_words,
+            path=path,
+            total_words=writer.cursor,
             analyzer=partitioned[0].index.analyzer,
             strategy=partitioned.strategy,
             shards=shard_specs,
         )
-        self._finalizer = weakref.finalize(
-            self, _release_segment, self._shm
-        )
+        self._finalizer = weakref.finalize(self, _remove, path)
 
     @property
     def closed(self) -> bool:
         return not self._finalizer.alive
 
     def close(self) -> None:
-        """Unmap and unlink the shared segment (idempotent)."""
+        """Unlink the image file (idempotent)."""
         self._finalizer()
 
     def __enter__(self) -> "SharedIndexArena":
@@ -324,70 +322,19 @@ def _attach_shard(
     )
 
 
-class AttachedSegment:
-    """The worker-side mapping handle returned by :func:`attach_shared_index`.
+def attach_shared_index(spec: SharedIndexSpec) -> PartitionedIndex:
+    """Map the image read-only and rebuild the partitioned index.
 
-    Holding it keeps the mapping (and therefore every postings view)
-    alive; :meth:`close` releases it best-effort — if numpy views are
-    still exported the mapping simply lives until process exit, which
-    is harmless because attachers never own the segment.
+    The parent's :class:`SharedIndexArena` owns the file's lifetime
+    (attachers never unlink).  The mapping lives as long as any array
+    of the returned index does: every view's ``base`` chain ends at it.
     """
-
-    def __init__(self, keepalive: object, close_fn: Callable[[], None]):
-        self._keepalive = keepalive
-        self._close_fn = close_fn
-        self._closed = False
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._close_fn()
-        except BufferError:
-            pass
-
-
-def attach_shared_index(
-    spec: SharedIndexSpec,
-) -> Tuple[PartitionedIndex, AttachedSegment]:
-    """Map the exported segment and rebuild the partitioned index.
-
-    Returns the index plus the :class:`AttachedSegment` handle keeping
-    the mapping alive — the caller must hold the handle as long as the
-    index is in use and ``close()`` it afterwards; the parent's
-    :class:`SharedIndexArena` owns the segment's lifetime (attachers
-    never unlink).
-
-    On Linux the segment is mapped read-only straight off
-    ``/dev/shm`` — this sidesteps :mod:`multiprocessing`'s resource
-    tracker, which would otherwise count every attacher as an owner and
-    try to unlink the parent's segment (or complain about "leaked"
-    handles) at exit.  Elsewhere it falls back to
-    :class:`~multiprocessing.shared_memory.SharedMemory` with an
-    explicit tracker unregister.
-    """
-    shm_path = os.path.join("/dev/shm", spec.shm_name.lstrip("/"))
-    if os.path.exists(shm_path):
-        mapped = np.memmap(shm_path, dtype=np.int64, mode="r")
-        # Plain (read-only) ndarray views: slices of an ``np.memmap``
-        # stay memmaps, and every numpy op on one runs the subclass's
-        # Python ``__array_finalize__``.  The handle keeps the map alive.
-        words = mapped.view(np.ndarray)
-        handle = AttachedSegment(mapped, mapped._mmap.close)
-    else:  # pragma: no cover - non-Linux fallback
-        shm = shared_memory.SharedMemory(name=spec.shm_name)
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-        words = np.frombuffer(shm.buf, dtype=np.int64)
-        words.flags.writeable = False  # read-only attach, enforced
-        handle = AttachedSegment(shm, shm.close)
+    # Plain (read-only) ndarray views: slices of an ``np.memmap`` stay
+    # memmaps, and every numpy op on one runs the subclass's Python
+    # ``__array_finalize__``.
+    words = np.memmap(spec.path, dtype=np.int64, mode="r").view(np.ndarray)
     shards = [
         _attach_shard(shard_spec, words, spec.analyzer)
         for shard_spec in spec.shards
     ]
-    return PartitionedIndex(shards=shards, strategy=spec.strategy), handle
+    return PartitionedIndex(shards=shards, strategy=spec.strategy)

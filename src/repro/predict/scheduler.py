@@ -161,11 +161,11 @@ class DeadlineScheduler:
 
     def capped_demand(
         self,
-        demand: float,
-        predicted: float,
+        demand: np.ndarray,
+        predicted: np.ndarray,
         core_speed: float,
         parallelism: int = 1,
-    ) -> float:
+    ) -> np.ndarray:
         """The DES mirror of the BMW depth cap, in demand units.
 
         A query *predicted* to exceed the affordable work —
@@ -175,7 +175,7 @@ class DeadlineScheduler:
         predicted to fit run in full, so prediction error leaks some
         long queries through untruncated — exactly the native
         behaviour, where the cap is computed from the (fallible)
-        prediction, not the true cost.
+        prediction, not the true cost.  Element-wise over arrays.
         """
         if self.deadline_s is None:
             return demand
@@ -184,9 +184,14 @@ class DeadlineScheduler:
         affordable = (
             self.deadline_s * BUDGET_HEADROOM * core_speed * parallelism
         )
-        if predicted <= affordable:
-            return demand
-        return min(demand, max(affordable, self.min_depth_fraction * demand))
+        return np.where(
+            predicted <= affordable,
+            demand,
+            np.minimum(
+                demand,
+                np.maximum(affordable, self.min_depth_fraction * demand),
+            ),
+        )
 
 
 @dataclass
@@ -223,21 +228,8 @@ class DeadlineCappedDemand:
         raw = np.asarray(self.base.demands(num_queries, rng), dtype=np.float64)
         sigma = self.scheduler.predictor.residual_log_sigma
         noise = np.exp(sigma * rng.standard_normal(raw.size))
-        predicted = raw * noise
-        scheduler = self.scheduler
-        affordable = (
-            scheduler.deadline_s
-            * BUDGET_HEADROOM
-            * self.core_speed
-            * self.parallelism
-        )
-        capped = np.where(
-            predicted <= affordable,
-            raw,
-            np.minimum(
-                raw,
-                np.maximum(affordable, scheduler.min_depth_fraction * raw),
-            ),
+        capped = self.scheduler.capped_demand(
+            raw, raw * noise, self.core_speed, self.parallelism
         )
         total = float(raw.sum())
         self.last_served_fraction = (

@@ -98,45 +98,6 @@ class LognormalDemand:
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
 
-    @classmethod
-    def from_mean_and_p99(cls, mean: float, p99: float) -> "LognormalDemand":
-        """Solve (mu, sigma) so the distribution has the given mean and p99.
-
-        Uses the closed forms mean = exp(mu + sigma²/2) and
-        p99 = exp(mu + 2.326 sigma); a heavy tail needs p99 > mean.
-
-        The quadratic ``z99·sigma − sigma²/2 = ln(p99/mean)`` has two
-        roots for any feasible gap; this constructor deliberately takes
-        the **smaller** one.  Both reproduce the requested (mean, p99)
-        pair exactly, but the larger root has ``sigma > z99`` — a
-        degenerate shape whose p99 sits *below* the mean-driving bulk
-        (a spike near zero plus an enormous >p99 tail), which no
-        measured service-time sample looks like.  The smaller root is
-        the one where the p99 is an upper tail quantile in the usual
-        sense.  The feasibility cap this implies:
-        ``ln(p99/mean) ≤ z99²/2`` (≈ p99/mean ≤ 14.9), checked below.
-        """
-        if mean <= 0 or p99 <= mean:
-            raise ValueError("require 0 < mean < p99")
-        z99 = 2.3263478740408408
-        # ln p99 - ln mean = z99*sigma - sigma^2/2  -> solve the quadratic.
-        gap = np.log(p99) - np.log(mean)
-        discriminant = z99**2 - 2.0 * gap
-        if discriminant < 0:
-            raise ValueError(
-                f"p99/mean ratio {p99 / mean:.1f} too extreme for a "
-                f"log-normal (max ≈ {float(np.exp(z99**2 / 2.0)):.1f})"
-            )
-        sigma = z99 - np.sqrt(discriminant)
-        mu = np.log(mean) - sigma**2 / 2.0
-        model = cls(mu=float(mu), sigma=float(sigma))
-        assert model.sigma <= z99, "smaller root must satisfy sigma <= z99"
-        return model
-
-    def p99(self) -> float:
-        """The distribution's 99th percentile (closed form)."""
-        return float(np.exp(self.mu + 2.3263478740408408 * self.sigma))
-
     def demands(self, num_queries: int, rng: np.random.Generator) -> np.ndarray:
         if num_queries < 0:
             raise ValueError("num_queries must be non-negative")

@@ -2,8 +2,8 @@
 
 The GIL-escape contract has three parts, each tested here:
 
-- **zero-copy attach** — :class:`SharedIndexArena` exports the index
-  hot state into one shared-memory segment and
+- **zero-copy attach** — :class:`SharedIndexArena` writes the index
+  hot state to one image file and
   :func:`attach_shared_index` rebuilds a structurally identical index
   over read-only views; searches over the attached index are
   bit-identical (ids *and* float scores) to the original, across
@@ -19,12 +19,16 @@ The GIL-escape contract has three parts, each tested here:
   typed :class:`WorkerCrashError`, feeds the circuit breaker, and
   degrades coverage like any shard failure — batches re-dispatch to
   healthy workers first; ``close()`` deterministically unlinks the
-  shared segment.
+  image, and no child process outlives it.
 """
 
+import gc
+import glob
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -39,6 +43,7 @@ from repro.engine.execution import ExecutionConfig
 from repro.engine.isn import IndexServingNode
 from repro.engine.mp import ProcessShardPool, WorkerCrashError, WorkerOptions
 from repro.index.partitioner import partition_index
+from repro.index import shared
 from repro.index.shared import SharedIndexArena, attach_shared_index
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import BreakerConfig
@@ -91,7 +96,7 @@ class TestSharedIndexAttach:
         )
         arena = SharedIndexArena(partitioned)
         try:
-            attached, segment = attach_shared_index(arena.spec)
+            attached = attach_shared_index(arena.spec)
             query = ParsedQuery(terms=tuple(terms), k=5)
             factory = global_scorer_factory(partitioned)
             attached_factory = global_scorer_factory(attached)
@@ -108,21 +113,19 @@ class TestSharedIndexAttach:
                 ).search(query)
                 assert hit_pairs(rebuilt.hits) == hit_pairs(original.hits)
                 assert rebuilt.matched_volume == original.matched_volume
-            segment.close()
         finally:
             arena.close()
 
     def test_attached_arrays_are_read_only_views(self, small_collection):
         partitioned = partition_index(small_collection, 2)
         with SharedIndexArena(partitioned) as arena:
-            attached, segment = attach_shared_index(arena.spec)
+            attached = attach_shared_index(arena.spec)
             postings = attached[0].index.all_postings()
             nonempty = next(p for p in postings if len(p))
             with pytest.raises((ValueError, OSError)):
                 nonempty.doc_ids[0] = 99
             # Views, not copies: no postings array owns its memory.
             assert not nonempty.doc_ids.flags.owndata
-            segment.close()
 
     def test_attached_arrays_are_plain_read_only_ndarrays(
         self, small_collection
@@ -131,7 +134,7 @@ class TestSharedIndexAttach:
         # numpy op over a postings or block view.
         partitioned = partition_index(small_collection, 2)
         with SharedIndexArena(partitioned) as arena:
-            attached, segment = attach_shared_index(arena.spec)
+            attached = attach_shared_index(arena.spec)
             arrays = []
             for shard in attached:
                 index = shard.index
@@ -149,18 +152,24 @@ class TestSharedIndexAttach:
             for array in arrays:
                 assert type(array) is np.ndarray
                 assert not array.flags.writeable
-            segment.close()
 
     def test_arena_close_unlinks_segment(self, small_collection):
         partitioned = partition_index(small_collection, 2)
         arena = SharedIndexArena(partitioned)
-        path = os.path.join("/dev/shm", arena.spec.shm_name.lstrip("/"))
-        if not os.path.exists(path):  # pragma: no cover - non-Linux
-            pytest.skip("no /dev/shm segment path to observe")
+        path = arena.spec.path
+        assert os.path.getsize(path) == arena.spec.nbytes
         arena.close()
         assert arena.closed
         assert not os.path.exists(path)
         arena.close()  # idempotent
+
+    def test_dropped_arena_unlinks_its_image(self, small_collection):
+        arena = SharedIndexArena(partition_index(small_collection, 2))
+        path = arena.spec.path
+        assert os.path.exists(path)
+        del arena
+        gc.collect()
+        assert not os.path.exists(path)
 
     def test_tiered_shards_are_rejected(self, small_collection):
         from repro.index.store import TieredStorageConfig, tier_partitioned_index
@@ -169,8 +178,49 @@ class TestSharedIndexAttach:
             partition_index(small_collection, 2),
             TieredStorageConfig(cache_budget_bytes=1 << 16),
         )
+        images = os.path.join(shared._image_dir(), "repro-*")
+        before = set(glob.glob(images))
         with pytest.raises(TypeError, match="re-tiered inside each worker"):
             SharedIndexArena(partitioned)
+        # The half-written image is unlinked, not leaked.
+        assert set(glob.glob(images)) <= before
+
+
+#: Run by ``test_no_child_outlives_close`` in its own interpreter:
+#: prints ``[(pid, command)]`` for every child left after ``close()``.
+NO_CHILD_SCRIPT = """
+import os
+from repro.api import (
+    CorpusConfig, EngineConfig, ExecutionConfig, QueryLogConfig,
+    SearchEngine, VocabularyConfig,
+)
+engine = SearchEngine(EngineConfig(
+    corpus=CorpusConfig(
+        num_documents=150,
+        vocabulary=VocabularyConfig(size=1_000, seed=3),
+        mean_length=40,
+        seed=11,
+    ),
+    query_log=QueryLogConfig(num_unique_queries=20, seed=5),
+    num_partitions=2,
+    execution=ExecutionConfig(backend="processes", workers=1),
+))
+engine.search(engine.query_log[0].text)
+engine.close()
+children = []
+for entry in filter(str.isdigit, os.listdir("/proc")):
+    try:
+        with open(f"/proc/{entry}/stat") as stat:
+            # "pid (comm) state ppid ..."; comm may hold spaces.
+            ppid = int(stat.read().rpartition(")")[2].split()[1])
+        with open(f"/proc/{entry}/cmdline", "rb") as cmdline:
+            command = cmdline.read().replace(b"\\0", b" ").decode()
+    except OSError:
+        continue
+    if ppid == os.getpid():
+        children.append((int(entry), command))
+print(children)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -418,16 +468,33 @@ class TestWorkerLifecycle:
             execution=ExecutionConfig(backend="processes", workers=1),
         )
         arena = node._arena
-        path = os.path.join("/dev/shm", arena.spec.shm_name.lstrip("/"))
-        if not os.path.exists(path):  # pragma: no cover - non-Linux
-            node.close()
-            pytest.skip("no /dev/shm segment path to observe")
+        path = arena.spec.path
+        assert os.path.exists(path)
         node.execute(texts[0], k=5)
         node.close()
         assert arena.closed
         assert not os.path.exists(path)
         with pytest.raises(RuntimeError):
             node.execute(texts[0], k=5)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="lists children from /proc"
+    )
+    def test_no_child_outlives_close(self):
+        """A fresh interpreter (so no earlier test's helper process is
+        already running) builds a process-backend engine with the
+        default start method, answers a query, closes, and lists its
+        children: every one is gone."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        result = subprocess.run(
+            [sys.executable, "-c", NO_CHILD_SCRIPT],
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_pool_rejects_submissions_after_close(self, small_collection):
         partitioned = partition_index(small_collection, 1)

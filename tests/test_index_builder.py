@@ -94,7 +94,7 @@ class TestAverageDocLength:
 
         partitioned = partition_index(small_collection, 2)
         with SharedIndexArena(partitioned) as arena:
-            attached, segment = attach_shared_index(arena.spec)
+            attached = attach_shared_index(arena.spec)
             indexes = [shard.index for shard in partitioned]
             indexes.append(tier_index(indexes[0], cache_budget_bytes=1 << 16))
             indexes.extend(shard.index for shard in attached)
@@ -103,7 +103,6 @@ class TestAverageDocLength:
                 assert index.average_doc_length == float(
                     index.doc_lengths.mean()
                 )
-            segment.close()
 
     def test_empty_index_is_zero(self, plain_builder):
         from repro.index.store import tier_index

@@ -656,3 +656,57 @@ class TestNoPickledPayloads:
             "_worker_main: conn.recv()",
             "receive: pickle.loads(handle.pipe.read())",
         ]
+
+
+#: Modules whose import starts ``multiprocessing``'s resource tracker,
+#: a helper process that outlives ``close()``.
+TRACKER_MODULES = {"shared_memory", "resource_tracker"}
+
+
+def _tracker_imports(root: Path = SRC_ROOT):
+    """``file:line: import`` for each import of a tracker module."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if any(TRACKER_MODULES & set(name.split(".")) for name in names):
+                where = path.relative_to(root.parent).as_posix()
+                found.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+class TestOneIndexImage:
+    """Workers map one index image file.
+
+    The image once lived in a ``multiprocessing.shared_memory`` segment,
+    which started the resource tracker (a child that outlived
+    ``SearchEngine.close()``) and needed a second, non-Linux attach path
+    that unregistered itself from that tracker.  This pins the file.
+    """
+
+    def test_src_imports_no_tracker_module(self):
+        assert _tracker_imports() == []
+
+    def test_lint_sees_a_tracker_import(self, tmp_path):
+        """Self-test: each spelling of the import is reported."""
+        planted = tmp_path / "src" / "repro"
+        planted.mkdir(parents=True)
+        (planted / "arena.py").write_text(
+            "from multiprocessing import shared_memory\n"
+            "import multiprocessing.resource_tracker\n"
+            "from multiprocessing.shared_memory import SharedMemory\n"
+            "from multiprocessing import Pipe\n"
+        )
+        assert _tracker_imports(tmp_path / "src") == [
+            "src/repro/arena.py:1: from multiprocessing import shared_memory",
+            "src/repro/arena.py:2: import multiprocessing.resource_tracker",
+            "src/repro/arena.py:3: "
+            "from multiprocessing.shared_memory import SharedMemory",
+        ]

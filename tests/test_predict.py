@@ -231,6 +231,18 @@ class TestDeadlineScheduler:
         assert wrapped.last_served_fraction == pytest.approx(
             capped.sum() / raw.sum()
         )
+        # The wrapper is ``capped_demand`` applied element by element.
+        rng = np.random.default_rng(1)
+        draws = base.demands(5_000, rng)
+        sigma = PREDICTOR.residual_log_sigma
+        noise = np.exp(sigma * rng.standard_normal(5_000))
+        assert np.array_equal(
+            capped,
+            [
+                scheduler.capped_demand(d, d * n, 0.35, parallelism=2)
+                for d, n in zip(draws, noise)
+            ],
+        )
 
     def test_capped_demand_base_draws_bit_identical(self):
         """The wrapper's base demands must consume the RNG exactly like

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.workload.arrivals import (
     ClosedLoopSpec,
@@ -130,37 +128,6 @@ class TestLognormalDemand:
         model = LognormalDemand(mu=-3.0, sigma=0.5)
         draws = model.demands(50_000, rng)
         assert draws.mean() == pytest.approx(model.mean_demand(), rel=0.03)
-
-    def test_from_mean_and_p99(self, rng):
-        model = LognormalDemand.from_mean_and_p99(mean=0.01, p99=0.05)
-        assert model.mean_demand() == pytest.approx(0.01, rel=1e-6)
-        draws = model.demands(200_000, rng)
-        assert np.percentile(draws, 99) == pytest.approx(0.05, rel=0.05)
-
-    def test_from_mean_and_p99_invalid(self):
-        with pytest.raises(ValueError):
-            LognormalDemand.from_mean_and_p99(mean=0.05, p99=0.01)
-        with pytest.raises(ValueError):
-            LognormalDemand.from_mean_and_p99(mean=0.01, p99=1e6)
-
-    @given(
-        mean=st.floats(min_value=1e-5, max_value=1.0),
-        ratio=st.floats(min_value=1.001, max_value=14.0),
-    )
-    def test_from_mean_and_p99_round_trips(self, mean, ratio):
-        """Property: the quadratic's smaller root reproduces both the
-        analytic mean and the analytic p99 across the whole feasible
-        (ratio < e^{z99²/2} ≈ 14.9) parameter space — the regression
-        guard for the silently-wrong-root bug class."""
-        p99 = mean * ratio
-        model = LognormalDemand.from_mean_and_p99(mean=mean, p99=p99)
-        assert model.mean_demand() == pytest.approx(mean, rel=1e-9)
-        assert model.p99() == pytest.approx(p99, rel=1e-9)
-        # The smaller root is the non-degenerate one: sigma below z99,
-        # so the p99 sits above the median (a real tail, not a spike
-        # distribution whose 99th percentile undercuts its mean).
-        assert 0.0 < model.sigma < 2.3264
-        assert p99 > float(np.exp(model.mu))
 
 
 class TestIndexDerivedDemand:
