@@ -297,9 +297,16 @@ def _picklable(exc: BaseException) -> BaseException:
         )
 
 
-def _worker_main(conn, spec: SharedIndexSpec, options: WorkerOptions) -> None:
+def _worker_main(
+    conn, spec: SharedIndexSpec, options: WorkerOptions, inherited: list
+) -> None:
     """Worker loop: attach once, say so in an empty frame, then score
     batches until shutdown.
+
+    ``inherited`` are the parent's pipe ends a forked worker holds
+    copies of, its own among them (none under spawn); it closes them
+    first, so that it reads EOF once the parent is gone, however the
+    parent died.
 
     A request frame carries work items and a depth cap that, when not
     None, bounds every item's traversal as it does on the caller's
@@ -307,6 +314,8 @@ def _worker_main(conn, spec: SharedIndexSpec, options: WorkerOptions) -> None:
     carries the counter deltas accumulated while serving the batch, then
     per item its result or its (pickled) exception.
     """
+    for parent_end in inherited:
+        parent_end.close()
     registry = MetricsRegistry() if options.collect_metrics else None
     partitioned = attach_shared_index(spec)
     if options.tiered is not None:
@@ -440,9 +449,9 @@ class ProcessShardPool:
         self._health_stop = threading.Event()
         # Start every process before blocking on any handshake so the
         # (possibly slow, under spawn) attaches overlap.
-        self._workers: List[_WorkerHandle] = [
-            self._spawn(slot) for slot in range(workers)
-        ]
+        self._workers: List[_WorkerHandle] = []
+        for slot in range(workers):
+            self._workers.append(self._spawn(slot))
         self._health_thread: Optional[threading.Thread] = None
         if self._probe_interval_s is not None:
             self._health_thread = threading.Thread(
@@ -491,9 +500,13 @@ class ProcessShardPool:
 
     def _spawn(self, slot: int) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        inherited = []
+        if self._ctx.get_start_method() == "fork":
+            inherited = [parent_conn]
+            inherited += (handle.pipe.conn for handle in self._workers)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._spec, self._options),
+            args=(child_conn, self._spec, self._options, inherited),
             name=f"isn-shard-worker-{slot}",
             daemon=True,
         )

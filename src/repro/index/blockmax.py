@@ -16,14 +16,16 @@ block.  That bound is far tighter than the term-global
 ``max_score(idf)``, which is what makes Block-Max WAND skip blocks a
 plain WAND must descend into.
 
-Metadata is computed by the :class:`~repro.index.builder.IndexBuilder`
-and serialized in index format v3; indexes loaded from v1/v2 payloads
-(or built by other paths) compute it lazily on first use.
+:func:`block_arrays` computes the metadata of every list of an index
+at once; the :class:`~repro.index.builder.IndexBuilder` calls it on
+the arrays it builds, and so does loading a v1/v2 payload (format v3
+stores the metadata).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -33,6 +35,34 @@ __all__ = ["BlockMetadata", "DEFAULT_BLOCK_SIZE"]
 #: literature (large enough to amortize block bookkeeping, small enough
 #: that local maxima stay tight).
 DEFAULT_BLOCK_SIZE = 128
+
+
+def block_arrays(
+    offsets: np.ndarray,
+    doc_ids: np.ndarray,
+    frequencies: np.ndarray,
+    doc_lengths: np.ndarray,
+    block_size: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The block metadata of every postings list, back to back.
+
+    List ``t`` is ``doc_ids[offsets[t]:offsets[t + 1]]`` with its
+    parallel ``frequencies``.  Returns ``(block_offsets, last_doc_ids,
+    max_frequencies, min_doc_lengths)``: list ``t``'s blocks are
+    ``block_offsets[t]:block_offsets[t + 1]`` of the other three.  A
+    block ends where the next one starts, in its own list or the next,
+    so one ``reduceat`` over all block starts covers every block of
+    every list.
+    """
+    blocks_per_term = -(-np.diff(offsets) // block_size)
+    block_offsets = np.concatenate(([0], np.cumsum(blocks_per_term)))
+    block_starts = np.repeat(
+        offsets[:-1] - block_offsets[:-1] * block_size, blocks_per_term
+    ) + np.arange(block_offsets[-1]) * block_size
+    last_doc_ids = doc_ids[np.append(block_starts, doc_ids.size)[1:] - 1]
+    max_frequencies = np.maximum.reduceat(frequencies, block_starts)
+    min_doc_lengths = np.minimum.reduceat(doc_lengths[doc_ids], block_starts)
+    return block_offsets, last_doc_ids, max_frequencies, min_doc_lengths
 
 
 @dataclass(frozen=True)

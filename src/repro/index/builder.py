@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.corpus.documents import DocumentCollection, TokenIds
-from repro.index.blockmax import DEFAULT_BLOCK_SIZE, BlockMetadata
-from repro.index.dictionary import TermDictionary
-from repro.index.inverted import InvertedIndex
-from repro.index.postings import PostingsList, check_postings
+from repro.index.blockmax import DEFAULT_BLOCK_SIZE, block_arrays
+from repro.index.inverted import InvertedIndex, PostingsLayout
+from repro.index.postings import check_postings
 from repro.index.stats import IndexStatistics, compute_statistics
 from repro.text.analyzer import Analyzer, default_analyzer
 
@@ -157,54 +156,17 @@ class IndexBuilder:
         )
         del keys  # the largest transient, before the views are cut
 
-        # Pass 3: a block ends where the next one starts, in its own list
-        # or the next, so one reduceat over all block starts covers every
-        # block of every list.
-        block_size = self.block_size
-        blocks_per_term = -(-np.diff(offsets) // block_size)
-        block_offsets = np.concatenate(([0], np.cumsum(blocks_per_term)))
-        block_starts = np.repeat(
-            offsets[:-1] - block_offsets[:-1] * block_size, blocks_per_term
-        ) + np.arange(block_offsets[-1]) * block_size
-        last_doc_ids = doc_ids[np.append(block_starts, doc_ids.size)[1:] - 1]
-        max_frequencies = np.maximum.reduceat(frequencies, block_starts)
-        min_doc_lengths = np.minimum.reduceat(doc_lengths[doc_ids], block_starts)
-
-        # Every list and its metadata are views of the shared arrays.
-        bounds = zip(
-            terms,
-            np.add.reduceat(frequencies, offsets[:-1]).tolist(),
-            offsets.tolist(),
-            offsets[1:].tolist(),
-            block_offsets.tolist(),
-            block_offsets[1:].tolist(),
+        # Pass 3: every list's block metadata, in one array pass.
+        layout = PostingsLayout(
+            offsets,
+            doc_ids,
+            frequencies,
+            *block_arrays(
+                offsets, doc_ids, frequencies, doc_lengths, self.block_size
+            ),
         )
-        dictionary = TermDictionary()
-        postings: List[PostingsList] = []
-        block_metadata: List[BlockMetadata] = []
-        for term, collection_frequency, start, end, first, last in bounds:
-            dictionary.add(term, end - start, collection_frequency)
-            postings.append(
-                PostingsList.from_trusted_arrays(
-                    doc_ids[start:end], frequencies[start:end]
-                )
-            )
-            block_metadata.append(
-                BlockMetadata(
-                    block_size,
-                    last_doc_ids[first:last],
-                    max_frequencies[first:last],
-                    min_doc_lengths[first:last],
-                )
-            )
-
         return InvertedIndex(
-            dictionary=dictionary,
-            postings=postings,
-            doc_lengths=doc_lengths,
-            analyzer=self.analyzer,
-            block_metadata=block_metadata,
-            block_size=block_size,
+            terms, layout, doc_lengths, self.analyzer, self.block_size
         )
 
     def build_with_stats(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -12,6 +12,26 @@ from repro.index.postings import PostingsList
 from repro.text.analyzer import Analyzer
 
 
+class PostingsLayout(NamedTuple):
+    """Every postings list of an index and its blocks, back to back.
+
+    Term ``t``'s postings are ``doc_ids[offsets[t]:offsets[t + 1]]``
+    with the parallel ``frequencies``; its block metadata is
+    ``block_offsets[t]:block_offsets[t + 1]`` of ``last_doc_ids``,
+    ``max_frequencies`` and ``min_doc_lengths``.  All int64.  This is
+    the shape the builder produces, a payload loads into and the index
+    image stores.
+    """
+
+    offsets: np.ndarray
+    doc_ids: np.ndarray
+    frequencies: np.ndarray
+    block_offsets: np.ndarray
+    last_doc_ids: np.ndarray
+    max_frequencies: np.ndarray
+    min_doc_lengths: np.ndarray
+
+
 class InvertedIndex:
     """An immutable inverted index over a document collection.
 
@@ -19,26 +39,60 @@ class InvertedIndex:
     (indexed by term id), per-document lengths (in analyzed terms, for
     BM25 length normalization), and the analyzer it was built with so
     queries are normalized identically to documents.
+
+    It is built from ``terms`` (in term-id order) and their
+    :class:`PostingsLayout`, which it keeps as :attr:`layout`: every
+    postings list and block-metadata record is a view of those arrays.
+    The layout is trusted, as the builder and the payload decoder
+    validate the postings; only every term having a posting is checked.
     """
 
     def __init__(
         self,
-        dictionary: TermDictionary,
-        postings: Sequence[PostingsList],
+        terms: Sequence[str],
+        layout: PostingsLayout,
         doc_lengths: np.ndarray,
         analyzer: Analyzer,
-        block_metadata: Optional[Sequence[Optional[BlockMetadata]]] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ):
-        if len(dictionary) != len(postings):
-            raise ValueError(
-                f"dictionary has {len(dictionary)} terms but "
-                f"{len(postings)} postings lists were given"
-            )
+        offsets, doc_ids, frequencies, block_offsets = layout[:4]
+        last_doc_ids, max_frequencies, min_doc_lengths = layout[4:]
+        if not np.all(offsets[1:] > offsets[:-1]):
+            raise ValueError("every term needs at least one posting")
         if block_size <= 0:
             raise ValueError(f"block_size must be positive, got {block_size}")
+        # One list of Python ints per offsets array: its slice shares them.
+        starts, firsts = offsets.tolist(), block_offsets.tolist()
+        bounds = zip(
+            terms,
+            np.add.reduceat(frequencies, offsets[:-1]).tolist(),
+            starts,
+            starts[1:],
+            firsts,
+            firsts[1:],
+        )
+        dictionary = TermDictionary()
+        postings: List[PostingsList] = []
+        block_metadata: List[BlockMetadata] = []
+        for term, collection_frequency, start, end, first, last in bounds:
+            dictionary.add(term, end - start, collection_frequency)
+            postings.append(
+                PostingsList.from_trusted_arrays(
+                    doc_ids[start:end], frequencies[start:end]
+                )
+            )
+            block_metadata.append(
+                BlockMetadata(
+                    block_size,
+                    last_doc_ids[first:last],
+                    max_frequencies[first:last],
+                    min_doc_lengths[first:last],
+                )
+            )
         self.dictionary = dictionary
-        self._postings = list(postings)
+        self._postings = postings
+        self._block_metadata = block_metadata
+        self.layout = layout
         self.doc_lengths = np.asarray(doc_lengths, dtype=np.int64)
         #: Mean analyzed document length (0.0 for an empty index).  The
         #: index is immutable, so the mean is taken once here: every
@@ -48,17 +102,6 @@ class InvertedIndex:
         )
         self.analyzer = analyzer
         self.block_size = int(block_size)
-        if block_metadata is None:
-            self._block_metadata: List[Optional[BlockMetadata]] = [
-                None
-            ] * len(self._postings)
-        else:
-            if len(block_metadata) != len(self._postings):
-                raise ValueError(
-                    f"{len(block_metadata)} block metadata entries for "
-                    f"{len(self._postings)} postings lists"
-                )
-            self._block_metadata = list(block_metadata)
 
     @property
     def num_documents(self) -> int:
@@ -73,7 +116,7 @@ class InvertedIndex:
     @property
     def total_postings(self) -> int:
         """Total number of postings across all terms."""
-        return sum(len(postings) for postings in self._postings)
+        return int(self.layout.offsets[-1])
 
     def term_info(self, term: str) -> Optional[TermInfo]:
         """Dictionary entry for ``term``, or None if absent."""
@@ -91,22 +134,8 @@ class InvertedIndex:
         return self._postings[term_id]
 
     def block_metadata_for_id(self, term_id: int) -> BlockMetadata:
-        """Block-max metadata by dense term id.
-
-        Computed lazily (and memoized) for indexes whose builder or
-        serialization version did not precompute it — a v1/v2 payload
-        answers block-max queries identically to a v3 one, just paying
-        the derivation cost on first use.  The memoization race under
-        concurrent shard searchers is benign: every thread derives the
-        same value from immutable postings.
-        """
-        cached = self._block_metadata[term_id]
-        if cached is None:
-            cached = BlockMetadata.from_postings(
-                self._postings[term_id], self.doc_lengths, self.block_size
-            )
-            self._block_metadata[term_id] = cached
-        return cached
+        """Block-max metadata by dense term id."""
+        return self._block_metadata[term_id]
 
     def block_metadata_for(self, term: str) -> Optional[BlockMetadata]:
         """Block-max metadata of ``term``, or None if the term is unknown."""

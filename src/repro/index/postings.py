@@ -66,13 +66,13 @@ class PostingsList:
     ) -> "PostingsList":
         """Wrap pre-validated int64 arrays without copying or checking.
 
-        The zero-copy attach path (worker processes mapping postings
-        out of the index image file) re-creates views over arrays the
-        builder already validated; re-running the strictly-increasing
-        scan there would touch every page of every postings list at
-        startup.  Callers guarantee the constructor's
-        invariants: parallel 1-D int64 arrays, strictly increasing
-        non-negative doc ids, positive frequencies.
+        Only the ``InvertedIndex`` constructor calls this, on the slices
+        of a ``PostingsLayout`` the builder or the payload decoder has
+        validated (or a worker's views of the index image); checking
+        each slice again would touch every page of every postings list
+        at startup.  Callers guarantee the constructor's invariants:
+        parallel 1-D int64 arrays, strictly increasing non-negative doc
+        ids, positive frequencies.
         """
         self = object.__new__(cls)
         self._doc_ids = doc_ids

@@ -38,7 +38,7 @@ max term frequency, local min document length) the Block-Max WAND
 traversal prunes with, so a loaded index skips blocks without
 re-deriving the maxima.  The block section sits inside the body, so
 the v2 crc32 covers it unchanged.  v1/v2 payloads still load — their
-indexes derive block metadata lazily on first block-max query.
+block metadata is derived as they load, as the builder derives it.
 
 The default stopword set is assumed; custom stopword sets are not
 persisted (raise at save time rather than silently dropping them).
@@ -54,19 +54,18 @@ from __future__ import annotations
 import io
 import zlib
 from pathlib import Path
-from typing import BinaryIO, List, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.index.blockmax import BlockMetadata
+from repro.index.blockmax import DEFAULT_BLOCK_SIZE, block_arrays
 from repro.index.compression import (
     decode_postings,
     decode_varint,
     encode_postings,
     encode_varint,
 )
-from repro.index.dictionary import TermDictionary
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import InvertedIndex, PostingsLayout
 from repro.index.postings import PostingsList
 from repro.text.analyzer import Analyzer, AnalyzerConfig
 from repro.text.stopwords import DEFAULT_STOPWORDS
@@ -294,8 +293,7 @@ def _deserialize_index_prefix(data: bytes):
             max_token_length=max_token_length,
         )
     )
-    block_size = None
-    block_metadata: List[BlockMetadata] = []
+    block_size = DEFAULT_BLOCK_SIZE
     try:
         if version >= 3:
             block_size, offset = decode_varint(data, offset)
@@ -307,42 +305,38 @@ def _deserialize_index_prefix(data: bytes):
             value, offset = decode_varint(data, offset)
             doc_lengths[index_position] = value
         num_terms, offset = decode_varint(data, offset)
-        dictionary = TermDictionary()
+        terms: List[str] = []
         postings: List[PostingsList] = []
+        stored_blocks: Optional[List[np.ndarray]] = None
+        if version >= 3:
+            stored_blocks = []
         for _ in range(num_terms):
             term_length, offset = decode_varint(data, offset)
-            term = data[offset : offset + term_length].decode("utf-8")
+            terms.append(data[offset : offset + term_length].decode("utf-8"))
             offset += term_length
             postings_list, consumed = decode_postings(data[offset:])
             offset += consumed
-            dictionary.add(
-                term,
-                document_frequency=postings_list.document_frequency(),
-                collection_frequency=postings_list.collection_frequency(),
-            )
             postings.append(postings_list)
-            if version >= 3:
-                num_blocks = -(-len(postings_list) // block_size)
-                last_doc_ids = np.empty(num_blocks, dtype=np.int64)
-                max_frequencies = np.empty(num_blocks, dtype=np.int64)
-                min_doc_lengths = np.empty(num_blocks, dtype=np.int64)
+            if stored_blocks is not None:
+                # Rows: last doc id, max term frequency, min doc length.
+                blocks = np.empty(
+                    (3, -(-len(postings_list) // block_size)), dtype=np.int64
+                )
                 previous = -1
-                for position in range(num_blocks):
+                for position in range(blocks.shape[1]):
                     gap, offset = decode_varint(data, offset)
                     previous += gap
-                    last_doc_ids[position] = previous
-                    value, offset = decode_varint(data, offset)
-                    max_frequencies[position] = value
-                    value, offset = decode_varint(data, offset)
-                    min_doc_lengths[position] = value
-                block_metadata.append(
-                    BlockMetadata(
-                        block_size=block_size,
-                        last_doc_ids=last_doc_ids,
-                        max_frequencies=max_frequencies,
-                        min_doc_lengths=min_doc_lengths,
-                    )
-                )
+                    blocks[0, position] = previous
+                    blocks[1, position], offset = decode_varint(data, offset)
+                    blocks[2, position], offset = decode_varint(data, offset)
+                stored_blocks.append(blocks)
+        index = InvertedIndex(
+            terms,
+            _layout(postings, stored_blocks, doc_lengths, block_size),
+            doc_lengths,
+            analyzer,
+            block_size,
+        )
     except (ValueError, IndexError, OverflowError, UnicodeDecodeError) as exc:
         if stored_checksum is None:
             raise
@@ -358,20 +352,29 @@ def _deserialize_index_prefix(data: bytes):
                 f"RIDX body checksum mismatch: "
                 f"stored {stored_checksum:#010x}, computed {actual:#010x}"
             )
-    if version >= 3:
-        index = InvertedIndex(
-            dictionary=dictionary,
-            postings=postings,
-            doc_lengths=doc_lengths,
-            analyzer=analyzer,
-            block_metadata=block_metadata,
-            block_size=block_size,
+    return (index, offset)
+
+
+def _layout(
+    postings: List[PostingsList],
+    stored_blocks: Optional[List[np.ndarray]],
+    doc_lengths: np.ndarray,
+    block_size: int,
+) -> PostingsLayout:
+    """Decoded lists, back to back, with their blocks: a v3 payload's
+    stored ``(3, num_blocks)`` arrays, or derived for v1/v2."""
+    empty = np.empty(0, dtype=np.int64)
+    offsets = np.cumsum([0, *map(len, postings)], dtype=np.int64)
+    doc_ids = np.concatenate([empty, *(p.doc_ids for p in postings)])
+    frequencies = np.concatenate([empty, *(p.frequencies for p in postings)])
+    if stored_blocks is None:
+        blocks = block_arrays(
+            offsets, doc_ids, frequencies, doc_lengths, block_size
         )
     else:
-        index = InvertedIndex(
-            dictionary=dictionary,
-            postings=postings,
-            doc_lengths=doc_lengths,
-            analyzer=analyzer,
+        counts = [stored.shape[1] for stored in stored_blocks]
+        blocks = (
+            np.cumsum([0, *counts], dtype=np.int64),
+            *np.concatenate([empty.reshape(3, 0), *stored_blocks], axis=1),
         )
-    return (index, offset)
+    return PostingsLayout(offsets, doc_ids, frequencies, *blocks)

@@ -14,15 +14,16 @@ contract:
   lives in ``/dev/shm`` when that directory exists (so its pages are
   memory, not disk) and in :func:`tempfile.gettempdir` otherwise.
 - :func:`attach_shared_index` (worker side) maps the image read-only
-  and rebuilds a structurally identical ``PartitionedIndex`` whose
-  numpy arrays are **read-only views** into the mapping — no postings
-  byte is copied, so worker resident-set cost is the dictionary strings
-  plus page tables.
+  and builds each shard's index from **read-only views** into the
+  mapping — no postings byte is copied, so worker resident-set cost is
+  the dictionary plus page tables.
 
-Only array payloads live in the image.  The term dictionary (term
-strings plus per-term statistics) and the analyzer travel inside the
-spec by pickle: they are small next to postings, and term df is
-recovered for free from the postings offset table.
+The image holds each shard index's
+:class:`~repro.index.inverted.PostingsLayout` as it is, plus its
+document lengths and global-id map; exporting writes those arrays and
+attaching views them and calls the one ``InvertedIndex`` constructor,
+which derives the dictionary's statistics from them.  The terms and
+the analyzer travel inside the spec by pickle.
 
 The attached index is *bit-identical* input to the scoring kernel:
 views alias the exact arrays the parent would traverse, so BM25 floats
@@ -30,16 +31,15 @@ come out equal to the thread backend's, not just close.
 
 Image word layout (all int64, per shard, shards concatenated)::
 
-    postings_offsets   num_terms + 1   prefix sums into doc_ids/frequencies
+    offsets            num_terms + 1   prefix sums into doc_ids/frequencies
     doc_ids            total_postings
     frequencies        total_postings
-    collection_freqs   num_terms
+    block_offsets      num_terms + 1   prefix sums into the block arrays
+    last_doc_ids       total_blocks
+    max_frequencies    total_blocks
+    min_doc_lengths    total_blocks
     doc_lengths        num_documents
     global_doc_ids     num_documents
-    block_offsets      num_terms + 1   prefix sums into the block arrays
-    block_last_ids     total_blocks
-    block_max_freqs    total_blocks
-    block_min_lengths  total_blocks
 """
 
 from __future__ import annotations
@@ -49,19 +49,16 @@ import os
 import tempfile
 import weakref
 from dataclasses import dataclass
-from typing import BinaryIO, List, Optional, Tuple
+from typing import BinaryIO, Tuple
 
 import numpy as np
 
-from repro.index.blockmax import BlockMetadata
-from repro.index.dictionary import TermDictionary
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import InvertedIndex, PostingsLayout
 from repro.index.partitioner import (
     IndexShard,
     PartitionedIndex,
     PartitionStrategy,
 )
-from repro.index.postings import PostingsList
 from repro.text.analyzer import Analyzer
 
 __all__ = [
@@ -87,24 +84,16 @@ class _Slice:
 class SharedShardSpec:
     """Layout of one shard inside the image.
 
-    ``terms`` is the shard's dictionary in dense term-id order; per-term
-    document frequency is implied by the postings offset table, so only
-    collection frequencies need their own array.
+    ``terms`` is the shard's dictionary in dense term-id order and
+    ``layout`` the slice of each :class:`PostingsLayout` field.
     """
 
     shard_id: int
     terms: Tuple[str, ...]
     block_size: int
-    postings_offsets: _Slice
-    doc_ids: _Slice
-    frequencies: _Slice
-    collection_frequencies: _Slice
+    layout: Tuple[_Slice, ...]
     doc_lengths: _Slice
     global_doc_ids: _Slice
-    block_offsets: _Slice
-    block_last_doc_ids: _Slice
-    block_max_frequencies: _Slice
-    block_min_doc_lengths: _Slice
 
 
 @dataclass(frozen=True)
@@ -155,65 +144,13 @@ def _export_shard(shard: IndexShard, writer: _LayoutWriter) -> SharedShardSpec:
             "resident InvertedIndex shards can be exported to an index "
             "image (tiered indexes are re-tiered inside each worker)"
         )
-    num_terms = index.num_terms
-    postings = index.all_postings()
-
-    postings_offsets = np.zeros(num_terms + 1, dtype=np.int64)
-    postings_offsets[1:] = np.cumsum(
-        np.asarray([len(p) for p in postings], dtype=np.int64)
-    )
-    doc_ids = (
-        np.concatenate([p.doc_ids for p in postings])
-        if postings
-        else np.empty(0, dtype=np.int64)
-    )
-    frequencies = (
-        np.concatenate([p.frequencies for p in postings])
-        if postings
-        else np.empty(0, dtype=np.int64)
-    )
-    collection_freqs = np.array(
-        [p.collection_frequency() for p in postings], dtype=np.int64
-    )
-
-    metadata = [
-        index.block_metadata_for_id(term_id) for term_id in range(num_terms)
-    ]
-    block_offsets = np.zeros(num_terms + 1, dtype=np.int64)
-    block_offsets[1:] = np.cumsum(
-        np.asarray([m.num_blocks for m in metadata], dtype=np.int64)
-    )
-    empty = np.empty(0, dtype=np.int64)
-    block_last = (
-        np.concatenate([m.last_doc_ids for m in metadata])
-        if metadata
-        else empty
-    )
-    block_max = (
-        np.concatenate([m.max_frequencies for m in metadata])
-        if metadata
-        else empty
-    )
-    block_min = (
-        np.concatenate([m.min_doc_lengths for m in metadata])
-        if metadata
-        else empty
-    )
-
     return SharedShardSpec(
         shard_id=shard.shard_id,
         terms=tuple(index.dictionary.terms()),
         block_size=index.block_size,
-        postings_offsets=writer.append(postings_offsets),
-        doc_ids=writer.append(doc_ids),
-        frequencies=writer.append(frequencies),
-        collection_frequencies=writer.append(collection_freqs),
+        layout=tuple(map(writer.append, index.layout)),
         doc_lengths=writer.append(index.doc_lengths),
         global_doc_ids=writer.append(shard.global_doc_ids),
-        block_offsets=writer.append(block_offsets),
-        block_last_doc_ids=writer.append(block_last),
-        block_max_frequencies=writer.append(block_max),
-        block_min_doc_lengths=writer.append(block_min),
     )
 
 
@@ -272,48 +209,13 @@ class SharedIndexArena:
 def _attach_shard(
     spec: SharedShardSpec, words: np.ndarray, analyzer: Analyzer
 ) -> IndexShard:
-    postings_offsets = spec.postings_offsets.view(words)
-    doc_ids = spec.doc_ids.view(words)
-    frequencies = spec.frequencies.view(words)
-    collection_freqs = spec.collection_frequencies.view(words)
-    block_offsets = spec.block_offsets.view(words)
-    block_last = spec.block_last_doc_ids.view(words)
-    block_max = spec.block_max_frequencies.view(words)
-    block_min = spec.block_min_doc_lengths.view(words)
-
-    dictionary = TermDictionary()
-    postings: List[PostingsList] = []
-    metadata: List[Optional[BlockMetadata]] = []
-    for term_id, term in enumerate(spec.terms):
-        lo = int(postings_offsets[term_id])
-        hi = int(postings_offsets[term_id + 1])
-        dictionary.add(
-            term,
-            document_frequency=hi - lo,
-            collection_frequency=int(collection_freqs[term_id]),
-        )
-        postings.append(
-            PostingsList.from_trusted_arrays(
-                doc_ids[lo:hi], frequencies[lo:hi]
-            )
-        )
-        blo = int(block_offsets[term_id])
-        bhi = int(block_offsets[term_id + 1])
-        metadata.append(
-            BlockMetadata(
-                block_size=spec.block_size,
-                last_doc_ids=block_last[blo:bhi],
-                max_frequencies=block_max[blo:bhi],
-                min_doc_lengths=block_min[blo:bhi],
-            )
-        )
+    layout = PostingsLayout(*(part.view(words) for part in spec.layout))
     index = InvertedIndex(
-        dictionary=dictionary,
-        postings=postings,
-        doc_lengths=spec.doc_lengths.view(words),
-        analyzer=analyzer,
-        block_metadata=metadata,
-        block_size=spec.block_size,
+        spec.terms,
+        layout,
+        spec.doc_lengths.view(words),
+        analyzer,
+        spec.block_size,
     )
     return IndexShard(
         shard_id=spec.shard_id,
@@ -323,7 +225,7 @@ def _attach_shard(
 
 
 def attach_shared_index(spec: SharedIndexSpec) -> PartitionedIndex:
-    """Map the image read-only and rebuild the partitioned index.
+    """Map the image read-only and build the partitioned index on it.
 
     The parent's :class:`SharedIndexArena` owns the file's lifetime
     (attachers never unlink).  The mapping lives as long as any array

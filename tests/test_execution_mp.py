@@ -19,9 +19,11 @@ The GIL-escape contract has three parts, each tested here:
   typed :class:`WorkerCrashError`, feeds the circuit breaker, and
   degrades coverage like any shard failure — batches re-dispatch to
   healthy workers first; ``close()`` deterministically unlinks the
-  image, and no child process outlives it.
+  image, and no child process outlives it, nor a parent killed with
+  SIGKILL.
 """
 
+import contextlib
 import gc
 import glob
 import multiprocessing
@@ -44,6 +46,7 @@ from repro.engine.isn import IndexServingNode
 from repro.engine.mp import ProcessShardPool, WorkerCrashError, WorkerOptions
 from repro.index.partitioner import partition_index
 from repro.index import shared
+from repro.index.serialization import serialize_index
 from repro.index.shared import SharedIndexArena, attach_shared_index
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import BreakerConfig
@@ -86,13 +89,14 @@ class TestSharedIndexAttach:
         query_strategy,
         st.integers(min_value=1, max_value=4),
         st.sampled_from(ALGORITHMS),
+        st.sampled_from([2, 128]),
     )
     def test_attached_index_scores_bit_identical(
-        self, texts, terms, num_partitions, algorithm
+        self, texts, terms, num_partitions, algorithm, block_size
     ):
         collection = build(texts)
         partitioned = partition_index(
-            collection, num_partitions, analyzer=PLAIN
+            collection, num_partitions, analyzer=PLAIN, block_size=block_size
         )
         arena = SharedIndexArena(partitioned)
         try:
@@ -113,6 +117,22 @@ class TestSharedIndexAttach:
                 ).search(query)
                 assert hit_pairs(rebuilt.hits) == hit_pairs(original.hits)
                 assert rebuilt.matched_volume == original.matched_volume
+            for shard, copy in zip(partitioned, attached):
+                # Dictionary, postings and every block array, byte for
+                # byte; the derived statistics against the postings.
+                assert serialize_index(copy.index) == serialize_index(
+                    shard.index
+                )
+                assert np.array_equal(
+                    copy.global_doc_ids, shard.global_doc_ids
+                )
+                for term_id, term in enumerate(copy.index.dictionary):
+                    postings = copy.index.postings_for_id(term_id)
+                    frequencies = postings.frequencies
+                    info = copy.index.term_info(term)
+                    assert info == shard.index.term_info(term)
+                    assert info.document_frequency == frequencies.size
+                    assert info.collection_frequency == frequencies.sum()
         finally:
             arena.close()
 
@@ -186,10 +206,13 @@ class TestSharedIndexAttach:
         assert set(glob.glob(images)) <= before
 
 
-#: Run by ``test_no_child_outlives_close`` in its own interpreter:
-#: prints ``[(pid, command)]`` for every child left after ``close()``.
-NO_CHILD_SCRIPT = """
+def engine_script(execution):
+    """Source that builds a P = 2 process-backend engine with
+    ``ExecutionConfig(backend="processes", <execution>)`` and answers
+    one query: the start of a script run in its own interpreter."""
+    return f"""
 import os
+import signal
 from repro.api import (
     CorpusConfig, EngineConfig, ExecutionConfig, QueryLogConfig,
     SearchEngine, VocabularyConfig,
@@ -203,9 +226,37 @@ engine = SearchEngine(EngineConfig(
     ),
     query_log=QueryLogConfig(num_unique_queries=20, seed=5),
     num_partitions=2,
-    execution=ExecutionConfig(backend="processes", workers=1),
+    execution=ExecutionConfig(backend="processes", {execution}),
 ))
 engine.search(engine.query_log[0].text)
+"""
+
+
+def run_script(script, **streams):
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``;
+    its output is captured unless ``streams`` redirect it."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        text=True,
+        timeout=120,
+        **(streams or {"capture_output": True}),
+    )
+
+
+def is_running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+#: Run by ``test_no_child_outlives_close`` in its own interpreter:
+#: prints ``[(pid, command)]`` for every child left after ``close()``.
+NO_CHILD_SCRIPT = engine_script("workers=1") + """
 engine.close()
 children = []
 for entry in filter(str.isdigit, os.listdir("/proc")):
@@ -485,16 +536,48 @@ class TestWorkerLifecycle:
         already running) builds a process-backend engine with the
         default start method, answers a query, closes, and lists its
         children: every one is gone."""
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        result = subprocess.run(
-            [sys.executable, "-c", NO_CHILD_SCRIPT],
-            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        result = run_script(NO_CHILD_SCRIPT)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods()
+        or not os.path.isdir("/proc"),
+        reason="forks workers and reads their state from /proc",
+    )
+    def test_no_worker_outlives_a_killed_parent(self, tmp_path):
+        """A parent killed with SIGKILL runs no cleanup: each forked
+        worker must read EOF on its pipe and exit by itself, which it
+        can only do if it holds no copy of any parent pipe end."""
+        script = (
+            engine_script('workers=2, start_method="fork"')
+            + "print(engine.isn.process_pool.worker_pids(), flush=True)\n"
+            + "print(engine.isn._arena.spec.path, flush=True)\n"
+            + "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        # Files, not pipes: a worker left running would hold a pipe's
+        # write end open and keep the run waiting for its EOF.
+        with open(tmp_path / "out", "w") as out, open(
+            tmp_path / "err", "w"
+        ) as err:
+            result = run_script(script, stdout=out, stderr=err)
+        assert result.returncode == -signal.SIGKILL, (
+            tmp_path / "err"
+        ).read_text()
+        pids, image = (tmp_path / "out").read_text().splitlines()
+        pids = [int(pid) for pid in pids.strip("[]").split(",")]
+        assert len(pids) == 2
+        try:
+            deadline = time.monotonic() + 10.0
+            while any(map(is_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if is_running(pid)] == []
+        finally:
+            for pid in filter(is_running, pids):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            # A killed parent leaves its image behind, as documented.
+            os.unlink(image)
 
     def test_pool_rejects_submissions_after_close(self, small_collection):
         partitioned = partition_index(small_collection, 1)

@@ -28,8 +28,7 @@ from repro.corpus.generator import CorpusGenerator
 from repro.index import builder as builder_module
 from repro.index.blockmax import BlockMetadata
 from repro.index.builder import IndexBuilder
-from repro.index.dictionary import TermDictionary
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import InvertedIndex, PostingsLayout
 from repro.index.partitioner import partition_collection, partition_index
 from repro.index.postings import PostingsList, check_postings
 from repro.index.serialization import serialize_index
@@ -85,29 +84,33 @@ def oracle_build(collection, analyzer=None, block_size=128):
             accumulator.setdefault(term, []).append(
                 (document.doc_id, frequency)
             )
-    dictionary = TermDictionary()
+    terms = sorted(accumulator)
     postings = []
     block_metadata = []
-    for term in sorted(accumulator):
+    for term in terms:
         doc_ids, frequencies = zip(*accumulator[term])
         postings_list = PostingsList(list(doc_ids), list(frequencies))
-        dictionary.add(
-            term,
-            document_frequency=postings_list.document_frequency(),
-            collection_frequency=postings_list.collection_frequency(),
-        )
         postings.append(postings_list)
         block_metadata.append(
             BlockMetadata.from_postings(postings_list, doc_lengths, block_size)
         )
-    return InvertedIndex(
-        dictionary=dictionary,
-        postings=postings,
-        doc_lengths=doc_lengths,
-        analyzer=analyzer,
-        block_metadata=block_metadata,
-        block_size=block_size,
+    # The validated lists and their metadata, packed back to back.
+    def offsets(sizes):
+        return np.cumsum([0, *sizes], dtype=np.int64)
+
+    def packed(arrays):
+        return np.concatenate([np.empty(0, dtype=np.int64), *arrays])
+
+    layout = PostingsLayout(
+        offsets(len(p) for p in postings),
+        packed(p.doc_ids for p in postings),
+        packed(p.frequencies for p in postings),
+        offsets(m.num_blocks for m in block_metadata),
+        packed(m.last_doc_ids for m in block_metadata),
+        packed(m.max_frequencies for m in block_metadata),
+        packed(m.min_doc_lengths for m in block_metadata),
     )
+    return InvertedIndex(terms, layout, doc_lengths, analyzer, block_size)
 
 
 def assert_same_index(built, oracle):
@@ -123,11 +126,15 @@ def assert_same_index(built, oracle):
         ours = built.postings_for_id(term_id)
         theirs = oracle.postings_for_id(term_id)
         assert ours == theirs
+        # Statistics against the validated list, not the shared constructor.
+        assert built.term_info(term).document_frequency == len(theirs)
+        assert built.term_info(term).collection_frequency == int(
+            theirs.frequencies.sum()
+        )
         assert ours.doc_ids.dtype == theirs.doc_ids.dtype == np.int64
         assert ours.frequencies.dtype == theirs.frequencies.dtype == np.int64
-        # The precomputed metadata, not the lazily derived one.
-        ours = built._block_metadata[term_id]
-        theirs = oracle._block_metadata[term_id]
+        ours = built.block_metadata_for_id(term_id)
+        theirs = oracle.block_metadata_for_id(term_id)
         assert ours.block_size == theirs.block_size
         for name in ("last_doc_ids", "max_frequencies", "min_doc_lengths"):
             assert getattr(ours, name).dtype == np.int64

@@ -202,6 +202,21 @@ class TestChecksum:
         except ValueError:
             pass  # an unparseable v1 payload is a plain format error
 
+    def test_version1_zero_frequency_posting_rejected(self):
+        """Loading validates what it reads: a hand-built v1 payload (no
+        checksum to fail first) whose one posting has frequency 0."""
+        from repro.index.compression import encode_varint_stream
+
+        def payload(frequency):
+            header = b"RIDX" + bytes([1, 0]) + encode_varint_stream([20])
+            # 1 document of length 1; 1 term "alpha": 1 posting, doc 0.
+            body = encode_varint_stream([1, 1, 1, 5]) + b"alpha"
+            return header + body + encode_varint_stream([1, 0, frequency])
+
+        assert deserialize_index(payload(1)).num_terms == 1
+        with pytest.raises(ValueError, match="frequencies must be positive"):
+            deserialize_index(payload(0))
+
     def test_positional_position_corruption_detected(self, small_collection):
         from repro.index.positional import PositionalIndexBuilder
         from repro.index.serialization import (

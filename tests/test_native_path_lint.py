@@ -710,3 +710,78 @@ class TestOneIndexImage:
             "src/repro/arena.py:3: "
             "from multiprocessing.shared_memory import SharedMemory",
         ]
+
+
+#: What ``index/shared.py`` must not import: the image is an index's
+#: arrays as they are, and only ``InvertedIndex`` cuts them into terms.
+PER_TERM_TYPES = {"PostingsList", "BlockMetadata", "TermDictionary"}
+
+
+def _layout_violations(root: Path = SRC_ROOT):
+    """``file:line: code`` for each trusted-array wrap outside
+    ``index/inverted.py`` and each per-term type ``index/shared.py``
+    imports."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root.parent).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "from_trusted_arrays"
+                and where != "src/repro/index/inverted.py"
+            ):
+                found.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
+            elif (
+                isinstance(node, (ast.Import, ast.ImportFrom))
+                and where == "src/repro/index/shared.py"
+                and PER_TERM_TYPES
+                & {alias.name.rpartition(".")[2] for alias in node.names}
+            ):
+                found.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+class TestOnePostingsLayout:
+    """An index comes in one shape: the builder's back-to-back arrays.
+
+    The index image once glued an index's per-term postings and block
+    objects back into arrays on export, and cut them into per-term
+    objects again on attach with a copy of the builder's loop.  Now the
+    image is the index's :class:`~repro.index.inverted.PostingsLayout`
+    and the one ``InvertedIndex`` constructor does the cutting.
+    """
+
+    def test_only_the_index_wraps_trusted_arrays(self):
+        assert _layout_violations() == []
+
+    def test_lint_sees_a_second_cut(self, tmp_path):
+        """Self-test: the old image module's per-term imports and attach
+        loop are reported; the index's own wrap is not."""
+        planted = tmp_path / "src" / "repro" / "index"
+        planted.mkdir(parents=True)
+        (planted / "inverted.py").write_text(
+            "from repro.index.postings import PostingsList\n"
+            "view = PostingsList.from_trusted_arrays(doc_ids, frequencies)\n"
+        )
+        (planted / "shared.py").write_text(
+            "from repro.index.blockmax import BlockMetadata\n"
+            "from repro.index.dictionary import TermDictionary\n"
+            "from repro.index.inverted import InvertedIndex\n"
+            "from repro.index.postings import PostingsList\n"
+            "def _attach_shard(spec, words, analyzer):\n"
+            "    for term_id, term in enumerate(spec.terms):\n"
+            "        postings.append(\n"
+            "            PostingsList.from_trusted_arrays(ids, freqs)\n"
+            "        )\n"
+        )
+        assert _layout_violations(tmp_path / "src") == [
+            "src/repro/index/shared.py:1: "
+            "from repro.index.blockmax import BlockMetadata",
+            "src/repro/index/shared.py:2: "
+            "from repro.index.dictionary import TermDictionary",
+            "src/repro/index/shared.py:4: "
+            "from repro.index.postings import PostingsList",
+            "src/repro/index/shared.py:8: "
+            "PostingsList.from_trusted_arrays(ids, freqs)",
+        ]
