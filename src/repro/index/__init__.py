@@ -1,12 +1,16 @@
 """Inverted index: the data structure at the heart of the benchmark.
 
 The benchmark's index serving node answers queries by intersecting and
-scoring posting lists.  This package provides the full index stack:
+scoring posting lists.  An index is its layout: every postings list and
+its block metadata back to back in a few int64 arrays, with a term → id
+map beside them; a term's postings are views of those arrays, never an
+object of their own.  This package provides the full index stack:
 
-- :mod:`repro.index.postings` — posting lists over dense doc ids;
-- :mod:`repro.index.dictionary` — the term dictionary;
+- :mod:`repro.index.postings` — the postings-list invariant and its check;
+- :mod:`repro.index.dictionary` — the term → id map and term statistics;
 - :mod:`repro.index.builder` — builds an index from a document collection;
-- :mod:`repro.index.inverted` — the queryable :class:`InvertedIndex`;
+- :mod:`repro.index.inverted` — the queryable :class:`InvertedIndex` and
+  its :class:`~repro.index.inverted.PostingsLayout`;
 - :mod:`repro.index.compression` — delta + varint postings codec;
 - :mod:`repro.index.partitioner` — intra-server document partitioning,
   the mechanism the paper's central study sweeps;
@@ -39,7 +43,6 @@ from repro.index.positional import (
     PositionalIndexBuilder,
     PositionalPostings,
 )
-from repro.index.postings import PostingsList
 from repro.index.serialization import (
     load_index,
     load_positional_index,
@@ -53,7 +56,6 @@ __all__ = [
     "InvertedIndex",
     "TermDictionary",
     "TermInfo",
-    "PostingsList",
     "PositionalIndex",
     "PositionalIndexBuilder",
     "PositionalPostings",

@@ -94,19 +94,21 @@ class BlockMetadata:
     @classmethod
     def from_postings(
         cls,
-        postings,
+        doc_ids: np.ndarray,
+        frequencies: np.ndarray,
         doc_lengths: np.ndarray,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> "BlockMetadata":
-        """Compute the metadata for one postings list.
+        """Compute the metadata of one postings list, block by block.
 
         ``doc_lengths`` is the index-wide per-document length table the
-        block minima are gathered from.
+        block minima are gathered from.  :func:`block_arrays` computes
+        the same arrays for every list at once.
         """
         if block_size <= 0:
             raise ValueError(f"block_size must be positive, got {block_size}")
-        doc_ids = postings.doc_ids
-        count = int(len(doc_ids))
+        doc_ids = np.asarray(doc_ids, dtype=np.int64)
+        count = int(doc_ids.size)
         if count == 0:
             empty = np.empty(0, dtype=np.int64)
             return cls(block_size, empty, empty.copy(), empty.copy())
@@ -115,13 +117,11 @@ class BlockMetadata:
         lengths = np.asarray(doc_lengths, dtype=np.int64)[doc_ids]
         return cls(
             block_size=block_size,
-            last_doc_ids=doc_ids[ends].astype(np.int64),
+            last_doc_ids=doc_ids[ends],
             max_frequencies=np.maximum.reduceat(
-                postings.frequencies, starts
-            ).astype(np.int64),
-            min_doc_lengths=np.minimum.reduceat(lengths, starts).astype(
-                np.int64
+                np.asarray(frequencies, dtype=np.int64), starts
             ),
+            min_doc_lengths=np.minimum.reduceat(lengths, starts),
         )
 
     def max_scores(self, scorer, idf: float) -> np.ndarray:

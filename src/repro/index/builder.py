@@ -98,7 +98,7 @@ def _postings_from_keys(
     A run of equal keys is one posting, its length the term frequency.
     Returns all lists' doc ids and frequencies back to back in term
     order and the ``num_terms + 1`` offsets between the lists, checked
-    against the :class:`PostingsList` invariants.
+    by :func:`~repro.index.postings.check_postings`.
     """
     is_start = np.ones(keys.size, dtype=bool)
     is_start[1:] = keys[1:] != keys[:-1]

@@ -12,7 +12,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.index.postings import PostingsList
+from repro.index.postings import check_postings
 
 
 def encode_varint(value: int) -> bytes:
@@ -74,28 +74,32 @@ def decode_varint_stream(data: bytes, count: int) -> List[int]:
     return values
 
 
-def encode_postings(postings: PostingsList) -> bytes:
+def encode_postings(doc_ids: np.ndarray, frequencies: np.ndarray) -> bytes:
     """Encode a postings list: count, then (gap, frequency) varint pairs.
 
     Doc ids are delta-gapped (first id stored as-is, subsequent ids as
     the difference to the previous id minus one — gaps are >= 1 because
     ids are strictly increasing, so we can save a little by biasing).
     """
-    doc_ids = postings.doc_ids
-    frequencies = postings.frequencies
-    out = bytearray(encode_varint(len(postings)))
+    out = bytearray(encode_varint(len(doc_ids)))
     previous = -1
-    for doc_id, frequency in zip(doc_ids, frequencies):
-        gap = int(doc_id) - previous - 1
-        out.extend(encode_varint(gap))
-        out.extend(encode_varint(int(frequency)))
-        previous = int(doc_id)
+    for doc_id, frequency in zip(doc_ids.tolist(), frequencies.tolist()):
+        out.extend(encode_varint(doc_id - previous - 1))
+        out.extend(encode_varint(frequency))
+        previous = doc_id
     return bytes(out)
 
 
-def decode_postings(data: bytes) -> Tuple[PostingsList, int]:
-    """Decode one postings list; returns ``(postings, next_offset)``."""
-    count, offset = decode_varint(data, 0)
+def decode_postings(
+    data: bytes, offset: int = 0
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Decode the postings list at ``offset`` of ``data``, in place.
+
+    Returns ``(doc_ids, frequencies, next_offset)``: int64 arrays that
+    :func:`~repro.index.postings.check_postings` has validated, and the
+    offset just past the list.
+    """
+    count, offset = decode_varint(data, offset)
     doc_ids = np.empty(count, dtype=np.int64)
     frequencies = np.empty(count, dtype=np.int64)
     previous = -1
@@ -106,9 +110,10 @@ def decode_postings(data: bytes) -> Tuple[PostingsList, int]:
         doc_ids[index] = doc_id
         frequencies[index] = frequency
         previous = doc_id
-    return PostingsList(doc_ids, frequencies), offset
+    check_postings(doc_ids, frequencies, np.array([0, count]))
+    return doc_ids, frequencies, offset
 
 
-def compressed_size(postings: PostingsList) -> int:
-    """Size in bytes of the compressed form of ``postings``."""
-    return len(encode_postings(postings))
+def compressed_size(doc_ids: np.ndarray, frequencies: np.ndarray) -> int:
+    """Size in bytes of the compressed form of a postings list."""
+    return len(encode_postings(doc_ids, frequencies))

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.index.blockmax import DEFAULT_BLOCK_SIZE, BlockMetadata
 from repro.index.dictionary import TermDictionary, TermInfo
-from repro.index.postings import PostingsList
 from repro.text.analyzer import Analyzer
 
 
@@ -35,14 +34,15 @@ class PostingsLayout(NamedTuple):
 class InvertedIndex:
     """An immutable inverted index over a document collection.
 
-    The index holds the term dictionary, one postings list per term
-    (indexed by term id), per-document lengths (in analyzed terms, for
-    BM25 length normalization), and the analyzer it was built with so
-    queries are normalized identically to documents.
+    The index is its :class:`PostingsLayout` (:attr:`layout`), a
+    :class:`TermDictionary` over ``terms`` (in term-id order), the
+    per-document lengths (in analyzed terms, for BM25 length
+    normalization), and the analyzer it was built with so queries are
+    normalized identically to documents.  Construction is array work
+    only: nothing is kept per term but the dictionary's ``dict`` entry
+    and list slots.  A term's postings and block metadata are views of
+    the layout, cut when a caller asks for them.
 
-    It is built from ``terms`` (in term-id order) and their
-    :class:`PostingsLayout`, which it keeps as :attr:`layout`: every
-    postings list and block-metadata record is a view of those arrays.
     The layout is trusted, as the builder and the payload decoder
     validate the postings; only every term having a posting is checked.
     """
@@ -55,44 +55,20 @@ class InvertedIndex:
         analyzer: Analyzer,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ):
-        offsets, doc_ids, frequencies, block_offsets = layout[:4]
-        last_doc_ids, max_frequencies, min_doc_lengths = layout[4:]
+        offsets = layout.offsets
         if not np.all(offsets[1:] > offsets[:-1]):
             raise ValueError("every term needs at least one posting")
         if block_size <= 0:
             raise ValueError(f"block_size must be positive, got {block_size}")
-        # One list of Python ints per offsets array: its slice shares them.
-        starts, firsts = offsets.tolist(), block_offsets.tolist()
-        bounds = zip(
+        self.dictionary = TermDictionary(
             terms,
-            np.add.reduceat(frequencies, offsets[:-1]).tolist(),
-            starts,
-            starts[1:],
-            firsts,
-            firsts[1:],
+            np.diff(offsets),
+            np.add.reduceat(layout.frequencies, offsets[:-1]),
         )
-        dictionary = TermDictionary()
-        postings: List[PostingsList] = []
-        block_metadata: List[BlockMetadata] = []
-        for term, collection_frequency, start, end, first, last in bounds:
-            dictionary.add(term, end - start, collection_frequency)
-            postings.append(
-                PostingsList.from_trusted_arrays(
-                    doc_ids[start:end], frequencies[start:end]
-                )
-            )
-            block_metadata.append(
-                BlockMetadata(
-                    block_size,
-                    last_doc_ids[first:last],
-                    max_frequencies[first:last],
-                    min_doc_lengths[first:last],
-                )
-            )
-        self.dictionary = dictionary
-        self._postings = postings
-        self._block_metadata = block_metadata
         self.layout = layout
+        # Python ints, so a term's bounds cost two list reads.
+        self._starts: List[int] = offsets.tolist()
+        self._block_starts: List[int] = layout.block_offsets.tolist()
         self.doc_lengths = np.asarray(doc_lengths, dtype=np.int64)
         #: Mean analyzed document length (0.0 for an empty index).  The
         #: index is immutable, so the mean is taken once here: every
@@ -116,38 +92,40 @@ class InvertedIndex:
     @property
     def total_postings(self) -> int:
         """Total number of postings across all terms."""
-        return int(self.layout.offsets[-1])
+        return self._starts[-1]
 
     def term_info(self, term: str) -> Optional[TermInfo]:
         """Dictionary entry for ``term``, or None if absent."""
         return self.dictionary.lookup(term)
 
-    def postings_for(self, term: str) -> PostingsList:
-        """Postings of ``term``; empty list if the term is unknown."""
-        info = self.dictionary.lookup(term)
-        if info is None:
-            return PostingsList.empty()
-        return self._postings[info.term_id]
+    def postings_for_id(self, term_id: int) -> Tuple[np.ndarray, np.ndarray]:
+        """A term's ``(doc_ids, frequencies)``: views of the layout.
 
-    def postings_for_id(self, term_id: int) -> PostingsList:
-        """Postings by dense term id."""
-        return self._postings[term_id]
+        Doc ids ascend strictly; do not mutate either array.
+        """
+        start, end = self._starts[term_id], self._starts[term_id + 1]
+        layout = self.layout
+        return layout.doc_ids[start:end], layout.frequencies[start:end]
 
     def block_metadata_for_id(self, term_id: int) -> BlockMetadata:
-        """Block-max metadata by dense term id."""
-        return self._block_metadata[term_id]
-
-    def block_metadata_for(self, term: str) -> Optional[BlockMetadata]:
-        """Block-max metadata of ``term``, or None if the term is unknown."""
-        info = self.dictionary.lookup(term)
-        if info is None:
-            return None
-        return self.block_metadata_for_id(info.term_id)
+        """Block-max metadata by dense term id: views of the layout."""
+        starts = self._block_starts
+        first, last = starts[term_id], starts[term_id + 1]
+        layout = self.layout
+        return BlockMetadata(
+            self.block_size,
+            layout.last_doc_ids[first:last],
+            layout.max_frequencies[first:last],
+            layout.min_doc_lengths[first:last],
+        )
 
     def document_frequency(self, term: str) -> int:
         """Number of documents containing ``term`` (0 if unknown)."""
-        info = self.dictionary.lookup(term)
-        return info.document_frequency if info else 0
+        dictionary = self.dictionary
+        term_id = dictionary.term_ids.get(term)
+        if term_id is None:
+            return 0
+        return dictionary.document_frequencies[term_id]
 
     def matched_postings_volume(self, terms: List[str]) -> int:
         """Total postings touched when evaluating ``terms``.
@@ -157,7 +135,3 @@ class InvertedIndex:
         term, so service time is roughly affine in this volume.
         """
         return sum(self.document_frequency(term) for term in terms)
-
-    def all_postings(self) -> List[PostingsList]:
-        """All postings lists in term-id order (do not mutate)."""
-        return self._postings

@@ -18,7 +18,6 @@ import numpy as np
 from repro.corpus.documents import DocumentCollection
 from repro.index.builder import IndexBuilder, term_occurrences
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import PostingsList
 from repro.text.analyzer import Analyzer, default_analyzer
 
 
@@ -59,14 +58,6 @@ class PositionalPostings:
             return self._positions[index]
         return None
 
-    def to_postings(self) -> PostingsList:
-        """Project to a frequency-only postings list."""
-        frequencies = np.array(
-            [len(position_list) for position_list in self._positions],
-            dtype=np.int64,
-        )
-        return PostingsList(self._doc_ids, frequencies)
-
 
 @dataclass(frozen=True)
 class PositionalIndex:
@@ -90,8 +81,8 @@ class PositionalIndexBuilder:
 
     The frequency index is :class:`IndexBuilder`'s; the position lists
     come from a second pass through the same analyzer, so the two must
-    agree (a property the test suite checks via
-    :meth:`PositionalPostings.to_postings`).
+    agree (the test suite checks every term's position counts against
+    its postings' frequencies).
     """
 
     def __init__(self, analyzer: Optional[Analyzer] = None):

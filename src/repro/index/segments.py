@@ -262,12 +262,12 @@ class SegmentedIndex:
                     continue
                 live += 1
                 total_length += int(index.doc_lengths[local])
-            for term in index.dictionary:
-                postings = index.postings_for(term)
+            for term_id, term in enumerate(index.dictionary):
+                doc_ids, _ = index.postings_for_id(term_id)
                 live_df = sum(
                     1
-                    for doc_id in postings.doc_ids
-                    if int(doc_id) not in deleted_locals
+                    for doc_id in doc_ids.tolist()
+                    if doc_id not in deleted_locals
                 )
                 if live_df:
                     dfs[term] = dfs.get(term, 0) + live_df

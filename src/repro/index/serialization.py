@@ -54,7 +54,7 @@ from __future__ import annotations
 import io
 import zlib
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -66,7 +66,6 @@ from repro.index.compression import (
     encode_varint,
 )
 from repro.index.inverted import InvertedIndex, PostingsLayout
-from repro.index.postings import PostingsList
 from repro.text.analyzer import Analyzer, AnalyzerConfig
 from repro.text.stopwords import DEFAULT_STOPWORDS
 
@@ -125,7 +124,7 @@ def serialize_index(index: InvertedIndex, version: int = _VERSION) -> bytes:
         term_bytes = term.encode("utf-8")
         body.write(encode_varint(len(term_bytes)))
         body.write(term_bytes)
-        body.write(encode_postings(index.postings_for_id(term_id)))
+        body.write(encode_postings(*index.postings_for_id(term_id)))
         if version >= 3:
             blocks = index.block_metadata_for_id(term_id)
             previous = -1
@@ -220,18 +219,18 @@ def deserialize_positional_index(data: bytes):
     try:
         for term_id in range(index.num_terms):
             term = index.dictionary.term_for_id(term_id)
-            postings = index.postings_for_id(term_id)
+            doc_ids, frequencies = index.postings_for_id(term_id)
             per_doc = []
-            for frequency in postings.frequencies:
-                values = np.empty(int(frequency), dtype=np.int64)
+            for frequency in frequencies.tolist():
+                values = np.empty(frequency, dtype=np.int64)
                 previous = -1
-                for slot in range(int(frequency)):
+                for slot in range(frequency):
                     gap, offset = decode_varint(data, offset)
                     value = previous + gap + 1
                     values[slot] = value
                     previous = value
                 per_doc.append(values)
-            positions[term] = PositionalPostings(postings.doc_ids, per_doc)
+            positions[term] = PositionalPostings(doc_ids, per_doc)
     except (ValueError, IndexError, OverflowError) as exc:
         if version < 2:
             raise
@@ -306,7 +305,7 @@ def _deserialize_index_prefix(data: bytes):
             doc_lengths[index_position] = value
         num_terms, offset = decode_varint(data, offset)
         terms: List[str] = []
-        postings: List[PostingsList] = []
+        postings: List[Tuple[np.ndarray, np.ndarray]] = []
         stored_blocks: Optional[List[np.ndarray]] = None
         if version >= 3:
             stored_blocks = []
@@ -314,13 +313,12 @@ def _deserialize_index_prefix(data: bytes):
             term_length, offset = decode_varint(data, offset)
             terms.append(data[offset : offset + term_length].decode("utf-8"))
             offset += term_length
-            postings_list, consumed = decode_postings(data[offset:])
-            offset += consumed
-            postings.append(postings_list)
+            doc_ids, frequencies, offset = decode_postings(data, offset)
+            postings.append((doc_ids, frequencies))
             if stored_blocks is not None:
                 # Rows: last doc id, max term frequency, min doc length.
                 blocks = np.empty(
-                    (3, -(-len(postings_list) // block_size)), dtype=np.int64
+                    (3, -(-doc_ids.size // block_size)), dtype=np.int64
                 )
                 previous = -1
                 for position in range(blocks.shape[1]):
@@ -356,7 +354,7 @@ def _deserialize_index_prefix(data: bytes):
 
 
 def _layout(
-    postings: List[PostingsList],
+    postings: List[Tuple[np.ndarray, np.ndarray]],
     stored_blocks: Optional[List[np.ndarray]],
     doc_lengths: np.ndarray,
     block_size: int,
@@ -364,9 +362,10 @@ def _layout(
     """Decoded lists, back to back, with their blocks: a v3 payload's
     stored ``(3, num_blocks)`` arrays, or derived for v1/v2."""
     empty = np.empty(0, dtype=np.int64)
-    offsets = np.cumsum([0, *map(len, postings)], dtype=np.int64)
-    doc_ids = np.concatenate([empty, *(p.doc_ids for p in postings)])
-    frequencies = np.concatenate([empty, *(p.frequencies for p in postings)])
+    sizes = (ids.size for ids, _ in postings)
+    offsets = np.cumsum([0, *sizes], dtype=np.int64)
+    doc_ids = np.concatenate([empty, *(ids for ids, _ in postings)])
+    frequencies = np.concatenate([empty, *(tfs for _, tfs in postings)])
     if stored_blocks is None:
         blocks = block_arrays(
             offsets, doc_ids, frequencies, doc_lengths, block_size

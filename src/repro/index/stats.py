@@ -113,7 +113,7 @@ def compressed_section_sizes(index: InvertedIndex) -> Dict[str, int]:
     for term_id in range(index.num_terms):
         term_bytes = index.dictionary.term_for_id(term_id).encode("utf-8")
         dictionary += len(encode_varint(len(term_bytes))) + len(term_bytes)
-        postings += compressed_size(index.postings_for_id(term_id))
+        postings += compressed_size(*index.postings_for_id(term_id))
         blocks = index.block_metadata_for_id(term_id)
         previous = -1
         for position in range(blocks.num_blocks):
@@ -160,13 +160,14 @@ def compute_statistics(
     non-postings sections).
     """
     lengths = np.array(
-        [len(postings) for postings in index.all_postings()], dtype=np.int64
+        index.dictionary.document_frequencies or [0], dtype=np.int64
     )
-    if lengths.size == 0:
-        lengths = np.zeros(1, dtype=np.int64)
     size = 0
     if include_compressed_size:
-        size = sum(compressed_size(postings) for postings in index.all_postings())
+        size = sum(
+            compressed_size(*index.postings_for_id(term_id))
+            for term_id in range(index.num_terms)
+        )
     sections = compressed_section_sizes(index) if include_sections else None
     return IndexStatistics(
         num_documents=index.num_documents,

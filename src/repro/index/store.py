@@ -3,16 +3,15 @@
 The benchmark so far keeps every shard index fully resident; the paper
 shows index residency drives service time, and the ROADMAP's next step
 is serving an index **larger than RAM**.  This module provides the
-storage layer for that: postings live in a *segment* — in memory, in a
-file, or behind a model of an object store — cut into fixed-size
+storage layer for that: postings live in a *segment* — in memory or
+behind a model of an object store — cut into fixed-size
 **blocks** (the same blocks the Block-Max WAND metadata describes), and
 are paged in block-at-a-time through an admission-controlled cache.
 
 Layers, bottom up:
 
 - :class:`BlockStore` — the raw byte store: :class:`InMemoryBlockStore`
-  (dict-backed), :class:`FileBlockStore` (byte-range reads from one
-  segment file), and :class:`SlowStore` (a seedable wrapper modeling
+  (dict-backed) and :class:`SlowStore` (a seedable wrapper modeling
   object-store latency and faults — the chaos knob for the fetch path).
 - :class:`BlockCache` — a byte-budgeted cache with **single-flight**
   fetch deduplication (many threads asking for the same cold block
@@ -33,37 +32,10 @@ suite asserts tiered search is bit-identical — doc ids *and* float
 scores — to fully-resident search under every cache budget, including
 budgets too small to hold a single block.
 
-On-disk segment format (``RTIX`` version 1, all ints varint unless
-noted)::
-
-    magic    4 bytes  b"RTIX"
-    version  1 byte
-    flags    1 byte   bit0=lowercase bit1=remove_stopwords bit2=stem
-    max_token_length
-    header_length                 (bytes of the header body below)
-    header_crc  4 bytes crc32 LE  (of the header body)
-    header body:
-        block_size
-        num_documents, doc_lengths[num_documents]
-        num_terms
-        repeat num_terms times:
-            term_utf8_length, term_utf8_bytes
-            collection_frequency
-            num_postings
-            repeat ceil(num_postings / block_size) times:
-                first_doc_id_delta   (gap from previous block's first, -1 start)
-                last_minus_first     (last_doc_id - first_doc_id)
-                block_max_term_frequency
-                block_min_doc_length
-                block_byte_length
-    block payloads, concatenated in (term, block) order; each payload:
-        crc32  4 bytes LE  (of the encoded postings below)
-        first_doc_id, then per posting: doc_id_gap_minus_1 (except the
-        first), term_frequency
-
-Every block payload is independently decodable (its first doc id is
-absolute) and independently checksummed, so a flipped bit in a paged-in
-block raises :class:`BlockIntegrityError` instead of mis-scoring.
+Every block payload (:func:`encode_postings_block`) is independently
+decodable (its first doc id is absolute) and independently checksummed,
+so a flipped bit in a paged-in block raises :class:`BlockIntegrityError`
+instead of mis-scoring.
 """
 
 from __future__ import annotations
@@ -73,16 +45,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -90,21 +53,17 @@ from repro.index.blockmax import BlockMetadata
 from repro.index.compression import decode_varint, encode_varint
 from repro.index.dictionary import TermDictionary, TermInfo
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import PostingsList
 from repro.index.serialization import CorruptedIndexError
-from repro.text.analyzer import Analyzer, AnalyzerConfig
-from repro.text.stopwords import DEFAULT_STOPWORDS
+from repro.text.analyzer import Analyzer
 
 __all__ = [
     "StoreError",
     "BlockNotFoundError",
-    "TruncatedSegmentError",
     "StoreTimeoutError",
     "BlockIntegrityError",
     "BlockKey",
     "BlockStore",
     "InMemoryBlockStore",
-    "FileBlockStore",
     "SlowStore",
     "BlockCache",
     "CacheSnapshot",
@@ -115,14 +74,10 @@ __all__ = [
     "build_block_map",
     "tier_index",
     "tier_partitioned_index",
-    "write_tiered_segment",
-    "open_tiered_index",
     "encode_postings_block",
     "decode_postings_block",
 ]
 
-_MAGIC = b"RTIX"
-_VERSION = 1
 _CHECKSUM_BYTES = 4
 
 
@@ -143,10 +98,6 @@ class StoreError(RuntimeError):
 
 class BlockNotFoundError(StoreError, KeyError):
     """The requested block does not exist in the store."""
-
-
-class TruncatedSegmentError(StoreError):
-    """A byte-range read ran off the end of the segment file."""
 
 
 class StoreTimeoutError(StoreError, TimeoutError):
@@ -196,41 +147,6 @@ class InMemoryBlockStore(BlockStore):
         if payload is None:
             raise BlockNotFoundError(f"no block {key} in store")
         return payload
-
-
-class FileBlockStore(BlockStore):
-    """Byte-range reads from one on-disk segment file.
-
-    ``toc`` maps each block to its ``(offset, length)`` within the
-    file.  A short read — the segment was truncated after the header
-    was written, the classic partial-upload failure — raises
-    :class:`TruncatedSegmentError`.
-    """
-
-    def __init__(self, path: Union[str, Path], toc: Dict[BlockKey, Tuple[int, int]]):
-        self.path = Path(path)
-        self._toc = dict(toc)
-        self._handle = open(self.path, "rb")
-        self._lock = threading.Lock()
-
-    def read(self, key: BlockKey) -> bytes:
-        entry = self._toc.get(key)
-        if entry is None:
-            raise BlockNotFoundError(f"no block {key} in segment TOC")
-        offset, length = entry
-        with self._lock:
-            self._handle.seek(offset)
-            payload = self._handle.read(length)
-        if len(payload) != length:
-            raise TruncatedSegmentError(
-                f"segment {self.path} truncated: block {key} wants "
-                f"[{offset}, {offset + length}) but only "
-                f"{offset + len(payload)} bytes exist"
-            )
-        return payload
-
-    def close(self) -> None:
-        self._handle.close()
 
 
 class SlowStore(BlockStore):
@@ -634,7 +550,6 @@ class _TermBlocks:
     """
 
     num_postings: int
-    collection_frequency: int
     first_doc_ids: np.ndarray
     block_lengths: np.ndarray
     metadata: BlockMetadata
@@ -654,8 +569,7 @@ class TieredPostings:
 
     ``block(i)`` pages in (through the cache) and returns the decoded
     ``(doc_ids, frequencies)`` arrays of block ``i``;
-    ``materialize()`` assembles the full
-    :class:`~repro.index.postings.PostingsList` (what exhaustive
+    ``materialize()`` assembles the full list's arrays (what exhaustive
     traversals consume).
     """
 
@@ -672,12 +586,10 @@ class TieredPostings:
         """Decoded arrays of one block (paged in on first touch)."""
         return self._fetch(block)
 
-    def materialize(self) -> PostingsList:
-        """Assemble the full postings list (pages in every block)."""
-        if self.info.num_postings == 0:
-            return PostingsList.empty()
+    def materialize(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The full ``(doc_ids, frequencies)`` (pages in every block)."""
         parts = [self.block(i) for i in range(self.info.num_blocks)]
-        return PostingsList(
+        return (
             np.concatenate([doc_ids for doc_ids, _ in parts]),
             np.concatenate([frequencies for _, frequencies in parts]),
         )
@@ -693,8 +605,8 @@ class TieredIndex:
     recognizes :meth:`tiered_postings_for_id` and pages in **only** the
     blocks its bounds cannot rule out.
 
-    Build one with :func:`tier_index` (from a resident index) or
-    :func:`open_tiered_index` (from a segment file).
+    Build one with :func:`tier_index` from a resident index, whose
+    immutable :class:`~repro.index.dictionary.TermDictionary` it shares.
     """
 
     is_tiered = True
@@ -771,22 +683,11 @@ class TieredIndex:
 
         return TieredPostings(info, fetch)
 
-    def postings_for_id(self, term_id: int) -> PostingsList:
-        """Full postings of a term — pages in every block."""
+    def postings_for_id(
+        self, term_id: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """A term's ``(doc_ids, frequencies)`` — pages in every block."""
         return self.tiered_postings_for_id(term_id).materialize()
-
-    def postings_for(self, term: str) -> PostingsList:
-        info = self.dictionary.lookup(term)
-        if info is None:
-            return PostingsList.empty()
-        return self.postings_for_id(info.term_id)
-
-    def all_postings(self) -> List[PostingsList]:
-        """Materialize every term (defeats tiering; statistics only)."""
-        return [
-            self.postings_for_id(term_id)
-            for term_id in range(self.num_terms)
-        ]
 
     # -- observability ---------------------------------------------------
 
@@ -796,30 +697,27 @@ class TieredIndex:
 
 
 # ---------------------------------------------------------------------------
-# building / persisting tiered segments
+# building tiered segments
 
 
 def _term_blocks_from_index(
     index: InvertedIndex, term_id: int
 ) -> Tuple[_TermBlocks, List[bytes]]:
     """Cut one term's postings into encoded blocks + resident metadata."""
-    postings = index.postings_for_id(term_id)
+    doc_ids, frequencies = index.postings_for_id(term_id)
     metadata = index.block_metadata_for_id(term_id)
     block_size = index.block_size
-    doc_ids = postings.doc_ids
-    frequencies = postings.frequencies
     payloads: List[bytes] = []
     first_doc_ids = np.empty(metadata.num_blocks, dtype=np.int64)
     for block in range(metadata.num_blocks):
         start = block * block_size
-        end = min(start + block_size, len(postings))
+        end = min(start + block_size, doc_ids.size)
         first_doc_ids[block] = doc_ids[start] if end > start else -1
         payloads.append(
             encode_postings_block(doc_ids[start:end], frequencies[start:end])
         )
     info = _TermBlocks(
-        num_postings=len(postings),
-        collection_frequency=postings.collection_frequency(),
+        num_postings=doc_ids.size,
         first_doc_ids=first_doc_ids,
         block_lengths=np.array(
             [len(payload) for payload in payloads], dtype=np.int64
@@ -847,19 +745,6 @@ def build_block_map(
     return terms, blocks
 
 
-def _copy_dictionary(index) -> TermDictionary:
-    dictionary = TermDictionary()
-    for term_id in range(index.num_terms):
-        term = index.dictionary.term_for_id(term_id)
-        info = index.dictionary.lookup(term)
-        dictionary.add(
-            term,
-            document_frequency=info.document_frequency,
-            collection_frequency=info.collection_frequency,
-        )
-    return dictionary
-
-
 def tier_index(
     index: InvertedIndex,
     cache_budget_bytes: int,
@@ -878,7 +763,7 @@ def tier_index(
     if store_wrapper is not None:
         store = store_wrapper(store)
     return _assemble_tiered(
-        dictionary=_copy_dictionary(index),
+        dictionary=index.dictionary,
         terms=terms,
         doc_lengths=index.doc_lengths,
         analyzer=index.analyzer,
@@ -929,202 +814,6 @@ def _assemble_tiered(
         block_size=block_size,
         store=store,
         cache=cache,
-    )
-
-
-def write_tiered_segment(
-    index: InvertedIndex, path: Union[str, Path]
-) -> int:
-    """Write ``index`` to ``path`` in the RTIX tiered-segment format.
-
-    Returns the number of bytes written.  Like the RIDX serializer,
-    custom stopword sets are not persistable.
-    """
-    config = index.analyzer.config
-    if config.remove_stopwords and config.stopwords != DEFAULT_STOPWORDS:
-        raise ValueError(
-            "custom stopword sets are not persistable; "
-            "use the default stopword set or disable stopword removal"
-        )
-    header = io.BytesIO()
-    header.write(encode_varint(index.block_size))
-    header.write(encode_varint(index.num_documents))
-    for length in index.doc_lengths:
-        header.write(encode_varint(int(length)))
-    header.write(encode_varint(index.num_terms))
-    payload_stream = io.BytesIO()
-    for term_id in range(index.num_terms):
-        info, payloads = _term_blocks_from_index(index, term_id)
-        term_bytes = index.dictionary.term_for_id(term_id).encode("utf-8")
-        header.write(encode_varint(len(term_bytes)))
-        header.write(term_bytes)
-        header.write(encode_varint(info.collection_frequency))
-        header.write(encode_varint(info.num_postings))
-        previous_first = -1
-        for block in range(info.num_blocks):
-            first = int(info.first_doc_ids[block])
-            last = int(info.metadata.last_doc_ids[block])
-            header.write(encode_varint(first - previous_first))
-            header.write(encode_varint(last - first))
-            header.write(
-                encode_varint(int(info.metadata.max_frequencies[block]))
-            )
-            header.write(
-                encode_varint(int(info.metadata.min_doc_lengths[block]))
-            )
-            header.write(encode_varint(int(info.block_lengths[block])))
-            previous_first = first
-            payload_stream.write(payloads[block])
-    body = header.getvalue()
-
-    out = io.BytesIO()
-    out.write(_MAGIC)
-    out.write(bytes([_VERSION]))
-    flags = (
-        (1 if config.lowercase else 0)
-        | (2 if config.remove_stopwords else 0)
-        | (4 if config.stem else 0)
-    )
-    out.write(bytes([flags]))
-    out.write(encode_varint(config.max_token_length))
-    out.write(encode_varint(len(body)))
-    out.write(zlib.crc32(body).to_bytes(_CHECKSUM_BYTES, "little"))
-    out.write(body)
-    out.write(payload_stream.getvalue())
-    data = out.getvalue()
-    Path(path).write_bytes(data)
-    return len(data)
-
-
-def open_tiered_index(
-    path: Union[str, Path],
-    cache_budget_bytes: int,
-    admission: bool = True,
-    store_wrapper: Optional[Callable[[BlockStore], BlockStore]] = None,
-    metrics=None,
-) -> TieredIndex:
-    """Open an RTIX segment for block-at-a-time serving.
-
-    Only the header (dictionary, doc lengths, per-block metadata) is
-    read eagerly; postings blocks are fetched by byte range on demand.
-    Header corruption raises :class:`CorruptedIndexError`; a header
-    that ends before its declared length raises
-    :class:`TruncatedSegmentError`.
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    if data[:4] != _MAGIC:
-        raise ValueError("not an RTIX tiered segment (bad magic)")
-    if data[4] != _VERSION:
-        raise ValueError(f"unsupported RTIX version {data[4]}")
-    flags = data[5]
-    offset = 6
-    max_token_length, offset = decode_varint(data, offset)
-    header_length, offset = decode_varint(data, offset)
-    if len(data) < offset + _CHECKSUM_BYTES:
-        raise TruncatedSegmentError(
-            f"segment {path} truncated inside its header checksum"
-        )
-    stored = int.from_bytes(data[offset : offset + _CHECKSUM_BYTES], "little")
-    offset += _CHECKSUM_BYTES
-    if len(data) < offset + header_length:
-        raise TruncatedSegmentError(
-            f"segment {path} truncated: header wants {header_length} bytes, "
-            f"{len(data) - offset} remain"
-        )
-    body = data[offset : offset + header_length]
-    if zlib.crc32(body) != stored:
-        raise CorruptedIndexError(
-            f"RTIX header checksum mismatch in {path}"
-        )
-    analyzer = Analyzer(
-        config=AnalyzerConfig(
-            lowercase=bool(flags & 1),
-            remove_stopwords=bool(flags & 2),
-            stem=bool(flags & 4),
-            max_token_length=max_token_length,
-        )
-    )
-    blocks_start = offset + header_length
-
-    cursor = 0
-    try:
-        block_size, cursor = decode_varint(body, cursor)
-        num_documents, cursor = decode_varint(body, cursor)
-        doc_lengths = np.empty(num_documents, dtype=np.int64)
-        for position in range(num_documents):
-            value, cursor = decode_varint(body, cursor)
-            doc_lengths[position] = value
-        num_terms, cursor = decode_varint(body, cursor)
-        dictionary = TermDictionary()
-        terms: List[_TermBlocks] = []
-        toc: Dict[BlockKey, Tuple[int, int]] = {}
-        payload_offset = blocks_start
-        for term_id in range(num_terms):
-            term_length, cursor = decode_varint(body, cursor)
-            term = body[cursor : cursor + term_length].decode("utf-8")
-            cursor += term_length
-            collection_frequency, cursor = decode_varint(body, cursor)
-            num_postings, cursor = decode_varint(body, cursor)
-            num_blocks = -(-num_postings // block_size)
-            first_doc_ids = np.empty(num_blocks, dtype=np.int64)
-            last_doc_ids = np.empty(num_blocks, dtype=np.int64)
-            max_frequencies = np.empty(num_blocks, dtype=np.int64)
-            min_doc_lengths = np.empty(num_blocks, dtype=np.int64)
-            block_lengths = np.empty(num_blocks, dtype=np.int64)
-            previous_first = -1
-            for block in range(num_blocks):
-                gap, cursor = decode_varint(body, cursor)
-                first = previous_first + gap
-                span, cursor = decode_varint(body, cursor)
-                value, cursor = decode_varint(body, cursor)
-                max_frequencies[block] = value
-                value, cursor = decode_varint(body, cursor)
-                min_doc_lengths[block] = value
-                length, cursor = decode_varint(body, cursor)
-                first_doc_ids[block] = first
-                last_doc_ids[block] = first + span
-                block_lengths[block] = length
-                toc[BlockKey(term_id, block)] = (payload_offset, length)
-                payload_offset += length
-                previous_first = first
-            dictionary.add(
-                term,
-                document_frequency=num_postings,
-                collection_frequency=collection_frequency,
-            )
-            terms.append(
-                _TermBlocks(
-                    num_postings=num_postings,
-                    collection_frequency=collection_frequency,
-                    first_doc_ids=first_doc_ids,
-                    block_lengths=block_lengths,
-                    metadata=BlockMetadata(
-                        block_size=block_size,
-                        last_doc_ids=last_doc_ids,
-                        max_frequencies=max_frequencies,
-                        min_doc_lengths=min_doc_lengths,
-                    ),
-                )
-            )
-    except (ValueError, IndexError, OverflowError, UnicodeDecodeError) as exc:
-        raise CorruptedIndexError(
-            f"RTIX header failed to parse (corrupt payload): {exc}"
-        ) from exc
-
-    store: BlockStore = FileBlockStore(path, toc)
-    if store_wrapper is not None:
-        store = store_wrapper(store)
-    return _assemble_tiered(
-        dictionary=dictionary,
-        terms=terms,
-        doc_lengths=doc_lengths,
-        analyzer=analyzer,
-        block_size=block_size,
-        store=store,
-        cache_budget_bytes=cache_budget_bytes,
-        admission=admission,
-        metrics=metrics,
     )
 
 

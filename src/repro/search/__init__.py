@@ -15,12 +15,7 @@ from repro.search.global_stats import (
     global_scorer_factory,
 )
 from repro.search.executor import SearchResult, Searcher, ShardSearcher
-from repro.search.intersection import (
-    intersect_adaptive,
-    intersect_gallop,
-    intersect_merge,
-    score_conjunctive,
-)
+from repro.search.intersection import intersect_gallop, intersect_merge
 from repro.search.merger import merge_shard_results
 from repro.search.phrase import parse_phrase, phrase_frequency, score_phrase
 from repro.search.query import ParsedQuery, QueryMode, QueryParser
@@ -59,8 +54,6 @@ __all__ = [
     "score_phrase",
     "parse_phrase",
     "phrase_frequency",
-    "score_conjunctive",
-    "intersect_adaptive",
     "intersect_gallop",
     "intersect_merge",
     "Searcher",

@@ -273,21 +273,17 @@ _Record = Union[_TermImpacts, _PagedImpacts]
 def _term_impacts(
     index: InvertedIndex, scorer, term: str
 ) -> Optional[_TermImpacts]:
-    """Build ``term``'s resident record; None when the index has no posting of it."""
-    info = index.term_info(term)
-    if info is None:
+    """Build ``term``'s resident record; None when the index lacks the term."""
+    term_id = index.dictionary.term_ids.get(term)
+    if term_id is None:
         return None
-    postings = index.postings_for_id(info.term_id)
-    if len(postings) == 0:
-        return None
-    idf = resolve_idf(scorer, term, info.document_frequency)
-    doc_ids = postings.doc_ids
-    blocks = index.block_metadata_for_id(info.term_id)
+    document_frequency = index.dictionary.document_frequencies[term_id]
+    idf = resolve_idf(scorer, term, document_frequency)
+    doc_ids, frequencies = index.postings_for_id(term_id)
+    blocks = index.block_metadata_for_id(term_id)
     return _TermImpacts(
         doc_ids,
-        _vector_scores(
-            scorer, postings.frequencies, index.doc_lengths[doc_ids], idf
-        ),
+        _vector_scores(scorer, frequencies, index.doc_lengths[doc_ids], idf),
         blocks.last_doc_ids,
         blocks.max_scores(scorer, idf),
     )
@@ -299,8 +295,6 @@ def _paged_impacts(index, scorer, term: str) -> Optional[_PagedImpacts]:
     if info is None:
         return None
     blocks = index.block_metadata_for_id(info.term_id)
-    if blocks.num_blocks == 0:
-        return None
     idf = resolve_idf(scorer, term, info.document_frequency)
     return _PagedImpacts(
         index.tiered_postings_for_id(info.term_id),

@@ -89,19 +89,19 @@ def score_daat(
         )
 
     # Each term is looked up once; the lookups give the matched volume.
+    term_ids = index.dictionary.term_ids
+    document_frequencies = index.dictionary.document_frequencies
     found = []
     idfs: List[float] = []
     volume = 0
     for term in query.terms:
-        info = index.term_info(term)
-        if info is None:
+        term_id = term_ids.get(term)
+        if term_id is None:
             continue
-        volume += info.document_frequency
-        postings = index.postings_for_id(info.term_id)
-        if len(postings) == 0:
-            continue
-        found.append(postings)
-        idfs.append(resolve_idf(scorer, term, info.document_frequency))
+        document_frequency = document_frequencies[term_id]
+        volume += document_frequency
+        found.append(index.postings_for_id(term_id))
+        idfs.append(resolve_idf(scorer, term, document_frequency))
     if stats is not None:
         stats.matched_volume += volume
     if not found:
@@ -115,9 +115,9 @@ def score_daat(
     # scored in one pass, each term's idf repeated over its postings:
     # every element sees the float64 operations of the scalar path, in
     # the same order (score_block's contract).
-    ids = np.concatenate([postings.doc_ids for postings in found])
-    frequencies = np.concatenate([postings.frequencies for postings in found])
-    idf = np.array(idfs).repeat([len(postings) for postings in found])
+    ids = np.concatenate([doc_ids for doc_ids, _ in found])
+    frequencies = np.concatenate([tfs for _, tfs in found])
+    idf = np.array(idfs).repeat([doc_ids.size for doc_ids, _ in found])
     if normalizer is None:
         contributions = _vector_scores(
             scorer, frequencies, index.doc_lengths[ids], idf

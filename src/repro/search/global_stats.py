@@ -39,9 +39,9 @@ def collect_global_stats(partitioned: PartitionedIndex) -> GlobalStats:
         index = shard.index
         num_documents += index.num_documents
         total_length += int(index.doc_lengths.sum())
-        for term in index.dictionary:
-            info = index.dictionary.lookup(term)
-            dfs[term] = dfs.get(term, 0) + info.document_frequency
+        dictionary = index.dictionary
+        for term, df in zip(dictionary, dictionary.document_frequencies):
+            dfs[term] = dfs.get(term, 0) + df
     average = total_length / num_documents if num_documents else 0.0
     return GlobalStats(
         num_documents=num_documents,

@@ -2,36 +2,22 @@
 
 Conjunctive (AND) evaluation reduces to intersecting doc-id lists, and
 the algorithm matters when list lengths are skewed — which, under a
-Zipfian vocabulary, they almost always are.  Three classic algorithms:
+Zipfian vocabulary, they almost always are.  Two classic algorithms:
 
 - :func:`intersect_merge` — linear merge, O(n + m); best for lists of
   similar length;
 - :func:`intersect_gallop` — small-vs-large galloping (exponential
   probe + binary search), O(n log(m/n)); best when one list is much
-  shorter;
-- :func:`intersect_adaptive` — picks between them by length ratio,
-  and intersects k lists smallest-first so the candidate set shrinks
-  as fast as possible.
+  shorter.
 
-``score_conjunctive`` runs a full AND query on top of the adaptive
-intersection and must rank identically to DAAT in AND mode (the test
-suite enforces it); the micro benchmarks compare the algorithms'
-throughput on skewed lists.
+The phrase/snippet bench compares their throughput on skewed lists.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
-
-from repro.index.inverted import InvertedIndex
-from repro.search.query import ParsedQuery, QueryMode
-from repro.search.scoring import BM25Scorer, Scorer, resolve_idf
-from repro.search.topk import SearchHit, TopKHeap
-
-#: Length ratio beyond which galloping beats the linear merge.
-GALLOP_RATIO = 8.0
 
 
 def intersect_merge(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -80,73 +66,3 @@ def intersect_gallop(small: np.ndarray, large: np.ndarray) -> np.ndarray:
             out.append(int(value))
             position += 1
     return np.asarray(out, dtype=np.int64)
-
-
-def intersect_adaptive(lists: Sequence[np.ndarray]) -> np.ndarray:
-    """Intersect k sorted unique lists, smallest first, choosing the
-    per-pair algorithm by length ratio."""
-    if not lists:
-        return np.empty(0, dtype=np.int64)
-    ordered = sorted(lists, key=lambda array: array.size)
-    result = np.asarray(ordered[0], dtype=np.int64)
-    for other in ordered[1:]:
-        if result.size == 0:
-            return result
-        if other.size >= GALLOP_RATIO * result.size:
-            result = intersect_gallop(result, other)
-        else:
-            result = intersect_merge(result, other)
-    return result
-
-
-def score_conjunctive(
-    index: InvertedIndex,
-    query: ParsedQuery,
-    scorer: Optional[Scorer] = None,
-) -> List[SearchHit]:
-    """AND-mode evaluation via adaptive intersection + post-scoring.
-
-    Ranks identically to :func:`repro.search.daat.score_daat` in AND
-    mode; the intersection-first structure is how engines actually run
-    conjunctive queries when term frequencies are skewed.
-    """
-    if query.mode is not QueryMode.AND:
-        raise ValueError("score_conjunctive handles AND queries only")
-    if query.is_empty:
-        return []
-    if scorer is None:
-        scorer = BM25Scorer(
-            num_documents=index.num_documents,
-            average_doc_length=index.average_doc_length,
-        )
-
-    term_postings = []
-    for term in query.terms:
-        info = index.term_info(term)
-        if info is None:
-            return []
-        postings = index.postings_for_id(info.term_id)
-        if len(postings) == 0:
-            return []
-        term_postings.append(
-            (term, postings, resolve_idf(scorer, term, info.document_frequency))
-        )
-
-    candidates = intersect_adaptive(
-        [postings.doc_ids for _, postings, _ in term_postings]
-    )
-    if candidates.size == 0:
-        return []
-
-    heap = TopKHeap(query.k)
-    doc_lengths = index.doc_lengths
-    for doc_id in candidates:
-        score = 0.0
-        for _, postings, idf in term_postings:
-            score += scorer.score(
-                postings.frequency_of(int(doc_id)),
-                int(doc_lengths[doc_id]),
-                idf,
-            )
-        heap.offer(int(doc_id), score)
-    return heap.results()

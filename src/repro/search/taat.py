@@ -44,22 +44,22 @@ def score_taat(
     scores = np.zeros(index.num_documents, dtype=np.float64)
     match_counts = np.zeros(index.num_documents, dtype=np.int32)
     doc_lengths = index.doc_lengths
+    term_ids = index.dictionary.term_ids
+    document_frequencies = index.dictionary.document_frequencies
     terms_found = 0
     volume = 0
 
     for term in query.terms:
-        info = index.term_info(term)
-        if info is None:
+        term_id = term_ids.get(term)
+        if term_id is None:
             continue
-        volume += info.document_frequency
-        postings = index.postings_for_id(info.term_id)
-        if len(postings) == 0:
-            continue
+        document_frequency = document_frequencies[term_id]
+        volume += document_frequency
         terms_found += 1
-        idf = resolve_idf(scorer, term, info.document_frequency)
-        doc_ids = postings.doc_ids
+        idf = resolve_idf(scorer, term, document_frequency)
+        doc_ids, frequencies = index.postings_for_id(term_id)
         contributions = _vector_scores(
-            scorer, postings.frequencies, doc_lengths[doc_ids], idf
+            scorer, frequencies, doc_lengths[doc_ids], idf
         )
         scores[doc_ids] += contributions
         match_counts[doc_ids] += 1

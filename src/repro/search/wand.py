@@ -70,22 +70,23 @@ class _Cursor:
 
     def __init__(
         self,
-        postings,
+        doc_ids: np.ndarray,
+        frequencies: np.ndarray,
         block_size: int,
         idf: float,
         max_score: float,
         rank: int,
         stride: int,
     ):
-        self.doc_ids = postings.doc_ids
+        self.doc_ids = doc_ids
         self.cur = self.doc_ids.item(0)
         self.key = self.cur * stride + rank
         self.rank = rank
         self.stride = stride
         self.idf = idf
         self.max_score = max_score
-        self.frequencies = postings.frequencies
-        self.size = len(self.doc_ids)
+        self.frequencies = frequencies
+        self.size = doc_ids.size
         self.position = 0
         self.block_size = block_size
         self.scores: List[float] = []
@@ -169,21 +170,21 @@ def score_wand(
             average_doc_length=index.average_doc_length,
         )
 
+    term_ids = index.dictionary.term_ids
+    document_frequencies = index.dictionary.document_frequencies
     live: List[_Cursor] = []
     stride = len(query.terms)
     volume = 0
     for rank, term in enumerate(query.terms):
-        info = index.term_info(term)
-        if info is None:
+        term_id = term_ids.get(term)
+        if term_id is None:
             continue
-        volume += info.document_frequency
-        postings = index.postings_for_id(info.term_id)
-        if len(postings) == 0:
-            continue
-        idf = resolve_idf(scorer, term, info.document_frequency)
+        document_frequency = document_frequencies[term_id]
+        volume += document_frequency
+        idf = resolve_idf(scorer, term, document_frequency)
         live.append(
             _Cursor(
-                postings,
+                *index.postings_for_id(term_id),
                 index.block_size,
                 idf,
                 scorer.max_score(idf),

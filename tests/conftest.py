@@ -27,6 +27,20 @@ SMALL_CORPUS_CONFIG = CorpusConfig(
 )
 
 
+def postings_pairs(index, term):
+    """``term``'s ``[(doc_id, frequency), ...]`` in ``index`` ([] if absent)."""
+    info = index.term_info(term)
+    if info is None:
+        return []
+    doc_ids, frequencies = index.postings_for_id(info.term_id)
+    return list(zip(doc_ids.tolist(), frequencies.tolist()))
+
+
+def every_postings(index):
+    """Every term's ``(doc_ids, frequencies)``, in term-id order."""
+    return [index.postings_for_id(t) for t in range(index.num_terms)]
+
+
 @pytest.fixture(scope="session")
 def corpus_generator():
     return CorpusGenerator(SMALL_CORPUS_CONFIG)

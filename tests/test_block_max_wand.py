@@ -48,6 +48,11 @@ def build_index(texts, block_size=DEFAULT_BLOCK_SIZE):
     return IndexBuilder(PLAIN, block_size=block_size).build(collection)
 
 
+def postings_of(index, term):
+    """``(doc_ids, frequencies)`` of a term the index holds."""
+    return index.postings_for_id(index.term_info(term).term_id)
+
+
 def as_pairs(hits):
     return [(h.doc_id, h.score) for h in hits]
 
@@ -55,38 +60,33 @@ def as_pairs(hits):
 class TestBlockMetadata:
     def test_rejects_nonpositive_block_size(self):
         index = build_index(["alpha beta"])
-        postings = index.postings_for("alpha")
+        doc_ids, frequencies = postings_of(index, "alpha")
         with pytest.raises(ValueError, match="block_size"):
             BlockMetadata.from_postings(
-                postings, index.doc_lengths, block_size=0
+                doc_ids, frequencies, index.doc_lengths, block_size=0
             )
 
     def test_empty_postings(self):
-        from types import SimpleNamespace
-
-        empty = SimpleNamespace(
-            doc_ids=np.array([], dtype=np.int64),
-            frequencies=np.array([], dtype=np.int64),
-        )
+        empty = np.array([], dtype=np.int64)
         blocks = BlockMetadata.from_postings(
-            empty, np.array([], dtype=np.int64), block_size=4
+            empty, empty, np.array([], dtype=np.int64), block_size=4
         )
         assert len(blocks.last_doc_ids) == 0
 
     def test_block_partition_is_exact(self):
         texts = [f"alpha {'beta ' * (i % 5)}" for i in range(37)]
         index = build_index(texts, block_size=4)
-        postings = index.postings_for("alpha")
-        blocks = index.block_metadata_for("alpha")
-        num_blocks = -(-len(postings.doc_ids) // 4)
+        doc_ids, frequencies = postings_of(index, "alpha")
+        blocks = index.block_metadata_for_id(index.term_info("alpha").term_id)
+        num_blocks = -(-len(doc_ids) // 4)
         assert len(blocks.last_doc_ids) == num_blocks
         # Last id of every block is the true boundary posting.
         for block in range(num_blocks):
-            end = min((block + 1) * 4, len(postings.doc_ids))
-            assert blocks.last_doc_ids[block] == postings.doc_ids[end - 1]
-            chunk = postings.frequencies[block * 4 : end]
+            end = min((block + 1) * 4, len(doc_ids))
+            assert blocks.last_doc_ids[block] == doc_ids[end - 1]
+            chunk = frequencies[block * 4 : end]
             assert blocks.max_frequencies[block] == chunk.max()
-            chunk_ids = postings.doc_ids[block * 4 : end]
+            chunk_ids = doc_ids[block * 4 : end]
             assert (
                 blocks.min_doc_lengths[block]
                 == index.doc_lengths[chunk_ids].min()
@@ -99,14 +99,16 @@ class TestBlockMetadata:
             num_documents=index.num_documents,
             average_doc_length=index.average_doc_length,
         )
-        postings = index.postings_for("alpha")
+        doc_ids, frequencies = postings_of(index, "alpha")
         info = index.dictionary.lookup("alpha")
         idf = scorer.idf(info.document_frequency)
-        bounds = index.block_metadata_for("alpha").max_scores(scorer, idf)
-        for position, doc_id in enumerate(postings.doc_ids):
+        bounds = index.block_metadata_for_id(info.term_id).max_scores(
+            scorer, idf
+        )
+        for position, doc_id in enumerate(doc_ids):
             block = position // 3
             actual = scorer.score(
-                int(postings.frequencies[position]),
+                int(frequencies[position]),
                 int(index.doc_lengths[doc_id]),
                 idf,
             )

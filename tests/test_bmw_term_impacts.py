@@ -16,6 +16,7 @@ against exhaustive DAAT only; ``TestMemoBound`` and
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.engine.execution import ExecutionConfig
@@ -172,10 +173,12 @@ class TestMemoBound:
         assert UNKNOWN in queried and UNKNOWN not in known
         assert set(searcher._impacts) == known
         for term, record in searcher._impacts.items():
-            postings = index.postings_for(term)
-            blocks = index.block_metadata_for(term)
-            assert record.doc_ids is postings.doc_ids
-            assert len(record.scores) == len(postings)
+            term_id = index.term_info(term).term_id
+            doc_ids, _ = index.postings_for_id(term_id)
+            blocks = index.block_metadata_for_id(term_id)
+            assert record.doc_ids.base is index.layout.doc_ids
+            assert np.array_equal(record.doc_ids, doc_ids)
+            assert len(record.scores) == len(doc_ids)
             assert len(record.bounds) == blocks.num_blocks + 1
             assert record.bounds[-1] == 0.0
 

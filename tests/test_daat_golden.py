@@ -48,8 +48,7 @@ class _OracleCursor:
     __slots__ = ("doc_ids", "frequencies", "position", "idf", "scores")
 
     def __init__(self, postings, idf):
-        self.doc_ids = postings.doc_ids
-        self.frequencies = postings.frequencies
+        self.doc_ids, self.frequencies = postings
         self.position = 0
         self.idf = idf
         self.scores = None
@@ -84,12 +83,10 @@ def oracle_daat(index, query, scorer=None, metrics=None, stats=None):
         info = index.term_info(term)
         if info is None:
             continue
-        postings = index.postings_for_id(info.term_id)
-        if len(postings) == 0:
-            continue
         cursors.append(
             _OracleCursor(
-                postings, resolve_idf(scorer, term, info.document_frequency)
+                index.postings_for_id(info.term_id),
+                resolve_idf(scorer, term, info.document_frequency),
             )
         )
     if not cursors:

@@ -127,8 +127,7 @@ class TestSharedIndexAttach:
                     copy.global_doc_ids, shard.global_doc_ids
                 )
                 for term_id, term in enumerate(copy.index.dictionary):
-                    postings = copy.index.postings_for_id(term_id)
-                    frequencies = postings.frequencies
+                    _, frequencies = copy.index.postings_for_id(term_id)
                     info = copy.index.term_info(term)
                     assert info == shard.index.term_info(term)
                     assert info.document_frequency == frequencies.size
@@ -140,12 +139,11 @@ class TestSharedIndexAttach:
         partitioned = partition_index(small_collection, 2)
         with SharedIndexArena(partitioned) as arena:
             attached = attach_shared_index(arena.spec)
-            postings = attached[0].index.all_postings()
-            nonempty = next(p for p in postings if len(p))
+            doc_ids, _ = attached[0].index.postings_for_id(0)
             with pytest.raises((ValueError, OSError)):
-                nonempty.doc_ids[0] = 99
+                doc_ids[0] = 99
             # Views, not copies: no postings array owns its memory.
-            assert not nonempty.doc_ids.flags.owndata
+            assert not doc_ids.flags.owndata
 
     def test_attached_arrays_are_plain_read_only_ndarrays(
         self, small_collection
@@ -159,11 +157,10 @@ class TestSharedIndexAttach:
             for shard in attached:
                 index = shard.index
                 arrays += [index.doc_lengths, shard.global_doc_ids]
-                for term_id, postings in enumerate(index.all_postings()):
+                for term_id in range(index.num_terms):
                     blocks = index.block_metadata_for_id(term_id)
                     arrays += [
-                        postings.doc_ids,
-                        postings.frequencies,
+                        *index.postings_for_id(term_id),
                         blocks.last_doc_ids,
                         blocks.max_frequencies,
                         blocks.min_doc_lengths,

@@ -4,7 +4,7 @@
 per distinct raw token, sorts one ``(term, doc)`` key array and cuts
 postings, statistics and block metadata out of it.  The loop it
 replaced — ``Analyzer.analyze`` per document, a ``Counter`` + ``sorted``
-per document, one validating ``PostingsList`` and one
+per document, one ``check_postings`` and one
 ``BlockMetadata.from_postings`` per term — lives on here as
 :func:`oracle_build`, the reference the array pass must reproduce
 byte for byte: same serialized index, same document lengths, same
@@ -30,11 +30,12 @@ from repro.index.blockmax import BlockMetadata
 from repro.index.builder import IndexBuilder
 from repro.index.inverted import InvertedIndex, PostingsLayout
 from repro.index.partitioner import partition_collection, partition_index
-from repro.index.postings import PostingsList, check_postings
+from repro.index.postings import check_postings
 from repro.index.serialization import serialize_index
 from repro.text.analyzer import Analyzer, AnalyzerConfig, default_analyzer
 from repro.text.tokenizer import Tokenizer
 from tests.conftest import SMALL_CORPUS_CONFIG
+from tests.test_index_postings import check
 from tests.test_wand_family_golden import GOLDEN_CORPUS
 
 ANALYZERS = {
@@ -88,11 +89,16 @@ def oracle_build(collection, analyzer=None, block_size=128):
     postings = []
     block_metadata = []
     for term in terms:
-        doc_ids, frequencies = zip(*accumulator[term])
-        postings_list = PostingsList(list(doc_ids), list(frequencies))
-        postings.append(postings_list)
+        doc_ids, frequencies = (
+            np.array(column, dtype=np.int64)
+            for column in zip(*accumulator[term])
+        )
+        check_postings(doc_ids, frequencies, np.array([0, doc_ids.size]))
+        postings.append((doc_ids, frequencies))
         block_metadata.append(
-            BlockMetadata.from_postings(postings_list, doc_lengths, block_size)
+            BlockMetadata.from_postings(
+                doc_ids, frequencies, doc_lengths, block_size
+            )
         )
     # The validated lists and their metadata, packed back to back.
     def offsets(sizes):
@@ -102,9 +108,9 @@ def oracle_build(collection, analyzer=None, block_size=128):
         return np.concatenate([np.empty(0, dtype=np.int64), *arrays])
 
     layout = PostingsLayout(
-        offsets(len(p) for p in postings),
-        packed(p.doc_ids for p in postings),
-        packed(p.frequencies for p in postings),
+        offsets(doc_ids.size for doc_ids, _ in postings),
+        packed(doc_ids for doc_ids, _ in postings),
+        packed(frequencies for _, frequencies in postings),
         offsets(m.num_blocks for m in block_metadata),
         packed(m.last_doc_ids for m in block_metadata),
         packed(m.max_frequencies for m in block_metadata),
@@ -125,14 +131,14 @@ def assert_same_index(built, oracle):
         assert built.term_info(term) == oracle.term_info(term)
         ours = built.postings_for_id(term_id)
         theirs = oracle.postings_for_id(term_id)
-        assert ours == theirs
+        for mine, reference in zip(ours, theirs):
+            assert np.array_equal(mine, reference)
+            assert mine.dtype == reference.dtype == np.int64
         # Statistics against the validated list, not the shared constructor.
-        assert built.term_info(term).document_frequency == len(theirs)
+        assert built.term_info(term).document_frequency == theirs[0].size
         assert built.term_info(term).collection_frequency == int(
-            theirs.frequencies.sum()
+            theirs[1].sum()
         )
-        assert ours.doc_ids.dtype == theirs.doc_ids.dtype == np.int64
-        assert ours.frequencies.dtype == theirs.frequencies.dtype == np.int64
         ours = built.block_metadata_for_id(term_id)
         theirs = oracle.block_metadata_for_id(term_id)
         assert ours.block_size == theirs.block_size
@@ -253,7 +259,7 @@ class TestBuildMatchesOracle:
         """The comparison is not vacuous: one tf off by one fails it."""
         built = IndexBuilder().build(golden_collection)
         oracle = oracle_build(golden_collection)
-        frequencies = oracle.postings_for_id(3).frequencies
+        _, frequencies = oracle.postings_for_id(3)
         frequencies[0] += 1
         with pytest.raises(AssertionError):
             assert_same_index(built, oracle)
@@ -399,16 +405,15 @@ class TestOnePassBuild:
 
     def test_postings_are_views_of_two_shared_arrays(self, golden_collection):
         index = IndexBuilder().build(golden_collection)
-        doc_bases = {id(p.doc_ids.base) for p in index.all_postings()}
-        freq_bases = {id(p.frequencies.base) for p in index.all_postings()}
-        assert len(doc_bases) == len(freq_bases) == 1
-        first = index.postings_for_id(0)
-        assert first.doc_ids.base is not None
-        assert first.frequencies.base is not None
+        lists = [index.postings_for_id(t) for t in range(index.num_terms)]
+        doc_bases = {id(doc_ids.base) for doc_ids, _ in lists}
+        freq_bases = {id(frequencies.base) for _, frequencies in lists}
+        assert doc_bases == {id(index.layout.doc_ids)}
+        assert freq_bases == {id(index.layout.frequencies)}
 
 
 class TestInvariantsStillChecked:
-    """A hand-corrupted key array raises the constructor's ``ValueError``s."""
+    """A hand-corrupted key array fails ``check_postings``."""
 
     NUM_DOCS = 10
 
@@ -431,7 +436,7 @@ class TestInvariantsStillChecked:
         with pytest.raises(ValueError, match="strictly increasing"):
             builder_module._postings_from_keys(keys, self.NUM_DOCS, num_terms=2)
         with pytest.raises(ValueError, match="strictly increasing"):
-            PostingsList([4, 1], [1, 1])
+            check([4, 1], [1, 1])
 
     def test_repeated_doc_id_within_a_term(self):
         # (0, 1) twice but not adjacent: two postings for one document
@@ -447,7 +452,7 @@ class TestInvariantsStillChecked:
                 np.array([0, 2], dtype=np.int64),
             )
         with pytest.raises(ValueError, match="non-negative"):
-            PostingsList([-1, 2], [1, 1])
+            check([-1, 2], [1, 1])
 
     def test_non_positive_frequency(self):
         with pytest.raises(ValueError, match="must be positive"):
@@ -457,7 +462,7 @@ class TestInvariantsStillChecked:
                 np.array([0, 2], dtype=np.int64),
             )
         with pytest.raises(ValueError, match="must be positive"):
-            PostingsList([1, 2], [1, 0])
+            check([1, 2], [1, 0])
 
     def test_unequal_shapes(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -467,7 +472,7 @@ class TestInvariantsStillChecked:
                 np.array([0, 2], dtype=np.int64),
             )
         with pytest.raises(ValueError, match="equal length"):
-            PostingsList([1, 2], [1])
+            check([1, 2], [1])
 
     def test_list_boundaries_may_step_down(self):
         check_postings(

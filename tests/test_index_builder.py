@@ -6,6 +6,7 @@ import pytest
 from repro.corpus.documents import Document, DocumentCollection
 from repro.index.builder import IndexBuilder
 from repro.text.analyzer import Analyzer, AnalyzerConfig
+from tests.conftest import every_postings, postings_pairs
 
 
 def make_collection(texts):
@@ -28,12 +29,9 @@ class TestIndexBuilder:
         index = plain_builder.build(
             make_collection(["cat dog", "dog dog bird", "cat"])
         )
-        cat = index.postings_for("cat")
-        assert cat.pairs() == [(0, 1), (2, 1)]
-        dog = index.postings_for("dog")
-        assert dog.pairs() == [(0, 1), (1, 2)]
-        bird = index.postings_for("bird")
-        assert bird.pairs() == [(1, 1)]
+        assert postings_pairs(index, "cat") == [(0, 1), (2, 1)]
+        assert postings_pairs(index, "dog") == [(0, 1), (1, 2)]
+        assert postings_pairs(index, "bird") == [(1, 1)]
 
     def test_doc_lengths(self, plain_builder):
         index = plain_builder.build(make_collection(["a b c", "a", ""]))
@@ -73,12 +71,11 @@ class TestIndexBuilder:
         assert first.dictionary.terms() == second.dictionary.terms()
 
     def test_total_postings_consistency(self, small_index):
-        total = sum(len(p) for p in small_index.all_postings())
+        total = sum(len(ids) for ids, _ in every_postings(small_index))
         assert small_index.total_postings == total
 
     def test_postings_sorted_by_doc_id(self, small_index):
-        for postings in small_index.all_postings():
-            doc_ids = postings.doc_ids
+        for doc_ids, _ in every_postings(small_index):
             assert np.all(np.diff(doc_ids) > 0) or len(doc_ids) <= 1
 
 

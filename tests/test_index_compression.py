@@ -1,5 +1,6 @@
 """Unit + property tests for the varint/delta postings codec."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from repro.index.compression import (
     encode_varint,
     encode_varint_stream,
 )
-from repro.index.postings import PostingsList
 from tests.test_index_postings import from_pairs
 
 
@@ -53,29 +53,56 @@ class TestVarint:
             decode_varint_stream(data, 2)
 
 
+def same(decoded, postings):
+    """``decode_postings`` output equals the ``(doc_ids, frequencies)`` pair."""
+    doc_ids, frequencies = postings
+    return (
+        np.array_equal(decoded[0], doc_ids)
+        and np.array_equal(decoded[1], frequencies)
+        and decoded[0].dtype == decoded[1].dtype == np.int64
+    )
+
+
 class TestPostingsCodec:
     def test_empty_roundtrip(self):
-        encoded = encode_postings(PostingsList.empty())
-        decoded, consumed = decode_postings(encoded)
-        assert len(decoded) == 0
+        encoded = encode_postings(*from_pairs([]))
+        doc_ids, frequencies, consumed = decode_postings(encoded)
+        assert doc_ids.size == frequencies.size == 0
         assert consumed == len(encoded)
 
     def test_simple_roundtrip(self):
         postings = from_pairs([(0, 1), (1, 2), (100, 3)])
-        decoded, consumed = decode_postings(encode_postings(postings))
-        assert decoded == postings
+        decoded = decode_postings(encode_postings(*postings))
+        assert same(decoded, postings)
 
     def test_dense_ids_compress_well(self):
         # Consecutive ids have gap 0 after biasing: 2 bytes per posting.
         postings = from_pairs([(i, 1) for i in range(1000)])
-        assert compressed_size(postings) <= 2 * 1000 + 3
+        assert compressed_size(*postings) <= 2 * 1000 + 3
 
     def test_decode_reports_consumed_bytes(self):
         postings = from_pairs([(3, 1), (9, 2)])
-        encoded = encode_postings(postings) + b"extra"
-        decoded, consumed = decode_postings(encoded)
-        assert decoded == postings
-        assert encoded[consumed:] == b"extra"
+        encoded = encode_postings(*postings) + b"extra"
+        decoded = decode_postings(encoded)
+        assert same(decoded, postings)
+        assert encoded[decoded[2]:] == b"extra"
+
+    def test_decodes_in_place_at_an_offset(self):
+        """A list decoded at a non-zero offset equals the list decoded
+        from the slice, and the returned offset is absolute."""
+        first = encode_postings(*from_pairs([(2, 1), (7, 3)]))
+        second = encode_postings(*from_pairs([(0, 4), (5, 1), (300, 2)]))
+        data = b"\x99" + first + second + b"tail"
+        at_offset = decode_postings(data, 1 + len(first))
+        from_slice = decode_postings(data[1 + len(first):])
+        assert same(at_offset, from_slice[:2])
+        assert at_offset[2] == 1 + len(first) + from_slice[2]
+        assert data[at_offset[2]:] == b"tail"
+
+    def test_decode_validates(self):
+        # Frequency 0 breaks the postings invariant, not the varints.
+        with pytest.raises(ValueError, match="frequencies must be positive"):
+            decode_postings(bytes([1, 0, 0]))
 
     @given(
         st.lists(
@@ -89,6 +116,6 @@ class TestPostingsCodec:
     )
     def test_roundtrip_property(self, pairs):
         postings = from_pairs(pairs)
-        decoded, consumed = decode_postings(encode_postings(postings))
-        assert decoded == postings
-        assert consumed == len(encode_postings(postings))
+        decoded = decode_postings(encode_postings(*postings))
+        assert same(decoded, postings)
+        assert decoded[2] == len(encode_postings(*postings))

@@ -10,6 +10,7 @@ from repro.index.positional import (
     PositionalPostings,
 )
 from repro.text.analyzer import Analyzer, AnalyzerConfig
+from tests.conftest import postings_pairs
 
 PLAIN = Analyzer(AnalyzerConfig(remove_stopwords=False, stem=False))
 
@@ -29,13 +30,6 @@ class TestPositionalPostings:
         assert list(postings.positions_in(1)) == [0, 4]
         assert list(postings.positions_in(5)) == [2]
         assert postings.positions_in(3) is None
-
-    def test_to_postings(self):
-        postings = PositionalPostings(
-            [1, 5], [np.array([0, 4]), np.array([2])]
-        )
-        projected = postings.to_postings()
-        assert projected.pairs() == [(1, 2), (5, 1)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,14 +69,16 @@ class TestPositionalIndexBuilder:
         plain = IndexBuilder().build(small_collection)
         assert positional.index.dictionary.terms() == plain.dictionary.terms()
         for term in list(plain.dictionary)[:100]:
-            assert positional.index.postings_for(term) == plain.postings_for(
-                term
+            assert postings_pairs(positional.index, term) == postings_pairs(
+                plain, term
             )
 
     def test_positions_consistent_with_frequencies(self, small_collection):
         positional = PositionalIndexBuilder().build(small_collection)
         for term in list(positional.index.dictionary)[:50]:
             postings = positional.positions_for(term)
-            assert postings.to_postings() == positional.index.postings_for(
-                term
-            )
+            projected = [
+                (doc_id, len(postings.positions_in(doc_id)))
+                for doc_id in postings.doc_ids.tolist()
+            ]
+            assert projected == postings_pairs(positional.index, term)

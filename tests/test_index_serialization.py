@@ -10,6 +10,7 @@ from repro.index.serialization import (
     serialize_index,
 )
 from repro.text.analyzer import Analyzer, AnalyzerConfig
+from tests.conftest import postings_pairs
 
 
 class TestSerialization:
@@ -23,7 +24,9 @@ class TestSerialization:
     def test_roundtrip_preserves_postings(self, small_index):
         restored = deserialize_index(serialize_index(small_index))
         for term in list(small_index.dictionary)[:100]:
-            assert restored.postings_for(term) == small_index.postings_for(term)
+            assert postings_pairs(restored, term) == postings_pairs(
+                small_index, term
+            )
 
     def test_roundtrip_preserves_analyzer_config(self, small_index):
         restored = deserialize_index(serialize_index(small_index))

@@ -1,12 +1,11 @@
-"""Unit tests for the tiered block store, cache, and segment format.
+"""Unit tests for the tiered block store and cache.
 
 The tiered path's contract is *bit-identical results, different I/O
 schedule* — so these tests pin the building blocks that contract rests
 on: the self-delimiting block codec (with checksums), the byte-budgeted
 single-flight cache (admission, eviction, counter accounting, thread
-safety), the fault-injecting store wrapper, and the RTIX segment
-round-trip.  The cross-cutting bit-identity properties live in
-``test_properties_tiered.py``.
+safety) and the fault-injecting store wrapper.  The cross-cutting
+bit-identity properties live in ``test_properties_tiered.py``.
 """
 
 import threading
@@ -18,30 +17,26 @@ import pytest
 from repro.corpus.documents import Document, DocumentCollection
 from repro.index.builder import IndexBuilder
 from repro.index.partitioner import partition_index
-from repro.index.serialization import CorruptedIndexError
 from repro.index.store import (
     BlockCache,
     BlockIntegrityError,
     BlockKey,
     BlockNotFoundError,
-    FileBlockStore,
     FrequencySketch,
     InMemoryBlockStore,
     SlowStore,
     StoreTimeoutError,
     TieredStorageConfig,
-    TruncatedSegmentError,
     build_block_map,
     decode_postings_block,
     encode_postings_block,
-    open_tiered_index,
     tier_index,
     tier_partitioned_index,
-    write_tiered_segment,
 )
 from repro.search.daat import score_daat
 from repro.search.query import ParsedQuery
 from repro.text.analyzer import Analyzer, AnalyzerConfig
+from tests.conftest import postings_pairs
 
 
 def build_index(texts, block_size=4):
@@ -379,24 +374,6 @@ class TestStores:
         with pytest.raises(BlockNotFoundError):
             store.read(BlockKey(0, 0))
 
-    def test_file_store_reads_ranges(self, tmp_path):
-        path = tmp_path / "blob.bin"
-        path.write_bytes(b"aaabbbbcc")
-        store = FileBlockStore(
-            path, {BlockKey(0, 0): (0, 3), BlockKey(0, 1): (3, 4)}
-        )
-        assert store.read(BlockKey(0, 0)) == b"aaa"
-        assert store.read(BlockKey(0, 1)) == b"bbbb"
-        store.close()
-
-    def test_file_store_short_read_is_truncation(self, tmp_path):
-        path = tmp_path / "blob.bin"
-        path.write_bytes(b"aaa")
-        store = FileBlockStore(path, {BlockKey(0, 0): (0, 10)})
-        with pytest.raises(TruncatedSegmentError):
-            store.read(BlockKey(0, 0))
-        store.close()
-
     def test_slow_store_timeout_rate_one(self):
         store = SlowStore(
             InMemoryBlockStore({BlockKey(0, 0): b"x"}), timeout_rate=1.0
@@ -447,8 +424,11 @@ class TestTieredIndex:
         assert tiered.average_doc_length == pytest.approx(
             paged_index.average_doc_length
         )
+        assert tiered.dictionary is paged_index.dictionary
         for term in paged_index.dictionary:
-            assert tiered.postings_for(term) == paged_index.postings_for(term)
+            assert postings_pairs(tiered, term) == postings_pairs(
+                paged_index, term
+            )
             assert tiered.document_frequency(
                 term
             ) == paged_index.document_frequency(term)
@@ -461,7 +441,9 @@ class TestTieredIndex:
 
     def test_unknown_term_is_empty(self, paged_index):
         tiered = tier_index(paged_index, cache_budget_bytes=1 << 20)
-        assert len(tiered.postings_for("zzzz")) == 0
+        assert tiered.term_info("zzzz") is None
+        assert tiered.document_frequency("zzzz") == 0
+        assert postings_pairs(tiered, "zzzz") == []
 
     def test_search_pages_blocks(self, paged_index):
         tiered = tier_index(paged_index, cache_budget_bytes=1 << 20)
@@ -491,69 +473,6 @@ class TestTieredIndex:
         tiered.store._blocks[BlockKey(victim, 0)] = forged
         with pytest.raises(BlockIntegrityError, match="TOC"):
             tiered.postings_for_id(victim)
-
-
-class TestTieredSegmentFile:
-    def test_roundtrip_preserves_results(self, tmp_path, paged_index):
-        path = tmp_path / "segment.rtix"
-        written = write_tiered_segment(paged_index, path)
-        assert written == path.stat().st_size
-        tiered = open_tiered_index(path, cache_budget_bytes=1 << 20)
-        for term in paged_index.dictionary:
-            assert tiered.postings_for(term) == paged_index.postings_for(term)
-        assert list(tiered.doc_lengths) == list(paged_index.doc_lengths)
-        tiered.store.close()
-
-    def test_truncated_header_rejected(self, tmp_path, paged_index):
-        path = tmp_path / "segment.rtix"
-        write_tiered_segment(paged_index, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:20])
-        with pytest.raises(TruncatedSegmentError):
-            open_tiered_index(path, cache_budget_bytes=1 << 20)
-
-    def test_header_corruption_rejected(self, tmp_path, paged_index):
-        path = tmp_path / "segment.rtix"
-        write_tiered_segment(paged_index, path)
-        data = bytearray(path.read_bytes())
-        data[40] ^= 0xFF  # somewhere inside the checksummed header body
-        path.write_bytes(bytes(data))
-        with pytest.raises(CorruptedIndexError):
-            open_tiered_index(path, cache_budget_bytes=1 << 20)
-
-    def test_bad_magic_rejected(self, tmp_path, paged_index):
-        path = tmp_path / "segment.rtix"
-        write_tiered_segment(paged_index, path)
-        data = bytearray(path.read_bytes())
-        data[0] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="magic"):
-            open_tiered_index(path, cache_budget_bytes=1 << 20)
-
-    def test_block_corruption_surfaces_on_page_in(self, tmp_path, paged_index):
-        """Header intact, one payload byte flipped: open succeeds, the
-        paged-in block raises a typed integrity error."""
-        path = tmp_path / "segment.rtix"
-        write_tiered_segment(paged_index, path)
-        data = bytearray(path.read_bytes())
-        data[-3] ^= 0x01  # inside the last postings block
-        path.write_bytes(bytes(data))
-        tiered = open_tiered_index(path, cache_budget_bytes=1 << 20)
-        with pytest.raises(BlockIntegrityError):
-            tiered.all_postings()
-        tiered.store.close()
-
-    def test_truncated_payload_region_surfaces_on_page_in(
-        self, tmp_path, paged_index
-    ):
-        path = tmp_path / "segment.rtix"
-        write_tiered_segment(paged_index, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-5])  # chop the tail of the block region
-        tiered = open_tiered_index(path, cache_budget_bytes=1 << 20)
-        with pytest.raises(TruncatedSegmentError):
-            tiered.all_postings()
-        tiered.store.close()
 
 
 class TestTieredStorageConfig:

@@ -96,10 +96,8 @@ def test_analyzed_text_is_what_was_indexed(generated, name):
     index = IndexBuilder(analyzer=analyzer).build(generated)
     indexed = [Counter() for _ in range(len(generated))]
     for term_id, term in enumerate(index.dictionary):
-        postings = index.postings_for_id(term_id)
-        for doc_id, frequency in zip(
-            postings.doc_ids.tolist(), postings.frequencies.tolist()
-        ):
+        doc_ids, frequencies = index.postings_for_id(term_id)
+        for doc_id, frequency in zip(doc_ids.tolist(), frequencies.tolist()):
             indexed[doc_id][term] = frequency
     for document in generated:
         assert Counter(analyzer.analyze(document.text)) == indexed[document.doc_id]

@@ -717,28 +717,81 @@ class TestOneIndexImage:
 PER_TERM_TYPES = {"PostingsList", "BlockMetadata", "TermDictionary"}
 
 
+def _scoped(node, function=None):
+    """Every node under ``node``, with the name of its enclosing def."""
+    for child in ast.iter_child_nodes(node):
+        yield function, child
+        inner = function
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        yield from _scoped(child, inner)
+
+
+def _callee(node) -> str:
+    """The called name of a ``Call`` (``a.b(...)`` -> ``b``), or ""."""
+    if not isinstance(node, ast.Call):
+        return ""
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+def _per_term_builds(path: Path, where: str):
+    """The nodes of one module that name or build a per-term object."""
+    tree = ast.parse(path.read_text())
+    # Names bound to a TermDictionary built empty, to be filled by add().
+    dictionaries = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and _callee(node.value) == "TermDictionary"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    for function, node in _scoped(tree):
+        imported = set()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported = {alias.name.rpartition(".")[2] for alias in node.names}
+        if (
+            (isinstance(node, ast.Name) and node.id == "PostingsList")
+            or (isinstance(node, ast.ClassDef) and node.name == "PostingsList")
+            or "PostingsList" in imported
+        ):
+            yield node
+        elif isinstance(node, ast.ClassDef) and node.name == "TermDictionary":
+            yield from (
+                item
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name == "add"
+            )
+        elif (
+            _callee(node) == "add"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in dictionaries
+        ):
+            yield node
+        elif (
+            _callee(node) == "BlockMetadata"
+            and function != "block_metadata_for_id"
+        ):
+            yield node
+        elif where == "src/repro/index/shared.py" and PER_TERM_TYPES & imported:
+            yield node
+
+
 def _layout_violations(root: Path = SRC_ROOT):
-    """``file:line: code`` for each trusted-array wrap outside
-    ``index/inverted.py`` and each per-term type ``index/shared.py``
-    imports."""
+    """``file:line: code`` for each per-term object a module names or
+    builds: any ``PostingsList``, a ``TermDictionary.add`` (defined, or
+    called on a dictionary built empty), a ``BlockMetadata`` built
+    outside ``block_metadata_for_id``, and each per-term type
+    ``index/shared.py`` imports."""
     found = []
     for path in sorted(root.rglob("*.py")):
         where = path.relative_to(root.parent).as_posix()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "from_trusted_arrays"
-                and where != "src/repro/index/inverted.py"
-            ):
-                found.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
-            elif (
-                isinstance(node, (ast.Import, ast.ImportFrom))
-                and where == "src/repro/index/shared.py"
-                and PER_TERM_TYPES
-                & {alias.name.rpartition(".")[2] for alias in node.names}
-            ):
-                found.append(f"{where}:{node.lineno}: {ast.unparse(node)}")
+        for node in _per_term_builds(path, where):
+            code = ast.unparse(node).splitlines()[0]
+            found.append(f"{where}:{node.lineno}: {code}")
     return sorted(found)
 
 
@@ -747,41 +800,59 @@ class TestOnePostingsLayout:
 
     The index image once glued an index's per-term postings and block
     objects back into arrays on export, and cut them into per-term
-    objects again on attach with a copy of the builder's loop.  Now the
-    image is the index's :class:`~repro.index.inverted.PostingsLayout`
-    and the one ``InvertedIndex`` constructor does the cutting.
+    objects again on attach with a copy of the builder's loop; then the
+    ``InvertedIndex`` constructor cut every open into a dictionary
+    entry, a ``PostingsList`` and a ``BlockMetadata`` per term.  Now an
+    index keeps its :class:`~repro.index.inverted.PostingsLayout` and a
+    term → id map, and cuts one term's views when a caller asks.
     """
 
     def test_only_the_index_wraps_trusted_arrays(self):
         assert _layout_violations() == []
 
     def test_lint_sees_a_second_cut(self, tmp_path):
-        """Self-test: the old image module's per-term imports and attach
-        loop are reported; the index's own wrap is not."""
+        """Self-test: the old constructor loop and the old image
+        module's per-term imports are reported; the one on-demand
+        ``BlockMetadata`` is not."""
         planted = tmp_path / "src" / "repro" / "index"
         planted.mkdir(parents=True)
         (planted / "inverted.py").write_text(
+            "from repro.index.blockmax import BlockMetadata\n"
+            "from repro.index.dictionary import TermDictionary\n"
             "from repro.index.postings import PostingsList\n"
-            "view = PostingsList.from_trusted_arrays(doc_ids, frequencies)\n"
+            "class InvertedIndex:\n"
+            "    def __init__(self, terms, layout, block_size):\n"
+            "        dictionary = TermDictionary()\n"
+            "        for term, cf, start, end, first, last in bounds:\n"
+            "            dictionary.add(term, end - start, cf)\n"
+            "            postings.append(\n"
+            "                PostingsList.from_trusted_arrays(ids, freqs)\n"
+            "            )\n"
+            "            block_metadata.append(\n"
+            "                BlockMetadata(block_size, ends, tfs, lengths)\n"
+            "            )\n"
+            "    def block_metadata_for_id(self, term_id):\n"
+            "        return BlockMetadata(self.block_size, ends, tfs, lengths)\n"
+        )
+        (planted / "dictionary.py").write_text(
+            "class TermDictionary:\n"
+            "    def add(self, term, document_frequency, cf):\n"
+            "        pass\n"
         )
         (planted / "shared.py").write_text(
             "from repro.index.blockmax import BlockMetadata\n"
-            "from repro.index.dictionary import TermDictionary\n"
             "from repro.index.inverted import InvertedIndex\n"
-            "from repro.index.postings import PostingsList\n"
-            "def _attach_shard(spec, words, analyzer):\n"
-            "    for term_id, term in enumerate(spec.terms):\n"
-            "        postings.append(\n"
-            "            PostingsList.from_trusted_arrays(ids, freqs)\n"
-            "        )\n"
         )
         assert _layout_violations(tmp_path / "src") == [
+            "src/repro/index/dictionary.py:2: "
+            "def add(self, term, document_frequency, cf):",
+            "src/repro/index/inverted.py:10: PostingsList",
+            "src/repro/index/inverted.py:13: "
+            "BlockMetadata(block_size, ends, tfs, lengths)",
+            "src/repro/index/inverted.py:3: "
+            "from repro.index.postings import PostingsList",
+            "src/repro/index/inverted.py:8: "
+            "dictionary.add(term, end - start, cf)",
             "src/repro/index/shared.py:1: "
             "from repro.index.blockmax import BlockMetadata",
-            "src/repro/index/shared.py:2: "
-            "from repro.index.dictionary import TermDictionary",
-            "src/repro/index/shared.py:4: "
-            "from repro.index.postings import PostingsList",
-            "src/repro/index/shared.py:8: "
-            "PostingsList.from_trusted_arrays(ids, freqs)",
         ]

@@ -22,7 +22,6 @@ from repro.index.compression import (
     encode_varint_stream,
 )
 from repro.index.positional import PositionalIndexBuilder
-from repro.index.postings import PostingsList
 from repro.index.serialization import (
     deserialize_index,
     deserialize_positional_index,
@@ -32,6 +31,8 @@ from repro.index.serialization import (
     serialize_positional_index,
 )
 from repro.text.analyzer import Analyzer, AnalyzerConfig
+from tests.conftest import postings_pairs
+from tests.test_index_compression import same
 from tests.test_index_postings import from_pairs
 
 # Strictly-increasing doc-id lists, the codec's input domain.  Hypothesis
@@ -84,32 +85,32 @@ class TestVarintBoundaries:
 
 class TestPostingsRoundtrip:
     @given(postings_lists())
-    @example(PostingsList.empty())
+    @example(from_pairs([]))
     @example(from_pairs([(0, 1)]))
     @example(from_pairs([(1 << 40, 1)]))
     def test_delta_varint_roundtrip(self, postings):
-        encoded = encode_postings(postings)
-        decoded, consumed = decode_postings(encoded)
-        assert decoded == postings
-        assert consumed == len(encoded)
+        encoded = encode_postings(*postings)
+        decoded = decode_postings(encoded)
+        assert same(decoded, postings)
+        assert decoded[2] == len(encoded)
 
     @given(postings_lists())
     def test_consecutive_blocks_self_delimit(self, postings):
         """Two encoded blocks back-to-back decode independently."""
         other = from_pairs([(5, 2), (9, 1)])
-        data = encode_postings(postings) + encode_postings(other)
-        first, offset = decode_postings(data)
-        second, consumed = decode_postings(data[offset:])
-        assert first == postings
-        assert second == other
-        assert offset + consumed == len(data)
+        data = encode_postings(*postings) + encode_postings(*other)
+        first = decode_postings(data)
+        second = decode_postings(data, first[2])
+        assert same(first, postings)
+        assert same(second, other)
+        assert second[2] == len(data)
 
     @given(doc_id_lists)
     def test_gap_bias_never_negative(self, doc_ids):
         """Strictly-increasing ids always produce encodable gaps."""
         postings = from_pairs([(d, 1) for d in doc_ids])
-        decoded, _ = decode_postings(encode_postings(postings))
-        assert list(decoded.doc_ids) == doc_ids
+        decoded, _, _ = decode_postings(encode_postings(*postings))
+        assert decoded.tolist() == doc_ids
 
 
 # Tiny shared vocabulary so random documents collide on terms.
@@ -154,7 +155,7 @@ class TestIndexSerializationProperties:
         assert list(restored.doc_lengths) == list(index.doc_lengths)
         assert restored.dictionary.terms() == index.dictionary.terms()
         for term in index.dictionary:
-            assert restored.postings_for(term) == index.postings_for(term)
+            assert postings_pairs(restored, term) == postings_pairs(index, term)
 
     @settings(max_examples=15, deadline=None)
     @given(corpus_texts)

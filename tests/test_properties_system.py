@@ -30,6 +30,7 @@ from repro.text.analyzer import Analyzer, AnalyzerConfig
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.scenario import WorkloadScenario
 from repro.workload.servicetime import LognormalDemand
+from tests.conftest import postings_pairs
 
 PLAIN = Analyzer(AnalyzerConfig(remove_stopwords=False, stem=False))
 
@@ -98,7 +99,7 @@ class TestSearchEquivalences:
         restored = deserialize_index(serialize_index(index))
         assert restored.dictionary.terms() == index.dictionary.terms()
         for term in index.dictionary:
-            assert restored.postings_for(term) == index.postings_for(term)
+            assert postings_pairs(restored, term) == postings_pairs(index, term)
 
 
 class TestSimulatorConservation:

@@ -3,15 +3,12 @@
 The tiered index's whole contract is that paging changes the I/O
 schedule and nothing else: for any corpus, any cache budget (including
 budgets too small to hold a single term's blocks), any traversal
-algorithm, and any index format version the segment round-tripped
+algorithm, and any index format version the index round-tripped
 through, the ranked results — doc ids AND exact float scores — must
 equal the fully-resident index's.  Hypothesis explores that space;
 a second property family fuzzes the failure surface (corruption and
 timeouts must raise typed errors, never return wrong results).
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +23,7 @@ from repro.index.store import (
     SlowStore,
     StoreError,
     StoreTimeoutError,
-    open_tiered_index,
     tier_index,
-    write_tiered_segment,
 )
 from repro.search.block_max_wand import score_block_max_wand
 from repro.search.daat import score_daat
@@ -121,29 +116,23 @@ class TestTieredBitIdentity:
         block_size=block_sizes,
         version=format_versions,
     )
-    def test_file_segment_after_format_roundtrip(
+    def test_tiered_after_format_roundtrip(
         self, texts, terms, budget, block_size, version
     ):
         """Tiering composes with every RIDX version: an index that
         round-tripped through v1/v2/v3 serialization and was then
-        written as an RTIX segment still answers bit-identically."""
+        tiered still answers bit-identically."""
         resident = deserialize_index(
             serialize_index(build_index(texts, block_size), version=version)
         )
         query = ParsedQuery(terms=terms, k=10)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "segment.rtix"
-            write_tiered_segment(resident, path)
-            tiered = open_tiered_index(path, cache_budget_bytes=budget)
-            try:
-                for name, score in ALGORITHMS.items():
-                    assert_bit_identical(
-                        score(resident, query),
-                        score(tiered, query),
-                        context=f"{name} v{version} budget={budget}",
-                    )
-            finally:
-                tiered.store.close()
+        tiered = tier_index(resident, cache_budget_bytes=budget)
+        for name, score in ALGORITHMS.items():
+            assert_bit_identical(
+                score(resident, query),
+                score(tiered, query),
+                context=f"{name} v{version} budget={budget}",
+            )
 
     @settings(
         max_examples=25,

@@ -1,19 +1,14 @@
-"""Tests for intersection algorithms and conjunctive scoring."""
+"""Tests for the intersection algorithms."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.search.daat import score_daat
 from repro.search.intersection import (
     gallop_to,
-    intersect_adaptive,
     intersect_gallop,
     intersect_merge,
-    score_conjunctive,
 )
-from repro.search.query import ParsedQuery, QueryMode
 
 sorted_unique = st.lists(
     st.integers(min_value=0, max_value=500), max_size=80, unique=True
@@ -62,51 +57,3 @@ class TestPairwiseIntersections:
         assert list(intersect_merge(a, b)) == expected
         assert list(intersect_gallop(a, b)) == expected
         assert list(intersect_gallop(b, a)) == expected
-
-    @settings(max_examples=40)
-    @given(st.lists(sorted_unique, min_size=1, max_size=4))
-    def test_adaptive_matches_reduce(self, lists):
-        expected = lists[0]
-        for other in lists[1:]:
-            expected = np.intersect1d(expected, other)
-        assert list(intersect_adaptive(lists)) == list(expected)
-
-    def test_adaptive_empty_list_of_lists(self):
-        assert intersect_adaptive([]).size == 0
-
-
-class TestScoreConjunctive:
-    def test_matches_daat_and_mode(self, small_index, small_query_log):
-        from repro.search.query import QueryParser
-
-        parser = QueryParser(small_index.analyzer)
-        compared = 0
-        for query in small_query_log:
-            parsed = parser.parse(query.text, mode=QueryMode.AND, k=10)
-            if len(parsed.terms) < 2:
-                continue
-            fast = score_conjunctive(small_index, parsed)
-            reference = score_daat(small_index, parsed)
-            assert [h.doc_id for h in fast] == [h.doc_id for h in reference]
-            for a, b in zip(fast, reference):
-                assert a.score == pytest.approx(b.score)
-            compared += 1
-            if compared >= 20:
-                break
-        assert compared >= 10
-
-    def test_rejects_or_mode(self, small_index):
-        with pytest.raises(ValueError):
-            score_conjunctive(
-                small_index, ParsedQuery(terms=("x",), mode=QueryMode.OR)
-            )
-
-    def test_missing_term_empty(self, small_index):
-        parsed = ParsedQuery(
-            terms=("zzzznotaterm",), mode=QueryMode.AND, k=5
-        )
-        assert score_conjunctive(small_index, parsed) == []
-
-    def test_empty_query(self, small_index):
-        parsed = ParsedQuery(terms=(), mode=QueryMode.AND, k=5)
-        assert score_conjunctive(small_index, parsed) == []

@@ -243,15 +243,12 @@ class TestExhaustedCursor:
 
     def test_resident_cursor_exhausts_to_none(self):
         import numpy as np
-        from types import SimpleNamespace
 
         from repro.search.wand import _Cursor
 
-        postings = SimpleNamespace(
-            doc_ids=np.array([0, 4], dtype=np.int64),
-            frequencies=np.array([1, 1], dtype=np.int64),
-        )
-        cursor = _Cursor(postings, 2, 1.0, 1.0, 0, 1)
+        doc_ids = np.array([0, 4], dtype=np.int64)
+        frequencies = np.array([1, 1], dtype=np.int64)
+        cursor = _Cursor(doc_ids, frequencies, 2, 1.0, 1.0, 0, 1)
         assert cursor.seek(4) == 4
         assert cursor.seek(3) == 4  # never moves backwards
         assert cursor.seek(5) is None

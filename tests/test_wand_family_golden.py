@@ -65,6 +65,12 @@ GOLDEN_CORPUS = CorpusConfig(
 TRAVERSALS = {"wand": score_wand, "bmw": score_block_max_wand}
 
 
+def last_doc_id(index, term):
+    """The doc id of ``term``'s last posting."""
+    doc_ids, _ = index.postings_for_id(index.term_info(term).term_id)
+    return int(doc_ids[-1])
+
+
 @pytest.fixture(scope="module")
 def golden_corpus():
     generator = CorpusGenerator(GOLDEN_CORPUS)
@@ -98,7 +104,7 @@ def golden_queries(golden_corpus, golden_indexes):
     # exhausted long before the two longest lists stop moving the pivot.
     early = min(
         (term for term in by_length if index.document_frequency(term) >= 3),
-        key=lambda term: (int(index.postings_for(term).doc_ids[-1]), term),
+        key=lambda term: (last_doc_id(index, term), term),
     )
     queries.append(ParsedQuery(terms=(early, by_length[0], by_length[1]), k=5))
     queries.append(
