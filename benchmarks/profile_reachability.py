@@ -21,7 +21,7 @@ function is listed only when the function holding it is reached.
     PYTHONPATH=src python benchmarks/profile_reachability.py
 
 takes ≈ 10 min on 2 vCPUs.  ``benchmarks/results/reachability.txt``
-holds its output before and after the dead-code deletion.
+holds its output before and after each dead-code deletion pass.
 
 The hook is a generated ``sitecustomize.py`` put first on the children's
 ``PYTHONPATH``, so subprocesses and spawned workers are traced too.  It

@@ -37,7 +37,7 @@ from repro.engine.service import SearchService, SearchServiceConfig
 from repro.index.builder import IndexBuilder
 from repro.index.inverted import InvertedIndex
 from repro.index.partitioner import PartitionStrategy, partition_index
-from repro.obs import MetricsRegistry, Tracer, trace_span
+from repro.obs import MetricsRegistry, Tracer
 from repro.search.executor import Searcher
 from repro.search.query import QueryMode
 from repro.servers.catalog import BIG_SERVER, SMALL_SERVER
@@ -69,7 +69,6 @@ __all__ = [
     "QueryMode",
     "Tracer",
     "MetricsRegistry",
-    "trace_span",
     "BIG_SERVER",
     "SMALL_SERVER",
     "__version__",

@@ -7,16 +7,14 @@ from repro.analysis.distributions import (
     fit_lognormal,
 )
 from repro.analysis.queueing import MMcMetrics, erlang_c, mmc_metrics
-from repro.analysis.stats import bootstrap_ci, linear_fit, tail_index
+from repro.analysis.stats import linear_fit
 
 __all__ = [
     "LognormalFit",
     "ExponentialFit",
     "fit_lognormal",
     "fit_exponential",
-    "bootstrap_ci",
     "linear_fit",
-    "tail_index",
     "MMcMetrics",
     "erlang_c",
     "mmc_metrics",

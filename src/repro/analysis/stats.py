@@ -1,41 +1,10 @@
-"""General statistics: bootstrap intervals, regression, tail index."""
+"""General statistics: least-squares regression."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-
-
-def bootstrap_ci(
-    samples: Sequence[float],
-    statistic: Callable[[np.ndarray], float],
-    confidence: float = 0.95,
-    num_resamples: int = 1_000,
-    seed: int = 0,
-) -> Tuple[float, float, float]:
-    """Percentile-bootstrap confidence interval for ``statistic``.
-
-    Returns ``(point_estimate, low, high)``.  Tail percentiles of
-    latency distributions have no closed-form standard error, so every
-    study reports bootstrap intervals.
-    """
-    data = np.asarray(samples, dtype=np.float64)
-    if data.size == 0:
-        raise ValueError("cannot bootstrap zero samples")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    estimates = np.empty(num_resamples)
-    for index in range(num_resamples):
-        resample = data[rng.integers(0, data.size, size=data.size)]
-        estimates[index] = statistic(resample)
-    alpha = (1.0 - confidence) / 2.0
-    return (
-        float(statistic(data)),
-        float(np.percentile(estimates, 100 * alpha)),
-        float(np.percentile(estimates, 100 * (1 - alpha))),
-    )
 
 
 def linear_fit(
@@ -58,23 +27,3 @@ def linear_fit(
     residual = float(((y_data - predictions) ** 2).sum())
     r_squared = 1.0 - residual / total if total > 0 else 1.0
     return float(intercept), float(slope), r_squared
-
-
-def tail_index(samples: Sequence[float], tail_fraction: float = 0.1) -> float:
-    """Hill estimator of the tail index over the top ``tail_fraction``.
-
-    Smaller values mean heavier tails; an exponential tail diverges to
-    large indexes.  Used to quantify how partitioning lightens the
-    latency tail.
-    """
-    data = np.sort(np.asarray(samples, dtype=np.float64))
-    if np.any(data <= 0):
-        raise ValueError("tail index requires positive samples")
-    if not 0.0 < tail_fraction < 1.0:
-        raise ValueError("tail_fraction must be in (0, 1)")
-    k = max(2, int(data.size * tail_fraction))
-    if data.size < k + 1:
-        raise ValueError("not enough samples for the requested tail fraction")
-    tail = data[-k:]
-    threshold = data[-k - 1]
-    return float(1.0 / np.mean(np.log(tail / threshold)))

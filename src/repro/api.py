@@ -54,7 +54,7 @@ from repro.cluster.fanout import (
     FanoutResult,
     run_fanout_open_loop,
 )
-from repro.cluster.server import PartitionModelConfig, StorageModelConfig
+from repro.cluster.server import PartitionModelConfig
 from repro.core.reporting import format_series, format_table
 from repro.core.scheduling import (
     ScheduledComparisonPoint,
@@ -167,7 +167,6 @@ __all__ = [
     "QueryLog",
     "PartitionStrategy",
     "PartitionModelConfig",
-    "StorageModelConfig",
     "TieredStorageConfig",
     "TraversalStrategy",
     "WorkloadScenario",

@@ -147,21 +147,6 @@ class CapacityPrediction:
     p95_s: float
     p99_s: float
 
-    def as_dict(self) -> dict:
-        return {
-            "qps": self.qps,
-            "shards": self.shards,
-            "replicas": self.replicas,
-            "utilization": self.utilization,
-            "stable": self.stable,
-            "probability_wait": self.probability_wait,
-            "mean_wait_s": self.mean_wait_s,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-        }
-
-
 @dataclass(frozen=True)
 class CapacityModel:
     """Analytical latency-vs-load model of the sharded, replicated cluster.

@@ -69,56 +69,6 @@ class _ShareStream:
 
 
 @dataclass(frozen=True)
-class StorageModelConfig:
-    """Cost model of tiered (larger-than-RAM) index storage.
-
-    Mirrors the native engine's block-store path: a query whose
-    traversal pages postings blocks in from the storage tier pays a
-    fetch latency on top of its scoring demand.  The model keeps the
-    same shape the native counters expose — fetch work proportional to
-    the (pruned) scoring demand, discounted by the block cache's hit
-    rate.
-
-    Attributes
-    ----------
-    block_fetch_latency_s:
-        Reference-core seconds one block fetch adds (per-fetch latency
-        of the storage tier, amortized over the core that waits on it).
-    blocks_per_demand_s:
-        How many block fetches one reference-core second of scoring
-        demand induces when every block misses.  Calibrated from the
-        native engine's ``store.blocks_fetched`` against measured
-        service time (the fig26 bench prints both).
-    cache_hit_rate:
-        Fraction of block touches served by the admission-controlled
-        cache, in ``[0, 1)``.  Calibrated from ``cache.block_hits`` /
-        (hits + misses) at the chosen budget.
-    """
-
-    block_fetch_latency_s: float = 1e-4
-    blocks_per_demand_s: float = 2000.0
-    cache_hit_rate: float = 0.8
-
-    def __post_init__(self) -> None:
-        if self.block_fetch_latency_s < 0:
-            raise ValueError("block_fetch_latency_s must be non-negative")
-        if self.blocks_per_demand_s < 0:
-            raise ValueError("blocks_per_demand_s must be non-negative")
-        if not 0.0 <= self.cache_hit_rate < 1.0:
-            raise ValueError(
-                f"cache_hit_rate must be in [0, 1), got {self.cache_hit_rate}"
-            )
-
-    def blocks_fetched(self, demand: float) -> float:
-        """Expected block fetches (cache misses) for ``demand`` seconds."""
-        return demand * self.blocks_per_demand_s * (1.0 - self.cache_hit_rate)
-
-    def fetch_seconds(self, demand: float) -> float:
-        """Fetch latency added to a query of (pruned) ``demand``."""
-        return self.blocks_fetched(demand) * self.block_fetch_latency_s
-
-
-@dataclass(frozen=True)
 class PartitionModelConfig:
     """Cost model of intra-server partitioning.
 
@@ -150,11 +100,6 @@ class PartitionModelConfig:
         still pays, in ``(0, 1]``.  Calibrated from the native engine's
         ``wand.docs_scored`` / ``daat.candidates_scored`` ratio (the
         fig25 ablation); ignored for exhaustive traversal.
-    storage:
-        Optional tiered-storage cost model.  None (the default) models
-        a fully RAM-resident index; a :class:`StorageModelConfig` adds
-        block-fetch latency to the effective demand, mirroring the
-        native engine's paged serving path.
     """
 
     num_partitions: int = 1
@@ -164,7 +109,6 @@ class PartitionModelConfig:
     merge_per_partition: float = 0.0001
     traversal: Union[str, TraversalStrategy] = TraversalStrategy.EXHAUSTIVE
     pruning_factor: float = 1.0
-    storage: Optional[StorageModelConfig] = None
 
     def __post_init__(self) -> None:
         if self.num_partitions <= 0:
@@ -188,21 +132,16 @@ class PartitionModelConfig:
         return self.merge_base + self.merge_per_partition * self.num_partitions
 
     def effective_demand(self, demand: float) -> float:
-        """Scoring demand after traversal pruning, plus storage fetches.
+        """Scoring demand after traversal pruning.
 
         Exhaustive traversal pays the full ``demand``; WAND-family
         traversal pays ``demand * pruning_factor`` (the per-partition
         overheads and the merge are posting-volume independent and are
-        not scaled).  With a tiered :attr:`storage` model, block-fetch
-        latency is added on the *pruned* demand — a traversal that
-        scores fewer blocks also fetches fewer.
+        not scaled).
         """
-        scoring = (
-            demand * self.pruning_factor if self.traversal.prunes else demand
-        )
-        if self.storage is not None:
-            scoring += self.storage.fetch_seconds(scoring)
-        return scoring
+        if self.traversal.prunes:
+            return demand * self.pruning_factor
+        return demand
 
     def total_work(self, demand: float) -> float:
         """Total reference-core seconds a query of ``demand`` costs."""
@@ -258,18 +197,6 @@ class SimulatedServer:
             self._metrics.counter("sim.wand.queries_pruned").add()
             self._metrics.counter("sim.wand.demand_saved_s").add(
                 record.demand - pruned
-            )
-        if self._metrics is not None and config.storage is not None:
-            scoring = (
-                record.demand * config.pruning_factor
-                if config.traversal.prunes
-                else record.demand
-            )
-            self._metrics.counter("sim.store.blocks_fetched").add(
-                int(round(config.storage.blocks_fetched(scoring)))
-            )
-            self._metrics.gauge("sim.store.fetch_demand_s").add(
-                config.storage.fetch_seconds(scoring)
             )
 
         submit = self.cores.submit

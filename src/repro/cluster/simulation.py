@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.cluster.results import QueryRecord, SimulationResult
 from repro.cluster.server import PartitionModelConfig, SimulatedServer
-from repro.obs.tracing import Tracer
 from repro.servers.spec import ServerSpec
 from repro.sim.engine import Simulator
 from repro.sim.hiccups import HiccupConfig, HiccupSchedule
@@ -44,57 +43,16 @@ class ClusterConfig:
         return HiccupSchedule(self.hiccups, streams.stream("hiccups"))
 
 
-def emit_query_trace(tracer: Tracer, record: QueryRecord) -> None:
-    """Emit one completed record's timeline as a simulated-clock trace.
-
-    The span tree uses the same export schema as native-engine traces
-    (see :mod:`repro.obs.export`); timestamps are simulation seconds.
-    Child spans carry the names of
-    :data:`repro.cluster.results.BREAKDOWN_COMPONENTS` so a trace file
-    re-derives the paper's component breakdown directly.
-    """
-    root = tracer.record_span(
-        "sim.query",
-        start=record.client_send,
-        end=record.client_receive,
-        parent=None,
-        query_id=record.query_id,
-        demand=record.demand,
-        network_time=record.network_time,
-    )
-    if root is None:  # tracing disabled
-        return
-    stages = (
-        ("queue_wait", record.server_arrival, record.first_task_start),
-        ("parallel_service", record.first_task_start, record.earliest_task_end),
-        ("straggler_skew", record.earliest_task_end, record.last_task_end),
-        ("merge_wait", record.last_task_end, record.merge_start),
-        ("merge_service", record.merge_start, record.merge_end),
-    )
-    for name, start, end in stages:
-        tracer.record_span(name, start=start, end=end, parent=root)
-
-
-def _emit_traces(tracer: Optional[Tracer], records: List[QueryRecord]) -> None:
-    if tracer is None or not tracer.enabled:
-        return
-    for record in records:
-        emit_query_trace(tracer, record)
-
-
 def run_open_loop(
     config: ClusterConfig,
     scenario: WorkloadScenario,
     seed: int = 0,
-    tracer: Optional[Tracer] = None,
 ) -> SimulationResult:
     """Drive the server with a pre-generated open-loop arrival sequence.
 
     Arrivals, demands, network delays, and shard imbalance each draw
     from an independent RNG stream of ``seed``, so sweeping a system
     parameter replays the identical workload (common random numbers).
-    With an enabled ``tracer``, every completed query also emits a
-    simulated-clock span tree (:func:`emit_query_trace`).
     """
     streams = RandomStreams(seed)
     arrival_times, demands = scenario.realize(
@@ -129,7 +87,6 @@ def run_open_loop(
 
     sim.run()
     records.sort(key=lambda record: record.client_send)
-    _emit_traces(tracer, records)
     return SimulationResult(
         records=records,
         horizon=sim.now,
@@ -145,7 +102,6 @@ def run_closed_loop(
     demands: ServiceDemandModel,
     num_queries: int,
     seed: int = 0,
-    tracer: Optional[Tracer] = None,
 ) -> SimulationResult:
     """Drive the server with a Faban-style closed-loop client population.
 
@@ -206,7 +162,6 @@ def run_closed_loop(
 
     sim.run()
     records.sort(key=lambda record: record.client_send)
-    _emit_traces(tracer, records)
     return SimulationResult(
         records=records,
         horizon=sim.now,

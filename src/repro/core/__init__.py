@@ -22,7 +22,6 @@ from repro.core.calibration import (
     calibrate_isn,
     cost_model_from_calibration,
     demand_model_from_calibration,
-    lognormal_model_from_measurements,
 )
 from repro.core.capacity import CapacityPoint, capacity_vs_partitions, find_max_qps
 from repro.core.characterization import (
@@ -71,7 +70,6 @@ __all__ = [
     "calibrate_isn",
     "cost_model_from_calibration",
     "demand_model_from_calibration",
-    "lognormal_model_from_measurements",
     "ServiceTimeCharacterization",
     "TermCountBucket",
     "VolumeBucket",

@@ -15,14 +15,13 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.analysis.distributions import fit_lognormal
 from repro.analysis.stats import linear_fit
 from repro.corpus.querylog import QueryLog
 from repro.engine.driver import QueryMeasurement, replay_serial
 from repro.engine.isn import IndexServingNode
 from repro.index.inverted import InvertedIndex
 from repro.metrics.summary import LatencySummary, summarize
-from repro.workload.servicetime import IndexDerivedDemand, LognormalDemand
+from repro.workload.servicetime import IndexDerivedDemand
 
 
 @dataclass(frozen=True)
@@ -122,16 +121,3 @@ def cost_model_from_calibration(
         merge_base=merge_per_hit_seconds * top_k,
         merge_per_partition=merge_per_hit_seconds * top_k,
     )
-
-
-def lognormal_model_from_measurements(
-    measurements: Sequence[QueryMeasurement],
-) -> LognormalDemand:
-    """Fit a parametric log-normal demand model to serial measurements.
-
-    Useful when an experiment wants the measured *distribution* without
-    binding to a specific index/query-log pair.
-    """
-    times = [measurement.service_seconds for measurement in measurements]
-    fit = fit_lognormal(times)
-    return LognormalDemand(mu=fit.mu, sigma=fit.sigma)

@@ -14,17 +14,10 @@ stand-ins:
 """
 
 from repro.corpus.documents import Document, DocumentCollection
-from repro.corpus.io import (
-    load_collection,
-    load_query_log,
-    save_collection,
-    save_query_log,
-)
 from repro.corpus.loganalysis import (
     LogProfile,
     estimate_popularity_exponent,
     profile_query_log,
-    query_volume_distribution,
     traffic_concentration,
 )
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
@@ -45,13 +38,8 @@ __all__ = [
     "VocabularyConfig",
     "ZipfSampler",
     "zipf_weights",
-    "save_collection",
-    "load_collection",
-    "save_query_log",
-    "load_query_log",
     "LogProfile",
     "profile_query_log",
     "estimate_popularity_exponent",
     "traffic_concentration",
-    "query_volume_distribution",
 ]

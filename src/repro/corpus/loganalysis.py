@@ -5,7 +5,7 @@ it.  These utilities measure the properties of a query log (or a
 sampled stream from it) that determine system behaviour: the
 popularity skew (Zipf exponent), the term-count mix, the traffic
 concentration curve (what fraction of traffic the top-k queries
-carry), and the per-query index footprint distribution.
+carry).
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import numpy as np
 
 from repro.analysis.stats import linear_fit
 from repro.corpus.querylog import Query, QueryLog
-from repro.index.inverted import InvertedIndex
-from repro.search.query import QueryParser
 
 
 def estimate_popularity_exponent(
@@ -109,21 +107,3 @@ def profile_query_log(
         top_1pct_traffic_share=top_1pct,
         top_10pct_traffic_share=top_10pct,
     )
-
-
-def query_volume_distribution(
-    query_log: QueryLog, index: InvertedIndex
-) -> np.ndarray:
-    """Matched-postings volume of every unique query against ``index``.
-
-    The per-query index footprint — the paper's work proxy — over the
-    whole unique-query population.
-    """
-    parser = QueryParser(index.analyzer)
-    volumes = np.empty(len(query_log), dtype=np.int64)
-    for query in query_log:
-        parsed = parser.parse(query.text)
-        volumes[query.query_id] = index.matched_postings_volume(
-            list(parsed.terms)
-        )
-    return volumes

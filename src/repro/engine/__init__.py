@@ -20,7 +20,7 @@ from repro.engine.hedging import (
     HedgingPolicy,
     ShardLatencyTracker,
 )
-from repro.engine.instrumentation import ComponentTimings, Timer
+from repro.engine.instrumentation import ComponentTimings
 from repro.engine.isn import IndexServingNode, IsnResponse
 from repro.engine.service import (
     ResultPageEntry,
@@ -43,7 +43,6 @@ __all__ = [
     "QueryMeasurement",
     "replay_serial",
     "ComponentTimings",
-    "Timer",
     "ResultPageEntry",
     "SearchPage",
     "SearchService",

@@ -27,11 +27,7 @@ from repro.engine.isn import IndexServingNode
 
 @dataclass(frozen=True)
 class QueryMeasurement:
-    """One replayed query and its measured cost.
-
-    ``shed`` is True when the admission layer refused the query (its
-    ``service_seconds`` is then time-to-refusal, not service time).
-    """
+    """One replayed query and its measured cost."""
 
     query_id: int
     text: str
@@ -39,7 +35,6 @@ class QueryMeasurement:
     service_seconds: float
     matched_volume: int
     num_hits: int
-    shed: bool = False
 
 
 def replay_serial(
@@ -68,8 +63,6 @@ def replay_serial(
         response = None
         for _ in range(repeats):
             response = isn.execute_serial(query.text, k=k)
-            # latency_s is the protocol accessor shared by served and
-            # shed outcomes (ShedResponse has no component timings).
             times.append(response.latency_s)
         measurements.append(
             QueryMeasurement(
@@ -77,9 +70,8 @@ def replay_serial(
                 text=query.text,
                 num_raw_terms=len(query.raw_terms),
                 service_seconds=float(np.median(times)),
-                matched_volume=getattr(response, "matched_volume", 0),
+                matched_volume=response.matched_volume,
                 num_hits=len(response.hits),
-                shed=getattr(response, "shed", False),
             )
         )
     return measurements

@@ -2,36 +2,8 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import List, Optional
-
-
-class Timer:
-    """Context-manager stopwatch over ``time.perf_counter``.
-
-    ::
-
-        with Timer() as timer:
-            work()
-        print(timer.elapsed)
-    """
-
-    def __init__(self) -> None:
-        self._start: Optional[float] = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        # Exiting without entering leaves elapsed at 0.0 instead of
-        # raising: ``__exit__`` runs while a body exception may be
-        # propagating, and raising here would mask it.
-        if self._start is None:
-            return
-        self.elapsed = time.perf_counter() - self._start
+from typing import List
 
 
 @dataclass

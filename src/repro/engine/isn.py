@@ -53,6 +53,7 @@ from repro.engine.instrumentation import ComponentTimings
 from repro.engine.mp import ProcessShardPool, WorkerCrashError, WorkerOptions
 from repro.index.partitioner import PartitionedIndex
 from repro.index.shared import SharedIndexArena
+from repro.index.store import TieredStorageConfig, tier_partitioned_index
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Span, Tracer
 from repro.predict.features import extract_features
@@ -77,7 +78,6 @@ from repro.search.topk import SearchHit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.querycache import CachedPage, QueryResultCache
-    from repro.index.store import TieredStorageConfig
     from repro.predict.scheduler import DeadlineScheduler
 
 #: Linear bucket edges for the coverage histogram (fractions of shards).
@@ -185,16 +185,13 @@ class IndexServingNode:
         bit-identically.  On either, a hedging policy alone adds a
         thread pool for the attempts, one thread per partition and
         twice that when it can issue backups.
-    shared_source:
-        Resident index to export for process workers when
-        ``partitioned`` itself is not exportable (tiered shards page
-        blocks on demand and cannot be flattened).  Workers re-tier
-        the attached shards with ``tiered``, so storage counters keep
-        their semantics per worker.
     tiered:
-        The :class:`~repro.index.store.TieredStorageConfig` process
-        workers re-apply to the attached resident shards.  Ignored by
-        the thread backend, which searches ``partitioned`` as given.
+        Optional :class:`~repro.index.store.TieredStorageConfig`.  When
+        set, ``partitioned`` is the resident index and every searcher
+        serves it re-homed onto tiered storage: the node's own (the
+        tiered index becomes :attr:`partitioned`) and each process
+        worker's, which tiers the resident image it attaches, so
+        storage counters keep their semantics per worker.
     algorithm:
         Traversal algorithm for shard searchers — an executor algorithm
         name or a :class:`~repro.search.strategy.TraversalStrategy`
@@ -262,13 +259,19 @@ class IndexServingNode:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         execution: Optional[ExecutionConfig] = None,
-        shared_source: Optional[PartitionedIndex] = None,
-        tiered: Optional["TieredStorageConfig"] = None,
+        tiered: Optional[TieredStorageConfig] = None,
         scheduler: Optional["DeadlineScheduler"] = None,
     ):
         self.execution = (
             execution if execution is not None else ExecutionConfig()
         )
+        # Tiered shards page blocks on demand and cannot be flattened
+        # into the image, so the image is the resident index.
+        resident = partitioned
+        if tiered is not None:
+            partitioned = tier_partitioned_index(
+                resident, tiered, metrics=metrics
+            )
         self.partitioned = partitioned
         self.num_partitions = partitioned.num_partitions
         self.cache = cache
@@ -322,10 +325,7 @@ class IndexServingNode:
         self.process_pool = None
         workers = self.execution.workers or partitioned.num_partitions
         if self.execution.backend == "processes":
-            source = (
-                shared_source if shared_source is not None else partitioned
-            )
-            self._arena = SharedIndexArena(source)
+            self._arena = SharedIndexArena(resident)
             self.process_pool = ProcessShardPool(
                 self._arena.spec,
                 workers=workers,

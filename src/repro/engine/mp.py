@@ -215,7 +215,9 @@ def _decode_reply(
     (size,) = _SIZE.unpack_from(frame)
     offset = _SIZE.size + size
     if size and metrics is not None:
-        metrics.merge_counter_deltas(pickle.loads(frame[_SIZE.size : offset]))
+        deltas = pickle.loads(frame[_SIZE.size : offset])
+        for name, delta in deltas.items():
+            metrics.counter(name).add(delta)
     results = []
     for shard_id, query in items:
         status, count = _STATUS.unpack_from(frame, offset)

@@ -24,7 +24,7 @@ from repro.resilience.faults import FaultPlan
 from repro.engine.snippets import Snippet, SnippetGenerator
 from repro.index.partitioner import PartitionedIndex, partition_index
 from repro.index.positional import PositionalIndex, PositionalIndexBuilder
-from repro.index.store import TieredStorageConfig, tier_partitioned_index
+from repro.index.store import TieredStorageConfig
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.search.phrase import parse_phrase, score_phrase
@@ -165,21 +165,11 @@ class SearchService:
 
         generator = CorpusGenerator(config.corpus)
         self.collection = generator.generate()
-        self.partitioned: PartitionedIndex = partition_index(
-            self.collection, config.num_partitions, analyzer=self.analyzer
-        )
-        # Process workers cannot attach tiered shards (they page blocks
-        # on demand), so the resident pre-tiering index is kept as the
-        # index image's source; workers re-tier it locally.
-        resident = self.partitioned
-        if config.tiered is not None:
-            self.partitioned = tier_partitioned_index(
-                self.partitioned, config.tiered, metrics=metrics
-            )
         self.isn = IndexServingNode(
-            self.partitioned,
+            partition_index(
+                self.collection, config.num_partitions, analyzer=self.analyzer
+            ),
             execution=config.execution,
-            shared_source=resident,
             tiered=config.tiered,
             algorithm=config.algorithm,
             use_global_stats=config.use_global_stats,
@@ -191,6 +181,7 @@ class SearchService:
             tracer=tracer,
             metrics=metrics,
         )
+        self.partitioned: PartitionedIndex = self.isn.partitioned
         self.query_log: QueryLog = QueryLogGenerator(
             generator.vocabulary, config.query_log
         ).generate()

@@ -15,7 +15,7 @@ object of their own.  This package provides the full index stack:
 - :mod:`repro.index.partitioner` — intra-server document partitioning,
   the mechanism the paper's central study sweeps;
 - :mod:`repro.index.stats` — index statistics for the characterization;
-- :mod:`repro.index.serialization` — binary save/load.
+- :mod:`repro.index.serialization` — the binary RIDX format.
 
 :mod:`repro.index.segments` is imported from the submodule only: it
 pulls in :mod:`repro.search`, whose traversal modules read block
@@ -43,12 +43,6 @@ from repro.index.positional import (
     PositionalIndexBuilder,
     PositionalPostings,
 )
-from repro.index.serialization import (
-    load_index,
-    load_positional_index,
-    save_index,
-    save_positional_index,
-)
 from repro.index.stats import IndexStatistics, compute_statistics
 
 __all__ = [
@@ -70,8 +64,4 @@ __all__ = [
     "decode_postings",
     "encode_varint_stream",
     "decode_varint_stream",
-    "save_index",
-    "load_index",
-    "save_positional_index",
-    "load_positional_index",
 ]

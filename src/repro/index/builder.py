@@ -11,7 +11,6 @@ from repro.corpus.documents import DocumentCollection, TokenIds
 from repro.index.blockmax import DEFAULT_BLOCK_SIZE, block_arrays
 from repro.index.inverted import InvertedIndex, PostingsLayout
 from repro.index.postings import check_postings
-from repro.index.stats import IndexStatistics, compute_statistics
 from repro.text.analyzer import Analyzer, default_analyzer
 
 
@@ -168,17 +167,3 @@ class IndexBuilder:
         return InvertedIndex(
             terms, layout, doc_lengths, self.analyzer, self.block_size
         )
-
-    def build_with_stats(
-        self, collection: DocumentCollection
-    ) -> Tuple[InvertedIndex, IndexStatistics]:
-        """Build the index and its size accounting in one call.
-
-        Returns ``(index, stats)`` where ``stats.compressed_sections``
-        holds the per-section serialized byte sizes (header,
-        doc-length table, dictionary, postings, block metadata) whose
-        sum equals the exact v3 segment length — per-shard storage cost
-        alongside the usual characterization numbers.
-        """
-        index = self.build(collection)
-        return index, compute_statistics(index, include_sections=True)

@@ -42,19 +42,13 @@ block metadata is derived as they load, as the builder derives it.
 
 The default stopword set is assumed; custom stopword sets are not
 persisted (raise at save time rather than silently dropping them).
-
-A second format, ``RIXP``, persists a positional index: the postings
-block per term is followed by, for each posting, its delta-gapped
-position list — enabling phrase queries over a loaded index.  In
-version 2 the position section carries its own trailing crc32.
 """
 
 from __future__ import annotations
 
 import io
 import zlib
-from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +64,6 @@ from repro.text.analyzer import Analyzer, AnalyzerConfig
 from repro.text.stopwords import DEFAULT_STOPWORDS
 
 _MAGIC = b"RIDX"
-_POSITIONAL_MAGIC = b"RIXP"
 _VERSION = 3
 _SUPPORTED_VERSIONS = (1, 2, 3)
 _CHECKSUM_BYTES = 4
@@ -83,18 +76,6 @@ class CorruptedIndexError(ValueError):
     when corruption makes the body unparseable — the storage-level
     fault the resilience chaos harness injects and expects detected.
     """
-
-
-def save_index(index: InvertedIndex, path: Union[str, Path]) -> int:
-    """Write ``index`` to ``path``; returns the number of bytes written."""
-    data = serialize_index(index)
-    Path(path).write_bytes(data)
-    return len(data)
-
-
-def load_index(path: Union[str, Path]) -> InvertedIndex:
-    """Load an index previously written by :func:`save_index`."""
-    return deserialize_index(Path(path).read_bytes())
 
 
 def serialize_index(index: InvertedIndex, version: int = _VERSION) -> bytes:
@@ -153,119 +134,11 @@ def serialize_index(index: InvertedIndex, version: int = _VERSION) -> bytes:
 
 
 def deserialize_index(data: bytes) -> InvertedIndex:
-    """Reconstruct an index from RIDX bytes."""
-    index, offset = _deserialize_index_prefix(data)
-    if offset != len(data):
-        raise ValueError(f"trailing bytes after index: {len(data) - offset}")
-    return index
+    """Reconstruct an index from RIDX bytes.
 
-
-def save_positional_index(positional, path: Union[str, Path]) -> int:
-    """Write a positional index to ``path``; returns bytes written."""
-    data = serialize_positional_index(positional)
-    Path(path).write_bytes(data)
-    return len(data)
-
-
-def load_positional_index(path: Union[str, Path]):
-    """Load a positional index written by :func:`save_positional_index`."""
-    return deserialize_positional_index(Path(path).read_bytes())
-
-
-def serialize_positional_index(positional) -> bytes:
-    """Serialize a :class:`~repro.index.positional.PositionalIndex`.
-
-    Layout: the plain ``RIDX`` payload with its magic swapped to
-    ``RIXP``, followed by, for every term in dictionary order and every
-    posting in doc order, the delta-gapped position list (the counts
-    are already known from the postings frequencies), then a trailing
-    crc32 (little-endian) of the whole position section.
-    """
-    base = bytearray(serialize_index(positional.index))
-    base[:4] = _POSITIONAL_MAGIC
-    positions = io.BytesIO()
-    index = positional.index
-    for term_id in range(index.num_terms):
-        term = index.dictionary.term_for_id(term_id)
-        postings = positional.positions_for(term)
-        for doc_id in postings.doc_ids:
-            previous = -1
-            for position in postings.positions_in(int(doc_id)):
-                positions.write(encode_varint(int(position) - previous - 1))
-                previous = int(position)
-    section = positions.getvalue()
-    out = io.BytesIO()
-    out.write(bytes(base))
-    out.write(section)
-    out.write(zlib.crc32(section).to_bytes(_CHECKSUM_BYTES, "little"))
-    return out.getvalue()
-
-
-def deserialize_positional_index(data: bytes):
-    """Reconstruct a positional index from ``RIXP`` bytes."""
-    from repro.index.positional import PositionalIndex, PositionalPostings
-
-    if data[:4] != _POSITIONAL_MAGIC:
-        raise ValueError("not a RIXP positional index (bad magic)")
-    version = data[4]
-    # Reuse the plain deserializer on the embedded RIDX payload; it
-    # reports where the postings end via its trailing-bytes error, so
-    # parse manually up to the index end instead.
-    swapped = _MAGIC + data[4:]
-    index, offset = _deserialize_index_prefix(swapped)
-    positions_start = offset
-
-    positions = {}
-    try:
-        for term_id in range(index.num_terms):
-            term = index.dictionary.term_for_id(term_id)
-            doc_ids, frequencies = index.postings_for_id(term_id)
-            per_doc = []
-            for frequency in frequencies.tolist():
-                values = np.empty(frequency, dtype=np.int64)
-                previous = -1
-                for slot in range(frequency):
-                    gap, offset = decode_varint(data, offset)
-                    value = previous + gap + 1
-                    values[slot] = value
-                    previous = value
-                per_doc.append(values)
-            positions[term] = PositionalPostings(doc_ids, per_doc)
-    except (ValueError, IndexError, OverflowError) as exc:
-        if version < 2:
-            raise
-        raise CorruptedIndexError(
-            f"RIXP position section failed to parse: {exc}"
-        ) from exc
-    if version >= 2:
-        if len(data) < offset + _CHECKSUM_BYTES:
-            raise CorruptedIndexError(
-                "RIXP payload truncated before position checksum"
-            )
-        stored = int.from_bytes(
-            data[offset : offset + _CHECKSUM_BYTES], "little"
-        )
-        actual = zlib.crc32(data[positions_start:offset])
-        if actual != stored:
-            raise CorruptedIndexError(
-                f"RIXP position checksum mismatch: "
-                f"stored {stored:#010x}, computed {actual:#010x}"
-            )
-        offset += _CHECKSUM_BYTES
-    if offset != len(data):
-        raise ValueError(
-            f"trailing bytes after positions: {len(data) - offset}"
-        )
-    return PositionalIndex(index=index, _positions=positions)
-
-
-def _deserialize_index_prefix(data: bytes):
-    """Parse a RIDX payload that may have trailing data.
-
-    Returns ``(index, offset_after_index)``.  Version-2 payloads are
-    verified against their stored body checksum; corruption raises
-    :class:`CorruptedIndexError` whether it breaks the parse or merely
-    perturbs the postings.
+    Version-2 payloads are verified against their stored body checksum;
+    corruption raises :class:`CorruptedIndexError` whether it breaks the
+    parse or merely perturbs the postings.
     """
     if data[:4] != _MAGIC:
         raise ValueError("not a RIDX index (bad magic)")
@@ -350,7 +223,9 @@ def _deserialize_index_prefix(data: bytes):
                 f"RIDX body checksum mismatch: "
                 f"stored {stored_checksum:#010x}, computed {actual:#010x}"
             )
-    return (index, offset)
+    if offset != len(data):
+        raise ValueError(f"trailing bytes after index: {len(data) - offset}")
+    return index
 
 
 def _layout(

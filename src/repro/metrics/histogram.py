@@ -1,65 +1,10 @@
-"""Log-binned histograms and empirical CDFs for latency distributions."""
+"""Empirical CDFs for latency distributions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """A log-spaced histogram of positive samples.
-
-    Attributes
-    ----------
-    bin_edges:
-        Monotonic bin boundaries, length ``len(counts) + 1``.
-    counts:
-        Samples per bin.
-    """
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def from_samples(
-        cls, samples: Sequence[float], num_bins: int = 40
-    ) -> "Histogram":
-        """Build a log-spaced histogram covering the sample range."""
-        if num_bins <= 0:
-            raise ValueError("num_bins must be positive")
-        data = np.asarray(samples, dtype=np.float64)
-        if data.size == 0:
-            raise ValueError("cannot histogram zero samples")
-        if np.any(data <= 0):
-            raise ValueError("log-binned histogram requires positive samples")
-        low, high = float(data.min()), float(data.max())
-        if low == high:
-            high = low * 1.001 + 1e-12
-        edges = np.logspace(np.log10(low), np.log10(high), num_bins + 1)
-        edges[0] = low  # guard against float rounding excluding the min
-        edges[-1] = high
-        counts, _ = np.histogram(data, bins=edges)
-        return cls(bin_edges=edges, counts=counts)
-
-    @property
-    def total(self) -> int:
-        """Total number of samples."""
-        return int(self.counts.sum())
-
-    def densities(self) -> np.ndarray:
-        """Counts normalized to a probability mass per bin."""
-        total = self.total
-        if total == 0:
-            return np.zeros_like(self.counts, dtype=np.float64)
-        return self.counts / total
-
-    def mode_bin(self) -> Tuple[float, float]:
-        """The (low, high) edges of the most populated bin."""
-        index = int(np.argmax(self.counts))
-        return float(self.bin_edges[index]), float(self.bin_edges[index + 1])
 
 
 def cdf_points(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,19 +27,6 @@ class LatencySummary:
         if self.p50 == 0:
             return float("inf")
         return self.p99 / self.p50
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dict for table rendering."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p95": self.p95,
-            "p99": self.p99,
-            "p999": self.p999,
-            "max": self.max,
-        }
 
     def scaled(self, factor: float) -> "LatencySummary":
         """Return a copy with every statistic multiplied by ``factor``

@@ -4,7 +4,7 @@ The paper's contribution is a *characterization* — per-component
 service-time breakdowns and tail attribution — so the serving path must
 be measurable end to end.  This package provides the three pieces:
 
-- :mod:`tracing` — a low-overhead span tracer.  ``trace_span(name)``
+- :mod:`tracing` — a low-overhead span tracer.  ``tracer.span(name)``
   opens a nested span with monotonic start/end timestamps, parent ids,
   and arbitrary attributes (shard id, postings scanned, ...).  Tracing
   is **off by default**; the disabled path costs one branch.
@@ -15,9 +15,6 @@ be measurable end to end.  This package provides the three pieces:
   JSON-lines and a text renderer for the ``repro trace`` CLI command,
   plus the CSV writer for registry snapshots (re-exported by
   :mod:`repro.metrics`).
-
-Both the native engine and the discrete-event simulator emit the same
-span schema, so one set of analysis tooling reads either.
 """
 
 from repro.obs.export import (
@@ -32,31 +29,17 @@ from repro.obs.registry import (
     FixedBucketHistogram,
     Gauge,
     MetricsRegistry,
-    get_registry,
-    set_registry,
 )
-from repro.obs.tracing import (
-    NULL_TRACER,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    trace_span,
-)
+from repro.obs.tracing import NULL_TRACER, Span, Tracer
 
 __all__ = [
     "Span",
     "Tracer",
     "NULL_TRACER",
-    "get_tracer",
-    "set_tracer",
-    "trace_span",
     "Counter",
     "Gauge",
     "FixedBucketHistogram",
     "MetricsRegistry",
-    "get_registry",
-    "set_registry",
     "TRACE_SCHEMA_FIELDS",
     "span_to_dict",
     "trace_to_dicts",

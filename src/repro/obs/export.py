@@ -2,9 +2,7 @@
 
 One trace (a root span and its descendants) flattens to one JSON object
 per span, depth-first pre-order, with a fixed field set
-(:data:`TRACE_SCHEMA_FIELDS`).  Native-engine and simulator traces use
-the same schema — only the clock domain of ``start``/``end`` differs —
-so downstream analysis reads either interchangeably.
+(:data:`TRACE_SCHEMA_FIELDS`).
 
 A metrics-registry snapshot exports to CSV, so external tooling
 (spreadsheets, pandas, R) can re-analyze a run without re-running.

@@ -6,13 +6,10 @@ them per event; a run-level snapshot aggregates everything for export
 are dotted paths (``cache.hits``, ``daat.postings_traversed``) so the
 snapshot reads as a namespace.
 
-Histograms use *fixed* bucket edges chosen at registration — unlike
-:class:`repro.metrics.histogram.Histogram`, which fits log-spaced edges
-to a completed sample set, a registry histogram must accept updates
-online.  :meth:`FixedBucketHistogram.log_buckets` builds the same
-log-spaced edge layout, and :meth:`FixedBucketHistogram.to_histogram`
-converts a snapshot back into the existing analysis type so CDF/density
-tooling is reused unchanged.
+Histograms use *fixed* bucket edges chosen at registration, so a
+registry histogram accepts updates online;
+:meth:`FixedBucketHistogram.log_buckets` builds a log-spaced edge
+layout.
 """
 
 from __future__ import annotations
@@ -23,15 +20,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.metrics.histogram import Histogram
 
 __all__ = [
     "Counter",
     "Gauge",
     "FixedBucketHistogram",
     "MetricsRegistry",
-    "get_registry",
-    "set_registry",
 ]
 
 
@@ -108,7 +102,7 @@ class FixedBucketHistogram:
     def log_buckets(
         low: float, high: float, num_buckets: int = 40
     ) -> Tuple[float, ...]:
-        """Log-spaced edges matching the analysis histogram's layout."""
+        """``num_buckets`` log-spaced buckets from ``low`` to ``high``."""
         if low <= 0 or high <= low:
             raise ValueError("need 0 < low < high for log-spaced buckets")
         if num_buckets <= 0:
@@ -139,14 +133,6 @@ class FixedBucketHistogram:
     def sum(self) -> float:
         """Sum of all observed sample values."""
         return self._sum
-
-    def to_histogram(self) -> Histogram:
-        """Snapshot as the analysis-layer :class:`Histogram` type."""
-        return Histogram(
-            bin_edges=np.asarray(self.bin_edges, dtype=np.float64),
-            counts=np.asarray(self._counts, dtype=np.int64),
-        )
-
 
 Metric = Union[Counter, Gauge, FixedBucketHistogram]
 
@@ -257,35 +243,3 @@ class MetricsRegistry:
                 cumulative += int(count)
                 rows.append((name, kind, f"le_{upper:.9g}", cumulative))
         return rows
-
-    def merge_counter_deltas(self, deltas: Dict[str, int]) -> None:
-        """Fold another registry's counter increments into this one.
-
-        The process execution backend keeps a private registry per
-        worker (counters cannot be shared across processes) and ships
-        the increments accumulated since its previous reply back with
-        each batch of results; merging them here makes ``search.*`` /
-        ``wand.*`` / ``store.*`` totals backend-invariant.
-        """
-        for name, delta in deltas.items():
-            self.counter(name).add(int(delta))
-
-    def reset(self) -> None:
-        """Drop every registered metric (names become available again)."""
-        with self._lock:
-            self._metrics.clear()
-
-
-_GLOBAL_REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-global registry (always present, initially empty)."""
-    return _GLOBAL_REGISTRY
-
-
-def set_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Install ``registry`` globally (None installs a fresh empty one)."""
-    global _GLOBAL_REGISTRY
-    _GLOBAL_REGISTRY = registry if registry is not None else MetricsRegistry()
-    return _GLOBAL_REGISTRY

@@ -11,14 +11,13 @@ Two ways to produce spans:
   currently-active span.
 - ``tracer.record_span("shard", start=s, end=e, parent=p)`` — post-hoc
   registration of an operation whose timestamps were measured
-  elsewhere (worker threads, the discrete-event simulator's clock).
+  elsewhere (worker threads, worker processes).
   This keeps span timestamps *identical* to the direct measurements
   the engine already takes, so :class:`ComponentTimings` derived from
   a trace matches the legacy timing values exactly.
 
-The tracer's clock is injectable: the native engine uses
-``time.perf_counter`` while the simulator records spans with simulated
-timestamps — both emit the same schema (see :mod:`repro.obs.export`).
+The tracer's clock is injectable; the native engine uses
+``time.perf_counter``.
 
 Tracing is **off by default**.  A disabled tracer's :meth:`Tracer.span`
 returns a shared no-op context manager and :meth:`Tracer.record_span`
@@ -37,9 +36,6 @@ __all__ = [
     "Span",
     "Tracer",
     "NULL_TRACER",
-    "get_tracer",
-    "set_tracer",
-    "trace_span",
 ]
 
 
@@ -251,22 +247,3 @@ class Tracer:
 
 #: A permanently-disabled tracer for components whose caller passed none.
 NULL_TRACER = Tracer(enabled=False)
-
-_GLOBAL_TRACER = NULL_TRACER
-
-
-def get_tracer() -> Tracer:
-    """The process-global tracer (disabled unless :func:`set_tracer` ran)."""
-    return _GLOBAL_TRACER
-
-
-def set_tracer(tracer: Optional[Tracer]) -> Tracer:
-    """Install ``tracer`` globally (None restores the disabled default)."""
-    global _GLOBAL_TRACER
-    _GLOBAL_TRACER = tracer if tracer is not None else NULL_TRACER
-    return _GLOBAL_TRACER
-
-
-def trace_span(name: str, **attributes: object):
-    """Open a span on the global tracer (no-op while tracing is off)."""
-    return _GLOBAL_TRACER.span(name, **attributes)

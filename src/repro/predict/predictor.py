@@ -1,12 +1,11 @@
-"""The calibrated linear/quantile service-time model.
+"""The calibrated linear service-time model.
 
 The characterization's affine work model — ``time ≈ base +
 per_posting × volume`` — already explains most service-time variance
 (fig2); the predictor refits that model on admission-time features
-(term count, summed posting-list lengths) and adds a *log-space
-residual error model* so callers can ask for conservative quantiles:
-measured/predicted ratios are close to log-normal, so
-``predict × exp(z_q · σ)`` is the q-quantile prediction.
+(term count, summed posting-list lengths) and records a *log-space
+residual error model*: measured/predicted ratios are close to
+log-normal, with standard deviation σ.
 
 Fitting is a deterministic constrained least squares: coefficients are
 clamped non-negative (more terms or more postings never make a query
@@ -17,7 +16,6 @@ cheaper), which is also what makes the prediction provably monotone in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import List, Sequence
 
 import numpy as np
@@ -30,17 +28,14 @@ __all__ = ["ServiceTimePredictor"]
 #: always pays the parse/setup cost, never literally zero seconds.
 _MIN_PREDICTION_S = 1e-9
 
-_NORMAL = NormalDist()
-
 
 @dataclass(frozen=True)
 class ServiceTimePredictor:
     """``predicted = base + per_term·terms + per_posting·postings``.
 
     ``residual_log_sigma`` is the standard deviation of
-    ``ln(measured / predicted)`` on the training set — the multiplicative
-    error model used for quantile predictions, and the noise model the
-    DES applies when simulating a *predicted*-demand router (the
+    ``ln(measured / predicted)`` on the training set — the noise model
+    the DES applies when simulating a *predicted*-demand router (the
     simulator knows each query's true demand; the predictor's realism
     is exactly this error distribution).
     """
@@ -126,15 +121,6 @@ class ServiceTimePredictor:
             + self.per_posting_seconds * features.total_postings
         )
         return max(raw, _MIN_PREDICTION_S)
-
-    def predict_quantile(self, features: QueryFeatures, q: float) -> float:
-        """The q-quantile prediction under the log-normal error model."""
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must be in (0, 1)")
-        z = _NORMAL.inv_cdf(q)
-        return self.predict(features) * float(
-            np.exp(z * self.residual_log_sigma)
-        )
 
     def mape(
         self,

@@ -13,7 +13,6 @@ from repro.servers.catalog import (
     MID_SERVER,
     SERVER_CATALOG,
     SMALL_SERVER,
-    get_server,
 )
 from repro.servers.power import PowerModel
 from repro.servers.spec import ServerSpec
@@ -25,5 +24,4 @@ __all__ = [
     "MID_SERVER",
     "SMALL_SERVER",
     "SERVER_CATALOG",
-    "get_server",
 ]

@@ -50,13 +50,3 @@ MID_SERVER = ServerSpec(
 SERVER_CATALOG: Dict[str, ServerSpec] = {
     spec.name: spec for spec in (BIG_SERVER, SMALL_SERVER, MID_SERVER)
 }
-
-
-def get_server(name: str) -> ServerSpec:
-    """Look up a catalog server by name; raises KeyError with choices."""
-    try:
-        return SERVER_CATALOG[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown server {name!r}; available: {sorted(SERVER_CATALOG)}"
-        ) from None

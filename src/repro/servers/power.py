@@ -28,15 +28,3 @@ class PowerModel:
         return self.spec.idle_power_watts + utilization * (
             self.spec.peak_power_watts - self.spec.idle_power_watts
         )
-
-    def energy_joules(self, utilization: float, duration_seconds: float) -> float:
-        """Energy consumed over ``duration_seconds`` at a fixed utilization."""
-        if duration_seconds < 0:
-            raise ValueError("duration must be non-negative")
-        return self.power_at(utilization) * duration_seconds
-
-    def energy_per_query(self, utilization: float, throughput_qps: float) -> float:
-        """Average joules per query at the given operating point."""
-        if throughput_qps <= 0:
-            raise ValueError("throughput must be positive")
-        return self.power_at(utilization) / throughput_qps

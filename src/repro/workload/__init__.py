@@ -16,7 +16,6 @@ from repro.workload.arrivals import (
     PoissonArrivals,
 )
 from repro.workload.servicetime import (
-    EmpiricalDemand,
     ExponentialDemand,
     IndexDerivedDemand,
     LognormalDemand,
@@ -25,7 +24,6 @@ from repro.workload.servicetime import (
 from repro.workload.cached import CachedDemand
 from repro.workload.diurnal import DiurnalArrivals, FlashCrowd
 from repro.workload.scenario import WorkloadScenario
-from repro.workload.trace import TraceArrivals, save_trace
 
 __all__ = [
     "ArrivalProcess",
@@ -36,12 +34,9 @@ __all__ = [
     "FlashCrowd",
     "ClosedLoopSpec",
     "ServiceDemandModel",
-    "EmpiricalDemand",
     "ExponentialDemand",
     "LognormalDemand",
     "IndexDerivedDemand",
     "CachedDemand",
     "WorkloadScenario",
-    "TraceArrivals",
-    "save_trace",
 ]

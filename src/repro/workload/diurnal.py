@@ -15,10 +15,8 @@ process, optionally modulated by the same two-state burst machinery as
 burstiness on top of the hour-scale cycle.  It satisfies the
 :class:`~repro.workload.arrivals.ArrivalProcess` protocol, so it plugs
 into every existing open-loop runner, and :meth:`realize_trace`
-produces a plain timestamp array compatible with
-:func:`~repro.workload.trace.save_trace` /
-:class:`~repro.workload.trace.TraceArrivals`, so one generated 24-hour
-trace can drive the native engine and the DES identically.
+produces a plain timestamp array, so one generated 24-hour trace can
+be played against every policy a study compares.
 """
 
 from __future__ import annotations
@@ -266,10 +264,9 @@ class DiurnalArrivals:
     ) -> np.ndarray:
         """All arrivals in ``[0, horizon_s)`` as a plain timestamp array.
 
-        The result feeds :func:`~repro.workload.trace.save_trace`
-        directly and round-trips through
-        :class:`~repro.workload.trace.TraceArrivals`, so one generated
-        trace can drive the native engine and the DES identically.
+        The result is what
+        :func:`~repro.sim.autoscale.run_autoscaled_cluster` plays, so
+        every policy compared on it faces the identical workload.
         """
         if horizon_s <= 0:
             raise ValueError("horizon_s must be positive")

@@ -3,11 +3,10 @@
 A query's *service demand* is the CPU work it requires, expressed in
 seconds on the reference core (the big server's core).  The simulator
 divides demands by a server's ``core_speed`` to get wall-clock service
-time.  Three models are provided:
+time.  The models:
 
-- :class:`EmpiricalDemand` — resample measured native-engine service
-  times (the highest-fidelity option, used after calibration);
-- :class:`LognormalDemand` — the parametric fit of those measurements;
+- :class:`LognormalDemand` — the parametric fit of measured native-engine
+  service times;
 - :class:`IndexDerivedDemand` — derive each query's demand from index
   statistics (``base + per_posting × matched postings volume``), which
   preserves the query-identity ↔ cost correlation for popularity-aware
@@ -36,30 +35,6 @@ class ServiceDemandModel(Protocol):
     def mean_demand(self) -> float:
         """Expected demand per query (used for load planning)."""
         ...
-
-
-@dataclass(frozen=True)
-class EmpiricalDemand:
-    """Bootstrap-resamples a measured service-time sample set."""
-
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.samples, dtype=np.float64)
-        if data.size == 0:
-            raise ValueError("need at least one measured sample")
-        if np.any(data < 0):
-            raise ValueError("service demands must be non-negative")
-        object.__setattr__(self, "samples", data)
-
-    def demands(self, num_queries: int, rng: np.random.Generator) -> np.ndarray:
-        if num_queries < 0:
-            raise ValueError("num_queries must be non-negative")
-        indexes = rng.integers(0, self.samples.size, size=num_queries)
-        return self.samples[indexes]
-
-    def mean_demand(self) -> float:
-        return float(self.samples.mean())
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.distributions import fit_exponential, fit_lognormal
-from repro.analysis.stats import bootstrap_ci, linear_fit, tail_index
+from repro.analysis.stats import linear_fit
 
 
 class TestFitLognormal:
@@ -57,35 +57,6 @@ class TestFitExponential:
         assert fit.ks_distance < 0.02
 
 
-class TestBootstrapCi:
-    def test_interval_brackets_estimate(self):
-        samples = np.random.default_rng(5).exponential(1.0, 500)
-        point, low, high = bootstrap_ci(samples, np.mean, num_resamples=300)
-        assert low <= point <= high
-
-    def test_tighter_with_more_data(self):
-        rng = np.random.default_rng(6)
-        _, low_small, high_small = bootstrap_ci(
-            rng.exponential(1.0, 50), np.mean, num_resamples=300, seed=1
-        )
-        _, low_big, high_big = bootstrap_ci(
-            rng.exponential(1.0, 5_000), np.mean, num_resamples=300, seed=1
-        )
-        assert (high_big - low_big) < (high_small - low_small)
-
-    def test_deterministic_given_seed(self):
-        samples = [1.0, 2.0, 3.0, 4.0]
-        first = bootstrap_ci(samples, np.mean, seed=9)
-        second = bootstrap_ci(samples, np.mean, seed=9)
-        assert first == second
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([], np.mean)
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0], np.mean, confidence=1.5)
-
-
 class TestLinearFit:
     def test_exact_line(self):
         x = [0.0, 1.0, 2.0, 3.0]
@@ -108,23 +79,3 @@ class TestLinearFit:
             linear_fit([1.0], [1.0])
         with pytest.raises(ValueError):
             linear_fit([1.0, 2.0], [1.0])
-
-
-class TestTailIndex:
-    def test_pareto_tail_recovered(self):
-        rng = np.random.default_rng(8)
-        alpha = 2.5
-        samples = (1.0 / rng.random(50_000)) ** (1.0 / alpha)  # Pareto(alpha)
-        assert tail_index(samples, 0.05) == pytest.approx(alpha, rel=0.15)
-
-    def test_lighter_tail_gives_larger_index(self):
-        rng = np.random.default_rng(9)
-        heavy = (1.0 / rng.random(20_000)) ** (1.0 / 1.5)
-        light = rng.lognormal(0, 0.3, 20_000)
-        assert tail_index(light) > tail_index(heavy)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            tail_index([1.0, -1.0])
-        with pytest.raises(ValueError):
-            tail_index([1.0, 2.0], tail_fraction=1.5)

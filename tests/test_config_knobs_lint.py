@@ -35,7 +35,6 @@ from repro.api import (
     OverloadPolicy,
     PartitionModelConfig,
     QueryLogConfig,
-    StorageModelConfig,
     TieredStorageConfig,
     VocabularyConfig,
 )
@@ -61,7 +60,6 @@ CONFIG_CLASSES = (
     OverloadPolicy,
     PartitionModelConfig,
     QueryLogConfig,
-    StorageModelConfig,
     TieredStorageConfig,
     VocabularyConfig,
 )

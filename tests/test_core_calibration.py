@@ -7,7 +7,6 @@ from repro.core.calibration import (
     calibrate_from_measurements,
     calibrate_isn,
     demand_model_from_calibration,
-    lognormal_model_from_measurements,
 )
 from repro.engine.driver import QueryMeasurement
 from repro.engine.isn import IndexServingNode
@@ -116,12 +115,3 @@ class TestDemandModels:
         )
         draws = model.demands(50, rng)
         assert np.all(draws >= calibration.base_seconds)
-
-    def test_lognormal_model(self, rng):
-        source = np.random.default_rng(0).lognormal(-4.0, 0.5, 400)
-        measurements = [
-            make_measurement(i, 100, float(seconds))
-            for i, seconds in enumerate(source)
-        ]
-        model = lognormal_model_from_measurements(measurements)
-        assert model.mean_demand() == pytest.approx(source.mean(), rel=0.1)

@@ -6,7 +6,6 @@ import pytest
 from repro.corpus.loganalysis import (
     estimate_popularity_exponent,
     profile_query_log,
-    query_volume_distribution,
     traffic_concentration,
 )
 
@@ -71,24 +70,3 @@ class TestProfileQueryLog:
     def test_invalid_stream_length(self, small_query_log):
         with pytest.raises(ValueError):
             profile_query_log(small_query_log, stream_length=0)
-
-
-class TestQueryVolumeDistribution:
-    def test_volumes_match_index(self, small_query_log, small_index):
-        from repro.search.query import QueryParser
-
-        volumes = query_volume_distribution(small_query_log, small_index)
-        assert volumes.size == len(small_query_log)
-        parser = QueryParser(small_index.analyzer)
-        for query in list(small_query_log)[:10]:
-            parsed = parser.parse(query.text)
-            expected = small_index.matched_postings_volume(
-                list(parsed.terms)
-            )
-            assert volumes[query.query_id] == expected
-
-    def test_volume_skew(self, small_query_log, small_index):
-        # On the 300-document test corpus the skew is milder than on a
-        # crawl-scale index, but clearly present.
-        volumes = query_volume_distribution(small_query_log, small_index)
-        assert volumes.max() > 3 * max(1, np.median(volumes))

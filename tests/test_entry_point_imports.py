@@ -5,7 +5,9 @@ figure benches, not all of them: a deleted or renamed ``src/`` name
 that only ``benchmarks/bench_fig1*.py`` imports would pass every other
 check.  This parses each script with ``ast`` (imports inside functions
 included) and resolves each ``from repro... import name`` and
-``import repro...`` against the package.
+``import repro...`` against the package, and each ``name.attr`` whose
+``name`` such an import binds to a module (``api.ClusterConfig`` after
+``from repro import api``).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import ast
 import importlib
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -25,18 +28,20 @@ SCRIPTS = sorted(
 
 
 def _unresolved(path: Path):
-    """``file:line: module.name`` for each import of ``path`` that does
-    not resolve."""
+    """``file:line: module.name`` for each import of ``path``, and each
+    attribute of a module an import binds, that does not resolve."""
     missing = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    tree = ast.parse(path.read_text())
+    modules = {}  # local name -> the repro module an import binds to it
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 0:
-            targets = [(node.module, alias.name) for alias in node.names]
+            targets = [(node.module, alias) for alias in node.names]
         elif isinstance(node, ast.Import):
-            targets = [(alias.name, None) for alias in node.names]
+            targets = [(alias.name, alias) for alias in node.names]
         else:
             continue
         where = f"{path.name}:{node.lineno}"
-        for module_name, name in targets:
+        for module_name, alias in targets:
             if module_name != "repro" and not module_name.startswith("repro."):
                 continue
             try:
@@ -44,13 +49,49 @@ def _unresolved(path: Path):
             except ImportError:
                 missing.append(f"{where}: {module_name}")
                 continue
-            if name is None or hasattr(module, name):
+            if isinstance(node, ast.Import):
+                if alias.asname:
+                    modules[alias.asname] = module
+                else:
+                    modules["repro"] = importlib.import_module("repro")
                 continue
-            try:
-                importlib.import_module(f"{module_name}.{name}")
-            except ImportError:
-                missing.append(f"{where}: {module_name}.{name}")
+            value = _member(module, alias.name)
+            if value is None:
+                missing.append(f"{where}: {module_name}.{alias.name}")
+            elif isinstance(value, ModuleType):
+                modules[alias.asname or alias.name] = value
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        chain = [node.attr]
+        base = node.value
+        while isinstance(base, ast.Attribute):
+            chain.append(base.attr)
+            base = base.value
+        if not isinstance(base, ast.Name) or base.id not in modules:
+            continue
+        owner = modules[base.id]
+        for attr in reversed(chain):
+            value = _member(owner, attr)
+            if value is None:
+                report = f"{path.name}:{node.lineno}: {owner.__name__}.{attr}"
+                if report not in missing:
+                    missing.append(report)
+            if not isinstance(value, ModuleType):
+                break
+            owner = value
     return missing
+
+
+def _member(module: ModuleType, name: str):
+    """``module.name``, importing it as a submodule if need be; None
+    when it is neither."""
+    if hasattr(module, name):
+        return getattr(module, name)
+    try:
+        return importlib.import_module(f"{module.__name__}.{name}")
+    except ImportError:
+        return None
 
 
 def test_scripts_are_found():
@@ -77,4 +118,21 @@ def test_lint_actually_detects(tmp_path):
         "planted.py:1: repro.api.NoSuchName",
         "planted.py:2: repro.no_such_module",
         "planted.py:4: repro.index.no_such_submodule",
+    ]
+
+
+def test_lint_resolves_module_attributes(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "from repro import api\n"
+        "import repro.index as index\n"
+        "import repro\n"
+        "def later():\n"
+        "    api.ClusterConfig, api.NoSuchName, index.inverted.NoSuchName\n"
+        "    return repro.api.run_autoscaled_cluster, repro.api.Gone\n"
+    )
+    assert _unresolved(planted) == [
+        "planted.py:5: repro.api.NoSuchName",
+        "planted.py:5: repro.index.inverted.NoSuchName",
+        "planted.py:6: repro.api.Gone",
     ]

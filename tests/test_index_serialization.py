@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.index.serialization import (
-    deserialize_index,
-    load_index,
-    save_index,
-    serialize_index,
-)
+from repro.index.serialization import deserialize_index, serialize_index
 from repro.text.analyzer import Analyzer, AnalyzerConfig
 from tests.conftest import postings_pairs
 
@@ -37,13 +32,6 @@ class TestSerialization:
         assert loaded.stem == original.stem
         assert loaded.max_token_length == original.max_token_length
 
-    def test_file_roundtrip(self, small_index, tmp_path):
-        path = tmp_path / "index.ridx"
-        written = save_index(small_index, path)
-        assert path.stat().st_size == written
-        restored = load_index(path)
-        assert restored.num_terms == small_index.num_terms
-
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
             deserialize_index(b"XXXX" + b"\x00" * 10)
@@ -68,72 +56,6 @@ class TestSerialization:
         index = IndexBuilder(analyzer).build(small_collection)
         with pytest.raises(ValueError, match="stopword"):
             serialize_index(index)
-
-    def test_positional_roundtrip(self, small_collection, tmp_path):
-        from repro.index.positional import PositionalIndexBuilder
-        from repro.index.serialization import (
-            load_positional_index,
-            save_positional_index,
-        )
-
-        positional = PositionalIndexBuilder().build(small_collection)
-        path = tmp_path / "index.rixp"
-        written = save_positional_index(positional, path)
-        assert path.stat().st_size == written
-        restored = load_positional_index(path)
-        assert (
-            restored.index.dictionary.terms()
-            == positional.index.dictionary.terms()
-        )
-        for term in list(positional.index.dictionary)[:60]:
-            original = positional.positions_for(term)
-            loaded = restored.positions_for(term)
-            assert np.array_equal(original.doc_ids, loaded.doc_ids)
-            for doc_id in original.doc_ids[:5]:
-                assert np.array_equal(
-                    original.positions_in(int(doc_id)),
-                    loaded.positions_in(int(doc_id)),
-                )
-
-    def test_loaded_positional_index_answers_phrases(
-        self, small_collection, tmp_path
-    ):
-        from repro.index.positional import PositionalIndexBuilder
-        from repro.index.serialization import (
-            load_positional_index,
-            save_positional_index,
-        )
-        from repro.search.phrase import score_phrase
-
-        positional = PositionalIndexBuilder().build(small_collection)
-        path = tmp_path / "index.rixp"
-        save_positional_index(positional, path)
-        restored = load_positional_index(path)
-        terms = positional.analyzer.analyze(small_collection[0].body)
-        pair = (terms[0], terms[1])
-        original_hits = score_phrase(positional, pair, k=20)
-        loaded_hits = score_phrase(restored, pair, k=20)
-        assert [h.doc_id for h in original_hits] == [
-            h.doc_id for h in loaded_hits
-        ]
-
-    def test_positional_bad_magic(self):
-        from repro.index.serialization import deserialize_positional_index
-
-        with pytest.raises(ValueError, match="RIXP"):
-            deserialize_positional_index(b"RIDX" + b"\x00" * 20)
-
-    def test_positional_trailing_bytes_rejected(self, small_collection):
-        from repro.index.positional import PositionalIndexBuilder
-        from repro.index.serialization import (
-            deserialize_positional_index,
-            serialize_positional_index,
-        )
-
-        positional = PositionalIndexBuilder().build(small_collection)
-        data = serialize_positional_index(positional) + b"x"
-        with pytest.raises(ValueError, match="trailing"):
-            deserialize_positional_index(data)
 
     def test_loaded_index_searchable(self, small_index, small_query_log):
         from repro.search.executor import Searcher
@@ -219,35 +141,6 @@ class TestChecksum:
         assert deserialize_index(payload(1)).num_terms == 1
         with pytest.raises(ValueError, match="frequencies must be positive"):
             deserialize_index(payload(0))
-
-    def test_positional_position_corruption_detected(self, small_collection):
-        from repro.index.positional import PositionalIndexBuilder
-        from repro.index.serialization import (
-            CorruptedIndexError,
-            deserialize_positional_index,
-            serialize_positional_index,
-        )
-
-        positional = PositionalIndexBuilder().build(small_collection)
-        data = bytearray(serialize_positional_index(positional))
-        data[-6] ^= 0x01  # inside the position section, before its crc
-        with pytest.raises(CorruptedIndexError):
-            deserialize_positional_index(bytes(data))
-
-    def test_positional_base_corruption_detected(self, small_collection):
-        from repro.index.positional import PositionalIndexBuilder
-        from repro.index.serialization import (
-            CorruptedIndexError,
-            deserialize_positional_index,
-            serialize_positional_index,
-        )
-
-        positional = PositionalIndexBuilder().build(small_collection)
-        data = bytearray(serialize_positional_index(positional))
-        data[len(data) // 2] ^= 0x40  # in the embedded RIDX body
-        with pytest.raises(CorruptedIndexError):
-            deserialize_positional_index(bytes(data))
-
 
 class TestFormatVersions:
     """Version-3 block metadata plus v1/v2 backward compatibility."""

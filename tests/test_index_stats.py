@@ -107,14 +107,6 @@ class TestCompressedSections:
         assert stats.compressed_sections is None
         assert "compressed postings (bytes)" not in stats.as_rows()
 
-    def test_build_with_stats(self, small_collection):
-        index, stats = IndexBuilder().build_with_stats(small_collection)
-        assert index.num_documents == len(small_collection)
-        assert stats.compressed_sections is not None
-        assert sum(stats.compressed_sections.values()) == len(
-            serialize_index(index, version=3)
-        )
-
     def test_per_shard_sizes(self, small_collection):
         partitioned = partition_index(small_collection, 3)
         per_shard = shard_compressed_sizes(partitioned)

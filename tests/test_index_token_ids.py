@@ -2,8 +2,8 @@
 
 A generated collection carries its raw tokens as ids into one token
 table, and the index builder analyzes each table entry once instead of
-regex-tokenizing every document.  A collection without ids (loaded from
-disk, built by hand) is tokenized into the same form first.  Both must
+regex-tokenizing every document.  A collection without ids (built by
+hand) is tokenized into the same form first.  Both must
 give the index the text gives: byte for byte the serialized index of
 ``oracle_build`` (``tests/test_index_build_golden.py``), for every
 analyzer variant, through ``partition_index`` at several partition
@@ -18,11 +18,10 @@ import pytest
 
 from repro.corpus.documents import Document, DocumentCollection, TokenIds
 from repro.corpus.generator import CorpusGenerator
-from repro.corpus.io import load_collection, save_collection
 from repro.index.builder import IndexBuilder, token_ids
 from repro.index.partitioner import partition_collection, partition_index
 from repro.index.positional import PositionalIndexBuilder
-from repro.index.serialization import serialize_index, serialize_positional_index
+from repro.index.serialization import serialize_index
 from tests.conftest import SMALL_CORPUS_CONFIG
 from tests.test_index_build_golden import ANALYZERS, assert_same_index, oracle_build
 
@@ -108,19 +107,17 @@ def test_analyzed_text_is_what_was_indexed(generated, name):
 
 def test_positional_index_from_ids(generated):
     built = PositionalIndexBuilder().build(generated)
-    assert serialize_positional_index(built) == serialize_positional_index(
-        PositionalIndexBuilder().build(text_only(generated))
-    )
-
-
-def test_loaded_collection_is_tokenized(generated, tmp_path):
-    path = tmp_path / "corpus.jsonl"
-    save_collection(generated, path)
-    loaded = load_collection(path)
-    assert loaded.tokens is None
-    assert serialize_index(IndexBuilder().build(loaded)) == serialize_index(
-        IndexBuilder().build(generated)
-    )
+    expected = PositionalIndexBuilder().build(text_only(generated))
+    assert serialize_index(built.index) == serialize_index(expected.index)
+    for term in expected.index.dictionary:
+        postings = built.positions_for(term)
+        oracle = expected.positions_for(term)
+        assert postings.doc_ids.tolist() == oracle.doc_ids.tolist()
+        for doc_id in oracle.doc_ids.tolist():
+            assert (
+                postings.positions_in(doc_id).tolist()
+                == oracle.positions_in(doc_id).tolist()
+            )
 
 
 class TestTokenIds:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.histogram import Histogram, cdf_points
+from repro.metrics.histogram import cdf_points
 from repro.metrics.summary import summarize
 
 
@@ -52,41 +52,6 @@ class TestSummarize:
         summary = summarize([1.0, 2.0]).scaled(1000.0)
         assert summary.mean == 1500.0
         assert summary.count == 2
-
-    def test_as_dict(self):
-        data = summarize([1.0]).as_dict()
-        assert set(data) == {
-            "count", "mean", "p50", "p90", "p95", "p99", "p999", "max",
-        }
-
-
-class TestHistogram:
-    def test_counts_cover_all_samples(self):
-        samples = np.random.default_rng(2).lognormal(0, 0.5, 500)
-        histogram = Histogram.from_samples(samples, num_bins=20)
-        assert histogram.total == 500
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Histogram.from_samples([0.0, 1.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Histogram.from_samples([])
-
-    def test_constant_samples(self):
-        histogram = Histogram.from_samples([2.0, 2.0, 2.0], num_bins=5)
-        assert histogram.total == 3
-
-    def test_densities_sum_to_one(self):
-        histogram = Histogram.from_samples([1.0, 2.0, 4.0, 8.0], num_bins=8)
-        assert histogram.densities().sum() == pytest.approx(1.0)
-
-    def test_mode_bin(self):
-        histogram = Histogram.from_samples([1.0, 1.01, 1.02, 100.0], num_bins=10)
-        low, high = histogram.mode_bin()
-        assert low <= 1.02 and high < 100.0
-
 
 class TestCdfPoints:
     def test_endpoints(self):

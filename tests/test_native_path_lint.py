@@ -606,12 +606,12 @@ def _wire_violations(source: str):
                         isinstance(arg, ast.Call)
                         and getattr(arg.func, "id", None) == "_picklable"
                     )
-                else:  # loads: raised, or merged as counter deltas
+                else:  # loads: raised, or the counter deltas
                     parent = parents.get(call)
                     ok = isinstance(parent, ast.Raise) or (
-                        isinstance(parent, ast.Call)
-                        and getattr(parent.func, "attr", None)
-                        == "merge_counter_deltas"
+                        isinstance(parent, ast.Assign)
+                        and [getattr(t, "id", None) for t in parent.targets]
+                        == ["deltas"]
                     )
             elif method in ("send", "recv"):
                 ok = False  # ``Connection`` pickles what these carry

@@ -1,32 +1,19 @@
-"""Observability wired through the serving path and the simulator.
+"""Observability wired through the serving path.
 
 Covers the cross-layer contracts: ``ComponentTimings`` must equal the
-recorded span durations exactly, serving-path counters must
-account for real work, and simulator traces must share the native
-trace schema.
+recorded span durations exactly, and serving-path counters must
+account for real work.
 """
 
 import pytest
 
-from repro.cluster.results import BREAKDOWN_COMPONENTS
-from repro.cluster.server import PartitionModelConfig
-from repro.cluster.simulation import (
-    ClusterConfig,
-    emit_query_trace,
-    run_open_loop,
-)
 from repro.cache.querycache import QueryResultCache
 from repro.engine.frontend import Frontend
 from repro.engine.instrumentation import ComponentTimings
 from repro.engine.isn import IndexServingNode
 from repro.index.partitioner import partition_index
-from repro.obs.export import TRACE_SCHEMA_FIELDS, trace_to_dicts
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Tracer
-from repro.servers.catalog import BIG_SERVER
-from repro.workload.arrivals import PoissonArrivals
-from repro.workload.scenario import WorkloadScenario
-from repro.workload.servicetime import LognormalDemand
 
 
 @pytest.fixture()
@@ -180,63 +167,3 @@ class TestFrontendNesting:
             assert frontend.execute(query_text).trace is None
         finally:
             frontend.close()
-
-
-def _sim_setup(num_queries=50):
-    config = ClusterConfig(
-        spec=BIG_SERVER,
-        partitioning=PartitionModelConfig(num_partitions=4),
-    )
-    scenario = WorkloadScenario(
-        arrivals=PoissonArrivals(200.0),
-        demands=LognormalDemand(-4.0, 0.6),
-        num_queries=num_queries,
-    )
-    return config, scenario
-
-
-class TestSimulatorTraces:
-    def test_one_trace_per_query_same_schema(self):
-        tracer = Tracer()
-        config, scenario = _sim_setup()
-        result = run_open_loop(config, scenario, seed=0, tracer=tracer)
-        assert len(tracer.traces) == len(result.records) == 50
-        for root in tracer.traces:
-            assert root.name == "sim.query"
-            for record in trace_to_dicts(root):
-                assert tuple(record.keys()) == TRACE_SCHEMA_FIELDS
-
-    def test_children_follow_breakdown_components(self):
-        tracer = Tracer()
-        config, scenario = _sim_setup(num_queries=10)
-        run_open_loop(config, scenario, seed=1, tracer=tracer)
-        root = tracer.traces[0]
-        # network_time is the only component that is not a server-side
-        # stage; it rides along as a root attribute instead of a span.
-        assert tuple(
-            child.name for child in root.children
-        ) == BREAKDOWN_COMPONENTS[:-1]
-        assert "network_time" in root.attributes
-
-    def test_trace_durations_reconstruct_latency(self):
-        tracer = Tracer()
-        config, scenario = _sim_setup(num_queries=20)
-        result = run_open_loop(config, scenario, seed=2, tracer=tracer)
-        for root, record in zip(tracer.traces, result.records):
-            assert root.attributes["query_id"] == record.query_id
-            assert root.duration == pytest.approx(record.latency)
-            stage_sum = sum(child.duration for child in root.children)
-            assert stage_sum + root.attributes["network_time"] == (
-                pytest.approx(record.latency)
-            )
-
-    def test_emit_disabled_tracer_is_noop(self):
-        tracer = Tracer(enabled=False)
-        config, scenario = _sim_setup(num_queries=5)
-        run_open_loop(config, scenario, seed=0, tracer=tracer)
-        assert tracer.traces == []
-
-    def test_no_tracer_still_runs(self):
-        config, scenario = _sim_setup(num_queries=5)
-        result = run_open_loop(config, scenario, seed=0)
-        assert len(result.records) == 5

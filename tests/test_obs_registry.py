@@ -3,18 +3,14 @@
 import csv
 import threading
 
-import numpy as np
 import pytest
 
 from repro.obs.export import REGISTRY_COLUMNS, export_registry_csv
-from repro.metrics.histogram import Histogram
 from repro.obs.registry import (
     Counter,
     FixedBucketHistogram,
     Gauge,
     MetricsRegistry,
-    get_registry,
-    set_registry,
 )
 
 
@@ -114,17 +110,6 @@ class TestFixedBucketHistogram:
         with pytest.raises(ValueError):
             FixedBucketHistogram.log_buckets(1e-3, 1.0, 0)
 
-    def test_to_histogram_roundtrip(self):
-        histogram = FixedBucketHistogram("h", [0.0, 1.0, 2.0])
-        histogram.observe(0.5)
-        histogram.observe(1.5)
-        histogram.observe(1.6)
-        converted = histogram.to_histogram()
-        assert isinstance(converted, Histogram)
-        np.testing.assert_allclose(converted.bin_edges, [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(converted.counts, [1, 2])
-
-
 class TestMetricsRegistry:
     def test_get_or_create_returns_same_object(self):
         registry = MetricsRegistry()
@@ -193,15 +178,6 @@ class TestMetricsRegistry:
             ("lat", "histogram", "le_4", 4),
         ]
 
-    def test_reset_frees_names(self):
-        registry = MetricsRegistry()
-        registry.counter("x").add(1)
-        registry.reset()
-        assert len(registry) == 0
-        # Name is reusable as a different kind after reset.
-        registry.gauge("x")
-
-
 class TestRegistryCsvExport:
     def test_roundtrip(self, tmp_path):
         registry = MetricsRegistry()
@@ -229,18 +205,3 @@ class TestRegistryCsvExport:
         with open(path, newline="") as handle:
             lines = handle.read().splitlines()
         assert len(lines) == 1
-
-
-class TestGlobalRegistry:
-    def test_global_always_present(self):
-        assert isinstance(get_registry(), MetricsRegistry)
-
-    def test_set_and_replace(self):
-        original = get_registry()
-        mine = MetricsRegistry()
-        try:
-            assert set_registry(mine) is mine
-            assert get_registry() is mine
-        finally:
-            set_registry(original)
-        assert get_registry() is original

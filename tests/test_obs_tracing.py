@@ -12,14 +12,7 @@ from repro.obs.export import (
     span_to_dict,
     trace_to_dicts,
 )
-from repro.obs.tracing import (
-    NULL_TRACER,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    trace_span,
-)
+from repro.obs.tracing import NULL_TRACER, Span, Tracer
 
 
 class FakeClock:
@@ -192,22 +185,6 @@ class TestDisabledTracer:
     def test_disabled_span_object_is_shared(self):
         tracer = Tracer(enabled=False)
         assert tracer.span("a") is tracer.span("b")
-
-
-class TestGlobalTracer:
-    def test_global_default_disabled(self):
-        assert get_tracer().enabled is False
-
-    def test_set_and_restore(self):
-        tracer = Tracer()
-        try:
-            assert set_tracer(tracer) is tracer
-            with trace_span("via-global"):
-                pass
-            assert tracer.traces[0].name == "via-global"
-        finally:
-            set_tracer(None)
-        assert get_tracer().enabled is False
 
 
 def build_golden_trace() -> Span:

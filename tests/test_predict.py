@@ -132,15 +132,6 @@ class TestPredictorFit:
             assert predicted >= previous
             previous = predicted
 
-    def test_quantiles_bracket_the_point_prediction(self):
-        features = QueryFeatures(
-            term_count=2, total_postings=1_000, max_postings=0
-        )
-        point = PREDICTOR.predict(features)
-        assert PREDICTOR.predict_quantile(features, 0.9) > point
-        assert PREDICTOR.predict_quantile(features, 0.1) < point
-
-
 class TestCalibration:
     def test_deterministic_and_split_by_text(self, partitioned, small_query_log):
         isn = IndexServingNode(partitioned)

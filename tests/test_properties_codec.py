@@ -21,15 +21,7 @@ from repro.index.compression import (
     encode_varint,
     encode_varint_stream,
 )
-from repro.index.positional import PositionalIndexBuilder
-from repro.index.serialization import (
-    deserialize_index,
-    deserialize_positional_index,
-    load_index,
-    save_index,
-    serialize_index,
-    serialize_positional_index,
-)
+from repro.index.serialization import deserialize_index, serialize_index
 from repro.text.analyzer import Analyzer, AnalyzerConfig
 from tests.conftest import postings_pairs
 from tests.test_index_compression import same
@@ -163,35 +155,6 @@ class TestIndexSerializationProperties:
         analyzer = Analyzer(AnalyzerConfig(remove_stopwords=False, stem=False))
         index = IndexBuilder(analyzer).build(build_collection(texts))
         assert serialize_index(index) == serialize_index(index)
-
-    @settings(max_examples=15, deadline=None)
-    @given(corpus_texts)
-    def test_positional_roundtrip_random(self, texts):
-        analyzer = Analyzer(AnalyzerConfig(remove_stopwords=False, stem=False))
-        positional = PositionalIndexBuilder(analyzer).build(
-            build_collection(texts)
-        )
-        restored = deserialize_positional_index(
-            serialize_positional_index(positional)
-        )
-        index = positional.index
-        assert restored.index.dictionary.terms() == index.dictionary.terms()
-        for term in index.dictionary:
-            original = positional.positions_for(term)
-            loaded = restored.positions_for(term)
-            assert list(loaded.doc_ids) == list(original.doc_ids)
-            for doc_id in original.doc_ids:
-                assert list(loaded.positions_in(int(doc_id))) == list(
-                    original.positions_in(int(doc_id))
-                )
-
-    def test_save_load_file_roundtrip(self, tmp_path, small_index):
-        path = tmp_path / "index.ridx"
-        written = save_index(small_index, path)
-        assert written == path.stat().st_size
-        restored = load_index(path)
-        assert restored.dictionary.terms() == small_index.dictionary.terms()
-        assert restored.num_documents == small_index.num_documents
 
     def test_trailing_garbage_rejected(self, small_index):
         data = serialize_index(small_index) + b"\x00"

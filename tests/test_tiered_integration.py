@@ -3,25 +3,18 @@
 Bit-identity at the engine level (tiered service == resident service),
 fault injection surfacing as shard failures (coverage degrades, the
 breakers trip — never wrong results), composition with the chaos
-harness's fault plans, paging observability (per-query counters, span
-attributes, ``store.*`` metrics), and the DES cost-model mirror.
+harness's fault plans, and paging observability (per-query counters, span
+attributes, ``store.*`` metrics).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.api import (
     BreakerConfig,
     MetricsRegistry,
     TieredStorageConfig,
-)
-from repro.cluster.results import QueryRecord
-from repro.cluster.server import (
-    PartitionModelConfig,
-    SimulatedServer,
-    StorageModelConfig,
 )
 from repro.corpus.generator import CorpusConfig
 from repro.corpus.querylog import QueryLogConfig
@@ -30,8 +23,6 @@ from repro.engine.service import SearchService, SearchServiceConfig
 from repro.index.store import tier_index
 from repro.obs.tracing import Tracer
 from repro.search.executor import Searcher
-from repro.servers.spec import ServerSpec
-from repro.sim.engine import Simulator
 
 TINY_CORPUS = CorpusConfig(
     num_documents=120,
@@ -199,146 +190,3 @@ class TestPagingObservability:
             assert "blocks_fetched" in span.attributes
             assert "bytes_read" in span.attributes
             assert span.attributes["blocks_fetched"] >= 0
-
-
-IDEAL = PartitionModelConfig(
-    num_partitions=1,
-    partition_overhead=0.0,
-    merge_base=0.0,
-    merge_per_partition=0.0,
-)
-
-
-def _simulate_one(partitions, demand=0.5, metrics=None):
-    sim = Simulator()
-    done = []
-    spec = ServerSpec(
-        name="test",
-        num_cores=4,
-        core_speed=1.0,
-        idle_power_watts=0.0,
-        peak_power_watts=1.0,
-    )
-    server = SimulatedServer(
-        sim,
-        spec,
-        partitions,
-        imbalance_rng=np.random.default_rng(0),
-        on_complete=done.append,
-        metrics=metrics,
-    )
-    record = QueryRecord(query_id=0, client_send=0.0, demand=demand)
-    sim.schedule(0.0, server.handle_arrival, record)
-    sim.run()
-    return record
-
-
-class TestStorageCostModel:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StorageModelConfig(cache_hit_rate=1.0)
-        with pytest.raises(ValueError):
-            StorageModelConfig(block_fetch_latency_s=-1.0)
-        with pytest.raises(ValueError):
-            StorageModelConfig(blocks_per_demand_s=-1.0)
-
-    def test_fetch_arithmetic(self):
-        storage = StorageModelConfig(
-            block_fetch_latency_s=1e-3,
-            blocks_per_demand_s=100.0,
-            cache_hit_rate=0.75,
-        )
-        # 2 s of demand → 200 block touches → 50 misses → 50 ms.
-        assert storage.blocks_fetched(2.0) == pytest.approx(50.0)
-        assert storage.fetch_seconds(2.0) == pytest.approx(0.05)
-
-    def test_effective_demand_adds_fetch_time(self):
-        storage = StorageModelConfig(
-            block_fetch_latency_s=1e-3,
-            blocks_per_demand_s=100.0,
-            cache_hit_rate=0.5,
-        )
-        config = PartitionModelConfig(
-            num_partitions=1,
-            partition_overhead=0.0,
-            merge_base=0.0,
-            merge_per_partition=0.0,
-            storage=storage,
-        )
-        assert config.effective_demand(1.0) == pytest.approx(
-            1.0 + 100.0 * 0.5 * 1e-3
-        )
-
-    def test_no_storage_model_is_unchanged(self):
-        assert IDEAL.effective_demand(0.7) == pytest.approx(0.7)
-
-    def test_unloaded_latency_includes_fetch_time(self):
-        storage = StorageModelConfig(
-            block_fetch_latency_s=1e-3,
-            blocks_per_demand_s=100.0,
-            cache_hit_rate=0.5,
-        )
-        slow = PartitionModelConfig(
-            num_partitions=1,
-            partition_overhead=0.0,
-            merge_base=0.0,
-            merge_per_partition=0.0,
-            storage=storage,
-        )
-        resident = _simulate_one(IDEAL, demand=1.0)
-        tiered = _simulate_one(slow, demand=1.0)
-        assert tiered.merge_end == pytest.approx(
-            resident.merge_end + 0.05
-        )
-
-    def test_sim_store_counters_emitted(self):
-        metrics = MetricsRegistry()
-        storage = StorageModelConfig(
-            block_fetch_latency_s=1e-3,
-            blocks_per_demand_s=100.0,
-            cache_hit_rate=0.5,
-        )
-        config = PartitionModelConfig(
-            num_partitions=2,
-            storage=storage,
-        )
-        _simulate_one(config, demand=1.0, metrics=metrics)
-        assert metrics.counter("sim.store.blocks_fetched").value == 50
-        assert metrics.gauge(
-            "sim.store.fetch_demand_s"
-        ).value == pytest.approx(0.05)
-
-    def test_higher_hit_rate_cuts_fetch_time(self):
-        base = dict(block_fetch_latency_s=1e-3, blocks_per_demand_s=200.0)
-        cold = StorageModelConfig(cache_hit_rate=0.0, **base)
-        warm = StorageModelConfig(cache_hit_rate=0.9, **base)
-        assert warm.fetch_seconds(1.0) < cold.fetch_seconds(1.0)
-
-    def test_pruning_discounts_fetches(self):
-        """BMW's fewer descents mean fewer block fetches: the storage
-        surcharge applies to the *pruned* demand."""
-        storage = StorageModelConfig(
-            block_fetch_latency_s=1e-3,
-            blocks_per_demand_s=100.0,
-            cache_hit_rate=0.0,
-        )
-        exhaustive = PartitionModelConfig(
-            num_partitions=1,
-            partition_overhead=0.0,
-            merge_base=0.0,
-            merge_per_partition=0.0,
-            storage=storage,
-        )
-        pruned = PartitionModelConfig(
-            num_partitions=1,
-            partition_overhead=0.0,
-            merge_base=0.0,
-            merge_per_partition=0.0,
-            traversal="block_max_wand",
-            pruning_factor=0.4,
-            storage=storage,
-        )
-        assert pruned.effective_demand(1.0) == pytest.approx(
-            0.4 + 0.4 * 100.0 * 1e-3
-        )
-        assert pruned.effective_demand(1.0) < exhaustive.effective_demand(1.0)

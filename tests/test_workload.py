@@ -11,7 +11,7 @@ from repro.workload.arrivals import (
 )
 from repro.workload.scenario import WorkloadScenario
 from repro.workload.servicetime import (
-    EmpiricalDemand,
+    ExponentialDemand,
     IndexDerivedDemand,
     LognormalDemand,
 )
@@ -106,23 +106,6 @@ class TestClosedLoopSpec:
             ClosedLoopSpec(num_clients=1, mean_think_time=-1.0)
 
 
-class TestEmpiricalDemand:
-    def test_resamples_from_data(self, rng):
-        model = EmpiricalDemand(samples=np.array([0.1, 0.2, 0.3]))
-        draws = model.demands(100, rng)
-        assert set(np.round(draws, 10)) <= {0.1, 0.2, 0.3}
-
-    def test_mean(self):
-        model = EmpiricalDemand(samples=np.array([0.1, 0.3]))
-        assert model.mean_demand() == pytest.approx(0.2)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            EmpiricalDemand(samples=np.array([]))
-        with pytest.raises(ValueError):
-            EmpiricalDemand(samples=np.array([-0.1]))
-
-
 class TestLognormalDemand:
     def test_mean_matches(self, rng):
         model = LognormalDemand(mu=-3.0, sigma=0.5)
@@ -186,7 +169,7 @@ class TestWorkloadScenario:
     def test_offered_load(self):
         scenario = WorkloadScenario(
             arrivals=PoissonArrivals(100.0),
-            demands=EmpiricalDemand(np.array([0.01])),
+            demands=ExponentialDemand(0.01),
             num_queries=10,
         )
         assert scenario.offered_load() == pytest.approx(1.0)
@@ -195,6 +178,6 @@ class TestWorkloadScenario:
         with pytest.raises(ValueError):
             WorkloadScenario(
                 arrivals=PoissonArrivals(1.0),
-                demands=EmpiricalDemand(np.array([0.01])),
+                demands=ExponentialDemand(0.01),
                 num_queries=0,
             )

@@ -5,7 +5,6 @@ import pytest
 
 from repro.sim.random import RandomStreams
 from repro.workload.diurnal import DiurnalArrivals, FlashCrowd
-from repro.workload.trace import TraceArrivals, save_trace
 
 
 def make_day(**overrides):
@@ -160,17 +159,3 @@ class TestThinning:
             make_day(period_s=-1.0)
         with pytest.raises(ValueError):
             make_day(burst_multiplier=0.5)
-
-
-class TestTraceInterop:
-    def test_save_and_replay_round_trip(self, tmp_path, rng):
-        """A generated day survives save_trace -> TraceArrivals."""
-        day = make_day()
-        times = day.realize_trace(1_200.0, np.random.default_rng(21))
-        path = tmp_path / "diurnal.trace"
-        assert save_trace(times, path) == times.size
-        replayed = TraceArrivals.from_file(path)
-        assert replayed.trace_length == times.size
-        assert np.allclose(
-            replayed.arrival_times(times.size, rng), times, atol=1e-8
-        )
