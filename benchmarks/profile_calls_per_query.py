@@ -23,8 +23,11 @@ cost.
     PYTHONPATH=src python benchmarks/profile_calls_per_query.py
 
 before and after the index kept its layout and a term → id map instead
-of per-term objects.  The counts are exact and do not depend on the
-host; they count calls, not their cost, so read ``run.py`` for time.
+of per-term objects, and before and after the gather's policy-free turn
+stopped arming timers and DAAT's kernel got leaner.  The counts are
+exact and do not depend on the host; they count calls, not their cost,
+so read ``run.py`` for time.  ``tests/test_calls_per_query.py`` pins the
+same kind of count on a small engine.
 """
 
 from __future__ import annotations

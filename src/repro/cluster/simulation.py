@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
 from repro.cluster.results import QueryRecord, SimulationResult
 from repro.cluster.server import PartitionModelConfig, SimulatedServer
 from repro.servers.spec import ServerSpec

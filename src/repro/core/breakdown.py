@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence
 
-from repro.cluster.results import BREAKDOWN_COMPONENTS
 from repro.cluster.server import PartitionModelConfig
 from repro.cluster.simulation import ClusterConfig, run_open_loop
 from repro.servers.spec import ServerSpec

@@ -11,7 +11,7 @@ both the scale and the query-cost correlation of the real engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -14,7 +14,7 @@ partitions.)
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.cluster.server import PartitionModelConfig
 from repro.cluster.simulation import ClusterConfig, run_open_loop

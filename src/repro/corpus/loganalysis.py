@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.stats import linear_fit
-from repro.corpus.querylog import Query, QueryLog
+from repro.corpus.querylog import QueryLog
 
 
 def estimate_popularity_exponent(

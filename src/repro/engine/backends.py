@@ -65,14 +65,6 @@ class _Done:
         return self._result
 
 
-def _run_inline(function, *args) -> _Done:
-    """Call ``function`` now; hand back its outcome, done."""
-    try:
-        return _Done(function(*args))
-    except Exception as exc:
-        return _Done(error=exc)
-
-
 class ShardBackend:
     """Attempts on the caller's thread and, if there is one, a process pool.
 
@@ -129,24 +121,29 @@ class ShardBackend:
         if self._pool is not None:
             self._pool.close()
 
-    def _attempt(self, shard, query, cancel, max_docs_scored):
-        """One cancellable search of one shard on the calling thread.
+    def _attempt(self, shard, query, cancel, max_docs_scored) -> _Done:
+        """One cancellable search of one shard on the calling thread, done.
 
-        Injected crashes/errors raise here and slowdowns pad the
-        measured service time, so they reach the gather exactly like a
-        real failing or straggling shard.
+        Injected crashes/errors fail it and slowdowns pad its measured
+        service time, as a real failing or straggling shard would.
         """
-        if self._faults is not None:
-            self._faults.before_search(shard)
-        # The depth cap is passed only when one is set: searchers that
-        # do not budget their traversal need not accept the keyword.
-        depth = (
-            {} if max_docs_scored is None
-            else {"max_docs_scored": max_docs_scored}
-        )
-        start = time.perf_counter()
-        result = self._searchers[shard].search(query, cancel=cancel, **depth)
-        return result, start, self._padded(shard, start, time.perf_counter())
+        try:
+            if self._faults is not None:
+                self._faults.before_search(shard)
+            # The depth cap is passed only when one is set: searchers
+            # that do not budget their traversal need not accept it.
+            depth = (
+                {} if max_docs_scored is None
+                else {"max_docs_scored": max_docs_scored}
+            )
+            start = time.perf_counter()
+            result = self._searchers[shard].search(
+                query, cancel=cancel, **depth
+            )
+            end = self._padded(shard, start, time.perf_counter())
+            return _Done((result, start, end))
+        except Exception as exc:
+            return _Done(error=exc)
 
     def _padded(self, shard, start, end) -> float:
         """``end``, moved out by the slowdown injected into ``shard``."""
@@ -163,8 +160,13 @@ class ShardBackend:
     ) -> List[_Done]:
         """Run ``items`` to completion; returns their outcomes."""
         pool = self._pool
+        if pool is None:  # every item on the caller's thread, in order
+            return [
+                self._attempt(shard, query, cancel, max_docs_scored)
+                for shard, query in items
+            ]
         futures: List[_Done] = [None] * len(items)  # type: ignore
-        lanes = min(len(items), 1 if pool is None else pool.num_workers + 1)
+        lanes = min(len(items), pool.num_workers + 1)
         size = min(self._batch_size, -(-len(items) // lanes))
         chunks = deque(range(0, len(items), size))
         own = chunks.popleft() if len(chunks) > 1 else None
@@ -172,8 +174,8 @@ class ShardBackend:
 
         def score(lo: int) -> None:
             for position in range(lo, min(lo + size, len(items))):
-                futures[position] = _run_inline(
-                    self._attempt, *items[position], cancel, max_docs_scored
+                futures[position] = self._attempt(
+                    *items[position], cancel, max_docs_scored
                 )
                 # A worker whose reply is in gets the next chunk now,
                 # not when this one is done.
@@ -216,10 +218,7 @@ class ShardBackend:
                     futures[position] = _Done((result, start, end))
             deal(flight.slot)
 
-        while (
-            chunks and pool is not None
-            and (slot := pool.checkout()) is not None
-        ):
+        while chunks and (slot := pool.checkout()) is not None:
             deal(slot)
         if own is not None:
             score(own)

@@ -13,9 +13,9 @@ the paper's intra-server partitioning study.  It does so exactly once:
   that misses its deadline is dropped from the merge, so the response
   reports ``coverage < 1.0``.  With no resilience feature configured
   the inert :data:`~repro.engine.hedging.DISABLED_POLICY` drives the
-  same loop: no timer is armed, it waits for the primaries, and a
-  failing shard re-raises to the caller.  "No policy" is the
-  degenerate setting, not a second path.
+  same gather, whose one turn arms nothing: the primaries go out in one
+  submission, come back done and are booked in order, and a failing
+  shard re-raises to the caller.
 - **one backend** (:mod:`repro.engine.backends`): the gather hands
   ``(shard, query)`` work items to a two-method backend that scores on
   the caller's thread whatever a GIL-free process pool, when the node
@@ -65,11 +65,7 @@ from repro.resilience.admission import (
 )
 from repro.resilience.breaker import BreakerBoard, BreakerConfig, BreakerState
 from repro.resilience.faults import FaultInjector, FaultPlan
-from repro.search.executor import (
-    SearchCancelled,
-    ShardSearcher,
-    _normalize_algorithm,
-)
+from repro.search.executor import SearchCancelled, ShardSearcher
 from repro.search.global_stats import global_scorer_factory
 from repro.search.strategy import TraversalStrategy
 from repro.search.merger import merge_shard_results
@@ -142,12 +138,9 @@ class _FanoutOutcome:
     deadline_misses: int = 0
     retries: int = 0
     breaker_skips: int = 0
-    missed_shards: Tuple[int, ...] = ()
 
     @property
     def coverage(self) -> float:
-        if self.num_shards == 0:
-            return 1.0
         return len(self.answered) / self.num_shards
 
 
@@ -300,7 +293,6 @@ class IndexServingNode:
             or self.fault_injector is not None
         )
         self.scheduler = scheduler
-        self._algorithm_name = _normalize_algorithm(algorithm)
         #: Shard latencies, kept only for a policy that hedges at a quantile.
         quantile = self.hedging is not None and self.hedging.hedge_quantile
         self._latency_tracker = ShardLatencyTracker() if quantile else None
@@ -631,7 +623,7 @@ class IndexServingNode:
         if (
             deadline is None
             or not scheduler.depth_from_budget
-            or self._algorithm_name != "block_max_wand"
+            or self._searchers[0].algorithm != "block_max_wand"
             or self._resilient_fanout
         ):
             return None
@@ -661,68 +653,86 @@ class IndexServingNode:
         """The node's one fan-out: run ``items`` on ``backend``, gather.
 
         ``items`` is query-major (each query's shards ``0..n-1``), and
-        each item is one *slot* the loop must decide: answered,
+        each item is one *slot* the gather must decide: answered,
         deadline-missed, failed beyond the retry budget, or fenced off
-        by an open breaker.  Each turn fires the timers that are due
-        (retry backoff, deadline, hedge) and books the attempts that
-        have finished, waiting on those in flight until the next timer
-        only when none has.  Returns one :class:`_FanoutOutcome` per query.
+        by an open breaker.  Returns one :class:`_FanoutOutcome` per query.
 
         ``resilient`` says whether the node's policy, breakers and
-        failure tolerance apply.  When False the inert policy arms no
-        timer and a failed attempt re-raises to the caller — except a
-        worker crash that outlived its ``crash_retries``, which costs a
-        batch's affected queries that shard, not every query its answer.
-        With only breakers or faults configured the inert policy still
-        supplies the bounded retry those features feed on.
+        failure tolerance apply.  When False the gather's one turn arms
+        nothing: the items go out in one submission, are booked as they
+        come back, and a failed attempt re-raises to the caller —
+        except a worker crash that outlived its ``crash_retries``, which
+        gets the inert policy's one retry and then costs a batch's
+        affected queries that shard, not every query its answer.
+        Otherwise each turn fires the timers that are due (retry
+        backoff, deadline, hedge) and books the attempts that have
+        finished, waiting on those in flight until the next timer only
+        when none has.  With only breakers or faults configured the
+        inert policy still supplies the bounded retry they feed on.
         """
         n = self.num_partitions
+        outcomes = [_FanoutOutcome([], n) for _ in range(0, len(items), n)]
+        if resilient:
+            undecided = set(range(len(items)))
+        else:
+            # The policy-free turn: one submission whose attempts come
+            # back done, booked in item order.
+            undecided = set()
+            futures = backend.submit(items, None, max_docs, crash_retries)
+            for slot, future in enumerate(futures):
+                try:
+                    outcomes[slot // n].answered.append(
+                        (items[slot][0], "primary", *future.result())
+                    )
+                except WorkerCrashError:
+                    if not crash_retries:
+                        raise
+                    undecided.add(slot)
+            if not undecided:
+                return outcomes
         policy = (self.hedging if resilient else None) or DISABLED_POLICY
         breakers = self.breaker_board if resilient else None
         tracker = self._latency_tracker
         delay = policy.resolve_hedge_delay(tracker)
-        deadline_at = (
-            None
-            if policy.deadline_s is None
-            else fanout_start + policy.deadline_s
-        )
-        outcomes = [
-            _FanoutOutcome(answered=[], num_shards=n)
-            for _ in range(0, len(items), n)
-        ]
-        answered: Dict[int, tuple] = {}
-        undecided = set(range(len(items)))
+        deadline_s = policy.deadline_s
+        deadline_at = None if deadline_s is None else fanout_start + deadline_s
         hedges_left = [policy.max_hedges] * len(items)
         retries = [0] * len(items)
         #: Armed timers, by slot; a settled slot has none.
-        hedge_at: Dict[int, float] = (
-            {}
-            if delay is None
-            else dict.fromkeys(undecided, fanout_start + delay)
+        hedge_at: Dict[int, float] = {} if delay is None else dict.fromkeys(
+            undecided, fanout_start + delay
         )
         retry_at: Dict[int, float] = {}
-        #: In-flight attempts: future -> (slot, kind, cancellation token);
-        #: policy-free none outlives its slot's verdict, so none has a token.
+        #: In-flight attempts: future -> (slot, kind, cancellation token).
         pending: Dict[Future, tuple] = {}
 
-        def submit(slots: List[int], kind: str) -> None:
-            token = threading.Event() if resilient else None
-            futures = backend.submit(
-                [items[slot] for slot in slots], token, max_docs, crash_retries
+        def submit(slot: int, kind: str) -> None:
+            token = threading.Event()
+            (future,) = backend.submit(
+                [items[slot]], token, max_docs, crash_retries
             )
-            for slot, future in zip(slots, futures):
-                pending[future] = (slot, kind, token)
+            pending[future] = (slot, kind, token)
 
         def settle(slot: int) -> None:
             """Mark ``slot`` decided; cancel what is still in flight for it."""
             undecided.discard(slot)
             hedge_at.pop(slot, None)
             retry_at.pop(slot, None)
-            if resilient:
-                for future, (other, _, token) in pending.items():
-                    if other == slot:
-                        token.set()
-                        future.cancel()
+            for future, (other, _, token) in pending.items():
+                if other == slot:
+                    token.set()
+                    future.cancel()
+
+        def failed(slot: int) -> None:
+            """Queue a retry of ``slot`` while the policy allows one."""
+            breaker_failure(slot, time.perf_counter())
+            if retries[slot] < policy.max_retries:
+                backoff = policy.retry_delay(retries[slot])
+                retries[slot] += 1
+                outcomes[slot // n].retries += 1
+                retry_at[slot] = time.perf_counter() + backoff
+            else:
+                settle(slot)
 
         def breaker_allow(slot: int, now: float) -> bool:
             """Consult the shard's breaker (counting half-open probes)."""
@@ -740,21 +750,20 @@ class IndexServingNode:
             if breakers is not None:
                 breakers.breaker(items[slot][0]).record_failure(now)
 
-        primaries = []
-        for slot in range(len(items)):
-            if breaker_allow(slot, fanout_start):
-                primaries.append(slot)
-            else:
+        # Attempts a policy may hedge, retry or fence off one by one go
+        # out one by one: a submission is the backend's unit of packing
+        # and of failure.  A crash that outlived the policy-free turn's
+        # re-dispatches gets the inert policy's one retry.
+        for slot in sorted(undecided):
+            if resilient and not breaker_allow(slot, fanout_start):
                 # Open breaker: skip the shard outright, degrading
                 # coverage exactly like a deadline miss.
                 settle(slot)
                 outcomes[slot // n].breaker_skips += 1
-        # A submission is the backend's unit of packing — and so of
-        # failure: attempts a policy may hedge, retry or fence off one
-        # by one go out one by one; policy-free primaries go together.
-        for group in [[s] for s in primaries] if resilient else [primaries]:
-            if group:
-                submit(group, "primary")
+            elif resilient:
+                submit(slot, "primary")
+            else:
+                failed(slot)
 
         while undecided:
             now = time.perf_counter()
@@ -766,7 +775,7 @@ class IndexServingNode:
                 if slot in retry_at and now >= retry_at[slot]:
                     del retry_at[slot]
                     if breaker_allow(slot, now):
-                        submit([slot], "retry")
+                        submit(slot, "retry")
                     else:
                         # The failures that queued this retry tripped
                         # the breaker: give up on the shard instead of
@@ -787,14 +796,14 @@ class IndexServingNode:
                     if breaker_allow(slot, now):
                         hedges_left[slot] -= 1
                         outcome.hedges_issued += 1
-                        submit([slot], "hedge")
+                        submit(slot, "hedge")
                         if hedges_left[slot] > 0:
                             hedge_at[slot] = now + delay
             if not undecided:
                 break  # the timers just decided the last slot
             # Book what has already finished before considering a wait:
-            # over completed futures (attempts run on the caller's
-            # thread) the gather builds no waiter and takes no lock.
+            # over completed futures the gather builds no waiter and
+            # takes no lock.
             done = [future for future in pending if future.done()]
             if not done:
                 timers = [*retry_at.values(), *hedge_at.values()]
@@ -816,42 +825,28 @@ class IndexServingNode:
                 slot, kind, _ = pending.pop(future)
                 if slot not in undecided:
                     continue  # a loser finishing after the verdict
-                outcome = outcomes[slot // n]
                 try:
                     result, start, end = future.result()
                 except SearchCancelled:
                     continue
                 except Exception as exc:
-                    if not resilient and not (
-                        crash_retries and isinstance(exc, WorkerCrashError)
-                    ):
+                    if not resilient and not isinstance(exc, WorkerCrashError):
                         raise
-                    breaker_failure(slot, time.perf_counter())
-                    if retries[slot] < policy.max_retries:
-                        backoff = policy.retry_delay(retries[slot])
-                        retries[slot] += 1
-                        outcome.retries += 1
-                        retry_at[slot] = time.perf_counter() + backoff
-                    else:
-                        settle(slot)
+                    failed(slot)
                     continue
                 if breakers is not None:
                     breakers.breaker(items[slot][0]).record_success(end)
                 settle(slot)
-                answered[slot] = (items[slot][0], kind, result, start, end)
+                outcomes[slot // n].answered.append(
+                    (items[slot][0], kind, result, start, end)
+                )
                 if tracker is not None:
                     tracker.observe(end - start)
                 if kind == "hedge":
-                    outcome.hedges_won += 1
+                    outcomes[slot // n].hedges_won += 1
 
-        for position, outcome in enumerate(outcomes):
-            slots = range(position * n, (position + 1) * n)
-            outcome.answered = [
-                answered[slot] for slot in slots if slot in answered
-            ]
-            outcome.missed_shards = tuple(
-                items[slot][0] for slot in slots if slot not in answered
-            )
+        for outcome in outcomes:
+            outcome.answered.sort()  # by shard: one entry each
         return outcomes
 
     def _respond_from_cache(
@@ -888,22 +883,21 @@ class IndexServingNode:
         fanout_start: float,
         fanout_end: float,
     ) -> IsnResponse:
-        query = admitted.query
-        total_start = admitted.total_start
+        results = [result for _, _, result, _, _ in outcome.answered]
         merge_start = time.perf_counter()
-        hits = merge_shard_results(
-            [result.hits for _, _, result, _, _ in outcome.answered],
-            k=query.k,
-        )
+        if len(results) == 1:
+            hits = results[0].hits  # a lone shard's top k is the answer
+        else:
+            hits = tuple(merge_shard_results(
+                [result.hits for result in results], k=admitted.query.k
+            ))
         total_end = time.perf_counter()
 
-        matched_volume = sum(
-            result.matched_volume for _, _, result, _, _ in outcome.answered
-        )
+        matched_volume = sum([result.matched_volume for result in results])
         if self._metrics is not None:
             self._metrics.counter("isn.queries").add()
             self._metrics.histogram("isn.service_seconds").observe(
-                total_end - total_start
+                total_end - admitted.total_start
             )
             if self._resilient_fanout:
                 self._metrics.counter("isn.hedges_issued").add(
@@ -934,7 +928,7 @@ class IndexServingNode:
                 merge_start, total_end,
             )
         return IsnResponse(
-            hits=tuple(hits),
+            hits=hits,
             timings=ComponentTimings(
                 parse_seconds=admitted.parse_end - admitted.total_start,
                 shard_seconds=[
@@ -942,7 +936,7 @@ class IndexServingNode:
                 ],
                 fanout_seconds=fanout_end - fanout_start,
                 merge_seconds=total_end - merge_start,
-                total_seconds=total_end - total_start,
+                total_seconds=total_end - admitted.total_start,
             ),
             matched_volume=matched_volume,
             coverage=outcome.coverage,
@@ -1007,7 +1001,8 @@ class IndexServingNode:
             tracer.record_span(
                 "shard", start=start, end=end, parent=fanout, **attributes
             )
-        for shard_index in outcome.missed_shards:
+        answered = {shard for shard, *_ in outcome.answered}
+        for shard_index in sorted(set(range(self.num_partitions)) - answered):
             tracer.record_span(
                 "shard", start=fanout_start, end=fanout_end, parent=fanout,
                 shard=shard_index, deadline_missed=True,

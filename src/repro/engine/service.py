@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.corpus.querylog import QueryLog, QueryLogConfig, QueryLogGenerator
 from repro.engine.execution import ExecutionConfig
 from repro.engine.hedging import HedgingPolicy
 from repro.engine.isn import IndexServingNode, IsnResponse
-from repro.resilience.admission import OverloadPolicy, ShedResponse
+from repro.resilience.admission import OverloadPolicy
 from repro.resilience.breaker import BreakerConfig
 from repro.resilience.faults import FaultPlan
 from repro.engine.snippets import Snippet, SnippetGenerator

@@ -25,7 +25,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

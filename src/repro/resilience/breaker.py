@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable
 
 __all__ = [
     "BreakerConfig",

@@ -65,7 +65,7 @@ candidates the block bounds dropped; there are no pivots.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,9 +92,9 @@ class _TermImpacts:
     Nothing here depends on the query: the postings' doc ids (a view)
     and their number, every posting's contribution, the block ends and
     bounds (0.0 appended: a document past the last block gets nothing
-    from the term), M_t, and the θ seeds, memoised per ``k`` as queries
-    ask for them.  A concurrent fill of a seed is benign — every thread
-    derives the same value from immutable arrays.
+    from the term), M_t, and ``seeds``, the θ seeds the generator keeps
+    per ``k`` as queries ask for them.  A concurrent fill of a seed is
+    benign — every thread derives the same value from immutable arrays.
     """
 
     __slots__ = (
@@ -105,7 +105,7 @@ class _TermImpacts:
         "block_ends",
         "bounds",
         "maximum",
-        "_seeds",
+        "seeds",
     )
 
     def __init__(self, doc_ids, scores, block_ends, bounds):
@@ -116,27 +116,14 @@ class _TermImpacts:
         self.block_ends = block_ends
         self.bounds = np.concatenate((bounds, _NO_BLOCK))
         self.maximum = float(bounds.max())
-        self._seeds: Dict[int, float] = {}
+        self.seeds: Dict[int, float] = {}
 
     def seed(self, k: int) -> float:
         """The k-th largest contribution; −∞ when the list is shorter."""
-        seed = self._seeds.get(k)
-        if seed is None:
-            size = len(self.scores)
-            seed = (
-                np.partition(self.scores, size - k)[size - k]
-                if size >= k
-                else -np.inf
-            )
-            self._seeds[k] = seed
-        return seed
-
-    def essential(self, records, threshold: float) -> np.ndarray:
-        """The term's candidates when it is essential: every document."""
-        return self.doc_ids
-
-    def cover(self, survivors: np.ndarray) -> None:
-        """Every posting is at hand already."""
+        size = len(self.scores)
+        if size < k:
+            return -np.inf
+        return np.partition(self.scores, size - k)[size - k]
 
 
 class _PagedImpacts:
@@ -163,6 +150,7 @@ class _PagedImpacts:
         "doc_lengths",
         "doc_ids",
         "scores",
+        "seeds",
         "_blocks",
     )
 
@@ -181,6 +169,7 @@ class _PagedImpacts:
         self.scorer = scorer
         self.idf = idf
         self.doc_lengths = doc_lengths
+        self.seeds: Dict[int, float] = {}
         self._blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def _read(self, blocks) -> Tuple[np.ndarray, np.ndarray]:
@@ -267,9 +256,6 @@ class _PagedImpacts:
         self.doc_ids, self.scores = self._read(np.unique(blocks[held]).tolist())
 
 
-_Record = Union[_TermImpacts, _PagedImpacts]
-
-
 def _term_impacts(
     index: InvertedIndex, scorer, term: str
 ) -> Optional[_TermImpacts]:
@@ -323,21 +309,19 @@ def _generate(
     records afresh.  A tiered index builds its records per query and
     never touches ``impacts``.  ``global_doc_ids`` maps the hits' ids.
     """
-    if hasattr(index, "tiered_postings_for_id"):
+    paged = hasattr(index, "tiered_postings_for_id")
+    if paged:
         build, memo = _paged_impacts, {}
     else:
         build, memo = _term_impacts, {} if impacts is None else impacts
-    records: List[_Record] = []
     for term in query.terms:
-        record = memo.get(term)
-        if record is None:
+        if term not in memo:
             record = build(index, scorer, term)
-            if record is None:
-                continue
-            memo[term] = record
-        records.append(record)
+            if record is not None:
+                memo[term] = record
+    records = [memo[term] for term in query.terms if term in memo]
     if stats is not None:
-        stats.matched_volume += sum(record.volume for record in records)
+        stats.matched_volume += sum([record.volume for record in records])
     if not records:
         return []
 
@@ -348,31 +332,41 @@ def _generate(
     terms = range(len(records))
     maxima = [record.maximum for record in records]
     by_bound = sorted(terms, key=maxima.__getitem__)
-    if all(record.nonnegative for record in records):
+    if all([record.nonnegative for record in records]):
         for term in reversed(by_bound):
             if maxima[term] <= threshold:
                 break
-            threshold = max(threshold, records[term].seed(query.k))
+            seeds = records[term].seeds
+            seed = seeds.get(query.k)
+            if seed is None:
+                seed = seeds[query.k] = records[term].seed(query.k)
+            if seed > threshold:
+                threshold = seed
 
     # Essential split: grow the non-essential set from the lowest M_t
     # while its bounds, summed in query-term order, stay below θ.
     essential = set(terms)
     for term in by_bound:
         rest = essential - {term}
-        if not sum(maxima[t] for t in terms if t not in rest) < threshold:
+        if not sum([maxima[t] for t in terms if t not in rest]) < threshold:
             break
         essential = rest
 
     # The candidates: the union of the essential lists, from one sort.
+    # A resident list is every posting; a tiered one what can reach θ.
     lists = [
         records[term].essential(records, threshold)
+        if paged
+        else records[term].doc_ids
         for term in sorted(essential)
     ]
     if len(lists) == 1:
         candidates = lists[0]
     else:
-        candidates = np.sort(np.concatenate(lists))
-        distinct = np.ones(len(candidates), dtype=bool)
+        candidates = np.concatenate(lists)
+        candidates.sort()
+        distinct = np.empty(len(candidates), dtype=bool)
+        distinct[:1] = True
         np.not_equal(candidates[1:], candidates[:-1], out=distinct[1:])
         candidates = candidates[distinct]
 
@@ -395,12 +389,15 @@ def _generate(
     # Every posting of a surviving document, in term order, into the merge.
     surviving = np.zeros(index.num_documents, dtype=bool)
     surviving[survivors] = True
-    for record in records:
-        record.cover(survivors)
+    if paged:  # a resident record holds every posting already
+        for record in records:
+            record.cover(survivors)
     ids = np.concatenate([record.doc_ids for record in records])
     kept = surviving[ids]
     documents, totals, _ = _merge_postings(
-        ids[kept], np.concatenate([record.scores for record in records])[kept]
+        ids[kept],
+        np.concatenate([record.scores for record in records])[kept],
+        len(records),
     )
 
     docs_scored = len(survivors)

@@ -30,33 +30,39 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _merge_postings(
-    ids: np.ndarray, contributions: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ids: np.ndarray, contributions: np.ndarray, lists: int
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """The array merge: every document's score from its terms' postings.
 
-    ``ids``/``contributions`` are the query terms' doc-sorted postings
+    ``ids``/``contributions`` are ``lists`` doc-sorted postings lists
     and their contributions, concatenated in query-term order.  Returns
     the distinct doc ids (ascending), each one's summed contribution,
-    and how many of the terms matched it.  This is the one scoring kernel:
-    exhaustive DAAT feeds it every posting, resident Block-Max WAND only
-    the postings of the documents its block bounds let through.
+    and each posting's document number (in doc-id order; its bincount,
+    how many lists matched each document, is for AND mode).  One list
+    comes back as it is, with no segments: ``c + 0.0`` is bincount's
+    ``0.0 + c`` bit for bit, the sign of zero included.  This is the one
+    scoring kernel: exhaustive DAAT feeds it every posting, resident
+    Block-Max WAND only those of the documents its bounds let through.
     """
-    order = np.argsort(ids, kind="stable")
+    if lists == 1:
+        return ids, contributions + 0.0, None
+    order = ids.argsort(kind="stable")
     ids = ids[order]
 
     # One segment per candidate document, its postings in term order.
-    is_start = np.ones(len(ids), dtype=bool)
-    np.not_equal(ids[1:], ids[:-1], out=is_start[1:])
-    starts = np.flatnonzero(is_start)
-    matched = np.append(starts[1:], len(ids)) - starts
+    segment = np.empty(len(ids), dtype=np.intp)
+    segment[:1] = 0
+    np.not_equal(ids[1:], ids[:-1], out=segment[1:])
+    segment.cumsum(out=segment)
 
     # bincount adds each weight into its segment's 0.0 in array order,
     # so every document is summed one term at a time, as a scalar loop
     # would: reduceat may add pairwise, which rounds differently and
     # would break bit-identity with TAAT and the WAND family.
-    segment = np.arange(len(starts)).repeat(matched)
     totals = np.bincount(segment, weights=contributions[order])
-    return ids[starts], totals, matched
+    documents = np.empty(len(totals), dtype=ids.dtype)
+    documents[segment] = ids
+    return documents, totals, segment
 
 
 def score_daat(
@@ -114,10 +120,14 @@ def score_daat(
     # Exhaustive traversal reads every posting, so all of them are
     # scored in one pass, each term's idf repeated over its postings:
     # every element sees the float64 operations of the scalar path, in
-    # the same order (score_block's contract).
-    ids = np.concatenate([doc_ids for doc_ids, _ in found])
-    frequencies = np.concatenate([tfs for _, tfs in found])
-    idf = np.array(idfs).repeat([doc_ids.size for doc_ids, _ in found])
+    # the same order (score_block's contract); one term, under its idf.
+    if len(found) == 1:
+        (ids, frequencies), idf = found[0], idfs[0]
+    else:
+        id_parts, frequency_parts = zip(*found)
+        ids = np.concatenate(id_parts)
+        frequencies = np.concatenate(frequency_parts)
+        idf = np.array(idfs).repeat([part.size for part in id_parts])
     if normalizer is None:
         contributions = _vector_scores(
             scorer, frequencies, index.doc_lengths[ids], idf
@@ -127,10 +137,12 @@ def score_daat(
             frequencies, normalizer[ids], idf
         )
 
-    candidates, totals, matched = _merge_postings(ids, contributions)
+    candidates, totals, segment = _merge_postings(
+        ids, contributions, len(found)
+    )
     scored = len(candidates)
-    if query.mode is QueryMode.AND:
-        required = matched >= len(query.terms)
+    if segment is not None and query.mode is QueryMode.AND:
+        required = np.bincount(segment) >= len(found)
         candidates, totals = candidates[required], totals[required]
 
     if stats is not None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -33,26 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Supported traversal algorithms.
 ALGORITHMS = ("daat", "taat", "wand", "block_max_wand")
-
-
-def _normalize_algorithm(value: Union[str, TraversalStrategy]) -> str:
-    """Map a strategy enum or spelling variant to an algorithm name.
-
-    ``"taat"`` stays a distinct algorithm (it is an exhaustive traversal
-    with a different execution order), so only non-algorithm spellings
-    go through :meth:`TraversalStrategy.coerce`.
-    """
-    if isinstance(value, TraversalStrategy):
-        return value.algorithm
-    if isinstance(value, str):
-        normalized = value.strip().lower().replace("-", "_")
-        if normalized in ALGORITHMS:
-            return normalized
-        try:
-            return TraversalStrategy.coerce(normalized).algorithm
-        except ValueError:
-            return normalized  # __post_init__ reports the full choice list
-    return value
 
 
 class SearchCancelled(RuntimeError):
@@ -161,13 +141,22 @@ class Searcher:
         init=False, repr=False
     )
     _impacts: Dict[str, object] = field(init=False, repr=False)
+    _traverse: Callable[..., SearchResult] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.algorithm = _normalize_algorithm(self.algorithm)
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}"
-            )
+        # A strategy or another spelling of one names its algorithm;
+        # ``"taat"``, exhaustive in another order, stays its own.
+        algorithm = self.algorithm
+        if isinstance(algorithm, str):
+            algorithm = algorithm.strip().lower().replace("-", "_")
+        if algorithm not in ALGORITHMS:
+            try:
+                algorithm = TraversalStrategy.coerce(algorithm).algorithm
+            except ValueError:
+                raise ValueError(
+                    f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}"
+                ) from None
+        self.algorithm = algorithm
         self._parser = QueryParser(analyzer=self.index.analyzer)
         if self.scorer_factory is not None:
             self._scorer = self.scorer_factory(self.index)
@@ -188,6 +177,7 @@ class Searcher:
         # Block-Max WAND's per-term records under ``_scorer`` (resident
         # index only): one per index term a query has asked for.
         self._impacts = {}
+        self._traverse = getattr(type(self), f"_{self.algorithm}")
 
     def parse(
         self,
@@ -225,60 +215,64 @@ class Searcher:
             )
         if isinstance(query, str):
             query = self.parse(query, mode=mode, k=k)
-        scorer = self._scorer
-        to_global = self.global_doc_ids
-        stats = TraversalStats()
         store_stats = self._store_stats
         store_before = store_stats() if store_stats is not None else None
-        if self.algorithm == "taat":
-            hits = score_taat(self.index, query, scorer, stats, to_global)
-            docs_scored: Optional[int] = None
-            blocks_skipped: Optional[int] = None
-        elif self.algorithm == "wand":
-            hits = score_wand(
-                self.index, query, scorer, self.metrics, stats, to_global
-            )
-            docs_scored = stats.docs_scored
-            blocks_skipped = None
-        elif self.algorithm == "block_max_wand":
-            hits = _score_block_max_wand(
-                self.index,
-                query,
-                scorer,
-                self.metrics,
-                stats,
-                max_docs_scored,
-                self._impacts,
-                to_global,
-            )
-            docs_scored = stats.docs_scored
-            blocks_skipped = stats.block_skips
-        else:
-            hits = score_daat(
-                self.index, query, scorer, self.metrics, stats,
-                self._normalizer, to_global,
-            )
-            docs_scored = stats.docs_scored
-            blocks_skipped = None
-        matched_volume = stats.matched_volume
-        blocks_fetched: Optional[int] = None
-        bytes_read: Optional[int] = None
+        result = self._traverse(self, query, max_docs_scored)
         if store_before is not None:
             paging = store_stats().delta(store_before)
-            blocks_fetched = paging.blocks_fetched
-            bytes_read = paging.bytes_read
+            result = replace(
+                result, blocks_fetched=paging.blocks_fetched,
+                bytes_read=paging.bytes_read,
+            )
         if self.metrics is not None:
             self.metrics.counter("search.queries").add()
-            self.metrics.counter("search.postings_scanned").add(matched_volume)
+            self.metrics.counter("search.postings_scanned").add(
+                result.matched_volume
+            )
+        return result
+
+    # One traversal per algorithm, looked up once as ``_traverse`` and
+    # unbound (a bound method would put the searcher in a cycle): each
+    # returns the result of ``query`` without the store's paging counts.
+
+    def _daat(self, query: ParsedQuery, max_docs_scored) -> SearchResult:
+        stats = TraversalStats()
+        hits = score_daat(
+            self.index, query, self._scorer, self.metrics, stats,
+            self._normalizer, self.global_doc_ids,
+        )
         return SearchResult(
-            hits=tuple(hits),
-            query=query,
-            matched_volume=matched_volume,
-            docs_scored=docs_scored,
-            blocks_skipped=blocks_skipped,
-            blocks_fetched=blocks_fetched,
-            bytes_read=bytes_read,
-            truncated=stats.truncated,
+            tuple(hits), query, stats.matched_volume, stats.docs_scored
+        )
+
+    def _taat(self, query: ParsedQuery, max_docs_scored) -> SearchResult:
+        stats = TraversalStats()
+        hits = score_taat(
+            self.index, query, self._scorer, stats, self.global_doc_ids
+        )
+        return SearchResult(tuple(hits), query, stats.matched_volume)
+
+    def _wand(self, query: ParsedQuery, max_docs_scored) -> SearchResult:
+        stats = TraversalStats()
+        hits = score_wand(
+            self.index, query, self._scorer, self.metrics, stats,
+            self.global_doc_ids,
+        )
+        return SearchResult(
+            tuple(hits), query, stats.matched_volume, stats.docs_scored
+        )
+
+    def _block_max_wand(
+        self, query: ParsedQuery, max_docs_scored
+    ) -> SearchResult:
+        stats = TraversalStats()
+        hits = _score_block_max_wand(
+            self.index, query, self._scorer, self.metrics, stats,
+            max_docs_scored, self._impacts, self.global_doc_ids,
+        )
+        return SearchResult(
+            tuple(hits), query, stats.matched_volume, stats.docs_scored,
+            stats.block_skips, truncated=stats.truncated,
         )
 
 

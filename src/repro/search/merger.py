@@ -30,6 +30,4 @@ def merge_shard_results(
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     shards = [hits for hits in shard_hits if hits]
-    if len(shards) == 1:
-        return list(shards[0][:k])
     return list(islice(merge(*shards, key=SearchHit.sort_key), k))

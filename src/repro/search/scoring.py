@@ -123,7 +123,10 @@ class BM25Scorer:
     ) -> np.ndarray:
         """:meth:`score_block` from each posting's :meth:`length_normalizer`."""
         frequencies = frequencies.astype(np.float64)
-        return idf * frequencies * (self.k1 + 1.0) / (frequencies + normalizer)
+        scores = idf * frequencies
+        scores *= self.k1 + 1.0
+        scores /= np.add(frequencies, normalizer, out=frequencies)
+        return scores
 
     def max_score(self, idf: float) -> float:
         """Upper bound of :meth:`score` over any document (tf → ∞, b-term → 0).

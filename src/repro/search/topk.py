@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from heapq import heappush, heapreplace
+from itertools import repeat
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -103,11 +104,14 @@ def select_top_k(
     if len(scores) > k:
         # Everything at or above the k-th best score survives the cut,
         # so the doc-id tie-break below sees every tie at the boundary.
-        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-        keep = scores >= kth
+        cut = scores.copy()
+        cut.partition(len(scores) - k)
+        keep = scores >= cut[len(scores) - k]
         doc_ids, scores = doc_ids[keep], scores[keep]
     order = np.lexsort((doc_ids, -scores))[:k]
     doc_ids = doc_ids[order]
     if global_doc_ids is not None:
         doc_ids = global_doc_ids[doc_ids]
-    return list(map(SearchHit, scores[order].tolist(), doc_ids.tolist()))
+    # ``tuple.__new__`` builds a hit without ``SearchHit.__new__``'s frame.
+    pairs = zip(scores[order].tolist(), doc_ids.tolist())
+    return list(map(tuple.__new__, repeat(SearchHit, len(order)), pairs))

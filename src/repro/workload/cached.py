@@ -12,7 +12,7 @@ queries that keep missing — remains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -16,7 +16,7 @@ time.  The models:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 

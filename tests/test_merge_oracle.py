@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 from repro.corpus.documents import Document, DocumentCollection
 from repro.index.builder import IndexBuilder
 from repro.index.partitioner import PartitionStrategy, partition_index
+from repro.search import daat
 from repro.search.daat import _merge_postings
 from repro.search.executor import ALGORITHMS, Searcher, ShardSearcher
 from repro.search.global_stats import global_scorer_factory
 from repro.search.merger import merge_shard_results
-from repro.search.topk import SearchHit, TopKHeap
+from repro.search.topk import SearchHit, TopKHeap, select_top_k
 
 
 def heap_merge(shard_hits, k):
@@ -184,22 +185,24 @@ class TestMergeEqualsTheHeap:
 
 def test_a_search_builds_each_hit_once(small_collection, texts, monkeypatch):
     """Shard-local ids are mapped before the hits are built: one hit
-    per result, constructed once.  A hit is a tuple, so it is counted
-    where a tuple is built, in ``__new__``."""
+    per result, constructed once.  ``select_top_k`` builds a hit with
+    ``tuple.__new__``, which runs no frame of its own, so the test
+    holds the searcher's hits to the very objects the kernel built."""
     built = []
-    new = SearchHit.__new__
 
-    def counting_new(cls, *args, **kwargs):
-        hit = new(cls, *args, **kwargs)
-        built.append(hit)
-        return hit
+    def spying_select(*args):
+        hits = select_top_k(*args)
+        built.append(hits)
+        return hits
 
     shard = partition_index(small_collection, 2)[1]
     searcher = ShardSearcher(shard)
-    monkeypatch.setattr(SearchHit, "__new__", counting_new)
+    monkeypatch.setattr(daat, "select_top_k", spying_select)
     result = searcher.search(texts[0], k=10)
-    assert result.hits and len(built) == len(result.hits)
-    assert all(a is b for a, b in zip(built, result.hits))
+    assert len(built) == 1 and result.hits
+    assert len(built[0]) == len(result.hits)
+    assert all(a is b for a, b in zip(built[0], result.hits))
+    assert all(type(hit) is SearchHit for hit in result.hits)
     assert set(result.doc_ids()) <= set(shard.global_doc_ids.tolist())
 
 
@@ -262,10 +265,15 @@ def term_lists(draw):
 
 
 def merged(lists):
-    return _merge_postings(
+    """``_merge_postings`` over ``lists``, with how many matched each."""
+    documents, totals, segment = _merge_postings(
         np.concatenate([doc_ids for doc_ids, _ in lists]),
         np.concatenate([scores for _, scores in lists]),
+        len(lists),
     )
+    if segment is None:
+        return documents, totals, np.ones(len(documents), dtype=np.int64)
+    return documents, totals, np.bincount(segment)
 
 
 class TestPostingsMergeOracle:
@@ -274,6 +282,7 @@ class TestPostingsMergeOracle:
     @settings(max_examples=300, deadline=None)
     @given(term_lists())
     @example(ORDER_SENSITIVE)
+    @example([(np.array([1, 4, 9]), np.array([-0.0, 0.5, -0.0]))])
     def test_equals_the_scalar_loop(self, lists):
         documents, totals, matched = merged(lists)
         want_documents, want_totals, want_matched = scalar_merge(lists)
@@ -292,3 +301,23 @@ class TestPostingsMergeOracle:
         _, totals, _ = merged(ORDER_SENSITIVE)
         assert totals.tolist() == [(0.1 + 0.2) + 0.3]
         assert (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3
+
+    @pytest.mark.parametrize(
+        "contributions",
+        [[-0.0, 1.5, -0.0], [0.0, -2.0, 3.25], [-0.0], []],
+    )
+    def test_one_list_passes_through(self, contributions):
+        """One list is returned as it came, summed from 0.0: a -0.0
+        contribution totals +0.0, as bincount's ``0.0 + c`` gives it,
+        and no segments are built."""
+        doc_ids = np.arange(2, 2 + 3 * len(contributions), 3, dtype=np.int64)
+        scores = np.array(contributions, dtype=np.float64)
+        documents, totals, segment = _merge_postings(doc_ids, scores, 1)
+        assert documents is doc_ids and segment is None
+        reference = np.bincount(
+            np.arange(len(scores)), weights=scores, minlength=len(scores)
+        )
+        assert totals.tobytes() == reference.tobytes()
+        scalar = scalar_merge([(doc_ids, scores)])[1]
+        assert totals.tobytes() == scalar.tobytes()
+        assert not np.signbit(totals[totals == 0.0]).any()
