@@ -19,9 +19,11 @@ Every simulated query, whichever driver plays it, takes one path::
   ``rule(record, shard, candidates)``, picks from it;
 - **attempt** — fault-plan crashes/errors/slowdowns and circuit
   breakers apply per ``(shard, replica)``;
-- **gather** — answers, errors with bounded retry, hedge timers and
-  deadlines, always driven by a :class:`HedgingPolicy`; the inert
-  :data:`DISABLED_POLICY` *is* the plain fan-out, not a separate path;
+- **gather** — each admitted query drives a
+  :class:`~repro.resilience.gather.GatherMachine`, the hedge / retry /
+  deadline state machine the native ISN drives too, on ``sim.now`` and
+  simulator events; under the inert :data:`DISABLED_POLICY` that *is*
+  the plain fan-out, not a separate path;
 - **finish** — coverage, broker merge cost and one
   :class:`FanoutQueryRecord` per arrival, whatever its outcome.
 
@@ -47,6 +49,16 @@ from repro.engine.hedging import (
     HedgingPolicy,
     ShardLatencyTracker,
 )
+from repro.resilience.gather import (
+    ANSWERED,
+    BLOCKED,
+    DEADLINE_MISS,
+    EXHAUSTED,
+    RETRY,
+    RETRY_TIMER,
+    SENT,
+    GatherMachine,
+)
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.admission import (
     QUEUE_DEPTH_BUCKETS,
@@ -54,7 +66,7 @@ from repro.resilience.admission import (
     AdmissionController,
     OverloadPolicy,
 )
-from repro.resilience.breaker import BreakerBoard, BreakerConfig, BreakerState
+from repro.resilience.breaker import BreakerBoard, BreakerConfig
 from repro.resilience.faults import FaultPlan
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.failures import SHED_REPLICA_CRASH
@@ -150,48 +162,102 @@ class FanoutQueryRecord:
         return max(self.isn_completions) - min(self.isn_completions)
 
 
-class _Shard:
-    """Broker-side state of one (query, shard) request."""
+class _Query(GatherMachine):
+    """One query: its record and, once admitted, the broker's side of
+    its gather machine — an attempt goes to a replica, a timer is a
+    simulator event calling :meth:`~GatherMachine.on_due` — with the
+    per-shard state the machine does not keep."""
 
-    __slots__ = (
-        "index",
-        "demand",
-        "decided",
-        "hedges",
-        "retries",
-        "tried",
-        "settled",
-        "hedge_timer",
-        "deadline_timer",
-    )
-
-    def __init__(self, index: int, demand: float) -> None:
-        self.index = index
-        self.demand = demand
-        #: Answered, deadline-missed or given up on.
-        self.decided = False
-        self.hedges = 0
-        self.retries = 0
-        #: Servers asked so far, in order.
-        self.tried: List[SimulatedServer] = []
-        #: Servers that answered or failed (kept only for breakers).
-        self.settled: Tuple[SimulatedServer, ...] = ()
-        self.hedge_timer: Optional[EventHandle] = None
-        self.deadline_timer: Optional[EventHandle] = None
-
-
-class _Query:
-    """Broker-side state of one in-flight query."""
-
-    __slots__ = ("record", "admitted_at", "pending", "answered", "shards")
-
-    def __init__(self, record: FanoutQueryRecord) -> None:
+    def __init__(self, broker: "Broker", record: FanoutQueryRecord) -> None:
+        self.broker = broker
         self.record = record
         self.admitted_at = float("nan")
-        #: Shards not yet decided.
-        self.pending = 0
-        self.answered = 0
-        self.shards: List[_Shard] = []
+
+    def admit(self, now: float, demands: List[float]) -> None:
+        """Enter service at ``now`` with the shards' split ``demands``."""
+        self.admitted_at = now
+        self.demands = demands
+        shards = len(demands)
+        #: Per shard: the servers asked so far, in order.
+        self.tried: List[List[SimulatedServer]] = [[] for _ in demands]
+        #: Per shard: the servers that answered or failed (breakers only).
+        self.settled: List[Tuple[SimulatedServer, ...]] = [()] * shards
+        #: Per shard: hedge and deadline events, cancelled on settling.
+        self.timers: List[Tuple[EventHandle, ...]] = [()] * shards
+
+    def send(self, slot: int, kind: str, now: float) -> str:
+        """Send one attempt to an untried, breaker-approved replica:
+        :data:`EXHAUSTED` when every replica has been tried,
+        :data:`BLOCKED` when breakers fence off all the rest."""
+        broker = self.broker
+        group = broker.replicas[slot]
+        tried = self.tried[slot]
+        candidates = (
+            [server for server in group if server not in tried]
+            if tried
+            else group
+        )
+        if not candidates and kind == RETRY:
+            # A retry may re-ask a previously tried replica (the native
+            # path re-asks the same shard); hedges never do — a backup
+            # against the same straggler cannot win.
+            candidates = group
+        if not candidates:
+            return EXHAUSTED
+        server = broker._choose(self.record, slot, candidates)
+        if server is None:
+            return BLOCKED
+        tried.append(server)
+
+        sim = broker.sim
+        delay, network_rng = broker._delay, broker._network_rng
+        demand = self.demands[slot]
+        faults = broker.faults
+        if faults is not None:
+            replica = group.index(server)
+            error_rate = faults.error_rate(slot, replica, now)
+            if faults.crashed(slot, replica, now) or (
+                error_rate > 0.0 and broker._faults_rng.random() < error_rate
+            ):
+                # Fail fast: the refusal (or error) comes back after a
+                # round trip; no work reaches the replica's cores.
+                back_at = now + delay(network_rng) + delay(network_rng)
+                sim.schedule(back_at, broker._on_error, self, slot, server)
+                return SENT
+            demand *= faults.slowdown_factor(slot, replica, now)
+
+        attempt = _Attempt(self, slot, server, kind, demand)
+        arrival = now + delay(network_rng)
+        if arrival > now:
+            sim.schedule(arrival, server.handle_arrival, attempt)
+        else:
+            server.handle_arrival(attempt)
+        return SENT
+
+    def arm(self, timer: int, slot: int, at: float) -> None:
+        handle = self.broker.sim.schedule(at, self.on_due, timer, slot, at)
+        if timer != RETRY_TIMER:
+            # Retry events are left to fire on a settled shard.
+            self.timers[slot] += (handle,)
+
+    def settle(self, slot: int, why: str, now: float) -> None:
+        broker = self.broker
+        for timer in self.timers[slot]:
+            timer.cancel()
+        if why == ANSWERED:
+            if broker._tracker is not None:
+                broker._tracker.observe(now - self.admitted_at)
+            self.record.isn_completions.append(now)
+        elif why == DEADLINE_MISS:
+            broker.shard_failures[slot] += 1
+            if broker.breakers is not None:
+                # The replicas that were asked and neither answered nor
+                # already failed are the ones that let the deadline lapse.
+                for server in dict.fromkeys(self.tried[slot]):
+                    if server not in self.settled[slot]:
+                        broker._breaker(slot, server).record_failure(now)
+        if not self.undecided:
+            broker._finish(self)
 
 
 class _Attempt:
@@ -202,9 +268,9 @@ class _Attempt:
 
     __slots__ = (
         "query",
-        "shard",
+        "slot",
         "server",
-        "hedge",
+        "kind",
         "demand",
         "server_arrival",
         "first_task_start",
@@ -217,15 +283,15 @@ class _Attempt:
     def __init__(
         self,
         query: _Query,
-        shard: _Shard,
+        slot: int,
         server: SimulatedServer,
-        hedge: bool,
+        kind: str,
         demand: float,
     ) -> None:
         self.query = query
-        self.shard = shard
+        self.slot = slot
         self.server = server
-        self.hedge = hedge
+        self.kind = kind
         self.demand = demand
 
 
@@ -273,13 +339,12 @@ class Broker:
         #: Failed shard requests per shard (errors, crash rejections,
         #: deadline misses).
         self.shard_failures = [0] * num_shards
-        #: Half-open probe requests the breakers let through.
-        self.breaker_probes = 0
         self.policy = (
             hedging
             if hedging is not None and hedging.enabled
             else DISABLED_POLICY
         )
+        self._hedges_enabled = self.policy.hedges_enabled
         self.breakers = (
             BreakerBoard(breakers) if breakers is not None else None
         )
@@ -331,7 +396,7 @@ class Broker:
     def on_arrival(self, query_id: int, demand: float) -> None:
         """A query reaches the broker now (``sim.now``)."""
         now = self.sim.now
-        query = _Query(FanoutQueryRecord(query_id, now, demand))
+        query = _Query(self, FanoutQueryRecord(query_id, now, demand))
         controller = self.controller
         if controller is None:
             self._begin(query)
@@ -375,98 +440,27 @@ class Broker:
     # Shard split and dispatch.
 
     def _begin(self, query: _Query) -> None:
-        """An admitted query enters service: split, route, arm timers."""
-        sim = self.sim
+        """An admitted query enters service: split, then start its gather
+        (per shard: the primary attempt, its hedge timer when the shard
+        has a replica to hedge on, its deadline timer)."""
+        now = self.sim.now
         replicas = self.replicas
         if not all(replicas):
             # Admitted, but some shard has nobody to ask.
             if self.controller is not None:
-                self.controller.abandon(sim.now)
+                self.controller.abandon(now)
             self._refuse(query, SHED_NO_ACTIVE_REPLICA)
             return
-        query.admitted_at = sim.now
         self._in_flight[query] = None
-        num_shards = len(replicas)
-        query.pending = num_shards
-        shares = self._shard_shares.next()
         total = query.record.total_demand
-        policy = self.policy
-        hedge_delay = policy.resolve_hedge_delay(self._tracker)
-        deadline = policy.deadline_s
-        shards = query.shards = [
-            _Shard(index, total * share) for index, share in enumerate(shares)
-        ]
-        for shard in shards:
-            status = self._attempt(query, shard, "primary")
-            if status != "sent":
-                # Every replica fenced off: the shard degrades coverage
-                # exactly like a deadline miss, without waiting for one.
-                self._give_up(query, shard, breaker_skip=status == "blocked")
-                continue
-            if hedge_delay is not None and len(replicas[shard.index]) > 1:
-                shard.hedge_timer = sim.schedule_after(
-                    hedge_delay, self._on_hedge_timer, query, shard,
-                    hedge_delay,
-                )
-            if deadline is not None:
-                shard.deadline_timer = sim.schedule_after(
-                    deadline, self._on_deadline, query, shard
-                )
-
-    def _attempt(self, query: _Query, shard: _Shard, kind: str) -> str:
-        """Send one attempt to an untried, breaker-approved replica.
-
-        Returns ``"sent"`` when an attempt went out (possibly destined
-        to fail by injection), ``"exhausted"`` when every replica has
-        been tried, ``"blocked"`` when breakers fence off all the rest.
-        """
-        sim = self.sim
-        group = self.replicas[shard.index]
-        tried = shard.tried
-        candidates = (
-            [server for server in group if server not in tried]
-            if tried
-            else group
+        query.admit(now, [total * share for share in self._shard_shares.next()])
+        # A hedge needs a second replica to go to.
+        hedgeable = (
+            [len(group) > 1 for group in replicas]
+            if self._hedges_enabled
+            else None
         )
-        if not candidates and kind == "retry":
-            # A retry may re-ask a previously tried replica (the native
-            # path re-asks the same shard); hedges never do — a backup
-            # against the same straggler cannot win.
-            candidates = group
-        if not candidates:
-            return "exhausted"
-        server = self._choose(query.record, shard.index, candidates)
-        if server is None:
-            return "blocked"
-        tried.append(server)
-
-        demand = shard.demand
-        faults = self.faults
-        if faults is not None:
-            now = sim.now
-            replica = group.index(server)
-            error_rate = faults.error_rate(shard.index, replica, now)
-            if faults.crashed(shard.index, replica, now) or (
-                error_rate > 0.0 and self._faults_rng.random() < error_rate
-            ):
-                # Fail fast: the refusal (or error) comes back after a
-                # round trip; no work reaches the replica's cores.
-                back_at = (
-                    now
-                    + self._delay(self._network_rng)
-                    + self._delay(self._network_rng)
-                )
-                sim.schedule(back_at, self._on_error, query, shard, server)
-                return "sent"
-            demand *= faults.slowdown_factor(shard.index, replica, now)
-
-        attempt = _Attempt(query, shard, server, kind == "hedge", demand)
-        arrival = sim.now + self._delay(self._network_rng)
-        if arrival > sim.now:
-            sim.schedule(arrival, server.handle_arrival, attempt)
-        else:
-            server.handle_arrival(attempt)
-        return "sent"
+        query.start(self.policy, now, len(replicas), hedgeable, self._tracker)
 
     # ------------------------------------------------------------------
     # Replica choice.
@@ -481,13 +475,15 @@ class Broker:
                 return candidates[0]
             return self._rule(record, shard, candidates)
         remaining = list(candidates)
+        group = self.replicas[shard]
+        now = self.sim.now
         while remaining:
             server = (
                 remaining[0]
                 if len(remaining) == 1
                 else self._rule(record, shard, remaining)
             )
-            if self._breaker_allows(shard, server):
+            if self.breakers.allow((shard, group.index(server)), now):
                 return server
             remaining.remove(server)
         return None
@@ -519,17 +515,6 @@ class Broker:
             (shard, self.replicas[shard].index(server))
         )
 
-    def _breaker_allows(self, shard: int, server: SimulatedServer) -> bool:
-        """Consult the replica's breaker (counting half-open probes)."""
-        now = self.sim.now
-        breaker = self._breaker(shard, server)
-        half_open = breaker.state(now) is BreakerState.HALF_OPEN
-        if not breaker.allow(now):
-            return False
-        if half_open:
-            self.breaker_probes += 1
-        return True
-
     # ------------------------------------------------------------------
     # Gather: answers, errors, retries, hedges, deadlines.
 
@@ -543,103 +528,26 @@ class Broker:
             self._on_answer(attempt)
 
     def _on_answer(self, attempt: _Attempt) -> None:
-        query = attempt.query
-        shard = attempt.shard
+        query, slot = attempt.query, attempt.slot
+        now = self.sim.now
         if self.breakers is not None:
             # Health feedback counts even for losers and late answers —
             # the replica demonstrably served the request.
-            shard.settled += (attempt.server,)
-            self._breaker(shard.index, attempt.server).record_success(
-                self.sim.now
-            )
-        if shard.decided:
-            return  # a loser, a late answer, or a query already failed
-        now = self.sim.now
-        query.answered += 1
-        if attempt.hedge:
-            query.record.hedges_won += 1
-        if self._tracker is not None:
-            self._tracker.observe(now - query.admitted_at)
-        query.record.isn_completions.append(now)
-        self._decide(query, shard)
+            query.settled[slot] += (attempt.server,)
+            self._breaker(slot, attempt.server).record_success(now)
+        query.on_answer(slot, attempt.kind, now)
 
     def _on_error(
-        self, query: _Query, shard: _Shard, server: SimulatedServer
+        self, query: _Query, slot: int, server: SimulatedServer
     ) -> None:
         """An attempt came back as a failure (injected error/crash)."""
+        now = self.sim.now
         if self.breakers is not None:
-            shard.settled += (server,)
-            self._breaker(shard.index, server).record_failure(self.sim.now)
-        self.shard_failures[shard.index] += 1
+            query.settled[slot] += (server,)
+            self._breaker(slot, server).record_failure(now)
+        self.shard_failures[slot] += 1
         query.record.failures += 1
-        if shard.decided:
-            return
-        policy = self.policy
-        if shard.retries < policy.max_retries:
-            backoff = policy.retry_delay(shard.retries)
-            shard.retries += 1
-            self.sim.schedule_after(backoff, self._on_retry, query, shard)
-        else:
-            self._give_up(query, shard, breaker_skip=False)
-
-    def _on_retry(self, query: _Query, shard: _Shard) -> None:
-        if shard.decided:
-            return
-        status = self._attempt(query, shard, "retry")
-        if status != "sent":
-            self._give_up(query, shard, breaker_skip=status == "blocked")
-
-    def _on_hedge_timer(
-        self, query: _Query, shard: _Shard, delay: float
-    ) -> None:
-        shard.hedge_timer = None
-        if shard.decided:
-            return
-        max_hedges = self.policy.max_hedges
-        if shard.hedges >= max_hedges:
-            return
-        if self._attempt(query, shard, "hedge") != "sent":
-            return  # every replica already tried or fenced off
-        shard.hedges += 1
-        query.record.hedges_issued += 1
-        if shard.hedges < max_hedges:
-            shard.hedge_timer = self.sim.schedule_after(
-                delay, self._on_hedge_timer, query, shard, delay
-            )
-
-    def _on_deadline(self, query: _Query, shard: _Shard) -> None:
-        if shard.decided:
-            return
-        query.record.deadline_misses += 1
-        self.shard_failures[shard.index] += 1
-        if self.breakers is not None:
-            # The replicas that were asked and neither answered nor
-            # already failed are the ones that let the deadline lapse.
-            for server in dict.fromkeys(shard.tried):
-                if server not in shard.settled:
-                    self._breaker(shard.index, server).record_failure(
-                        self.sim.now
-                    )
-        self._decide(query, shard)
-
-    def _give_up(
-        self, query: _Query, shard: _Shard, breaker_skip: bool
-    ) -> None:
-        """Give up on one shard: degrade coverage like a deadline miss."""
-        if breaker_skip:
-            query.record.breaker_skips += 1
-        self._decide(query, shard)
-
-    def _decide(self, query: _Query, shard: _Shard) -> None:
-        """One shard is settled for good; the last one finishes the query."""
-        shard.decided = True
-        if shard.hedge_timer is not None:
-            shard.hedge_timer.cancel()
-        if shard.deadline_timer is not None:
-            shard.deadline_timer.cancel()
-        query.pending -= 1
-        if not query.pending:
-            self._finish(query)
+        query.on_failure(slot, now)
 
     # ------------------------------------------------------------------
     # Finish.
@@ -648,8 +556,9 @@ class Broker:
         now = self.sim.now
         record = query.record
         del self._in_flight[query]
-        record.coverage = query.answered / len(query.shards)
-        merge_done = now + self._merge_per_server * query.answered
+        _tally(query)
+        record.coverage = query.answers / len(query.demands)
+        merge_done = now + self._merge_per_server * query.answers
         record.client_receive = merge_done + self._delay(self._network_rng)
         self.records.append(record)
         if self.controller is not None:
@@ -676,16 +585,12 @@ class Broker:
         lost = [
             query
             for query in self._in_flight
-            if any(
-                server in dead
-                for shard in query.shards
-                for server in shard.tried
-            )
+            if any(server in dead for tried in query.tried for server in tried)
         ]
         for query in lost:
             del self._in_flight[query]
-            for shard in query.shards:
-                shard.decided = True  # late answers and timers are moot
+            query.abandon()  # late answers and timers are moot
+            _tally(query)
             self._refuse(query, SHED_REPLICA_CRASH)
             if self.controller is not None:
                 self._release(query)
@@ -700,3 +605,12 @@ class Broker:
             )
         self.records.sort(key=attrgetter("client_send"))
         return self.records
+
+
+def _tally(query: _Query) -> None:
+    """Copy the gather machine's per-query counts onto the record."""
+    record = query.record
+    record.hedges_issued = query.hedges_issued
+    record.hedges_won = query.hedges_won
+    record.deadline_misses = query.deadline_misses
+    record.breaker_skips = query.breaker_skips

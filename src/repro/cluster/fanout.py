@@ -412,7 +412,6 @@ def run_fanout_open_loop(
             metrics.counter("fanout.breaker_skips").add(
                 sum(r.breaker_skips for r in records)
             )
-            metrics.counter("fanout.breaker_probes").add(broker.breaker_probes)
             broker.breakers.export_gauges(metrics, "fanout.breaker", sim.now)
         if broker.faults is not None:
             metrics.counter("fanout.failures").add(

@@ -15,12 +15,12 @@ request-level mitigations in one declarative object:
 - **bounded retry** — failed attempts are retried with exponential
   backoff, up to a budget.
 
-One policy object drives *both* execution paths: the native
-:class:`~repro.engine.isn.IndexServingNode` thread-pool fan-out
-interprets it against the wall clock, and the DES cluster tier
-(:mod:`repro.cluster.fanout`) interprets the same fields against
-simulated time — keeping the simulator calibrated against the engine's
-tail-tolerance behaviour, not just its service times.
+One policy object drives *both* execution paths through one state
+machine, :class:`~repro.resilience.gather.GatherMachine`: the native
+:class:`~repro.engine.isn.IndexServingNode` runs it on the wall clock
+and the DES broker on simulated time — keeping the simulator
+calibrated against the engine's tail-tolerance behaviour, not just its
+service times.
 """
 
 from __future__ import annotations

@@ -4,18 +4,18 @@ The ISN owns a partitioned index and answers a query by fanning it out
 to every partition, gathering the shard top-k lists, and merging them —
 the paper's intra-server partitioning study.  It does so exactly once:
 
-- **one gather** (:meth:`IndexServingNode._gather`): an event-driven
-  loop over in-flight shard attempts, driven by a
-  :class:`~repro.engine.hedging.HedgingPolicy`.  With a policy the
-  gather is *tail-tolerant*: a straggling shard is hedged (a backup
-  attempt races the original, first answer wins, losers are
-  cancelled), failed attempts are retried with backoff, and a shard
-  that misses its deadline is dropped from the merge, so the response
-  reports ``coverage < 1.0``.  With no resilience feature configured
-  the inert :data:`~repro.engine.hedging.DISABLED_POLICY` drives the
-  same gather, whose one turn arms nothing: the primaries go out in one
-  submission, come back done and are booked in order, and a failing
-  shard re-raises to the caller.
+- **one gather** (:meth:`IndexServingNode._gather`).  Under a
+  :class:`~repro.engine.hedging.HedgingPolicy`, breakers or faults it
+  is *tail-tolerant*: an event loop on ``perf_counter`` and the
+  backend's futures drives the query's
+  :class:`~repro.resilience.gather.GatherMachine` — the state machine
+  the DES broker drives too — which hedges a straggling shard (first
+  answer wins, losers are cancelled), retries failed attempts with
+  backoff and drops a shard that misses its deadline, so the response
+  reports ``coverage < 1.0``.  With none of them the gather takes one
+  turn and starts no machine: the primaries go out in one submission,
+  come back done and are booked in order, and a failing shard
+  re-raises to the caller.
 - **one backend** (:mod:`repro.engine.backends`): the gather hands
   ``(shard, query)`` work items to a two-method backend that scores on
   the caller's thread whatever a GIL-free process pool, when the node
@@ -63,8 +63,19 @@ from repro.resilience.admission import (
     OverloadPolicy,
     ShedResponse,
 )
-from repro.resilience.breaker import BreakerBoard, BreakerConfig, BreakerState
+from repro.resilience.breaker import BreakerBoard, BreakerConfig
 from repro.resilience.faults import FaultInjector, FaultPlan
+from repro.resilience.gather import (
+    BLOCKED,
+    DEADLINE,
+    DEADLINE_MISS,
+    HEDGE,
+    HEDGE_TIMER,
+    PRIMARY,
+    RETRY_TIMER,
+    SENT,
+    GatherMachine,
+)
 from repro.search.executor import SearchCancelled, ShardSearcher
 from repro.search.global_stats import global_scorer_factory
 from repro.search.strategy import TraversalStrategy
@@ -122,26 +133,69 @@ class IsnResponse:
         return [hit.doc_id for hit in self.hits]
 
 
-@dataclass
-class _FanoutOutcome:
-    """What the gather produced for one query.
+class _Gather(GatherMachine):
+    """One query's gather on the node: ``answered`` holds ``(shard,
+    kind, result, start, end)`` for each shard whose winner made the
+    merge.  When the query needs the machine, :meth:`attach` binds its
+    actions: a slot is a shard, an attempt a backend future, a timer a
+    ``perf_counter`` due time, and the breaker is keyed by shard."""
 
-    ``answered`` holds ``(shard_index, kind, result, start, end)``
-    tuples for shards whose winner made the merge; ``kind`` is the
-    winning attempt's flavour (``"primary"``/``"hedge"``/``"retry"``).
-    """
+    def __init__(self) -> None:
+        self.answered: List[tuple] = []
 
-    answered: List[tuple]
-    num_shards: int
-    hedges_issued: int = 0
-    hedges_won: int = 0
-    deadline_misses: int = 0
-    retries: int = 0
-    breaker_skips: int = 0
+    def attach(self, backend, items, max_docs, crash_retries, breakers):
+        self.backend, self.items, self.breakers = backend, items, breakers
+        self.max_docs, self.crash_retries = max_docs, crash_retries
+        #: In-flight attempts: future -> (shard, kind, cancellation token).
+        self.pending: Dict[Future, tuple] = {}
+        #: Armed timers: (shard, timer) -> when it is due.
+        self.timers: Dict[Tuple[int, int], float] = {}
 
-    @property
-    def coverage(self) -> float:
-        return len(self.answered) / self.num_shards
+    def book(self, future, now, resilient, tracker) -> None:
+        """Feed a finished attempt to the machine; file a winner."""
+        shard, kind, _ = self.pending.pop(future)
+        if self.decided[shard]:
+            return  # a loser finishing after the verdict
+        try:
+            result, start, end = future.result()
+        except SearchCancelled:
+            return
+        except Exception as exc:
+            if not (resilient or isinstance(exc, WorkerCrashError)):
+                raise
+            if self.breakers is not None:
+                self.breakers.breaker(shard).record_failure(now)
+            self.on_failure(shard, now)
+            return
+        if self.breakers is not None:
+            self.breakers.breaker(shard).record_success(end)
+        self.on_answer(shard, kind, now)
+        self.answered.append((shard, kind, result, start, end))
+        if tracker is not None:
+            tracker.observe(end - start)
+
+    def send(self, slot: int, kind: str, now: float) -> str:
+        if self.breakers is not None and not self.breakers.allow(slot, now):
+            return BLOCKED
+        token = threading.Event()
+        (future,) = self.backend.submit(
+            [self.items[slot]], token, self.max_docs, self.crash_retries
+        )
+        self.pending[future] = (slot, kind, token)
+        return SENT
+
+    def arm(self, timer: int, slot: int, at: float) -> None:
+        self.timers[slot, timer] = at
+
+    def settle(self, slot: int, why: str, now: float) -> None:
+        for timer in (DEADLINE, RETRY_TIMER, HEDGE_TIMER):
+            self.timers.pop((slot, timer), None)
+        for future, (other, _, token) in self.pending.items():
+            if other == slot:
+                token.set()
+                future.cancel()
+        if why == DEADLINE_MISS and self.breakers is not None:
+            self.breakers.breaker(slot).record_failure(now)
 
 
 @dataclass
@@ -581,13 +635,13 @@ class IndexServingNode:
             for shard in range(self.num_partitions)
         ]
         fanout_start = time.perf_counter()
-        outcomes = self._gather(
+        gathers = self._gather(
             backend, items, fanout_start, resilient, max_docs, crash_retries
         )
         fanout_end = time.perf_counter()
         responses = []
-        for one, outcome in zip(admitted, outcomes):
-            response = self._assemble(one, outcome, fanout_start, fanout_end)
+        for one, gather in zip(admitted, gathers):
+            response = self._assemble(one, gather, fanout_start, fanout_end)
             if one.cacheable and response.coverage >= 1.0:
                 # Partial answers must not poison the cache with degraded
                 # pages — only full-coverage responses are stored.
@@ -649,205 +703,96 @@ class IndexServingNode:
         resilient: bool,
         max_docs: Optional[int] = None,
         crash_retries: int = 0,
-    ) -> List[_FanoutOutcome]:
+    ) -> List[_Gather]:
         """The node's one fan-out: run ``items`` on ``backend``, gather.
 
-        ``items`` is query-major (each query's shards ``0..n-1``), and
-        each item is one *slot* the gather must decide: answered,
-        deadline-missed, failed beyond the retry budget, or fenced off
-        by an open breaker.  Returns one :class:`_FanoutOutcome` per query.
-
-        ``resilient`` says whether the node's policy, breakers and
-        failure tolerance apply.  When False the gather's one turn arms
-        nothing: the items go out in one submission, are booked as they
-        come back, and a failed attempt re-raises to the caller —
-        except a worker crash that outlived its ``crash_retries``, which
-        gets the inert policy's one retry and then costs a batch's
-        affected queries that shard, not every query its answer.
-        Otherwise each turn fires the timers that are due (retry
-        backoff, deadline, hedge) and books the attempts that have
-        finished, waiting on those in flight until the next timer only
-        when none has.  With only breakers or faults configured the
-        inert policy still supplies the bounded retry they feed on.
+        ``items`` is query-major (each query's shards ``0..n-1``); each
+        query gets a :class:`_Gather`.  Unless ``resilient`` (the node's
+        policy, breakers and failure tolerance apply) the gather takes
+        one turn and starts no machine: the items go out in one
+        submission, are booked as they come back, and a failure
+        re-raises — except a worker crash that outlived its
+        ``crash_retries``, which the query's machine retries once (the
+        inert policy) before it costs the query that shard.  Otherwise
+        (one query) the machine sends the primaries; each turn fires the
+        timers that are due and books the attempts that have finished,
+        waiting on those in flight until the next timer only when none
+        has.
         """
         n = self.num_partitions
-        outcomes = [_FanoutOutcome([], n) for _ in range(0, len(items), n)]
+        gathers = [_Gather() for _ in range(0, len(items), n)]
         if resilient:
-            undecided = set(range(len(items)))
+            gathers[0].attach(
+                backend, items, max_docs, crash_retries, self.breaker_board
+            )
+            gathers[0].start(
+                self.hedging or DISABLED_POLICY, fanout_start, n,
+                tracker=self._latency_tracker,
+            )
         else:
             # The policy-free turn: one submission whose attempts come
             # back done, booked in item order.
-            undecided = set()
+            crashed = set()
             futures = backend.submit(items, None, max_docs, crash_retries)
             for slot, future in enumerate(futures):
                 try:
-                    outcomes[slot // n].answered.append(
-                        (items[slot][0], "primary", *future.result())
+                    gathers[slot // n].answered.append(
+                        (items[slot][0], PRIMARY, *future.result())
                     )
                 except WorkerCrashError:
                     if not crash_retries:
                         raise
-                    undecided.add(slot)
-            if not undecided:
-                return outcomes
-        policy = (self.hedging if resilient else None) or DISABLED_POLICY
-        breakers = self.breaker_board if resilient else None
-        tracker = self._latency_tracker
-        delay = policy.resolve_hedge_delay(tracker)
-        deadline_s = policy.deadline_s
-        deadline_at = None if deadline_s is None else fanout_start + deadline_s
-        hedges_left = [policy.max_hedges] * len(items)
-        retries = [0] * len(items)
-        #: Armed timers, by slot; a settled slot has none.
-        hedge_at: Dict[int, float] = {} if delay is None else dict.fromkeys(
-            undecided, fanout_start + delay
-        )
-        retry_at: Dict[int, float] = {}
-        #: In-flight attempts: future -> (slot, kind, cancellation token).
-        pending: Dict[Future, tuple] = {}
-
-        def submit(slot: int, kind: str) -> None:
-            token = threading.Event()
-            (future,) = backend.submit(
-                [items[slot]], token, max_docs, crash_retries
-            )
-            pending[future] = (slot, kind, token)
-
-        def settle(slot: int) -> None:
-            """Mark ``slot`` decided; cancel what is still in flight for it."""
-            undecided.discard(slot)
-            hedge_at.pop(slot, None)
-            retry_at.pop(slot, None)
-            for future, (other, _, token) in pending.items():
-                if other == slot:
-                    token.set()
-                    future.cancel()
-
-        def failed(slot: int) -> None:
-            """Queue a retry of ``slot`` while the policy allows one."""
-            breaker_failure(slot, time.perf_counter())
-            if retries[slot] < policy.max_retries:
-                backoff = policy.retry_delay(retries[slot])
-                retries[slot] += 1
-                outcomes[slot // n].retries += 1
-                retry_at[slot] = time.perf_counter() + backoff
-            else:
-                settle(slot)
-
-        def breaker_allow(slot: int, now: float) -> bool:
-            """Consult the shard's breaker (counting half-open probes)."""
-            if breakers is None:
-                return True
-            breaker = breakers.breaker(items[slot][0])
-            half_open = breaker.state(now) is BreakerState.HALF_OPEN
-            if not breaker.allow(now):
-                return False
-            if half_open and self._metrics is not None:
-                self._metrics.counter("isn.breaker_probes").add()
-            return True
-
-        def breaker_failure(slot: int, now: float) -> None:
-            if breakers is not None:
-                breakers.breaker(items[slot][0]).record_failure(now)
-
-        # Attempts a policy may hedge, retry or fence off one by one go
-        # out one by one: a submission is the backend's unit of packing
-        # and of failure.  A crash that outlived the policy-free turn's
-        # re-dispatches gets the inert policy's one retry.
-        for slot in sorted(undecided):
-            if resilient and not breaker_allow(slot, fanout_start):
-                # Open breaker: skip the shard outright, degrading
-                # coverage exactly like a deadline miss.
-                settle(slot)
-                outcomes[slot // n].breaker_skips += 1
-            elif resilient:
-                submit(slot, "primary")
-            else:
-                failed(slot)
-
-        while undecided:
+                    crashed.add(slot)
+            if not crashed:
+                return gathers
+            # Replay each affected query's turn into its machine.
             now = time.perf_counter()
-            expired = deadline_at is not None and now >= deadline_at
-            for slot in sorted(
-                undecided if expired else retry_at.keys() | hedge_at.keys()
-            ):
-                outcome = outcomes[slot // n]
-                if slot in retry_at and now >= retry_at[slot]:
-                    del retry_at[slot]
-                    if breaker_allow(slot, now):
-                        submit(slot, "retry")
-                    else:
-                        # The failures that queued this retry tripped
-                        # the breaker: give up on the shard instead of
-                        # hammering it.
-                        settle(slot)
-                        outcome.breaker_skips += 1
-                        continue
-                if expired:
-                    settle(slot)
-                    outcome.deadline_misses += 1
-                    breaker_failure(slot, now)
-                    continue
-                if slot in hedge_at and now >= hedge_at[slot]:
-                    # A tripped breaker retires this shard's hedge
-                    # timer — backup requests against a fenced-off
-                    # shard would only feed the failure count.
-                    del hedge_at[slot]
-                    if breaker_allow(slot, now):
-                        hedges_left[slot] -= 1
-                        outcome.hedges_issued += 1
-                        submit(slot, "hedge")
-                        if hedges_left[slot] > 0:
-                            hedge_at[slot] = now + delay
-            if not undecided:
-                break  # the timers just decided the last slot
-            # Book what has already finished before considering a wait:
-            # over completed futures the gather builds no waiter and
-            # takes no lock.
-            done = [future for future in pending if future.done()]
-            if not done:
-                timers = [*retry_at.values(), *hedge_at.values()]
-                if deadline_at is not None:
-                    timers.append(deadline_at)
-                timeout = max(0.0, min(timers) - now) if timers else None
-                if pending:
-                    # A late loser wakes the wait once; it is dropped below.
-                    done, _ = futures_wait(
-                        pending, timeout=timeout, return_when=FIRST_COMPLETED
-                    )
-                elif timers:
-                    time.sleep(timeout)
-                else:
-                    # Defensive: no attempt in flight and no timer left
-                    # — give up on whatever is undecided, do not spin.
-                    break
-            for future in done:
-                slot, kind, _ = pending.pop(future)
-                if slot not in undecided:
-                    continue  # a loser finishing after the verdict
-                try:
-                    result, start, end = future.result()
-                except SearchCancelled:
-                    continue
-                except Exception as exc:
-                    if not resilient and not isinstance(exc, WorkerCrashError):
-                        raise
-                    failed(slot)
-                    continue
-                if breakers is not None:
-                    breakers.breaker(items[slot][0]).record_success(end)
-                settle(slot)
-                outcomes[slot // n].answered.append(
-                    (items[slot][0], kind, result, start, end)
+            for query in {slot // n for slot in crashed}:
+                gather, first = gathers[query], query * n
+                gather.attach(
+                    backend, items[first:first + n], max_docs, crash_retries,
+                    None,
                 )
-                if tracker is not None:
-                    tracker.observe(end - start)
-                if kind == "hedge":
-                    outcomes[slot // n].hedges_won += 1
+                gather.start(DISABLED_POLICY, now, n, sent=True)
+                for shard in range(n):
+                    if first + shard in crashed:
+                        gather.on_failure(shard, now)
+                    else:
+                        gather.on_answer(shard, PRIMARY, now)
+        tracker = self._latency_tracker if resilient else None
 
-        for outcome in outcomes:
-            outcome.answered.sort()  # by shard: one entry each
-        return outcomes
+        for gather in gathers:
+            while gather.undecided:
+                now = time.perf_counter()
+                timers, pending = gather.timers, gather.pending
+                for shard, timer in sorted(
+                    key for key, at in timers.items() if at <= now
+                ):
+                    if timers.pop((shard, timer), None) is not None:
+                        gather.on_due(timer, shard, now)
+                if not gather.undecided:
+                    break  # the timers just decided the last shard
+                # Book what has already finished before considering a
+                # wait: over completed futures there is no waiter or lock.
+                done = [future for future in pending if future.done()]
+                if not done:
+                    timeout = min(timers.values(), default=None)
+                    if timeout is not None:
+                        timeout = max(0.0, timeout - now)
+                    if pending:
+                        # A late loser wakes the wait once; dropped below.
+                        done, _ = futures_wait(
+                            pending, timeout, FIRST_COMPLETED
+                        )
+                    elif timers:
+                        time.sleep(timeout)
+                    else:
+                        break  # defensive: nothing in flight or armed
+                    now = time.perf_counter()
+                for future in done:
+                    gather.book(future, now, resilient, tracker)
+            gather.answered.sort()  # by shard: one entry each
+        return gathers
 
     def _respond_from_cache(
         self, admitted: _Admitted, entry: "CachedPage"
@@ -879,11 +824,13 @@ class IndexServingNode:
     def _assemble(
         self,
         admitted: _Admitted,
-        outcome: _FanoutOutcome,
+        gather: _Gather,
         fanout_start: float,
         fanout_end: float,
     ) -> IsnResponse:
-        results = [result for _, _, result, _, _ in outcome.answered]
+        answered = gather.answered
+        results = [result for _, _, result, _, _ in answered]
+        coverage = len(answered) / self.num_partitions
         merge_start = time.perf_counter()
         if len(results) == 1:
             hits = results[0].hits  # a lone shard's top k is the answer
@@ -900,22 +847,18 @@ class IndexServingNode:
                 total_end - admitted.total_start
             )
             if self._resilient_fanout:
-                self._metrics.counter("isn.hedges_issued").add(
-                    outcome.hedges_issued
-                )
-                self._metrics.counter("isn.hedges_won").add(
-                    outcome.hedges_won
-                )
-                self._metrics.counter("isn.deadline_misses").add(
-                    outcome.deadline_misses
-                )
-                self._metrics.counter("isn.retries").add(outcome.retries)
+                for name in (
+                    "hedges_issued", "hedges_won", "deadline_misses", "retries"
+                ):
+                    self._metrics.counter(f"isn.{name}").add(
+                        getattr(gather, name)
+                    )
                 self._metrics.histogram(
                     "isn.coverage", bin_edges=COVERAGE_BUCKETS
-                ).observe(outcome.coverage)
+                ).observe(coverage)
             if self.breaker_board is not None:
                 self._metrics.counter("isn.breaker_skips").add(
-                    outcome.breaker_skips
+                    gather.breaker_skips
                 )
                 self.breaker_board.export_gauges(
                     self._metrics, "isn.breaker", time.perf_counter()
@@ -924,39 +867,38 @@ class IndexServingNode:
         trace = None
         if self._tracer.enabled:
             trace = self._record_trace(
-                admitted, outcome, fanout_start, fanout_end,
-                merge_start, total_end,
+                admitted, gather, fanout_start, fanout_end, merge_start,
+                total_end,
             )
         return IsnResponse(
             hits=hits,
             timings=ComponentTimings(
                 parse_seconds=admitted.parse_end - admitted.total_start,
-                shard_seconds=[
-                    end - start for _, _, _, start, end in outcome.answered
-                ],
+                shard_seconds=[end - start for _, _, _, start, end in answered],
                 fanout_seconds=fanout_end - fanout_start,
                 merge_seconds=total_end - merge_start,
                 total_seconds=total_end - admitted.total_start,
             ),
             matched_volume=matched_volume,
-            coverage=outcome.coverage,
-            hedges_issued=outcome.hedges_issued,
-            hedges_won=outcome.hedges_won,
-            deadline_misses=outcome.deadline_misses,
-            breaker_skips=outcome.breaker_skips,
+            coverage=coverage,
+            hedges_issued=gather.hedges_issued,
+            hedges_won=gather.hedges_won,
+            deadline_misses=gather.deadline_misses,
+            breaker_skips=gather.breaker_skips,
             trace=trace,
         )
 
     def _record_trace(
         self,
         admitted: _Admitted,
-        outcome: _FanoutOutcome,
+        gather: _Gather,
         fanout_start: float,
         fanout_end: float,
         merge_start: float,
         total_end: float,
     ) -> Span:
         tracer = self._tracer
+        answered = gather.answered
         query = admitted.query
         root_attributes = {
             "query": admitted.text,
@@ -966,13 +908,13 @@ class IndexServingNode:
         }
         if self._resilient_fanout:
             root_attributes.update(
-                coverage=outcome.coverage,
-                hedges_issued=outcome.hedges_issued,
-                hedges_won=outcome.hedges_won,
-                deadline_misses=outcome.deadline_misses,
+                coverage=len(answered) / self.num_partitions,
+                hedges_issued=gather.hedges_issued,
+                hedges_won=gather.hedges_won,
+                deadline_misses=gather.deadline_misses,
             )
         if self.breaker_board is not None:
-            root_attributes["breaker_skips"] = outcome.breaker_skips
+            root_attributes["breaker_skips"] = gather.breaker_skips
         root = tracer.record_span(
             "isn.execute", start=admitted.total_start, end=total_end,
             **root_attributes,
@@ -984,7 +926,7 @@ class IndexServingNode:
         fanout = tracer.record_span(
             "fanout", start=fanout_start, end=fanout_end, parent=root
         )
-        for shard_index, kind, result, start, end in outcome.answered:
+        for shard_index, kind, result, start, end in answered:
             attributes = {
                 "shard": shard_index,
                 "postings_scanned": result.matched_volume,
@@ -997,18 +939,18 @@ class IndexServingNode:
                     attributes[name] = getattr(result, name)
             if self._resilient_fanout:
                 attributes["attempt"] = kind
-                attributes["hedged"] = kind == "hedge"
+                attributes["hedged"] = kind == HEDGE
             tracer.record_span(
                 "shard", start=start, end=end, parent=fanout, **attributes
             )
-        answered = {shard for shard, *_ in outcome.answered}
-        for shard_index in sorted(set(range(self.num_partitions)) - answered):
+        shards = {shard for shard, *_ in answered}
+        for shard_index in sorted(set(range(self.num_partitions)) - shards):
             tracer.record_span(
                 "shard", start=fanout_start, end=fanout_end, parent=fanout,
                 shard=shard_index, deadline_missed=True,
             )
         tracer.record_span(
             "merge", start=merge_start, end=total_end, parent=root,
-            num_shards=len(outcome.answered),
+            num_shards=len(answered),
         )
         return root

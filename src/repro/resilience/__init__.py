@@ -21,6 +21,9 @@ harness that proves it works:
   seedable :class:`FaultPlan` of shard slowdowns, crash/restart
   windows, and error bursts, interpreted by both execution paths, plus
   a native wall-clock :class:`FaultInjector`.
+- **The gather machine** (:mod:`repro.resilience.gather`) — one
+  query's hedge / retry / deadline state machine, driven by the native
+  ISN and the DES broker alike.
 - **Fault-space exploration** (:mod:`repro.resilience.explore`) — a
   deterministic enumerator of seeded fault schedules (fault kinds ×
   timing × target shards) driven through either execution path while

@@ -86,6 +86,7 @@ class CircuitBreaker:
         self._probes_in_flight = 0
         self._probe_successes = 0
         self.trips = 0  # lifetime open transitions
+        self.probes = 0  # lifetime half-open probes let through
         self._lock = threading.Lock()
 
     def state(self, now: float) -> BreakerState:
@@ -108,6 +109,7 @@ class CircuitBreaker:
                 return False
             if self._probes_in_flight < self.config.half_open_probes:
                 self._probes_in_flight += 1
+                self.probes += 1
                 return True
             return False
 
@@ -177,6 +179,7 @@ class BreakerBoard:
         self.config = config
         self._breakers: Dict[Hashable, CircuitBreaker] = {}
         self._lock = threading.Lock()
+        self._probes_exported = 0
 
     def breaker(self, key: Hashable) -> CircuitBreaker:
         """Get (creating on first use) the breaker for ``key``."""
@@ -186,6 +189,11 @@ class BreakerBoard:
                 existing = CircuitBreaker(self.config)
                 self._breakers[key] = existing
             return existing
+
+    def allow(self, key: Hashable, now: float) -> bool:
+        """The one consult: may a request go to ``key`` now?  A half-open
+        yes reserves a probe slot and is counted in :attr:`probes`."""
+        return self.breaker(key).allow(now)
 
     def states(self, now: float) -> Dict[Hashable, BreakerState]:
         """Snapshot of every breaker's state."""
@@ -199,6 +207,12 @@ class BreakerBoard:
         with self._lock:
             return sum(breaker.trips for breaker in self._breakers.values())
 
+    @property
+    def probes(self) -> int:
+        """Total half-open probes let through across all breakers."""
+        with self._lock:
+            return sum(breaker.probes for breaker in self._breakers.values())
+
     def export_gauges(
         self, metrics, prefix: str, now: float
     ) -> None:
@@ -206,7 +220,14 @@ class BreakerBoard:
 
         Gauge value encodes the state: 0 closed, 1 half-open, 2 open —
         so dashboards can plot "how much of the cluster is fenced off".
+        The ``{prefix}_probes`` counter gets the probes let through
+        since the last export.
         """
+        with self._lock:
+            probes = sum(breaker.probes for breaker in self._breakers.values())
+            unexported = probes - self._probes_exported
+            self._probes_exported = probes
+        metrics.counter(f"{prefix}_probes").add(unexported)
         encoding = {
             BreakerState.CLOSED: 0.0,
             BreakerState.HALF_OPEN: 1.0,
