@@ -6,14 +6,16 @@ what ``benchmarks/perf/run.py --workload des_sweep`` times per round.
 Prints the unprofiled wall clock of three passes, the exact call counts
 of the numpy entry points a simulated query can reach (``dirichlet``
 calls and the rows they drew, ``np.any``, ``np.ones``, ``np.full``,
-``np.percentile``), the events the DES kernel processed, and the top 20
+``np.percentile``), the events the DES kernel processed, the named
+streams opened, the kernel's ``post`` and ``schedule`` calls, the
+``EventHandle``s allocated, the pause walks taken, and the top 20
 functions by own time.
 
 ``benchmarks/results/profile_des_sweep.txt`` holds the output of
 
     PYTHONPATH=src python benchmarks/profile_des_sweep.py
 
-before and after the block-drawn Dirichlet shares.  cProfile charges
+before and after each change that cut the sweep's cost.  cProfile charges
 every Python-level call and no native work, so read it for *where the
 calls are*, and ``run.py`` for time.  The call counts do not depend on
 the host.
@@ -33,7 +35,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "perf"))
 
 import workloads  # noqa: E402  (benchmarks/perf/workloads.py)
 
-from repro.sim.engine import Simulator  # noqa: E402
+from repro.sim.engine import EventHandle, Simulator  # noqa: E402
+from repro.sim.hiccups import PauseSchedule  # noqa: E402
 from repro.sim.random import RandomStreams  # noqa: E402
 
 UNPROFILED_RUNS = 3
@@ -45,8 +48,15 @@ COUNTED = (
     ("np.full", "numeric.py", "full"),
     ("np.percentile", "_function_base_impl.py", "percentile"),
     ("CoreBank.submit", "resources.py", "submit"),
+    ("CoreBank.fork", "resources.py", "fork"),
     ("Simulator.schedule", "engine.py", "schedule"),
+    ("Simulator.post", "engine.py", "post"),
+    ("PauseSchedule.execute", "hiccups.py", "execute"),
 )
+#: The function that walks a task over the pauses it overlaps: a
+#: helper of ``execute`` where ``execute`` has a pause-free shortcut,
+#: else ``execute`` itself.
+PAUSE_WALK = "_walk" if hasattr(PauseSchedule, "_walk") else "execute"
 
 
 class _CountingGenerator:
@@ -70,12 +80,27 @@ class _CountingGenerator:
 
 def counted_pass(cells) -> dict:
     """Run every cell once with counting streams and kernel; return the
-    ``dirichlet`` calls, the rows they drew and the DES events."""
-    counts = {"dirichlet calls": 0, "dirichlet rows": 0, "DES events": 0}
+    ``dirichlet`` calls, the rows they drew, the DES events, the
+    streams opened and the ``EventHandle``s allocated (counted here: a
+    profile keys calls by file and name, and ``Simulator.__init__``
+    shares both with ``EventHandle.__init__``)."""
+    counts = {
+        "dirichlet calls": 0,
+        "dirichlet rows": 0,
+        "DES events": 0,
+        "streams opened": 0,
+        "EventHandles allocated": 0,
+    }
     original_stream = RandomStreams.stream
     original_run = Simulator.run
+    original_handle_init = EventHandle.__init__
+
+    def counting_handle_init(self):
+        counts["EventHandles allocated"] += 1
+        original_handle_init(self)
 
     def counting_stream(self, name):
+        counts["streams opened"] += name not in self._streams
         return _CountingGenerator(original_stream(self, name), counts)
 
     def counting_run(self, *args, **kwargs):
@@ -86,12 +111,14 @@ def counted_pass(cells) -> dict:
 
     RandomStreams.stream = counting_stream
     Simulator.run = counting_run
+    EventHandle.__init__ = counting_handle_init
     try:
         for op in cells:
             op.payload()
     finally:
         RandomStreams.stream = original_stream
         Simulator.run = original_run
+        EventHandle.__init__ = original_handle_init
     return counts
 
 
@@ -131,6 +158,8 @@ def main() -> None:
     }
     for label, filename, name in COUNTED:
         print(f"{label + ' calls':<28}{calls_by.get((filename, name), 0)}")
+    walks = calls_by.get(("hiccups.py", PAUSE_WALK), 0)
+    print(f"{'pause walks':<28}{walks}")
     stats.sort_stats("tottime").print_stats(20)
     listing = out.getvalue().rstrip().replace(str(Path.cwd()) + "/", "")
     print(re.sub(r"\S*/site-packages/", "", listing))

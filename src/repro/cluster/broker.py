@@ -209,7 +209,6 @@ class _Query(GatherMachine):
             return BLOCKED
         tried.append(server)
 
-        sim = broker.sim
         delay, network_rng = broker._delay, broker._network_rng
         demand = self.demands[slot]
         faults = broker.faults
@@ -222,14 +221,14 @@ class _Query(GatherMachine):
                 # Fail fast: the refusal (or error) comes back after a
                 # round trip; no work reaches the replica's cores.
                 back_at = now + delay(network_rng) + delay(network_rng)
-                sim.schedule(back_at, broker._on_error, self, slot, server)
+                broker.sim.post(back_at, broker._on_error, self, slot, server)
                 return SENT
             demand *= faults.slowdown_factor(slot, replica, now)
 
         attempt = _Attempt(self, slot, server, kind, demand)
-        arrival = now + delay(network_rng)
+        arrival = now if network_rng is None else now + delay(network_rng)
         if arrival > now:
-            sim.schedule(arrival, server.handle_arrival, attempt)
+            broker.sim.post(arrival, server.handle_arrival, attempt)
         else:
             server.handle_arrival(attempt)
         return SENT
@@ -359,11 +358,17 @@ class Broker:
         self._in_flight: Dict[_Query, None] = {}
         self._merge_per_server = merge_per_server
         self._shard_shares = _ShareStream(
-            streams.stream("server-imbalance"), num_shards, concentration
+            streams, "server-imbalance", num_shards, concentration
         )
+        if isinstance(network, NoDelay):
+            network = None  # no network: hops are calls, no stream opened
         self._delay = (network if network is not None else NoDelay()).delay
         self._network_rng = (
             streams.stream("network") if network is not None else None
+        )
+        #: The servers' ``on_complete``: an attempt's answer travels back.
+        self.on_server_done = (
+            self._on_answer if network is None else self._answer_hop
         )
         #: The fault plan in force (None when absent or empty).
         self.faults = (
@@ -518,12 +523,11 @@ class Broker:
     # ------------------------------------------------------------------
     # Gather: answers, errors, retries, hedges, deadlines.
 
-    def on_server_done(self, attempt: _Attempt) -> None:
-        """A server finished an attempt; its answer travels back."""
+    def _answer_hop(self, attempt: _Attempt) -> None:
         sim = self.sim
         arrival = attempt.merge_end + self._delay(self._network_rng)
         if arrival > sim.now:
-            sim.schedule(arrival, self._on_answer, attempt)
+            sim.post(arrival, self._on_answer, attempt)
         else:
             self._on_answer(attempt)
 
@@ -559,7 +563,9 @@ class Broker:
         _tally(query)
         record.coverage = query.answers / len(query.demands)
         merge_done = now + self._merge_per_server * query.answers
-        record.client_receive = merge_done + self._delay(self._network_rng)
+        if self._network_rng is not None:
+            merge_done += self._delay(self._network_rng)
+        record.client_receive = merge_done
         self.records.append(record)
         if self.controller is not None:
             self._release(query)

@@ -381,7 +381,8 @@ def run_fanout_open_loop(
                     sim,
                     config.spec,
                     config.partitioning,
-                    imbalance_rng=streams.stream(stream_name),
+                    streams=streams,
+                    imbalance_stream=stream_name,
                     on_complete=broker.on_server_done,
                     hiccups=_replica_stalls(config, streams, shard, replica),
                     metrics=metrics,
@@ -390,7 +391,7 @@ def run_fanout_open_loop(
     for query_id, (send_time, demand) in enumerate(
         zip(arrival_times.tolist(), demands.tolist())
     ):
-        sim.schedule(send_time, broker.on_arrival, query_id, demand)
+        sim.post(send_time, broker.on_arrival, query_id, demand)
 
     sim.run()
     records = broker.finished_records(len(arrival_times))

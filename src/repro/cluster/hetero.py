@@ -168,7 +168,8 @@ def run_heterogeneous_open_loop(
                 sim,
                 spec,
                 partitioning,
-                imbalance_rng=streams.stream(f"imbalance-{name}-{i}"),
+                streams=streams,
+                imbalance_stream=f"imbalance-{name}-{i}",
                 on_complete=done,
             )
             for i in range(count)
@@ -252,7 +253,7 @@ def run_heterogeneous_open_loop(
     for query_id, (send_time, demand) in enumerate(
         zip(arrival_times.tolist(), demands.tolist())
     ):
-        sim.schedule(send_time, broker.on_arrival, query_id, demand)
+        sim.post(send_time, broker.on_arrival, query_id, demand)
 
     sim.run()
     utilizations = [

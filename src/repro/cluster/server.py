@@ -28,6 +28,7 @@ from repro.search.strategy import TraversalStrategy
 from repro.servers.spec import ServerSpec
 from repro.sim.engine import Simulator
 from repro.sim.hiccups import HiccupSchedule
+from repro.sim.random import RandomStreams
 from repro.sim.resources import CoreBank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -38,22 +39,23 @@ _SHARE_BLOCK = 64
 
 
 class _ShareStream:
-    """Dirichlet splits of a unit of work into ``parts`` shares.
+    """Dirichlet splits of a unit of work into ``parts`` shares, each of
+    concentration ``alpha``.
 
-    The sole reader of ``rng``: it draws ``_SHARE_BLOCK`` rows per numpy
-    call and hands them out one at a time.  A block equals, bit for bit,
-    as many one-row draws, so drawing ahead moves no simulated number
-    while nothing else reads ``rng``.  One part is the whole and draws
-    nothing.
+    The sole reader of stream ``name``: it draws ``_SHARE_BLOCK`` rows
+    per numpy call and hands them out one at a time.  A block equals,
+    bit for bit, as many one-row draws, so drawing ahead moves no
+    simulated number while nothing else reads the stream.  One part is
+    the whole: it draws nothing, and never opens the stream.
     """
 
     __slots__ = ("_share_rng", "_alpha", "_rows")
 
     def __init__(
-        self, rng: np.random.Generator, parts: int, concentration: float
+        self, streams: RandomStreams, name: str, parts: int, alpha: float
     ):
-        self._share_rng = rng
-        self._alpha = np.full(parts, concentration) if parts > 1 else None
+        self._share_rng = streams.stream(name) if parts > 1 else None
+        self._alpha = np.full(parts, alpha) if parts > 1 else None
         #: The rest of the current block, last row first.
         self._rows: List[List[float]] = []
 
@@ -160,7 +162,8 @@ class SimulatedServer:
         sim: Simulator,
         spec: ServerSpec,
         partitioning: PartitionModelConfig,
-        imbalance_rng: np.random.Generator,
+        streams: RandomStreams,
+        imbalance_stream: str,
         on_complete: Optional[Callable[[QueryRecord], None]] = None,
         hiccups: Optional[HiccupSchedule] = None,
         metrics: Optional["MetricsRegistry"] = None,
@@ -172,11 +175,22 @@ class SimulatedServer:
             spec.num_cores, speed=spec.core_speed, hiccups=hiccups
         )
         self._shares = _ShareStream(
-            imbalance_rng,
+            streams,
+            imbalance_stream,
             partitioning.num_partitions,
             partitioning.imbalance_concentration,
         )
+        self._overhead = partitioning.partition_overhead
+        self._demand_factor = partitioning.effective_demand(1.0)
+        self._prunes = partitioning.traversal.prunes
         self._merge_demand = partitioning.merge_demand()
+        # A zero-cost merge completes inline with the last task; it must
+        # not re-queue behind other queries' tasks for a core.
+        self._after_tasks = (
+            self._start_merge
+            if self._merge_demand > 0
+            else self._complete_without_merge
+        )
         self._on_complete = on_complete
         self._metrics = metrics
         #: Queries accepted but not yet completed — the load signal a
@@ -188,44 +202,27 @@ class SimulatedServer:
         now = self.sim.now
         self.outstanding += 1
         record.server_arrival = now
-        config = self.partitioning
-        shares = self._shares.next()
-
-        demand = config.effective_demand(record.demand)
-        if self._metrics is not None and config.traversal.prunes:
-            pruned = record.demand * config.pruning_factor
+        demand = record.demand * self._demand_factor
+        if self._prunes and self._metrics is not None:
             self._metrics.counter("sim.wand.queries_pruned").add()
             self._metrics.counter("sim.wand.demand_saved_s").add(
-                record.demand - pruned
+                record.demand - demand
             )
 
-        submit = self.cores.submit
-        overhead = config.partition_overhead
-        first_start = earliest_end = float("inf")
-        last_end = 0.0
-        for share in shares:
-            start, end = submit(now, demand * share + overhead)
-            if start < first_start:
-                first_start = start
-            if end < earliest_end:
-                earliest_end = end
-            if end > last_end:
-                last_end = end
-
+        first_start, earliest_end, last_end = self.cores.fork(
+            now, demand, self._shares.next(), self._overhead
+        )
         record.first_task_start = first_start
         record.earliest_task_end = earliest_end
         record.last_task_end = last_end
-        if self._merge_demand > 0:
-            self.sim.schedule(last_end, self._start_merge, record)
-        else:
-            # A zero-cost merge completes inline with the last task; it
-            # must not re-queue behind other queries' tasks for a core.
-            self.sim.schedule(last_end, self._complete_without_merge, record)
+        self.sim.post(last_end, self._after_tasks, record)
 
     def _start_merge(self, record: QueryRecord) -> None:
-        start, end = self.cores.submit(self.sim.now, self._merge_demand)
+        start, _, end = self.cores.fork(
+            self.sim.now, self._merge_demand, (1.0,), 0.0
+        )
         record.merge_start = start
-        self.sim.schedule(end, self._finish_merge, record)
+        self.sim.post(end, self._finish_merge, record)
 
     def _finish_merge(self, record: QueryRecord) -> None:
         record.merge_end = self.sim.now

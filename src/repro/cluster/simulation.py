@@ -71,7 +71,8 @@ def run_open_loop(
         sim,
         config.spec,
         config.partitioning,
-        imbalance_rng=streams.stream("imbalance"),
+        streams=streams,
+        imbalance_stream="imbalance",
         on_complete=complete,
         hiccups=config.make_hiccup_schedule(streams),
     )
@@ -81,7 +82,7 @@ def run_open_loop(
             query_id=query_id, client_send=float(send_time), demand=float(demand)
         )
         arrival = float(send_time) + config.network.delay(network_rng)
-        sim.schedule(arrival, server.handle_arrival, record)
+        sim.post(arrival, server.handle_arrival, record)
 
     sim.run()
     records.sort(key=lambda record: record.client_send)
@@ -135,7 +136,7 @@ def run_closed_loop(
         )
         issued += 1
         arrival = sim.now + config.network.delay(network_rng)
-        sim.schedule(arrival, server.handle_arrival, record)
+        sim.post(arrival, server.handle_arrival, record)
 
     def complete(record: QueryRecord) -> None:
         record.client_receive = record.merge_end + config.network.delay(
@@ -143,20 +144,21 @@ def run_closed_loop(
         )
         records.append(record)
         # The client that owned this query re-enters its think phase.
-        sim.schedule(record.client_receive + think_time(), issue_query)
+        sim.post(record.client_receive + think_time(), issue_query)
 
     server = SimulatedServer(
         sim,
         config.spec,
         config.partitioning,
-        imbalance_rng=streams.stream("imbalance"),
+        streams=streams,
+        imbalance_stream="imbalance",
         on_complete=complete,
         hiccups=config.make_hiccup_schedule(streams),
     )
 
     # Stagger the client population's first think phases.
     for _ in range(closed_loop.num_clients):
-        sim.schedule(think_time(), issue_query)
+        sim.post(think_time(), issue_query)
 
     sim.run()
     records.sort(key=lambda record: record.client_send)

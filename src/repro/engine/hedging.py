@@ -26,8 +26,10 @@ service times.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Deque, List, Optional
 
 __all__ = [
     "HedgingPolicy",
@@ -41,46 +43,47 @@ class ShardLatencyTracker:
 
     Quantile-based hedging needs an online estimate of "how long does a
     healthy shard request take?".  The tracker keeps the most recent
-    ``window`` observations in a ring buffer and answers quantile
-    queries over them.  Thread-safe: the native ISN records from its
-    fan-out loop while benchmarks may snapshot concurrently.
+    ``window`` observations in arrival order and, kept sorted by
+    bisection, a copy a quantile is one index into.  Thread-safe: the
+    native ISN records from its fan-out loop while benchmarks may
+    snapshot concurrently.
     """
 
-    __slots__ = ("_window", "_values", "_next", "_count", "_lock")
+    __slots__ = ("_window", "_recent", "_sorted", "_lock")
 
     def __init__(self, window: int = 512):
         if window <= 0:
             raise ValueError("window must be positive")
         self._window = window
-        self._values: List[float] = [0.0] * window
-        self._next = 0
-        self._count = 0
+        self._recent: Deque[float] = deque(maxlen=window)
+        self._sorted: List[float] = []  # the window, ascending
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return min(self._count, self._window)
+        return len(self._sorted)
 
     def observe(self, latency_s: float) -> None:
         """Record one completed shard request's latency."""
-        if latency_s < 0:
+        if not latency_s >= 0:
             raise ValueError("latency_s must be non-negative")
+        value = float(latency_s)
         with self._lock:
-            self._values[self._next] = float(latency_s)
-            self._next = (self._next + 1) % self._window
-            self._count += 1
+            if len(self._sorted) == self._window:
+                # The oldest value leaves: any copy of it will do.
+                del self._sorted[bisect_left(self._sorted, self._recent[0])]
+            insort(self._sorted, value)
+            self._recent.append(value)
 
     def quantile(self, q: float) -> Optional[float]:
         """The ``q``-quantile of the window (None while empty)."""
         if not 0.0 < q < 1.0:
             raise ValueError("q must be in (0, 1)")
         with self._lock:
-            size = min(self._count, self._window)
+            size = len(self._sorted)
             if size == 0:
                 return None
-            values = sorted(self._values[:size])
-        # Nearest-rank on the sorted window: robust, allocation-light.
-        rank = min(size - 1, int(q * size))
-        return values[rank]
+            # Nearest-rank on the sorted window.
+            return self._sorted[min(size - 1, int(q * size))]
 
 
 @dataclass(frozen=True, kw_only=True)

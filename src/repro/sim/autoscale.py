@@ -451,9 +451,8 @@ def run_autoscaled_cluster(
                 sim,
                 config.spec,
                 config.partitioning,
-                imbalance_rng=streams.stream(
-                    f"imbalance-{shard}-{row_id}{suffix}"
-                ),
+                streams=streams,
+                imbalance_stream=f"imbalance-{shard}-{row_id}{suffix}",
                 on_complete=broker.on_server_done,
                 metrics=metrics,
             )
@@ -469,7 +468,7 @@ def run_autoscaled_cluster(
 
     def publish_when_ready(row: _Row) -> None:
         if row.ready_at > sim.now:
-            sim.schedule(row.ready_at, publish_rows)
+            sim.post(row.ready_at, publish_rows)
         else:
             publish_rows()
 
@@ -507,7 +506,7 @@ def run_autoscaled_cluster(
                 return
             if crash_at <= sim.now:
                 continue  # defensive against ill-ordered trace windows
-            sim.schedule(crash_at, crash_row, row, repair_s, windows)
+            sim.post(crash_at, crash_row, row, repair_s, windows)
             return
 
     def crash_row(row: _Row, repair_s: float, windows) -> None:
@@ -519,7 +518,7 @@ def run_autoscaled_cluster(
         publish_rows()
         # Fail exactly the queries with a shard in flight on this row.
         broker.fail_replicas(row.servers)
-        sim.schedule_after(repair_s, recover_row, row, windows)
+        sim.post(sim.now + repair_s, recover_row, row, windows)
 
     def recover_row(row: _Row, windows) -> None:
         if row.retired_at is not None:
@@ -541,7 +540,7 @@ def run_autoscaled_cluster(
     for query_id, (send_time, demand) in enumerate(
         zip(arrival_times.tolist(), demands.tolist())
     ):
-        sim.schedule(send_time, broker.on_arrival, query_id, demand)
+        sim.post(send_time, broker.on_arrival, query_id, demand)
 
     # ------------------------------------------------------------------
     # The control loop.
@@ -649,9 +648,9 @@ def run_autoscaled_cluster(
             )
         )
         if now + config.control_interval_s <= horizon:
-            sim.schedule_after(config.control_interval_s, control_tick)
+            sim.post(sim.now + config.control_interval_s, control_tick)
 
-    sim.schedule(config.control_interval_s, control_tick)
+    sim.post(config.control_interval_s, control_tick)
     sim.run()
 
     spans = tuple(

@@ -10,7 +10,7 @@ scheduled event can be cancelled before it fires — the mechanism the
 tail-tolerance layer uses to retire a pending hedge/deadline check the
 moment the answer it was guarding arrives.  Cancelled events are
 skipped (never executed, never counted) when they reach the head of
-the heap.
+the heap.  Events nothing cancels are :meth:`Simulator.post`-ed.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ class EventHandle:
         self._cancelled = True
 
 
+#: The handle of every posted event: never cancelled.
+_POSTED = EventHandle()
+
+
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -59,12 +63,12 @@ class Simulator:
         ] = []
         self._sequence = 0
         self.now = 0.0
-        self._events_processed = 0
+        self._discarded = 0  # cancelled events dropped unrun
 
     @property
     def events_processed(self) -> int:
-        """Number of events executed so far (cancelled events excluded)."""
-        return self._events_processed
+        """Events executed so far: queued, not pending, not discarded."""
+        return self._sequence - len(self._heap) - self._discarded
 
     @property
     def pending_events(self) -> int:
@@ -82,10 +86,7 @@ class Simulator:
         raises.
         """
         if not self.now <= time < _INF:
-            raise ValueError(
-                f"cannot schedule at {time}: need a finite time at or "
-                f"after the clock ({self.now})"
-            )
+            raise self._bad_time(time)
         handle = EventHandle()
         heapq.heappush(
             self._heap, (time, self._sequence, handle, callback, args)
@@ -93,13 +94,22 @@ class Simulator:
         self._sequence += 1
         return handle
 
-    def schedule_after(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule(self.now + delay, callback, *args)
+    def post(
+        self, time: float, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """:meth:`schedule` an event nothing cancels, allocating no handle."""
+        if not self.now <= time < _INF:
+            raise self._bad_time(time)
+        heapq.heappush(
+            self._heap, (time, self._sequence, _POSTED, callback, args)
+        )
+        self._sequence += 1
+
+    def _bad_time(self, time: float) -> ValueError:
+        return ValueError(
+            f"cannot schedule at {time}: need a finite time at or "
+            f"after the clock ({self.now})"
+        )
 
     def run(self, until: Optional[float] = None) -> None:
         """Process events until the heap is empty (or past ``until``).
@@ -115,13 +125,13 @@ class Simulator:
             item = pop(heap)
             time, _, handle, callback, args = item
             if handle._cancelled:
+                self._discarded += 1
                 continue
             if time > limit:
                 # Its own sequence number puts it back exactly in place.
                 heapq.heappush(heap, item)
                 break
             self.now = time
-            self._events_processed += 1
             callback(*args)
         if until is not None and until > self.now:
             self.now = until
@@ -131,9 +141,9 @@ class Simulator:
         while self._heap:
             time, _, handle, callback, args = heapq.heappop(self._heap)
             if handle.cancelled:
+                self._discarded += 1
                 continue
             self.now = time
-            self._events_processed += 1
             callback(*args)
             return True
         return False

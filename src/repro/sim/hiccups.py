@@ -59,6 +59,9 @@ class PauseSchedule:
     where the intervals come from (:meth:`_extend_past`).
     """
 
+    #: Every interval starting before this is known (a fixed set: all).
+    _frontier = float("inf")
+
     def __init__(self) -> None:
         self._starts: List[float] = []
         self._ends: List[float] = []
@@ -89,15 +92,23 @@ class PauseSchedule:
         """
         if busy_seconds < 0:
             raise ValueError("busy_seconds must be non-negative")
-        self._extend_past(start)
+        end = start + busy_seconds
+        if end >= self._frontier:
+            self._extend_past(end)
         # Find the first pause that could affect us.
         index = bisect_right(self._ends, start)
-        clock = start
-        if index < len(self._starts) and self._starts[index] <= clock:
+        if index == len(self._starts) or start < self._starts[index] >= end:
+            return start, end  # no pause overlaps [start, end)
+        return self._walk(start, busy_seconds, index)
+
+    def _walk(
+        self, clock: float, remaining: float, index: int
+    ) -> Tuple[float, float]:
+        """:meth:`execute` over the pauses from ``index`` on."""
+        if self._starts[index] <= clock:
             clock = self._ends[index]  # started mid-pause: resume after
             index += 1
         actual_start = clock
-        remaining = busy_seconds
         while remaining > 0:
             self._extend_past(clock + remaining)
             if index < len(self._starts) and self._starts[index] < clock + remaining:

@@ -9,6 +9,7 @@ process.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Dict
 
 import numpy as np
@@ -20,19 +21,22 @@ class RandomStreams:
     def __init__(self, master_seed: int):
         self.master_seed = master_seed
         self._streams: Dict[str, np.random.Generator] = {}
+        seed = index(master_seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")  # as numpy
+        shifts = range(0, max(seed.bit_length(), 128), 32)  # pool: 4 words
+        self._words = [seed >> shift & 0xFFFFFFFF for shift in shifts]
 
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the named substream.
 
-        The same ``(master_seed, name)`` pair always yields the same
-        sequence, independent of creation order.
+        It is ``SeedSequence(entropy=master_seed, spawn_key=<the name's
+        code points>)``, independent of creation order, built from the
+        one entropy array numpy assembles from those two.
         """
         if name not in self._streams:
-            # Hash the name into entropy so stream identity does not
-            # depend on the order streams are requested in.
-            name_entropy = [ord(ch) for ch in name]
-            seed_seq = np.random.SeedSequence(
-                entropy=self.master_seed, spawn_key=tuple(name_entropy)
+            entropy = self._words + [ord(ch) for ch in name]
+            self._streams[name] = np.random.default_rng(
+                np.random.SeedSequence(np.array(entropy, dtype=np.uint32))
             )
-            self._streams[name] = np.random.default_rng(seed_seq)
         return self._streams[name]

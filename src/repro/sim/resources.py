@@ -16,7 +16,8 @@ asserts it anyway.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from math import inf
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.sim.hiccups import HiccupSchedule
@@ -62,24 +63,48 @@ class CoreBank:
 
         Returns ``(start_time, completion_time)``.
         """
-        if demand < 0:
-            raise ValueError(f"demand must be non-negative, got {demand}")
+        start, _, end = self.fork(now, demand, (1.0,), 0.0)
+        return start, end
+
+    def fork(
+        self,
+        now: float,
+        demand: float,
+        shares: Iterable[float],
+        overhead: float,
+    ) -> Tuple[float, float, float]:
+        """:meth:`submit` one task of ``demand * share + overhead`` per
+        share, in order; returns ``(first_start, earliest_end, last_end)``.
+        """
         if now < self._last_submission:
             raise ValueError(
                 "submissions must be in non-decreasing time order: "
                 f"{now} after {self._last_submission}"
             )
         self._last_submission = now
-        earliest_free = self._free_at[0]
-        start = earliest_free if earliest_free > now else now
-        duration = demand / self.speed
-        if self.hiccups is not None:
-            start, end = self.hiccups.execute(start, duration)
-        else:
-            end = start + duration
-        heapq.heapreplace(self._free_at, end)
-        self._busy_time += duration
-        return start, end
+        free_at, speed, hiccups = self._free_at, self.speed, self.hiccups
+        first_start = earliest_end = inf
+        last_end = 0.0
+        for share in shares:
+            task = demand * share + overhead
+            if task < 0:
+                raise ValueError(f"demand must be non-negative, got {task}")
+            earliest_free = free_at[0]
+            start = earliest_free if earliest_free > now else now
+            duration = task / speed
+            if hiccups is not None:
+                start, end = hiccups.execute(start, duration)
+            else:
+                end = start + duration
+            heapq.heapreplace(free_at, end)
+            self._busy_time += duration
+            if start < first_start:
+                first_start = start
+            if end < earliest_end:
+                earliest_end = end
+            if end > last_end:
+                last_end = end
+        return first_start, earliest_end, last_end
 
     def utilization(self, horizon: float) -> float:
         """Busy fraction of total core capacity over ``[0, horizon]``."""

@@ -1,12 +1,12 @@
 """Unit tests for the simulated fork-join server."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.results import QueryRecord
 from repro.cluster.server import PartitionModelConfig, SimulatedServer
 from repro.servers.spec import ServerSpec
 from repro.sim.engine import Simulator
+from repro.sim.random import RandomStreams
 
 IDEAL = PartitionModelConfig(
     num_partitions=1,
@@ -28,7 +28,8 @@ def make_server(sim, completions, partitions=IDEAL, cores=4, speed=1.0):
         sim,
         spec,
         partitions,
-        imbalance_rng=np.random.default_rng(0),
+        RandomStreams(0),
+        "imbalance",
         on_complete=completions.append,
     )
 
@@ -244,7 +245,8 @@ class TestTraversalCostModel:
             sim,
             spec,
             config,
-            imbalance_rng=np.random.default_rng(0),
+            RandomStreams(0),
+            "imbalance",
             metrics=registry,
         )
         submit(sim, server, 0.0, 2.0)

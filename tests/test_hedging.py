@@ -10,6 +10,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.hedging import (
     DISABLED_POLICY,
@@ -124,7 +126,34 @@ class TestShardLatencyTracker:
         with pytest.raises(ValueError):
             ShardLatencyTracker().observe(-1.0)
         with pytest.raises(ValueError):
+            ShardLatencyTracker().observe(float("nan"))
+        with pytest.raises(ValueError):
             ShardLatencyTracker().quantile(1.0)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        window=st.integers(min_value=1, max_value=9),
+        values=st.lists(
+            # Few distinct values: evictions must cope with duplicates.
+            st.one_of(
+                st.integers(min_value=0, max_value=4).map(float),
+                st.floats(min_value=0.0, max_value=1e3),
+            ),
+            max_size=40,
+        ),
+        q=st.floats(
+            min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True
+        ),
+    )
+    def test_quantile_is_nearest_rank_of_the_window(self, window, values, q):
+        tracker = ShardLatencyTracker(window=window)
+        for seen, value in enumerate(values, start=1):
+            tracker.observe(value)
+            recent = sorted(values[max(0, seen - window) : seen])
+            assert len(tracker) == len(recent)
+            rank = min(len(recent) - 1, int(q * len(recent)))
+            assert tracker.quantile(q) == recent[rank]
 
 
 class TestHedgingPolicy:

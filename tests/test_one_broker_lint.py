@@ -16,12 +16,15 @@ the independent reference of
 ``test_single_server_matches_single_node_sim``) talks to servers
 directly, and is listed as such.
 
-The share streams have one reader each.  A server's imbalance stream
-and the broker's ``"server-imbalance"`` stream are each handed straight
-to a ``_ShareStream`` (``cluster/server.py``), which draws it ahead in
-blocks.  That is bit-identical only while nothing else reads the
-Generator, so :func:`test_share_streams_have_one_reader` pins both
-hand-overs and every access to ``_ShareStream``'s Generator.
+The share streams have one reader each.  The names of a server's
+imbalance stream and of the broker's ``"server-imbalance"`` stream are
+each handed straight to a ``_ShareStream`` (``cluster/server.py``),
+which opens the stream only when it splits into more than one part and
+draws it ahead in blocks.  That is bit-identical only while nothing
+else reads the Generator, so :func:`test_share_streams_have_one_reader`
+pins both hand-overs and every access to ``_ShareStream``'s Generator,
+and :func:`test_one_part_share_stream_opens_no_generator` pins that a
+one-part split opens nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
+
+from repro.cluster.server import _ShareStream
+from repro.sim.random import RandomStreams
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -113,13 +119,14 @@ def _scope(node, parents) -> str:
 
 
 def _hands_to_share_stream(node, parents) -> bool:
-    """True if ``node`` is the Generator argument of ``_ShareStream(...)``."""
+    """True if ``node`` is the stream-name argument of
+    ``_ShareStream(streams, name, ...)``."""
     call = parents.get(node)
     return (
         isinstance(call, ast.Call)
         and isinstance(call.func, ast.Name)
         and call.func.id == "_ShareStream"
-        and call.args[:1] == [node]
+        and call.args[1:2] == [node]
     )
 
 
@@ -134,15 +141,15 @@ def _share_stream_access(relative: str, tree: ast.AST):
             access = (relative, _scope(node, parents), type(node.ctx))
             if access not in SHARE_RNG_ACCESS:
                 yield node, "touches _share_rng"
-        elif isinstance(node, ast.Name) and node.id == "imbalance_rng":
+        elif isinstance(node, ast.Name) and node.id == "imbalance_stream":
             if isinstance(node.ctx, ast.Load) and not _hands_to_share_stream(
                 node, parents
             ):
-                yield node, "reads imbalance_rng"
+                yield node, "reads imbalance_stream"
         elif isinstance(node, ast.Constant) and node.value == (
             "server-imbalance"
         ):
-            if not _hands_to_share_stream(parents.get(node), parents):
+            if not _hands_to_share_stream(node, parents):
                 yield node, 'requests "server-imbalance"'
 
 
@@ -173,24 +180,48 @@ def test_share_stream_lint_actually_detects(tmp_path):
     (tmp_path / "cluster").mkdir()
     (tmp_path / "cluster" / "server.py").write_text(
         "class _ShareStream:\n"
-        "    def __init__(self, rng):\n"
-        "        self._share_rng = rng\n"
+        "    def __init__(self, streams, name):\n"
+        "        self._share_rng = streams.stream(name)\n"
         "    def next(self):\n"
         "        return self._share_rng.dirichlet(self._alpha)\n"
         "class SimulatedServer:\n"
-        "    def __init__(self, imbalance_rng):\n"
-        "        self._shares = _ShareStream(imbalance_rng)\n"
-        "        self._noise = imbalance_rng\n"
+        "    def __init__(self, streams, imbalance_stream):\n"
+        "        self._shares = _ShareStream(streams, imbalance_stream)\n"
+        "        self._noise = streams.stream(imbalance_stream)\n"
         "    def handle_arrival(self, record):\n"
         "        record.noise = self._shares._share_rng.random()\n"
     )
     (tmp_path / "cluster" / "broker.py").write_text(
         "def build(streams):\n"
-        '    shares = _ShareStream(streams.stream("server-imbalance"))\n'
+        '    shares = _ShareStream(streams, "server-imbalance")\n'
         '    jitter = streams.stream("server-imbalance")\n'
+        '    old = _ShareStream(streams.stream("server-imbalance"), 2)\n'
     )
     assert _share_stream_violations(tmp_path) == [
         'src/repro/cluster/broker.py:3: requests "server-imbalance"',
-        "src/repro/cluster/server.py:9: reads imbalance_rng",
+        'src/repro/cluster/broker.py:4: requests "server-imbalance"',
+        "src/repro/cluster/server.py:9: reads imbalance_stream",
         "src/repro/cluster/server.py:11: touches _share_rng",
     ]
+
+
+class _RecordingStreams(RandomStreams):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.requested = []
+
+    def stream(self, name):
+        self.requested.append(name)
+        return super().stream(name)
+
+
+def test_one_part_share_stream_opens_no_generator():
+    """A one-part split is the whole: the name it holds is never
+    opened, so no Generator exists for another reader to share."""
+    streams = _RecordingStreams(0)
+    whole = _ShareStream(streams, "server-imbalance", 1, 60.0)
+    assert whole.next() == (1.0,)
+    assert whole._share_rng is None
+    assert streams.requested == []
+    _ShareStream(streams, "server-imbalance", 2, 60.0)
+    assert streams.requested == ["server-imbalance"]

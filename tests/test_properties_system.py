@@ -26,6 +26,7 @@ from repro.search.taat import score_taat
 from repro.servers.catalog import BIG_SERVER
 from repro.servers.spec import ServerSpec
 from repro.sim.engine import Simulator
+from repro.sim.random import RandomStreams
 from repro.text.analyzer import Analyzer, AnalyzerConfig
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.scenario import WorkloadScenario
@@ -209,7 +210,8 @@ class TestSimulatorConservation:
                 merge_base=0.0,
                 merge_per_partition=0.0,
             ),
-            imbalance_rng=np.random.default_rng(0),
+            RandomStreams(0),
+            "imbalance",
             on_complete=done.append,
         )
         for query_id, demand in enumerate(demands):

@@ -5,10 +5,11 @@ splits each query over its shards, by a Dirichlet draw.  Both draw a
 block of rows per numpy call from a stream nothing else reads.  That is
 only exact when (a) numpy's block rows equal its one-row draws — for
 both of its algorithms, stick-breaking below α = 0.1 and gamma
-normalisation above — and (b) every consumer holds a Generator no
-other code touches.  (a) is checked here against the one-row reference;
-(b) for all four simulation drivers, and by the stream-ownership lint
-in ``test_one_broker_lint.py``.
+normalisation above — and (b) every consumer is the only code that
+opens its named stream.  (a) is checked here against the one-row
+reference; (b) for all four simulation drivers, and by the
+stream-ownership lint in ``test_one_broker_lint.py``.  A one-part split
+is the whole and draws nothing, so it opens no stream at all.
 """
 
 from __future__ import annotations
@@ -59,9 +60,20 @@ NODE = ServerSpec(
 )
 
 
-def one_at_a_time(seed, alpha, count=DRAWS):
-    rng = np.random.default_rng(seed)
+def one_at_a_time(rng, alpha, count=DRAWS):
     return [rng.dirichlet(alpha).tolist() for _ in range(count)]
+
+
+class RecordingStreams(RandomStreams):
+    """Streams that remember every name requested of them."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.requested = []
+
+    def stream(self, name):
+        self.requested.append(name)
+        return super().stream(name)
 
 
 @pytest.mark.parametrize("concentration", [0.05, 0.5, 5.0, 20.0])
@@ -69,13 +81,17 @@ def one_at_a_time(seed, alpha, count=DRAWS):
 def test_block_rows_equal_one_row_draws(concentration, parts):
     alpha = np.full(parts, concentration)
     block = np.random.default_rng(11).dirichlet(alpha, size=BLOCK)
-    assert block.tolist() == one_at_a_time(11, alpha, BLOCK)
+    assert block.tolist() == one_at_a_time(
+        np.random.default_rng(11), alpha, BLOCK
+    )
 
+    streams = RecordingStreams(11)
     stream = server_module._ShareStream(
-        np.random.default_rng(11), parts, concentration
+        streams, "shares", parts, concentration
     )
     drawn = [stream.next() for _ in range(DRAWS)]
-    assert drawn == one_at_a_time(11, alpha)
+    assert drawn == one_at_a_time(RandomStreams(11).stream("shares"), alpha)
+    assert streams.requested == ["shares"]
     # Three blocks drawn; what the third did not hand out is kept.
     assert len(stream._rows) == 3 * BLOCK - DRAWS
 
@@ -84,29 +100,30 @@ def test_block_rows_equal_one_row_draws(concentration, parts):
 def test_server_share_sequence_matches_twin_generator(parts):
     config = PartitionModelConfig(num_partitions=parts)
     server = SimulatedServer(
-        Simulator(), NODE, config, imbalance_rng=np.random.default_rng(5)
+        Simulator(), NODE, config, RandomStreams(5), "imbalance"
     )
     drawn = [list(server._shares.next()) for _ in range(DRAWS)]
     assert drawn == one_at_a_time(
-        5, np.full(parts, config.imbalance_concentration)
+        RandomStreams(5).stream("imbalance"),
+        np.full(parts, config.imbalance_concentration),
     )
 
 
 def test_single_partition_server_draws_nothing():
-    rng = np.random.default_rng(5)
-    state = rng.bit_generator.state
+    streams = RecordingStreams(5)
     server = SimulatedServer(
-        Simulator(), NODE, PartitionModelConfig(), imbalance_rng=rng
+        Simulator(), NODE, PartitionModelConfig(), streams, "imbalance"
     )
     assert [server._shares.next() for _ in range(3)] == [(1.0,)] * 3
-    assert rng.bit_generator.state == state
+    assert streams.requested == []
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_broker_shard_split_matches_twin_generator(shards):
+    streams = RecordingStreams(9)
     broker = Broker(
         Simulator(),
-        RandomStreams(9),
+        streams,
         shards,
         merge_per_server=0.0,
         concentration=60.0,
@@ -114,7 +131,9 @@ def test_broker_shard_split_matches_twin_generator(shards):
     drawn = [list(broker._shard_shares.next()) for _ in range(DRAWS)]
     if shards == 1:
         assert drawn == [[1.0]] * DRAWS
+        assert streams.requested == []
         return
+    assert streams.requested == ["server-imbalance"]
     twin = RandomStreams(9).stream("server-imbalance")
     assert drawn == [
         twin.dirichlet(np.full(shards, 60.0)).tolist() for _ in range(DRAWS)
@@ -127,11 +146,12 @@ def test_broker_shard_split_matches_twin_generator(shards):
 
 @pytest.fixture
 def handouts(monkeypatch):
-    """Record every server built and every stream handed out."""
-    built = {"servers": [], "brokers": [], "streams": []}
+    """Record every server and share stream built, and every stream
+    handed out."""
+    built = {"servers": [], "shares": [], "streams": []}
     original_stream = RandomStreams.stream
     original_server_init = SimulatedServer.__init__
-    original_broker_init = Broker.__init__
+    original_shares_init = server_module._ShareStream.__init__
 
     def stream(self, name):
         rng = original_stream(self, name)
@@ -142,24 +162,33 @@ def handouts(monkeypatch):
         original_server_init(self, *args, **kwargs)
         built["servers"].append(self)
 
-    def broker_init(self, *args, **kwargs):
-        original_broker_init(self, *args, **kwargs)
-        built["brokers"].append(self)
+    def shares_init(self, streams, name, parts, concentration):
+        original_shares_init(self, streams, name, parts, concentration)
+        built["shares"].append((self, name, parts))
 
     monkeypatch.setattr(RandomStreams, "stream", stream)
     monkeypatch.setattr(SimulatedServer, "__init__", server_init)
-    monkeypatch.setattr(Broker, "__init__", broker_init)
+    monkeypatch.setattr(server_module._ShareStream, "__init__", shares_init)
     return built
 
 
 def assert_sole_owners(built):
-    """Every share stream is its own Generator, handed out exactly once."""
-    owned = [server._shares._share_rng for server in built["servers"]] + [
-        broker._shard_shares._share_rng for broker in built["brokers"]
+    """Every splitting share stream is its own Generator, handed out
+    exactly once; a one-part split opens none.  Returns the names of
+    the splitting share streams."""
+    owned = [
+        shares._share_rng
+        for shares, _, parts in built["shares"]
+        if parts > 1
     ]
     assert len({id(rng) for rng in owned}) == len(owned)
     handed = Counter(id(rng) for _, rng in built["streams"])
     assert all(handed[id(rng)] == 1 for rng in owned)
+    requested = {name for name, _ in built["streams"]}
+    for shares, name, parts in built["shares"]:
+        if parts == 1:
+            assert shares._share_rng is None
+            assert name not in requested, f"one-part split opened {name!r}"
     return {
         name
         for name, rng in built["streams"]
@@ -185,6 +214,17 @@ def test_fanout_servers_own_their_streams(handouts):
     names = assert_sole_owners(handouts)
     assert len(handouts["servers"]) == 6
     assert "server-imbalance" in names
+
+
+def test_one_part_splits_open_no_stream(handouts):
+    config = FanoutConfig(num_servers=1, spec=BIG_SERVER)
+    run_fanout_open_loop(config, scenario(), seed=3)
+    assert assert_sole_owners(handouts) == set()
+    assert len(handouts["shares"]) == 2  # the broker's and the server's
+    assert [name for name, _ in handouts["streams"]] == [
+        "arrivals",
+        "demands",
+    ]
 
 
 def test_autoscaled_servers_own_their_streams_across_generations(handouts):

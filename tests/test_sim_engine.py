@@ -32,7 +32,7 @@ class TestSimulator:
 
         def chain():
             order.append("root")
-            sim.schedule_after(1.0, order.append, "child")
+            sim.post(sim.now + 1.0, order.append, "child")
 
         sim.schedule(1.0, chain)
         sim.run()
@@ -54,12 +54,8 @@ class TestSimulator:
         with pytest.raises(ValueError):
             sim.schedule(time, lambda: None)
         with pytest.raises(ValueError):
-            sim.schedule_after(time, lambda: None)
+            sim.post(time, lambda: None)
         assert sim.pending_events == 0
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator().schedule_after(-1.0, lambda: None)
 
     def test_run_until_leaves_future_events(self):
         sim = Simulator()
@@ -161,6 +157,39 @@ class TestSimulator:
         assert fired == [1, 3]
         assert sim.events_processed == 3
 
+    def test_post_shares_the_sequence_with_schedule(self):
+        sim = Simulator()
+        order = []
+        sim.post(1.0, order.append, "posted first")
+        sim.schedule(1.0, order.append, "scheduled")
+        sim.post(1.0, order.append, "posted last")
+        sim.post(0.5, order.append, "earliest")
+        assert sim.post(2.0, order.append, "end") is None
+        sim.run()
+        assert order == [
+            "earliest",
+            "posted first",
+            "scheduled",
+            "posted last",
+            "end",
+        ]
+        assert sim.events_processed == 5
+
+    def test_cannot_post_in_past(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(ValueError):
+            sim.post(0.5, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_events_processed_is_current_inside_a_callback(self):
+        sim = Simulator()
+        seen = []
+        sim.post(1.0, lambda: seen.append(sim.events_processed))
+        sim.schedule(2.0, lambda: seen.append(sim.events_processed))
+        sim.run()
+        assert seen == [1, 2]
+
     def test_step(self):
         sim = Simulator()
         fired = []
@@ -234,6 +263,28 @@ class TestCoreBank:
             CoreBank(0)
         with pytest.raises(ValueError):
             CoreBank(1, speed=0)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_fork_equals_one_submit_per_share(self, cores):
+        shares = (0.5, 0.125, 0.25, 0.125)
+        forked, twin = CoreBank(cores, speed=0.5), CoreBank(cores, speed=0.5)
+        for now in (0.0, 0.1, 0.1, 3.0):
+            spans = [twin.submit(now, 0.4 * share + 0.01) for share in shares]
+            assert forked.fork(now, 0.4, shares, 0.01) == (
+                min(start for start, _ in spans),
+                min(end for _, end in spans),
+                max(end for _, end in spans),
+            )
+            assert forked.busy_time == twin.busy_time
+            assert forked._free_at == twin._free_at
+
+    def test_fork_validates_like_submit(self):
+        bank = CoreBank(2)
+        with pytest.raises(ValueError):
+            bank.fork(0.0, -1.0, (0.5, 0.5), 0.0)
+        bank.fork(1.0, 1.0, (1.0,), 0.0)
+        with pytest.raises(ValueError):
+            bank.fork(0.5, 1.0, (1.0,), 0.0)
 
     def test_next_free_time(self):
         bank = CoreBank(2)

@@ -1,5 +1,7 @@
 """Tests for stop-the-world pause injection."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,31 @@ def schedule(mean_interval=1.0, pause=0.1, sigma=0.0, seed=0):
         ),
         np.random.default_rng(seed),
     )
+
+
+def walk(sched, start, busy_seconds):
+    """Reference: the task walked over every pause, with no shortcut."""
+    sched._extend_past(start)
+    index = bisect_right(sched._ends, start)
+    clock = start
+    if index < len(sched._starts) and sched._starts[index] <= clock:
+        clock = sched._ends[index]
+        index += 1
+    actual_start = clock
+    remaining = busy_seconds
+    while remaining > 0:
+        sched._extend_past(clock + remaining)
+        if (
+            index < len(sched._starts)
+            and sched._starts[index] < clock + remaining
+        ):
+            remaining -= sched._starts[index] - clock
+            clock = sched._ends[index]
+            index += 1
+        else:
+            clock += remaining
+            remaining = 0.0
+    return actual_start, clock
 
 
 class TestHiccupConfig:
@@ -102,6 +129,39 @@ class TestHiccupSchedule:
             for pause_start, pause_end in sched.pauses_up_to(end + 1.0)
         )
         assert (end - start) - paused == pytest.approx(busy, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tasks=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=0.5),
+                st.sampled_from([0.0, 0.01, 0.03, 0.2]),
+            ),
+            max_size=40,
+        ),
+        seed=st.integers(min_value=0, max_value=50),
+    )
+    def test_pause_free_shortcut_equals_the_walk(self, tasks, seed):
+        """``execute`` answers a task no pause overlaps without walking;
+        every answer, and every pause drawn, equals the full walk's."""
+        sched = schedule(mean_interval=0.3, pause=0.05, seed=seed)
+        twin = schedule(mean_interval=0.3, pause=0.05, seed=seed)
+        clock = 0.0
+        for gap, busy in tasks:
+            clock += gap
+            assert sched.execute(clock, busy) == walk(twin, clock, busy)
+        # Starting and ending exactly on a pause's edges.
+        for pause_start, pause_end in twin.pauses_up_to(clock):
+            for begin, busy in [
+                (pause_start, 0.0),
+                (pause_end, 0.0),
+                (pause_start - 0.01, 0.01),
+                (pause_end, pause_start - pause_end + 0.3),
+            ]:
+                assert sched.execute(begin, busy) == walk(twin, begin, busy)
+        assert sched.pauses_up_to(clock + 1.0) == twin.pauses_up_to(
+            clock + 1.0
+        )
 
 
 class TestCoreBankWithHiccups:

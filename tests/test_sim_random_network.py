@@ -37,6 +37,64 @@ class TestRandomStreams:
         assert not np.array_equal(a, b)
 
 
+#: Seeds across the 32-bit word boundaries numpy splits an int at.
+ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200]
+#: The stream names the simulation drivers open (and the empty name).
+DRIVER_STREAMS = [
+    "arrivals",
+    "demands",
+    "network",
+    "faults",
+    "selection",
+    "server-imbalance",
+    "imbalance",
+    "imbalance-0",
+    "imbalance-3r1",
+    "imbalance-1-12-g2",
+    "imbalance-little-4",
+    "hiccups",
+    "hiccups-2-1",
+    "replica-failures-7",
+    "routing",
+    "prediction",
+    "think",
+    "",
+]
+
+
+class TestStreamDerivationOracle:
+    """A stream is numpy's own ``SeedSequence(entropy=seed,
+    spawn_key=<the name's code points>)``, however it is assembled."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_state_equals_numpy_spawn_key_derivation(self, seed):
+        streams = RandomStreams(seed)
+        for name in DRIVER_STREAMS:
+            reference = np.random.default_rng(
+                np.random.SeedSequence(
+                    entropy=seed, spawn_key=tuple(map(ord, name))
+                )
+            )
+            assert (
+                streams.stream(name).bit_generator.state
+                == reference.bit_generator.state
+            ), name
+
+    def test_numpy_integer_seed(self):
+        assert (
+            RandomStreams(np.uint64(2**63 + 5)).stream("x").random()
+            == RandomStreams(2**63 + 5).stream("x").random()
+        )
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_raises_like_numpy(self, seed):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.SeedSequence(entropy=seed)
+        with pytest.raises(ValueError) as ours:
+            RandomStreams(seed).stream("arrivals")
+        assert str(ours.value) == str(numpy_error.value)
+
+
 class TestNetworkModels:
     def test_no_delay(self, rng):
         assert NoDelay().delay(rng) == 0.0
